@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test race check shutdown-smoke metrics-audit bench bench-updates bench-queries bench-smoke bench-allocs bench-e2e bench-backends bench-continuous fuzz race-stress
+.PHONY: all build vet staticcheck test race check shutdown-smoke metrics-audit bench-selftest bench bench-updates bench-queries bench-smoke bench-allocs bench-e2e bench-backends bench-continuous fuzz race-stress
 
 all: check
 
@@ -45,11 +45,21 @@ shutdown-smoke:
 metrics-audit:
 	$(GO) test -run TestMetricsAudit -count=1 ./cmd/casperd
 
+# bench-selftest compiles, vets and self-tests the repository benchmark
+# (benchmark/, named by BENCHMARK.json). It is a module of its own that
+# imports casper/internal/..., so `go build ./...` and `go test ./...`
+# at the root never see it: a change to a package it imports can break
+# it unnoticed until the benchmark is next run. Its tests run every
+# workload at 1/100 scale against the oracle.
+bench-selftest:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
 # check is the CI gate: everything must build, vet clean (plus
 # staticcheck when present), pass the full suite under the race
 # detector (the framework is concurrent), keep the metric inventory
-# honest, and drain cleanly under load.
-check: build vet staticcheck race metrics-audit shutdown-smoke
+# honest, drain cleanly under load, and leave the repository benchmark
+# compiling and passing its self-test.
+check: build vet staticcheck race metrics-audit shutdown-smoke bench-selftest
 
 bench:
 	$(GO) test -bench=. -benchmem

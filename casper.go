@@ -286,6 +286,14 @@ var ErrDeprecatedOp = protocol.ErrDeprecatedOp
 // ProtocolClient round trip.
 var ErrOverloaded = protocol.ErrOverloaded
 
+// ErrResponseTooLarge reports that the answer to a request would not
+// fit in one wire frame (1 MiB): a density map finer than about
+// 360 x 360, or a range query matching tens of thousands of objects.
+// Only that request fails — the connection and every other request in
+// flight on it carry on — and asking for less succeeds. Travels as the
+// wire-stable "response_too_large" code.
+var ErrResponseTooLarge = protocol.ErrResponseTooLarge
+
 // ErrBudgetExhausted reports a cloak refused because the user's
 // cumulative ε spend reached the per-user budget ceiling (casperd
 // -epsilon-budget, hot-reloadable as epsilon_budget). Travels as the

@@ -97,3 +97,59 @@ func BenchmarkProtocolV2Pipelined(b *testing.B) {
 		b.Fatal(benchErr)
 	}
 }
+
+// nnResponseShape is a named answer to encode or decode.
+type nnResponseShape struct {
+	name string
+	resp Response
+}
+
+// nnResponseShapes are the two answers that make up the downlink at
+// the repository benchmark's scale: 36 public points per nn_public and
+// 172 cloaks per nn_buddy.
+func nnResponseShapes() []nnResponseShape {
+	return []nnResponseShape{
+		{"points36", nnPublicResponse(36)},
+		{"cloaks172", nnBuddyResponse(172)},
+	}
+}
+
+// BenchmarkEncodeNNResponse is the server's per-answer encode cost;
+// bytes/frame is what that answer costs on the downlink.
+func BenchmarkEncodeNNResponse(b *testing.B) {
+	for _, shape := range nnResponseShapes() {
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var n int
+			for i := 0; i < b.N; i++ {
+				bp, err := encodeResponseFrame(uint64(i), &shape.resp)
+				if err != nil {
+					b.Fatal(err)
+				}
+				n = len(*bp)
+				putFrameBuf(bp)
+			}
+			b.ReportMetric(float64(n), "bytes/frame")
+		})
+	}
+}
+
+// BenchmarkDecodeNNResponse is the client's per-answer decode cost. A
+// run of equal names decodes to one string, so allocs/op does not grow
+// with the list.
+func BenchmarkDecodeNNResponse(b *testing.B) {
+	for _, shape := range nnResponseShapes() {
+		b.Run(shape.name, func(b *testing.B) {
+			payload := appendResponse(nil, &shape.resp)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				resp, err := decodeResponse(payload)
+				if err != nil || len(resp.Candidates) != len(shape.resp.Candidates) {
+					b.Fatalf("decode: %d candidates, %v", len(resp.Candidates), err)
+				}
+			}
+			b.ReportMetric(float64(len(payload)+4+frameIDLen), "bytes/frame")
+		})
+	}
+}

@@ -16,6 +16,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 )
 
 // Opcodes for the known ops. Opcode 0 escapes to an explicit op
@@ -139,10 +141,133 @@ func appendRect(b []byte, r Rect) []byte {
 	return appendF64(b, r.MaxY)
 }
 
-func appendObject(b []byte, o *Object) []byte {
-	b = appendI64(b, o.ID)
-	b = appendRect(b, o.Rect)
-	return appendString(b, o.Name)
+// Packed object layout. Candidate lists are the downlink (the paper's
+// dominant end-to-end cost, Sec. 6.3), so an object is packed, and
+// packed losslessly: every float64 round-trips bit for bit (NaN
+// payloads, -0, ±Inf, subnormals), because clients refine answers on
+// the exact coordinates.
+//
+//	hdr     u8       objPoint | objSameName | objID64 | objFullWidth
+//	widths  u8       point: MinX<<4 | MinY             (absent when
+//	        2 x u8   rect:  MinX<<4 | MinY, MaxX<<4 | MaxY  objFullWidth)
+//	id      zig-zag varint, or 8 fixed bytes when objID64
+//	coords  the leading `width` bytes of each big-endian float64, Min
+//	        corner first; the Max corner only when !objPoint
+//	name    uvarint length + bytes; absent when objSameName
+//
+// A width counts the bytes of a float64 that are sent; the trailing
+// 8-width bytes are zero and dropped. A pyramid-cell corner such as
+// i x 156.25 keeps at most 4 bytes, 0 keeps none, an arbitrary float
+// keeps all 8.
+const (
+	// objPoint: the Max corner's bits equal the Min corner's (a public
+	// point target); only the Min corner is sent.
+	objPoint byte = 1 << iota
+	// objSameName: the name equals the previous object's in this frame,
+	// so a run of equal names costs one bit per object and decodes to
+	// one shared string. Never set on a frame's first object.
+	objSameName
+	// objID64: the id travels as 8 fixed bytes because its zig-zag
+	// varint would be longer (a random 63-bit pseudonym); an id never
+	// costs more than 8 bytes.
+	objID64
+	// objFullWidth: every coordinate keeps all 8 bytes, so the widths
+	// are not sent (an arbitrary point pays no width byte).
+	objFullWidth
+
+	objKnown = objFullWidth<<1 - 1
+)
+
+// minObjectBytes is the smallest encoded object: header, one widths
+// byte, a one-byte id, zero-width coordinates and a back-referenced
+// name.
+const minObjectBytes = 3
+
+// fullWidths is the widths byte of two coordinates that keep all
+// eight bytes each.
+const fullWidths = 0x88
+
+// widthsByte packs how many leading bytes of two big-endian float64s
+// must be sent — all but their trailing zero bytes — as x<<4 | y.
+func widthsByte(x, y uint64) byte {
+	return byte((8-bits.TrailingZeros64(x)/8)<<4 | (8 - bits.TrailingZeros64(y)/8))
+}
+
+// putTrimmed stores v at s[k:] and returns the cursor advanced by
+// width. The whole value is stored: the bytes left beyond the cursor
+// are its zero tail, and the next store overwrites them.
+func putTrimmed(s []byte, k int, v uint64, width byte) int {
+	binary.BigEndian.PutUint64(s[k:], v)
+	return k + int(width)
+}
+
+// appendObject appends o in the packed layout; prev is the object
+// appended before it in this frame (nil for the first), which is what
+// the name-run rule compares against.
+func appendObject(b []byte, o, prev *Object) []byte {
+	minX, minY := math.Float64bits(o.Rect.MinX), math.Float64bits(o.Rect.MinY)
+	maxX, maxY := math.Float64bits(o.Rect.MaxX), math.Float64bits(o.Rect.MaxY)
+	var hdr byte
+	wMin, wMax := widthsByte(minX, minY), byte(fullWidths)
+	if minX == maxX && minY == maxY {
+		hdr |= objPoint
+	} else {
+		wMax = widthsByte(maxX, maxY)
+	}
+	if wMin == fullWidths && wMax == fullWidths {
+		hdr |= objFullWidth
+	}
+	if prev != nil && o.Name == prev.Name {
+		hdr |= objSameName
+	}
+	zz := uint64(o.ID<<1) ^ uint64(o.ID>>63)
+	if zz >= 1<<56 {
+		hdr |= objID64
+	}
+	// Header, widths, id and coordinates are stored straight into b's
+	// spare capacity, which maxHead bounds.
+	const maxHead = 1 + 2 + 8 + 4*8
+	b = slices.Grow(b, maxHead)
+	s := b[len(b) : len(b)+maxHead]
+	s[0] = hdr
+	k := 1
+	if hdr&objFullWidth == 0 {
+		s[k] = wMin
+		k++
+		if hdr&objPoint == 0 {
+			s[k] = wMax
+			k++
+		}
+	}
+	if hdr&objID64 != 0 {
+		binary.BigEndian.PutUint64(s[k:], uint64(o.ID))
+		k += 8
+	} else {
+		k += binary.PutUvarint(s[k:], zz)
+	}
+	k = putTrimmed(s, k, minX, wMin>>4)
+	k = putTrimmed(s, k, minY, wMin&0x0F)
+	if hdr&objPoint == 0 {
+		k = putTrimmed(s, k, maxX, wMax>>4)
+		k = putTrimmed(s, k, maxY, wMax&0x0F)
+	}
+	b = b[:len(b)+k]
+	if hdr&objSameName == 0 {
+		b = binary.AppendUvarint(b, uint64(len(o.Name)))
+		b = append(b, o.Name...)
+	}
+	return b
+}
+
+// sameObject reports whether two objects encode identically: equal id
+// and name and bit-equal coordinates (so NaN equals itself and -0
+// differs from 0, unlike ==).
+func sameObject(a, b *Object) bool {
+	return a.ID == b.ID && a.Name == b.Name &&
+		math.Float64bits(a.Rect.MinX) == math.Float64bits(b.Rect.MinX) &&
+		math.Float64bits(a.Rect.MinY) == math.Float64bits(b.Rect.MinY) &&
+		math.Float64bits(a.Rect.MaxX) == math.Float64bits(b.Rect.MaxX) &&
+		math.Float64bits(a.Rect.MaxY) == math.Float64bits(b.Rect.MaxY)
 }
 
 // appendRequest encodes req after the frame header.
@@ -299,23 +424,40 @@ func appendResponse(b []byte, resp *Response) []byte {
 	if mask&respFCode != 0 {
 		b = appendString(b, resp.Code)
 	}
-	if mask&respFExact != 0 {
-		b = appendObject(b, resp.Exact)
-	}
+	// The candidate list precedes the exact answer (the one place the
+	// byte order departs from the mask's bit order), because the exact
+	// answer is normally a member of the list and travels as an index
+	// into it.
+	var prev *Object
 	if mask&respFCandidates != 0 {
-		b = appendU32(b, uint32(len(resp.Candidates)))
+		b = binary.AppendUvarint(b, uint64(len(resp.Candidates)))
 		for i := range resp.Candidates {
-			b = appendObject(b, &resp.Candidates[i])
+			b = appendObject(b, &resp.Candidates[i], prev)
+			prev = &resp.Candidates[i]
+		}
+	}
+	if mask&respFExact != 0 {
+		// uvarint 0 announces an inline object, i+1 names candidate i.
+		ref := 0
+		for i := range resp.Candidates {
+			if sameObject(resp.Exact, &resp.Candidates[i]) {
+				ref = i + 1
+				break
+			}
+		}
+		b = binary.AppendUvarint(b, uint64(ref))
+		if ref == 0 {
+			b = appendObject(b, resp.Exact, prev)
 		}
 	}
 	if mask&respFCount != 0 {
 		b = appendF64(b, resp.Count)
 	}
 	if mask&respFCost != 0 {
-		b = appendI64(b, resp.Cost.CloakNS)
-		b = appendI64(b, resp.Cost.QueryNS)
-		b = appendI64(b, resp.Cost.TransmitNS)
-		b = appendI64(b, int64(resp.Cost.Candidates))
+		b = binary.AppendVarint(b, resp.Cost.CloakNS)
+		b = binary.AppendVarint(b, resp.Cost.QueryNS)
+		b = binary.AppendVarint(b, resp.Cost.TransmitNS)
+		b = binary.AppendVarint(b, int64(resp.Cost.Candidates))
 	}
 	if mask&respFStats != 0 {
 		b = appendI64(b, int64(resp.Stats.Users))
@@ -375,6 +517,11 @@ type wireReader struct {
 	b   []byte
 	off int
 	bad bool
+
+	// prevName is the name of the last object decoded from this frame
+	// (valid once named is set): the name-run state of object().
+	prevName string
+	named    bool
 }
 
 func (r *wireReader) remaining() int { return len(r.b) - r.off }
@@ -412,10 +559,9 @@ func (r *wireReader) u64() uint64 {
 func (r *wireReader) i64() int64   { return int64(r.u64()) }
 func (r *wireReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
-// intField decodes an i64 and narrows it to int, rejecting values
-// that do not survive the round trip on 32-bit platforms.
-func (r *wireReader) intField() int {
-	v := r.i64()
+// narrow converts a decoded int64 to int, rejecting values that do
+// not survive the round trip on 32-bit platforms.
+func (r *wireReader) narrow(v int64) int {
 	n := int(v)
 	if int64(n) != v {
 		r.bad = true
@@ -423,6 +569,9 @@ func (r *wireReader) intField() int {
 	}
 	return n
 }
+
+// intField decodes an i64 and narrows it to int.
+func (r *wireReader) intField() int { return r.narrow(r.i64()) }
 
 func (r *wireReader) str() string {
 	n := r.u32()
@@ -451,9 +600,98 @@ func (r *wireReader) rect() Rect {
 	return Rect{MinX: r.f64(), MinY: r.f64(), MaxX: r.f64(), MaxY: r.f64()}
 }
 
+// uvarint decodes an unsigned varint, rejecting truncation, values
+// that overflow 64 bits, and over-long spellings (a final zero byte
+// after a continuation), so every value has exactly one encoding.
+func (r *wireReader) uvarint() uint64 {
+	if r.bad {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b[r.off:])
+	if n <= 0 || (n > 1 && r.b[r.off+n-1] == 0) {
+		r.bad = true
+		return 0
+	}
+	r.off += n
+	return v
+}
+
+// varint decodes a zig-zag signed varint.
+func (r *wireReader) varint() int64 {
+	u := r.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// uvarintCount is count for a uvarint-encoded element count.
+func (r *wireReader) uvarintCount(minBytes int) int {
+	n := r.uvarint()
+	if r.bad || n > uint64(r.remaining()/minBytes) {
+		r.bad = true
+		return 0
+	}
+	return int(n)
+}
+
+// trimmed decodes a float64 sent as its leading width bytes (see
+// appendObject); a width above 8 is malformed.
+func (r *wireReader) trimmed(w byte) float64 {
+	width := int(w)
+	if r.bad || width > 8 || r.remaining() < width {
+		r.bad = true
+		return 0
+	}
+	var v uint64
+	if r.remaining() >= 8 {
+		// Load eight bytes and clear those that belong to what follows.
+		v = binary.BigEndian.Uint64(r.b[r.off:]) &^ (1<<(8*(8-width)) - 1)
+	} else {
+		for _, c := range r.b[r.off : r.off+width] {
+			v = v<<8 | uint64(c)
+		}
+		v <<= 8 * (8 - width)
+	}
+	r.off += width
+	return math.Float64frombits(v)
+}
+
+// object decodes one packed object (see appendObject). A run of equal
+// names decodes to one shared string.
 func (r *wireReader) object() Object {
-	o := Object{ID: r.i64(), Rect: r.rect()}
-	o.Name = r.str()
+	hdr := r.u8()
+	if hdr&^objKnown != 0 || (hdr&objSameName != 0 && !r.named) {
+		r.bad = true
+	}
+	wMin, wMax := byte(fullWidths), byte(fullWidths)
+	if hdr&objFullWidth == 0 {
+		wMin = r.u8()
+		if hdr&objPoint == 0 {
+			wMax = r.u8()
+		}
+	}
+	var o Object
+	if hdr&objID64 != 0 {
+		o.ID = r.i64()
+	} else {
+		o.ID = r.varint()
+	}
+	o.Rect.MinX, o.Rect.MinY = r.trimmed(wMin>>4), r.trimmed(wMin&0x0F)
+	if hdr&objPoint != 0 {
+		o.Rect.MaxX, o.Rect.MaxY = o.Rect.MinX, o.Rect.MinY
+	} else {
+		o.Rect.MaxX, o.Rect.MaxY = r.trimmed(wMax>>4), r.trimmed(wMax&0x0F)
+	}
+	if hdr&objSameName != 0 {
+		o.Name = r.prevName
+	} else {
+		nameLen := r.uvarint()
+		if r.bad || nameLen > uint64(r.remaining()) {
+			r.bad = true
+			return Object{}
+		}
+		o.Name = string(r.b[r.off : r.off+int(nameLen)])
+		r.off += int(nameLen)
+	}
+	r.prevName, r.named = o.Name, true
 	return o
 }
 
@@ -558,13 +796,12 @@ func decodeResponse(b []byte) (Response, error) {
 	if mask&respFCode != 0 {
 		resp.Code = r.str()
 	}
-	if mask&respFExact != 0 {
-		o := r.object()
-		resp.Exact = &o
-	}
 	if mask&respFCandidates != 0 {
-		// An object is at least id + rect + name length: 44 bytes.
-		n := r.count(44)
+		// A packed object is at least minObjectBytes (3) on the wire and
+		// an Object is 56 bytes in memory, so the list this allocates is
+		// at most 56/3 < 19 times the frame's length (under 20 MiB at
+		// MaxFrameBytes); names add nothing beyond the frame's own bytes.
+		n := r.uvarintCount(minObjectBytes)
 		if n > 0 {
 			resp.Candidates = make([]Object, n)
 			for i := range resp.Candidates {
@@ -572,15 +809,26 @@ func decodeResponse(b []byte) (Response, error) {
 			}
 		}
 	}
+	if mask&respFExact != 0 {
+		var o Object
+		if ref := r.uvarint(); ref == 0 {
+			o = r.object()
+		} else if ref <= uint64(len(resp.Candidates)) {
+			o = resp.Candidates[ref-1]
+		} else {
+			r.bad = true
+		}
+		resp.Exact = &o
+	}
 	if mask&respFCount != 0 {
 		resp.Count = r.f64()
 	}
 	if mask&respFCost != 0 {
 		resp.Cost = &Cost{
-			CloakNS:    r.i64(),
-			QueryNS:    r.i64(),
-			TransmitNS: r.i64(),
-			Candidates: r.intField(),
+			CloakNS:    r.varint(),
+			QueryNS:    r.varint(),
+			TransmitNS: r.varint(),
+			Candidates: r.narrow(r.varint()),
 		}
 	}
 	if mask&respFStats != 0 {

@@ -194,8 +194,10 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	return DialContext(context.Background(), addr, WithDialTimeout(timeout))
 }
 
-// handshake negotiates v2: send magic + our highest version, expect
-// magic + the server's choice back. A v1-only server never answers
+// handshake negotiates v2: send magic + our binaryRevision, expect
+// magic + the same revision back (a server built with another payload
+// layout names its own, and the dial fails here rather than on the
+// first mis-decoded frame). A v1-only server never answers
 // (it is waiting for a newline), so the deadline converts that into a
 // dial error; pin WithProtocolVersion(1) for such servers.
 func (c *Client) handshake(ctx context.Context, timeout time.Duration) error {
@@ -209,7 +211,7 @@ func (c *Client) handshake(ctx context.Context, timeout time.Duration) error {
 	if err := c.conn.SetDeadline(deadline); err != nil {
 		return fmt.Errorf("protocol: handshake: %w", err)
 	}
-	hello := [handshakeLen]byte{magicV2[0], magicV2[1], magicV2[2], magicV2[3], MaxVersion}
+	hello := [handshakeLen]byte{magicV2[0], magicV2[1], magicV2[2], magicV2[3], binaryRevision}
 	if _, err := c.conn.Write(hello[:]); err != nil {
 		return fmt.Errorf("protocol: handshake send: %w", err)
 	}
@@ -220,8 +222,9 @@ func (c *Client) handshake(ctx context.Context, timeout time.Duration) error {
 	if [4]byte(reply[:4]) != magicV2 {
 		return fmt.Errorf("protocol: handshake reply lacks v2 magic (got %q)", reply[:4])
 	}
-	if reply[4] != Version2 {
-		return fmt.Errorf("protocol: server chose unsupported protocol version %d", reply[4])
+	if reply[4] != binaryRevision {
+		return fmt.Errorf("protocol: unsupported version: server speaks binary revision %d, this client %d (both ends must be built from the same release)",
+			reply[4], binaryRevision)
 	}
 	return c.conn.SetDeadline(time.Time{})
 }

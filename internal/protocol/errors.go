@@ -24,6 +24,14 @@ var ErrDeprecatedOp = errors.New("deprecated wire op")
 // protocol versions.
 var ErrOverloaded = errors.New("server overloaded, retry later")
 
+// ErrResponseTooLarge reports that the answer to a request would not
+// fit in one frame (MaxFrameBytes): a density map finer than about
+// 360 x 360, or a range query matching tens of thousands of objects.
+// The request was executed; only its answer is withheld, and asking
+// for less (a coarser grid, a smaller radius) succeeds. Travels as the
+// wire-stable "response_too_large" code.
+var ErrResponseTooLarge = errors.New("response too large")
+
 // Stable wire error codes. The server maps the framework's sentinel
 // errors onto these strings (Response.Code); the client maps them back
 // to the same sentinels, so errors.Is works identically in-process and
@@ -56,6 +64,8 @@ const (
 	// spend reached the -epsilon-budget ceiling; retrying succeeds once
 	// an operator raises or clears the ceiling.
 	CodeBudgetExhausted = "budget_exhausted"
+	// CodeResponseTooLarge maps ErrResponseTooLarge.
+	CodeResponseTooLarge = "response_too_large"
 )
 
 // wireCodes orders the sentinel → code mapping. More specific
@@ -76,6 +86,7 @@ var wireCodes = []struct {
 	{ErrDeprecatedOp, CodeDeprecatedOp},
 	{ErrOverloaded, CodeOverloaded},
 	{core.ErrBudgetExhausted, CodeBudgetExhausted},
+	{ErrResponseTooLarge, CodeResponseTooLarge},
 }
 
 // Resolve an error-code child per wire code eagerly (plus the two

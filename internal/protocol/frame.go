@@ -24,18 +24,27 @@ const (
 	Version1 = 1
 	// Version2 is pipelined length-prefixed binary framing.
 	Version2 = 2
-	// MaxVersion is the highest version this build speaks.
-	MaxVersion = Version2
 )
+
+// binaryRevision is the byte the binary handshake exchanges: the
+// revision of the v2 payload layout, which is not the user-facing
+// protocol number (that stays Version2, the -protocol 2 spelling).
+// Revision 2 sent response objects at fixed width; revision 3 packs
+// them (binary.go). There is one layout per build and no fallback
+// decoder, so peers of different revisions refuse each other here, at
+// the handshake, instead of mis-decoding frames. Bump it whenever the
+// payload layout changes incompatibly.
+const binaryRevision byte = 3
 
 // magicV2 opens a v2 connection. The first byte ('C') can never begin
 // a v1 frame (JSON objects start with '{', and blank keep-alive lines
 // with '\n'), which is what makes server-side sniffing unambiguous.
 var magicV2 = [4]byte{'C', 'S', 'P', 'R'}
 
-// handshakeLen is magic + one version byte, in both directions:
-// the client sends magic plus the highest version it speaks, the
-// server replies magic plus the version it chose (min(client, server)).
+// handshakeLen is magic + one revision byte, in both directions: the
+// client sends magic plus the highest binaryRevision it speaks, the
+// server replies magic plus the revision it will speak — its own — and
+// each side hangs up unless that is the revision it was built with.
 const handshakeLen = 5
 
 // v2 frame layout (all integers big-endian):
@@ -108,13 +117,19 @@ func encodeRequestFrame(id uint64, req *Request) (*[]byte, error) {
 }
 
 // encodeResponseFrame encodes one v2 response frame into a pooled
-// buffer; same ownership contract as encodeRequestFrame.
-func encodeResponseFrame(id uint64, resp *Response) *[]byte {
+// buffer; same ownership contract, and the same size limit, as
+// encodeRequestFrame: the peer's readFrame answers a frame above
+// MaxFrameBytes by dropping the connection and every request in flight
+// on it, so such a frame must never be written.
+func encodeResponseFrame(id uint64, resp *Response) (*[]byte, error) {
 	bp := getFrameBuf()
-	b := beginFrame((*bp)[:0], id)
-	b = appendResponse(b, resp)
+	b := appendResponse(beginFrame((*bp)[:0], id), resp)
+	if len(b) > MaxFrameBytes+4 {
+		putFrameBuf(bp)
+		return nil, fmt.Errorf("%w: %d > %d", errFrameTooLarge, len(b)-4, MaxFrameBytes)
+	}
 	*bp = finishFrame(b)
-	return bp
+	return bp, nil
 }
 
 // readFrame reads one v2 frame, reusing *buf across calls. The

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -79,12 +80,27 @@ func FuzzV2DecodeResponse(f *testing.F) {
 		{OK: true, Stats: &Stats{Users: 1, PublicObjs: 2, Queries: 3, UpdateCost: 4}},
 		{OK: true, Density: [][]float64{{1, 2}, {3}}},
 	}
+	// Packed candidate lists: points and cloaks, trimmed and full-width
+	// floats, varint and fixed-width ids, name runs, exact as an index
+	// and exact inline.
+	seeds = append(seeds, nnPublicResponse(3), nnBuddyResponse(3), Response{OK: true,
+		Exact:      &Object{ID: -7, Rect: Rect{MinX: math.NaN(), MinY: math.Copysign(0, -1), MaxX: math.Inf(1)}, Name: "b"},
+		Candidates: []Object{{ID: math.MaxInt64, Name: "a"}, {ID: math.MinInt64, Name: "b"}, {Name: "b"}},
+	})
 	for _, resp := range seeds {
 		f.Add(appendResponse(nil, &resp))
 	}
 	f.Add([]byte{})
 	// Candidate count bomb.
-	f.Add(append(append([]byte{respFlagOK}, 0, 0, 0, 8), 0x7F, 0xFF, 0xFF, 0xFF))
+	f.Add(append(append([]byte{respFlagOK}, 0, 0, 0, 8), 0xFF, 0xFF, 0xFF, 0xFF, 0x07))
+	// Malformed packed objects: the frame ends inside the object header,
+	// inside a trimmed float, and inside a maximal (ten-byte) id varint.
+	oneCandidate := func(object ...byte) []byte {
+		return append([]byte{respFlagOK, 0, 0, 0, 8, 1}, object...)
+	}
+	f.Add(oneCandidate(objPoint))
+	f.Add(oneCandidate(objPoint, 0x84, 0x02, 0x40, 0x63))
+	f.Add(oneCandidate(objPoint, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		resp, err := decodeResponse(data)

@@ -2,10 +2,12 @@ package protocol
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -335,5 +337,78 @@ func TestV2ServerRejectsV1OnlyClientMax(t *testing.T) {
 	n, _ := conn.Read(buf)
 	if _, err := conn.Read(buf); err == nil {
 		t.Fatalf("connection stayed open after bad version (read %d bytes: %q)", n, buf[:n])
+	}
+}
+
+// TestV2ServerRefusesPreviousRevision pins how the packed response
+// layout was rolled out: there is no fallback decoder, so a client
+// built before it (handshake byte 2, the fixed-width layout) is refused
+// at the handshake. It is told which revision the server speaks, and
+// the request frame it pipelined behind its hello is never decoded.
+func TestV2ServerRefusesPreviousRevision(t *testing.T) {
+	srv := newLifecycleServer(t)
+	srv.dispatchHook = func(req Request) { t.Errorf("request %q dispatched past a refused handshake", req.Op) }
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	malformedBefore := rpcMalformed.Value()
+
+	const previousRevision = 2
+	hello := append(append([]byte{}, magicV2[:]...), previousRevision)
+	bp, err := encodeRequestFrame(1, &Request{Op: OpStats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello = append(hello, *bp...)
+	putFrameBuf(bp)
+	if _, err := conn.Write(hello); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	// Exactly the handshake reply comes back, then the connection closes.
+	got, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("reading the refusal: %v", err)
+	}
+	want := append(append([]byte{}, magicV2[:]...), binaryRevision)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("refusal = %x, want the handshake reply %x and nothing else", got, want)
+	}
+	if rpcMalformed.Value() != malformedBefore {
+		t.Fatal("a frame from the refused client reached the decoder")
+	}
+}
+
+// TestV2ClientRefusesOtherRevision is the mirror image: a client of
+// this build dialing a server that answers with another revision fails
+// the dial with an "unsupported version" error naming both revisions.
+func TestV2ClientRefusesOtherRevision(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var hello [handshakeLen]byte
+		if _, err := io.ReadFull(conn, hello[:]); err != nil {
+			return
+		}
+		conn.Write(append(append([]byte{}, magicV2[:]...), binaryRevision-1))
+	}()
+	_, err = DialContext(ctx, ln.Addr().String(), WithDialTimeout(5*time.Second))
+	if err == nil || !strings.Contains(err.Error(), "unsupported version") {
+		t.Fatalf("dial against another revision = %v, want an unsupported-version error", err)
 	}
 }

@@ -339,3 +339,55 @@ func versionName(v int) string {
 	}
 	return "v2"
 }
+
+// TestOversizedResponseFailsOnlyItsRequest: an answer that cannot fit
+// one frame (a 400 x 400 density map is 1.28 MB) used to be written
+// anyway; the client's frame reader refused it and failed every request
+// in flight on the connection. It must cost one response_too_large
+// error, matched to its request, with the stream — and the sibling
+// request parked behind it — unharmed.
+func TestOversizedResponseFailsOnlyItsRequest(t *testing.T) {
+	srv := newLifecycleServer(t)
+	park := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	srv.dispatchHook = func(req Request) {
+		if req.Op == OpStats {
+			entered <- struct{}{}
+			<-park
+		}
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	cl, err := Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	sibling := make(chan error, 1)
+	go func() {
+		_, err := cl.Stats(ctx)
+		sibling <- err
+	}()
+	<-entered // the sibling is in flight, held in dispatch
+
+	_, err = cl.Density(ctx, 400)
+	close(park)
+	if !errors.Is(err, ErrResponseTooLarge) {
+		t.Errorf("oversized density = %v, want ErrResponseTooLarge", err)
+	}
+	var we *WireError
+	if !errors.As(err, &we) || we.Code != CodeResponseTooLarge {
+		t.Errorf("oversized density = %v, want wire code %q", err, CodeResponseTooLarge)
+	}
+	if err := <-sibling; err != nil {
+		t.Errorf("sibling request in flight beside the oversized response: %v", err)
+	}
+	// And the connection keeps serving, including a density that fits.
+	if grid, err := cl.Density(ctx, 64); err != nil || len(grid) != 64 {
+		t.Errorf("density 64 after the oversized one: %d rows, %v", len(grid), err)
+	}
+}

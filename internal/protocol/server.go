@@ -513,23 +513,28 @@ type v2Out struct {
 // id) and the stream stays synchronized; oversized frames drop the
 // connection like v1's line limit.
 func (s *Server) serveV2(conn net.Conn, br *bufio.Reader, clientMax byte) {
-	if clientMax < Version2 {
-		// A framed connection cannot downgrade to JSON; v1 clients
-		// never send the magic at all.
-		s.logger.Warn("casper/protocol: rejecting v2 handshake with unsupported version",
-			"remote", conn.RemoteAddr().String(), "client_version", clientMax)
-		return
-	}
-	protoConns.With("2").Inc()
 	if s.WriteTimeout > 0 {
 		if err := conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout)); err != nil {
 			return
 		}
 	}
-	reply := [handshakeLen]byte{magicV2[0], magicV2[1], magicV2[2], magicV2[3], Version2}
+	// The reply always names this build's revision: a client that speaks
+	// it carries on, and one that does not — refused here — learns which
+	// revision it would have needed.
+	reply := [handshakeLen]byte{magicV2[0], magicV2[1], magicV2[2], magicV2[3], binaryRevision}
 	if _, err := conn.Write(reply[:]); err != nil {
 		return
 	}
+	if clientMax < binaryRevision {
+		// A client built before the current payload layout (or a v1-only
+		// one: a framed connection cannot downgrade to JSON, and v1
+		// clients never send the magic at all). No frame is read.
+		s.logger.Warn("casper/protocol: rejecting v2 handshake with unsupported version",
+			"remote", conn.RemoteAddr().String(), "client_revision", clientMax,
+			"server_revision", binaryRevision)
+		return
+	}
+	protoConns.With("2").Inc()
 
 	maxInFlight := s.MaxInFlight
 	if maxInFlight <= 0 {
@@ -641,7 +646,16 @@ func (s *Server) v2Writer(conn net.Conn, out <-chan v2Out, done chan<- struct{})
 			continue
 		}
 		encStart := time.Now()
-		bp := encodeResponseFrame(o.id, &o.resp)
+		bp, err := encodeResponseFrame(o.id, &o.resp)
+		if err != nil {
+			// The answer does not fit one frame. Only this request fails:
+			// it gets a coded error (which always fits) under its own id.
+			tooLarge := errFrom(fmt.Errorf("%w: %v", ErrResponseTooLarge, err))
+			tooLarge.TraceID = o.resp.TraceID
+			o.resp = tooLarge
+			rpcErrors.With(CodeResponseTooLarge).Inc()
+			bp, _ = encodeResponseFrame(o.id, &o.resp)
+		}
 		if s.WriteTimeout > 0 {
 			if now := time.Now(); now.Sub(lastArm) >= time.Second {
 				if err := conn.SetWriteDeadline(now.Add(s.WriteTimeout)); err != nil {
