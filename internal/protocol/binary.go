@@ -641,17 +641,11 @@ func (r *wireReader) trimmed(w byte) float64 {
 		return 0
 	}
 	var v uint64
-	if r.remaining() >= 8 {
-		// Load eight bytes and clear those that belong to what follows.
-		v = binary.BigEndian.Uint64(r.b[r.off:]) &^ (1<<(8*(8-width)) - 1)
-	} else {
-		for _, c := range r.b[r.off : r.off+width] {
-			v = v<<8 | uint64(c)
-		}
-		v <<= 8 * (8 - width)
+	for _, c := range r.b[r.off : r.off+width] {
+		v = v<<8 | uint64(c)
 	}
 	r.off += width
-	return math.Float64frombits(v)
+	return math.Float64frombits(v << (8 * (8 - width))) // the dropped tail is zero
 }
 
 // object decodes one packed object (see appendObject). A run of equal

@@ -194,7 +194,7 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	return DialContext(context.Background(), addr, WithDialTimeout(timeout))
 }
 
-// handshake negotiates v2: send magic + our binaryRevision, expect
+// handshake opens v2: send magic + our binaryRevision, expect
 // magic + the same revision back (a server built with another payload
 // layout names its own, and the dial fails here rather than on the
 // first mis-decoded frame). A v1-only server never answers

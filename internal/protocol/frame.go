@@ -41,10 +41,9 @@ const binaryRevision byte = 3
 // with '\n'), which is what makes server-side sniffing unambiguous.
 var magicV2 = [4]byte{'C', 'S', 'P', 'R'}
 
-// handshakeLen is magic + one revision byte, in both directions: the
-// client sends magic plus the highest binaryRevision it speaks, the
-// server replies magic plus the revision it will speak — its own — and
-// each side hangs up unless that is the revision it was built with.
+// handshakeLen is magic + one revision byte, in both directions: each
+// side sends magic plus its own binaryRevision and hangs up unless the
+// peer's byte is equal. Nothing is negotiated.
 const handshakeLen = 5
 
 // v2 frame layout (all integers big-endian):

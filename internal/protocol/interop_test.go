@@ -340,49 +340,54 @@ func TestV2ServerRejectsV1OnlyClientMax(t *testing.T) {
 	}
 }
 
-// TestV2ServerRefusesPreviousRevision pins how the packed response
-// layout was rolled out: there is no fallback decoder, so a client
-// built before it (handshake byte 2, the fixed-width layout) is refused
-// at the handshake. It is told which revision the server speaks, and
-// the request frame it pipelined behind its hello is never decoded.
-func TestV2ServerRefusesPreviousRevision(t *testing.T) {
-	srv := newLifecycleServer(t)
-	srv.dispatchHook = func(req Request) { t.Errorf("request %q dispatched past a refused handshake", req.Op) }
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	conn, err := net.Dial("tcp", addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	malformedBefore := rpcMalformed.Value()
+// TestV2ServerRefusesOtherRevisions pins how the packed response
+// layout was rolled out: there is no fallback decoder and nothing is
+// negotiated, so a client built before it (handshake byte 2, the
+// fixed-width layout) — or after it, with a layout this server has
+// never heard of — is refused at the handshake. It is told which
+// revision the server speaks, and the request frame it pipelined
+// behind its hello is never decoded.
+func TestV2ServerRefusesOtherRevisions(t *testing.T) {
+	for _, rev := range []byte{binaryRevision - 1, binaryRevision + 1} {
+		t.Run(fmt.Sprintf("revision%d", rev), func(t *testing.T) {
+			srv := newLifecycleServer(t)
+			srv.dispatchHook = func(req Request) { t.Errorf("request %q dispatched past a refused handshake", req.Op) }
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			conn, err := net.Dial("tcp", addr.String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			malformedBefore := rpcMalformed.Value()
 
-	const previousRevision = 2
-	hello := append(append([]byte{}, magicV2[:]...), previousRevision)
-	bp, err := encodeRequestFrame(1, &Request{Op: OpStats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hello = append(hello, *bp...)
-	putFrameBuf(bp)
-	if _, err := conn.Write(hello); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	// Exactly the handshake reply comes back, then the connection closes.
-	got, err := io.ReadAll(conn)
-	if err != nil {
-		t.Fatalf("reading the refusal: %v", err)
-	}
-	want := append(append([]byte{}, magicV2[:]...), binaryRevision)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("refusal = %x, want the handshake reply %x and nothing else", got, want)
-	}
-	if rpcMalformed.Value() != malformedBefore {
-		t.Fatal("a frame from the refused client reached the decoder")
+			hello := append(append([]byte{}, magicV2[:]...), rev)
+			bp, err := encodeRequestFrame(1, &Request{Op: OpStats})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hello = append(hello, *bp...)
+			putFrameBuf(bp)
+			if _, err := conn.Write(hello); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			// Exactly the handshake reply comes back, then the connection closes.
+			got, err := io.ReadAll(conn)
+			if err != nil {
+				t.Fatalf("reading the refusal: %v", err)
+			}
+			want := append(append([]byte{}, magicV2[:]...), binaryRevision)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("refusal = %x, want the handshake reply %x and nothing else", got, want)
+			}
+			if rpcMalformed.Value() != malformedBefore {
+				t.Fatal("a frame from the refused client reached the decoder")
+			}
+		})
 	}
 }
 

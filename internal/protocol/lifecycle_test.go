@@ -8,13 +8,16 @@ package protocol
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"casper/internal/core"
 	"casper/internal/geom"
+	"casper/internal/trace"
 )
 
 // newLifecycleServer builds a server over a small world without
@@ -389,5 +392,60 @@ func TestOversizedResponseFailsOnlyItsRequest(t *testing.T) {
 	// And the connection keeps serving, including a density that fits.
 	if grid, err := cl.Density(ctx, 64); err != nil || len(grid) != 64 {
 		t.Errorf("density 64 after the oversized one: %d rows, %v", len(grid), err)
+	}
+}
+
+// TestHugeTraceIDIsClampedWithTracingOff: with tracing off the server
+// used to echo the client's trace id untruncated, so a legal request
+// carrying one just under MaxFrameBytes made the response — and the
+// response_too_large reply that copied the id — exceed the frame limit;
+// the v2 writer then dereferenced a nil frame and took the process
+// down. The id is clamped at decode on both wires, tracing or not.
+func TestHugeTraceIDIsClampedWithTracingOff(t *testing.T) {
+	trace.SetEnabled(false)
+	t.Cleanup(func() { trace.SetEnabled(true) })
+	addr := startServer(t)
+	huge := strings.Repeat("x", MaxFrameBytes-40)
+	for _, version := range []int{Version1, Version2} {
+		t.Run(versionName(version), func(t *testing.T) {
+			cl, err := DialContext(ctx, addr, WithProtocolVersion(version))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			cl.SetNextTraceID(huge)
+			if _, err := cl.Stats(ctx); err != nil {
+				t.Fatalf("stats with a %d-byte trace id: %v", len(huge), err)
+			}
+			if got := cl.LastTraceID(); got != huge[:64] {
+				t.Fatalf("echoed trace id is %d bytes, want the first 64", len(got))
+			}
+			// The connection (and the server) keep serving.
+			if _, err := cl.Stats(ctx); err != nil {
+				t.Fatalf("stats after the huge trace id: %v", err)
+			}
+		})
+	}
+}
+
+// TestV2WriterSurrendersWhenErrorReplyCannotFit drives the writer's
+// last resort directly: if even the response_too_large reply exceeds
+// the frame limit (impossible through the read loop, which clamps the
+// trace id) the connection is closed; nothing is written and nothing
+// panics.
+func TestV2WriterSurrendersWhenErrorReplyCannotFit(t *testing.T) {
+	srv := newLifecycleServer(t)
+	cli, conn := net.Pipe()
+	defer cli.Close()
+	out := make(chan v2Out, 2)
+	done := make(chan struct{})
+	go srv.v2Writer(conn, out, done)
+	out <- v2Out{id: 1, resp: Response{OK: true, TraceID: strings.Repeat("x", MaxFrameBytes)}}
+	out <- v2Out{id: 2, resp: Response{OK: true}} // drained, not written
+	close(out)
+	<-done
+	cli.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := cli.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("read = %d bytes, %v; want EOF from a closed connection", n, err)
 	}
 }

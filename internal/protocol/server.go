@@ -392,11 +392,11 @@ func (s *Server) handleConn(rawConn net.Conn) {
 		// answers it with a malformed-request frame as always.
 		hs, err := br.Peek(handshakeLen)
 		if err == nil && bytes.Equal(hs[:4], magicV2[:]) {
-			clientMax := hs[4]
+			clientRev := hs[4]
 			if _, err := br.Discard(handshakeLen); err != nil {
 				return
 			}
-			s.serveV2(conn, br, clientMax)
+			s.serveV2(conn, br, clientRev)
 			return
 		}
 	}
@@ -447,6 +447,9 @@ func (s *Server) serveV1(conn net.Conn, br *bufio.Reader) {
 			}
 			continue
 		}
+		// The echoed correlation ID is bounded whether or not tracing is
+		// on: a response never carries back an arbitrarily large string.
+		req.TraceID = trace.ClampID(req.TraceID)
 		// The trace is anchored at decode start, so the decode span sits
 		// at offset 0 of the waterfall. When tracing is off the only
 		// cost on this path is one atomic load.
@@ -512,7 +515,7 @@ type v2Out struct {
 // malformed payload costs one error response (matched to its request
 // id) and the stream stays synchronized; oversized frames drop the
 // connection like v1's line limit.
-func (s *Server) serveV2(conn net.Conn, br *bufio.Reader, clientMax byte) {
+func (s *Server) serveV2(conn net.Conn, br *bufio.Reader, clientRev byte) {
 	if s.WriteTimeout > 0 {
 		if err := conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout)); err != nil {
 			return
@@ -525,12 +528,13 @@ func (s *Server) serveV2(conn net.Conn, br *bufio.Reader, clientMax byte) {
 	if _, err := conn.Write(reply[:]); err != nil {
 		return
 	}
-	if clientMax < binaryRevision {
-		// A client built before the current payload layout (or a v1-only
-		// one: a framed connection cannot downgrade to JSON, and v1
-		// clients never send the magic at all). No frame is read.
+	if clientRev != binaryRevision {
+		// A client built with another payload layout, older or newer:
+		// there is one layout per build, so the match is exact on both
+		// ends. (A framed connection cannot downgrade to JSON either, and
+		// v1 clients never send the magic at all.) No frame is read.
 		s.logger.Warn("casper/protocol: rejecting v2 handshake with unsupported version",
-			"remote", conn.RemoteAddr().String(), "client_revision", clientMax,
+			"remote", conn.RemoteAddr().String(), "client_revision", clientRev,
 			"server_revision", binaryRevision)
 		return
 	}
@@ -580,6 +584,7 @@ readLoop:
 			out <- v2Out{id: id, resp: errResponse("malformed request: %v", derr), started: decodeStart}
 			continue
 		}
+		req.TraceID = trace.ClampID(req.TraceID)
 		var tr *trace.Trace
 		if trace.Enabled() {
 			tr = trace.NewAt(req.Op, req.TraceID, decodeStart)
@@ -649,12 +654,22 @@ func (s *Server) v2Writer(conn net.Conn, out <-chan v2Out, done chan<- struct{})
 		bp, err := encodeResponseFrame(o.id, &o.resp)
 		if err != nil {
 			// The answer does not fit one frame. Only this request fails:
-			// it gets a coded error (which always fits) under its own id.
+			// it gets a coded error under its own id. That reply is a
+			// fixed message plus the trace id, which the read loop clamped
+			// (trace.ClampID), so it fits; were it ever not to, the
+			// connection is surrendered rather than written to.
 			tooLarge := errFrom(fmt.Errorf("%w: %v", ErrResponseTooLarge, err))
 			tooLarge.TraceID = o.resp.TraceID
 			o.resp = tooLarge
 			rpcErrors.With(CodeResponseTooLarge).Inc()
-			bp, _ = encodeResponseFrame(o.id, &o.resp)
+			if bp, err = encodeResponseFrame(o.id, &o.resp); err != nil {
+				s.logger.Error("casper/protocol: dropping connection: error reply exceeds frame limit",
+					"remote", conn.RemoteAddr().String(), "err", err)
+				dead = true
+				conn.Close()
+				s.finishV2Trace(o, encStart)
+				continue
+			}
 		}
 		if s.WriteTimeout > 0 {
 			if now := time.Now(); now.Sub(lastArm) >= time.Second {

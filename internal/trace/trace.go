@@ -46,8 +46,17 @@ const maxSpans = 16
 const maxAttrs = 8
 
 // maxIDLen bounds client-supplied trace IDs; longer IDs are truncated
-// so a hostile client cannot make the ring retain arbitrary payloads.
+// so a hostile client cannot make the ring retain, or a response echo,
+// arbitrary payloads.
 const maxIDLen = 64
+
+// ClampID truncates a client-supplied trace ID to maxIDLen bytes.
+func ClampID(id string) string {
+	if len(id) > maxIDLen {
+		return id[:maxIDLen]
+	}
+	return id
+}
 
 // Attr is one key=value span attribute. It holds either a string or
 // an int64 without boxing, so building one never allocates.
@@ -129,8 +138,8 @@ func NewAt(op, id string, started time.Time) *Trace {
 	t := tracePool.Get().(*Trace)
 	if id == "" {
 		id = genID()
-	} else if len(id) > maxIDLen {
-		id = id[:maxIDLen]
+	} else {
+		id = ClampID(id)
 	}
 	t.ID, t.Op = id, op
 	t.Started, t.start = started, started
