@@ -121,9 +121,9 @@ bench-allocs:
 
 # bench-e2e measures the wire protocol end to end and records the
 # numbers in BENCH_e2e.json. Two layers: the single-connection
-# microbenchmark pair (BenchmarkProtocolV1Serialized vs
-# BenchmarkProtocolV2Pipelined; the v2 redesign's acceptance bar is
-# >= 2x the serialized v1 requests/second) and a 10-second open-loop
+# microbenchmark pair (BenchmarkProtocolSerialized, one request in
+# flight, vs BenchmarkProtocolPipelined, 64 in flight; the pipelining
+# bar is >= 2x the serialized requests/second) and a 10-second open-loop
 # casper-loadgen run against an in-process server (p50/p99/p99.9
 # latency, error and shed rates vs the SLO), with 200 standing
 # continuous watches plus churn riding the update stream so the
@@ -132,7 +132,7 @@ bench-allocs:
 # therefore charges any host-level stall to the tail, so on small
 # shared CI machines it can flip run to run at the same offered rate.
 bench-e2e:
-	$(GO) test -run XXX -bench 'BenchmarkProtocol(V1Serialized|V2Pipelined)$$' -benchmem ./internal/protocol | tee /tmp/bench-pipeline.txt
+	$(GO) test -run XXX -bench 'BenchmarkProtocol(Serialized|Pipelined)$$' -benchmem ./internal/protocol | tee /tmp/bench-pipeline.txt
 	$(GO) run ./cmd/casper-loadgen -duration 10s -rate 1000 -subscribe 200 \
 	  -pipeline-bench /tmp/bench-pipeline.txt -out BENCH_e2e.json
 	@echo "wrote BENCH_e2e.json"

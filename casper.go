@@ -131,15 +131,6 @@ const (
 	// GeoIndBackend releases planar-Laplace perturbed points
 	// (geo-indistinguishability).
 	GeoIndBackend = core.GeoIndBackend
-
-	// BasicAnonymizer selects the basic backend.
-	//
-	// Deprecated: use BasicBackend. Config.Backend is a string now.
-	BasicAnonymizer = core.BasicAnonymizer
-	// AdaptiveAnonymizer selects the adaptive backend.
-	//
-	// Deprecated: use AdaptiveBackend.
-	AdaptiveAnonymizer = core.AdaptiveAnonymizer
 )
 
 // Cloaking mechanisms a backend may release (CloakedRegion.Mechanism).
@@ -216,12 +207,6 @@ func New(cfg Config) (*Casper, error) { return core.New(cfg) }
 // it panics on error. Convenient for examples and tests.
 func MustNew(cfg Config) *Casper { return core.MustNew(cfg) }
 
-// Open builds a Casper instance, recovering the database server from
-// Config.WALPath when set.
-//
-// Deprecated: Open is now identical to New. Call New.
-func Open(cfg Config) (*Casper, error) { return core.Open(cfg) }
-
 // DefaultConfig mirrors the paper's experimental setup: a
 // 40 km x 40 km universe, a 9-level pyramid, the adaptive anonymizer,
 // four query filters, and a 100 Mbps / 64-byte-record downlink.
@@ -246,25 +231,12 @@ type (
 	ProtocolDialOption = protocol.DialOption
 )
 
-// Wire protocol versions for WithProtocolVersion.
-const (
-	// ProtocolV1 is the newline-delimited JSON protocol (serialized
-	// requests; what servers before v2 speak).
-	ProtocolV1 = protocol.Version1
-	// ProtocolV2 is the pipelined length-prefixed binary protocol (the
-	// dial default).
-	ProtocolV2 = protocol.Version2
-)
-
 // Dial options, re-exported from internal/protocol.
 var (
-	// WithDialTimeout bounds connection establishment and the v2
+	// WithDialTimeout bounds connection establishment and the
 	// handshake.
 	WithDialTimeout = protocol.WithDialTimeout
-	// WithProtocolVersion pins the wire protocol version (ProtocolV1
-	// for old servers; ProtocolV2 is the default).
-	WithProtocolVersion = protocol.WithProtocolVersion
-	// WithMaxInFlight caps concurrent in-flight requests on one v2
+	// WithMaxInFlight caps concurrent in-flight requests on one
 	// connection.
 	WithMaxInFlight = protocol.WithMaxInFlight
 	// WithTLSConfig dials the server over TLS (set Certificates for
@@ -272,18 +244,12 @@ var (
 	WithTLSConfig = protocol.WithTLSConfig
 )
 
-// ErrDeprecatedOp reports a request using a retired wire op (protocol
-// v2 rejects "batch_update"; use the update_batch op via
-// ProtocolClient.BatchUpdate). See DESIGN.md §9 for the removal
-// schedule.
-var ErrDeprecatedOp = protocol.ErrDeprecatedOp
-
 // ErrOverloaded reports a request shed by the server's admission
 // control (per-user rate limit or global in-flight ceiling) before any
 // work happened. It is retryable — back off briefly and resend.
-// Travels as the wire-stable "overloaded" code on both protocol
-// versions, so errors.Is(err, casper.ErrOverloaded) holds across a
-// ProtocolClient round trip.
+// Travels as the wire-stable "overloaded" code, so
+// errors.Is(err, casper.ErrOverloaded) holds across a ProtocolClient
+// round trip.
 var ErrOverloaded = protocol.ErrOverloaded
 
 // ErrResponseTooLarge reports that the answer to a request would not
@@ -297,7 +263,7 @@ var ErrResponseTooLarge = protocol.ErrResponseTooLarge
 // ErrBudgetExhausted reports a cloak refused because the user's
 // cumulative ε spend reached the per-user budget ceiling (casperd
 // -epsilon-budget, hot-reloadable as epsilon_budget). Travels as the
-// wire-stable "budget_exhausted" code on both protocol versions, so
+// wire-stable "budget_exhausted" code, so
 // errors.Is(err, casper.ErrBudgetExhausted) holds across a
 // ProtocolClient round trip. Requests succeed again once an operator
 // raises or clears the ceiling.
@@ -308,16 +274,9 @@ func NewProtocolServer(c *Casper) *ProtocolServer { return protocol.NewServer(c)
 
 // DialProtocolContext connects to a running casperd. The context
 // bounds connection establishment and the protocol handshake; options
-// pin the protocol version, dial timeout, and in-flight cap.
+// set the dial timeout, the in-flight cap and TLS.
 func DialProtocolContext(ctx context.Context, addr string, opts ...ProtocolDialOption) (*ProtocolClient, error) {
 	return protocol.DialContext(ctx, addr, opts...)
-}
-
-// DialProtocol connects to a running casperd.
-//
-// Deprecated: use DialProtocolContext.
-func DialProtocol(addr string, opts ...ProtocolDialOption) (*ProtocolClient, error) {
-	return protocol.Dial(addr, opts...)
 }
 
 // Workload generation, re-exported for examples and downstream

@@ -8,14 +8,13 @@ import (
 )
 
 // TestLoadgenSmoke runs the harness for one second against an
-// in-process server over protocol v2 and checks the report adds up.
+// in-process server and checks the report adds up.
 func TestLoadgenSmoke(t *testing.T) {
 	cfg := config{
 		duration: 1 * time.Second,
 		rate:     300,
 		conns:    2,
 		inflight: 16,
-		protocol: 2,
 		users:    40,
 		targets:  50,
 		mix:      "update=60,nn=20,knn=10,range=10",
@@ -59,7 +58,6 @@ func TestLoadgenSubscribe(t *testing.T) {
 		rate:      300,
 		conns:     2,
 		inflight:  16,
-		protocol:  2,
 		users:     40,
 		targets:   50,
 		subscribe: 30,
@@ -95,37 +93,6 @@ func TestLoadgenSubscribe(t *testing.T) {
 	}
 }
 
-// TestLoadgenV1 drives the same harness over the JSON protocol, which
-// serializes each connection; a lower rate keeps the 1-second run from
-// shedding everything.
-func TestLoadgenV1(t *testing.T) {
-	cfg := config{
-		duration: 1 * time.Second,
-		rate:     100,
-		conns:    2,
-		inflight: 4,
-		protocol: 1,
-		users:    30,
-		targets:  30,
-		mix:      "update=70,nn=30",
-		slo:      time.Second,
-		seed:     3,
-	}
-	rep, err := run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("%d request errors", rep.Errors)
-	}
-	if rep.Completed == 0 {
-		t.Fatal("no requests completed")
-	}
-	if rep.Protocol != 1 {
-		t.Fatalf("report protocol = %d, want 1", rep.Protocol)
-	}
-}
-
 func TestParseMix(t *testing.T) {
 	mix, err := parseMix("update=50,nn=50")
 	if err != nil {
@@ -150,8 +117,8 @@ func TestParsePipelineBench(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bench.txt")
 	content := `goos: linux
-BenchmarkProtocolV1Serialized-4   	   40000	     28000 ns/op	     944 B/op	      22 allocs/op
-BenchmarkProtocolV2Pipelined-4    	  200000	      6000 ns/op	     512 B/op	      11 allocs/op
+BenchmarkProtocolSerialized-4   	   40000	     28000 ns/op	     944 B/op	      22 allocs/op
+BenchmarkProtocolPipelined-4    	  200000	      6000 ns/op	     512 B/op	      11 allocs/op
 PASS
 `
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
@@ -161,7 +128,7 @@ PASS
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pb.V1NsPerOp != 28000 || pb.V2NsPerOp != 6000 {
+	if pb.SerializedNsPerOp != 28000 || pb.PipelinedNsPerOp != 6000 {
 		t.Fatalf("parsed %+v", pb)
 	}
 	if want := 28000.0 / 6000.0; pb.SpeedupRPS != want {
@@ -174,8 +141,8 @@ PASS
 		t.Fatal("missing file should error")
 	}
 	short := filepath.Join(dir, "short.txt")
-	os.WriteFile(short, []byte("BenchmarkProtocolV1Serialized-4 1 100 ns/op\n"), 0o644)
+	os.WriteFile(short, []byte("BenchmarkProtocolSerialized-4 1 100 ns/op\n"), 0o644)
 	if _, err := parsePipelineBench(short); err == nil {
-		t.Fatal("missing v2 line should error")
+		t.Fatal("missing pipelined line should error")
 	}
 }

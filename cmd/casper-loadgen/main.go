@@ -19,8 +19,7 @@
 //	-duration  10s          measurement window
 //	-rate      2000         aggregate target arrival rate (req/s)
 //	-conns     4            client connections to spread load over
-//	-inflight  64           per-connection pipelining depth (v2)
-//	-protocol  2            wire protocol version (2 binary, 1 JSON)
+//	-inflight  64           per-connection pipelining depth
 //	-users     500          mobile users registered before the run
 //	-targets   200          public objects loaded before the run
 //	-subscribe 0            standing continuous watches registered
@@ -33,7 +32,7 @@
 //	-seed      1            workload seed
 //	-out       BENCH_e2e.json   report path ("" prints only)
 //	-pipeline-bench FILE    `go test -bench` output to embed the
-//	                        v1-serialized vs v2-pipelined ratio from
+//	                        serialized vs pipelined ratio from
 //	-shutdown-after 0s      in-process only: initiate graceful server
 //	                        shutdown this long into the run (0 = never)
 //	-drain-deadline 10s     drain budget handed to Shutdown
@@ -54,6 +53,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"log/slog"
 	"math"
 	"math/rand"
 	"os"
@@ -75,7 +76,6 @@ type config struct {
 	rate      float64
 	conns     int
 	inflight  int
-	protocol  int
 	users     int
 	targets   int
 	subscribe int
@@ -96,8 +96,7 @@ func main() {
 	flag.DurationVar(&cfg.duration, "duration", 10*time.Second, "measurement window")
 	flag.Float64Var(&cfg.rate, "rate", 2000, "aggregate target arrival rate (req/s)")
 	flag.IntVar(&cfg.conns, "conns", 4, "client connections to spread load over")
-	flag.IntVar(&cfg.inflight, "inflight", 64, "per-connection pipelining depth (protocol v2)")
-	flag.IntVar(&cfg.protocol, "protocol", casper.ProtocolV2, "wire protocol version (2 binary, 1 JSON)")
+	flag.IntVar(&cfg.inflight, "inflight", 64, "per-connection pipelining depth")
 	flag.IntVar(&cfg.users, "users", 500, "mobile users registered before the run")
 	flag.IntVar(&cfg.targets, "targets", 200, "public objects loaded before the run")
 	flag.IntVar(&cfg.subscribe, "subscribe", 0, "standing continuous watches registered before the run, churned during it (in-process only)")
@@ -106,7 +105,7 @@ func main() {
 	flag.Int64Var(&cfg.seed, "seed", 1, "workload seed")
 	flag.StringVar(&cfg.out, "out", "BENCH_e2e.json", "report path (empty prints only)")
 	flag.StringVar(&cfg.raw, "raw", "", "also write per-request samples as CSV (offset_ms,latency_ms,op)")
-	flag.StringVar(&cfg.benchTxt, "pipeline-bench", "", "go-bench output file to embed the v1/v2 pipelining ratio from")
+	flag.StringVar(&cfg.benchTxt, "pipeline-bench", "", "go-bench output file to embed the serialized/pipelined ratio from")
 	flag.DurationVar(&cfg.shutdownAfter, "shutdown-after", 0, "in-process only: initiate graceful shutdown this long into the run (0 = never)")
 	flag.DurationVar(&cfg.drainDeadline, "drain-deadline", 10*time.Second, "drain budget handed to Shutdown when -shutdown-after fires")
 	flag.Parse()
@@ -271,7 +270,7 @@ func run(cfg config) (*report, error) {
 			return nil, err
 		}
 		srv = casper.NewProtocolServer(inproc)
-		srv.SetLogf(func(string, ...any) {})
+		srv.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
 		a, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			return nil, err
@@ -285,9 +284,7 @@ func run(cfg config) (*report, error) {
 
 	conns := make([]*connState, cfg.conns)
 	for i := range conns {
-		cl, err := casper.DialProtocolContext(ctx, addr,
-			casper.WithProtocolVersion(cfg.protocol),
-			casper.WithMaxInFlight(cfg.inflight))
+		cl, err := casper.DialProtocolContext(ctx, addr, casper.WithMaxInFlight(cfg.inflight))
 		if err != nil {
 			return nil, fmt.Errorf("dial %s: %w", addr, err)
 		}
@@ -545,7 +542,6 @@ func run(cfg config) (*report, error) {
 
 	rep := &report{
 		Generated:  time.Now().UTC().Format(time.RFC3339),
-		Protocol:   cfg.protocol,
 		Addr:       cfg.addr,
 		InProcess:  cfg.addr == "",
 		Duration:   elapsed.Seconds(),

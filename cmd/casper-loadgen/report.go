@@ -10,11 +10,9 @@ import (
 )
 
 // report is the BENCH_e2e.json payload: one open-loop run's capacity
-// numbers plus (optionally) the microbenchmark ratio backing the
-// protocol-v2 acceptance bar.
+// numbers plus (optionally) the single-connection pipelining ratio.
 type report struct {
 	Generated  string  `json:"generated"`
-	Protocol   int     `json:"protocol"`
 	Addr       string  `json:"addr,omitempty"`
 	InProcess  bool    `json:"in_process"`
 	Duration   float64 `json:"duration_seconds"`
@@ -102,26 +100,27 @@ type shutdownReport struct {
 }
 
 // pipelineBench is the single-connection microbenchmark pair from
-// `go test -bench Protocol`: serialized v1 vs 64-deep pipelined v2 on
-// the same RPC. SpeedupRPS is the acceptance headline (bar: >= 2).
+// `go test -bench Protocol`: one request in flight vs 64 pipelined on
+// the same RPC over the same wire. SpeedupRPS is the acceptance
+// headline (bar: >= 2).
 type pipelineBench struct {
-	V1NsPerOp  float64 `json:"v1_serialized_ns_per_op"`
-	V2NsPerOp  float64 `json:"v2_pipelined_ns_per_op"`
-	SpeedupRPS float64 `json:"v2_over_v1_rps"`
-	Bar        float64 `json:"acceptance_bar"`
-	BarMet     bool    `json:"acceptance_bar_met"`
+	SerializedNsPerOp float64 `json:"serialized_ns_per_op"`
+	PipelinedNsPerOp  float64 `json:"pipelined_ns_per_op"`
+	SpeedupRPS        float64 `json:"pipelined_over_serialized_rps"`
+	Bar               float64 `json:"acceptance_bar"`
+	BarMet            bool    `json:"acceptance_bar_met"`
 }
 
 // parsePipelineBench extracts ns/op for the two protocol benchmarks
 // from `go test -bench` output. Benchmark lines look like:
 //
-//	BenchmarkProtocolV2Pipelined-4   123456   6000 ns/op   ...
+//	BenchmarkProtocolPipelined-4   123456   6000 ns/op   ...
 func parsePipelineBench(path string) (*pipelineBench, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var v1, v2 float64
+	var serialized, pipelined float64
 	for _, line := range strings.Split(string(data), "\n") {
 		fields := strings.Fields(line)
 		if len(fields) < 3 {
@@ -130,10 +129,10 @@ func parsePipelineBench(path string) (*pipelineBench, error) {
 		name := fields[0]
 		var target *float64
 		switch {
-		case strings.HasPrefix(name, "BenchmarkProtocolV1Serialized"):
-			target = &v1
-		case strings.HasPrefix(name, "BenchmarkProtocolV2Pipelined"):
-			target = &v2
+		case strings.HasPrefix(name, "BenchmarkProtocolSerialized"):
+			target = &serialized
+		case strings.HasPrefix(name, "BenchmarkProtocolPipelined"):
+			target = &pipelined
 		default:
 			continue
 		}
@@ -144,10 +143,15 @@ func parsePipelineBench(path string) (*pipelineBench, error) {
 		}
 		*target = ns
 	}
-	if v1 == 0 || v2 == 0 {
-		return nil, fmt.Errorf("%s: missing BenchmarkProtocolV1Serialized or BenchmarkProtocolV2Pipelined", path)
+	if serialized == 0 || pipelined == 0 {
+		return nil, fmt.Errorf("%s: missing BenchmarkProtocolSerialized or BenchmarkProtocolPipelined", path)
 	}
-	pb := &pipelineBench{V1NsPerOp: v1, V2NsPerOp: v2, SpeedupRPS: v1 / v2, Bar: 2}
+	pb := &pipelineBench{
+		SerializedNsPerOp: serialized,
+		PipelinedNsPerOp:  pipelined,
+		SpeedupRPS:        serialized / pipelined,
+		Bar:               2,
+	}
 	pb.BarMet = pb.SpeedupRPS >= pb.Bar
 	return pb, nil
 }
@@ -165,8 +169,8 @@ func (r *report) print(w io.Writer) {
 	if r.InProcess {
 		mode = "in-process"
 	}
-	fmt.Fprintf(w, "casper-loadgen: protocol v%d, %s, %d conns x %d in-flight\n",
-		r.Protocol, mode, r.Conns, r.InFlight)
+	fmt.Fprintf(w, "casper-loadgen: %s, %d conns x %d in-flight\n",
+		mode, r.Conns, r.InFlight)
 	fmt.Fprintf(w, "  offered  %.0f req/s for %.1fs -> %d scheduled\n",
 		r.TargetRate, r.Duration, r.Scheduled)
 	fmt.Fprintf(w, "  achieved %.0f req/s (%d completed, %d errors, %d shed",
@@ -186,8 +190,8 @@ func (r *report) print(w io.Writer) {
 		}
 	}
 	if pb := r.PipelineBench; pb != nil {
-		fmt.Fprintf(w, "  pipeline bench: v1 %.0f ns/op, v2 %.0f ns/op -> %.2fx RPS (bar %.0fx: %s)\n",
-			pb.V1NsPerOp, pb.V2NsPerOp, pb.SpeedupRPS, pb.Bar, passFail(pb.BarMet))
+		fmt.Fprintf(w, "  pipeline bench: serialized %.0f ns/op, pipelined %.0f ns/op -> %.2fx RPS (bar %.0fx: %s)\n",
+			pb.SerializedNsPerOp, pb.PipelinedNsPerOp, pb.SpeedupRPS, pb.Bar, passFail(pb.BarMet))
 	}
 	if c := r.Continuous; c != nil {
 		fmt.Fprintf(w, "  continuous: %d watches (%d churned), %d events, %d monitor updates -> %.3f evals/update (%d safe-region hits)\n",

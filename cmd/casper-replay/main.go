@@ -82,7 +82,6 @@ func main() {
 	maxK := flag.Int("maxk", 20, "privacy profiles drawn from [1, maxk]")
 	seed := flag.Int64("seed", 1, "profile/query sampling seed")
 	batch := flag.Int("batch", 1, "group location updates into update_batch frames of this size (1 = unbatched)")
-	protoVersion := flag.Int("protocol", casper.ProtocolV2, "wire protocol version for -addr replays (2 = pipelined binary, 1 = JSON)")
 	flag.Parse()
 
 	if *tracePath == "" {
@@ -97,8 +96,7 @@ func main() {
 
 	var d driver
 	if *addr != "" {
-		cl, err := casper.DialProtocolContext(context.Background(), *addr,
-			casper.WithProtocolVersion(*protoVersion))
+		cl, err := casper.DialProtocolContext(context.Background(), *addr)
 		if err != nil {
 			log.Fatalf("casper-replay: %v", err)
 		}

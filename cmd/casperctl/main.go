@@ -28,10 +28,14 @@
 //	                                    k-satisfied fraction, windowed entropy,
 //	                                    linkage estimate, ε-budget ledger and
 //	                                    the privacy-SLO verdict
+//	raw '<json request>'                send one hand-written request (the
+//	                                    JSON form of protocol.Request) and
+//	                                    print the response as JSON
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -45,8 +49,6 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7467", "casperd address")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-command deadline (0 disables)")
-	protoVersion := flag.Int("protocol", casper.ProtocolV2,
-		"wire protocol version (2 = pipelined binary, 1 = JSON for old servers)")
 	flag.Usage = usage
 	flag.Parse()
 	args := flag.Args()
@@ -100,8 +102,7 @@ func main() {
 		return
 	}
 
-	cl, err := casper.DialProtocolContext(ctx, *addr,
-		casper.WithProtocolVersion(*protoVersion))
+	cl, err := casper.DialProtocolContext(ctx, *addr)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -115,6 +116,8 @@ func main() {
 
 func run(ctx context.Context, cl *casper.ProtocolClient, cmd string, args []string) error {
 	switch cmd {
+	case "raw":
+		return raw(ctx, cl, argStr(args, 0))
 	case "register":
 		uid, x, y := argInt(args, 0), argF(args, 1), argF(args, 2)
 		k := int(argInt(args, 3))
@@ -263,6 +266,26 @@ func run(ctx context.Context, cl *casper.ProtocolClient, cmd string, args []stri
 	return nil
 }
 
+// raw is the JSON transcoder: it decodes one hand-written request,
+// sends it over the binary wire and prints the response as JSON, error
+// responses included (they are answers, not transport failures).
+func raw(ctx context.Context, cl *casper.ProtocolClient, line string) error {
+	var req protocol.Request
+	if err := json.Unmarshal([]byte(line), &req); err != nil {
+		return fmt.Errorf("request is not JSON: %w", err)
+	}
+	resp, err := cl.Raw(ctx, req)
+	if err != nil {
+		return err
+	}
+	out, err := json.Marshal(resp)
+	if err != nil {
+		return err
+	}
+	fmt.Println(string(out))
+	return nil
+}
+
 func printNN(res protocol.NNResult) {
 	fmt.Printf("exact answer: #%d %s at (%.1f, %.1f)\n",
 		res.Exact.ID, res.Exact.Name, res.Exact.Rect.MinX, res.Exact.Rect.MinY)
@@ -324,5 +347,8 @@ commands:
                                          per-backend achieved-k, k-satisfied
                                          fraction, windowed entropy, linkage
                                          estimate, ε-budget ledger, SLO verdict
+  raw '<json request>'                   send one hand-written request, e.g.
+                                         '{"op":"nn_public","uid":7}', and
+                                         print the response as JSON
 `)
 }

@@ -1,6 +1,6 @@
 // Command casperd runs a Casper deployment: the location anonymizer
 // and the privacy-aware location-based database server behind one
-// TCP endpoint speaking newline-delimited JSON (see internal/protocol).
+// TCP endpoint speaking the pipelined binary wire (see internal/protocol).
 //
 // Usage:
 //
@@ -56,11 +56,11 @@
 // with its cloak/query/transmit breakdown and its trace is always
 // retained in the ring regardless of sampling. See DESIGN.md §8.
 //
-// Try it with netcat:
+// Try it with casperctl (raw sends one hand-written JSON request):
 //
 //	$ casperd &
-//	$ printf '%s\n' '{"op":"register","uid":7,"x":100,"y":100,"k":1}' \
-//	    '{"op":"nn_public","uid":7}' | nc 127.0.0.1 7467
+//	$ casperctl register 7 100 100 1
+//	$ casperctl raw '{"op":"nn_public","uid":7}'
 package main
 
 import (
@@ -96,7 +96,6 @@ func main() {
 	extent := flag.Float64("extent", 40000, "universe side length in meters")
 	levels := flag.Int("levels", 9, "pyramid height")
 	backend := flag.String("backend", "", "privacy backend: basic, adaptive, cluster or geoind (default adaptive)")
-	anonKind := flag.String("anonymizer", "", "deprecated alias for -backend")
 	epsilon := flag.Float64("epsilon", 0, "geoind base privacy budget ε; 0 keeps the backend default")
 	minK := flag.Int("min-k", 0, "cluster backend k-anonymity floor; 0 disables")
 	filters := flag.Int("filters", 4, "query processor filters: 1, 2 or 4")
@@ -108,7 +107,7 @@ func main() {
 	traceOn := flag.Bool("trace", true, "record per-request traces into the /debug/traces ring")
 	traceSample := flag.Int("trace-sample", 16, "head-sample 1 in N successful requests (1 = all, 0 = none; slow and errored requests are always kept)")
 	readyMaxSnapAge := flag.Duration("ready-max-snapshot-age", 0, "/readyz fails when the query snapshot is older than this with writes pending; 0 disables")
-	maxInFlight := flag.Int("max-inflight", 0, "per-connection cap on concurrently dispatched protocol v2 requests (0 = default)")
+	maxInFlight := flag.Int("max-inflight", 0, "per-connection cap on concurrently dispatched requests (0 = default)")
 	tlsCert := flag.String("tls-cert", "", "PEM server certificate; with -tls-key, serves TLS on the RPC port")
 	tlsKey := flag.String("tls-key", "", "PEM server key for -tls-cert")
 	tlsClientCA := flag.String("tls-client-ca", "", "PEM CA bundle; when set, clients must present a certificate it signed (mTLS)")
@@ -146,18 +145,12 @@ func main() {
 	cfg.Query.Filters = *filters
 	backendName := *backend
 	if backendName == "" {
-		backendName = *anonKind // deprecated alias
-	}
-	if backendName == "" {
 		backendName = casper.AdaptiveBackend
 	}
 	if !slices.Contains(casper.Backends(), backendName) {
 		fmt.Fprintf(os.Stderr, "casperd: unknown backend %q (registered: %s)\n",
 			backendName, strings.Join(casper.Backends(), ", "))
 		os.Exit(2)
-	}
-	if *anonKind != "" {
-		slog.Warn("-anonymizer is deprecated; use -backend", "backend", backendName)
 	}
 	// Explicitly passing a knob demands a usable value; only the unset
 	// zero defers to the backend's default.

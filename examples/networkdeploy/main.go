@@ -3,9 +3,9 @@
 // This example runs the full Fig. 1 deployment inside one process but
 // across a real network boundary: a casperd-style protocol server
 // (anonymizer + privacy-aware DB server) listens on loopback, and
-// mobile clients plus a traffic administrator talk to it with the
-// newline-delimited JSON protocol. Exact coordinates cross the wire
-// only between client and anonymizer.
+// mobile clients plus a traffic administrator talk to it over the
+// pipelined binary wire. Exact coordinates cross the wire only between
+// client and anonymizer.
 //
 // Run with:
 //
@@ -85,10 +85,7 @@ func main() {
 		buddy.Exact.Rect.MinY, buddy.Exact.Rect.MaxY)
 
 	// The admin console counts users without any anonymizer involved.
-	// The admin console pins protocol v1 — exercising the JSON path the
-	// fleet's oldest clients still speak against the same listener.
-	admin, err := casper.DialProtocolContext(ctx, addr.String(),
-		casper.WithProtocolVersion(casper.ProtocolV1))
+	admin, err := casper.DialProtocolContext(ctx, addr.String())
 	if err != nil {
 		log.Fatalf("dial admin: %v", err)
 	}

@@ -72,7 +72,7 @@ func TestUpdateUsersBatchSemantics(t *testing.T) {
 // unknown uid, reports how many entries were fully applied, and the
 // applied prefix is stored.
 func TestUpdateUsersAbortsAtUnknownUser(t *testing.T) {
-	c := MustNew(smallConfig(AdaptiveAnonymizer))
+	c := MustNew(smallConfig(AdaptiveBackend))
 	defer c.Close()
 	populate(t, c, 8, 5, 3)
 	u := c.Config().Universe
@@ -105,7 +105,7 @@ func TestUpdateUsersAbortsAtUnknownUser(t *testing.T) {
 
 // TestUpdateUsersEmptyBatch is the trivial-input contract.
 func TestUpdateUsersEmptyBatch(t *testing.T) {
-	c := MustNew(smallConfig(BasicAnonymizer))
+	c := MustNew(smallConfig(BasicBackend))
 	defer c.Close()
 	if n, err := c.UpdateUsers(nil); n != 0 || err != nil {
 		t.Fatalf("UpdateUsers(nil) = %d, %v", n, err)
@@ -116,7 +116,7 @@ func TestUpdateUsersEmptyBatch(t *testing.T) {
 // reopened instance serves the batch's final cloaks.
 func TestUpdateUsersPersistsThroughWAL(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "batch.wal")
-	cfg := smallConfig(AdaptiveAnonymizer)
+	cfg := smallConfig(AdaptiveBackend)
 	cfg.WALPath = path
 	c, err := New(cfg)
 	if err != nil {

@@ -16,7 +16,7 @@ import (
 // initial cloak fails leaves no ghost user behind: the same uid can
 // retry with a feasible profile instead of hitting ErrAlreadyRegistered.
 func TestRegisterRollbackOnUnsatisfiable(t *testing.T) {
-	c := MustNew(smallConfig(AdaptiveAnonymizer))
+	c := MustNew(smallConfig(AdaptiveBackend))
 	defer c.Close()
 	populate(t, c, 3, 5, 1)
 	err := c.RegisterUser(50, geom.Pt(10, 10), anonymizer.Profile{K: 100})

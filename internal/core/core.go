@@ -100,14 +100,6 @@ const (
 	GeoIndBackend = "geoind"
 )
 
-// Deprecated: the AnonymizerKind int enum is gone; backends are
-// selected by registry name. These aliases keep the old identifiers
-// compiling for one release — set Config.Backend instead.
-const (
-	BasicAnonymizer    = BasicBackend
-	AdaptiveAnonymizer = AdaptiveBackend
-)
-
 // Config parameterizes a Casper deployment.
 type Config struct {
 	// Universe is the spatial extent served.
@@ -316,13 +308,6 @@ func MustNew(cfg Config) *Casper {
 	}
 	return c
 }
-
-// Open builds a Casper instance, recovering the database server from
-// cfg.WALPath when set.
-//
-// Deprecated: Open is now identical to New, which respects
-// Config.WALPath itself. Call New.
-func Open(cfg Config) (*Casper, error) { return New(cfg) }
 
 // Close shuts down the continuous monitor (when enabled) and flushes
 // and closes the WAL (when persistence is configured).
@@ -1003,6 +988,41 @@ type NNAnswer struct {
 	Cost Breakdown
 }
 
+// privateQuery is the anonymizer path every private query shares
+// (Fig. 1): cloak uid's location, run the mechanism-dispatched server
+// query q on the cloak inside a "query" span, and charge the candidate
+// list's downlink in a "transmit" span. It returns the cloaked query
+// region the server saw, the candidate list and the cost breakdown. A
+// cloak failure comes back through userErr; q's error is returned as q
+// returned it, so each caller keeps its own wrapping.
+func (c *Casper) privateQuery(uid anonymizer.UserID, tr *trace.Trace, q func(anonymizer.CloakedRegion) (privacyqp.Result, error)) (geom.Rect, []rtree.Item, Breakdown, error) {
+	t0 := time.Now()
+	cr, err := c.cloakUID(uid, tr)
+	if err != nil {
+		return geom.Rect{}, nil, Breakdown{}, userErr(err)
+	}
+	t1 := time.Now()
+	qsp := tr.StartSpan("query")
+	res, err := q(cr)
+	if err != nil {
+		qsp.End()
+		return geom.Rect{}, nil, Breakdown{}, err
+	}
+	t2 := time.Now()
+	n := len(res.Candidates)
+	tx := c.cfg.Transmission.TimeFor(cr.Mechanism, n)
+	if tr != nil {
+		qsp.End(trace.Int("candidates", int64(n)))
+		tr.RecordSpan("transmit", t2, tx, trace.Int("candidates", int64(n)))
+	}
+	return cr.Region, res.Candidates, Breakdown{
+		Cloak:      t1.Sub(t0),
+		Query:      t2.Sub(t1),
+		Transmit:   tx,
+		Candidates: n,
+	}, nil
+}
+
 // NearestPublic runs the full private-query-over-public-data pipeline
 // for a registered user: cloak the query location, compute the
 // candidate list server-side, ship it, refine locally.
@@ -1015,38 +1035,17 @@ func (c *Casper) nearestPublic(uid anonymizer.UserID, tr *trace.Trace) (NNAnswer
 	if err != nil {
 		return NNAnswer{}, err
 	}
-	t0 := time.Now()
-	cr, err := c.cloakUID(uid, tr)
-	if err != nil {
-		return NNAnswer{}, userErr(err)
-	}
-	t1 := time.Now()
 	opt := c.cfg.Query
 	opt.Trace = tr
-	qsp := tr.StartSpan("query")
-	res, err := c.queryNNPublic(cr, opt)
+	region, cands, bd, err := c.privateQuery(uid, tr, func(cr anonymizer.CloakedRegion) (privacyqp.Result, error) {
+		res, err := c.queryNNPublic(cr, opt)
+		return res, srvErr(err)
+	})
 	if err != nil {
-		qsp.End()
-		return NNAnswer{}, srvErr(err)
+		return NNAnswer{}, err
 	}
-	t2 := time.Now()
-	tx := c.cfg.Transmission.TimeFor(cr.Mechanism, len(res.Candidates))
-	if tr != nil {
-		qsp.End(trace.Int("candidates", int64(len(res.Candidates))))
-		tr.RecordSpan("transmit", t2, tx,
-			trace.Int("candidates", int64(len(res.Candidates))))
-	}
-	ans := NNAnswer{
-		Candidates:   res.Candidates,
-		CloakedQuery: cr.Region,
-		Cost: Breakdown{
-			Cloak:      t1.Sub(t0),
-			Query:      t2.Sub(t1),
-			Transmit:   tx,
-			Candidates: len(res.Candidates),
-		},
-	}
-	exact, ok := privacyqp.RefineNN(pos, res.Candidates, privacyqp.PublicData)
+	ans := NNAnswer{Candidates: cands, CloakedQuery: region, Cost: bd}
+	exact, ok := privacyqp.RefineNN(pos, cands, privacyqp.PublicData)
 	if !ok {
 		return ans, ErrEmptyCandidates
 	}
@@ -1072,38 +1071,16 @@ func (c *Casper) nearestBuddy(uid anonymizer.UserID, tr *trace.Trace) (NNAnswer,
 		// would wrongly exclude (or fail to exclude) a stored cloak.
 		return NNAnswer{}, fmt.Errorf("%w: user %d", ErrNotRegistered, uid)
 	}
-	t0 := time.Now()
-	cr, err := c.cloakUID(uid, tr)
-	if err != nil {
-		return NNAnswer{}, userErr(err)
-	}
-	t1 := time.Now()
 	opt := c.cfg.Query
 	opt.Trace = tr
-	qsp := tr.StartSpan("query")
-	res, err := c.queryNNPrivate(cr, pid, opt)
+	region, cands, bd, err := c.privateQuery(uid, tr, func(cr anonymizer.CloakedRegion) (privacyqp.Result, error) {
+		return c.queryNNPrivate(cr, pid, opt)
+	})
 	if err != nil {
-		qsp.End()
 		return NNAnswer{}, err
 	}
-	t2 := time.Now()
-	tx := c.cfg.Transmission.TimeFor(cr.Mechanism, len(res.Candidates))
-	if tr != nil {
-		qsp.End(trace.Int("candidates", int64(len(res.Candidates))))
-		tr.RecordSpan("transmit", t2, tx,
-			trace.Int("candidates", int64(len(res.Candidates))))
-	}
-	ans := NNAnswer{
-		Candidates:   res.Candidates,
-		CloakedQuery: cr.Region,
-		Cost: Breakdown{
-			Cloak:      t1.Sub(t0),
-			Query:      t2.Sub(t1),
-			Transmit:   tx,
-			Candidates: len(res.Candidates),
-		},
-	}
-	exact, ok := privacyqp.RefineNN(pos, res.Candidates, privacyqp.PrivateData)
+	ans := NNAnswer{Candidates: cands, CloakedQuery: region, Cost: bd}
+	exact, ok := privacyqp.RefineNN(pos, cands, privacyqp.PrivateData)
 	if !ok {
 		return ans, ErrNoBuddies
 	}
@@ -1123,34 +1100,16 @@ func (c *Casper) kNearestPublic(uid anonymizer.UserID, k int, tr *trace.Trace) (
 	if err != nil {
 		return nil, Breakdown{}, err
 	}
-	t0 := time.Now()
-	cr, err := c.cloakUID(uid, tr)
-	if err != nil {
-		return nil, Breakdown{}, userErr(err)
-	}
-	t1 := time.Now()
 	opt := c.cfg.Query
 	opt.Trace = tr
-	qsp := tr.StartSpan("query")
-	res, err := c.queryKNNPublic(cr, k, opt)
+	_, cands, bd, err := c.privateQuery(uid, tr, func(cr anonymizer.CloakedRegion) (privacyqp.Result, error) {
+		res, err := c.queryKNNPublic(cr, k, opt)
+		return res, srvErr(err)
+	})
 	if err != nil {
-		qsp.End()
-		return nil, Breakdown{}, srvErr(err)
+		return nil, Breakdown{}, err
 	}
-	t2 := time.Now()
-	tx := c.cfg.Transmission.TimeFor(cr.Mechanism, len(res.Candidates))
-	if tr != nil {
-		qsp.End(trace.Int("candidates", int64(len(res.Candidates))))
-		tr.RecordSpan("transmit", t2, tx,
-			trace.Int("candidates", int64(len(res.Candidates))))
-	}
-	bd := Breakdown{
-		Cloak:      t1.Sub(t0),
-		Query:      t2.Sub(t1),
-		Transmit:   tx,
-		Candidates: len(res.Candidates),
-	}
-	return privacyqp.RefineKNN(pos, res.Candidates, k, privacyqp.PublicData), bd, nil
+	return privacyqp.RefineKNN(pos, cands, k, privacyqp.PublicData), bd, nil
 }
 
 // RangePublic runs a private range query over public data: all public
@@ -1164,32 +1123,14 @@ func (c *Casper) rangePublic(uid anonymizer.UserID, radius float64, tr *trace.Tr
 	if err != nil {
 		return nil, Breakdown{}, err
 	}
-	t0 := time.Now()
-	cr, err := c.cloakUID(uid, tr)
+	_, cands, bd, err := c.privateQuery(uid, tr, func(cr anonymizer.CloakedRegion) (privacyqp.Result, error) {
+		res, err := c.queryRangePublic(cr, radius)
+		return res, srvErr(err)
+	})
 	if err != nil {
-		return nil, Breakdown{}, userErr(err)
+		return nil, Breakdown{}, err
 	}
-	t1 := time.Now()
-	qsp := tr.StartSpan("query")
-	res, err := c.queryRangePublic(cr, radius)
-	if err != nil {
-		qsp.End()
-		return nil, Breakdown{}, srvErr(err)
-	}
-	t2 := time.Now()
-	tx := c.cfg.Transmission.TimeFor(cr.Mechanism, len(res.Candidates))
-	if tr != nil {
-		qsp.End(trace.Int("candidates", int64(len(res.Candidates))))
-		tr.RecordSpan("transmit", t2, tx,
-			trace.Int("candidates", int64(len(res.Candidates))))
-	}
-	bd := Breakdown{
-		Cloak:      t1.Sub(t0),
-		Query:      t2.Sub(t1),
-		Transmit:   tx,
-		Candidates: len(res.Candidates),
-	}
-	return privacyqp.RefineRange(pos, res.Candidates, radius, privacyqp.PublicData), bd, nil
+	return privacyqp.RefineRange(pos, cands, radius, privacyqp.PublicData), bd, nil
 }
 
 // CountUsersIn answers a public (administrator) query over private

@@ -97,7 +97,7 @@ func TestRegisterPushesCloakUnderPseudonym(t *testing.T) {
 }
 
 func TestDuplicateRegisterRejected(t *testing.T) {
-	c := MustNew(smallConfig(AdaptiveAnonymizer))
+	c := MustNew(smallConfig(AdaptiveBackend))
 	if err := c.RegisterUser(1, geom.Pt(1, 1), anonymizer.Profile{K: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestDuplicateRegisterRejected(t *testing.T) {
 }
 
 func TestUpdateRefreshesServerRegion(t *testing.T) {
-	c := MustNew(smallConfig(AdaptiveAnonymizer))
+	c := MustNew(smallConfig(AdaptiveBackend))
 	if err := c.RegisterUser(1, geom.Pt(10, 10), anonymizer.Profile{K: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestUpdateRefreshesServerRegion(t *testing.T) {
 }
 
 func TestDeregisterCleansBothSides(t *testing.T) {
-	c := MustNew(smallConfig(BasicAnonymizer))
+	c := MustNew(smallConfig(BasicBackend))
 	if err := c.RegisterUser(1, geom.Pt(10, 10), anonymizer.Profile{K: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestNearestPublicEndToEnd(t *testing.T) {
 }
 
 func TestNearestBuddyEndToEnd(t *testing.T) {
-	c := MustNew(smallConfig(AdaptiveAnonymizer))
+	c := MustNew(smallConfig(AdaptiveBackend))
 	populate(t, c, 300, 0, 6)
 	for uid := 0; uid < 30; uid++ {
 		ans, err := c.NearestBuddy(anonymizer.UserID(uid))
@@ -201,7 +201,7 @@ func TestNearestBuddyEndToEnd(t *testing.T) {
 }
 
 func TestRangePublicEndToEnd(t *testing.T) {
-	c := MustNew(smallConfig(BasicAnonymizer))
+	c := MustNew(smallConfig(BasicBackend))
 	positions := populate(t, c, 100, 800, 7)
 	for uid := 0; uid < 20; uid++ {
 		items, bd, err := c.RangePublic(anonymizer.UserID(uid), 500)
@@ -227,7 +227,7 @@ func TestRangePublicEndToEnd(t *testing.T) {
 }
 
 func TestUnsatisfiableProfileSurfacesError(t *testing.T) {
-	c := MustNew(smallConfig(AdaptiveAnonymizer))
+	c := MustNew(smallConfig(AdaptiveBackend))
 	err := c.RegisterUser(1, geom.Pt(1, 1), anonymizer.Profile{K: 50})
 	if err == nil {
 		t.Fatal("expected unsatisfiable cloak error on register (only 1 user)")
@@ -237,7 +237,7 @@ func TestUnsatisfiableProfileSurfacesError(t *testing.T) {
 func TestStricterProfilesGrowCandidateLists(t *testing.T) {
 	// The paper's central trade-off (Sec. 3): stricter privacy -> larger
 	// candidate list -> lower quality of service.
-	c := MustNew(smallConfig(AdaptiveAnonymizer))
+	c := MustNew(smallConfig(AdaptiveBackend))
 	populate(t, c, 500, 2000, 8)
 	relaxedTotal, strictTotal := 0, 0
 	for uid := 0; uid < 40; uid++ {
@@ -265,7 +265,7 @@ func TestStricterProfilesGrowCandidateLists(t *testing.T) {
 }
 
 func TestKNearestPublicRefinesExactly(t *testing.T) {
-	c := MustNew(smallConfig(AdaptiveAnonymizer))
+	c := MustNew(smallConfig(AdaptiveBackend))
 	positions := populate(t, c, 150, 600, 9)
 	const k = 4
 	for uid := 0; uid < 25; uid++ {
@@ -296,7 +296,7 @@ func TestKNearestPublicRefinesExactly(t *testing.T) {
 }
 
 func TestContinuousIntegration(t *testing.T) {
-	c := MustNew(smallConfig(AdaptiveAnonymizer))
+	c := MustNew(smallConfig(AdaptiveBackend))
 	positions := populate(t, c, 120, 400, 10)
 	_ = positions
 
@@ -345,7 +345,7 @@ func TestContinuousIntegration(t *testing.T) {
 		t.Log("no event fired — candidates may genuinely be unchanged; verifying via snapshot")
 	}
 	// Watch without enabling is an error on a fresh instance.
-	c2 := MustNew(smallConfig(BasicAnonymizer))
+	c2 := MustNew(smallConfig(BasicBackend))
 	if err := c2.RegisterUser(1, geom.Pt(5, 5), anonymizer.Profile{K: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -356,10 +356,10 @@ func TestContinuousIntegration(t *testing.T) {
 
 func TestOpenWithWALSurvivesRestart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "core.wal")
-	cfg := smallConfig(AdaptiveAnonymizer)
+	cfg := smallConfig(AdaptiveBackend)
 	cfg.WALPath = path
 
-	c, err := Open(cfg)
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestOpenWithWALSurvivesRestart(t *testing.T) {
 	// Restart: the server side recovers; the anonymizer is empty (no
 	// exact positions were ever persisted), but stored cloaks still
 	// serve public queries.
-	c2, err := Open(cfg)
+	c2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestOpenWithWALSurvivesRestart(t *testing.T) {
 }
 
 func TestNewRespectsWALPath(t *testing.T) {
-	cfg := smallConfig(BasicAnonymizer)
+	cfg := smallConfig(BasicBackend)
 	cfg.WALPath = filepath.Join(t.TempDir(), "durable.wal")
 	c, err := New(cfg)
 	if err != nil {
@@ -421,7 +421,7 @@ func TestNewRespectsWALPath(t *testing.T) {
 		t.Fatalf("New ignored Config.WALPath: %v", err)
 	}
 	// MustNew panics when the WAL cannot be opened.
-	bad := smallConfig(BasicAnonymizer)
+	bad := smallConfig(BasicBackend)
 	bad.WALPath = filepath.Join(t.TempDir(), "no-such-dir", "x", "durable.wal")
 	defer func() {
 		if recover() == nil {
@@ -432,7 +432,7 @@ func TestNewRespectsWALPath(t *testing.T) {
 }
 
 func TestAddRemovePublicObject(t *testing.T) {
-	c := MustNew(smallConfig(AdaptiveAnonymizer))
+	c := MustNew(smallConfig(AdaptiveBackend))
 	populate(t, c, 30, 50, 11)
 	var events int
 	mon := c.EnableContinuous(func(e continuous.Event) { events++ })
@@ -485,7 +485,7 @@ func TestAddRemovePublicObject(t *testing.T) {
 }
 
 func TestRangePublicBadInputs(t *testing.T) {
-	c := MustNew(smallConfig(BasicAnonymizer))
+	c := MustNew(smallConfig(BasicBackend))
 	if err := c.RegisterUser(1, geom.Pt(5, 5), anonymizer.Profile{K: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +505,7 @@ func TestRangePublicBadInputs(t *testing.T) {
 }
 
 func TestUserDensityGrid(t *testing.T) {
-	c := MustNew(smallConfig(AdaptiveAnonymizer))
+	c := MustNew(smallConfig(AdaptiveBackend))
 	populate(t, c, 200, 0, 12)
 	grid, err := c.UserDensityGrid(4)
 	if err != nil {
@@ -526,7 +526,7 @@ func TestUserDensityGrid(t *testing.T) {
 }
 
 func TestWatchRangeFollowsUser(t *testing.T) {
-	c := MustNew(smallConfig(AdaptiveAnonymizer))
+	c := MustNew(smallConfig(AdaptiveBackend))
 	populate(t, c, 80, 300, 13)
 	mon := c.EnableContinuous(nil)
 	_ = mon
@@ -560,7 +560,7 @@ func TestWatchRangeFollowsUser(t *testing.T) {
 		t.Fatal("watch survived deregistration")
 	}
 	// Without monitoring enabled it errors.
-	c2 := MustNew(smallConfig(BasicAnonymizer))
+	c2 := MustNew(smallConfig(BasicBackend))
 	if err := c2.RegisterUser(1, geom.Pt(5, 5), anonymizer.Profile{K: 1}); err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ import (
 // permission bits).
 func TestLoadPublicObjectsPropagatesError(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "core.wal")
-	cfg := smallConfig(BasicAnonymizer)
+	cfg := smallConfig(BasicBackend)
 	cfg.WALPath = walPath
 	c, err := New(cfg)
 	if err != nil {
@@ -53,7 +53,7 @@ func TestLoadPublicObjectsPropagatesError(t *testing.T) {
 // ErrNoBuddies. Run under -race this also exercises the layered-lock
 // paths.
 func TestNearestBuddyDeregisterRace(t *testing.T) {
-	c := MustNew(smallConfig(BasicAnonymizer))
+	c := MustNew(smallConfig(BasicBackend))
 	defer c.Close()
 	// A stable population of buddies so queries have answers.
 	for i := 2; i <= 9; i++ {

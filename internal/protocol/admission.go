@@ -3,10 +3,9 @@
 // does any work. A shed request costs the server one error frame and
 // nothing else — no cloak, no query, no WAL append — which is what
 // keeps the anonymizer answering its admitted traffic when a client
-// floods it. Shed responses carry the retryable "overloaded" wire code
-// on both protocol versions, so well-behaved clients back off and
-// resend while errors.Is(err, ErrOverloaded) stays true across the
-// round trip.
+// floods it. Shed responses carry the retryable "overloaded" wire code,
+// so well-behaved clients back off and resend while
+// errors.Is(err, ErrOverloaded) stays true across the round trip.
 //
 // Both knobs are runtime-tunable (SetRateLimit, SetMaxConcurrent) so
 // casperd's hot config reload can tighten or relax admission without a
@@ -91,7 +90,7 @@ func (s *Server) RateLimit() (rps, burst float64) {
 }
 
 // SetMaxConcurrent caps requests dispatched server-wide (across every
-// connection and both protocol versions); further requests are shed
+// connection); further requests are shed
 // with the retryable "overloaded" code until in-flight work completes.
 // n <= 0 disables the ceiling. Safe to call at any time.
 func (s *Server) SetMaxConcurrent(n int) {

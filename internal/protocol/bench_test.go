@@ -2,6 +2,8 @@ package protocol
 
 import (
 	"fmt"
+	"io"
+	"log/slog"
 	"math/rand"
 	"sync"
 	"testing"
@@ -30,7 +32,7 @@ func benchServer(b *testing.B) string {
 	}
 	c.LoadPublicObjects(objs)
 	srv := NewServer(c)
-	srv.SetLogf(func(string, ...any) {})
+	srv.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -39,12 +41,11 @@ func benchServer(b *testing.B) string {
 	return addr.String()
 }
 
-// BenchmarkProtocolV1Serialized measures the v1 JSON protocol's
-// single-connection ceiling: one request in flight at a time, which is
-// all the unframed stream permits.
-func BenchmarkProtocolV1Serialized(b *testing.B) {
+// BenchmarkProtocolSerialized measures a single connection with one
+// request in flight at a time: every call waits out a full round trip.
+func BenchmarkProtocolSerialized(b *testing.B) {
 	addr := benchServer(b)
-	cl, err := DialContext(ctx, addr, WithProtocolVersion(1))
+	cl, err := DialContext(ctx, addr, WithMaxInFlight(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -58,13 +59,13 @@ func BenchmarkProtocolV1Serialized(b *testing.B) {
 	}
 }
 
-// BenchmarkProtocolV2Pipelined measures the same RPC on the same kind
-// of single connection, but with 64 concurrent requests in flight over
-// v2 framing. The acceptance bar for the protocol redesign is >=2x the
-// serialized v1 requests/second (see BENCH_e2e.json).
-func BenchmarkProtocolV2Pipelined(b *testing.B) {
+// BenchmarkProtocolPipelined measures the same RPC on the same kind of
+// single connection, but with 64 concurrent requests in flight. The
+// pipelining bar is >= 2x the serialized requests/second (see
+// BENCH_e2e.json).
+func BenchmarkProtocolPipelined(b *testing.B) {
 	addr := benchServer(b)
-	cl, err := DialContext(ctx, addr, WithProtocolVersion(2), WithMaxInFlight(64))
+	cl, err := DialContext(ctx, addr, WithMaxInFlight(64))
 	if err != nil {
 		b.Fatal(err)
 	}

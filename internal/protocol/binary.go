@@ -1,4 +1,4 @@
-// binary.go is the v2 wire codec: a compact, allocation-conscious
+// binary.go is the wire codec: a compact, allocation-conscious
 // binary encoding of Request and Response. Encoding appends to a
 // caller-supplied (pooled) buffer; decoding is strictly bounds-checked
 // and rejects trailing garbage, unknown field masks, and counts that
@@ -6,10 +6,10 @@
 // neither panic the decoder nor make it allocate unbounded memory
 // (see FuzzV2DecodeRequest / FuzzV2DecodeResponse).
 //
-// Field presence mirrors v1's JSON omitempty semantics bit for bit: a
-// zero-valued field is simply absent from the frame and decodes back
-// to its zero value, so the two codecs are interchangeable above the
-// transport.
+// Field presence follows the message types' JSON omitempty tags bit
+// for bit: a zero-valued field is simply absent from the frame and
+// decodes back to its zero value, so `casperctl raw`'s JSON and the
+// wire carry the same messages.
 package protocol
 
 import (
@@ -23,13 +23,14 @@ import (
 // Opcodes for the known ops. Opcode 0 escapes to an explicit op
 // string so Raw requests with unknown ops still round-trip (and still
 // earn the server's "unknown op" response). Opcodes are wire-stable:
-// never renumber or reuse one.
+// never renumber or reuse one; opcode 4, a retired op spelling, stays
+// reserved.
 const (
 	opcodeStringOp byte = iota
 	opcodeRegister
 	opcodeUpdate
 	opcodeUpdateBatch
-	opcodeBatchUpdate
+	_ // reserved: retired op
 	opcodeDeregister
 	opcodeSetProfile
 	opcodeNearestPublic
@@ -48,7 +49,6 @@ var opByOpcode = [opcodeEnd]string{
 	opcodeRegister:       OpRegister,
 	opcodeUpdate:         OpUpdate,
 	opcodeUpdateBatch:    OpUpdateBatch,
-	opcodeBatchUpdate:    OpBatchUpdate,
 	opcodeDeregister:     OpDeregister,
 	opcodeSetProfile:     OpSetProfile,
 	opcodeNearestPublic:  OpNearestPublic,
@@ -700,7 +700,7 @@ func (r *wireReader) finish(what string) error {
 	return nil
 }
 
-// decodeRequest decodes a v2 request payload (the bytes after the
+// decodeRequest decodes a request payload (the bytes after the
 // request id). It never panics and never over-reads, whatever b holds.
 func decodeRequest(b []byte) (Request, error) {
 	r := wireReader{b: b}
@@ -709,7 +709,7 @@ func decodeRequest(b []byte) (Request, error) {
 	switch {
 	case code == opcodeStringOp:
 		req.Op = r.str()
-	case code < opcodeEnd:
+	case code < opcodeEnd && opByOpcode[code] != "":
 		req.Op = opByOpcode[code]
 	default:
 		return Request{}, fmt.Errorf("unknown opcode %d", code)
@@ -770,7 +770,7 @@ func decodeRequest(b []byte) (Request, error) {
 	return req, nil
 }
 
-// decodeResponse decodes a v2 response payload; same guarantees as
+// decodeResponse decodes a response payload; same guarantees as
 // decodeRequest.
 func decodeResponse(b []byte) (Response, error) {
 	r := wireReader{b: b}

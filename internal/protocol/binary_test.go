@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// roundTripRequest encodes req with the v2 codec and decodes it back.
+// roundTripRequest encodes req with the wire codec and decodes it back.
 func roundTripRequest(t *testing.T, req Request) Request {
 	t.Helper()
 	b, err := appendRequest(nil, &req)
@@ -118,8 +118,12 @@ func TestBinaryRejectsMalformed(t *testing.T) {
 		}
 	})
 	t.Run("unknown opcode", func(t *testing.T) {
-		if _, err := decodeRequest([]byte{byte(opcodeEnd), 0, 0, 0, 0}); err == nil {
-			t.Fatal("unknown opcode accepted")
+		// opcodeUpdateBatch+1 is the reserved slot of a retired op
+		// spelling.
+		for _, code := range []byte{opcodeUpdateBatch + 1, opcodeEnd} {
+			if _, err := decodeRequest([]byte{code, 0, 0, 0, 0}); err == nil {
+				t.Fatalf("opcode %d accepted", code)
+			}
 		}
 	})
 	t.Run("unknown request mask bit", func(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"crypto/tls"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -16,43 +15,28 @@ import (
 // Client is a mobile-user (or administrator) connection to a Casper
 // protocol server. It is safe for concurrent use.
 //
-// On protocol v2 (the default), requests are pipelined: each carries a
-// request ID, any number (up to the in-flight cap) proceed
-// concurrently on the single connection, and responses are matched by
-// ID as they arrive — out of order when the server finishes them out
-// of order. A request whose context expires simply abandons its ID;
-// the connection stays usable for every other call.
-//
-// Pinned to protocol v1 (WithProtocolVersion(1), for old servers), the
-// wire has no request IDs, so requests serialize over the connection
-// and a cancelled or failed round trip poisons it — later calls fail
-// fast with the original error. Dial a fresh client to continue.
-//
-// Every RPC takes a context: its deadline bounds the whole round trip
-// and cancellation abandons the wait (v2) or aborts in-flight I/O (v1).
+// Requests are pipelined: each carries a request ID, any number (up to
+// the in-flight cap) proceed concurrently on the single connection,
+// and responses are matched by ID as they arrive — out of order when
+// the server finishes them out of order. Every RPC takes a context: its
+// deadline bounds the whole round trip, and a request whose context
+// expires simply abandons its ID; the connection stays usable for
+// every other call.
 type Client struct {
-	conn    net.Conn
-	version int
+	conn net.Conn
 
-	// --- v1 state: one round trip at a time over enc/dec. ---
-	mu  sync.Mutex
-	enc *json.Encoder
-	dec *json.Decoder
-	// err, once set, marks a v1 stream unusable (see roundTripV1).
-	err error
-
+	mu sync.Mutex
 	// nextTraceID, when non-empty, is stamped onto the next request's
 	// trace_id field and cleared (one-shot; see SetNextTraceID).
 	// lastTraceID is the trace_id the server echoed on the most recent
-	// response. Both are guarded by mu on either protocol version.
+	// response. Both are guarded by mu.
 	nextTraceID string
 	lastTraceID string
 
-	// --- v2 state: concurrent in-flight requests keyed by ID. ---
-	sem     chan struct{}          // in-flight cap
-	pending map[uint64]chan v2Resp // response routing, keyed by request ID
-	nextID  uint64                 // last assigned request ID (under mu)
-	fatal   error                  // transport-fatal error, fails all calls (under mu)
+	sem     chan struct{}            // in-flight cap
+	pending map[uint64]chan delivery // response routing, keyed by request ID
+	nextID  uint64                   // last assigned request ID (under mu)
+	fatal   error                    // transport-fatal error, fails all calls (under mu)
 
 	// wq feeds the write loop. Capacity equals the in-flight cap and
 	// every send happens with a sem slot held, so sends never block;
@@ -61,8 +45,9 @@ type Client struct {
 	closed bool // under mu
 }
 
-// v2Resp is one delivery from the read loop to a waiting caller.
-type v2Resp struct {
+// delivery is one response (or transport error) handed from the read
+// loop to a waiting caller.
+type delivery struct {
 	resp Response
 	err  error
 }
@@ -70,7 +55,7 @@ type v2Resp struct {
 // respChPool recycles the buffered per-request response channels; a
 // pipelined client burns through one per call.
 var respChPool = sync.Pool{
-	New: func() any { return make(chan v2Resp, 1) },
+	New: func() any { return make(chan delivery, 1) },
 }
 
 // DialOption configures DialContext.
@@ -78,32 +63,24 @@ type DialOption func(*dialConfig)
 
 type dialConfig struct {
 	timeout     time.Duration
-	version     int
 	maxInFlight int
 	tls         *tls.Config
 }
 
-// DefaultDialTimeout bounds connection establishment (and the v2
+// DefaultDialTimeout bounds connection establishment (and the
 // handshake) when neither the context nor WithDialTimeout imposes a
 // tighter deadline.
 const DefaultDialTimeout = 10 * time.Second
 
-// WithDialTimeout bounds connection establishment (and the v2
+// WithDialTimeout bounds connection establishment (and the
 // handshake); the context's deadline still applies if sooner.
 func WithDialTimeout(d time.Duration) DialOption {
 	return func(c *dialConfig) { c.timeout = d }
 }
 
-// WithProtocolVersion pins the wire protocol version: Version2 (the
-// default) for pipelined binary framing, Version1 for the
-// newline-delimited JSON protocol old servers speak.
-func WithProtocolVersion(v int) DialOption {
-	return func(c *dialConfig) { c.version = v }
-}
-
-// WithMaxInFlight caps concurrent in-flight requests on a v2
+// WithMaxInFlight caps concurrent in-flight requests on the
 // connection (DefaultMaxInFlight when unset). Callers beyond the cap
-// block in their RPC until a slot frees. No effect on v1.
+// block in their RPC until a slot frees.
 func WithMaxInFlight(n int) DialOption {
 	return func(c *dialConfig) { c.maxInFlight = n }
 }
@@ -118,20 +95,14 @@ func WithTLSConfig(cfg *tls.Config) DialOption {
 }
 
 // DialContext connects to a Casper protocol server. The context (and
-// the dial timeout) bound connection establishment and, on v2, the
-// version handshake. This is the constructor every new caller should
-// use; Dial and DialTimeout remain as shims.
+// the dial timeout) bound connection establishment and the handshake.
 func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client, error) {
 	cfg := dialConfig{
 		timeout:     DefaultDialTimeout,
-		version:     Version2,
 		maxInFlight: DefaultMaxInFlight,
 	}
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.version != Version1 && cfg.version != Version2 {
-		return nil, fmt.Errorf("protocol: unsupported protocol version %d", cfg.version)
 	}
 	if cfg.maxInFlight <= 0 {
 		cfg.maxInFlight = DefaultMaxInFlight
@@ -161,45 +132,22 @@ func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client,
 		}
 		conn = tconn
 	}
-	c := &Client{conn: conn, version: cfg.version}
-	if cfg.version == Version1 {
-		c.enc = json.NewEncoder(conn)
-		c.dec = json.NewDecoder(conn)
-		return c, nil
-	}
+	c := &Client{conn: conn}
 	if err := c.handshake(ctx, cfg.timeout); err != nil {
 		conn.Close()
 		return nil, err
 	}
 	c.sem = make(chan struct{}, cfg.maxInFlight)
-	c.pending = make(map[uint64]chan v2Resp)
+	c.pending = make(map[uint64]chan delivery)
 	c.wq = make(chan *[]byte, cfg.maxInFlight)
 	go c.readLoop()
 	go c.writeLoop()
 	return c, nil
 }
 
-// Dial connects with default options (protocol v2, default timeouts).
-//
-// Deprecated: use DialContext, which threads a context through
-// connection establishment and accepts the same options.
-func Dial(addr string, opts ...DialOption) (*Client, error) {
-	return DialContext(context.Background(), addr, opts...)
-}
-
-// DialTimeout connects with an explicit dial timeout.
-//
-// Deprecated: use DialContext with WithDialTimeout.
-func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
-	return DialContext(context.Background(), addr, WithDialTimeout(timeout))
-}
-
-// handshake opens v2: send magic + our binaryRevision, expect
-// magic + the same revision back (a server built with another payload
-// layout names its own, and the dial fails here rather than on the
-// first mis-decoded frame). A v1-only server never answers
-// (it is waiting for a newline), so the deadline converts that into a
-// dial error; pin WithProtocolVersion(1) for such servers.
+// handshake sends hello and expects the same five bytes back (a server
+// built with another payload layout names its own revision, and the
+// dial fails here rather than on the first mis-decoded frame).
 func (c *Client) handshake(ctx context.Context, timeout time.Duration) error {
 	if timeout <= 0 {
 		timeout = DefaultDialTimeout
@@ -211,16 +159,15 @@ func (c *Client) handshake(ctx context.Context, timeout time.Duration) error {
 	if err := c.conn.SetDeadline(deadline); err != nil {
 		return fmt.Errorf("protocol: handshake: %w", err)
 	}
-	hello := [handshakeLen]byte{magicV2[0], magicV2[1], magicV2[2], magicV2[3], binaryRevision}
 	if _, err := c.conn.Write(hello[:]); err != nil {
 		return fmt.Errorf("protocol: handshake send: %w", err)
 	}
 	var reply [handshakeLen]byte
 	if _, err := io.ReadFull(c.conn, reply[:]); err != nil {
-		return fmt.Errorf("protocol: handshake recv (is the server v2-capable? pin WithProtocolVersion(1) for v1 servers): %w", err)
+		return fmt.Errorf("protocol: handshake recv: %w", err)
 	}
-	if [4]byte(reply[:4]) != magicV2 {
-		return fmt.Errorf("protocol: handshake reply lacks v2 magic (got %q)", reply[:4])
+	if [4]byte(reply[:4]) != [4]byte(hello[:4]) {
+		return fmt.Errorf("protocol: handshake reply lacks the CSPR magic (got %q)", reply[:4])
 	}
 	if reply[4] != binaryRevision {
 		return fmt.Errorf("protocol: unsupported version: server speaks binary revision %d, this client %d (both ends must be built from the same release)",
@@ -229,29 +176,24 @@ func (c *Client) handshake(ctx context.Context, timeout time.Duration) error {
 	return c.conn.SetDeadline(time.Time{})
 }
 
-// Close closes the connection. On v2 any in-flight requests fail with
-// the close.
+// Close closes the connection; any in-flight requests fail with the
+// close.
 func (c *Client) Close() error {
-	if c.version >= Version2 {
-		c.mu.Lock()
-		if !c.closed {
-			c.closed = true
-			close(c.wq) // write loop flushes anything queued and exits
-		}
-		c.mu.Unlock()
+	c.mu.Lock()
+	if !c.closed {
+		c.closed = true
+		close(c.wq) // write loop flushes anything queued and exits
 	}
+	c.mu.Unlock()
 	return c.conn.Close()
 }
-
-// ProtocolVersion reports the negotiated wire protocol version.
-func (c *Client) ProtocolVersion() int { return c.version }
 
 // SetNextTraceID asks the server to label the next RPC's trace with
 // id instead of generating one. It applies to exactly one request
 // (the next round trip consumes it); the server truncates IDs longer
 // than 64 bytes. Retrieve the echoed ID afterwards with LastTraceID.
-// With concurrent v2 callers, "next" is whichever request claims the
-// id first.
+// With concurrent callers, "next" is whichever request claims the id
+// first.
 func (c *Client) SetNextTraceID(id string) {
 	c.mu.Lock()
 	c.nextTraceID = id
@@ -268,23 +210,12 @@ func (c *Client) LastTraceID() string {
 	return c.lastTraceID
 }
 
-// roundTrip sends one request and returns its response, honoring the
-// context's deadline and cancellation.
-func (c *Client) roundTrip(ctx context.Context, req Request) (Response, error) {
-	if c.version >= Version2 {
-		return c.roundTripV2(ctx, req)
-	}
-	return c.roundTripV1(ctx, req)
-}
-
-// --- v2 path ---------------------------------------------------------
-
-// roundTripV2 issues one pipelined request: claim an in-flight slot,
+// roundTrip issues one pipelined request: claim an in-flight slot,
 // register the request ID, write the frame, and wait for the read
 // loop to deliver the matching response. Context expiry abandons the
 // ID (the eventual response is discarded) without poisoning the
 // connection.
-func (c *Client) roundTripV2(ctx context.Context, req Request) (Response, error) {
+func (c *Client) roundTrip(ctx context.Context, req Request) (Response, error) {
 	// An already-canceled context must fail before any bytes hit the
 	// wire: the select below picks randomly when both a free slot and
 	// ctx.Done() are ready, which would sometimes let a dead request
@@ -311,7 +242,7 @@ func (c *Client) roundTripV2(ctx context.Context, req Request) (Response, error)
 	}
 	c.nextID++
 	id := c.nextID
-	ch := respChPool.Get().(chan v2Resp)
+	ch := respChPool.Get().(chan delivery)
 	c.pending[id] = ch
 	c.mu.Unlock()
 
@@ -394,7 +325,7 @@ func (c *Client) writeLoop() {
 // racing delivery is already buffered in ch — the drain below is
 // conclusive and the channel re-enters the pool empty. A response
 // arriving for a forgotten ID is simply dropped.
-func (c *Client) abandon(id uint64, ch chan v2Resp) {
+func (c *Client) abandon(id uint64, ch chan delivery) {
 	c.mu.Lock()
 	delete(c.pending, id)
 	c.mu.Unlock()
@@ -414,12 +345,12 @@ func (c *Client) failAll(err error) {
 	}
 	for id, ch := range c.pending {
 		delete(c.pending, id)
-		ch <- v2Resp{err: err} // buffered; never blocks
+		ch <- delivery{err: err} // buffered; never blocks
 	}
 	c.mu.Unlock()
 }
 
-// readLoop is the v2 demultiplexer: it decodes response frames as
+// readLoop is the demultiplexer: it decodes response frames as
 // they arrive and routes each to the caller that registered its
 // request ID. Any transport or decode error is fatal to the
 // connection (framing can no longer be trusted) and fails all
@@ -442,83 +373,11 @@ func (c *Client) readLoop() {
 		c.mu.Lock()
 		if ch, ok := c.pending[id]; ok {
 			delete(c.pending, id)
-			ch <- v2Resp{resp: resp} // buffered; never blocks
+			ch <- delivery{resp: resp} // buffered; never blocks
 		}
 		// else: the caller gave up (context expiry) — drop it.
 		c.mu.Unlock()
 	}
-}
-
-// --- v1 path ---------------------------------------------------------
-
-// roundTripV1 sends one request and reads one response, honoring the
-// context's deadline and cancellation through connection deadlines.
-func (c *Client) roundTripV1(ctx context.Context, req Request) (Response, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return Response{}, fmt.Errorf("protocol: connection unusable after earlier failure: %w", c.err)
-	}
-	if err := ctx.Err(); err != nil {
-		return Response{}, err
-	}
-	if c.nextTraceID != "" {
-		req.TraceID = c.nextTraceID
-		c.nextTraceID = ""
-	}
-	if deadline, ok := ctx.Deadline(); ok {
-		_ = c.conn.SetDeadline(deadline)
-	} else {
-		_ = c.conn.SetDeadline(time.Time{})
-	}
-	// Cancellation support: a watcher forces in-flight I/O to fail by
-	// moving the deadline into the past. stopped prevents a late
-	// cancellation from clobbering the deadline of a later round trip.
-	if ctx.Done() != nil {
-		watchDone := make(chan struct{})
-		var stopMu sync.Mutex
-		stopped := false
-		go func() {
-			select {
-			case <-ctx.Done():
-				stopMu.Lock()
-				if !stopped {
-					_ = c.conn.SetDeadline(time.Unix(1, 0))
-				}
-				stopMu.Unlock()
-			case <-watchDone:
-			}
-		}()
-		defer func() {
-			stopMu.Lock()
-			stopped = true
-			stopMu.Unlock()
-			close(watchDone)
-		}()
-	}
-	fail := func(stage string, err error) (Response, error) {
-		// Prefer the context's verdict; an I/O timeout can race the
-		// context noticing its own expired deadline, so check the
-		// deadline directly too.
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			err = ctxErr
-		} else if deadline, ok := ctx.Deadline(); ok && !time.Now().Before(deadline) {
-			err = context.DeadlineExceeded
-		}
-		c.err = fmt.Errorf("%s %s: %w", req.Op, stage, err)
-		return Response{}, fmt.Errorf("protocol: %s: %w", stage, err)
-	}
-	if err := c.enc.Encode(req); err != nil {
-		return fail("send", err)
-	}
-	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
-		return fail("recv", err)
-	}
-	if resp.TraceID != "" {
-		c.lastTraceID = resp.TraceID
-	}
-	return resp, nil
 }
 
 // call is roundTrip plus application-level error mapping: a non-OK

@@ -9,19 +9,11 @@ import (
 	"casper/internal/server"
 )
 
-// ErrDeprecatedOp reports a request using a retired op spelling.
-// Protocol v2 rejects the legacy "batch_update" op with this sentinel
-// (use "update_batch"); v1 still accepts it during the deprecation
-// window but counts it in casper_deprecated_op_total. See DESIGN.md
-// §9 for the removal schedule.
-var ErrDeprecatedOp = errors.New("deprecated wire op")
-
 // ErrOverloaded reports that the server shed the request under
 // admission control — the per-user rate limit or the global in-flight
 // ceiling — before doing any work. It is retryable: the request had no
 // effect, and backing off briefly and resending is the correct client
-// response. Travels as the wire-stable "overloaded" code on both
-// protocol versions.
+// response. Travels as the wire-stable "overloaded" code.
 var ErrOverloaded = errors.New("server overloaded, retry later")
 
 // ErrResponseTooLarge reports that the answer to a request would not
@@ -54,8 +46,6 @@ const (
 	CodeUnknownObject = "unknown_object"
 	// CodeDuplicateObject maps server.ErrDuplicateObject.
 	CodeDuplicateObject = "duplicate_object"
-	// CodeDeprecatedOp maps ErrDeprecatedOp.
-	CodeDeprecatedOp = "deprecated_op"
 	// CodeOverloaded maps ErrOverloaded. Retryable: the server shed the
 	// request under admission control before doing any work.
 	CodeOverloaded = "overloaded"
@@ -83,7 +73,6 @@ var wireCodes = []struct {
 	{anonymizer.ErrUnsatisfiable, CodeUnsatisfiable},
 	{server.ErrUnknownObject, CodeUnknownObject},
 	{server.ErrDuplicateObject, CodeDuplicateObject},
-	{ErrDeprecatedOp, CodeDeprecatedOp},
 	{ErrOverloaded, CodeOverloaded},
 	{core.ErrBudgetExhausted, CodeBudgetExhausted},
 	{ErrResponseTooLarge, CodeResponseTooLarge},

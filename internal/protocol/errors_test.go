@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -56,13 +56,13 @@ func TestSentinelsSurviveWire(t *testing.T) {
 	cfg.PyramidLevels = 7
 	c := core.MustNew(cfg)
 	srv := NewServer(c)
-	srv.SetLogf(func(string, ...any) {})
+	srv.SetLogger(quietLogger())
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cl, err := Dial(addr.String())
+	cl, err := DialContext(ctx, addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,13 +119,13 @@ func TestSentinelsSurviveWire(t *testing.T) {
 	t.Run("empty_candidates", func(t *testing.T) {
 		c2 := core.MustNew(cfg)
 		srv2 := NewServer(c2)
-		srv2.SetLogf(func(string, ...any) {})
+		srv2.SetLogger(quietLogger())
 		addr2, err := srv2.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer srv2.Close()
-		cl2, err := Dial(addr2.String())
+		cl2, err := DialContext(ctx, addr2.String())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,42 +140,27 @@ func TestSentinelsSurviveWire(t *testing.T) {
 	})
 }
 
-// TestContextDeadlineAndPoisoning checks that a context deadline aborts
-// an in-flight round trip and that the failed stream then fails fast.
-// Poisoning is a v1 property (the JSON stream has no request ids, so an
-// abandoned response desyncs it); v2 abandonment is covered by
-// TestV2DeadlineDoesNotPoison.
+// TestContextDeadlineAndPoisoning checks that a context deadline
+// abandons a round trip the server is still working on — promptly —
+// and that the abandoned call does not poison the connection: every
+// frame carries its request id, so the same client serves the next
+// call, and the late response is dropped when it finally arrives.
 func TestContextDeadlineAndPoisoning(t *testing.T) {
-	// A listener that accepts and then never responds.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			// Drain but never answer.
-			go func(c net.Conn) {
-				buf := make([]byte, 4096)
-				for {
-					if _, err := c.Read(buf); err != nil {
-						c.Close()
-						return
-					}
-				}
-			}(conn)
+	srv := newLifecycleServer(t)
+	park := make(chan struct{})
+	srv.dispatchHook = func(req Request) {
+		if req.Op == OpRegister {
+			<-park
 		}
-	}()
-
-	cl, err := Dial(ln.Addr().String(), WithProtocolVersion(1))
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
+	t.Cleanup(func() { srv.Close() })
+	release := sync.OnceFunc(func() { close(park) })
+	t.Cleanup(release) // runs first: Close waits for the parked dispatch
+	cl := dial(t, addr.String())
 
 	dctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -186,11 +171,15 @@ func TestContextDeadlineAndPoisoning(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Fatalf("deadline ignored: call took %v", elapsed)
 	}
-	// The stream is now desynced; later calls must fail immediately
-	// even with a generous context.
-	if err := cl.Update(context.Background(), 1, 2, 2); err == nil ||
-		!strings.Contains(err.Error(), "unusable") {
-		t.Fatalf("poisoned connection accepted a call: %v", err)
+	// Not poisoned: the same connection serves a call while the
+	// abandoned one is still parked server-side...
+	if _, err := cl.Stats(ctx); err != nil {
+		t.Fatalf("connection unusable after an abandoned call: %v", err)
+	}
+	// ...and after its late response arrives for an id nobody awaits.
+	release()
+	if err := cl.Update(ctx, 1, 2, 2); err != nil {
+		t.Fatalf("call after the late response: %v", err)
 	}
 }
 
@@ -198,7 +187,7 @@ func TestContextDeadlineAndPoisoning(t *testing.T) {
 // before any bytes hit the wire and does NOT poison the connection.
 func TestPreCanceledContext(t *testing.T) {
 	addr := startServer(t)
-	cl, err := Dial(addr)
+	cl, err := DialContext(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,44 +9,28 @@ import (
 	"sync"
 )
 
-// Protocol versions. Version 1 is the original newline-delimited JSON
-// protocol (one request, one response, strictly in order). Version 2
-// is length-prefixed binary framing with per-request IDs: a single
-// connection carries many concurrent requests and the server may
-// answer them out of order, so one slow query never convoys the rest
-// of the stream.
+// The wire is length-prefixed binary framing with per-request IDs: a
+// single connection carries many concurrent requests and the server
+// may answer them out of order, so one slow query never convoys the
+// rest of the stream.
 //
-// The server needs no configuration to speak both: it sniffs the first
-// bytes of each connection. A '{' (or any non-magic byte) means a v1
-// JSON client; the 4-byte v2 magic starts a version handshake.
-const (
-	// Version1 is newline-delimited JSON.
-	Version1 = 1
-	// Version2 is pipelined length-prefixed binary framing.
-	Version2 = 2
-)
-
-// binaryRevision is the byte the binary handshake exchanges: the
-// revision of the v2 payload layout, which is not the user-facing
-// protocol number (that stays Version2, the -protocol 2 spelling).
-// Revision 2 sent response objects at fixed width; revision 3 packs
-// them (binary.go). There is one layout per build and no fallback
-// decoder, so peers of different revisions refuse each other here, at
-// the handshake, instead of mis-decoding frames. Bump it whenever the
-// payload layout changes incompatibly.
+// binaryRevision is the byte the handshake exchanges: the revision of
+// the payload layout. Revision 2 sent response objects at fixed width;
+// revision 3 packs them (binary.go). There is one layout per build and
+// no fallback decoder, so peers of different revisions refuse each
+// other here, at the handshake, instead of mis-decoding frames. Bump it
+// whenever the payload layout changes incompatibly.
 const binaryRevision byte = 3
 
-// magicV2 opens a v2 connection. The first byte ('C') can never begin
-// a v1 frame (JSON objects start with '{', and blank keep-alive lines
-// with '\n'), which is what makes server-side sniffing unambiguous.
-var magicV2 = [4]byte{'C', 'S', 'P', 'R'}
-
-// handshakeLen is magic + one revision byte, in both directions: each
-// side sends magic plus its own binaryRevision and hangs up unless the
-// peer's byte is equal. Nothing is negotiated.
+// handshakeLen is the length of hello.
 const handshakeLen = 5
 
-// v2 frame layout (all integers big-endian):
+// hello opens every connection, in both directions: the magic "CSPR"
+// plus this build's binaryRevision. Each side hangs up unless the
+// peer's five bytes equal its own; nothing is negotiated.
+var hello = [handshakeLen]byte{'C', 'S', 'P', 'R', binaryRevision}
+
+// Frame layout (all integers big-endian):
 //
 //	+--------+------------+---------------------+
 //	| u32 len| u64 req id | payload (len-8 B)   |
@@ -54,12 +38,11 @@ const handshakeLen = 5
 //
 // len counts everything after the length field itself (request id +
 // payload), so len >= frameIDLen always; frames longer than
-// MaxFrameBytes drop the connection, mirroring the v1 line limit.
+// MaxFrameBytes drop the connection.
 const frameIDLen = 8
 
 // errFrameTooLarge reports a frame whose declared length exceeds
-// MaxFrameBytes; the connection is surrendered, exactly like an
-// oversized v1 line.
+// MaxFrameBytes; the connection is surrendered.
 var errFrameTooLarge = errors.New("frame exceeds size limit")
 
 // frameBufPool recycles frame encode/read buffers so steady-state
@@ -96,7 +79,7 @@ func finishFrame(buf []byte) []byte {
 	return buf
 }
 
-// encodeRequestFrame encodes one v2 request frame into a pooled
+// encodeRequestFrame encodes one request frame into a pooled
 // buffer. The caller owns the returned buffer and must return it with
 // putFrameBuf after writing it out.
 func encodeRequestFrame(id uint64, req *Request) (*[]byte, error) {
@@ -115,7 +98,7 @@ func encodeRequestFrame(id uint64, req *Request) (*[]byte, error) {
 	return bp, nil
 }
 
-// encodeResponseFrame encodes one v2 response frame into a pooled
+// encodeResponseFrame encodes one response frame into a pooled
 // buffer; same ownership contract, and the same size limit, as
 // encodeRequestFrame: the peer's readFrame answers a frame above
 // MaxFrameBytes by dropping the connection and every request in flight
@@ -131,7 +114,7 @@ func encodeResponseFrame(id uint64, resp *Response) (*[]byte, error) {
 	return bp, nil
 }
 
-// readFrame reads one v2 frame, reusing *buf across calls. The
+// readFrame reads one frame, reusing *buf across calls. The
 // returned payload aliases *buf and is valid until the next call.
 func readFrame(br *bufio.Reader, buf *[]byte) (id uint64, payload []byte, err error) {
 	var hdr [4]byte

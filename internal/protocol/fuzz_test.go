@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// Fuzz targets for the v2 binary codec. The decoder's contract is
+// Fuzz targets for the binary wire codec. The decoder's contract is
 // absolute: any byte string either decodes cleanly or returns an
 // error — no panics, no over-reads, no allocation proportional to a
 // hostile count field. Successful decodes must also round-trip: the

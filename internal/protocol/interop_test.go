@@ -1,10 +1,8 @@
 package protocol
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -15,23 +13,9 @@ import (
 	"time"
 )
 
-// Interop matrix: the same server must serve v1 JSON clients and v2
-// binary clients — simultaneously, on the same listener — with
-// identical application semantics. These tests pin each cell.
-
-// dialVersion dials addr pinned to the given protocol version.
-func dialVersion(t *testing.T, addr string, version int) *Client {
-	t.Helper()
-	cl, err := DialContext(ctx, addr, WithProtocolVersion(version))
-	if err != nil {
-		t.Fatalf("dial v%d: %v", version, err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	if got := cl.ProtocolVersion(); got != version {
-		t.Fatalf("ProtocolVersion() = %d, want %d", got, version)
-	}
-	return cl
-}
+// Interop: a client and a server of this build agree on everything;
+// peers that are not (another binary revision, a JSON line, a mute
+// server) are refused at the handshake, before any frame is decoded.
 
 // exerciseClient drives one client through the full request shape:
 // register, update, query, range, stats.
@@ -56,7 +40,7 @@ func exerciseClient(t *testing.T, cl *Client, uid int64) {
 	if st.Users == 0 {
 		t.Fatal("stats reports zero users after a register")
 	}
-	// Application errors carry the same sentinel either way.
+	// Application errors carry their sentinel across the wire.
 	if err := cl.Update(ctx, uid+100000, 1, 1); !errors.Is(err, ErrNotRegisteredWire()) {
 		t.Fatalf("unregistered update error = %v", err)
 	}
@@ -66,102 +50,8 @@ func exerciseClient(t *testing.T, cl *Client, uid int64) {
 // tests; the sentinel table already maps the code both ways.
 func ErrNotRegisteredWire() error { return sentinelOf(CodeNotRegistered) }
 
-func TestInteropV1ClientV2Server(t *testing.T) {
-	addr := startServer(t)
-	cl := dialVersion(t, addr, 1)
-	exerciseClient(t, cl, 9001)
-}
-
 func TestInteropV2Client(t *testing.T) {
-	addr := startServer(t)
-	cl := dialVersion(t, addr, 2)
-	exerciseClient(t, cl, 9002)
-}
-
-// TestInteropRawV1JSON speaks raw newline-delimited JSON through a
-// bare net.Conn — the strongest form of "v1 clients work unmodified":
-// no Client code at all, exactly what netcat would send.
-func TestInteropRawV1JSON(t *testing.T) {
-	addr := startServer(t)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := json.NewEncoder(conn)
-	br := bufio.NewReader(conn)
-
-	send := func(req Request) Response {
-		t.Helper()
-		if err := enc.Encode(req); err != nil {
-			t.Fatal(err)
-		}
-		line, err := br.ReadBytes('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		var resp Response
-		if err := json.Unmarshal(line, &resp); err != nil {
-			t.Fatalf("bad JSON response %q: %v", line, err)
-		}
-		return resp
-	}
-
-	if resp := send(Request{Op: OpRegister, UserID: 77, X: 5, Y: 5, K: 1}); !resp.OK {
-		t.Fatalf("register over raw JSON: %+v", resp)
-	}
-	if resp := send(Request{Op: OpNearestPublic, UserID: 77}); !resp.OK {
-		t.Fatalf("nn over raw JSON: %+v", resp)
-	}
-}
-
-// TestInteropMixedVersions runs v1 and v2 clients concurrently against
-// one server and checks both see a consistent world.
-func TestInteropMixedVersions(t *testing.T) {
-	addr := startServer(t)
-	var wg sync.WaitGroup
-	errc := make(chan error, 8)
-	for i := 0; i < 8; i++ {
-		version := 1 + i%2
-		uid := int64(100 + i)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cl, err := DialContext(ctx, addr, WithProtocolVersion(version))
-			if err != nil {
-				errc <- fmt.Errorf("dial v%d: %w", version, err)
-				return
-			}
-			defer cl.Close()
-			if err := cl.Register(ctx, uid, float64(uid), float64(uid), 1, 0); err != nil {
-				errc <- fmt.Errorf("v%d register %d: %w", version, uid, err)
-				return
-			}
-			for j := 0; j < 20; j++ {
-				if err := cl.Update(ctx, uid, float64(uid)+float64(j), float64(uid)); err != nil {
-					errc <- fmt.Errorf("v%d update: %w", version, err)
-					return
-				}
-				if _, err := cl.NearestPublic(ctx, uid); err != nil {
-					errc <- fmt.Errorf("v%d nn: %w", version, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Error(err)
-	}
-	cl := dialVersion(t, addr, 2)
-	st, err := cl.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Users != 8 {
-		t.Fatalf("users = %d after 8 mixed-version registers, want 8", st.Users)
-	}
+	exerciseClient(t, dial(t, startServer(t)), 9002)
 }
 
 // TestV2PipeliningStress keeps 64 requests in flight on ONE connection
@@ -170,11 +60,7 @@ func TestInteropMixedVersions(t *testing.T) {
 // also exercises the client's demux and writer paths.
 func TestV2PipeliningStress(t *testing.T) {
 	addr := startServer(t)
-	cl, err := DialContext(ctx, addr, WithProtocolVersion(2), WithMaxInFlight(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	cl := dial(t, addr, WithMaxInFlight(64))
 
 	if err := cl.Register(ctx, 1, 2000, 2000, 1, 0); err != nil {
 		t.Fatal(err)
@@ -213,12 +99,12 @@ func TestV2PipeliningStress(t *testing.T) {
 	}
 }
 
-// TestV2DeadlineDoesNotPoison is the v2 counterpart of
-// TestContextDeadlineAndPoisoning: with request ids there is no stream
-// to desync, so an abandoned call must NOT take the connection down.
+// TestV2DeadlineDoesNotPoison: a call whose context expired before it
+// was sent fails with the context's error and leaves the connection
+// usable (TestContextDeadlineAndPoisoning covers a call abandoned
+// mid-flight).
 func TestV2DeadlineDoesNotPoison(t *testing.T) {
-	addr := startServer(t)
-	cl := dialVersion(t, addr, 2)
+	cl := dial(t, startServer(t))
 	if err := cl.Register(ctx, 1, 100, 100, 1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -236,53 +122,13 @@ func TestV2DeadlineDoesNotPoison(t *testing.T) {
 	// Same connection keeps working.
 	for i := 0; i < 10; i++ {
 		if err := cl.Update(ctx, 1, float64(100+i), 100); err != nil {
-			t.Fatalf("connection unusable after abandoned v2 call: %v", err)
+			t.Fatalf("connection unusable after abandoned call: %v", err)
 		}
 	}
 }
 
-// TestV2DeprecatedBatchUpdate pins the deprecation split: v2 rejects
-// the legacy op with the wire-stable deprecated_op code; v1 still
-// applies it.
-func TestV2DeprecatedBatchUpdate(t *testing.T) {
-	addr := startServer(t)
-	batch := []BatchUpdate{{UserID: 1, X: 50, Y: 50}}
-
-	v2 := dialVersion(t, addr, 2)
-	if err := v2.Register(ctx, 1, 40, 40, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := v2.Raw(ctx, Request{Op: OpBatchUpdate, Batch: batch})
-	if err != nil {
-		t.Fatalf("transport error, want application error: %v", err)
-	}
-	if resp.OK || resp.Code != CodeDeprecatedOp {
-		t.Fatalf("v2 batch_update = %+v, want code %q", resp, CodeDeprecatedOp)
-	}
-	we := &WireError{Op: OpBatchUpdate, Code: resp.Code, Message: resp.Error}
-	if !errors.Is(we, ErrDeprecatedOp) {
-		t.Fatalf("code %q does not unwrap to ErrDeprecatedOp", resp.Code)
-	}
-	if !strings.Contains(resp.Error, OpUpdateBatch) {
-		t.Fatalf("rejection does not name the replacement op: %q", resp.Error)
-	}
-
-	v1 := dialVersion(t, addr, 1)
-	resp, err = v1.Raw(ctx, Request{Op: OpBatchUpdate, Batch: batch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.OK || resp.Count != 1 {
-		t.Fatalf("v1 batch_update = %+v, want 1 applied", resp)
-	}
-	// The modern spelling works on both.
-	if n, err := v2.BatchUpdate(ctx, batch); err != nil || n != 1 {
-		t.Fatalf("v2 update_batch = (%d, %v)", n, err)
-	}
-}
-
 // TestV2HandshakeRejectsOldServer pins the failure mode of dialing a
-// v2 client at something that does not speak the handshake: a clear
+// client at something that does not speak the handshake: a clear
 // dial-time error, not a hang (the deadline converts it).
 func TestV2HandshakeRejectsOldServer(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -296,7 +142,7 @@ func TestV2HandshakeRejectsOldServer(t *testing.T) {
 			if err != nil {
 				return
 			}
-			go func(c net.Conn) { // reads but never answers, like a v1-only server
+			go func(c net.Conn) { // reads but never answers
 				buf := make([]byte, 1024)
 				for {
 					if _, err := c.Read(buf); err != nil {
@@ -307,8 +153,7 @@ func TestV2HandshakeRejectsOldServer(t *testing.T) {
 			}(conn)
 		}
 	}()
-	_, err = DialContext(ctx, ln.Addr().String(),
-		WithProtocolVersion(2), WithDialTimeout(200*time.Millisecond))
+	_, err = DialContext(ctx, ln.Addr().String(), WithDialTimeout(200*time.Millisecond))
 	if err == nil {
 		t.Fatal("handshake against a mute server succeeded")
 	}
@@ -317,26 +162,37 @@ func TestV2HandshakeRejectsOldServer(t *testing.T) {
 	}
 }
 
-// TestV2ServerRejectsV1OnlyClientMax pins the server side of version
-// negotiation: a client whose advertised max is below v2 cannot open a
-// framed connection (it should have spoken plain JSON instead).
-func TestV2ServerRejectsV1OnlyClientMax(t *testing.T) {
-	addr := startServer(t)
-	conn, err := net.Dial("tcp", addr)
+// expectRefusal opens a connection whose first bytes are payload and
+// checks the server answers exactly its hello, then EOF: nothing after
+// the first five bytes is decoded, let alone dispatched.
+func expectRefusal(t *testing.T, payload []byte) {
+	t.Helper()
+	srv := newLifecycleServer(t)
+	srv.dispatchHook = func(req Request) { t.Errorf("request %q dispatched past a refused handshake", req.Op) }
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	conn, err := net.Dial("tcp", addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	hs := append([]byte{}, magicV2[:]...)
-	hs = append(hs, Version1) // magic, but an impossible version
-	if _, err := conn.Write(hs); err != nil {
+	malformedBefore := rpcMalformed.Value()
+	if _, err := conn.Write(payload); err != nil {
 		t.Fatal(err)
 	}
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	buf := make([]byte, 16)
-	n, _ := conn.Read(buf)
-	if _, err := conn.Read(buf); err == nil {
-		t.Fatalf("connection stayed open after bad version (read %d bytes: %q)", n, buf[:n])
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("reading the refusal: %v", err)
+	}
+	if !bytes.Equal(got, hello[:]) {
+		t.Fatalf("refusal = %x, want the handshake reply %x and nothing else", got, hello[:])
+	}
+	if rpcMalformed.Value() != malformedBefore {
+		t.Fatal("a frame from the refused client reached the decoder")
 	}
 }
 
@@ -350,45 +206,17 @@ func TestV2ServerRejectsV1OnlyClientMax(t *testing.T) {
 func TestV2ServerRefusesOtherRevisions(t *testing.T) {
 	for _, rev := range []byte{binaryRevision - 1, binaryRevision + 1} {
 		t.Run(fmt.Sprintf("revision%d", rev), func(t *testing.T) {
-			srv := newLifecycleServer(t)
-			srv.dispatchHook = func(req Request) { t.Errorf("request %q dispatched past a refused handshake", req.Op) }
-			addr, err := srv.Listen("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { srv.Close() })
-			conn, err := net.Dial("tcp", addr.String())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-			malformedBefore := rpcMalformed.Value()
-
-			hello := append(append([]byte{}, magicV2[:]...), rev)
-			bp, err := encodeRequestFrame(1, &Request{Op: OpStats})
-			if err != nil {
-				t.Fatal(err)
-			}
-			hello = append(hello, *bp...)
-			putFrameBuf(bp)
-			if _, err := conn.Write(hello); err != nil {
-				t.Fatal(err)
-			}
-			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-			// Exactly the handshake reply comes back, then the connection closes.
-			got, err := io.ReadAll(conn)
-			if err != nil {
-				t.Fatalf("reading the refusal: %v", err)
-			}
-			want := append(append([]byte{}, magicV2[:]...), binaryRevision)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("refusal = %x, want the handshake reply %x and nothing else", got, want)
-			}
-			if rpcMalformed.Value() != malformedBefore {
-				t.Fatal("a frame from the refused client reached the decoder")
-			}
+			other := append(hello[:4:4], rev)
+			expectRefusal(t, append(other, rawFrame(1, rawRequest(t, Request{Op: OpStats}))...))
 		})
 	}
+}
+
+// TestJSONLineRefusedAtHandshake: there is one wire. A newline JSON
+// request — what netcat or a client of the retired JSON protocol sends
+// — fails the same five-byte comparison as a foreign revision.
+func TestJSONLineRefusedAtHandshake(t *testing.T) {
+	expectRefusal(t, []byte(`{"op":"stats"}`+"\n"))
 }
 
 // TestV2ClientRefusesOtherRevision is the mirror image: a client of
@@ -410,7 +238,7 @@ func TestV2ClientRefusesOtherRevision(t *testing.T) {
 		if _, err := io.ReadFull(conn, hello[:]); err != nil {
 			return
 		}
-		conn.Write(append(append([]byte{}, magicV2[:]...), binaryRevision-1))
+		conn.Write(append(hello[:4:4], binaryRevision-1))
 	}()
 	_, err = DialContext(ctx, ln.Addr().String(), WithDialTimeout(5*time.Second))
 	if err == nil || !strings.Contains(err.Error(), "unsupported version") {

@@ -28,9 +28,6 @@ var (
 	connsTotal = metrics.Default.Counter(
 		"casper_connections_total", "",
 		"Client connections accepted since start.")
-	protoConns = metrics.Default.CounterVec(
-		"casper_protocol_connections_total", "version",
-		"Client connections by negotiated wire protocol version.")
 	wireBytes = metrics.Default.CounterVec(
 		"casper_wire_bytes_total", "dir",
 		"Bytes moved on protocol connections, by direction.")
@@ -38,10 +35,7 @@ var (
 	bytesOut       = wireBytes.With("out")
 	framesInFlight = metrics.Default.Gauge(
 		"casper_frames_inflight", "",
-		"v2 request frames dispatched and not yet answered.")
-	deprecatedOps = metrics.Default.Counter(
-		"casper_deprecated_op_total", "",
-		"Requests using deprecated op spellings (v1 tolerates them; v2 rejects with deprecated_op).")
+		"Request frames dispatched and not yet answered.")
 	shedTotal = metrics.Default.CounterVec(
 		"casper_shed_total", "reason",
 		"Requests shed by admission control with the retryable overloaded code, by reason (rate_limit, inflight).")
@@ -60,7 +54,6 @@ var (
 // idiom) so these series exist from the first scrape and the metric
 // inventory audit sees the families without traffic.
 var _ = []*metrics.Counter{
-	protoConns.With("1"), protoConns.With("2"),
 	shedTotal.With(shedReasonRateLimit), shedTotal.With(shedReasonInFlight),
 }
 
@@ -75,7 +68,7 @@ type rpcInstruments struct {
 var rpcByOp = func() map[string]rpcInstruments {
 	m := make(map[string]rpcInstruments)
 	for _, op := range []string{
-		OpRegister, OpUpdate, OpUpdateBatch, OpBatchUpdate, OpDeregister, OpSetProfile,
+		OpRegister, OpUpdate, OpUpdateBatch, OpDeregister, OpSetProfile,
 		OpNearestPublic, OpNearestBuddy, OpKNearestPublic, OpRangePublic,
 		OpCountUsers, OpAddPublic, OpDensity, OpStats, "unknown",
 	} {

@@ -1,9 +1,12 @@
 // Package protocol turns the in-process Casper framework into the
 // deployed architecture of Fig. 1: mobile clients speak to the
 // location anonymizer over TCP, and only the anonymizer speaks to the
-// location-based database server. Messages are newline-delimited JSON
-// (one request, one response), which keeps the protocol debuggable
-// with nothing but netcat.
+// location-based database server. Requests and responses travel as
+// length-prefixed binary frames tagged with request ids, so one
+// connection pipelines many requests (frame.go, binary.go). The JSON
+// tags on the message types serve `casperctl raw`, which transcodes a
+// hand-written JSON request onto the wire and prints the response as
+// JSON.
 //
 // The trust boundary is the whole point: exact coordinates appear only
 // in client->anonymizer requests; everything the anonymizer forwards
@@ -29,9 +32,6 @@ const (
 	// frame. Response.Count reports how many were applied; the first
 	// failure aborts the rest.
 	OpUpdateBatch = "update_batch"
-	// OpBatchUpdate is the legacy spelling of OpUpdateBatch, accepted
-	// for old clients; it dispatches to the same batched path.
-	OpBatchUpdate = "batch_update"
 	// OpDeregister removes a user.
 	OpDeregister = "deregister"
 	// OpSetProfile changes a user's privacy profile.
@@ -80,14 +80,14 @@ type Request struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// BatchUpdate is one entry of an OpBatchUpdate frame.
+// BatchUpdate is one entry of an OpUpdateBatch frame.
 type BatchUpdate struct {
 	UserID int64   `json:"uid"`
 	X      float64 `json:"x"`
 	Y      float64 `json:"y"`
 }
 
-// Rect is the JSON form of a rectangle.
+// Rect is the wire form of a rectangle.
 type Rect struct {
 	MinX float64 `json:"min_x"`
 	MinY float64 `json:"min_y"`

@@ -3,7 +3,11 @@ package protocol
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"log/slog"
 	"math/rand"
 	"net"
 	"strings"
@@ -41,13 +45,78 @@ func startServer(t *testing.T) string {
 	c.LoadPublicObjects(objs)
 
 	srv := NewServer(c)
-	srv.SetLogf(func(string, ...any) {}) // silence accept-loop noise
+	srv.SetLogger(quietLogger()) // silence accept-loop noise
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
 	return addr.String()
+}
+
+// quietLogger discards the server's log output.
+func quietLogger() *slog.Logger { return slog.New(slog.NewTextHandler(io.Discard, nil)) }
+
+// dial connects a Client to addr and closes it when the test ends.
+func dial(t *testing.T, addr string, opts ...DialOption) *Client {
+	t.Helper()
+	cl, err := DialContext(ctx, addr, opts...)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return cl
+}
+
+// rawConn dials addr and completes the handshake by hand, for tests
+// that write frames a Client never would.
+func rawConn(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if _, err := conn.Write(hello[:]); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(conn)
+	var reply [handshakeLen]byte
+	if _, err := io.ReadFull(br, reply[:]); err != nil || reply != hello {
+		t.Fatalf("handshake reply %q, %v", reply[:], err)
+	}
+	return conn, br
+}
+
+// rawFrame is one frame carrying payload under id.
+func rawFrame(id uint64, payload []byte) []byte {
+	return finishFrame(append(beginFrame(nil, id), payload...))
+}
+
+// rawRequest is the payload of req.
+func rawRequest(t *testing.T, req Request) []byte {
+	t.Helper()
+	b, err := appendRequest(nil, &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// readRawResponse reads and decodes one response frame.
+func readRawResponse(t *testing.T, br *bufio.Reader) (uint64, Response) {
+	t.Helper()
+	var buf []byte
+	id, payload, err := readFrame(br, &buf)
+	if err != nil {
+		t.Fatalf("read response frame: %v", err)
+	}
+	resp, err := decodeResponse(payload)
+	if err != nil {
+		t.Fatalf("decode response frame %d: %v", id, err)
+	}
+	return id, resp
 }
 
 func TestRectRoundTrip(t *testing.T) {
@@ -59,7 +128,7 @@ func TestRectRoundTrip(t *testing.T) {
 
 func TestRegisterQueryFlow(t *testing.T) {
 	addr := startServer(t)
-	cl, err := Dial(addr)
+	cl, err := DialContext(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +196,7 @@ func TestRegisterQueryFlow(t *testing.T) {
 
 func TestUpdateMovesUser(t *testing.T) {
 	addr := startServer(t)
-	cl, err := Dial(addr)
+	cl, err := DialContext(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +224,7 @@ func TestUpdateMovesUser(t *testing.T) {
 
 func TestSetProfileOverWire(t *testing.T) {
 	addr := startServer(t)
-	cl, _ := Dial(addr)
+	cl, _ := DialContext(ctx, addr)
 	defer cl.Close()
 	for i := int64(0); i < 30; i++ {
 		if err := cl.Register(ctx, i, float64(i*50), float64(i*37), 1, 0); err != nil {
@@ -176,7 +245,7 @@ func TestSetProfileOverWire(t *testing.T) {
 
 func TestApplicationErrors(t *testing.T) {
 	addr := startServer(t)
-	cl, _ := Dial(addr)
+	cl, _ := DialContext(ctx, addr)
 	defer cl.Close()
 	if err := cl.Update(ctx, 99, 1, 1); err == nil {
 		t.Fatal("unknown user accepted")
@@ -201,23 +270,25 @@ func TestApplicationErrors(t *testing.T) {
 	}
 }
 
+// TestMalformedFrameGetsErrorResponse: a payload that does not decode
+// costs one error response under its own request id, and the stream
+// stays synchronized — the next frame on the connection is answered.
 func TestMalformedFrameGetsErrorResponse(t *testing.T) {
 	addr := startServer(t)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
+	conn, br := rawConn(t, addr)
+	if _, err := conn.Write(rawFrame(7, []byte{0xFF, 0, 0, 0, 0})); err != nil { // an unassigned opcode
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if _, err := fmt.Fprintln(conn, "this is not json"); err != nil {
+	id, resp := readRawResponse(t, br)
+	if id != 7 || resp.OK || !strings.Contains(resp.Error, "malformed") {
+		t.Fatalf("frame %d: response = %+v, want a malformed-request error for frame 7", id, resp)
+	}
+	if _, err := conn.Write(rawFrame(8, rawRequest(t, Request{Op: OpStats}))); err != nil {
 		t.Fatal(err)
 	}
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(line, "malformed") {
-		t.Fatalf("response = %q", line)
+	id, resp = readRawResponse(t, br)
+	if id != 8 || !resp.OK || resp.Stats == nil {
+		t.Fatalf("frame %d after the malformed one: response = %+v, want stats for frame 8", id, resp)
 	}
 }
 
@@ -229,7 +300,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(base int64) {
 			defer wg.Done()
-			cl, err := Dial(addr)
+			cl, err := DialContext(ctx, addr)
 			if err != nil {
 				errs <- err
 				return
@@ -257,7 +328,7 @@ func TestConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	cl, _ := Dial(addr)
+	cl, _ := DialContext(ctx, addr)
 	defer cl.Close()
 	st, err := cl.Stats(ctx)
 	if err != nil {
@@ -270,7 +341,7 @@ func TestConcurrentClients(t *testing.T) {
 
 func TestAddPublicOverWire(t *testing.T) {
 	addr := startServer(t)
-	cl, _ := Dial(addr)
+	cl, _ := DialContext(ctx, addr)
 	defer cl.Close()
 	if err := cl.AddPublic(ctx, 9999, 50, 50, "new-cafe"); err != nil {
 		t.Fatal(err)
@@ -285,14 +356,14 @@ func TestAddPublicOverWire(t *testing.T) {
 }
 
 func TestDialFailure(t *testing.T) {
-	if _, err := DialTimeout("127.0.0.1:1", 200*time.Millisecond); err == nil {
+	if _, err := DialContext(ctx, "127.0.0.1:1", WithDialTimeout(200*time.Millisecond)); err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}
 }
 
 func TestKNearestPublicOverWire(t *testing.T) {
 	addr := startServer(t)
-	cl, err := Dial(addr)
+	cl, err := DialContext(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,46 +386,20 @@ func TestKNearestPublicOverWire(t *testing.T) {
 	}
 }
 
+// TestOversizedFrameDropsConnection: a length prefix above
+// MaxFrameBytes ends the session before the server buffers any of the
+// body, and nothing is written back.
 func TestOversizedFrameDropsConnection(t *testing.T) {
 	addr := startServer(t)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// A frame beyond MaxFrameBytes must terminate the session.
-	huge := make([]byte, MaxFrameBytes+1024)
-	for i := range huge {
-		huge[i] = 'a'
-	}
-	if _, err := conn.Write(huge); err != nil {
-		// The server may reset before we finish writing; acceptable.
-		return
-	}
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	buf := make([]byte, 1)
-	if _, err := conn.Read(buf); err == nil {
-		t.Fatal("connection survived an oversized frame with a payload response")
-	}
-}
-
-func TestBlankLinesTolerated(t *testing.T) {
-	addr := startServer(t)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := fmt.Fprintf(conn, "\n\n{\"op\":\"stats\"}\n"); err != nil {
+	conn, br := rawConn(t, addr)
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], MaxFrameBytes+1)
+	if _, err := conn.Write(hdr[:]); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(line, `"ok":true`) {
-		t.Fatalf("response = %q", line)
+	if b, err := br.ReadByte(); !errors.Is(err, io.EOF) {
+		t.Fatalf("read after an oversized length prefix = %#x, %v; want EOF", b, err)
 	}
 }
 
@@ -363,7 +408,7 @@ func TestIdleTimeoutDisconnects(t *testing.T) {
 	cfg.Universe = geom.R(0, 0, 1024, 1024)
 	cfg.PyramidLevels = 5
 	srv := NewServer(core.MustNew(cfg))
-	srv.SetLogf(func(string, ...any) {})
+	srv.SetLogger(quietLogger())
 	srv.IdleTimeout = 150 * time.Millisecond
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -388,7 +433,7 @@ func TestIdleTimeoutDisconnects(t *testing.T) {
 
 func TestBatchUpdateOverWire(t *testing.T) {
 	addr := startServer(t)
-	cl, err := Dial(addr)
+	cl, err := DialContext(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +472,7 @@ func TestBatchUpdateOverWire(t *testing.T) {
 
 func TestDensityOverWire(t *testing.T) {
 	addr := startServer(t)
-	cl, err := Dial(addr)
+	cl, err := DialContext(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,16 +2,14 @@ package protocol
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"crypto/tls"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,7 +23,7 @@ import (
 	"casper/internal/trace"
 )
 
-// MaxFrameBytes is the hard per-request frame limit: a line longer
+// MaxFrameBytes is the hard per-frame limit: a request frame longer
 // than this drops the connection rather than buffering unboundedly.
 const MaxFrameBytes = 1 << 20
 
@@ -35,10 +33,10 @@ const DefaultIdleTimeout = 5 * time.Minute
 
 // DefaultWriteTimeout bounds how long one response frame may take to
 // flush; zero disables the deadline. A client that stops draining its
-// socket otherwise parks the serving goroutine forever in Encode.
+// socket otherwise parks the connection's writer forever.
 const DefaultWriteTimeout = 30 * time.Second
 
-// DefaultMaxInFlight bounds how many v2 requests one connection may
+// DefaultMaxInFlight bounds how many requests one connection may
 // have dispatched concurrently; further frames queue in the socket
 // (back-pressure) rather than spawning unbounded work.
 const DefaultMaxInFlight = 64
@@ -49,11 +47,10 @@ const DefaultMaxInFlight = 64
 // internal trust boundary (the DB server half never sees identities or
 // exact positions).
 //
-// Requests from different connections run concurrently: core.Casper is
-// safe for concurrent use, so no serialization happens here. Within a
-// single connection, requests are still answered strictly in order —
-// the newline framing has no request IDs, so in-order responses are
-// what keeps the stream interpretable.
+// Requests run concurrently, across connections and within one:
+// core.Casper is safe for concurrent use, and every frame carries a
+// request id, so a connection's responses go back as they complete —
+// out of order when queries finish out of order.
 //
 // Lifecycle: Shutdown(ctx) drains gracefully — the listener closes,
 // idle connections are woken via an immediate read deadline and cut,
@@ -84,9 +81,8 @@ type Server struct {
 	// casper_rpc_errors_total.
 	WriteTimeout time.Duration
 
-	// MaxInFlight caps concurrently dispatched v2 requests per
-	// connection (DefaultMaxInFlight when zero); set before Listen.
-	// v1 connections are inherently serial and unaffected.
+	// MaxInFlight caps concurrently dispatched requests per connection
+	// (DefaultMaxInFlight when zero); set before Listen.
 	MaxInFlight int
 
 	// TLSConfig, when non-nil, makes Listen serve TLS on the port it
@@ -153,32 +149,6 @@ func (s *Server) SlowQuery() time.Duration { return time.Duration(s.slowQuery.Lo
 
 // SetLogger overrides the server's structured logger.
 func (s *Server) SetLogger(l *slog.Logger) { s.logger = l }
-
-// SetLogf overrides the server's logger with a printf-style sink
-// (tests silence or capture it). Structured records are rendered as
-// "msg key=value ..." and passed to f as a single string.
-func (s *Server) SetLogf(f func(string, ...any)) { s.logger = slog.New(logfHandler{f: f}) }
-
-// logfHandler adapts a printf-style function to slog.Handler for
-// SetLogf compatibility. Attributes attached via Logger.With are
-// dropped; this server always passes attrs inline at the call site.
-type logfHandler struct{ f func(string, ...any) }
-
-func (h logfHandler) Enabled(context.Context, slog.Level) bool { return true }
-
-func (h logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var b strings.Builder
-	b.WriteString(r.Message)
-	r.Attrs(func(a slog.Attr) bool {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value.Any())
-		return true
-	})
-	h.f(b.String())
-	return nil
-}
-
-func (h logfHandler) WithAttrs([]slog.Attr) slog.Handler { return h }
-func (h logfHandler) WithGroup(string) slog.Handler      { return h }
 
 // Listen starts accepting on addr (e.g. "127.0.0.1:7467") and returns
 // the bound address, which is useful with a ":0" wildcard port. With
@@ -340,7 +310,7 @@ func (s *Server) acceptLoop() {
 }
 
 // countedConn threads every read and write through the wire byte
-// counters, whichever protocol version the connection negotiates.
+// counters.
 type countedConn struct {
 	net.Conn
 }
@@ -361,11 +331,12 @@ func (c *countedConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// handleConn serves one client connection. The protocol version is
-// sniffed from the first bytes: the v2 magic ("CSPR") starts a version
-// handshake and the pipelined frame loop; anything else — a '{', a
-// blank keep-alive line, or garbage — is served as v1 newline-
-// delimited JSON, bit-for-bit as before v2 existed.
+// handleConn serves one client connection. The client speaks first:
+// its five bytes are read under the idle deadline and answered with
+// this build's hello whatever they were, and the connection is served
+// only when they equal that hello. One comparison turns away a client
+// of another binary revision and a stray JSON line alike; the refused
+// peer still learns which revision it would have needed.
 func (s *Server) handleConn(rawConn net.Conn) {
 	conn := &countedConn{Conn: rawConn}
 	defer conn.Close()
@@ -382,124 +353,29 @@ func (s *Server) handleConn(rawConn net.Conn) {
 			return
 		}
 	}
-	first, err := br.Peek(1)
-	if err != nil {
+	var got [handshakeLen]byte
+	if _, err := io.ReadFull(br, got[:]); err != nil {
 		return
 	}
-	if first[0] == magicV2[0] {
-		// Only commit to v2 once the whole magic matches; garbage that
-		// merely starts with 'C' falls through to the v1 loop, which
-		// answers it with a malformed-request frame as always.
-		hs, err := br.Peek(handshakeLen)
-		if err == nil && bytes.Equal(hs[:4], magicV2[:]) {
-			clientRev := hs[4]
-			if _, err := br.Discard(handshakeLen); err != nil {
-				return
-			}
-			s.serveV2(conn, br, clientRev)
+	if s.WriteTimeout > 0 {
+		if err := conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout)); err != nil {
 			return
 		}
 	}
-	protoConns.With("1").Inc()
-	s.serveV1(conn, br)
-}
-
-// serveV1 is the original protocol: a stream of newline-delimited
-// JSON requests, each answered in order. Framing is by line, so a
-// malformed frame costs exactly one error response and the stream
-// stays synchronized. Frames above MaxFrameBytes and idle connections
-// are dropped.
-func (s *Server) serveV1(conn net.Conn, br *bufio.Reader) {
-	sc := bufio.NewScanner(br)
-	sc.Buffer(make([]byte, 64*1024), MaxFrameBytes)
-	enc := json.NewEncoder(conn)
-	for {
-		select {
-		case <-s.closed:
-			return
-		default:
-		}
-		if s.IdleTimeout > 0 {
-			if err := conn.SetReadDeadline(time.Now().Add(s.IdleTimeout)); err != nil {
-				return
-			}
-		}
-		if !sc.Scan() {
-			// EOF, oversized frame, timeout, or broken connection; all
-			// end the session. Oversized frames are logged — they are
-			// misbehaving clients, not normal churn.
-			if err := sc.Err(); errors.Is(err, bufio.ErrTooLong) {
-				s.logger.Warn("casper/protocol: dropping connection: frame exceeds limit",
-					"remote", conn.RemoteAddr().String(), "max_bytes", MaxFrameBytes)
-			}
-			return
-		}
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue // tolerate keep-alive blank lines
-		}
-		var req Request
-		decodeStart := time.Now()
-		if err := json.Unmarshal(line, &req); err != nil {
-			rpcMalformed.Inc()
-			if err := s.writeFrame(conn, enc, errResponse("malformed request: %v", err)); err != nil {
-				return
-			}
-			continue
-		}
-		// The echoed correlation ID is bounded whether or not tracing is
-		// on: a response never carries back an arbitrarily large string.
-		req.TraceID = trace.ClampID(req.TraceID)
-		// The trace is anchored at decode start, so the decode span sits
-		// at offset 0 of the waterfall. When tracing is off the only
-		// cost on this path is one atomic load.
-		var tr *trace.Trace
-		if trace.Enabled() {
-			tr = trace.NewAt(req.Op, req.TraceID, decodeStart)
-			tr.RecordSpan("decode", decodeStart, time.Since(decodeStart))
-		}
-		start := time.Now()
-		var resp Response
-		if reason, release := s.adm.admit(req.UserID); release == nil {
-			resp = s.shedResponse(req.Op, reason, tr, start)
-		} else {
-			resp = s.dispatch(req, tr, Version1)
-			release()
-		}
-		elapsed := time.Since(start)
-		observeRPC(req.Op, elapsed.Seconds(), resp)
-		if tr != nil {
-			resp.TraceID = tr.ID
-		} else {
-			resp.TraceID = req.TraceID // still echo the correlation ID
-		}
-		thr := s.SlowQuery()
-		slow := thr > 0 && elapsed > thr
-		if slow {
-			s.logSlow(req, resp, elapsed)
-		}
-		encStart := time.Now()
-		werr := s.writeFrame(conn, enc, resp)
-		if tr != nil {
-			tr.RecordSpan("encode", encStart, time.Since(encStart))
-			tr.Finish(time.Since(decodeStart), resp.Error, resp.Code, slow)
-			// Retention: every slow or errored request is kept; the rest
-			// are head-sampled. Published traces are immutable and never
-			// return to the pool.
-			if slow || !resp.OK || trace.HeadSample() {
-				trace.Publish(tr)
-			} else {
-				trace.Recycle(tr)
-			}
-		}
-		if werr != nil {
-			return
-		}
+	if _, err := conn.Write(hello[:]); err != nil {
+		return
 	}
+	if got != hello {
+		s.logger.Warn("casper/protocol: rejecting connection: handshake mismatch",
+			"remote", conn.RemoteAddr().String(), "got", string(got[:]),
+			"server_revision", binaryRevision)
+		return
+	}
+	s.serveFrames(conn, br)
 }
 
-// v2Out is one response headed for a v2 connection's writer.
-type v2Out struct {
+// outFrame is one response headed for a connection's writer.
+type outFrame struct {
 	id      uint64
 	resp    Response
 	tr      *trace.Trace
@@ -507,46 +383,22 @@ type v2Out struct {
 	slow    bool
 }
 
-// serveV2 speaks protocol v2 on one connection: length-prefixed
+// serveFrames runs the frame loop of one connection: length-prefixed
 // frames with per-request IDs. Up to MaxInFlight requests dispatch
 // concurrently and a dedicated writer returns responses as they
 // complete — out of order when queries finish out of order — so a
 // single connection pipelines. Frame boundaries are explicit, so a
 // malformed payload costs one error response (matched to its request
 // id) and the stream stays synchronized; oversized frames drop the
-// connection like v1's line limit.
-func (s *Server) serveV2(conn net.Conn, br *bufio.Reader, clientRev byte) {
-	if s.WriteTimeout > 0 {
-		if err := conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout)); err != nil {
-			return
-		}
-	}
-	// The reply always names this build's revision: a client that speaks
-	// it carries on, and one that does not — refused here — learns which
-	// revision it would have needed.
-	reply := [handshakeLen]byte{magicV2[0], magicV2[1], magicV2[2], magicV2[3], binaryRevision}
-	if _, err := conn.Write(reply[:]); err != nil {
-		return
-	}
-	if clientRev != binaryRevision {
-		// A client built with another payload layout, older or newer:
-		// there is one layout per build, so the match is exact on both
-		// ends. (A framed connection cannot downgrade to JSON either, and
-		// v1 clients never send the magic at all.) No frame is read.
-		s.logger.Warn("casper/protocol: rejecting v2 handshake with unsupported version",
-			"remote", conn.RemoteAddr().String(), "client_revision", clientRev,
-			"server_revision", binaryRevision)
-		return
-	}
-	protoConns.With("2").Inc()
-
+// connection.
+func (s *Server) serveFrames(conn net.Conn, br *bufio.Reader) {
 	maxInFlight := s.MaxInFlight
 	if maxInFlight <= 0 {
 		maxInFlight = DefaultMaxInFlight
 	}
-	out := make(chan v2Out, maxInFlight)
+	out := make(chan outFrame, maxInFlight)
 	writerDone := make(chan struct{})
-	go s.v2Writer(conn, out, writerDone)
+	go s.writeLoop(conn, out, writerDone)
 	sem := make(chan struct{}, maxInFlight)
 	var wg sync.WaitGroup
 	var readBuf []byte
@@ -581,7 +433,7 @@ readLoop:
 		req, derr := decodeRequest(payload)
 		if derr != nil {
 			rpcMalformed.Inc()
-			out <- v2Out{id: id, resp: errResponse("malformed request: %v", derr), started: decodeStart}
+			out <- outFrame{id: id, resp: errResponse("malformed request: %v", derr), started: decodeStart}
 			continue
 		}
 		req.TraceID = trace.ClampID(req.TraceID)
@@ -601,7 +453,7 @@ readLoop:
 			} else {
 				resp.TraceID = req.TraceID
 			}
-			out <- v2Out{id: id, resp: resp, tr: tr, started: decodeStart}
+			out <- outFrame{id: id, resp: resp, tr: tr, started: decodeStart}
 			continue
 		}
 		sem <- struct{}{}
@@ -609,9 +461,13 @@ readLoop:
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer func() { release(); <-sem; framesInFlight.Add(-1) }()
+			defer func() { <-sem; framesInFlight.Add(-1) }()
 			start := time.Now()
-			resp := s.dispatch(req, tr, Version2)
+			resp := s.dispatch(req, tr)
+			// The admission slot is freed before the answer is queued, so
+			// a client that sends its next request on seeing this one's
+			// answer never finds the slot still held by it.
+			release()
 			elapsed := time.Since(start)
 			observeRPC(req.Op, elapsed.Seconds(), resp)
 			if tr != nil {
@@ -624,7 +480,7 @@ readLoop:
 			if slow {
 				s.logSlow(req, resp, elapsed)
 			}
-			out <- v2Out{id: id, resp: resp, tr: tr, started: decodeStart, slow: slow}
+			out <- outFrame{id: id, resp: resp, tr: tr, started: decodeStart, slow: slow}
 		}()
 	}
 	wg.Wait()
@@ -632,12 +488,12 @@ readLoop:
 	<-writerDone
 }
 
-// v2Writer drains completed responses onto the connection. Writes are
+// writeLoop drains completed responses onto the connection. Writes are
 // buffered and flushed only when no further response is immediately
 // ready, so a pipelined burst coalesces into few syscalls. On a write
 // failure it closes the connection (unblocking the read loop) and
 // keeps draining so dispatch goroutines never wedge on the channel.
-func (s *Server) v2Writer(conn net.Conn, out <-chan v2Out, done chan<- struct{}) {
+func (s *Server) writeLoop(conn net.Conn, out <-chan outFrame, done chan<- struct{}) {
 	defer close(done)
 	bw := bufio.NewWriterSize(conn, 64*1024)
 	var dead bool
@@ -647,7 +503,7 @@ func (s *Server) v2Writer(conn net.Conn, out <-chan v2Out, done chan<- struct{})
 	var lastArm time.Time
 	for o := range out {
 		if dead {
-			s.finishV2Trace(o, time.Time{})
+			s.finishTrace(o, time.Time{})
 			continue
 		}
 		encStart := time.Now()
@@ -667,7 +523,7 @@ func (s *Server) v2Writer(conn net.Conn, out <-chan v2Out, done chan<- struct{})
 					"remote", conn.RemoteAddr().String(), "err", err)
 				dead = true
 				conn.Close()
-				s.finishV2Trace(o, encStart)
+				s.finishTrace(o, encStart)
 				continue
 			}
 		}
@@ -693,7 +549,7 @@ func (s *Server) v2Writer(conn net.Conn, out <-chan v2Out, done chan<- struct{})
 			}
 		}
 		putFrameBuf(bp)
-		s.finishV2Trace(o, encStart)
+		s.finishTrace(o, encStart)
 		if werr != nil {
 			var nerr net.Error
 			if errors.As(werr, &nerr) && nerr.Timeout() {
@@ -714,10 +570,11 @@ func (s *Server) v2Writer(conn net.Conn, out <-chan v2Out, done chan<- struct{})
 	}
 }
 
-// finishV2Trace records the encode span and applies the retention
-// policy (slow and errored requests always kept, the rest
-// head-sampled), mirroring the v1 loop.
-func (s *Server) finishV2Trace(o v2Out, encStart time.Time) {
+// finishTrace records the encode span and applies the retention
+// policy: slow and errored requests are always kept, the rest are
+// head-sampled. Published traces are immutable and never return to the
+// pool.
+func (s *Server) finishTrace(o outFrame, encStart time.Time) {
 	if o.tr == nil {
 		return
 	}
@@ -732,29 +589,6 @@ func (s *Server) finishV2Trace(o v2Out, encStart time.Time) {
 	}
 }
 
-// writeFrame encodes one response under the per-frame write deadline.
-// A deadline expiry means the client stopped draining its socket; the
-// connection is surrendered (the caller returns) and the stall is
-// counted so operators can tell slow clients from crashed ones.
-func (s *Server) writeFrame(conn net.Conn, enc *json.Encoder, resp Response) error {
-	if s.WriteTimeout > 0 {
-		if err := conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout)); err != nil {
-			return err
-		}
-	}
-	err := enc.Encode(resp)
-	if err != nil {
-		var nerr net.Error
-		if errors.As(err, &nerr) && nerr.Timeout() {
-			rpcErrors.With("write_timeout").Inc()
-			s.logger.Warn("casper/protocol: dropping connection: response write exceeded deadline",
-				"remote", conn.RemoteAddr().String(), "timeout", s.WriteTimeout,
-				"trace_id", resp.TraceID)
-		}
-	}
-	return err
-}
-
 // shedResponse builds the retryable overloaded error frame for a
 // request refused by admission control, counting the shed and marking
 // the trace with a "shed" span (an errored response is always retained
@@ -767,7 +601,7 @@ func (s *Server) shedResponse(op, reason string, tr *trace.Trace, at time.Time) 
 	return errFrom(fmt.Errorf("%w: %s shed by %s", ErrOverloaded, op, reason))
 }
 
-func (s *Server) dispatch(req Request, tr *trace.Trace, proto int) Response {
+func (s *Server) dispatch(req Request, tr *trace.Trace) Response {
 	if h := s.dispatchHook; h != nil {
 		h(req)
 	}
@@ -784,16 +618,7 @@ func (s *Server) dispatch(req Request, tr *trace.Trace, proto int) Response {
 		return okOrErr(err)
 	case OpUpdate:
 		return okOrErr(ops.UpdateUser(anonymizer.UserID(req.UserID), geom.Pt(req.X, req.Y)))
-	case OpUpdateBatch, OpBatchUpdate:
-		if req.Op == OpBatchUpdate {
-			// The legacy spelling is on its way out: v2 rejects it with
-			// a wire-stable sentinel, v1 tolerates it for old clients
-			// but makes the remaining traffic measurable.
-			if proto >= Version2 {
-				return errFrom(fmt.Errorf("%w: %q (use %q)", ErrDeprecatedOp, OpBatchUpdate, OpUpdateBatch))
-			}
-			deprecatedOps.Inc()
-		}
+	case OpUpdateBatch:
 		updates := make([]core.UserUpdate, len(req.Batch))
 		for i, u := range req.Batch {
 			updates[i] = core.UserUpdate{UID: anonymizer.UserID(u.UserID), Pos: geom.Pt(u.X, u.Y)}

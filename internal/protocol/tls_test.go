@@ -93,7 +93,7 @@ func startTLSServer(t *testing.T, tlsCfg *tls.Config) string {
 	cfg.Universe = geom.R(0, 0, 4096, 4096)
 	cfg.PyramidLevels = 7
 	srv := NewServer(core.MustNew(cfg))
-	srv.SetLogf(func(string, ...any) {})
+	srv.SetLogger(quietLogger())
 	srv.TLSConfig = tlsCfg
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -108,7 +108,7 @@ func startTLSServer(t *testing.T, tlsCfg *tls.Config) string {
 // first request both count.
 func expectRejected(t *testing.T, addr string, cfg *tls.Config, why string) {
 	t.Helper()
-	cl, err := Dial(addr, WithTLSConfig(cfg), WithDialTimeout(5*time.Second))
+	cl, err := DialContext(ctx, addr, WithTLSConfig(cfg), WithDialTimeout(5*time.Second))
 	if err != nil {
 		return // rejected at the handshake: fine
 	}
@@ -128,29 +128,21 @@ func TestTLS(t *testing.T) {
 			MinVersion:   tls.VersionTLS12,
 		})
 
-		// A trusting client works over both protocol versions; the
-		// ServerName is derived from the dialed address.
-		for _, version := range []int{1, 2} {
-			cl, err := Dial(addr,
-				WithTLSConfig(&tls.Config{RootCAs: serverCA.pool}),
-				WithProtocolVersion(version))
-			if err != nil {
-				t.Fatalf("v%d dial over TLS: %v", version, err)
-			}
-			if err := cl.Register(ctx, int64(version), 100, 100, 1, 0); err != nil {
-				t.Fatalf("v%d rpc over TLS: %v", version, err)
-			}
-			if err := cl.Update(ctx, int64(version), 200, 200); err != nil {
-				t.Fatalf("v%d second rpc over TLS: %v", version, err)
-			}
-			cl.Close()
+		// A trusting client works; the ServerName is derived from the
+		// dialed address.
+		cl := dial(t, addr, WithTLSConfig(&tls.Config{RootCAs: serverCA.pool}))
+		if err := cl.Register(ctx, 1, 100, 100, 1, 0); err != nil {
+			t.Fatalf("rpc over TLS: %v", err)
+		}
+		if err := cl.Update(ctx, 1, 200, 200); err != nil {
+			t.Fatalf("second rpc over TLS: %v", err)
 		}
 
 		// A client that does not trust the CA must refuse the server.
 		expectRejected(t, addr, &tls.Config{RootCAs: x509.NewCertPool()}, "untrusting client")
 
 		// A plaintext client against the TLS port gets no service.
-		if cl, err := Dial(addr, WithDialTimeout(2*time.Second)); err == nil {
+		if cl, err := DialContext(ctx, addr, WithDialTimeout(2*time.Second)); err == nil {
 			cl.Close()
 			t.Fatal("plaintext dial against TLS port succeeded")
 		}
@@ -167,7 +159,7 @@ func TestTLS(t *testing.T) {
 
 		// The CA-signed client certificate is admitted.
 		good := clientCA.issue(t, "good-client", false)
-		cl, err := Dial(addr, WithTLSConfig(&tls.Config{
+		cl, err := DialContext(ctx, addr, WithTLSConfig(&tls.Config{
 			RootCAs:      serverCA.pool,
 			Certificates: []tls.Certificate{good},
 		}))

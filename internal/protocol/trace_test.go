@@ -14,7 +14,7 @@ import (
 
 func TestTraceIDClientChosenRoundTrip(t *testing.T) {
 	addr := startServer(t)
-	cl, err := Dial(addr)
+	cl, err := DialContext(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestTraceIDClientChosenRoundTrip(t *testing.T) {
 
 func TestTraceIDOversizeTruncated(t *testing.T) {
 	addr := startServer(t)
-	cl, err := Dial(addr)
+	cl, err := DialContext(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestSlowRequestTraceRetained(t *testing.T) {
 	c.LoadPublicObjects(objs)
 
 	srv := NewServer(c)
-	srv.SetLogf(func(string, ...any) {}) // slow-query warnings are expected noise here
+	srv.SetLogger(quietLogger()) // slow-query warnings are expected noise here
 	srv.SlowQueryThreshold = time.Nanosecond
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -86,7 +86,7 @@ func TestSlowRequestTraceRetained(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 
-	cl, err := Dial(addr.String())
+	cl, err := DialContext(ctx, addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
