@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test race check shutdown-smoke metrics-audit bench-selftest bench bench-updates bench-queries bench-smoke bench-allocs bench-e2e bench-backends bench-continuous fuzz race-stress
+.PHONY: all build vet fmt-check staticcheck test race check shutdown-smoke metrics-audit bench-selftest bench bench-updates bench-queries bench-smoke bench-allocs bench-e2e bench-backends bench-continuous fuzz race-stress
 
 all: check
 
@@ -9,6 +9,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails, listing the offenders, when any Go file in the tree
+# is not gofmt-formatted.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # staticcheck covers the wire-facing package with the checks vet does
 # not run (unused results, suspicious conversions, API misuse). The
@@ -55,24 +60,24 @@ bench-selftest:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # check is the CI gate: everything must build, vet clean (plus
-# staticcheck when present), pass the full suite under the race
-# detector (the framework is concurrent), keep the metric inventory
-# honest, drain cleanly under load, and leave the repository benchmark
-# compiling and passing its self-test.
-check: build vet staticcheck race metrics-audit shutdown-smoke bench-selftest
+# staticcheck when present), be gofmt-formatted, pass the full suite
+# under the race detector (the framework is concurrent), keep the
+# metric inventory honest, drain cleanly under load, and leave the
+# repository benchmark compiling and passing its self-test.
+check: build vet fmt-check staticcheck race metrics-audit shutdown-smoke bench-selftest
 
 bench:
 	$(GO) test -bench=. -benchmem
 
-# bench-updates measures the sharded write path (serial, parallel,
-# batched, and the reconstructed pre-refactor global-lock baseline)
-# and records the numbers in BENCH_updates.json. The headline ratio is
-# BenchmarkParallelUpdates vs BenchmarkParallelUpdatesGlobalLock at
-# GOMAXPROCS >= 4.
+# bench-updates measures the default (adaptive) backend's write path —
+# serial, parallel and batched location updates plus the parallel
+# query/update mix — and records the numbers in BENCH_updates.json.
+# The adaptive anonymizer serializes updates behind one write lock, so
+# the parallel numbers show lock overhead, not a speedup.
 bench-updates:
 	$(GO) test -run XXX -bench 'Updates|ParallelMixed' -benchmem . | tee /tmp/bench-updates.txt
 	@awk -v cpus="$$(nproc 2>/dev/null || echo unknown)" \
-	'BEGIN { printf "{\n  \"cpus\": \"%s\",\n  \"headline\": \"BenchmarkParallelUpdates vs BenchmarkParallelUpdatesGlobalLock; the sharding win needs GOMAXPROCS >= 4 (single-lock and striped paths coincide on one core)\",\n  \"benchmarks\": [\n", cpus; first = 1 } \
+	'BEGIN { printf "{\n  \"cpus\": \"%s\",\n  \"headline\": \"BenchmarkSerialUpdates vs BenchmarkBatchUpdates ns/op per user update (batching amortizes the server write lock, tree clone and cache bump); the parallel variants run the same single-writer-lock path from GOMAXPROCS goroutines\",\n  \"benchmarks\": [\n", cpus; first = 1 } \
 	/^Benchmark/ { if (!first) printf ",\n"; first = 0; \
 	  printf "    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", $$1, $$2, $$3; \
 	  if ($$5 != "") printf ", \"bytes_per_op\": %s", $$5; \
@@ -196,7 +201,7 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzV2ReadFrame -fuzztime 10s ./internal/protocol
 
 # race-stress runs the concurrency stress suites repeatedly under the
-# race detector: striped/batched anonymizer stress, the core batch
+# race detector: the anonymizer backends' stress, the core batch
 # workload, the server/WAL interleavings, the casperd
 # scrape-under-traffic trace-ring stress, and the sharded
 # continuous-query monitor's all-stripes stress.

@@ -126,7 +126,7 @@ const (
 	BasicBackend = core.BasicBackend
 	// AdaptiveBackend uses the incomplete pyramid (Sec. 4.2).
 	AdaptiveBackend = core.AdaptiveBackend
-	// ClusterBackend forms k-nearest groups over sharded user tables.
+	// ClusterBackend forms groups of the k nearest registered users.
 	ClusterBackend = core.ClusterBackend
 	// GeoIndBackend releases planar-Laplace perturbed points
 	// (geo-indistinguishability).

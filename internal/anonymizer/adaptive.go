@@ -321,7 +321,7 @@ func (a *Adaptive) CloakTraced(uid UserID, tr *trace.Trace) (CloakedRegion, erro
 	if !ok {
 		return CloakedRegion{}, fmt.Errorf("%w: %d", ErrUnknownUser, uid)
 	}
-	cr, err := a.cloakFromNode(e.leaf, e.profile, CloakOpts{})
+	cr, err := a.cloakFromNode(e.leaf, e.profile)
 	adaptiveCloakMetrics.observe(start, cr, err)
 	return cr, err
 }
@@ -332,7 +332,7 @@ func (a *Adaptive) CloakAt(p geom.Point, prof Profile) (CloakedRegion, error) {
 	a.syncMaintenance()
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	cr, err := a.cloakFromNode(a.locate(p), prof, CloakOpts{})
+	cr, err := a.cloakFromNode(a.locate(p), prof)
 	adaptiveCloakMetrics.observe(start, cr, err)
 	return cr, err
 }
@@ -340,8 +340,9 @@ func (a *Adaptive) CloakAt(p geom.Point, prof Profile) (CloakedRegion, error) {
 // cloakFromNode is Algorithm 1 running directly on the incomplete
 // pyramid's node structure: counts and sibling neighbors are O(1)
 // pointer lookups instead of root-to-cell descents, which is where the
-// adaptive anonymizer's cloaking-time advantage comes from.
-func (a *Adaptive) cloakFromNode(n *aNode, prof Profile, opts CloakOpts) (CloakedRegion, error) {
+// adaptive anonymizer's cloaking-time advantage comes from. The
+// neighbor step is the same neighborMerge the basic anonymizer uses.
+func (a *Adaptive) cloakFromNode(n *aNode, prof Profile) (CloakedRegion, error) {
 	if err := prof.Validate(); err != nil {
 		return CloakedRegion{}, err
 	}
@@ -358,34 +359,27 @@ func (a *Adaptive) cloakFromNode(n *aNode, prof Profile, opts CloakOpts) (Cloake
 			}, nil
 		}
 		if n.parent == nil {
-			return CloakedRegion{}, fmt.Errorf("%w: k=%d Amin=%v (population %d, universe area %v)",
-				ErrUnsatisfiable, prof.K, prof.AMin, n.count, area)
+			return CloakedRegion{}, unsatisfiable(prof, n.count, area)
 		}
-		if !opts.DisableNeighborMerge {
-			// Sibling index within the parent: bit 0 is the X parity,
-			// bit 1 the Y parity, so the horizontal neighbor flips
-			// bit 0 and the vertical neighbor flips bit 1.
-			idx := (n.cell.Y&1)<<1 | (n.cell.X & 1)
-			sibH := n.parent.children[idx^1]
-			sibV := n.parent.children[idx^2]
-			nH := n.count + sibH.count
-			nV := n.count + sibV.count
-			if (nV >= prof.K || nH >= prof.K) && 2*area >= prof.AMin {
-				var with *aNode
-				var kFound int
-				if (nH >= prof.K && nV >= prof.K && nH <= nV) || nV < prof.K {
-					with, kFound = sibH, nH
-				} else {
-					with, kFound = sibV, nV
-				}
-				return CloakedRegion{
-					Region:     a.grid.CellRect(n.cell).Union(a.grid.CellRect(with.cell)),
-					Level:      n.cell.Level,
-					KFound:     kFound,
-					KRequested: prof.K,
-					StepsUp:    steps,
-				}, nil
+		// Sibling index within the parent: bit 0 is the X parity, bit 1
+		// the Y parity, so the horizontal neighbor flips bit 0 and the
+		// vertical neighbor flips bit 1.
+		idx := (n.cell.Y&1)<<1 | (n.cell.X & 1)
+		sibH := n.parent.children[idx^1]
+		sibV := n.parent.children[idx^2]
+		nH, nV := n.count+sibH.count, n.count+sibV.count
+		if horizontal, ok := neighborMerge(nH, nV, area, prof); ok {
+			with, kFound := sibV, nV
+			if horizontal {
+				with, kFound = sibH, nH
 			}
+			return CloakedRegion{
+				Region:     a.grid.CellRect(n.cell).Union(a.grid.CellRect(with.cell)),
+				Level:      n.cell.Level,
+				KFound:     kFound,
+				KRequested: prof.K,
+				StepsUp:    steps,
+			}, nil
 		}
 		n = n.parent
 		steps++
@@ -451,32 +445,6 @@ func (a *Adaptive) MaintainedCells() int {
 	}
 	walk(a.root)
 	return n
-}
-
-// cellCount implements cellCounter over the incomplete pyramid. For
-// maintained cells the stored counter is exact; for cells below a
-// maintained leaf the leaf's users are partitioned by position.
-// Callers hold a.mu (at least for reading).
-func (a *Adaptive) cellCount(c pyramid.CellID) int {
-	n := a.root
-	for {
-		if n.cell == c {
-			return n.count
-		}
-		if !n.cell.ContainsCell(c) {
-			return 0
-		}
-		if n.children == nil {
-			cnt := 0
-			for _, e := range n.users {
-				if a.grid.CellAt(c.Level, e.pos) == c {
-					cnt++
-				}
-			}
-			return cnt
-		}
-		n = n.children[childIndex(n.cell, c)]
-	}
 }
 
 // satisfiedAt reports whether a user with profile prof would be

@@ -201,19 +201,11 @@ type Anonymizer interface {
 
 // TracedCloaker is the optional tracing extension of Anonymizer:
 // CloakTraced behaves exactly like Cloak but records spans for the
-// interesting internal phases (stripe escalation in the basic
-// anonymizer, deferred-maintenance flushes in the adaptive one) into
-// tr. Callers type-assert; tr may be nil, in which case CloakTraced
-// is identical to Cloak.
+// interesting internal phases (deferred-maintenance flushes in the
+// adaptive anonymizer) into tr. Callers type-assert; tr may be nil, in
+// which case CloakTraced is identical to Cloak.
 type TracedCloaker interface {
 	CloakTraced(uid UserID, tr *trace.Trace) (CloakedRegion, error)
-}
-
-// cellCounter abstracts "how many users are in this pyramid cell" so
-// Algorithm 1 can run identically over the complete and incomplete
-// pyramids.
-type cellCounter interface {
-	cellCount(c pyramid.CellID) int
 }
 
 // CloakOpts controls Algorithm 1 ablations used by the experiment
@@ -226,38 +218,19 @@ type CloakOpts struct {
 	DisableNeighborMerge bool
 }
 
-// CloakAtOpt cloaks an arbitrary point under a profile with explicit
-// ablation options (Basic anonymizer).
-func (b *Basic) CloakAtOpt(p geom.Point, prof Profile, opts CloakOpts) (CloakedRegion, error) {
-	return b.cloakAt(p, prof, opts)
-}
-
-// CloakAtOpt cloaks an arbitrary point under a profile with explicit
-// ablation options (Adaptive anonymizer).
-func (a *Adaptive) CloakAtOpt(p geom.Point, prof Profile, opts CloakOpts) (CloakedRegion, error) {
-	a.syncMaintenance()
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.cloakFromNode(a.locate(p), prof, opts)
-}
-
-// bottomUpCloak is Algorithm 1 of the paper: starting from cell start,
-// return the cell if it satisfies (k, Amin); otherwise try combining
-// it with its horizontal or vertical sibling neighbor, choosing the
-// combination whose population is closer to k; otherwise recurse on
-// the parent. The loop form below is the tail-recursive algorithm
-// unrolled.
-func bottomUpCloak(src cellCounter, g pyramid.Grid, start pyramid.CellID, prof Profile) (CloakedRegion, error) {
-	return bottomUpCloakOpt(src, g, start, prof, CloakOpts{})
-}
-
-func bottomUpCloakOpt(src cellCounter, g pyramid.Grid, start pyramid.CellID, prof Profile, opts CloakOpts) (CloakedRegion, error) {
+// bottomUpCloak is Algorithm 1 of the paper over the complete pyramid:
+// starting from cell start, return the cell if it satisfies (k, Amin);
+// otherwise try combining it with its horizontal or vertical sibling
+// neighbor (neighborMerge); otherwise recurse on the parent. The loop
+// form below is the tail-recursive algorithm unrolled. The caller
+// holds a lock that excludes writers of pyr.
+func bottomUpCloak(pyr *pyramid.Complete, g pyramid.Grid, start pyramid.CellID, prof Profile, opts CloakOpts) (CloakedRegion, error) {
 	if err := prof.Validate(); err != nil {
 		return CloakedRegion{}, err
 	}
 	steps := 0
 	for cid := start; ; cid = cid.Parent() {
-		n := src.cellCount(cid)
+		n := pyr.Count(cid)
 		area := g.CellArea(cid.Level)
 		if n >= prof.K && area >= prof.AMin {
 			return CloakedRegion{
@@ -269,101 +242,47 @@ func bottomUpCloakOpt(src cellCounter, g pyramid.Grid, start pyramid.CellID, pro
 			}, nil
 		}
 		if cid.IsRoot() {
-			// Even the whole universe fails the profile.
-			return CloakedRegion{}, fmt.Errorf("%w: k=%d Amin=%v (population %d, universe area %v)",
-				ErrUnsatisfiable, prof.K, prof.AMin, n, area)
+			return CloakedRegion{}, unsatisfiable(prof, n, area)
 		}
-		if opts.DisableNeighborMerge {
-			steps++
-			continue
-		}
-		cidV, _ := cid.VerticalNeighbor()
-		cidH, _ := cid.HorizontalNeighbor()
-		nV := n + src.cellCount(cidV)
-		nH := n + src.cellCount(cidH)
-		if (nV >= prof.K || nH >= prof.K) && 2*area >= prof.AMin {
-			// Prefer the combination whose population is closer to k
-			// (both exceed k, pick the smaller; otherwise pick the one
-			// that reaches k).
-			var with pyramid.CellID
-			var kFound int
-			if (nH >= prof.K && nV >= prof.K && nH <= nV) || nV < prof.K {
-				with, kFound = cidH, nH
-			} else {
-				with, kFound = cidV, nV
+		if !opts.DisableNeighborMerge {
+			cidH, _ := cid.HorizontalNeighbor()
+			cidV, _ := cid.VerticalNeighbor()
+			nH, nV := n+pyr.Count(cidH), n+pyr.Count(cidV)
+			if horizontal, ok := neighborMerge(nH, nV, area, prof); ok {
+				with, kFound := cidV, nV
+				if horizontal {
+					with, kFound = cidH, nH
+				}
+				return CloakedRegion{
+					Region:     g.CellRect(cid).Union(g.CellRect(with)),
+					Level:      cid.Level,
+					KFound:     kFound,
+					KRequested: prof.K,
+					StepsUp:    steps,
+				}, nil
 			}
-			return CloakedRegion{
-				Region:     g.CellRect(cid).Union(g.CellRect(with)),
-				Level:      cid.Level,
-				KFound:     kFound,
-				KRequested: prof.K,
-				StepsUp:    steps,
-			}, nil
 		}
 		steps++
 	}
 }
 
-// bottomUpCloakQuadrant runs Algorithm 1 confined to the top-level
-// quadrant containing start, for callers holding only that quadrant's
-// stripe lock. All cells at level >= 2 that the algorithm touches —
-// the cell itself and its sibling neighbors — share start's quadrant,
-// and the quadrant's own level-1 counter is written only under this
-// quadrant's stripe, so those reads are consistent. The moment the
-// algorithm would need cross-quadrant information (the sibling checks
-// at level 1, or any read of the root), it gives up with done=false
-// and the caller escalates to the all-stripe lock. done=true means
-// the returned result is exactly what the unconfined algorithm would
-// produce.
-func bottomUpCloakQuadrant(src cellCounter, g pyramid.Grid, start pyramid.CellID, prof Profile, opts CloakOpts) (CloakedRegion, error, bool) {
-	if err := prof.Validate(); err != nil {
-		return CloakedRegion{}, err, true
+// neighborMerge is the neighbor step of Algorithm 1 (lines 5-13): a
+// cell of the given area failed prof on its own, and nH / nV are its
+// population combined with its horizontal / vertical sibling neighbor.
+// ok reports whether either combination satisfies prof; horizontal
+// says which one to publish — the one whose population is closer to k
+// (when both reach k the smaller, ties going to the horizontal pair;
+// otherwise the one that reaches k).
+func neighborMerge(nH, nV int, area float64, prof Profile) (horizontal, ok bool) {
+	if (nV >= prof.K || nH >= prof.K) && 2*area >= prof.AMin {
+		return (nH >= prof.K && nV >= prof.K && nH <= nV) || nV < prof.K, true
 	}
-	steps := 0
-	for cid := start; ; cid = cid.Parent() {
-		if cid.Level == 0 {
-			return CloakedRegion{}, nil, false
-		}
-		n := src.cellCount(cid)
-		area := g.CellArea(cid.Level)
-		if n >= prof.K && area >= prof.AMin {
-			return CloakedRegion{
-				Region:     g.CellRect(cid),
-				Level:      cid.Level,
-				KFound:     n,
-				KRequested: prof.K,
-				StepsUp:    steps,
-			}, nil, true
-		}
-		if opts.DisableNeighborMerge {
-			steps++
-			continue
-		}
-		if cid.Level == 1 {
-			// The sibling neighbors of a level-1 cell are the other
-			// quadrants.
-			return CloakedRegion{}, nil, false
-		}
-		cidV, _ := cid.VerticalNeighbor()
-		cidH, _ := cid.HorizontalNeighbor()
-		nV := n + src.cellCount(cidV)
-		nH := n + src.cellCount(cidH)
-		if (nV >= prof.K || nH >= prof.K) && 2*area >= prof.AMin {
-			var with pyramid.CellID
-			var kFound int
-			if (nH >= prof.K && nV >= prof.K && nH <= nV) || nV < prof.K {
-				with, kFound = cidH, nH
-			} else {
-				with, kFound = cidV, nV
-			}
-			return CloakedRegion{
-				Region:     g.CellRect(cid).Union(g.CellRect(with)),
-				Level:      cid.Level,
-				KFound:     kFound,
-				KRequested: prof.K,
-				StepsUp:    steps,
-			}, nil, true
-		}
-		steps++
-	}
+	return false, false
+}
+
+// unsatisfiable is the error of a pyramid cloak that reached the root:
+// even the whole universe (population n, the given area) fails prof.
+func unsatisfiable(prof Profile, n int, area float64) error {
+	return fmt.Errorf("%w: k=%d Amin=%v (population %d, universe area %v)",
+		ErrUnsatisfiable, prof.K, prof.AMin, n, area)
 }

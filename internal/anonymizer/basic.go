@@ -2,12 +2,11 @@ package anonymizer
 
 import (
 	"fmt"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"casper/internal/geom"
 	"casper/internal/pyramid"
-	"casper/internal/trace"
 )
 
 // Basic is the basic location anonymizer (Sec. 4.1): a complete grid
@@ -17,30 +16,18 @@ import (
 // and new leaf cells to their lowest common ancestor; cloaking runs
 // Algorithm 1 starting from the user's lowest-level cell.
 //
-// Basic is safe for concurrent use and its write path is striped by
-// top-level quadrant: a mutation locks only the quadrant(s) holding
-// the user's old and new leaf cells, so updates in different quadrants
-// proceed in parallel. Pyramid counters are atomic; the stripe lock's
-// job is to give cloaks a consistent multi-cell view of their
-// quadrant. Cloaks first run Algorithm 1 confined to the user's
-// quadrant under that single stripe's read lock; only cloaks that
-// would climb past the quadrant boundary (to the level-1 sibling
-// checks or the root) retry under an all-stripe read lock acquired in
-// ascending order, which reproduces the pre-striping result
-// bit-for-bit.
+// Basic is safe for concurrent use: cloaking and other read-only
+// operations proceed in parallel under a read lock, while mutations
+// (register, deregister, update, profile changes) serialize behind the
+// write lock.
 type Basic struct {
-	grid    pyramid.Grid
-	pyr     *pyramid.Complete
-	users   *pyramid.UserTable[*basicEntry]
-	stripes quadrantStripes
+	mu    sync.RWMutex
+	grid  pyramid.Grid
+	pyr   *pyramid.Complete
+	users map[UserID]*basicEntry
 }
 
 type basicEntry struct {
-	// quad is the stripe index of the quadrant holding the entry's
-	// current leaf cell. It is a lock-free hint: writers re-verify it
-	// after acquiring the stripe lock (see lockedEntry's retry loop).
-	// The remaining fields are guarded by stripes.mu[quad].
-	quad    atomic.Int32
 	profile Profile
 	pos     geom.Point
 	leaf    pyramid.CellID
@@ -54,49 +41,7 @@ func NewBasic(universe geom.Rect, levels int) *Basic {
 	return &Basic{
 		grid:  grid,
 		pyr:   pyramid.NewComplete(grid),
-		users: pyramid.NewUserTable[*basicEntry](),
-	}
-}
-
-// stillCurrent reports whether e is still the live table entry for
-// uid (a concurrent Deregister+Register could have replaced it while
-// we were waiting for the stripe lock).
-func (b *Basic) stillCurrent(uid UserID, e *basicEntry) bool {
-	cur, ok := b.users.Get(int64(uid))
-	return ok && cur == e
-}
-
-// lockedEntry locks the stripe currently owning uid's leaf (write
-// lock when write is true) and runs fn with the entry and its stripe
-// index. If a concurrent cross-quadrant move or deregistration
-// invalidates the stripe hint between the hint load and the lock
-// acquisition, it unlocks and retries from the table.
-func (b *Basic) lockedEntry(uid UserID, write bool, fn func(e *basicEntry, q int) error) error {
-	for {
-		e, ok := b.users.Get(int64(uid))
-		if !ok {
-			return fmt.Errorf("%w: %d", ErrUnknownUser, uid)
-		}
-		q := int(e.quad.Load())
-		if write {
-			b.stripes.mu[q].Lock()
-		} else {
-			b.stripes.mu[q].RLock()
-		}
-		if int(e.quad.Load()) == q && b.stillCurrent(uid, e) {
-			err := fn(e, q)
-			if write {
-				b.stripes.mu[q].Unlock()
-			} else {
-				b.stripes.mu[q].RUnlock()
-			}
-			return err
-		}
-		if write {
-			b.stripes.mu[q].Unlock()
-		} else {
-			b.stripes.mu[q].RUnlock()
-		}
+		users: make(map[UserID]*basicEntry),
 	}
 }
 
@@ -105,51 +50,39 @@ func (b *Basic) Register(uid UserID, p geom.Point, prof Profile) error {
 	if err := prof.Validate(); err != nil {
 		return err
 	}
-	leaf := b.grid.LeafAt(p)
-	q := stripeOf(leaf)
-	b.stripes.mu[q].Lock()
-	defer b.stripes.mu[q].Unlock()
-	e := &basicEntry{profile: prof, pos: p, leaf: leaf}
-	e.quad.Store(int32(q))
-	if !b.users.Insert(int64(uid), e) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if _, ok := b.users[uid]; ok {
 		return fmt.Errorf("%w: %d", ErrDuplicateUser, uid)
 	}
-	b.pyr.Add(p)
+	b.users[uid] = &basicEntry{profile: prof, pos: p, leaf: b.pyr.Add(p)}
 	return nil
 }
 
 // Deregister implements Anonymizer.
 func (b *Basic) Deregister(uid UserID) error {
-	return b.lockedEntry(uid, true, func(e *basicEntry, _ int) error {
-		b.pyr.RemoveAt(e.leaf)
-		b.users.Delete(int64(uid))
-		return nil
-	})
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	e, ok := b.users[uid]
+	if !ok {
+		return fmt.Errorf("%w: %d", ErrUnknownUser, uid)
+	}
+	b.pyr.RemoveAt(e.leaf)
+	delete(b.users, uid)
+	return nil
 }
 
-// Update implements Anonymizer. A move within one quadrant locks only
-// that stripe; a cross-quadrant move locks the old and new stripes in
-// ascending order.
+// Update implements Anonymizer.
 func (b *Basic) Update(uid UserID, p geom.Point) error {
-	newLeaf := b.grid.LeafAt(p)
-	nq := stripeOf(newLeaf)
-	for {
-		e, ok := b.users.Get(int64(uid))
-		if !ok {
-			return fmt.Errorf("%w: %d", ErrUnknownUser, uid)
-		}
-		oq := int(e.quad.Load())
-		b.stripes.lockPair(oq, nq)
-		if int(e.quad.Load()) != oq || !b.stillCurrent(uid, e) {
-			b.stripes.unlockPair(oq, nq)
-			continue
-		}
-		e.leaf, _ = b.pyr.Move(e.leaf, p)
-		e.pos = p
-		e.quad.Store(int32(nq))
-		b.stripes.unlockPair(oq, nq)
-		return nil
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	e, ok := b.users[uid]
+	if !ok {
+		return fmt.Errorf("%w: %d", ErrUnknownUser, uid)
 	}
+	e.leaf, _ = b.pyr.Move(e.leaf, p)
+	e.pos = p
+	return nil
 }
 
 // SetProfile implements Anonymizer. The complete pyramid's shape does
@@ -158,163 +91,127 @@ func (b *Basic) SetProfile(uid UserID, prof Profile) error {
 	if err := prof.Validate(); err != nil {
 		return err
 	}
-	return b.lockedEntry(uid, true, func(e *basicEntry, _ int) error {
-		e.profile = prof
-		return nil
-	})
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	e, ok := b.users[uid]
+	if !ok {
+		return fmt.Errorf("%w: %d", ErrUnknownUser, uid)
+	}
+	e.profile = prof
+	return nil
 }
 
 // Cloak implements Anonymizer.
 func (b *Basic) Cloak(uid UserID) (CloakedRegion, error) {
-	return b.CloakTraced(uid, nil)
-}
-
-// CloakTraced implements TracedCloaker: Cloak, with a
-// "stripe_escalation" span recorded into tr when the cloak climbs
-// past its quadrant boundary and reruns under the all-stripe lock.
-func (b *Basic) CloakTraced(uid UserID, tr *trace.Trace) (CloakedRegion, error) {
 	start := time.Now()
-	cr, err := b.cloakUser(uid, CloakOpts{}, tr)
-	basicCloakMetrics.observe(start, cr, err)
-	return cr, err
-}
-
-func (b *Basic) cloakUser(uid UserID, opts CloakOpts, tr *trace.Trace) (CloakedRegion, error) {
-	// Fast path: Algorithm 1 confined to the user's quadrant, under
-	// that single stripe's read lock.
-	for {
-		e, ok := b.users.Get(int64(uid))
-		if !ok {
-			return CloakedRegion{}, fmt.Errorf("%w: %d", ErrUnknownUser, uid)
-		}
-		q := int(e.quad.Load())
-		b.stripes.mu[q].RLock()
-		if int(e.quad.Load()) != q || !b.stillCurrent(uid, e) {
-			b.stripes.mu[q].RUnlock()
-			continue
-		}
-		cr, err, done := bottomUpCloakQuadrant(b, b.grid, e.leaf, e.profile, opts)
-		b.stripes.mu[q].RUnlock()
-		if done {
-			return cr, err
-		}
-		break
-	}
-	// The cloak climbed past the quadrant boundary: escalate to a
-	// consistent view of all four stripes and rerun Algorithm 1 from
-	// the leaf. The rerun is what the pre-striping implementation
-	// computed under its single lock, so results match bit-for-bit.
-	esc := tr.StartSpan("stripe_escalation")
-	defer esc.End()
-	b.stripes.rlockAll()
-	defer b.stripes.runlockAll()
-	e, ok := b.users.Get(int64(uid))
+	b.mu.RLock()
+	e, ok := b.users[uid]
+	var cr CloakedRegion
+	var err error
 	if !ok {
-		return CloakedRegion{}, fmt.Errorf("%w: %d", ErrUnknownUser, uid)
+		err = fmt.Errorf("%w: %d", ErrUnknownUser, uid)
+	} else {
+		cr, err = bottomUpCloak(b.pyr, b.grid, e.leaf, e.profile, CloakOpts{})
 	}
-	cr, err := bottomUpCloakOpt(b, b.grid, e.leaf, e.profile, opts)
+	b.mu.RUnlock()
+	basicCloakMetrics.observe(start, cr, err)
 	return cr, err
 }
 
 // CloakAt implements Anonymizer.
 func (b *Basic) CloakAt(p geom.Point, prof Profile) (CloakedRegion, error) {
 	start := time.Now()
-	cr, err := b.cloakAt(p, prof, CloakOpts{})
+	cr, err := b.CloakAtOpt(p, prof, CloakOpts{})
 	basicCloakMetrics.observe(start, cr, err)
 	return cr, err
 }
 
-func (b *Basic) cloakAt(p geom.Point, prof Profile, opts CloakOpts) (CloakedRegion, error) {
+// CloakAtOpt cloaks an arbitrary point under a profile with explicit
+// ablation options.
+func (b *Basic) CloakAtOpt(p geom.Point, prof Profile, opts CloakOpts) (CloakedRegion, error) {
 	leaf := b.grid.LeafAt(p)
-	q := stripeOf(leaf)
-	b.stripes.mu[q].RLock()
-	cr, err, done := bottomUpCloakQuadrant(b, b.grid, leaf, prof, opts)
-	b.stripes.mu[q].RUnlock()
-	if done {
-		return cr, err
-	}
-	b.stripes.rlockAll()
-	defer b.stripes.runlockAll()
-	return bottomUpCloakOpt(b, b.grid, leaf, prof, opts)
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return bottomUpCloak(b.pyr, b.grid, leaf, prof, opts)
 }
 
 // Name implements Anonymizer.
 func (b *Basic) Name() string { return "basic" }
 
-// ForEachUser implements Anonymizer. The walk holds all four stripe
-// read locks so each visited (position, profile) pair is internally
-// consistent.
+// ForEachUser implements Anonymizer. The walk holds the read lock, so
+// each visited (position, profile) pair is internally consistent.
 func (b *Basic) ForEachUser(fn func(UserID, geom.Point, Profile) bool) {
-	b.stripes.rlockAll()
-	defer b.stripes.runlockAll()
-	b.users.Range(func(uid int64, e *basicEntry) bool {
-		return fn(UserID(uid), e.pos, e.profile)
-	})
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	for uid, e := range b.users {
+		if !fn(uid, e.pos, e.profile) {
+			return
+		}
+	}
 }
 
 // Users implements Anonymizer.
-func (b *Basic) Users() int { return b.users.Len() }
+func (b *Basic) Users() int {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return len(b.users)
+}
 
 // Grid implements Anonymizer.
 func (b *Basic) Grid() pyramid.Grid { return b.grid }
 
-// UpdateCost implements Anonymizer. The counter is atomic; no lock.
-func (b *Basic) UpdateCost() int64 { return b.pyr.Updates() }
+// UpdateCost implements Anonymizer.
+func (b *Basic) UpdateCost() int64 {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return b.pyr.Updates()
+}
 
 // ResetUpdateCost implements Anonymizer.
 func (b *Basic) ResetUpdateCost() {
-	b.stripes.lockAll()
-	defer b.stripes.unlockAll()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	b.pyr.ResetUpdates()
 }
 
 // Profile returns the stored profile of a user (for tests and the
 // protocol layer).
 func (b *Basic) Profile(uid UserID) (Profile, error) {
-	var prof Profile
-	err := b.lockedEntry(uid, false, func(e *basicEntry, _ int) error {
-		prof = e.profile
-		return nil
-	})
-	return prof, err
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	e, ok := b.users[uid]
+	if !ok {
+		return Profile{}, fmt.Errorf("%w: %d", ErrUnknownUser, uid)
+	}
+	return e.profile, nil
 }
 
 // Position returns the stored exact position of a user. Only the
 // anonymizer (the trusted party) may see this.
 func (b *Basic) Position(uid UserID) (geom.Point, error) {
-	var pos geom.Point
-	err := b.lockedEntry(uid, false, func(e *basicEntry, _ int) error {
-		pos = e.pos
-		return nil
-	})
-	return pos, err
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	e, ok := b.users[uid]
+	if !ok {
+		return geom.Point{}, fmt.Errorf("%w: %d", ErrUnknownUser, uid)
+	}
+	return e.pos, nil
 }
-
-// cellCount implements cellCounter via the complete pyramid. Callers
-// hold the stripe lock(s) covering the cells they read.
-func (b *Basic) cellCount(c pyramid.CellID) int { return b.pyr.Count(c) }
 
 // CheckConsistency verifies internal invariants (tests only).
 func (b *Basic) CheckConsistency() error {
-	b.stripes.rlockAll()
-	defer b.stripes.runlockAll()
+	b.mu.RLock()
+	defer b.mu.RUnlock()
 	if err := b.pyr.CheckConsistency(); err != nil {
 		return err
 	}
-	if b.pyr.Total() != b.users.Len() {
-		return fmt.Errorf("pyramid total %d != users %d", b.pyr.Total(), b.users.Len())
+	if b.pyr.Total() != len(b.users) {
+		return fmt.Errorf("pyramid total %d != users %d", b.pyr.Total(), len(b.users))
 	}
-	var bad error
-	b.users.Range(func(uid int64, e *basicEntry) bool {
+	for uid, e := range b.users {
 		if got := b.grid.LeafAt(e.pos); got != e.leaf {
-			bad = fmt.Errorf("user %d leaf %v != recomputed %v", uid, e.leaf, got)
-			return false
+			return fmt.Errorf("user %d leaf %v != recomputed %v", uid, e.leaf, got)
 		}
-		if int(e.quad.Load()) != stripeOf(e.leaf) {
-			bad = fmt.Errorf("user %d stripe hint %d != quadrant of %v", uid, e.quad.Load(), e.leaf)
-			return false
-		}
-		return true
-	})
-	return bad
+	}
+	return nil
 }

@@ -28,9 +28,8 @@ import (
 // this trade-off.
 //
 // Cluster is safe for concurrent use: cloaks run under a read lock,
-// mutations under the write lock. The uid index is the same sharded
-// table the other backends use; the per-leaf-cell buckets drive the
-// ring search.
+// mutations under the write lock. The lock guards both the uid index
+// and the per-leaf-cell buckets that drive the ring search.
 type Cluster struct {
 	grid     pyramid.Grid
 	universe geom.Rect
@@ -42,9 +41,8 @@ type Cluster struct {
 	minK atomic.Int64
 
 	mu    sync.RWMutex
-	users *pyramid.UserTable[*clusterEntry]
+	users map[UserID]*clusterEntry
 	cells map[pyramid.CellID]map[UserID]*clusterEntry
-	count int
 
 	updates atomic.Int64
 }
@@ -68,7 +66,7 @@ func NewCluster(universe geom.Rect, levels int) *Cluster {
 		cellW:    u.Width() / float64(side),
 		cellH:    u.Height() / float64(side),
 		side:     side,
-		users:    pyramid.NewUserTable[*clusterEntry](),
+		users:    make(map[UserID]*clusterEntry),
 		cells:    make(map[pyramid.CellID]map[UserID]*clusterEntry),
 	}
 }
@@ -116,12 +114,12 @@ func (c *Cluster) Register(uid UserID, p geom.Point, prof Profile) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := &clusterEntry{profile: prof, pos: p, leaf: c.grid.LeafAt(p)}
-	if !c.users.Insert(int64(uid), e) {
+	if _, ok := c.users[uid]; ok {
 		return fmt.Errorf("%w: %d", ErrDuplicateUser, uid)
 	}
+	e := &clusterEntry{profile: prof, pos: p, leaf: c.grid.LeafAt(p)}
+	c.users[uid] = e
 	c.addToCell(uid, e)
-	c.count++
 	return nil
 }
 
@@ -129,12 +127,12 @@ func (c *Cluster) Register(uid UserID, p geom.Point, prof Profile) error {
 func (c *Cluster) Deregister(uid UserID) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.users.Delete(int64(uid))
+	e, ok := c.users[uid]
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownUser, uid)
 	}
+	delete(c.users, uid)
 	c.removeFromCell(uid, e)
-	c.count--
 	return nil
 }
 
@@ -142,7 +140,7 @@ func (c *Cluster) Deregister(uid UserID) error {
 func (c *Cluster) Update(uid UserID, p geom.Point) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.users.Get(int64(uid))
+	e, ok := c.users[uid]
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownUser, uid)
 	}
@@ -166,7 +164,7 @@ func (c *Cluster) SetProfile(uid UserID, prof Profile) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.users.Get(int64(uid))
+	e, ok := c.users[uid]
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownUser, uid)
 	}
@@ -178,7 +176,7 @@ func (c *Cluster) SetProfile(uid UserID, prof Profile) error {
 func (c *Cluster) Cloak(uid UserID) (CloakedRegion, error) {
 	start := time.Now()
 	c.mu.RLock()
-	e, ok := c.users.Get(int64(uid))
+	e, ok := c.users[uid]
 	var cr CloakedRegion
 	var err error
 	if !ok {
@@ -216,9 +214,9 @@ func (c *Cluster) cloakLocked(pos geom.Point, prof Profile) (CloakedRegion, erro
 	if mk := int(c.minK.Load()); mk > k {
 		k = mk
 	}
-	if c.count < k || prof.AMin > c.universe.Area() {
+	if len(c.users) < k || prof.AMin > c.universe.Area() {
 		return CloakedRegion{}, fmt.Errorf("%w: k=%d Amin=%v (population %d, universe area %v)",
-			ErrUnsatisfiable, k, prof.AMin, c.count, c.universe.Area())
+			ErrUnsatisfiable, k, prof.AMin, len(c.users), c.universe.Area())
 	}
 
 	// Expand square rings of leaf cells around the requester's cell
@@ -340,7 +338,7 @@ func (c *Cluster) countInLocked(r geom.Rect) int {
 func (c *Cluster) Users() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.count
+	return len(c.users)
 }
 
 // Grid implements Anonymizer.
@@ -356,16 +354,18 @@ func (c *Cluster) ResetUpdateCost() { c.updates.Store(0) }
 func (c *Cluster) ForEachUser(fn func(UserID, geom.Point, Profile) bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	c.users.Range(func(uid int64, e *clusterEntry) bool {
-		return fn(UserID(uid), e.pos, e.profile)
-	})
+	for uid, e := range c.users {
+		if !fn(uid, e.pos, e.profile) {
+			return
+		}
+	}
 }
 
 // Profile returns the stored profile of a user.
 func (c *Cluster) Profile(uid UserID) (Profile, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	e, ok := c.users.Get(int64(uid))
+	e, ok := c.users[uid]
 	if !ok {
 		return Profile{}, fmt.Errorf("%w: %d", ErrUnknownUser, uid)
 	}
@@ -377,7 +377,7 @@ func (c *Cluster) Profile(uid UserID) (Profile, error) {
 func (c *Cluster) Position(uid UserID) (geom.Point, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	e, ok := c.users.Get(int64(uid))
+	e, ok := c.users[uid]
 	if !ok {
 		return geom.Point{}, fmt.Errorf("%w: %d", ErrUnknownUser, uid)
 	}

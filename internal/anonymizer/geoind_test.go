@@ -12,7 +12,7 @@ func TestLambertWm1RoundTrip(t *testing.T) {
 	// w = W₋₁(x) must satisfy w·e^w = x to near machine precision over
 	// the whole branch, including both initial-guess regimes.
 	xs := []float64{
-		-1/math.E + 1e-12, // at the branch point
+		-1/math.E + 1e-12,           // at the branch point
 		-0.3678, -0.35, -0.3, -0.26, // series-seeded regime
 		-0.2, -0.1, -0.01, -1e-4, -1e-8, -1e-15, // log-log regime
 	}

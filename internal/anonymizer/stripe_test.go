@@ -1,6 +1,7 @@
 package anonymizer
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -9,14 +10,15 @@ import (
 )
 
 // stripeTestUniverse is a 4096-unit square so the quadrant seams run
-// through x=2048 and y=2048.
+// through x=2048 and y=2048; users on the seams force cloaks that
+// climb to level 1 and the root.
 var stripeTestUniverse = geom.R(0, 0, 4096, 4096)
 
-// TestBasicStripedMatchesCloakAt pins the striping escalation to the
-// unconfined algorithm: for users spread across all four quadrants and
-// hugging the seams, Cloak(uid) must equal CloakAt(pos, profile) —
-// CloakAt and Cloak share the same data, so any divergence can only
-// come from the confined fast path bailing out with a wrong result.
+// TestBasicStripedMatchesCloakAt pins Cloak ≡ CloakAt: for users
+// spread across all four quadrants and hugging the seams, Cloak(uid)
+// must equal CloakAt(pos, profile). Both run Algorithm 1 over the same
+// pyramid, so any divergence means the user table and the pyramid
+// disagree about where the user is.
 func TestBasicStripedMatchesCloakAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	b := NewBasic(stripeTestUniverse, 7)
@@ -35,8 +37,7 @@ func TestBasicStripedMatchesCloakAt(t *testing.T) {
 		regs = append(regs, reg{uid, p, prof})
 	}
 	// Clusters on the seams force cloaks that climb to level 1 or the
-	// root — the escalation path; scattered users exercise the
-	// single-quadrant fast path.
+	// root; scattered users are satisfied low in the pyramid.
 	for i := 0; i < 64; i++ {
 		k := 1 + rng.Intn(48)
 		add(geom.Pt(2048+rng.Float64()*8-4, rng.Float64()*4096), Profile{K: k})
@@ -66,9 +67,9 @@ func TestBasicStripedMatchesCloakAt(t *testing.T) {
 
 // stressAnonymizer runs a mixed concurrent workload against any
 // Anonymizer: updaters crossing quadrant seams, strict-profile cloaks
-// that escalate past the stripe boundary, register/deregister churn,
+// that climb to the top pyramid levels, register/deregister churn,
 // and profile changes. Run under -race this is the main guard for the
-// striped basic and batched adaptive write paths.
+// backends' locking and the adaptive backend's deferred maintenance.
 func stressAnonymizer(t *testing.T, an Anonymizer, check func() error) {
 	t.Helper()
 	const (
@@ -78,7 +79,7 @@ func stressAnonymizer(t *testing.T, an Anonymizer, check func() error) {
 	)
 	for i := 0; i < baseUsers; i++ {
 		// Half the population sits within a leaf cell of a seam, so
-		// updates constantly cross stripes.
+		// updates constantly cross quadrants.
 		var p geom.Point
 		if i%2 == 0 {
 			p = geom.Pt(2048+float64(i%64)-32, float64(i*16%4096))
@@ -119,7 +120,7 @@ func stressAnonymizer(t *testing.T, an Anonymizer, check func() error) {
 			}
 		}(w)
 	}
-	for w := 0; w < 4; w++ { // cloakers, including strict profiles that escalate
+	for w := 0; w < 4; w++ { // cloakers, including strict profiles that climb high
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -185,6 +186,8 @@ type errUnexpected string
 
 func (e errUnexpected) Error() string { return string(e) }
 
+// TestBasicStripedStress pins the -race safety of the basic backend's
+// single lock.
 func TestBasicStripedStress(t *testing.T) {
 	b := NewBasic(stripeTestUniverse, 7)
 	stressAnonymizer(t, b, b.CheckConsistency)
@@ -193,6 +196,25 @@ func TestBasicStripedStress(t *testing.T) {
 func TestAdaptiveBatchedStress(t *testing.T) {
 	a := NewAdaptive(stripeTestUniverse, 7)
 	stressAnonymizer(t, a, a.CheckConsistency)
+}
+
+// TestClusterStress runs the same workload against the cluster backend,
+// whose uid index and leaf buckets share one lock: afterwards every
+// user sits in exactly one bucket.
+func TestClusterStress(t *testing.T) {
+	c := NewCluster(stripeTestUniverse, 7)
+	stressAnonymizer(t, c, func() error {
+		c.mu.RLock()
+		defer c.mu.RUnlock()
+		n := 0
+		for _, m := range c.cells {
+			n += len(m)
+		}
+		if n != len(c.users) {
+			return fmt.Errorf("leaf buckets hold %d users, index %d", n, len(c.users))
+		}
+		return nil
+	})
 }
 
 // TestAdaptiveDeferredMaintenanceFlushes verifies that deferral stays

@@ -11,8 +11,7 @@
 //     queries it can affect — O(matches) index probes per update, not
 //     O(Q) (the linear scan survives only as the LinearScan benchmark
 //     baseline);
-//   - the monitor is sharded by top-level pyramid quadrant (the same
-//     striping discipline as the anonymizer's write path): queries,
+//   - the monitor is sharded by top-level pyramid quadrant: queries,
 //     shadow tables, and their locks split four ways plus a seam
 //     stripe for regions crossing the quadrant boundaries, so update
 //     ingestion runs GOMAXPROCS-parallel; a batch (ApplyUpdates) takes

@@ -9,11 +9,11 @@ import (
 	"casper/internal/rtree"
 )
 
-// The monitor is striped by top-level pyramid quadrant, the same
-// split the anonymizer's write path uses: four half-open quadrants
-// around the universe center plus a seam stripe for every region that
-// crosses a quadrant boundary. Because the quadrants are half-open,
-// two rects confined to different quadrants cannot intersect — so a
+// The monitor is striped by top-level pyramid quadrant: four half-open
+// quadrants around the universe center plus a seam stripe for every
+// region that crosses a quadrant boundary. Because the quadrants are
+// half-open, two rects confined to different quadrants cannot
+// intersect — so a
 // location update whose region is confined to quadrant s can only
 // affect queries homed in stripe s or the seam stripe, and the
 // ingestion path locks exactly those. A seam-confined update (or a

@@ -164,10 +164,10 @@ func TestUpdateUsersPersistsThroughWAL(t *testing.T) {
 
 // TestConcurrentBatchWorkload mixes batched updates with single
 // updates, registrations/deregistrations, and queries. Batch entries
-// deliberately hop across top-level quadrant seams so the anonymizer's
-// stripe escalation path runs concurrently with everything else. Run
-// under -race this is the end-to-end check that the sharded write path
-// has no missing lock.
+// deliberately hop across top-level quadrant seams, so cloaks climb to
+// the top pyramid levels while updates rewrite them. Run under -race
+// this is the end-to-end check that the write path has no missing
+// lock.
 func TestConcurrentBatchWorkload(t *testing.T) {
 	for _, kind := range []string{BasicBackend, AdaptiveBackend} {
 		kind := kind
@@ -193,8 +193,8 @@ func TestConcurrentBatchWorkload(t *testing.T) {
 			}
 
 			// Batch updaters: each round builds a batch half of which
-			// hugs the quadrant seams (forcing stripe-crossing moves and
-			// cloak escalations), half scattered.
+			// hugs the quadrant seams (forcing moves that rewrite the
+			// top pyramid levels), half scattered.
 			for g := 0; g < 3; g++ {
 				wg.Add(1)
 				go func(seed int64) {

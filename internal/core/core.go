@@ -120,14 +120,6 @@ type Config struct {
 	BackendMinK int
 	// Query tunes the privacy-aware query processor (filter count).
 	Query privacyqp.Options
-	// MonitorSafeFrac tunes the continuous monitor's safe regions
-	// (continuous.Config.SafeRegionFrac): 0 (default) evaluates at the
-	// exact cloak and skips re-evaluation only within the derived
-	// candidate-validity slack; > 0 inflates the evaluation cloak by
-	// that fraction of its longer side, widening the safe region at
-	// the price of slightly larger candidate lists; < 0 disables safe
-	// regions (every cloak change re-evaluates).
-	MonitorSafeFrac float64
 	// Transmission models the downlink carrying the candidate list.
 	Transmission TransmissionModel
 	// Seed drives pseudonym generation and backend randomness.
@@ -529,7 +521,6 @@ func (c *Casper) enableContinuous(mcfg continuous.Config) *continuous.Monitor {
 		return c.monitor
 	}
 	mcfg.Universe = c.cfg.Universe
-	mcfg.SafeRegionFrac = c.cfg.MonitorSafeFrac
 	c.monitor = continuous.NewMonitor(mcfg)
 	c.watches = make(map[anonymizer.UserID][]continuous.QueryID)
 	c.rangeWatches = make(map[anonymizer.UserID][]continuous.QueryID)
@@ -886,7 +877,7 @@ func (c *Casper) pushCloak(uid anonymizer.UserID, tr *trace.Trace) error {
 // every successful release is fed to privacyobs.Default. When tr is
 // non-nil the cloak runs inside a "cloak" span annotated with the
 // release's privacy characteristics; anonymizers that support it also
-// record their own sub-spans (stripe_escalation, adaptive_flush).
+// record their own sub-spans (adaptive_flush).
 func (c *Casper) cloakUID(uid anonymizer.UserID, tr *trace.Trace) (anonymizer.CloakedRegion, error) {
 	if privacyobs.Default.BudgetExhausted(int64(uid)) {
 		return anonymizer.CloakedRegion{}, fmt.Errorf("%w: user %d", ErrBudgetExhausted, uid)

@@ -25,7 +25,6 @@ package pyramid
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"casper/internal/geom"
 )
@@ -199,26 +198,21 @@ func (g Grid) LevelForArea(a float64) int {
 // increment/decrement performed, which is the per-location-update cost
 // metric plotted in Figures 10b, 11b and 12b of the paper.
 //
-// All counters are atomic so counter propagation needs no structure
-// lock: concurrent Add/Move/RemoveAt calls interleave safely at the
-// level of individual increments. Callers that need a *consistent*
-// multi-cell view (Algorithm 1 reading a cell and its neighbors, or
-// CheckConsistency) must still provide their own exclusion against
-// writers of the cells they read — in the striped basic anonymizer
-// that exclusion is the per-quadrant stripe lock.
+// Complete is not safe for concurrent use: its owner's lock (the basic
+// anonymizer's RWMutex) guards it.
 type Complete struct {
 	grid    Grid
-	counts  [][]atomic.Int64 // counts[level][y<<level | x]
-	total   atomic.Int64
-	updates atomic.Int64
+	counts  [][]int64 // counts[level][y<<level | x]
+	total   int
+	updates int64
 }
 
 // NewComplete builds an empty complete pyramid over the grid.
 func NewComplete(grid Grid) *Complete {
 	c := &Complete{grid: grid}
-	c.counts = make([][]atomic.Int64, grid.Levels)
+	c.counts = make([][]int64, grid.Levels)
 	for l := 0; l < grid.Levels; l++ {
-		c.counts[l] = make([]atomic.Int64, 1<<(2*l))
+		c.counts[l] = make([]int64, 1<<(2*l))
 	}
 	return c
 }
@@ -227,20 +221,20 @@ func NewComplete(grid Grid) *Complete {
 func (c *Complete) Grid() Grid { return c.grid }
 
 // Total returns the number of users currently tracked.
-func (c *Complete) Total() int { return int(c.total.Load()) }
+func (c *Complete) Total() int { return c.total }
 
 // Updates returns the cumulative number of cell-counter writes.
-func (c *Complete) Updates() int64 { return c.updates.Load() }
+func (c *Complete) Updates() int64 { return c.updates }
 
 // ResetUpdates zeroes the update accounting (used between experiment
 // phases).
-func (c *Complete) ResetUpdates() { c.updates.Store(0) }
+func (c *Complete) ResetUpdates() { c.updates = 0 }
 
 func (c *Complete) idx(id CellID) int { return id.Y<<id.Level | id.X }
 
 // Count returns the number of users within cell id.
 func (c *Complete) Count(id CellID) int {
-	return int(c.counts[id.Level][c.idx(id)].Load())
+	return int(c.counts[id.Level][c.idx(id)])
 }
 
 // Add registers a user at point p, increments the counters of the leaf
@@ -248,7 +242,7 @@ func (c *Complete) Count(id CellID) int {
 func (c *Complete) Add(p geom.Point) CellID {
 	leaf := c.grid.LeafAt(p)
 	c.addAlongPath(leaf, 1)
-	c.total.Add(1)
+	c.total++
 	return leaf
 }
 
@@ -258,7 +252,7 @@ func (c *Complete) RemoveAt(id CellID) {
 		panic(fmt.Sprintf("pyramid: RemoveAt on non-leaf cell %v", id))
 	}
 	c.addAlongPath(id, -1)
-	c.total.Add(-1)
+	c.total--
 }
 
 // Move handles a location update for a user currently in leaf cell
@@ -275,9 +269,9 @@ func (c *Complete) Move(old CellID, p geom.Point) (CellID, bool) {
 	// Walk both paths upward in lockstep until they converge.
 	a, b := old, newLeaf
 	for a != b {
-		c.counts[a.Level][c.idx(a)].Add(-1)
-		c.counts[b.Level][c.idx(b)].Add(1)
-		c.updates.Add(2)
+		c.counts[a.Level][c.idx(a)]--
+		c.counts[b.Level][c.idx(b)]++
+		c.updates += 2
 		a, b = a.Parent(), b.Parent()
 		if a.Level == 0 && b.Level == 0 && a != b {
 			panic("pyramid: paths failed to converge at root")
@@ -289,8 +283,8 @@ func (c *Complete) Move(old CellID, p geom.Point) (CellID, bool) {
 func (c *Complete) addAlongPath(leaf CellID, delta int64) {
 	id := leaf
 	for {
-		c.counts[id.Level][c.idx(id)].Add(delta)
-		c.updates.Add(1)
+		c.counts[id.Level][c.idx(id)] += delta
+		c.updates++
 		if id.IsRoot() {
 			return
 		}

@@ -12,13 +12,13 @@ const userTableShards = 16
 
 // UserTable is a hash table keyed by int64 identity (user ID or
 // pseudonym), sharded userTableShards ways by key hash with one
-// RWMutex per shard. It backs both the anonymizers' (uid → entry)
-// tables and core's pseudonym table, so concurrent location updates
-// for different users never serialize on identity lookups.
+// RWMutex per shard. It backs core's pseudonym table and the geoind
+// backend's (uid → entry) table, the two identity tables no coarser
+// lock already guards.
 //
 // Shard locks are leaf-level: no UserTable method calls out while
 // holding one, so they can never participate in a lock-order cycle
-// with the anonymizer stripe locks or the server lock.
+// with the anonymizer locks or the server lock.
 type UserTable[V any] struct {
 	shards [userTableShards]userTableShard[V]
 }
