@@ -317,7 +317,7 @@ func run(cfg config) (*report, error) {
 
 	// Standing continuous watches (-subscribe): registered directly on
 	// the in-process instance, so every location update the open-loop
-	// stream pushes through the wire also drives the sharded monitor's
+	// stream pushes through the wire also drives the monitor's
 	// incremental maintenance. A churner replaces ~10% of the
 	// subscriptions per second, mixing registration and deregistration
 	// into the run the way a real subscriber population would.

@@ -17,24 +17,18 @@ type PrivateUpdate struct {
 	Region geom.Rect
 }
 
-// applyOp is one private-table mutation flowing through the two-phase
-// ingestion path.
+// applyOp is one private-table mutation flowing through applyPrivate.
 type applyOp struct {
 	pid    int64
 	region geom.Rect // ignored for removes
 	remove bool
-
-	e   *privEntry
-	had bool
-	old geom.Rect
-	ok  bool
+	ok     bool
 }
 
-// ApplyUpdates ingests a batch of private-object updates, taking each
-// needed stripe lock once for the whole batch. Every region must be
-// valid or the whole batch is rejected before any mutation. Duplicate
-// IDs within a batch collapse to the last occurrence. Updates for
-// disjoint quadrants ingest in parallel with other batches.
+// ApplyUpdates ingests a batch of private-object updates under one
+// acquisition of the monitor lock. Every region must be valid or the
+// whole batch is rejected before any mutation. Duplicate IDs within a
+// batch collapse to the last occurrence.
 func (m *Monitor) ApplyUpdates(batch []PrivateUpdate) error {
 	if len(batch) == 0 {
 		return nil
@@ -87,19 +81,11 @@ func (m *Monitor) RemovePrivate(id int64) bool {
 	return ops[0].ok
 }
 
-// applyPrivate is the two-phase ingestion core. ops must be pid-unique
-// and pid-sorted.
-//
-// Phase 1 locks each op's entry mutex (pid order), reads the old
-// regions, locks the union of affected stripes (ascending), then for
-// every op mutates the shadow table, folds range-count deltas inline,
-// and dirty-marks matched NN/radius queries. Phase 2, outside the
-// entry locks, escalates to all stripes once and re-evaluates the
-// dirty queries. The dirty flag is set inside the same critical
-// section as the table mutation and cleared only under all stripe
-// locks, so a re-evaluation can never miss a concurrent mutation: the
-// mutation either happened before the re-evaluation (which reads the
-// current table) or re-marks the query dirty for the next pass.
+// applyPrivate is the ingestion core, one critical section. ops must
+// be pid-unique. It applies every op — mutating the shadow table,
+// folding range-count deltas inline and dirty-marking matched NN/radius
+// queries — then re-evaluates each dirtied query once, so a query
+// matched by many ops of one batch costs one evaluation.
 func (m *Monitor) applyPrivate(ops []applyOp) {
 	start := time.Now()
 	defer func() {
@@ -109,73 +95,47 @@ func (m *Monitor) applyPrivate(ops []applyOp) {
 		monApplySeconds.Observe(d.Seconds())
 	}()
 	m.noteUpdates(int64(len(ops)))
-	for i := range ops {
-		ops[i].e = m.entry(ops[i].pid)
-	}
-	for i := range ops {
-		ops[i].e.mu.Lock()
-	}
-	var need stripeSet
-	need[crossStripe] = true // matches can always be homed on the seam
-	for i := range ops {
-		op := &ops[i]
-		op.had = op.e.present
-		op.old = op.e.region
-		if op.had {
-			need.addRect(m, op.old)
-		}
-		if !op.remove {
-			need.addRect(m, op.region)
-		}
-	}
 	var pending []*query
-	m.lockSet(&need)
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for i := range ops {
 		m.applyOneLocked(&ops[i], &pending)
-	}
-	m.unlockSet(&need)
-	for i := len(ops) - 1; i >= 0; i-- {
-		ops[i].e.mu.Unlock()
 	}
 	m.reevalPending(pending)
 }
 
 // applyOneLocked mutates the shadow table for one op and joins the
-// old and new regions against the interest-region indexes. Caller
-// holds the op's entry lock and every stripe lock the op can touch.
+// old and new regions against the query index. Caller holds mu.
 func (m *Monitor) applyOneLocked(op *applyOp, pending *[]*query) {
-	e := op.e
+	old, had := m.regions[op.pid]
 	if op.remove {
-		if !e.present {
+		if !had {
 			return
 		}
-		e.present = false
-		m.stripes[m.stripeOf(op.old)].priv.Delete(op.pid, op.old)
-		m.matchPrivate(op.old, geom.Rect{}, true, false, pending)
+		delete(m.regions, op.pid)
+		m.priv.Delete(op.pid, old)
+		m.matchPrivate(old, geom.Rect{}, true, false, pending)
 		op.ok = true
 		return
 	}
-	if e.present && e.region == op.region {
+	op.ok = true
+	if had && old == op.region {
 		// Same region re-announced: counted as an update (the stream
 		// delivered it) but nothing can have changed.
-		op.ok = true
 		return
 	}
-	if e.present {
-		m.stripes[m.stripeOf(op.old)].priv.Delete(op.pid, op.old)
+	if had {
+		m.priv.Delete(op.pid, old)
 	}
-	m.stripes[m.stripeOf(op.region)].priv.Insert(rtree.Item{Rect: op.region, ID: op.pid})
-	e.present = true
-	e.region = op.region
-	m.matchPrivate(op.old, op.region, op.had, true, pending)
-	op.ok = true
+	m.priv.Insert(rtree.Item{Rect: op.region, ID: op.pid})
+	m.regions[op.pid] = op.region
+	m.matchPrivate(old, op.region, had, true, pending)
 }
 
 // matchPrivate joins one private-object transition (old region ->
 // new region) against the standing queries: range counts get the
 // contribution delta applied inline; NN/radius queries over private
-// data are dirty-marked for phase 2. Caller holds the stripes of both
-// regions (and the seam stripe).
+// data are dirty-marked for re-evaluation. Caller holds mu.
 func (m *Monitor) matchPrivate(old, new geom.Rect, hadOld, hasNew bool, pending *[]*query) {
 	if hadOld {
 		m.forMatching(old, func(q *query) {
@@ -226,6 +186,17 @@ func (m *Monitor) matchPublic(r geom.Rect, pending *[]*query) {
 	})
 }
 
+// forMatching invokes fn for every registered query whose interest
+// region intersects r. fn must not re-index a query (reevalLocked
+// does): callers collect matches and re-evaluate after the search.
+// Caller holds mu.
+func (m *Monitor) forMatching(r geom.Rect, fn func(*query)) {
+	m.qidx.SearchFunc(r, func(it rtree.Item) bool {
+		fn(m.queries[QueryID(it.ID)])
+		return true
+	})
+}
+
 func markDirty(q *query, pending *[]*query) {
 	if !q.dirty {
 		q.dirty = true
@@ -241,67 +212,39 @@ func (m *Monitor) applyCountDelta(q *query, delta float64) {
 	m.emit(Event{Query: q.id, Kind: CountChanged, Count: q.count})
 }
 
-// reevalPending is phase 2: escalate to all stripes once and
-// re-evaluate every query the batch dirtied. A query already
-// re-evaluated by a concurrent batch (its flag cleared) is skipped —
-// marks coalesce, which is itself an incremental saving.
+// reevalPending re-evaluates every query an ingestion dirtied, once
+// each, in the order they were first matched. Caller holds mu.
 func (m *Monitor) reevalPending(pending []*query) {
-	if len(pending) == 0 {
-		return
-	}
-	m.lockAll()
 	for _, q := range pending {
-		if q.dead || !q.dirty {
-			continue
-		}
 		q.dirty = false
 		m.reevalLocked(q)
 	}
-	m.unlockAll()
 }
 
 // SetPublic replaces the public table (stationary objects of
-// interest), striping the items by quadrant, and re-evaluates every
-// standing query over public data.
+// interest) and re-evaluates every standing query over public data.
 func (m *Monitor) SetPublic(items []rtree.Item) {
-	var parts [numStripes][]rtree.Item
-	for _, it := range items {
-		s := m.stripeOf(it.Rect)
-		parts[s] = append(parts[s], it)
-	}
-	m.lockAll()
-	for i, st := range m.stripes {
-		st.pub = rtree.BulkLoad(parts[i])
-	}
-	var affected []*query
-	for _, st := range m.stripes {
-		for _, q := range st.byID {
-			if q.kind != qRange && q.dataKind == privacyqp.PublicData {
-				affected = append(affected, q)
-			}
+	// BulkLoad reorders its input; copy so the caller's slice is untouched.
+	pub := rtree.BulkLoad(append([]rtree.Item(nil), items...))
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.pub = pub
+	for _, q := range m.queries {
+		if q.kind != qRange && q.dataKind == privacyqp.PublicData {
+			m.reevalLocked(q)
 		}
 	}
-	// Re-evaluation can rehome a query, so mutate outside the map
-	// iteration.
-	for _, q := range affected {
-		q.dirty = false
-		m.reevalLocked(q)
-	}
-	m.unlockAll()
 }
 
 // AddPublic inserts one public object and re-evaluates the public-data
 // queries whose interest regions it enters.
 func (m *Monitor) AddPublic(it rtree.Item) {
 	m.noteUpdates(1)
-	var need stripeSet
-	need[crossStripe] = true
-	need.addRect(m, it.Rect)
 	var pending []*query
-	m.lockSet(&need)
-	m.stripes[m.stripeOf(it.Rect)].pub.Insert(it)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.pub.Insert(it)
 	m.matchPublic(it.Rect, &pending)
-	m.unlockSet(&need)
 	m.reevalPending(pending)
 }
 
@@ -309,16 +252,13 @@ func (m *Monitor) AddPublic(it rtree.Item) {
 // reporting whether it was present.
 func (m *Monitor) RemovePublic(id int64, r geom.Rect) bool {
 	m.noteUpdates(1)
-	var need stripeSet
-	need[crossStripe] = true
-	need.addRect(m, r)
 	var pending []*query
-	m.lockSet(&need)
-	ok := m.stripes[m.stripeOf(r)].pub.Delete(id, r)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ok := m.pub.Delete(id, r)
 	if ok {
 		m.matchPublic(r, &pending)
+		m.reevalPending(pending)
 	}
-	m.unlockSet(&need)
-	m.reevalPending(pending)
 	return ok
 }

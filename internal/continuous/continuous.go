@@ -6,18 +6,12 @@
 //
 //   - standing queries are themselves indexed spatially: every query's
 //     interest region (the range rect, an NN query's extended area
-//     A_EXT, a radius query's expanded cloak) lives in a per-stripe
-//     R-tree, so a location update is a spatial join against the
-//     queries it can affect — O(matches) index probes per update, not
-//     O(Q) (the linear scan survives only as the LinearScan benchmark
-//     baseline);
-//   - the monitor is sharded by top-level pyramid quadrant: queries,
-//     shadow tables, and their locks split four ways plus a seam
-//     stripe for regions crossing the quadrant boundaries, so update
-//     ingestion runs GOMAXPROCS-parallel; a batch (ApplyUpdates) takes
-//     each needed stripe lock once. Anything touching a seam escalates
-//     to the seam stripe, and full re-evaluations escalate to all
-//     stripes in ascending order — the deadlock-free escalation order;
+//     A_EXT, a radius query's expanded cloak) lives in an R-tree, so a
+//     location update is a spatial join against the queries it can
+//     affect — O(matches) index probes per update, not O(Q);
+//   - one mutex guards the whole monitor, and a batch (ApplyUpdates)
+//     takes it once: it applies every update, then re-evaluates each
+//     query the batch touched exactly once;
 //   - range-count queries over private data are maintained purely
 //     incrementally: an object update adjusts each affected query's
 //     count by the difference of its old and new contribution — no
@@ -36,7 +30,7 @@
 // Every answer it maintains is what a fresh snapshot query at the
 // query's evaluation cloak would return, and remains inclusive for any
 // asker position inside the safe region (property-tested in
-// continuous_test.go); Evaluations() against Updates() quantifies the
+// monitor_test.go); Evaluations() against Updates() quantifies the
 // incremental savings.
 //
 // All methods are safe for concurrent use.
@@ -82,14 +76,14 @@ type Event struct {
 // Config tunes a Monitor. The zero value is usable: a default
 // universe, inline notification, safe regions at their exact setting.
 type Config struct {
-	// Universe is the spatial extent served; the quadrant striping
-	// splits at its center. Invalid or empty falls back to the
-	// 10000x10000 default. The split only affects performance, never
-	// answers: out-of-universe regions land on the seam stripe.
+	// Universe is the spatial extent served: a query whose evaluation
+	// fails watches all of it, so the first relevant change recovers
+	// the query. Invalid or empty falls back to the 10000x10000
+	// default.
 	Universe geom.Rect
 
 	// Notify receives every change event. With Buffer == 0 it runs
-	// inline under stripe locks and must not call back into the
+	// inline under the monitor lock and must not call back into the
 	// Monitor; with Buffer > 0 it runs on a dedicated delivery
 	// goroutine (see NewAsync).
 	Notify func(Event)
@@ -100,7 +94,6 @@ type Config struct {
 
 	// SafeRegionFrac tunes moving-asker safe regions:
 	//
-	//	< 0  legacy: any cloak change re-evaluates (benchmark baseline);
 	//	  0  exact: evaluate at the cloak itself; skip re-evaluation
 	//	     only while the new cloak stays inside the derived
 	//	     candidate-validity region (cloak containment + the
@@ -109,41 +102,29 @@ type Config struct {
 	//	     longer side before evaluating, widening the safe region at
 	//	     the price of a slightly larger (still inclusive) candidate
 	//	     list. 1.0 absorbs a full adjacent pyramid cell per side.
+	//
+	// Negative values act as 0.
 	SafeRegionFrac float64
-
-	// LinearScan disables the interest-region index and the quadrant
-	// striping, reproducing the pre-index monitor (every update scans
-	// every query under one lock). Benchmark baseline only.
-	LinearScan bool
 }
 
 // Monitor is the continuous query processor.
 //
-// Lock order (always acquired in this order, never the reverse):
-// regMu -> privMu -> privEntry.mu (ascending pid) -> stripes
-// (ascending index). Stripe locks are never held while acquiring any
-// earlier lock.
+// Lock order: mu -> emitMu. emitMu is only ever taken under mu or on
+// its own (Close, QueueStats).
 type Monitor struct {
-	cfg      Config
-	universe geom.Rect
-	cx, cy   float64 // quadrant split point (universe center)
-	linear   bool
+	cfg Config // Universe normalized by NewMonitor
 
-	stripes [numStripes]*stripe
-
-	// regMu guards the query registry (QueryID -> query). A query's
-	// state itself is guarded by its home stripe's lock.
-	regMu   sync.RWMutex
+	// mu guards the shadow tables, the query index and registry, and
+	// every registered query's mutable state.
+	mu   sync.Mutex
+	pub  *rtree.Tree
+	priv *rtree.Tree
+	// qidx indexes the interest regions of the registered queries.
+	qidx    *rtree.Tree
 	queries map[QueryID]*query
-	nextID  atomic.Int64
-
-	// privMu guards the pid -> entry map; each entry's own mutex
-	// serializes updates of that object so concurrent movers of the
-	// same pseudonym cannot double-apply against the shadow table.
-	// Entries are tombstoned (present=false), never deleted, so a held
-	// entry pointer stays the serialization point for its pid.
-	privMu sync.RWMutex
-	priv   map[int64]*privEntry
+	nextID  QueryID
+	// regions maps each stored pseudonym to its current cloak.
+	regions map[int64]geom.Rect
 
 	// emitMu guards the delivery fields; emitters hold it shared so
 	// Close cannot close the channel under a pending send.
@@ -165,12 +146,6 @@ type Monitor struct {
 	nRadius atomic.Int64
 }
 
-type privEntry struct {
-	mu      sync.Mutex
-	present bool
-	region  geom.Rect
-}
-
 type queryKind uint8
 
 const (
@@ -179,17 +154,14 @@ const (
 	qRadius
 )
 
-// query is one standing query of any kind. Fields below home are
-// guarded by the home stripe's lock; home itself is atomic and only
-// rewritten while both the old and new home stripes are locked, so
-// lockHome can resolve it without a registry lock.
+// query is one standing query of any kind, guarded by Monitor.mu.
 type query struct {
 	id       QueryID
 	kind     queryKind
 	dataKind privacyqp.DataKind
-	home     atomic.Int32
 
-	dead  bool
+	// dirty marks a query already queued for re-evaluation by the
+	// ingestion in progress, so each query re-evaluates once per batch.
 	dirty bool
 
 	// interest is the indexed interest region: the rect for range
@@ -218,30 +190,17 @@ type query struct {
 
 // NewMonitor builds a monitor from a Config.
 func NewMonitor(cfg Config) *Monitor {
-	uni := cfg.Universe
-	if !uni.IsValid() || uni.Width() <= 0 || uni.Height() <= 0 {
-		uni = geom.R(0, 0, 10000, 10000)
+	if u := cfg.Universe; !u.IsValid() || u.Width() <= 0 || u.Height() <= 0 {
+		cfg.Universe = geom.R(0, 0, 10000, 10000)
 	}
 	m := &Monitor{
-		cfg:      cfg,
-		universe: uni,
-		cx:       uni.Center().X,
-		cy:       uni.Center().Y,
-		linear:   cfg.LinearScan,
-		queries:  make(map[QueryID]*query),
-		priv:     make(map[int64]*privEntry),
-		notify:   cfg.Notify,
-	}
-	for i := range m.stripes {
-		st := &stripe{
-			pub:  rtree.New(),
-			priv: rtree.New(),
-			byID: make(map[QueryID]*query),
-		}
-		if !m.linear {
-			st.qidx = rtree.New()
-		}
-		m.stripes[i] = st
+		cfg:     cfg,
+		pub:     rtree.New(),
+		priv:    rtree.New(),
+		qidx:    rtree.New(),
+		queries: make(map[QueryID]*query),
+		regions: make(map[int64]geom.Rect),
+		notify:  cfg.Notify,
 	}
 	if cfg.Buffer > 0 {
 		m.events = make(chan Event, cfg.Buffer)
@@ -260,8 +219,8 @@ func NewMonitor(cfg Config) *Monitor {
 }
 
 // New builds a monitor with inline notification. notify is called
-// synchronously under stripe locks, so it must not call back into the
-// Monitor (queue if needed). A nil notify is allowed.
+// synchronously under the monitor lock, so it must not call back into
+// the Monitor (queue if needed). A nil notify is allowed.
 func New(notify func(Event)) *Monitor {
 	return NewMonitor(Config{Notify: notify})
 }
@@ -333,8 +292,8 @@ func (m *Monitor) noteQueueDepth(n int64) {
 
 // ApplyStats returns how many apply ticks have run and their
 // cumulative wall time. An apply tick is one private-update batch
-// through both phases of applyPrivate; it runs single-threaded, so
-// total/ticks is the per-tick CPU cost the ROADMAP tracks.
+// through applyPrivate; it runs single-threaded, so total/ticks is the
+// per-tick CPU cost the ROADMAP tracks.
 func (m *Monitor) ApplyStats() (ticks int64, total time.Duration) {
 	return m.applyTicks.Load(), time.Duration(m.applyNanos.Load())
 }
@@ -354,13 +313,11 @@ func (m *Monitor) QueueStats() (depth, highWater int) {
 
 func (m *Monitor) noteUpdates(n int64) {
 	m.updates.Add(n)
-	monUpdates.Add(n)
 	contUpdates.Add(n)
 }
 
 func (m *Monitor) noteEval() {
 	m.evaluations.Add(1)
-	monEvaluations.Inc()
 	contEvaluations.Inc()
 }
 
@@ -411,47 +368,37 @@ func (m *Monitor) RegisterRadius(cloak geom.Rect, radius float64, kind privacyqp
 	return q.id, cands, nil
 }
 
-// register evaluates q under all stripe locks, gives it an ID, and
-// inserts it into its home stripe's query index and the registry. It
-// returns the initial count and candidate list snapshotted under the
-// stripe locks: the moment addQuery makes q matchable, a concurrent
-// ApplyUpdates batch may mutate q.count or swap q.candidates, so the
-// caller must not read q's answer fields after register returns.
+// register evaluates q, gives it an ID, and adds it to the registry
+// and the query index. It returns the initial count and candidate list
+// read under the lock: once registered, a concurrent ingestion may
+// mutate q.count or swap q.candidates, so the caller must not read q's
+// answer fields after register returns.
 func (m *Monitor) register(q *query) (count float64, candidates []rtree.Item, err error) {
-	m.lockAll()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if err := m.evalQueryLocked(q); err != nil {
-		m.unlockAll()
 		return 0, nil, err
 	}
 	m.noteEval()
-	q.id = QueryID(m.nextID.Add(1))
-	home := m.stripeOf(q.interest)
-	q.home.Store(int32(home))
-	m.stripes[home].addQuery(q)
-	count, candidates = q.count, q.candidates
-	m.unlockAll()
-
-	m.regMu.Lock()
+	m.nextID++
+	q.id = m.nextID
 	m.queries[q.id] = q
-	m.regMu.Unlock()
-	return count, candidates, nil
+	m.qidx.Insert(rtree.Item{Rect: q.interest, ID: int64(q.id)})
+	return q.count, q.candidates, nil
 }
 
 // Unregister removes a continuous query of any kind.
 func (m *Monitor) Unregister(id QueryID) bool {
-	m.regMu.Lock()
+	m.mu.Lock()
 	q, ok := m.queries[id]
 	if ok {
 		delete(m.queries, id)
+		m.qidx.Delete(int64(id), q.interest)
 	}
-	m.regMu.Unlock()
+	m.mu.Unlock()
 	if !ok {
 		return false
 	}
-	st := m.lockHome(q)
-	q.dead = true
-	st.removeQuery(q)
-	st.mu.Unlock()
 	switch q.kind {
 	case qRange:
 		m.nRange.Add(-1)
@@ -468,13 +415,10 @@ func (m *Monitor) Unregister(id QueryID) bool {
 
 // Count returns the maintained count of a range query.
 func (m *Monitor) Count(id QueryID) (float64, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	q := m.lookup(id, qRange)
 	if q == nil {
-		return 0, false
-	}
-	st := m.lockHome(q)
-	defer st.mu.Unlock()
-	if q.dead {
 		return 0, false
 	}
 	return q.count, true
@@ -483,15 +427,10 @@ func (m *Monitor) Count(id QueryID) (float64, bool) {
 // Candidates returns the maintained candidate list of an NN or
 // standing radius query.
 func (m *Monitor) Candidates(id QueryID) ([]rtree.Item, bool) {
-	m.regMu.RLock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	q := m.queries[id]
-	m.regMu.RUnlock()
 	if q == nil || q.kind == qRange {
-		return nil, false
-	}
-	st := m.lockHome(q)
-	defer st.mu.Unlock()
-	if q.dead {
 		return nil, false
 	}
 	return append([]rtree.Item(nil), q.candidates...), true
@@ -513,17 +452,13 @@ func (m *Monitor) UpdateRadiusCloak(id QueryID, cloak geom.Rect) error {
 
 func (m *Monitor) updateCloak(id QueryID, cloak geom.Rect, kind queryKind) error {
 	m.noteUpdates(1)
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	q := m.lookup(id, kind)
 	if q == nil {
 		return fmt.Errorf("continuous: unknown query %d", id)
 	}
-	st := m.lockHome(q)
-	if q.dead {
-		st.mu.Unlock()
-		return fmt.Errorf("continuous: unknown query %d", id)
-	}
 	if q.cloak == cloak {
-		st.mu.Unlock()
 		return nil
 	}
 	q.cloak = cloak
@@ -532,53 +467,26 @@ func (m *Monitor) updateCloak(id QueryID, cloak geom.Rect, kind queryKind) error
 		// the new cloak: pure counter bump, no re-evaluation, no event.
 		m.safeHits.Add(1)
 		contSafeHits.Inc()
-		st.mu.Unlock()
 		return nil
 	}
-	st.mu.Unlock()
-
-	m.lockAll()
-	if !q.dead {
-		q.dirty = false
-		m.reevalLocked(q)
-	}
-	m.unlockAll()
+	m.reevalLocked(q)
 	return nil
 }
 
+// lookup returns the registered query id if it has the given kind.
+// Caller holds mu.
 func (m *Monitor) lookup(id QueryID, kind queryKind) *query {
-	m.regMu.RLock()
 	q := m.queries[id]
-	m.regMu.RUnlock()
 	if q == nil || q.kind != kind {
 		return nil
 	}
 	return q
 }
 
-// entry returns (creating if needed) the serialization point for one
-// pseudonym's shadow-table updates.
-func (m *Monitor) entry(pid int64) *privEntry {
-	m.privMu.RLock()
-	e := m.priv[pid]
-	m.privMu.RUnlock()
-	if e != nil {
-		return e
-	}
-	m.privMu.Lock()
-	e = m.priv[pid]
-	if e == nil {
-		e = &privEntry{}
-		m.priv[pid] = e
-	}
-	m.privMu.Unlock()
-	return e
-}
-
 // emit dispatches an event: inline for synchronous monitors, queued
-// for buffered ones. Called with stripe locks held; a queued send may
-// block for backpressure, which is safe because the delivery
-// goroutine never touches monitor locks.
+// for buffered ones. Called with mu held; a queued send may block for
+// backpressure, which is safe because the delivery goroutine never
+// touches the monitor lock.
 func (m *Monitor) emit(e Event) {
 	m.emitMu.RLock()
 	defer m.emitMu.RUnlock()
@@ -627,8 +535,9 @@ func sameIDSet(a, b map[int64]bool) bool {
 	return true
 }
 
-// sortOps orders a batch by pid (ties: input order) so entry mutexes
-// are always taken in one global order.
+// sortOps orders a batch by pid (ties: input order), which fixes the
+// order a batch's events are emitted in and lets duplicate pids
+// collapse to their last occurrence.
 func sortOps(ops []applyOp) {
 	sort.SliceStable(ops, func(i, j int) bool { return ops[i].pid < ops[j].pid })
 }

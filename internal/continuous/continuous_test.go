@@ -151,7 +151,7 @@ func TestContinuousNNOverPublicData(t *testing.T) {
 		if !ok {
 			t.Fatal("query vanished")
 		}
-		db := rtree.BulkLoad(append([]rtree.Item(nil), m.publicTable().All()...))
+		db := rtree.BulkLoad(append([]rtree.Item(nil), m.pub.All()...))
 		want, err := privacyqp.PrivateNN(db, cloak, privacyqp.PublicData, privacyqp.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
@@ -281,7 +281,7 @@ func TestContinuousBuddyTracking(t *testing.T) {
 	}
 	// Maintained candidates match a snapshot (modulo exclusion).
 	got, _ := m.Candidates(id)
-	snap, err := privacyqp.PrivateNN(m.privateTable(), cloak, privacyqp.PrivateData, privacyqp.DefaultOptions())
+	snap, err := privacyqp.PrivateNN(m.priv, cloak, privacyqp.PrivateData, privacyqp.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +492,7 @@ func TestStandingRadiusQueryOverPrivateData(t *testing.T) {
 			t.Fatal("excluded pseudonym present")
 		}
 	}
-	snap, err := privacyqp.PrivateRange(m.privateTable(), cloak, 800, privacyqp.PrivateData)
+	snap, err := privacyqp.PrivateRange(m.priv, cloak, 800, privacyqp.PrivateData)
 	if err != nil {
 		t.Fatal(err)
 	}

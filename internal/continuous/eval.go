@@ -10,12 +10,11 @@ import (
 
 // evalQueryLocked (re)evaluates a query of any kind from the current
 // shadow tables, refreshing its answer, interest region, and safe
-// region. Caller holds all stripe locks (evaluation reads the whole
-// table through the union index).
+// region. Caller holds mu.
 func (m *Monitor) evalQueryLocked(q *query) error {
 	switch q.kind {
 	case qRange:
-		count, err := privacyqp.PublicRangeCount(m.privateTable(), q.rect, q.policy)
+		count, err := privacyqp.PublicRangeCount(m.priv, q.rect, q.policy)
 		if err != nil {
 			return err
 		}
@@ -27,6 +26,14 @@ func (m *Monitor) evalQueryLocked(q *query) error {
 	default:
 		return m.evalRadiusLocked(q)
 	}
+}
+
+// table returns the shadow table a query over kind reads.
+func (m *Monitor) table(kind privacyqp.DataKind) *rtree.Tree {
+	if kind == privacyqp.PublicData {
+		return m.pub
+	}
+	return m.priv
 }
 
 // evalCloakFor inflates the asker's cloak per SafeRegionFrac: the
@@ -50,27 +57,15 @@ func (m *Monitor) evalNNLocked(q *query) error {
 	if err != nil {
 		return err
 	}
-	cands := res.Candidates
-	if q.exclude >= 0 {
-		kept := cands[:0]
-		for _, c := range cands {
-			if c.ID != q.exclude {
-				kept = append(kept, c)
-			}
-		}
-		cands = kept
+	cands := dropID(res.Candidates, q.exclude)
+	slack := 0.0
+	if q.exclude < 0 {
+		slack = privacyqp.CandidateValiditySlack(ec, res.AExt, cands, q.dataKind, q.opt.MinOverlap)
 	}
 	q.evalCloak = ec
 	q.interest = res.AExt
-	q.hasSafe = false
-	if m.cfg.SafeRegionFrac >= 0 {
-		slack := 0.0
-		if q.exclude < 0 {
-			slack = privacyqp.CandidateValiditySlack(ec, res.AExt, cands, q.dataKind, q.opt.MinOverlap)
-		}
-		q.safe = ec.Expand(slack)
-		q.hasSafe = true
-	}
+	q.safe = ec.Expand(slack)
+	q.hasSafe = true
 	m.setCandidates(q, cands)
 	return nil
 }
@@ -81,29 +76,31 @@ func (m *Monitor) evalRadiusLocked(q *query) error {
 	if err != nil {
 		return err
 	}
-	cands := res.Candidates
-	if q.exclude >= 0 {
-		kept := cands[:0]
-		for _, c := range cands {
-			if c.ID != q.exclude {
-				kept = append(kept, c)
-			}
-		}
-		cands = kept
-	}
 	q.evalCloak = ec
 	q.interest = res.AExt
 	// A radius answer computed at C+ is inclusive for every cloak
 	// inside C+ (the candidate set only shrinks as the cloak does), so
 	// containment alone is the safe region; there is no distance slack
 	// to add without admitting targets beyond A_EXT.
-	q.hasSafe = false
-	if m.cfg.SafeRegionFrac >= 0 {
-		q.safe = ec
-		q.hasSafe = true
-	}
-	m.setCandidates(q, cands)
+	q.safe = ec
+	q.hasSafe = true
+	m.setCandidates(q, dropID(res.Candidates, q.exclude))
 	return nil
+}
+
+// dropID filters the asker's own pseudonym out of a candidate list in
+// place; a negative id drops nothing.
+func dropID(cands []rtree.Item, id int64) []rtree.Item {
+	if id < 0 {
+		return cands
+	}
+	kept := cands[:0]
+	for _, c := range cands {
+		if c.ID != id {
+			kept = append(kept, c)
+		}
+	}
+	return kept
 }
 
 func (m *Monitor) setCandidates(q *query, cands []rtree.Item) {
@@ -116,9 +113,10 @@ func (m *Monitor) setCandidates(q *query, cands []rtree.Item) {
 }
 
 // reevalLocked re-runs one NN/radius query against the current
-// tables, rehomes it if its interest region moved stripes, and
-// notifies the subscriber if the candidate set changed. Caller holds
-// all stripe locks; the caller manages the dirty flag.
+// tables, re-indexes it if its interest region moved, and notifies the
+// subscriber if the candidate set changed. Caller holds mu and manages
+// the dirty flag; it must not be called from inside a query-index
+// search.
 func (m *Monitor) reevalLocked(q *query) {
 	oldIDs := q.candIDs
 	oldInterest := q.interest
@@ -129,22 +127,13 @@ func (m *Monitor) reevalLocked(q *query) {
 		q.evalCloak = geom.Rect{}
 		q.safe = geom.Rect{}
 		q.hasSafe = false
-		q.interest = m.universe
+		q.interest = m.cfg.Universe
 		m.setCandidates(q, nil)
 	}
 	m.noteEval()
 	if q.interest != oldInterest {
-		// The index entry keys on the old interest rect, so delete
-		// explicitly with it rather than via removeQuery.
-		oldHome := m.stripes[q.home.Load()]
-		delete(oldHome.byID, q.id)
-		if oldHome.qidx != nil {
-			oldHome.qidx.Delete(int64(q.id), oldInterest)
-		}
-		// Rehoming is safe here: both stripes are locked (lockAll),
-		// which is what lets lockHome trust a stable home read.
-		q.home.Store(int32(m.stripeOf(q.interest)))
-		m.stripes[q.home.Load()].addQuery(q)
+		m.qidx.Delete(int64(q.id), oldInterest)
+		m.qidx.Insert(rtree.Item{Rect: q.interest, ID: int64(q.id)})
 	}
 	if !sameIDSet(oldIDs, q.candIDs) {
 		m.emit(Event{

@@ -2,15 +2,9 @@ package continuous
 
 import "casper/internal/metrics"
 
-// Continuous-monitor instrumentation: the incremental-processing win
-// (evaluations ≪ updates) and the async delivery queue's health.
+// Continuous-monitor instrumentation: event delivery, the async
+// delivery queue's health, and the per-tick apply cost.
 var (
-	monUpdates = metrics.Default.Counter(
-		"casper_monitor_updates_total", "",
-		"Data updates the continuous monitor processed.")
-	monEvaluations = metrics.Default.Counter(
-		"casper_monitor_evaluations_total", "",
-		"Full query re-evaluations those updates caused.")
 	monEvents = metrics.Default.Counter(
 		"casper_monitor_events_total", "",
 		"Change events emitted to subscribers.")
@@ -25,7 +19,7 @@ var (
 		"Highest asynchronous delivery queue depth seen since start; near the buffer size means subscribers are falling behind.")
 	monApplySeconds = metrics.Default.Histogram(
 		"casper_monitor_apply_seconds", "",
-		"Wall time of one monitor apply tick (a private-update batch through both phases); the batch runs single-threaded, so this approximates per-tick CPU time.",
+		"Wall time of one monitor apply tick (a private-update batch); the batch runs single-threaded, so this approximates per-tick CPU time.",
 		metrics.TimeBuckets())
 )
 

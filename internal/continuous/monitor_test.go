@@ -1,7 +1,7 @@
 package continuous
 
 import (
-	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -23,7 +23,7 @@ func cloakAround(p geom.Point, half float64) geom.Rect {
 	return geom.R(p.X-half, p.Y-half, p.X+half, p.Y+half).ClipTo(world)
 }
 
-// TestMobgenTraceEquivalence is the property test for the sharded,
+// TestMobgenTraceEquivalence is the property test for the indexed,
 // safe-region monitor: over a seeded mobgen trace interleaving
 // registrations, deregistrations, object churn, and asker movement,
 // every maintained answer must (a) exactly equal a fresh snapshot
@@ -31,23 +31,26 @@ func cloakAround(p geom.Point, half float64) geom.Rect {
 // refined exact answer at any position inside the asker's CURRENT
 // cloak is always among the maintained candidates. (b) is the
 // property the safe region is allowed to trade (a)'s freshness for;
-// both are checked on every tick. The same trace runs against the
-// exact, inflated, and legacy linear-scan configurations, so the
-// indexed path is also differentially tested against the O(Q) scan.
+// both are checked on every tick. The trace runs against the exact
+// and inflated configurations; the linear-legacy case reruns the exact
+// one with range counts checked against an O(N) scan of the live
+// objects instead of a snapshot query, so the indexed join is also
+// differentially tested against a linear scan.
 func TestMobgenTraceEquivalence(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		cfg  Config
+		name         string
+		cfg          Config
+		linearCounts bool
 	}{
-		{"indexed-exact", Config{Universe: world}},
-		{"indexed-inflated", Config{Universe: world, SafeRegionFrac: 0.7}},
-		{"linear-legacy", Config{Universe: world, LinearScan: true, SafeRegionFrac: -1}},
+		{"indexed-exact", Config{Universe: world}, false},
+		{"indexed-inflated", Config{Universe: world, SafeRegionFrac: 0.7}, false},
+		{"linear-legacy", Config{Universe: world}, true},
 	} {
-		t.Run(tc.name, func(t *testing.T) { runTraceEquivalence(t, tc.cfg) })
+		t.Run(tc.name, func(t *testing.T) { runTraceEquivalence(t, tc.cfg, tc.linearCounts) })
 	}
 }
 
-func runTraceEquivalence(t *testing.T, cfg Config) {
+func runTraceEquivalence(t *testing.T, cfg Config, linearCounts bool) {
 	rng := rand.New(rand.NewSource(42))
 	m := NewMonitor(cfg)
 	gen := mobgen.New(traceNet(3), mobgen.DefaultConfig(80, 9))
@@ -134,9 +137,16 @@ func runTraceEquivalence(t *testing.T, cfg Config) {
 			if !ok {
 				t.Fatalf("tick %d: range query %d vanished", tick, rr.id)
 			}
-			want, err := privacyqp.PublicRangeCount(db, rr.rect, rr.policy)
-			if err != nil {
-				t.Fatal(err)
+			var want float64
+			if linearCounts {
+				for _, r := range mirror {
+					want += contribution(r, rr.rect, rr.policy)
+				}
+			} else {
+				var err error
+				if want, err = privacyqp.PublicRangeCount(db, rr.rect, rr.policy); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if d := got - want; d > 1e-6 || d < -1e-6 {
 				t.Fatalf("tick %d: range %d count %v, snapshot %v", tick, rr.id, got, want)
@@ -298,10 +308,10 @@ func runTraceEquivalence(t *testing.T, cfg Config) {
 	t.Logf("cfg %+v: updates %d evaluations %d safe-hits %d", cfg, m.Updates(), m.Evaluations(), m.SafeRegionHits())
 }
 
-// TestSafeRegionCutsNNReevaluations drives the same mobgen
-// moving-asker trace through a legacy monitor (every cloak change
-// re-evaluates) and a safe-region monitor, and requires the
-// safe-region path to cut NN re-evaluations by at least half — the
+// TestSafeRegionCutsNNReevaluations drives a mobgen moving-asker
+// trace through a safe-region monitor and requires it to cut NN
+// re-evaluations by at least half against re-evaluating on every
+// cloak change (what a monitor without safe regions does) — the
 // acceptance bar for the Hashem-style safe regions.
 func TestSafeRegionCutsNNReevaluations(t *testing.T) {
 	gen := mobgen.New(traceNet(5), mobgen.DefaultConfig(8, 11))
@@ -314,38 +324,43 @@ func TestSafeRegionCutsNNReevaluations(t *testing.T) {
 		}
 		cloaks = append(cloaks, row)
 	}
+	var changes int64
+	for tick := 1; tick < len(cloaks); tick++ {
+		for i, c := range cloaks[tick] {
+			if c != cloaks[tick-1][i] {
+				changes++
+			}
+		}
+	}
 	var pub []rtree.Item
 	for i, p := range mobgen.UniformPoints(world, 200, 13) {
 		pub = append(pub, rtree.Item{Rect: geom.Rect{Min: p, Max: p}, ID: int64(i)})
 	}
-	run := func(frac float64) (evals, hits int64) {
-		m := NewMonitor(Config{Universe: world, SafeRegionFrac: frac})
-		m.SetPublic(pub)
-		ids := make([]QueryID, len(cloaks[0]))
-		for i, c := range cloaks[0] {
-			id, _, err := m.RegisterNN(c, privacyqp.PublicData, privacyqp.DefaultOptions(), -1)
-			if err != nil {
+	m := NewMonitor(Config{Universe: world, SafeRegionFrac: 1.0})
+	m.SetPublic(pub)
+	ids := make([]QueryID, len(cloaks[0]))
+	for i, c := range cloaks[0] {
+		id, _, err := m.RegisterNN(c, privacyqp.PublicData, privacyqp.DefaultOptions(), -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	evals0 := m.Evaluations()
+	for _, row := range cloaks[1:] {
+		for i, c := range row {
+			if err := m.UpdateNNCloak(ids[i], c); err != nil {
 				t.Fatal(err)
 			}
-			ids[i] = id
 		}
-		for _, row := range cloaks[1:] {
-			for i, c := range row {
-				if err := m.UpdateNNCloak(ids[i], c); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		return m.Evaluations(), m.SafeRegionHits()
 	}
-	legacyEvals, _ := run(-1)
-	safeEvals, safeHits := run(1.0)
-	t.Logf("legacy evaluations %d, safe-region evaluations %d (hits %d)", legacyEvals, safeEvals, safeHits)
+	safeEvals, safeHits := m.Evaluations()-evals0, m.SafeRegionHits()
+	t.Logf("cloak changes %d, safe-region re-evaluations %d (hits %d)", changes, safeEvals, safeHits)
 	if safeHits == 0 {
 		t.Fatal("safe regions absorbed no cloak updates")
 	}
-	if 2*safeEvals > legacyEvals {
-		t.Fatalf("safe regions cut evaluations only %d -> %d (< 50%%)", legacyEvals, safeEvals)
+	if 2*safeEvals > changes {
+		t.Fatalf("safe regions cut re-evaluations only %d -> %d (< 50%%)", changes, safeEvals)
 	}
 }
 
@@ -388,10 +403,10 @@ func TestApplyUpdatesBatch(t *testing.T) {
 	}
 }
 
-// TestConcurrentStripeStress drives all five stripes at once under
-// -race: one updater per quadrant, a seam updater whose regions cross
-// the center, registration churn, asker movement, and readers. The
-// final counts must equal a fresh snapshot.
+// TestConcurrentStripeStress stresses the single monitor lock under
+// -race: one updater per quadrant, an updater whose regions cross the
+// center, registration churn, asker movement, and readers all run at
+// once. The final counts must equal a fresh snapshot.
 func TestConcurrentStripeStress(t *testing.T) {
 	m := NewMonitor(Config{Universe: world, SafeRegionFrac: 0.5, Buffer: 256, Notify: func(Event) {}})
 	defer m.Close()
@@ -403,8 +418,7 @@ func TestConcurrentStripeStress(t *testing.T) {
 
 	const rounds = 400
 	var wg sync.WaitGroup
-	// Four quadrant updaters: objects confined to one quadrant each,
-	// so their batches take disjoint stripe locks and truly overlap.
+	// Four quadrant updaters: objects confined to one quadrant each.
 	quadrants := []geom.Rect{
 		geom.R(100, 100, 4800, 4800), geom.R(5200, 100, 9900, 4800),
 		geom.R(100, 5200, 4800, 9900), geom.R(5200, 5200, 9900, 9900),
@@ -429,7 +443,7 @@ func TestConcurrentStripeStress(t *testing.T) {
 			}
 		}(qi, quad)
 	}
-	// Seam updater: regions straddling the center, forcing escalation.
+	// Center updater: regions straddling the center.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -446,7 +460,7 @@ func TestConcurrentStripeStress(t *testing.T) {
 			}
 		}
 	}()
-	// Registration churn + asker movement across the seam.
+	// Registration churn + asker movement.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -500,7 +514,7 @@ func TestConcurrentStripeStress(t *testing.T) {
 
 	// Final consistency: register a fresh range query per quadrant and
 	// compare against a snapshot of the shadow table.
-	db := rtree.BulkLoad(m.privateTable().All())
+	db := rtree.BulkLoad(m.priv.All())
 	for i, quad := range quadrants {
 		id, got, err := m.RegisterRangeCount(quad, privacyqp.CountAnyOverlap)
 		if err != nil {
@@ -549,109 +563,158 @@ func TestQueryCounts(t *testing.T) {
 	}
 }
 
-// TestStripeAssignment pins the half-open quadrant discipline the
-// matching correctness argument rests on: rects confined to different
-// quadrants are disjoint, and anything touching a split line goes to
-// the seam stripe.
+// TestStripeAssignment pins range-count matching for regions at every
+// position relative to the universe's center lines: confined to a
+// quadrant, touching a split line, straddling the center, and outside
+// the universe. Each case registers a range count over the region and
+// an object overlapping it; the count is 1, then 0 once the object
+// moves away.
 func TestStripeAssignment(t *testing.T) {
-	m := NewMonitor(Config{Universe: world})
 	cases := []struct {
+		name string
 		r    geom.Rect
-		want int
 	}{
-		{geom.R(0, 0, 4999, 4999), 0},
-		{geom.R(5000, 0, 9000, 4999), 1},
-		{geom.R(0, 5000, 4999, 9000), 2},
-		{geom.R(5000, 5000, 9000, 9000), 3},
-		{geom.R(4000, 4000, 6000, 6000), crossStripe},
-		{geom.R(4000, 100, 5000, 200), crossStripe}, // touches x split
-		{geom.R(100, 4999, 200, 5000), crossStripe}, // touches y split
-		{geom.R(-50, -50, -10, -10), 0},             // out of universe, still a quadrant
+		{"quadrant-sw", geom.R(0, 0, 4999, 4999)},
+		{"quadrant-se", geom.R(5000, 0, 9000, 4999)},
+		{"quadrant-nw", geom.R(0, 5000, 4999, 9000)},
+		{"quadrant-ne", geom.R(5000, 5000, 9000, 9000)},
+		{"straddles-center", geom.R(4000, 4000, 6000, 6000)},
+		{"touches-x-split", geom.R(4000, 100, 5000, 200)},
+		{"touches-y-split", geom.R(100, 4999, 200, 5000)},
+		{"outside-universe", geom.R(-50, -50, -10, -10)},
 	}
+	away := geom.R(20000, 20000, 20010, 20010)
 	for _, c := range cases {
-		if got := m.stripeOf(c.r); got != c.want {
-			t.Errorf("stripeOf(%v) = %d, want %d", c.r, got, c.want)
+		m := NewMonitor(Config{Universe: world})
+		id, _, err := m.RegisterRangeCount(c.r, privacyqp.CountAnyOverlap)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The disjointness theorem itself, by random sampling.
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 2000; i++ {
-		a, b := randRegion(rng, 4000), randRegion(rng, 4000)
-		sa, sb := m.stripeOf(a), m.stripeOf(b)
-		if sa != sb && sa != crossStripe && sb != crossStripe && a.Intersects(b) {
-			t.Fatalf("rects in different quadrants intersect: %v (s%d) vs %v (s%d)", a, sa, b, sb)
+		if err := m.UpsertPrivate(1, c.r); err != nil {
+			t.Fatal(err)
+		}
+		if n, _ := m.Count(id); n != 1 {
+			t.Errorf("%s: count %v with an overlapping object, want 1", c.name, n)
+		}
+		if err := m.UpsertPrivate(1, away); err != nil {
+			t.Fatal(err)
+		}
+		if n, _ := m.Count(id); n != 0 {
+			t.Errorf("%s: count %v after the object moved away, want 0", c.name, n)
 		}
 	}
 }
 
 // TestLinearScanMatchesIndexed differentially tests the spatial-join
-// index against the baseline scan on identical random op streams.
+// index against references the test computes itself on a random op
+// stream: every range count against a linear scan of the live objects,
+// every candidate list against a fresh snapshot query at the query's
+// evaluation cloak. SafeRegionFrac 0 evaluates at the cloak itself.
 func TestLinearScanMatchesIndexed(t *testing.T) {
-	runStream := func(cfg Config) string {
-		rng := rand.New(rand.NewSource(77))
-		m := NewMonitor(cfg)
-		var pub []rtree.Item
-		for i, p := range mobgen.UniformPoints(world, 40, 5) {
-			pub = append(pub, rtree.Item{Rect: geom.Rect{Min: p, Max: p}, ID: int64(i)})
-		}
-		m.SetPublic(pub)
-		var qids []QueryID
-		for i := 0; i < 30; i++ {
-			switch i % 3 {
-			case 0:
-				id, _, err := m.RegisterRangeCount(randRegion(rng, 3000), privacyqp.CountFractional)
-				if err != nil {
-					t.Fatal(err)
-				}
-				qids = append(qids, id)
-			case 1:
-				id, _, err := m.RegisterNN(randRegion(rng, 400), privacyqp.PublicData, privacyqp.DefaultOptions(), -1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				qids = append(qids, id)
-			default:
-				id, _, err := m.RegisterRadius(randRegion(rng, 400), 600, privacyqp.PrivateData, -1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				qids = append(qids, id)
-			}
-		}
-		for i := 0; i < 500; i++ {
-			switch {
-			case rng.Float64() < 0.7:
-				if err := m.UpsertPrivate(int64(rng.Intn(60)), randRegion(rng, 250)); err != nil {
-					t.Fatal(err)
-				}
-			case rng.Float64() < 0.5:
-				m.RemovePrivate(int64(rng.Intn(60)))
-			default:
-				id := qids[rng.Intn(len(qids))]
-				_ = m.UpdateNNCloak(id, randRegion(rng, 400))
-				_ = m.UpdateRadiusCloak(id, randRegion(rng, 400))
-			}
-		}
-		var state []string
-		for _, id := range qids {
-			if n, ok := m.Count(id); ok {
-				state = append(state, fmt.Sprintf("c%d=%.6f", id, n))
-			}
-			if cands, ok := m.Candidates(id); ok {
-				ids := make(map[int64]bool, len(cands))
-				for _, c := range cands {
-					ids[c.ID] = true
-				}
-				state = append(state, fmt.Sprintf("n%d=%d", id, len(ids)))
-			}
-		}
-		return fmt.Sprint(state)
+	rng := rand.New(rand.NewSource(77))
+	m := NewMonitor(Config{Universe: world})
+	var pub []rtree.Item
+	for i, p := range mobgen.UniformPoints(world, 40, 5) {
+		pub = append(pub, rtree.Item{Rect: geom.Rect{Min: p, Max: p}, ID: int64(i)})
 	}
-	// Legacy safe-region setting on both sides so answers match
-	// tick-exactly (safe regions legitimately defer re-evaluations).
-	indexed := runStream(Config{Universe: world, SafeRegionFrac: -1})
-	linear := runStream(Config{Universe: world, SafeRegionFrac: -1, LinearScan: true})
-	if indexed != linear {
-		t.Fatalf("indexed and linear-scan monitors diverged:\nindexed: %s\nlinear:  %s", indexed, linear)
+	m.SetPublic(pub)
+	type reg struct {
+		id     QueryID
+		kind   queryKind
+		rect   geom.Rect // range queries
+		radius float64   // radius queries
+	}
+	var regs []reg
+	for i := 0; i < 30; i++ {
+		switch i % 3 {
+		case 0:
+			r := randRegion(rng, 3000)
+			id, _, err := m.RegisterRangeCount(r, privacyqp.CountFractional)
+			if err != nil {
+				t.Fatal(err)
+			}
+			regs = append(regs, reg{id: id, kind: qRange, rect: r})
+		case 1:
+			id, _, err := m.RegisterNN(randRegion(rng, 400), privacyqp.PublicData, privacyqp.DefaultOptions(), -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			regs = append(regs, reg{id: id, kind: qNN})
+		default:
+			id, _, err := m.RegisterRadius(randRegion(rng, 400), 600, privacyqp.PrivateData, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			regs = append(regs, reg{id: id, kind: qRadius, radius: 600})
+		}
+	}
+	mirror := map[int64]geom.Rect{}
+	for i := 0; i < 500; i++ {
+		switch {
+		case rng.Float64() < 0.7:
+			pid, r := int64(rng.Intn(60)), randRegion(rng, 250)
+			if err := m.UpsertPrivate(pid, r); err != nil {
+				t.Fatal(err)
+			}
+			mirror[pid] = r
+		case rng.Float64() < 0.5:
+			pid := int64(rng.Intn(60))
+			if _, live := mirror[pid]; m.RemovePrivate(pid) != live {
+				t.Fatalf("op %d: RemovePrivate(%d) disagrees with the mirror (live %v)", i, pid, live)
+			}
+			delete(mirror, pid)
+		default:
+			id := regs[rng.Intn(len(regs))].id
+			_ = m.UpdateNNCloak(id, randRegion(rng, 400))
+			_ = m.UpdateRadiusCloak(id, randRegion(rng, 400))
+		}
+	}
+
+	privItems := make([]rtree.Item, 0, len(mirror))
+	for id, r := range mirror {
+		privItems = append(privItems, rtree.Item{Rect: r, ID: id})
+	}
+	pubDB, privDB := rtree.BulkLoad(pub), rtree.BulkLoad(privItems)
+	for _, rg := range regs {
+		if rg.kind == qRange {
+			got, ok := m.Count(rg.id)
+			if !ok {
+				t.Fatalf("range query %d vanished", rg.id)
+			}
+			want := 0.0
+			for _, r := range mirror {
+				want += contribution(r, rg.rect, privacyqp.CountFractional)
+			}
+			if math.Abs(got-want) > 1e-6 {
+				t.Fatalf("range query %d: indexed count %v, linear scan %v", rg.id, got, want)
+			}
+			continue
+		}
+		got, ok := m.Candidates(rg.id)
+		if !ok {
+			t.Fatalf("query %d vanished", rg.id)
+		}
+		ec := m.queries[rg.id].evalCloak
+		var res privacyqp.Result
+		var err error
+		if rg.kind == qNN {
+			res, err = privacyqp.PrivateNN(pubDB, ec, privacyqp.PublicData, privacyqp.DefaultOptions())
+		} else {
+			res, err = privacyqp.PrivateRange(privDB, ec, rg.radius, privacyqp.PrivateData)
+		}
+		if err != nil {
+			t.Fatalf("query %d: snapshot at evalCloak %v: %v", rg.id, ec, err)
+		}
+		gotIDs, wantIDs := map[int64]bool{}, map[int64]bool{}
+		for _, c := range got {
+			gotIDs[c.ID] = true
+		}
+		for _, c := range res.Candidates {
+			wantIDs[c.ID] = true
+		}
+		if !sameIDSet(gotIDs, wantIDs) {
+			t.Fatalf("query %d (kind %d): maintained %d candidates != snapshot %d at evalCloak %v",
+				rg.id, rg.kind, len(gotIDs), len(wantIDs), ec)
+		}
 	}
 }

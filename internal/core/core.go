@@ -763,9 +763,9 @@ func (c *Casper) updateUsers(updates []UserUpdate, tr *trace.Trace) (int, error)
 }
 
 // notifyCloakBatch propagates a batch of freshly stored cloaks to the
-// continuous monitor in one ApplyUpdates call — each monitor stripe
-// lock is taken once for the whole batch instead of once per user —
-// then refreshes the users' standing watches.
+// continuous monitor in one ApplyUpdates call — the monitor lock is
+// taken once for the whole batch instead of once per user — then
+// refreshes the users' standing watches.
 func (c *Casper) notifyCloakBatch(pushed []cloakedPush) error {
 	if len(pushed) == 0 {
 		return nil

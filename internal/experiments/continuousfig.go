@@ -15,21 +15,17 @@ import (
 // FigX4 is the continuous-query panel (no counterpart in the paper,
 // which evaluates snapshot queries only): per-location-update
 // maintenance cost of the standing-query monitor as the number of
-// registered queries grows, comparing the spatially indexed matcher
-// against the linear scan it replaced, plus the safe-region effect on
-// asker movement (full re-evaluations per cloak move; 1.0 means every
-// move re-runs the query, the paper's implicit baseline).
+// registered queries grows, plus the safe-region effect on asker
+// movement (full re-evaluations per cloak move; 1.0 means every move
+// re-runs the query, the paper's implicit baseline).
 func FigX4(w *World) Table {
 	t := Table{
-		ID:    "X4",
-		Title: "continuous maintenance vs standing queries (us/update) — monitor panel",
-		Columns: []string{
-			"queries", "linear us/upd", "indexed us/upd", "speedup", "evals/move",
-		},
+		ID:      "X4",
+		Title:   "continuous maintenance vs standing queries (us/update) — monitor panel",
+		Columns: []string{"queries", "us/upd", "evals/move"},
 	}
 	// One movement step of the shared trace, cloaked at 4 leaf cells,
-	// is the update workload; a subset bounds the linear column's cost
-	// at paper scale.
+	// is the update workload, capped at 2000 updates.
 	nUpd := w.P.Users
 	if nUpd > 2000 {
 		nUpd = 2000
@@ -40,22 +36,19 @@ func FigX4(w *World) Table {
 	}
 
 	for _, nq := range []int{w.P.Users / 12, w.P.Users / 3, w.P.Users} {
-		linear := w.timeMonitorUpdates(continuous.Config{LinearScan: true, SafeRegionFrac: -1}, nq, nUpd, cloak)
-		indexed := w.timeMonitorUpdates(continuous.Config{}, nq, nUpd, cloak)
+		perUpd := w.timeMonitorUpdates(nq, nUpd, cloak)
 		evals := w.measureSafeRegionMoves(nq, cloak)
-		t.AddRow(fmt.Sprint(nq), us(linear), us(indexed),
-			fmt.Sprintf("%.1fx", float64(linear)/float64(indexed)),
-			f2(evals))
+		t.AddRow(fmt.Sprint(nq), us(perUpd), f2(evals))
 	}
 	return t
 }
 
 // buildMonitor assembles a monitor over the world's targets and user
 // cloaks with nq standing queries (80% range counts, 15% public NN,
-// 5% private radius — the monitor's three kinds).
-func (w *World) buildMonitor(cfg continuous.Config, nq int) *continuous.Monitor {
-	cfg.Universe = w.Universe
-	m := continuous.NewMonitor(cfg)
+// 5% private radius — the monitor's three kinds), evaluating NN and
+// radius queries at cloaks inflated by safeFrac (Config.SafeRegionFrac).
+func (w *World) buildMonitor(safeFrac float64, nq int) *continuous.Monitor {
+	m := continuous.NewMonitor(continuous.Config{Universe: w.Universe, SafeRegionFrac: safeFrac})
 	m.SetPublic(w.PublicTree(w.P.Targets).All())
 	half := math.Sqrt(4*w.LeafCellArea()) / 2
 	seed := make([]continuous.PrivateUpdate, len(w.Initial))
@@ -91,8 +84,8 @@ func (w *World) buildMonitor(cfg continuous.Config, nq int) *continuous.Monitor 
 // timeMonitorUpdates replays nUpd movement updates through a fresh
 // monitor with nq standing queries and returns the mean wall time per
 // update.
-func (w *World) timeMonitorUpdates(cfg continuous.Config, nq, nUpd int, cloak func(geom.Point) geom.Rect) time.Duration {
-	m := w.buildMonitor(cfg, nq)
+func (w *World) timeMonitorUpdates(nq, nUpd int, cloak func(geom.Point) geom.Rect) time.Duration {
+	m := w.buildMonitor(0, nq)
 	defer m.Close()
 	start := time.Now()
 	for i := 0; i < nUpd; i++ {
@@ -103,16 +96,16 @@ func (w *World) timeMonitorUpdates(cfg continuous.Config, nq, nUpd int, cloak fu
 	return time.Since(start) / time.Duration(nUpd)
 }
 
-// measureSafeRegionMoves registers moving NN askers against an indexed
-// monitor with safe regions enabled and replays the world's movement
-// interval at a 6-second reporting cadence (ten interpolated fixes per
-// asker), returning full re-evaluations per cloak move. The linear-era
-// behavior is exactly 1.0: every reported fix re-runs the query.
+// measureSafeRegionMoves registers moving NN askers against a monitor
+// with inflated safe regions and replays the world's movement interval
+// at a 6-second reporting cadence (ten interpolated fixes per asker),
+// returning full re-evaluations per cloak move. Without safe regions
+// this is exactly 1.0: every reported fix re-runs the query.
 func (w *World) measureSafeRegionMoves(nq int, cloak func(geom.Point) geom.Rect) float64 {
 	// Evaluate at a cloak inflated by 0.7x its larger side: the larger
 	// A_EXT buys a safe region wide enough to absorb several reporting
 	// intervals (frac 0 would re-evaluate on almost every fix).
-	m := w.buildMonitor(continuous.Config{SafeRegionFrac: 0.7}, nq)
+	m := w.buildMonitor(0.7, nq)
 	defer m.Close()
 	nAskers := 200
 	if nAskers > len(w.Initial) {

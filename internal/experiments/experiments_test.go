@@ -472,14 +472,10 @@ func TestContinuousPanel(t *testing.T) {
 	if len(x4.Rows) != 3 {
 		t.Fatalf("X4 rows = %d", len(x4.Rows))
 	}
-	// The indexed matcher must beat the linear scan at the largest
-	// standing-query count, and safe regions must answer at least some
-	// asker moves without a full re-evaluation (1.00 means none).
+	// Safe regions must answer at least some asker moves without a
+	// full re-evaluation (1.00 means none).
 	last := len(x4.Rows) - 1
-	if lin, idx := cell(t, x4, last, 1), cell(t, x4, last, 2); idx >= lin {
-		t.Fatalf("indexed %v us/upd not below linear %v at %s queries", idx, lin, x4.Rows[last][0])
-	}
-	if evals := cell(t, x4, last, 4); evals >= 1 {
+	if evals := cell(t, x4, last, 2); evals >= 1 {
 		t.Fatalf("safe regions saved nothing: %v evals/move", evals)
 	}
 }

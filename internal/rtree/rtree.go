@@ -334,31 +334,6 @@ func recomputeMBR(n *node) geom.Rect {
 	return mbr
 }
 
-// adjustMBRs recomputes all MBRs bottom-up. Insert already grows MBRs
-// on the way down; this pass tightens after splits. It is O(n) in the
-// number of nodes, which is acceptable at the tree sizes Casper uses;
-// bulk loading avoids it entirely.
-func (t *Tree) adjustMBRs() {
-	var walk func(n *node) geom.Rect
-	walk = func(n *node) geom.Rect {
-		if n.leaf {
-			n.mbr = recomputeMBR(n)
-			return n.mbr
-		}
-		mbr := walk(n.children[0])
-		for _, c := range n.children[1:] {
-			mbr = mbr.Union(walk(c))
-		}
-		n.mbr = mbr
-		return mbr
-	}
-	if t.root.count() > 0 {
-		walk(t.root)
-	} else {
-		t.root.mbr = geom.Rect{}
-	}
-}
-
 // Delete removes one item matching id whose stored rectangle equals r.
 // It returns false when no such item exists. Orphaned entries from
 // underfull nodes are reinserted (Guttman's CondenseTree).
@@ -395,7 +370,10 @@ func (t *Tree) findLeaf(n *node, id int64, r geom.Rect) (*node, int) {
 
 // condense removes underfull nodes on the path to the just-modified
 // leaf, collecting their surviving entries for reinsertion, then
-// shrinks the root if it has a single child.
+// shrinks the root if it has a single child. It recomputes the MBRs
+// along the path and at the root; nodes off the path are untouched,
+// and Insert keeps the MBRs exact for the reinserted orphans, so every
+// node's MBR stays the union of its entries (checkInvariants).
 func (t *Tree) condense(leaf *node) {
 	var path []*node
 	findPath(t.root, leaf, &path)
@@ -433,7 +411,6 @@ func (t *Tree) condense(leaf *node) {
 	for _, it := range orphans {
 		t.Insert(it)
 	}
-	t.adjustMBRs()
 }
 
 func collectItems(n *node, out *[]Item) {
@@ -805,6 +782,11 @@ func (t *Tree) checkInvariants() error {
 		}
 		if n.count() > t.maxEntries {
 			return 0, fmt.Errorf("overfull node (%d > %d) at depth %d", n.count(), t.maxEntries, depth)
+		}
+		// Delete relies on this: no pass ever re-tightens MBRs off the
+		// mutated path, so they must be exact, not merely covering.
+		if n.count() > 0 && n.mbr != recomputeMBR(n) {
+			return 0, fmt.Errorf("node MBR %v != union of its entries %v at depth %d", n.mbr, recomputeMBR(n), depth)
 		}
 		if n.leaf {
 			for _, it := range n.items {
