@@ -570,7 +570,7 @@ func BenchmarkContinuousMonitorUpdate(b *testing.B) {
 		return geom.R(x, y, x+300, y+300)
 	}
 	for i := int64(0); i < 1000; i++ {
-		if err := mon.UpsertPrivate(i, region()); err != nil {
+		if err := mon.ApplyUpdates([]continuous.PrivateUpdate{{ID: i, Region: region()}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -585,7 +585,7 @@ func BenchmarkContinuousMonitorUpdate(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := mon.UpsertPrivate(int64(i%1000), region()); err != nil {
+		if err := mon.ApplyUpdates([]continuous.PrivateUpdate{{ID: int64(i % 1000), Region: region()}}); err != nil {
 			b.Fatal(err)
 		}
 	}

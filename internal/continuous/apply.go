@@ -25,10 +25,13 @@ type applyOp struct {
 	ok     bool
 }
 
-// ApplyUpdates ingests a batch of private-object updates under one
+// ApplyUpdates inserts or moves a batch of private objects (users'
+// cloaked regions keyed by their stored pseudonyms) under one
 // acquisition of the monitor lock. Every region must be valid or the
 // whole batch is rejected before any mutation. Duplicate IDs within a
-// batch collapse to the last occurrence.
+// batch collapse to the last occurrence. Range counts over the old and
+// new regions adjust incrementally; NN and radius queries whose
+// interest regions are touched re-evaluate, once per batch.
 func (m *Monitor) ApplyUpdates(batch []PrivateUpdate) error {
 	if len(batch) == 0 {
 		return nil
@@ -57,19 +60,6 @@ func (m *Monitor) ApplyUpdates(batch []PrivateUpdate) error {
 		ops = ops[:w]
 	}
 	m.applyPrivate(ops)
-	return nil
-}
-
-// UpsertPrivate inserts or moves one private object (a user's cloaked
-// region keyed by her stored pseudonym). Range counts over the old
-// and new regions adjust incrementally; NN and radius queries whose
-// interest regions are touched re-evaluate.
-func (m *Monitor) UpsertPrivate(id int64, region geom.Rect) error {
-	if !region.IsValid() {
-		return fmt.Errorf("continuous: invalid region %v for object %d", region, id)
-	}
-	ops := [1]applyOp{{pid: id, region: region}}
-	m.applyPrivate(ops[:])
 	return nil
 }
 

@@ -89,7 +89,7 @@ func BenchmarkMonitorIndexedUpdate(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				u := trace[i%len(trace)]
-				if err := m.UpsertPrivate(u.ID, u.Region); err != nil {
+				if err := upsert(m, u.ID, u.Region); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -18,6 +18,11 @@ func randRegion(rng *rand.Rand, maxSide float64) geom.Rect {
 	return geom.R(x, y, x+rng.Float64()*maxSide, y+rng.Float64()*maxSide).ClipTo(world)
 }
 
+// upsert inserts or moves one private object: a batch of one.
+func upsert(m *Monitor, id int64, region geom.Rect) error {
+	return m.ApplyUpdates([]PrivateUpdate{{ID: id, Region: region}})
+}
+
 func TestRangeCountIncrementalMatchesSnapshot(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := New(nil)
@@ -49,7 +54,7 @@ func TestRangeCountIncrementalMatchesSnapshot(t *testing.T) {
 		switch {
 		case len(live) == 0 || rng.Float64() < 0.4:
 			r := randRegion(rng, 300)
-			if err := m.UpsertPrivate(next, r); err != nil {
+			if err := upsert(m, next, r); err != nil {
 				t.Fatal(err)
 			}
 			live[next] = r
@@ -65,7 +70,7 @@ func TestRangeCountIncrementalMatchesSnapshot(t *testing.T) {
 		default:
 			for id := range live {
 				r := randRegion(rng, 300)
-				if err := m.UpsertPrivate(id, r); err != nil {
+				if err := upsert(m, id, r); err != nil {
 					t.Fatal(err)
 				}
 				live[id] = r
@@ -97,28 +102,28 @@ func TestRangeCountNotifications(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An object outside the region: no event.
-	if err := m.UpsertPrivate(1, geom.R(500, 500, 600, 600)); err != nil {
+	if err := upsert(m, 1, geom.R(500, 500, 600, 600)); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 0 {
 		t.Fatalf("unexpected events: %v", events)
 	}
 	// Entering the region: one CountChanged.
-	if err := m.UpsertPrivate(1, geom.R(50, 50, 60, 60)); err != nil {
+	if err := upsert(m, 1, geom.R(50, 50, 60, 60)); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 1 || events[0].Query != id || events[0].Count != 1 {
 		t.Fatalf("events = %+v", events)
 	}
 	// Moving within the region with the same contribution: no event.
-	if err := m.UpsertPrivate(1, geom.R(10, 10, 20, 20)); err != nil {
+	if err := upsert(m, 1, geom.R(10, 10, 20, 20)); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 1 {
 		t.Fatalf("move within region emitted: %+v", events)
 	}
 	// Leaving: count back to 0.
-	if err := m.UpsertPrivate(1, geom.R(900, 900, 950, 950)); err != nil {
+	if err := upsert(m, 1, geom.R(900, 900, 950, 950)); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 2 || events[1].Count != 0 {
@@ -257,7 +262,7 @@ func TestContinuousBuddyTracking(t *testing.T) {
 	m := New(nil)
 	// 200 cloaked buddies.
 	for i := int64(0); i < 200; i++ {
-		if err := m.UpsertPrivate(i, randRegion(rng, 200)); err != nil {
+		if err := upsert(m, i, randRegion(rng, 200)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -269,7 +274,7 @@ func TestContinuousBuddyTracking(t *testing.T) {
 	// The excluded pseudonym never appears, across churn.
 	for round := 0; round < 500; round++ {
 		uid := int64(rng.Intn(200))
-		if err := m.UpsertPrivate(uid, randRegion(rng, 200)); err != nil {
+		if err := upsert(m, uid, randRegion(rng, 200)); err != nil {
 			t.Fatal(err)
 		}
 		cands, _ := m.Candidates(id)
@@ -318,7 +323,7 @@ func TestUnregister(t *testing.T) {
 
 func TestInvalidInputs(t *testing.T) {
 	m := New(nil)
-	if err := m.UpsertPrivate(1, geom.Rect{Min: geom.Pt(5, 5), Max: geom.Pt(1, 1)}); err == nil {
+	if err := upsert(m, 1, geom.Rect{Min: geom.Pt(5, 5), Max: geom.Pt(1, 1)}); err == nil {
 		t.Fatal("invalid region accepted")
 	}
 	if _, _, err := m.RegisterRangeCount(geom.Rect{Min: geom.Pt(math.NaN(), 0)}, privacyqp.CountAnyOverlap); err == nil {
@@ -341,7 +346,7 @@ func TestIncrementalSavings(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	m := New(nil)
 	for i := int64(0); i < 500; i++ {
-		if err := m.UpsertPrivate(i, randRegion(rng, 150)); err != nil {
+		if err := upsert(m, i, randRegion(rng, 150)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -354,7 +359,7 @@ func TestIncrementalSavings(t *testing.T) {
 	u0, e0 := m.Updates(), m.Evaluations()
 	for round := 0; round < 2000; round++ {
 		uid := int64(rng.Intn(500))
-		if err := m.UpsertPrivate(uid, randRegion(rng, 150)); err != nil {
+		if err := upsert(m, uid, randRegion(rng, 150)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -372,7 +377,7 @@ func TestConcurrentMonitorAccess(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := New(nil)
 	for i := int64(0); i < 200; i++ {
-		if err := m.UpsertPrivate(i, randRegion(rng, 200)); err != nil {
+		if err := upsert(m, i, randRegion(rng, 200)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -389,7 +394,7 @@ func TestConcurrentMonitorAccess(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				switch r.Intn(3) {
 				case 0:
-					_ = m.UpsertPrivate(int64(r.Intn(200)), randRegion(r, 200))
+					_ = upsert(m, int64(r.Intn(200)), randRegion(r, 200))
 				case 1:
 					_, _ = m.Count(id)
 				case 2:
@@ -466,7 +471,7 @@ func TestStandingRadiusQueryOverPrivateData(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	m := New(nil)
 	for i := int64(0); i < 150; i++ {
-		if err := m.UpsertPrivate(i, randRegion(rng, 200)); err != nil {
+		if err := upsert(m, i, randRegion(rng, 200)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -479,7 +484,7 @@ func TestStandingRadiusQueryOverPrivateData(t *testing.T) {
 	// the excluded pseudonym) and never contain the exclusion.
 	for round := 0; round < 300; round++ {
 		uid := int64(rng.Intn(150))
-		if err := m.UpsertPrivate(uid, randRegion(rng, 200)); err != nil {
+		if err := upsert(m, uid, randRegion(rng, 200)); err != nil {
 			t.Fatal(err)
 		}
 	}

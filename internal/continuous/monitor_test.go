@@ -451,7 +451,7 @@ func TestConcurrentStripeStress(t *testing.T) {
 		for r := 0; r < rounds; r++ {
 			d := 100 + rng.Float64()*400
 			reg := geom.R(5000-d, 5000-d, 5000+d, 5000+d)
-			if err := m.UpsertPrivate(9000+int64(rng.Intn(50)), reg); err != nil {
+			if err := upsert(m, 9000+int64(rng.Intn(50)), reg); err != nil {
 				t.Error(err)
 				return
 			}
@@ -538,7 +538,7 @@ func TestConcurrentStripeStress(t *testing.T) {
 // TestQueryCounts pins the per-kind gauges' source of truth.
 func TestQueryCounts(t *testing.T) {
 	m := New(nil)
-	if err := m.UpsertPrivate(1, geom.R(100, 100, 200, 200)); err != nil {
+	if err := upsert(m, 1, geom.R(100, 100, 200, 200)); err != nil {
 		t.Fatal(err)
 	}
 	m.SetPublic([]rtree.Item{{Rect: geom.R(50, 50, 50, 50), ID: 9}})
@@ -590,13 +590,13 @@ func TestStripeAssignment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.UpsertPrivate(1, c.r); err != nil {
+		if err := upsert(m, 1, c.r); err != nil {
 			t.Fatal(err)
 		}
 		if n, _ := m.Count(id); n != 1 {
 			t.Errorf("%s: count %v with an overlapping object, want 1", c.name, n)
 		}
-		if err := m.UpsertPrivate(1, away); err != nil {
+		if err := upsert(m, 1, away); err != nil {
 			t.Fatal(err)
 		}
 		if n, _ := m.Count(id); n != 0 {
@@ -653,7 +653,7 @@ func TestLinearScanMatchesIndexed(t *testing.T) {
 		switch {
 		case rng.Float64() < 0.7:
 			pid, r := int64(rng.Intn(60)), randRegion(rng, 250)
-			if err := m.UpsertPrivate(pid, r); err != nil {
+			if err := upsert(m, pid, r); err != nil {
 				t.Fatal(err)
 			}
 			mirror[pid] = r

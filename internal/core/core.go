@@ -249,10 +249,6 @@ type Casper struct {
 	monitor      *continuous.Monitor
 	watches      map[anonymizer.UserID][]continuous.QueryID
 	rangeWatches map[anonymizer.UserID][]continuous.QueryID
-
-	// persist, when configured, is the WAL wrapper through which all
-	// server mutations are routed; it shares state with srv.
-	persist *server.Persistent
 }
 
 // New builds a Casper instance from the configuration, recovering the
@@ -277,15 +273,10 @@ func New(cfg Config) (*Casper, error) {
 	}
 	c.backend.Store(&backendState{name: name, anon: anon})
 	metrics.SetBackendInfo(name)
-	if cfg.WALPath != "" {
-		p, err := server.OpenPersistent(cfg.WALPath)
-		if err != nil {
-			return nil, err
-		}
-		c.persist = p
-		c.srv = p.Server
-	} else {
+	if cfg.WALPath == "" {
 		c.srv = server.New()
+	} else if c.srv, err = server.OpenPersistent(cfg.WALPath); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -311,10 +302,7 @@ func (c *Casper) Close() error {
 	if mon != nil {
 		mon.Close()
 	}
-	if c.persist != nil {
-		return c.persist.Close()
-	}
-	return nil
+	return c.srv.Close()
 }
 
 // backendState pairs the live backend with its registry name so both
@@ -427,12 +415,7 @@ func (c *Casper) Config() Config { return c.cfg }
 // disk and memory have diverged, and the caller must decide whether
 // to retry (Compact), fall back, or shut down.
 func (c *Casper) LoadPublicObjects(objs []server.PublicObject) error {
-	var err error
-	if c.persist != nil {
-		err = c.persist.LoadPublic(objs)
-	} else {
-		c.srv.LoadPublic(objs)
-	}
+	err := c.srv.LoadPublic(objs)
 	// Keep the monitor in step even on a persistence failure: the
 	// in-memory table did change, and live queries see it.
 	if mon := c.Monitor(); mon != nil {
@@ -452,13 +435,7 @@ func publicItems(objs []server.PublicObject) []rtree.Item {
 // AddPublicObject inserts one public object, durably when a WAL is
 // configured, and keeps the continuous monitor in step.
 func (c *Casper) AddPublicObject(o server.PublicObject) error {
-	var err error
-	if c.persist != nil {
-		err = c.persist.AddPublic(o)
-	} else {
-		err = c.srv.AddPublic(o)
-	}
-	if err != nil {
+	if err := c.srv.AddPublic(o); err != nil {
 		return err
 	}
 	if mon := c.Monitor(); mon != nil {
@@ -474,13 +451,7 @@ func (c *Casper) RemovePublicObject(id int64) error {
 	if !ok {
 		return fmt.Errorf("%w: public %d", server.ErrUnknownObject, id)
 	}
-	var err error
-	if c.persist != nil {
-		err = c.persist.RemovePublic(id)
-	} else {
-		err = c.srv.RemovePublic(id)
-	}
-	if err != nil {
+	if err := c.srv.RemovePublic(id); err != nil {
 		return err
 	}
 	if mon := c.Monitor(); mon != nil {
@@ -716,7 +687,6 @@ func (c *Casper) updateUsers(updates []UserUpdate, tr *trace.Trace) (int, error)
 	if len(updates) == 0 {
 		return 0, nil
 	}
-	objs := make([]server.PrivateObject, 0, len(updates))
 	pushed := make([]cloakedPush, 0, len(updates))
 	applied := 0
 	var firstErr error
@@ -739,37 +709,40 @@ func (c *Casper) updateUsers(updates []UserUpdate, tr *trace.Trace) (int, error)
 			firstErr = fmt.Errorf("batch aborted at uid %d: %w", u.UID, userErr(err))
 			break
 		}
-		objs = append(objs, server.PrivateObject{ID: pid, Region: cr.Region})
 		pushed = append(pushed, cloakedPush{uid: u.UID, pid: pid, region: cr.Region})
 		applied++
 	}
-	if len(objs) > 0 {
-		var storeErr error
-		if c.persist != nil {
-			storeErr = c.persist.UpsertPrivateBatchTraced(objs, tr)
-		} else {
-			ssp := tr.StartSpan("store")
-			storeErr = c.srv.UpsertPrivateBatch(objs)
-			ssp.End()
-		}
-		if storeErr != nil {
-			return applied, storeErr
-		}
-		if err := c.notifyCloakBatch(pushed); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	if err := c.storeCloaks(pushed, tr); err != nil {
+		return applied, err
 	}
 	return applied, firstErr
+}
+
+// storeCloaks upserts freshly cut cloaks at the server in one batch —
+// one server write lock, one WAL append and one snapshot publish —
+// then propagates them to the continuous monitor. Every cloak the
+// framework stores goes through here; a single update is a batch of
+// one.
+func (c *Casper) storeCloaks(pushed []cloakedPush, tr *trace.Trace) error {
+	if len(pushed) == 0 {
+		return nil
+	}
+	objs := make([]server.PrivateObject, len(pushed))
+	for i, p := range pushed {
+		objs[i] = server.PrivateObject{ID: p.pid, Region: p.region}
+	}
+	if err := c.srv.UpsertPrivateBatchTraced(objs, tr); err != nil {
+		return err
+	}
+	return c.notifyCloakBatch(pushed)
 }
 
 // notifyCloakBatch propagates a batch of freshly stored cloaks to the
 // continuous monitor in one ApplyUpdates call — the monitor lock is
 // taken once for the whole batch instead of once per user — then
-// refreshes the users' standing watches.
+// refreshes the users' standing watches. It takes monMu only after all
+// anonymizer and server locks have been released.
 func (c *Casper) notifyCloakBatch(pushed []cloakedPush) error {
-	if len(pushed) == 0 {
-		return nil
-	}
 	c.monMu.RLock()
 	defer c.monMu.RUnlock()
 	if c.monitor == nil {
@@ -832,16 +805,12 @@ func (c *Casper) DeregisterUser(uid anonymizer.UserID) error {
 		delete(c.rangeWatches, uid)
 	}
 	c.monMu.Unlock()
-	if c.persist != nil {
-		return c.persist.RemovePrivate(pid)
-	}
 	return c.srv.RemovePrivate(pid)
 }
 
-// pushCloak recomputes the user's cloaked region and upserts it at the
-// server (and the continuous monitor, when enabled) under the
-// pseudonym. An unsatisfiable profile leaves the previous region in
-// place and reports the error.
+// pushCloak recomputes the user's cloaked region and stores it under
+// the pseudonym (see storeCloaks). An unsatisfiable profile leaves the
+// previous region in place and reports the error.
 func (c *Casper) pushCloak(uid anonymizer.UserID, tr *trace.Trace) error {
 	pid, ok := c.pseudo.Get(int64(uid))
 	if !ok {
@@ -853,24 +822,9 @@ func (c *Casper) pushCloak(uid anonymizer.UserID, tr *trace.Trace) error {
 	if err != nil {
 		return userErr(err)
 	}
-	obj := server.PrivateObject{ID: pid, Region: cr.Region}
-	var upsertErr error
-	if c.persist != nil {
-		upsertErr = c.persist.UpsertPrivateTraced(obj, tr)
-	} else {
-		ssp := tr.StartSpan("store")
-		upsertErr = c.srv.UpsertPrivate(obj)
-		ssp.End()
-	}
-	if upsertErr != nil {
-		return upsertErr
-	}
-	return c.notifyCloak(uid, pid, cr.Region)
+	return c.storeCloaks([]cloakedPush{{uid: uid, pid: pid, region: cr.Region}}, tr)
 }
 
-// notifyCloak propagates a freshly stored cloak to the continuous
-// monitor and the user's standing watches. It takes monMu only after
-// all anonymizer and server locks have been released.
 // cloakUID cloaks the user's location. Every release in the process
 // funnels through here, so this is where the privacy observatory
 // plugs in: the ε-budget ceiling is enforced before the cloak, and
@@ -910,28 +864,6 @@ func (c *Casper) cloakUID(uid anonymizer.UserID, tr *trace.Trace) (anonymizer.Cl
 		trace.Int("area_m2", int64(cr.Region.Area())),
 		trace.Int("epsilon_micro", int64(cr.Epsilon*1e6)))
 	return cr, err
-}
-
-func (c *Casper) notifyCloak(uid anonymizer.UserID, pid int64, region geom.Rect) error {
-	c.monMu.RLock()
-	defer c.monMu.RUnlock()
-	if c.monitor == nil {
-		return nil
-	}
-	if err := c.monitor.UpsertPrivate(pid, region); err != nil {
-		return err
-	}
-	for _, qid := range c.watches[uid] {
-		if err := c.monitor.UpdateNNCloak(qid, region); err != nil {
-			return err
-		}
-	}
-	for _, qid := range c.rangeWatches[uid] {
-		if err := c.monitor.UpdateRadiusCloak(qid, region); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Mechanism-dispatched query entries: region cloaks go through

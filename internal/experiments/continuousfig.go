@@ -89,7 +89,7 @@ func (w *World) timeMonitorUpdates(nq, nUpd int, cloak func(geom.Point) geom.Rec
 	defer m.Close()
 	start := time.Now()
 	for i := 0; i < nUpd; i++ {
-		if err := m.UpsertPrivate(int64(i), cloak(w.Moved[i])); err != nil {
+		if err := m.ApplyUpdates([]continuous.PrivateUpdate{{ID: int64(i), Region: cloak(w.Moved[i])}}); err != nil {
 			panic(fmt.Sprintf("experiments: monitor update %d: %v", i, err))
 		}
 	}

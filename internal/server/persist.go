@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"casper/internal/geom"
@@ -11,227 +10,133 @@ import (
 	"casper/internal/wal"
 )
 
-// Persistent wraps a Server with a write-ahead log so the public table
-// and the stored cloaked regions survive restarts. Mutations are
-// logged before being applied; queries go straight through. The log
-// holds only what the server itself may see — pseudonyms and cloaked
-// rectangles, never exact user locations — so persistence does not
-// widen the privacy boundary.
-//
-// Persistent is safe for concurrent use: queries run in parallel
-// (they are plain Server reads), while mutations serialize behind
-// walMu so the order of records in the log always matches the order
-// the in-memory server applied them — a replayed log then rebuilds
-// exactly the state that was live.
-type Persistent struct {
-	*Server
-	// walMu is held across each log-append + apply pair (and across
-	// Compact/Sync/Close, which swap or retire the log). Without it,
-	// two concurrent upserts of the same ID could reach the log in the
-	// opposite order they reached the R-tree, and recovery would
-	// resurrect the older cloak.
-	walMu sync.Mutex
-	log   *wal.Log
-}
+// Persistent names a Server opened by OpenPersistent. It is the same
+// type: durability is the log attached to a Server, not a wrapper.
+type Persistent = Server
 
 // OpenPersistent recovers a server from the WAL at path (creating an
-// empty log when none exists) and returns it ready for appends.
-func OpenPersistent(path string) (*Persistent, error) {
-	srv := New()
-	n, err := wal.Replay(path, func(r wal.Record) error { return apply(srv, r) })
+// empty log when none exists) and returns it with the log attached, so
+// every later mutation is logged before it is applied. The log holds
+// only what the server itself may see — pseudonyms and cloaked
+// rectangles, never exact user locations — so persistence does not
+// widen the privacy boundary.
+func OpenPersistent(path string) (*Server, error) {
+	s := New()
+	n, err := wal.Replay(path, func(r wal.Record) error { return apply(s, r) })
 	if err != nil {
 		return nil, fmt.Errorf("server: recover: %w", err)
 	}
-	var log *wal.Log
 	if n == 0 {
 		// Fresh or unusable file: start a clean log.
-		log, err = wal.Create(path)
+		s.log, err = wal.Create(path)
 	} else {
-		log, err = wal.OpenAppend(path)
+		s.log, err = wal.OpenAppend(path)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return &Persistent{Server: srv, log: log}, nil
+	return s, nil
 }
 
-// apply replays one WAL record into a server. Replayed mutations are
-// idempotent-enough for a prefix log: upserts overwrite, removes of
-// missing objects are ignored.
+// apply replays one WAL record into a server with no log attached,
+// through the same mutators the live server ran. A record the live
+// server would refuse — a duplicate add, a remove of a missing object,
+// an invalid region, all of which logs written by older servers can
+// hold — is refused again and skipped, so replay rebuilds exactly the
+// state that was live.
 func apply(s *Server, r wal.Record) error {
 	switch r.Type {
 	case wal.PublicAdd:
-		err := s.AddPublic(PublicObject{ID: r.ID, Pos: geom.Pt(r.X0, r.Y0), Name: r.Name})
-		if err != nil {
-			// A duplicate add in the log means the object already
-			// exists; treat as refresh.
-			_ = s.RemovePublic(r.ID)
-			return s.AddPublic(PublicObject{ID: r.ID, Pos: geom.Pt(r.X0, r.Y0), Name: r.Name})
-		}
-		return nil
+		_ = s.AddPublic(PublicObject{ID: r.ID, Pos: geom.Pt(r.X0, r.Y0), Name: r.Name})
 	case wal.PublicRemove:
 		_ = s.RemovePublic(r.ID)
-		return nil
 	case wal.PrivateUpsert:
-		return s.UpsertPrivate(PrivateObject{ID: r.ID, Region: geom.R(r.X0, r.Y0, r.X1, r.Y1)})
+		_ = s.UpsertPrivate(PrivateObject{ID: r.ID, Region: rect(r.X0, r.Y0, r.X1, r.Y1)})
 	case wal.PrivateUpsertBatch:
 		objs := make([]PrivateObject, len(r.Batch))
 		for i, e := range r.Batch {
-			objs[i] = PrivateObject{ID: e.ID, Region: geom.R(e.X0, e.Y0, e.X1, e.Y1)}
+			objs[i] = PrivateObject{ID: e.ID, Region: rect(e.X0, e.Y0, e.X1, e.Y1)}
 		}
-		return s.UpsertPrivateBatch(objs)
+		_ = s.UpsertPrivateBatch(objs)
 	case wal.PrivateRemove:
 		_ = s.RemovePrivate(r.ID)
-		return nil
 	default:
 		return fmt.Errorf("server: unknown WAL record %v", r.Type)
 	}
-}
-
-// append writes one record to the live log, keeping the WAL counters
-// in step. Callers hold walMu.
-func (p *Persistent) append(r wal.Record) error {
-	if err := p.log.Append(r); err != nil {
-		walAppendErrors.Inc()
-		return err
-	}
-	walAppends.Inc()
-	walAppendBytes.Add(int64(wal.RecordSize(r)))
 	return nil
 }
 
-// AddPublic logs then applies.
-func (p *Persistent) AddPublic(o PublicObject) error {
-	p.walMu.Lock()
-	defer p.walMu.Unlock()
-	if err := p.append(wal.Record{
-		Type: wal.PublicAdd, ID: o.ID, X0: o.Pos.X, Y0: o.Pos.Y, Name: o.Name,
-	}); err != nil {
-		return err
-	}
-	return p.Server.AddPublic(o)
+// rect rebuilds a logged region corner for corner. geom.R would swap
+// inverted corners and so accept a region the live server refused.
+func rect(x0, y0, x1, y1 float64) geom.Rect {
+	return geom.Rect{Min: geom.Pt(x0, y0), Max: geom.Pt(x1, y1)}
 }
 
-// RemovePublic logs then applies.
-func (p *Persistent) RemovePublic(id int64) error {
-	p.walMu.Lock()
-	defer p.walMu.Unlock()
-	if err := p.append(wal.Record{Type: wal.PublicRemove, ID: id}); err != nil {
-		return err
-	}
-	return p.Server.RemovePublic(id)
+func publicAddRecord(o PublicObject) wal.Record {
+	return wal.Record{Type: wal.PublicAdd, ID: o.ID, X0: o.Pos.X, Y0: o.Pos.Y, Name: o.Name}
 }
 
-// UpsertPrivate logs then applies.
-func (p *Persistent) UpsertPrivate(o PrivateObject) error {
-	return p.UpsertPrivateTraced(o, nil)
-}
-
-// UpsertPrivateTraced is UpsertPrivate with "wal_append" and "store"
-// spans recorded into tr (when non-nil) so a traced slow request
-// shows whether the log or the index rebuild dominated.
-func (p *Persistent) UpsertPrivateTraced(o PrivateObject, tr *trace.Trace) error {
-	p.walMu.Lock()
-	defer p.walMu.Unlock()
-	rec := wal.Record{
-		Type: wal.PrivateUpsert, ID: o.ID,
-		X0: o.Region.Min.X, Y0: o.Region.Min.Y,
-		X1: o.Region.Max.X, Y1: o.Region.Max.Y,
-	}
-	asp := tr.StartSpan("wal_append")
-	err := p.append(rec)
-	if tr != nil {
-		asp.End(trace.Int("bytes", int64(wal.RecordSize(rec))))
-	}
-	if err != nil {
-		return err
-	}
-	ssp := tr.StartSpan("store")
-	err = p.Server.UpsertPrivate(o)
-	ssp.End()
-	return err
-}
-
-// UpsertPrivateBatch logs the whole batch as one record (chunked only
-// past wal.MaxBatchEntries) and applies it under one server lock.
-func (p *Persistent) UpsertPrivateBatch(objs []PrivateObject) error {
-	return p.UpsertPrivateBatchTraced(objs, nil)
-}
-
-// UpsertPrivateBatchTraced is UpsertPrivateBatch with "wal_append"
-// and "store" spans recorded into tr (when non-nil).
-func (p *Persistent) UpsertPrivateBatchTraced(objs []PrivateObject, tr *trace.Trace) error {
-	if len(objs) == 0 {
-		return nil
-	}
-	p.walMu.Lock()
-	defer p.walMu.Unlock()
-	asp := tr.StartSpan("wal_append")
-	bytes := int64(0)
+// privateUpsertRecords encodes cloaks as PrivateUpsertBatch records of
+// at most wal.MaxBatchEntries entries each — the one private encoding
+// both the upsert path and compaction write.
+func privateUpsertRecords(objs []PrivateObject) []wal.Record {
+	recs := make([]wal.Record, 0, (len(objs)+wal.MaxBatchEntries-1)/wal.MaxBatchEntries)
 	for start := 0; start < len(objs); start += wal.MaxBatchEntries {
-		end := min(start+wal.MaxBatchEntries, len(objs))
-		rec := wal.Record{Type: wal.PrivateUpsertBatch, Batch: make([]wal.BatchEntry, end-start)}
-		for i, o := range objs[start:end] {
+		chunk := objs[start:min(start+wal.MaxBatchEntries, len(objs))]
+		rec := wal.Record{Type: wal.PrivateUpsertBatch, Batch: make([]wal.BatchEntry, len(chunk))}
+		for i, o := range chunk {
 			rec.Batch[i] = wal.BatchEntry{
 				ID: o.ID,
 				X0: o.Region.Min.X, Y0: o.Region.Min.Y,
 				X1: o.Region.Max.X, Y1: o.Region.Max.Y,
 			}
 		}
-		if err := p.append(rec); err != nil {
-			if tr != nil {
-				asp.End(trace.Int("bytes", bytes))
-			}
-			return err
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
+// logLocked appends recs to the log, keeping the WAL counters in step
+// and recording a "wal_append" span into tr when it is non-nil. It is a
+// no-op with no log attached. Callers hold writeMu and have already
+// validated the mutation, so a refused write never reaches the log.
+func (s *Server) logLocked(tr *trace.Trace, recs ...wal.Record) error {
+	if s.log == nil {
+		return nil
+	}
+	sp := tr.StartSpan("wal_append")
+	var bytes, entries int64
+	var err error
+	for _, r := range recs {
+		if err = s.log.Append(r); err != nil {
+			walAppendErrors.Inc()
+			break
 		}
-		bytes += int64(wal.RecordSize(rec))
+		n := int64(wal.RecordSize(r))
+		walAppends.Inc()
+		walAppendBytes.Add(n)
+		bytes += n
+		entries += int64(max(len(r.Batch), 1))
 	}
 	if tr != nil {
-		asp.End(trace.Int("bytes", bytes), trace.Int("entries", int64(len(objs))))
+		sp.End(trace.Int("bytes", bytes), trace.Int("entries", entries))
 	}
-	ssp := tr.StartSpan("store")
-	err := p.Server.UpsertPrivateBatch(objs)
-	ssp.End()
 	return err
 }
 
-// RemovePrivate logs then applies.
-func (p *Persistent) RemovePrivate(id int64) error {
-	p.walMu.Lock()
-	defer p.walMu.Unlock()
-	if err := p.append(wal.Record{Type: wal.PrivateRemove, ID: id}); err != nil {
-		return err
+// Sync makes all appended records durable. It is a no-op with no log.
+func (s *Server) Sync() error {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	return s.syncLocked()
+}
+
+func (s *Server) syncLocked() error {
+	if s.log == nil {
+		return nil
 	}
-	return p.Server.RemovePrivate(id)
-}
-
-// LoadPublic replaces the public table, logging the replacement as a
-// removal-free sequence of adds into a compacted log (the bulk load is
-// a bootstrap operation; compaction keeps the log equal to the state).
-func (p *Persistent) LoadPublic(objs []PublicObject) error {
-	p.walMu.Lock()
-	defer p.walMu.Unlock()
-	p.Server.LoadPublic(objs)
-	return p.compactLocked()
-}
-
-// Sync makes all appended records durable.
-func (p *Persistent) Sync() error {
-	p.walMu.Lock()
-	defer p.walMu.Unlock()
-	return p.syncLocked()
-}
-
-// SyncTraced is Sync with a "wal_sync" span recorded into tr.
-func (p *Persistent) SyncTraced(tr *trace.Trace) error {
-	sp := tr.StartSpan("wal_sync")
-	defer sp.End()
-	return p.Sync()
-}
-
-func (p *Persistent) syncLocked() error {
 	start := time.Now()
-	if err := p.log.Sync(); err != nil {
+	if err := s.log.Sync(); err != nil {
 		return err
 	}
 	walSyncs.Inc()
@@ -240,19 +145,23 @@ func (p *Persistent) syncLocked() error {
 }
 
 // Compact rewrites the log so it contains exactly the current state:
-// one PublicAdd per public object and one PrivateUpsert per cloaked
-// region. The snapshot is written to a temporary file, synced, and
+// one PublicAdd per public object and the cloaks as PrivateUpsertBatch
+// records. The snapshot is written to a temporary file, synced, and
 // atomically renamed over the old log, so a crash at any point leaves
-// either the full old log or the full snapshot — never a mix.
-func (p *Persistent) Compact() error {
-	p.walMu.Lock()
-	defer p.walMu.Unlock()
-	return p.compactLocked()
+// either the full old log or the full snapshot — never a mix. It is a
+// no-op with no log.
+func (s *Server) Compact() error {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	return s.compactLocked()
 }
 
-func (p *Persistent) compactLocked() error {
+func (s *Server) compactLocked() error {
+	if s.log == nil {
+		return nil
+	}
 	start := time.Now()
-	if err := p.compactSwapLocked(); err != nil {
+	if err := s.compactSwapLocked(); err != nil {
 		walCompactErrors.Inc()
 		return err
 	}
@@ -262,12 +171,13 @@ func (p *Persistent) compactLocked() error {
 }
 
 // compactSwapLocked writes the snapshot and swaps it in. The live log
-// stays open — and p.log stays valid — until the snapshot is complete
+// stays open — and s.log stays valid — until the snapshot is complete
 // and durable, so a failure at any step leaves the server fully
-// usable on the old log with the temp file cleaned up; p.log is
-// swapped only after the rename lands.
-func (p *Persistent) compactSwapLocked() error {
-	path := p.log.Path()
+// usable on the old log with the temp file cleaned up; s.log is
+// swapped only after the rename lands. Holding writeMu keeps the
+// tables still while they are read.
+func (s *Server) compactSwapLocked() error {
+	path := s.log.Path()
 	tmpPath := path + ".compact"
 	tmp, err := wal.Create(tmpPath)
 	if err != nil {
@@ -279,29 +189,17 @@ func (p *Persistent) compactSwapLocked() error {
 		os.Remove(tmpPath)
 		return err
 	}
-	p.idxMu.RLock()
-	pubs := make([]PublicObject, 0, len(p.pubIdx))
-	for _, o := range p.pubIdx {
-		pubs = append(pubs, o)
-	}
-	privs := make([]PrivateObject, 0, len(p.privIdx))
-	for _, o := range p.privIdx {
-		privs = append(privs, o)
-	}
-	p.idxMu.RUnlock()
-	for _, o := range pubs {
-		if err := tmp.Append(wal.Record{
-			Type: wal.PublicAdd, ID: o.ID, X0: o.Pos.X, Y0: o.Pos.Y, Name: o.Name,
-		}); err != nil {
+	for _, o := range s.pubIdx {
+		if err := tmp.Append(publicAddRecord(o)); err != nil {
 			return abandon(err)
 		}
 	}
-	for _, o := range privs {
-		if err := tmp.Append(wal.Record{
-			Type: wal.PrivateUpsert, ID: o.ID,
-			X0: o.Region.Min.X, Y0: o.Region.Min.Y,
-			X1: o.Region.Max.X, Y1: o.Region.Max.Y,
-		}); err != nil {
+	privs := make([]PrivateObject, 0, len(s.privIdx))
+	for _, o := range s.privIdx {
+		privs = append(privs, o)
+	}
+	for _, r := range privateUpsertRecords(privs) {
+		if err := tmp.Append(r); err != nil {
 			return abandon(err)
 		}
 	}
@@ -313,13 +211,13 @@ func (p *Persistent) compactSwapLocked() error {
 		return err
 	}
 	// The snapshot is durable; now retire the old log and swap. From
-	// here a failure reopens the log at path so p.log never points at
+	// here a failure reopens the log at path so s.log never points at
 	// a closed handle (records the failed close did not flush are
 	// still in memory and will be captured by the next compaction).
-	if err := p.log.Close(); err != nil {
+	if err := s.log.Close(); err != nil {
 		os.Remove(tmpPath)
 		if reopened, rerr := wal.OpenAppend(path); rerr == nil {
-			p.log = reopened
+			s.log = reopened
 		}
 		return err
 	}
@@ -330,7 +228,7 @@ func (p *Persistent) compactSwapLocked() error {
 		if rerr != nil {
 			return fmt.Errorf("%w (reopen after failed rename: %v)", err, rerr)
 		}
-		p.log = reopened
+		s.log = reopened
 		return err
 	}
 	fresh, err := wal.OpenAppend(path)
@@ -340,17 +238,20 @@ func (p *Persistent) compactSwapLocked() error {
 		// until a Compact retry succeeds, but no state is lost.
 		return err
 	}
-	p.log = fresh
+	s.log = fresh
 	return nil
 }
 
-// Close syncs and closes the log.
-func (p *Persistent) Close() error {
-	p.walMu.Lock()
-	defer p.walMu.Unlock()
-	if err := p.syncLocked(); err != nil {
-		p.log.Close()
+// Close syncs and closes the log. It is a no-op with no log.
+func (s *Server) Close() error {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	if s.log == nil {
+		return nil
+	}
+	if err := s.syncLocked(); err != nil {
+		s.log.Close()
 		return err
 	}
-	return p.log.Close()
+	return s.log.Close()
 }

@@ -81,8 +81,8 @@ func TestPersistentBatchReplay(t *testing.T) {
 }
 
 // TestUpsertPrivateBatchValidation: one invalid region rejects the
-// whole batch before any entry is applied, and nothing reaches the
-// log.
+// whole batch before any entry is applied or logged, so the reopened
+// server holds nothing either.
 func TestUpsertPrivateBatchValidation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "val.wal")
 	p, err := OpenPersistent(path)
@@ -93,7 +93,7 @@ func TestUpsertPrivateBatchValidation(t *testing.T) {
 		{ID: 1, Region: geom.R(0, 0, 2, 2)},
 		{ID: 2, Region: geom.Rect{Min: geom.Pt(5, 5), Max: geom.Pt(1, 1)}}, // inverted
 	}
-	if err := p.Server.UpsertPrivateBatch(bad); err == nil {
+	if err := p.UpsertPrivateBatch(bad); err == nil {
 		t.Fatal("invalid region accepted")
 	}
 	if got := p.PrivateCount(); got != 0 {

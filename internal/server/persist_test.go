@@ -1,13 +1,18 @@
 package server
 
 import (
+	"errors"
+	"maps"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"casper/internal/geom"
 	"casper/internal/privacyqp"
+	"casper/internal/wal"
 )
 
 func tmpWAL(t *testing.T) string {
@@ -238,6 +243,178 @@ func TestPersistentCompactFailureKeepsLog(t *testing.T) {
 	defer q.Close()
 	if q.PrivateCount() != 22 {
 		t.Fatalf("recovered %d objects, want 22", q.PrivateCount())
+	}
+}
+
+// liveState copies both id → object tables, the state a log replay must
+// rebuild.
+func liveState(s *Server) (map[int64]PublicObject, map[int64]PrivateObject) {
+	s.idxMu.RLock()
+	defer s.idxMu.RUnlock()
+	return maps.Clone(s.pubIdx), maps.Clone(s.privIdx)
+}
+
+// requireRecovers closes p, reopens its log and requires the recovered
+// tables to equal the ones live at close. It returns the reopened
+// server.
+func requireRecovers(t *testing.T, p *Server, path string) *Server {
+	t.Helper()
+	wantPub, wantPriv := liveState(p)
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	q, err := OpenPersistent(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { q.Close() })
+	gotPub, gotPriv := liveState(q)
+	if !reflect.DeepEqual(gotPub, wantPub) {
+		t.Fatalf("recovered public table %v, live was %v", gotPub, wantPub)
+	}
+	if !reflect.DeepEqual(gotPriv, wantPriv) {
+		t.Fatalf("recovered private table %v, live was %v", gotPriv, wantPriv)
+	}
+	if q.PublicCount() != len(wantPub) || q.PrivateCount() != len(wantPriv) {
+		t.Fatalf("recovered trees hold %d public, %d private; want %d, %d",
+			q.PublicCount(), q.PrivateCount(), len(wantPub), len(wantPriv))
+	}
+	return q
+}
+
+// TestRejectedWritesNeverReachTheLog: a write the server refuses is not
+// logged, so a restart recovers exactly the state that was live.
+func TestRejectedWritesNeverReachTheLog(t *testing.T) {
+	t.Run("duplicate_add", func(t *testing.T) {
+		path := tmpWAL(t)
+		p, err := OpenPersistent(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.AddPublic(PublicObject{ID: 1, Pos: geom.Pt(1, 1), Name: "a"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.AddPublic(PublicObject{ID: 1, Pos: geom.Pt(9, 9), Name: "b"}); !errors.Is(err, ErrDuplicateObject) {
+			t.Fatalf("duplicate add: err = %v, want ErrDuplicateObject", err)
+		}
+		if err := p.RemovePublic(7); !errors.Is(err, ErrUnknownObject) {
+			t.Fatalf("remove of unknown public: err = %v, want ErrUnknownObject", err)
+		}
+		if err := p.RemovePrivate(7); !errors.Is(err, ErrUnknownObject) {
+			t.Fatalf("remove of unknown private: err = %v, want ErrUnknownObject", err)
+		}
+		q := requireRecovers(t, p, path)
+		if o, _ := q.GetPublic(1); o != (PublicObject{ID: 1, Pos: geom.Pt(1, 1), Name: "a"}) {
+			t.Fatalf("recovered public 1 = %+v", o)
+		}
+	})
+	t.Run("inverted_region", func(t *testing.T) {
+		path := tmpWAL(t)
+		p, err := OpenPersistent(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.UpsertPrivate(PrivateObject{ID: 1, Region: geom.R(0, 0, 2, 2)}); err != nil {
+			t.Fatal(err)
+		}
+		inverted := geom.Rect{Min: geom.Pt(5, 5), Max: geom.Pt(1, 1)}
+		if err := p.UpsertPrivate(PrivateObject{ID: 2, Region: inverted}); err == nil {
+			t.Fatal("inverted region accepted")
+		}
+		q := requireRecovers(t, p, path)
+		if _, ok := q.GetPrivate(2); ok {
+			t.Fatal("refused cloak 2 recovered")
+		}
+	})
+	t.Run("nan_region", func(t *testing.T) {
+		path := tmpWAL(t)
+		p, err := OpenPersistent(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nan := geom.Rect{Min: geom.Pt(math.NaN(), 0), Max: geom.Pt(1, 1)}
+		if err := p.UpsertPrivate(PrivateObject{ID: 1, Region: nan}); err == nil {
+			t.Fatal("NaN region accepted")
+		}
+		if err := p.UpsertPrivate(PrivateObject{ID: 2, Region: geom.R(0, 0, 2, 2)}); err != nil {
+			t.Fatal(err)
+		}
+		requireRecovers(t, p, path)
+	})
+}
+
+// TestReplaySkipsRecordsTheServerRefuses: a log written before writes
+// were validated ahead of the append can hold records the server
+// refused. It still opens, and replay recovers what was live.
+func TestReplaySkipsRecordsTheServerRefuses(t *testing.T) {
+	path := tmpWAL(t)
+	l, err := wal.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []wal.Record{
+		{Type: wal.PublicAdd, ID: 1, X0: 1, Y0: 1, Name: "a"},
+		{Type: wal.PublicAdd, ID: 1, X0: 9, Y0: 9, Name: "b"},                 // duplicate
+		{Type: wal.PublicRemove, ID: 7},                                       // unknown
+		{Type: wal.PrivateUpsert, ID: 1, X0: 5, Y0: 5, X1: 1, Y1: 1},          // inverted
+		{Type: wal.PrivateUpsert, ID: 2, X0: math.NaN(), Y0: 0, X1: 1, Y1: 1}, // NaN
+		{Type: wal.PrivateUpsertBatch, Batch: []wal.BatchEntry{
+			{ID: 3, X0: 0, Y0: 0, X1: 1, Y1: 1},
+			{ID: 4, X0: 2, Y0: 2, X1: 0, Y1: 0}, // inverted: the batch was refused whole
+		}},
+		{Type: wal.PrivateUpsert, ID: 5, X0: 0, Y0: 0, X1: 2, Y1: 2},
+		{Type: wal.PrivateRemove, ID: 6}, // unknown
+	} {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenPersistent(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	pub, priv := liveState(s)
+	wantPub := map[int64]PublicObject{1: {ID: 1, Pos: geom.Pt(1, 1), Name: "a"}}
+	wantPriv := map[int64]PrivateObject{5: {ID: 5, Region: geom.R(0, 0, 2, 2)}}
+	if !reflect.DeepEqual(pub, wantPub) || !reflect.DeepEqual(priv, wantPriv) {
+		t.Fatalf("recovered %v / %v, want %v / %v", pub, priv, wantPub, wantPriv)
+	}
+}
+
+// TestCompactedLogReplaysInBatches: compaction writes the cloaks as
+// PrivateUpsertBatch records, so reopening a compacted log publishes
+// one private snapshot per wal.MaxBatchEntries cloaks, not one per
+// cloak.
+func TestCompactedLogReplaysInBatches(t *testing.T) {
+	const n = 10000
+	path := tmpWAL(t)
+	p, err := OpenPersistent(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	objs := make([]PrivateObject, n)
+	for i := range objs {
+		x, y := rng.Float64()*900, rng.Float64()*900
+		objs[i] = PrivateObject{ID: int64(i), Region: geom.R(x, y, x+5, y+5)}
+	}
+	if err := p.UpsertPrivateBatch(objs); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AddPublic(PublicObject{ID: 1, Pos: geom.Pt(3, 4), Name: "poi"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	q := requireRecovers(t, p, path)
+	want := int64((n + wal.MaxBatchEntries - 1) / wal.MaxBatchEntries)
+	if got := q.snap.Load().privVersion; got != want {
+		t.Fatalf("replay published %d private snapshots, want %d", got, want)
 	}
 }
 

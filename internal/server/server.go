@@ -31,6 +31,7 @@ import (
 	"casper/internal/privacyqp"
 	"casper/internal/rtree"
 	"casper/internal/trace"
+	"casper/internal/wal"
 )
 
 // PublicObject is an exact-location object in the public table.
@@ -80,12 +81,20 @@ type Server struct {
 	// snap and run against the immutable trees it points to.
 	writeMu sync.Mutex
 
+	// log, when non-nil, is the write-ahead log (see OpenPersistent);
+	// nil means in-memory. Writers validate, append, apply and publish
+	// all under writeMu, so the log holds exactly the accepted writes in
+	// the order they were applied.
+	log *wal.Log
+
 	// snap is the current index snapshot; the only synchronization on
 	// the query hot path is this pointer's atomic load.
 	snap atomic.Pointer[indexSnapshot]
 
-	// idxMu guards the id → object lookup maps. Spatial queries do not
-	// touch them; only Get*/compaction/writers do.
+	// idxMu guards the id → object lookup maps against Get* readers.
+	// Spatial queries do not touch them. Only writers change them, under
+	// writeMu, so a writer reads them (to refuse a duplicate or unknown
+	// id before logging) with writeMu alone and takes idxMu to mutate.
 	idxMu   sync.RWMutex
 	pubIdx  map[int64]PublicObject
 	privIdx map[int64]PrivateObject
@@ -152,8 +161,10 @@ func (s *Server) SnapshotStale(bound time.Duration) (bool, time.Duration) {
 }
 
 // LoadPublic bulk-loads the public table, replacing its contents.
-// Use at startup; incremental changes go through AddPublic.
-func (s *Server) LoadPublic(objs []PublicObject) {
+// Use at startup; incremental changes go through AddPublic. With a log
+// attached the log is then compacted to the new state, so an error
+// means the load is live in memory but not durable.
+func (s *Server) LoadPublic(objs []PublicObject) error {
 	s.noteWrite()
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
@@ -173,6 +184,7 @@ func (s *Server) LoadPublic(objs []PublicObject) {
 		pubVersion:  cur.pubVersion + 1,
 		privVersion: cur.privVersion,
 	})
+	return s.compactLocked()
 }
 
 // AddPublic inserts one public object.
@@ -180,11 +192,13 @@ func (s *Server) AddPublic(o PublicObject) error {
 	s.noteWrite()
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	s.idxMu.Lock()
 	if _, ok := s.pubIdx[o.ID]; ok {
-		s.idxMu.Unlock()
 		return fmt.Errorf("%w: public %d", ErrDuplicateObject, o.ID)
 	}
+	if err := s.logLocked(nil, publicAddRecord(o)); err != nil {
+		return err
+	}
+	s.idxMu.Lock()
 	s.pubIdx[o.ID] = o
 	s.idxMu.Unlock()
 	cur := s.snap.Load()
@@ -204,12 +218,14 @@ func (s *Server) RemovePublic(id int64) error {
 	s.noteWrite()
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	s.idxMu.Lock()
 	o, ok := s.pubIdx[id]
 	if !ok {
-		s.idxMu.Unlock()
 		return fmt.Errorf("%w: public %d", ErrUnknownObject, id)
 	}
+	if err := s.logLocked(nil, wal.Record{Type: wal.PublicRemove, ID: id}); err != nil {
+		return err
+	}
+	s.idxMu.Lock()
 	delete(s.pubIdx, id)
 	s.idxMu.Unlock()
 	cur := s.snap.Load()
@@ -224,23 +240,26 @@ func (s *Server) RemovePublic(id int64) error {
 	return nil
 }
 
-// UpsertPrivate stores or refreshes the cloaked region of a private
-// object. This is the server-side effect of every location update a
-// mobile user sends through the anonymizer.
+// UpsertPrivate stores or refreshes the cloaked region of one private
+// object: a batch of one.
 func (s *Server) UpsertPrivate(o PrivateObject) error {
-	if !o.Region.IsValid() {
-		return fmt.Errorf("server: invalid cloaked region %v", o.Region)
-	}
-	return s.UpsertPrivateBatch([]PrivateObject{o})
+	return s.UpsertPrivateBatchTraced([]PrivateObject{o}, nil)
 }
 
-// UpsertPrivateBatch stores or refreshes many cloaked regions under a
-// single write-lock acquisition and a single snapshot publication —
-// the server half of the batched location-update path. The whole
-// batch is validated up front so a bad region rejects the batch
-// before any of it is applied; within a batch, a later entry for the
-// same ID wins.
+// UpsertPrivateBatch is UpsertPrivateBatchTraced without a trace.
 func (s *Server) UpsertPrivateBatch(objs []PrivateObject) error {
+	return s.UpsertPrivateBatchTraced(objs, nil)
+}
+
+// UpsertPrivateBatchTraced stores or refreshes many cloaked regions:
+// the server-side effect of every location update a mobile user sends
+// through the anonymizer, and the server's only private write path.
+// The whole batch is validated up front, so a bad region rejects it
+// before anything is logged or applied. It is then logged, applied to
+// one clone of the private tree and published as one snapshot; within
+// a batch, a later entry for the same ID wins. "wal_append" and
+// "store" spans are recorded into tr when it is non-nil.
+func (s *Server) UpsertPrivateBatchTraced(objs []PrivateObject, tr *trace.Trace) error {
 	for _, o := range objs {
 		if !o.Region.IsValid() {
 			return fmt.Errorf("server: invalid cloaked region %v for %d", o.Region, o.ID)
@@ -252,6 +271,10 @@ func (s *Server) UpsertPrivateBatch(objs []PrivateObject) error {
 	s.noteWrite()
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
+	if err := s.logLocked(tr, privateUpsertRecords(objs)...); err != nil {
+		return err
+	}
+	sp := tr.StartSpan("store")
 	cur := s.snap.Load()
 	priv := cur.private.Clone()
 	s.idxMu.Lock()
@@ -269,6 +292,7 @@ func (s *Server) UpsertPrivateBatch(objs []PrivateObject) error {
 		pubVersion:  cur.pubVersion,
 		privVersion: cur.privVersion + 1,
 	})
+	sp.End()
 	return nil
 }
 
@@ -277,12 +301,14 @@ func (s *Server) RemovePrivate(id int64) error {
 	s.noteWrite()
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	s.idxMu.Lock()
 	o, ok := s.privIdx[id]
 	if !ok {
-		s.idxMu.Unlock()
 		return fmt.Errorf("%w: private %d", ErrUnknownObject, id)
 	}
+	if err := s.logLocked(nil, wal.Record{Type: wal.PrivateRemove, ID: id}); err != nil {
+		return err
+	}
+	s.idxMu.Lock()
 	delete(s.privIdx, id)
 	s.idxMu.Unlock()
 	cur := s.snap.Load()

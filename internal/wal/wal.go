@@ -44,15 +44,19 @@ const (
 	PublicAdd RecordType = iota + 1
 	// PublicRemove removes a public object by ID.
 	PublicRemove
-	// PrivateUpsert stores/refreshes a cloaked region by pseudonym.
+	// PrivateUpsert stores/refreshes one cloaked region by pseudonym.
+	// The server no longer writes it, but it is still decoded so older
+	// logs replay, and still encoded for callers that write a
+	// standalone log of single updates.
 	PrivateUpsert
 	// PrivateRemove deletes a cloaked region by pseudonym.
 	PrivateRemove
 	// PrivateUpsertBatch stores/refreshes many cloaked regions in one
-	// record — one flush of the batched location-update path. Logs
-	// written by older versions never contain it; older versions
-	// reading a newer log stop replay cleanly at the first batch
-	// record (the standard unknown-record contract).
+	// record: the server's only private-upsert record, written for
+	// every upsert (a single update is a batch of one) and by
+	// compaction. Logs written by older versions may not contain it;
+	// older versions reading a newer log stop replay cleanly at the
+	// first batch record (the standard unknown-record contract).
 	PrivateUpsertBatch
 )
 
