@@ -196,9 +196,9 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzV2ReadFrame -fuzztime 10s ./internal/protocol
 
 # race-stress runs the concurrency stress suites repeatedly under the
-# race detector: the anonymizer backends' stress, the core batch
-# workload, the server/WAL interleavings, the casperd
-# scrape-under-traffic trace-ring stress, and the continuous-query
-# monitor's single-lock stress.
+# race detector: the anonymizer backends' stress, the identity table's
+# concurrent churn, the core batch workload, the server/WAL
+# interleavings, the casperd scrape-under-traffic trace-ring stress,
+# and the continuous-query monitor's single-lock stress.
 race-stress:
-	$(GO) test -race -count=3 -run 'Stress|Concurrent|Batch' ./internal/anonymizer ./internal/core ./internal/server ./internal/protocol ./internal/continuous ./cmd/casperd
+	$(GO) test -race -count=3 -run 'Stress|Concurrent|Batch' ./internal/anonymizer ./internal/pyramid ./internal/core ./internal/server ./internal/protocol ./internal/continuous ./cmd/casperd

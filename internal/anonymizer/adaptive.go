@@ -3,12 +3,10 @@ package anonymizer
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"casper/internal/geom"
 	"casper/internal/pyramid"
-	"casper/internal/trace"
 )
 
 // Adaptive is the adaptive location anonymizer (Sec. 4.2): an
@@ -29,43 +27,17 @@ import (
 // Adaptive is safe for concurrent use: cloaking and other read-only
 // operations proceed in parallel under a read lock, while mutations
 // (register, deregister, update, profile changes) serialize behind the
-// write lock. Split/merge maintenance is *deferred*: mutations only
-// record which nodes may need restructuring, and the recorded triggers
-// are applied in a batch — either when enough have accumulated
-// (maintenanceBatch, amortizing the restructuring cost across many
-// updates and shortening each write-lock hold) or lazily by the next
-// structure-dependent read (syncMaintenance), so deferral is invisible
-// to callers. Deferral is order-insensitive because profile
-// satisfaction is monotone in level (a user satisfied at a child level
-// is satisfied at every ancestor level): a node whose split is
-// justified can never be merged away by a pending merge, so the
-// flushed structure is the same fixed point eager evaluation reaches.
+// write lock and restructure the pyramid eagerly before releasing it:
+// each mutation runs the merge check on the cell a user left, then the
+// split check on the cell she is in, so every reader sees the split/
+// merge fixed point.
 type Adaptive struct {
 	mu      sync.RWMutex
 	grid    pyramid.Grid
 	root    *aNode
 	users   map[UserID]*aEntry
 	updates int64
-
-	// pending holds deferred split/merge triggers, deduplicated by
-	// node. It is guarded by mu (write); pendingCount mirrors its size
-	// so readers can test "anything pending?" without any lock.
-	pending      map[*aNode]maintKind
-	pendingCount atomic.Int64
 }
-
-// maintKind is the set of deferred maintenance checks recorded for a
-// node.
-type maintKind uint8
-
-const (
-	maintSplit maintKind = 1 << iota
-	maintMerge
-)
-
-// maintenanceBatch is how many deferred triggers may accumulate
-// before a mutation flushes them inline.
-const maintenanceBatch = 64
 
 // aNode is one maintained pyramid cell. children is nil for a
 // maintained leaf, which then owns the users located inside it.
@@ -94,87 +66,7 @@ func NewAdaptive(universe geom.Rect, levels int) *Adaptive {
 			cell:  pyramid.Root(),
 			users: make(map[UserID]*aEntry),
 		},
-		users:   make(map[UserID]*aEntry),
-		pending: make(map[*aNode]maintKind),
-	}
-}
-
-// deferSplit records that leaf may satisfy the split criterion. The
-// caller holds a.mu for writing.
-func (a *Adaptive) deferSplit(leaf *aNode) {
-	if a.pending[leaf]&maintSplit == 0 {
-		a.pending[leaf] |= maintSplit
-		a.pendingCount.Add(1)
-	}
-}
-
-// deferMerge records that parent may satisfy the merge criterion. The
-// caller holds a.mu for writing.
-func (a *Adaptive) deferMerge(parent *aNode) {
-	if parent == nil {
-		return
-	}
-	if a.pending[parent]&maintMerge == 0 {
-		a.pending[parent] |= maintMerge
-		a.pendingCount.Add(1)
-	}
-}
-
-// flushMaintenanceLocked applies every deferred trigger. Merges run
-// first so splits act on the consolidated structure; the result is
-// order-independent regardless (see the type comment), merges-first
-// just avoids building subtrees a merge would immediately tear down.
-// Nodes detached by an earlier merge in the same flush are inert:
-// maybeSplit sees no users and maybeMerge sees no children. The
-// caller holds a.mu for writing.
-func (a *Adaptive) flushMaintenanceLocked() {
-	if len(a.pending) == 0 {
-		return
-	}
-	batch := a.pending
-	a.pending = make(map[*aNode]maintKind)
-	a.pendingCount.Store(0)
-	for n, k := range batch {
-		if k&maintMerge != 0 {
-			a.maybeMerge(n)
-		}
-	}
-	for n, k := range batch {
-		if k&maintSplit != 0 {
-			a.maybeSplit(n)
-		}
-	}
-}
-
-// flushIfDueLocked flushes when the batch threshold is reached. The
-// caller holds a.mu for writing.
-func (a *Adaptive) flushIfDueLocked() {
-	if len(a.pending) >= maintenanceBatch {
-		a.flushMaintenanceLocked()
-	}
-}
-
-// syncMaintenance applies any deferred triggers before a
-// structure-dependent read, so batching stays invisible to callers:
-// a cloak issued after an update sees exactly the structure eager
-// maintenance would have produced.
-func (a *Adaptive) syncMaintenance() { a.syncMaintenanceTraced(nil) }
-
-// syncMaintenanceTraced is syncMaintenance with an "adaptive_flush"
-// span recorded into tr when a flush actually runs — the pending
-// count it carries is why this particular read paid for
-// restructuring work.
-func (a *Adaptive) syncMaintenanceTraced(tr *trace.Trace) {
-	pending := a.pendingCount.Load()
-	if pending == 0 {
-		return
-	}
-	sp := tr.StartSpan("adaptive_flush")
-	a.mu.Lock()
-	a.flushMaintenanceLocked()
-	a.mu.Unlock()
-	if tr != nil {
-		sp.End(trace.Int("pending", pending))
+		users: make(map[UserID]*aEntry),
 	}
 }
 
@@ -217,8 +109,7 @@ func (a *Adaptive) Register(uid UserID, p geom.Point, prof Profile) error {
 		n.count++
 		a.updates++
 	}
-	a.deferSplit(leaf)
-	a.flushIfDueLocked()
+	a.maybeSplit(leaf)
 	return nil
 }
 
@@ -237,8 +128,7 @@ func (a *Adaptive) Deregister(uid UserID) error {
 		n.count--
 		a.updates++
 	}
-	a.deferMerge(leaf.parent)
-	a.flushIfDueLocked()
+	a.maybeMerge(leaf.parent)
 	return nil
 }
 
@@ -256,8 +146,7 @@ func (a *Adaptive) Update(uid UserID, p geom.Point) error {
 		// Still inside the same maintained cell: no counter changes,
 		// but the user's child assignment may now justify a split.
 		e.pos = p
-		a.deferSplit(oldLeaf)
-		a.flushIfDueLocked()
+		a.maybeSplit(oldLeaf)
 		return nil
 	}
 	// Remove from the old leaf and walk up, decrementing, until the
@@ -279,9 +168,8 @@ func (a *Adaptive) Update(uid UserID, p geom.Point) error {
 	e.pos = p
 	e.leaf = n
 	n.users[uid] = e
-	a.deferMerge(oldLeaf.parent)
-	a.deferSplit(n)
-	a.flushIfDueLocked()
+	a.maybeMerge(oldLeaf.parent)
+	a.maybeSplit(n)
 	return nil
 }
 
@@ -298,23 +186,15 @@ func (a *Adaptive) SetProfile(uid UserID, prof Profile) error {
 		return fmt.Errorf("%w: %d", ErrUnknownUser, uid)
 	}
 	e.profile = prof
-	a.deferSplit(e.leaf)
-	a.deferMerge(e.leaf.parent)
-	a.flushIfDueLocked()
+	leaf := e.leaf
+	a.maybeMerge(leaf.parent)
+	a.maybeSplit(leaf)
 	return nil
 }
 
 // Cloak implements Anonymizer.
 func (a *Adaptive) Cloak(uid UserID) (CloakedRegion, error) {
-	return a.CloakTraced(uid, nil)
-}
-
-// CloakTraced implements TracedCloaker: Cloak, with an
-// "adaptive_flush" span recorded into tr when this read had to flush
-// deferred split/merge maintenance first.
-func (a *Adaptive) CloakTraced(uid UserID, tr *trace.Trace) (CloakedRegion, error) {
 	start := time.Now()
-	a.syncMaintenanceTraced(tr)
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	e, ok := a.users[uid]
@@ -329,7 +209,6 @@ func (a *Adaptive) CloakTraced(uid UserID, tr *trace.Trace) (CloakedRegion, erro
 // CloakAt implements Anonymizer.
 func (a *Adaptive) CloakAt(p geom.Point, prof Profile) (CloakedRegion, error) {
 	start := time.Now()
-	a.syncMaintenance()
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	cr, err := a.cloakFromNode(a.locate(p), prof)
@@ -410,11 +289,9 @@ func (a *Adaptive) Users() int {
 // Grid implements Anonymizer.
 func (a *Adaptive) Grid() pyramid.Grid { return a.grid }
 
-// UpdateCost implements Anonymizer. Deferred maintenance is applied
-// first so the reported cost includes the restructuring work the
-// preceding mutations triggered.
+// UpdateCost implements Anonymizer. It includes the restructuring work
+// the mutations triggered.
 func (a *Adaptive) UpdateCost() int64 {
-	a.syncMaintenance()
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	return a.updates
@@ -430,7 +307,6 @@ func (a *Adaptive) ResetUpdateCost() {
 // MaintainedCells returns the number of maintained cells (nodes); an
 // efficiency diagnostic contrasted with the complete pyramid's 4^H.
 func (a *Adaptive) MaintainedCells() int {
-	a.syncMaintenance()
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	n := 0
@@ -453,30 +329,54 @@ func (a *Adaptive) satisfiedAt(prof Profile, level, cnt int) bool {
 	return a.grid.CellArea(level) >= prof.AMin && cnt >= prof.K
 }
 
-// maybeSplit splits leaf into four children when at least one of its
-// users would have her profile satisfied by the child cell that would
-// contain her (the paper's split criterion, made precise), then
-// recurses into the children. Splitting cost — redistributing the
-// users and creating the four child counters — is charged to the
-// update accounting; the paper amortizes exactly this cost.
+// splitCounts returns how many of leaf's users fall in each of its
+// four child cells, and whether at least one of them would have her
+// profile satisfied by the child cell that would contain her (the
+// paper's split criterion, made precise).
+func (a *Adaptive) splitCounts(leaf *aNode) (counts [4]int, split bool) {
+	for _, e := range leaf.users {
+		counts[childIndex(leaf.cell, a.grid.LeafAt(e.pos))]++
+	}
+	childLevel := leaf.cell.Level + 1
+	for _, e := range leaf.users {
+		if a.satisfiedAt(e.profile, childLevel, counts[childIndex(leaf.cell, a.grid.LeafAt(e.pos))]) {
+			return counts, true
+		}
+	}
+	return counts, false
+}
+
+// mergeable reports whether parent's four children are all leaves and
+// no user in them is satisfied at the child level (the paper's merge
+// criterion).
+func (a *Adaptive) mergeable(parent *aNode) bool {
+	for _, c := range parent.children {
+		if c.children != nil {
+			return false // an occupied subtree below; nothing to merge here
+		}
+	}
+	childLevel := parent.cell.Level + 1
+	for _, c := range parent.children {
+		for _, e := range c.users {
+			if a.satisfiedAt(e.profile, childLevel, c.count) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// maybeSplit splits leaf into four children when it meets the split
+// criterion (splitCounts), then recurses into the children. Splitting
+// cost — redistributing the users and creating the four child
+// counters — is charged to the update accounting; the paper amortizes
+// exactly this cost.
 func (a *Adaptive) maybeSplit(leaf *aNode) {
 	if leaf.children != nil || leaf.cell.Level >= a.grid.LowestLevel() || len(leaf.users) == 0 {
 		return
 	}
-	childLevel := leaf.cell.Level + 1
-	var counts [4]int
-	for _, e := range leaf.users {
-		counts[childIndex(leaf.cell, a.grid.LeafAt(e.pos))]++
-	}
-	worthIt := false
-	for _, e := range leaf.users {
-		ci := childIndex(leaf.cell, a.grid.LeafAt(e.pos))
-		if a.satisfiedAt(e.profile, childLevel, counts[ci]) {
-			worthIt = true
-			break
-		}
-	}
-	if !worthIt {
+	counts, split := a.splitCounts(leaf)
+	if !split {
 		return
 	}
 	cells := leaf.cell.Children()
@@ -502,24 +402,10 @@ func (a *Adaptive) maybeSplit(leaf *aNode) {
 	}
 }
 
-// maybeMerge merges parent's four children back into it when all four
-// are leaves and no user in them is satisfied at the child level (the
-// paper's merge criterion), then recurses upward.
+// maybeMerge merges parent's four children back into it when they
+// meet the merge criterion (mergeable), then recurses upward.
 func (a *Adaptive) maybeMerge(parent *aNode) {
-	for parent != nil && parent.children != nil {
-		for _, c := range parent.children {
-			if c.children != nil {
-				return // an occupied subtree below; nothing to merge here
-			}
-		}
-		childLevel := parent.cell.Level + 1
-		for _, c := range parent.children {
-			for _, e := range c.users {
-				if a.satisfiedAt(e.profile, childLevel, c.count) {
-					return
-				}
-			}
-		}
+	for parent != nil && parent.children != nil && a.mergeable(parent) {
 		merged := make(map[UserID]*aEntry)
 		moved := 0
 		for _, c := range parent.children {
@@ -529,7 +415,8 @@ func (a *Adaptive) maybeMerge(parent *aNode) {
 				moved++
 			}
 			// Detach the orphaned child so stale references to it are
-			// inert (e.g. a pending split check on a just-merged leaf).
+			// inert (e.g. the split check that follows a merge in the
+			// same mutation).
 			c.users = nil
 			c.parent = nil
 		}
@@ -542,9 +429,10 @@ func (a *Adaptive) maybeMerge(parent *aNode) {
 
 // CheckConsistency verifies structural invariants (tests only):
 // counts aggregate correctly, users sit in leaves whose cells contain
-// them, and the user index agrees with the tree.
+// them, the user index agrees with the tree, and the tree is the
+// split/merge fixed point (no leaf meets the split criterion, no node
+// meets the merge criterion).
 func (a *Adaptive) CheckConsistency() error {
-	a.syncMaintenance()
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	seen := map[UserID]bool{}
@@ -565,6 +453,11 @@ func (a *Adaptive) CheckConsistency() error {
 			}
 			if n.count != len(n.users) {
 				return 0, fmt.Errorf("leaf %v count %d != users %d", n.cell, n.count, len(n.users))
+			}
+			if n.cell.Level < a.grid.LowestLevel() {
+				if _, split := a.splitCounts(n); split {
+					return 0, fmt.Errorf("leaf %v meets the split criterion", n.cell)
+				}
 			}
 			return n.count, nil
 		}
@@ -587,6 +480,9 @@ func (a *Adaptive) CheckConsistency() error {
 		}
 		if sum != n.count {
 			return 0, fmt.Errorf("node %v count %d != children sum %d", n.cell, n.count, sum)
+		}
+		if a.mergeable(n) {
+			return 0, fmt.Errorf("node %v meets the merge criterion", n.cell)
 		}
 		return sum, nil
 	}

@@ -35,7 +35,6 @@ import (
 
 	"casper/internal/geom"
 	"casper/internal/pyramid"
-	"casper/internal/trace"
 )
 
 // UserID identifies a registered mobile user at the anonymizer. The
@@ -197,15 +196,6 @@ type Anonymizer interface {
 	// stops the walk. The snapshot is best-effort under concurrent
 	// mutation.
 	ForEachUser(fn func(UserID, geom.Point, Profile) bool)
-}
-
-// TracedCloaker is the optional tracing extension of Anonymizer:
-// CloakTraced behaves exactly like Cloak but records spans for the
-// interesting internal phases (deferred-maintenance flushes in the
-// adaptive anonymizer) into tr. Callers type-assert; tr may be nil, in
-// which case CloakTraced is identical to Cloak.
-type TracedCloaker interface {
-	CloakTraced(uid UserID, tr *trace.Trace) (CloakedRegion, error)
 }
 
 // CloakOpts controls Algorithm 1 ablations used by the experiment

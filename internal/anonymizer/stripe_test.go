@@ -69,7 +69,9 @@ func TestBasicStripedMatchesCloakAt(t *testing.T) {
 // Anonymizer: updaters crossing quadrant seams, strict-profile cloaks
 // that climb to the top pyramid levels, register/deregister churn,
 // and profile changes. Run under -race this is the main guard for the
-// backends' locking and the adaptive backend's deferred maintenance.
+// backends' locking; for the adaptive backend, check (CheckConsistency)
+// also verifies that eager maintenance left the split/merge fixed
+// point.
 func stressAnonymizer(t *testing.T, an Anonymizer, check func() error) {
 	t.Helper()
 	const (
@@ -217,22 +219,29 @@ func TestClusterStress(t *testing.T) {
 	})
 }
 
-// TestAdaptiveDeferredMaintenanceFlushes verifies that deferral stays
-// invisible: after a burst of mutations smaller than the flush
-// threshold, a structure read (MaintainedCells) observes the split
-// structure, and UpdateCost includes the restructuring work.
-func TestAdaptiveDeferredMaintenanceFlushes(t *testing.T) {
-	a := NewAdaptive(stripeTestUniverse, 7)
-	// Register a tight cluster of relaxed users: the split criterion
-	// holds at deeper levels, so maintenance must subdivide.
+// registerCluster registers a tight cluster of 20 relaxed (K=1)
+// users: the split criterion holds at deeper levels, so maintenance
+// must subdivide.
+func registerCluster(t *testing.T, a *Adaptive) {
+	t.Helper()
 	for i := 0; i < 20; i++ {
 		p := geom.Pt(100+float64(i), 100+float64(i))
 		if err := a.Register(UserID(i), p, Profile{K: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestAdaptiveDeferredMaintenanceFlushes verifies that maintenance is
+// done by the time a mutation returns: after a burst of registrations
+// a structure read (MaintainedCells) observes the split structure,
+// UpdateCost includes the restructuring work, and deregistering
+// everyone merges back to the bare root.
+func TestAdaptiveDeferredMaintenanceFlushes(t *testing.T) {
+	a := NewAdaptive(stripeTestUniverse, 7)
+	registerCluster(t, a)
 	if cells := a.MaintainedCells(); cells <= 1 {
-		t.Fatalf("MaintainedCells = %d after clustered registrations; deferred splits not applied", cells)
+		t.Fatalf("MaintainedCells = %d after clustered registrations; splits not applied", cells)
 	}
 	cost := a.UpdateCost()
 	if cost <= 20 { // bare counter increments alone, without split work
@@ -249,5 +258,17 @@ func TestAdaptiveDeferredMaintenanceFlushes(t *testing.T) {
 	}
 	if cells := a.MaintainedCells(); cells != 1 {
 		t.Fatalf("MaintainedCells = %d after full deregistration, want 1", cells)
+	}
+}
+
+// TestAdaptiveResetUpdateCostLeavesNoBacklog pins that the split work
+// registrations trigger is billed before they return: once the
+// accounting is reset, nothing is left over for the next phase to pay.
+func TestAdaptiveResetUpdateCostLeavesNoBacklog(t *testing.T) {
+	a := NewAdaptive(stripeTestUniverse, 7)
+	registerCluster(t, a)
+	a.ResetUpdateCost()
+	if cost := a.UpdateCost(); cost != 0 {
+		t.Fatalf("UpdateCost = %d right after ResetUpdateCost, want 0", cost)
 	}
 }

@@ -218,12 +218,12 @@ func (b Breakdown) Total() time.Duration { return b.Cloak + b.Query + b.Transmit
 // serial order; the cloak stored at the server is always one that was
 // valid at some instant.
 //
-// The framework's own state is no single lock: the pseudonym table is
-// sharded by uid hash (pyramid.UserTable), the pseudonym RNG sits
-// behind its own small mutex touched only at registration, and the
-// continuous-monitor pointer and watch lists sit behind monMu. The
-// update hot path (UpdateUser, UpdateUsers) therefore contends on
-// none of the framework locks beyond one pseudonym-shard read.
+// The framework's own state is no single lock: the pseudonym table
+// (pyramid.UserTable) has its own read-mostly lock, the pseudonym RNG
+// sits behind its own small mutex touched only at registration, and
+// the continuous-monitor pointer and watch lists sit behind monMu. The
+// update hot path (UpdateUser, UpdateUsers) therefore takes none of
+// the framework locks beyond one pseudonym-table read.
 type Casper struct {
 	// backend is the live privacy backend plus its registry name,
 	// swapped atomically by ReloadBackend so queries racing a hot
@@ -232,8 +232,8 @@ type Casper struct {
 	srv     *server.Server
 	cfg     Config
 
-	// pseudo maps uid -> server pseudonym, sharded so concurrent
-	// updates for different users never serialize on the lookup.
+	// pseudo maps uid -> server pseudonym; updates only read it, so
+	// concurrent updates share its read lock.
 	pseudo *pyramid.UserTable[int64]
 
 	// rngMu guards pseudonym generation only.
@@ -830,30 +830,19 @@ func (c *Casper) pushCloak(uid anonymizer.UserID, tr *trace.Trace) error {
 // plugs in: the ε-budget ceiling is enforced before the cloak, and
 // every successful release is fed to privacyobs.Default. When tr is
 // non-nil the cloak runs inside a "cloak" span annotated with the
-// release's privacy characteristics; anonymizers that support it also
-// record their own sub-spans (adaptive_flush).
+// release's privacy characteristics.
 func (c *Casper) cloakUID(uid anonymizer.UserID, tr *trace.Trace) (anonymizer.CloakedRegion, error) {
 	if privacyobs.Default.BudgetExhausted(int64(uid)) {
 		return anonymizer.CloakedRegion{}, fmt.Errorf("%w: user %d", ErrBudgetExhausted, uid)
 	}
 	b := c.backend.Load()
-	if tr == nil {
-		cr, err := b.anon.Cloak(uid)
-		if err == nil {
-			privacyobs.Default.ObserveCloak(b.name, int64(uid), cr)
-		}
-		return cr, err
-	}
 	sp := tr.StartSpan("cloak")
-	var cr anonymizer.CloakedRegion
-	var err error
-	if tc, ok := b.anon.(anonymizer.TracedCloaker); ok {
-		cr, err = tc.CloakTraced(uid, tr)
-	} else {
-		cr, err = b.anon.Cloak(uid)
-	}
+	cr, err := b.anon.Cloak(uid)
 	if err == nil {
 		privacyobs.Default.ObserveCloak(b.name, int64(uid), cr)
+	}
+	if tr == nil {
+		return cr, err
 	}
 	sp.End(trace.Str("backend", b.name),
 		trace.Str("mechanism", cr.Mechanism.String()),

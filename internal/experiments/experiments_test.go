@@ -135,6 +135,12 @@ func TestFig10Shapes(t *testing.T) {
 	if ad9, basic9 := cell(t, b, last, 2), cell(t, b, last, 1); ad9 >= basic9 {
 		t.Fatalf("F10b at H=9: adaptive %v not cheaper than basic %v", ad9, basic9)
 	}
+	// At H=4 the incomplete pyramid is complete (every cell holds a
+	// user satisfied one level down), so it costs what basic does: no
+	// build-time split work may leak into the movement phase.
+	if ad4, basic4 := b.Rows[0][2], b.Rows[0][1]; ad4 != basic4 {
+		t.Fatalf("F10b at H=4: adaptive %s != basic %s", ad4, basic4)
+	}
 
 	c := Fig10c(w)
 	// Accuracy k'/k approaches 1 from above as the pyramid deepens,

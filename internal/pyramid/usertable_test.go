@@ -64,7 +64,7 @@ func TestUserTableRange(t *testing.T) {
 	}
 }
 
-// TestUserTableConcurrent exercises the shard locks under -race:
+// TestUserTableConcurrent exercises the table lock under -race:
 // disjoint key ranges per goroutine plus a shared contended range.
 func TestUserTableConcurrent(t *testing.T) {
 	tb := NewUserTable[int64]()

@@ -35,9 +35,9 @@ import (
 )
 
 // maxSpans bounds the spans recorded per trace. The full pipeline
-// taxonomy (decode, cloak, adaptive_flush, query, cache_lookup,
-// singleflight_wait, query_filter, query_range, wal_append, store,
-// transmit, encode) is well under this.
+// taxonomy (decode, cloak, query, cache_lookup, singleflight_wait,
+// query_filter, query_range, wal_append, store, transmit, encode) is
+// well under this.
 const maxSpans = 16
 
 // maxAttrs bounds the attributes per span; extras are dropped. The
