@@ -199,6 +199,7 @@ fuzz:
 # race detector: the anonymizer backends' stress, the identity table's
 # concurrent churn, the core batch workload, the server/WAL
 # interleavings, the casperd scrape-under-traffic trace-ring stress,
-# and the continuous-query monitor's single-lock stress.
+# the continuous-query monitor's single-lock stress, and the privacy
+# observatory's concurrent observers.
 race-stress:
-	$(GO) test -race -count=3 -run 'Stress|Concurrent|Batch' ./internal/anonymizer ./internal/pyramid ./internal/core ./internal/server ./internal/protocol ./internal/continuous ./cmd/casperd
+	$(GO) test -race -count=3 -run 'Stress|Concurrent|Batch' ./internal/anonymizer ./internal/pyramid ./internal/core ./internal/server ./internal/protocol ./internal/continuous ./internal/privacyobs ./cmd/casperd

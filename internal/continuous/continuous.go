@@ -85,11 +85,14 @@ type Config struct {
 	// Notify receives every change event. With Buffer == 0 it runs
 	// inline under the monitor lock and must not call back into the
 	// Monitor; with Buffer > 0 it runs on a dedicated delivery
-	// goroutine (see NewAsync).
+	// goroutine until Close.
 	Notify func(Event)
 
 	// Buffer > 0 queues events for asynchronous delivery, blocking
 	// emitters only when the subscriber falls that many events behind.
+	// Notify must not call back into the Monitor here either: a
+	// re-entrant callback that blocks can deadlock emitters once the
+	// buffer fills. Events emitted after Close are dropped.
 	Buffer int
 
 	// SafeRegionFrac tunes moving-asker safe regions:
@@ -225,23 +228,9 @@ func New(notify func(Event)) *Monitor {
 	return NewMonitor(Config{Notify: notify})
 }
 
-// NewAsync builds a monitor whose notifications are delivered off the
-// update hot path: events are queued (up to buffer entries, minimum 1)
-// and notify runs on a dedicated goroutine, so data updates only block
-// when the subscriber falls buffer events behind. As with New, notify
-// must not call back into the Monitor (a re-entrant callback that
-// blocks can deadlock emitters once the buffer fills). Call Close to
-// stop the delivery goroutine; events emitted after Close are dropped.
-func NewAsync(notify func(Event), buffer int) *Monitor {
-	if buffer < 1 {
-		buffer = 1
-	}
-	return NewMonitor(Config{Notify: notify, Buffer: buffer})
-}
-
 // Close stops the asynchronous delivery goroutine after it drains the
-// queued events, then returns. It is a no-op for monitors built with
-// New, and idempotent.
+// queued events, then returns. It is a no-op for monitors without a
+// Buffer, and idempotent.
 func (m *Monitor) Close() {
 	m.emitMu.Lock()
 	ch := m.events

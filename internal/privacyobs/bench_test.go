@@ -1,6 +1,7 @@
 package privacyobs
 
 import (
+	"fmt"
 	"testing"
 
 	"casper/internal/anonymizer"
@@ -39,20 +40,25 @@ func BenchmarkObserveCloak(b *testing.B) {
 }
 
 // BenchmarkSnapshot is the scrape-path cost (metrics GaugeFuncs and
-// /debug/privacy), with a populated observer.
+// /debug/privacy), with a populated observer: 1,000 tracked users, and
+// 20,000 — the benchmark workloads' population.
 func BenchmarkSnapshot(b *testing.B) {
-	o := New()
-	for i := 0; i < 5000; i++ {
-		o.ObserveCloak("bench-snap", int64(i%1000), anonymizer.CloakedRegion{
-			Region:     geom.R(float64(i%30), 0, float64(i%30)+10, 10),
-			KFound:     5 + i%10,
-			KRequested: 5,
-			Mechanism:  anonymizer.MechRegion,
+	for _, users := range []int{1000, 20000} {
+		b.Run(fmt.Sprintf("users=%d", users), func(b *testing.B) {
+			o := New()
+			for i := 0; i < 5*users; i++ {
+				o.ObserveCloak("bench-snap", int64(i%users), anonymizer.CloakedRegion{
+					Region:     geom.R(float64(i%30), 0, float64(i%30)+10, 10),
+					KFound:     5 + i%10,
+					KRequested: 5,
+					Mechanism:  anonymizer.MechRegion,
+				})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				o.Snapshot()
+			}
 		})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o.Snapshot()
 	}
 }

@@ -1,17 +1,12 @@
 package privacyobs
 
-import (
-	"math"
-
-	"casper/internal/metrics"
-)
+import "casper/internal/metrics"
 
 // The casper_privacy_* families. Distribution instruments are split by
 // backend (the four built-ins resolve eagerly below; a custom backend
 // resolves once on its first release). The aggregate gauges read the
-// Default observer at scrape time — including casper_privacy_slo_ok,
-// whose callback runs the SLO evaluation, so every /metrics scrape is
-// also an SLO check.
+// Default observer's Snapshot at scrape time, which also evaluates the
+// SLO, so every /metrics scrape is an SLO check.
 var (
 	privReleases = metrics.Default.CounterVec(
 		"casper_privacy_releases_total", "backend",
@@ -60,43 +55,43 @@ var _ = []*privacyInstruments{
 	instrumentsFor("cluster"), instrumentsFor("geoind"),
 }
 
+// privacyGauge registers one casper_privacy_* gauge over a field of
+// the Default observer's Snapshot.
+func privacyGauge(family, help string, field func(Snapshot) float64) {
+	metrics.Default.GaugeFunc(family, "", help, func() float64 { return field(Default.Snapshot()) })
+}
+
 func init() {
-	metrics.Default.GaugeFunc("casper_privacy_slo_ok", "",
+	privacyGauge("casper_privacy_slo_ok",
 		"1 when the configured privacy SLO holds (k-satisfied fraction and linkage within thresholds), else 0. Evaluated at scrape time.",
-		func() float64 {
-			if Default.evalSLO() {
+		func(s Snapshot) float64 {
+			if s.SLO.OK {
 				return 1
 			}
 			return 0
 		})
-	metrics.Default.GaugeFunc("casper_privacy_k_satisfied_fraction", "",
+	privacyGauge("casper_privacy_k_satisfied_fraction",
 		"Fraction of region-mechanism releases that met the requested k (1 when none released yet).",
-		func() float64 { return Default.kSatisfiedFraction() })
-	metrics.Default.GaugeFunc("casper_privacy_linkage", "",
+		func(s Snapshot) float64 { return s.KSatisfiedFraction })
+	privacyGauge("casper_privacy_linkage",
 		"Online overlap-attack surviving fraction, averaged over tracked users with repeat releases (live analogue of the offline RunOverlapAttack number).",
-		func() float64 { f, _, _, _ := Default.linkageEstimate(); return f })
-	metrics.Default.GaugeFunc("casper_privacy_linkage_tracked_users", "",
+		func(s Snapshot) float64 { return s.Linkage.Estimate })
+	privacyGauge("casper_privacy_linkage_tracked_users",
 		"Users currently tracked by the online linkage estimator.",
-		func() float64 { _, n, _, _ := Default.linkageEstimate(); return float64(n) })
-	metrics.Default.GaugeFunc("casper_privacy_entropy_mean_bits", "",
+		func(s Snapshot) float64 { return float64(s.Linkage.TrackedUsers) })
+	privacyGauge("casper_privacy_entropy_mean_bits",
 		"Mean anonymity-set entropy (log2 KFound) over the recent-release window.",
-		func() float64 { m, _, _ := Default.entropyWindow(); return m })
-	metrics.Default.GaugeFunc("casper_privacy_entropy_min_bits", "",
+		func(s Snapshot) float64 { return s.Entropy.MeanBits })
+	privacyGauge("casper_privacy_entropy_min_bits",
 		"Minimum anonymity-set entropy over the recent-release window.",
-		func() float64 {
-			_, mn, n := Default.entropyWindow()
-			if n == 0 {
-				return 0
-			}
-			return mn
-		})
-	metrics.Default.GaugeFunc("casper_privacy_epsilon_spent_total", "",
+		func(s Snapshot) float64 { return s.Entropy.MinBits })
+	privacyGauge("casper_privacy_epsilon_spent_total",
 		"Cumulative epsilon spent across all users by perturbed-mechanism releases.",
-		func() float64 { return math.Float64frombits(Default.budgetSpendSum.Load()) })
-	metrics.Default.GaugeFunc("casper_privacy_epsilon_max_user", "",
+		func(s Snapshot) float64 { return s.Epsilon.SpentTotal })
+	privacyGauge("casper_privacy_epsilon_max_user",
 		"Largest cumulative epsilon spend of any single user.",
-		func() float64 { return math.Float64frombits(Default.budgetSpendMax.Load()) })
-	metrics.Default.GaugeFunc("casper_privacy_epsilon_budget", "",
+		func(s Snapshot) float64 { return s.Epsilon.MaxUser })
+	privacyGauge("casper_privacy_epsilon_budget",
 		"Configured per-user epsilon budget ceiling (0 = unlimited).",
-		func() float64 { return Default.EpsilonBudget() })
+		func(s Snapshot) float64 { return s.Epsilon.Budget })
 }

@@ -27,29 +27,30 @@
 //
 // Like internal/metrics and internal/trace, the package is
 // zero-dependency and built for the hot path: observing one release is
-// a few atomic adds, one lock-free ring store, and one sharded-mutex
-// map update — no allocation for a user the observer has seen before.
-// State lives in the process-global Default observer (the cloak path
-// feeds it unconditionally); New exists for tests.
+// one short critical section under the observer's mutex — a few field
+// updates, one ring store and one map update, with no allocation for a
+// user the observer has seen before. Every aggregate is a running
+// total, so a Snapshot (the one reader) holds the lock for O(backends +
+// ringSize), never for a walk over the tracked users. State lives in the
+// process-global Default observer (the cloak path feeds it
+// unconditionally); New exists for tests.
 package privacyobs
 
 import (
 	"log/slog"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"casper/internal/anonymizer"
 	"casper/internal/geom"
 )
 
 // Default is the process-global observer the framework's cloak path
-// feeds. The casper_privacy_slo_ok gauge and /debug/privacy read it.
+// feeds. The casper_privacy_* gauges and /debug/privacy read it.
 var Default = New()
 
 // ringSize bounds the entropy window: the estimate covers the last
-// ringSize k-anonymous releases. A power of two keeps the index math
-// a mask.
+// ringSize k-anonymous releases.
 const ringSize = 1024
 
 // linkWindow re-anchors a user's linkage estimate after this many
@@ -58,15 +59,11 @@ const ringSize = 1024
 // history).
 const linkWindow = 64
 
-// linkShards and budgetShards spread per-user state across
-// independently locked maps so concurrent cloak paths rarely contend.
-const stateShards = 16
-
-// maxTrackedPerShard bounds linkage-estimator memory: beyond
-// stateShards*maxTrackedPerShard distinct users, new users are counted
-// but not tracked (the estimator becomes a fixed-size sample of the
-// population, which is what an aggregate needs anyway).
-const maxTrackedPerShard = 4096
+// maxTracked bounds linkage-estimator memory: beyond this many
+// distinct users, new users are counted but not tracked (the estimator
+// becomes a fixed-size sample of the population, which is what an
+// aggregate needs anyway).
+const maxTracked = 65536
 
 // linkEntry is one user's online overlap-attack state: the running
 // intersection cur of the releases since the last reset or re-anchor,
@@ -74,69 +71,62 @@ const maxTrackedPerShard = 4096
 // privacy.RunOverlapAttack's loop, applied incrementally.
 type linkEntry struct {
 	cur, base geom.Rect
-	obs       int   // releases since the last re-anchor
-	resets    int64 // empty-intersection resets (lifetime)
+	obs       int // releases since the last re-anchor
 }
 
-type linkShard struct {
-	mu    sync.Mutex
-	users map[int64]*linkEntry
-}
-
-type budgetShard struct {
-	mu    sync.Mutex
-	spent map[int64]float64
+// survival is the user's contribution to the linkage estimate: the
+// fraction of the window's base region the attacker still retains, and
+// false while the window holds a single release (nothing to link).
+func (e *linkEntry) survival() (float64, bool) {
+	if e.obs == 0 {
+		return 0, false
+	}
+	a := e.base.Area()
+	if a <= 0 {
+		return 0, false
+	}
+	return e.cur.Area() / a, true
 }
 
 // backendStats is one backend's release accounting. The distribution
-// histograms live in the shared metrics registry (see metrics.go);
-// the atomics here back Snapshot and the SLO evaluation.
+// histograms live in the shared metrics registry (see metrics.go); the
+// running totals here back Snapshot and the SLO evaluation.
 type backendStats struct {
 	inst       *privacyInstruments
-	releases   atomic.Int64  // all releases
-	regionRel  atomic.Int64  // region-mechanism releases (k applies)
-	violations atomic.Int64  // region releases with KFound < KRequested
-	kSum       atomic.Int64  // sum of KFound over region releases
-	areaSum    atomic.Uint64 // float64 bits accumulated via CAS
-}
-
-func (bs *backendStats) addArea(a float64) {
-	for {
-		old := bs.areaSum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + a)
-		if bs.areaSum.CompareAndSwap(old, next) {
-			return
-		}
-	}
+	releases   int64   // all releases
+	regionRel  int64   // region-mechanism releases (k applies)
+	violations int64   // region releases with KFound < KRequested
+	kSum       int64   // sum of KFound over region releases
+	areaSum    float64 // sum of released areas
 }
 
 // Observer accumulates live privacy telemetry. The zero value is not
-// usable; call New.
+// usable; call New. One mutex guards every field.
 type Observer struct {
-	mu       sync.RWMutex
+	mu       sync.Mutex
 	backends map[string]*backendStats
 
-	// Entropy ring: slot values are Float64bits(log2(KFound)) with the
-	// sign bit set as a written marker (bits are never negative), so an
-	// unwritten slot reads as exactly 0 and a written slot is a single
-	// atomic word — scanners can never see a torn value.
-	ringPos atomic.Uint64
-	ring    [ringSize]atomic.Uint64
+	// Entropy ring: log2(KFound) of the last ringSize region releases;
+	// ringPos counts every region release ever written.
+	ring    [ringSize]float64
+	ringPos uint64
 
-	linkage   [stateShards]linkShard
-	untracked atomic.Int64 // users the linkage estimator had no room for
+	linkage    map[int64]*linkEntry
+	linkSum    float64 // sum of survival over entries with evidence
+	linkN      int     // entries with evidence
+	linkResets int64   // empty-intersection resets (lifetime)
+	untracked  int64   // users the linkage estimator had no room for
 
-	budget         [stateShards]budgetShard
-	budgetCeiling  atomic.Uint64 // Float64bits; 0 = no ceiling
-	budgetRefusals atomic.Int64
-	budgetSpendSum atomic.Uint64 // Float64bits, CAS-accumulated
-	budgetSpendMax atomic.Uint64 // Float64bits
-	budgetUsers    atomic.Int64
+	spent          map[int64]float64 // per-user cumulative ε
+	budgetCeiling  float64           // 0 = no ceiling
+	budgetRefusals int64
+	budgetSpendSum float64
+	budgetSpendMax float64
 
-	// SLO thresholds, Float64bits; 0 = that dimension disabled.
-	sloMinKFrac   atomic.Uint64
-	sloMaxLinkage atomic.Uint64
-	sloState      atomic.Int32 // 0 unevaluated, 1 ok, 2 violated
+	// SLO thresholds; 0 = that dimension disabled.
+	sloMinKFrac   float64
+	sloMaxLinkage float64
+	sloState      int32 // 0 unevaluated, 1 ok, 2 violated
 }
 
 // New builds an empty observer. Production code uses Default; New is
@@ -144,35 +134,11 @@ type Observer struct {
 // instruments (the registry is process-global), so tests should assert
 // on Snapshot, not on /metrics families.
 func New() *Observer {
-	o := &Observer{backends: make(map[string]*backendStats)}
-	for i := range o.linkage {
-		o.linkage[i].users = make(map[int64]*linkEntry)
+	return &Observer{
+		backends: make(map[string]*backendStats),
+		linkage:  make(map[int64]*linkEntry),
+		spent:    make(map[int64]float64),
 	}
-	for i := range o.budget {
-		o.budget[i].spent = make(map[int64]float64)
-	}
-	return o
-}
-
-const ringMarker = uint64(1) << 63
-
-// backend returns (creating on first use) the stats for a backend
-// name. The read path is a shared-lock map hit; creation happens once
-// per backend per process lifetime.
-func (o *Observer) backend(name string) *backendStats {
-	o.mu.RLock()
-	bs := o.backends[name]
-	o.mu.RUnlock()
-	if bs != nil {
-		return bs
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if bs = o.backends[name]; bs == nil {
-		bs = &backendStats{inst: instrumentsFor(name)}
-		o.backends[name] = bs
-	}
-	return bs
 }
 
 // ObserveCloak records one released cloak. uid keys the linkage and
@@ -180,56 +146,72 @@ func (o *Observer) backend(name string) *backendStats {
 // observer lives on the same side of the trust boundary as the
 // anonymizer itself). The existing-user path performs no allocation.
 func (o *Observer) ObserveCloak(backendName string, uid int64, cr anonymizer.CloakedRegion) {
-	bs := o.backend(backendName)
-	bs.releases.Add(1)
-	bs.inst.releases.Inc()
-
 	area := cr.Region.Area()
-	bs.addArea(area)
-	bs.inst.area.Observe(area)
-
-	if cr.Mechanism == anonymizer.MechRegion {
-		bs.regionRel.Add(1)
-		bs.kSum.Add(int64(cr.KFound))
-		bs.inst.kFound.Observe(float64(cr.KFound))
-		if cr.KRequested > 0 && cr.KFound < cr.KRequested {
-			bs.violations.Add(1)
-			bs.inst.kViolations.Inc()
-		}
-		// Entropy window: the anonymity set of a k-anonymous release
-		// is its population, worth log2(KFound) bits (0 when the user
-		// is alone — the degenerate case AnalyzeEntropy flags).
-		bits := 0.0
-		if cr.KFound > 1 {
-			bits = math.Log2(float64(cr.KFound))
-		}
-		pos := o.ringPos.Add(1) - 1
-		o.ring[pos&(ringSize-1)].Store(math.Float64bits(bits) | ringMarker)
+	region := cr.Mechanism == anonymizer.MechRegion
+	violation := region && cr.KRequested > 0 && cr.KFound < cr.KRequested
+	// Entropy window: the anonymity set of a k-anonymous release is its
+	// population, worth log2(KFound) bits (0 when the user is alone —
+	// the degenerate case AnalyzeEntropy flags).
+	bits := 0.0
+	if cr.KFound > 1 {
+		bits = math.Log2(float64(cr.KFound))
 	}
 
-	o.observeLinkage(uid, cr.Region)
-
+	o.mu.Lock()
+	bs := o.backends[backendName]
+	if bs == nil {
+		bs = &backendStats{inst: instrumentsFor(backendName)}
+		o.backends[backendName] = bs
+	}
+	bs.releases++
+	bs.areaSum += area
+	if region {
+		bs.regionRel++
+		bs.kSum += int64(cr.KFound)
+		if violation {
+			bs.violations++
+		}
+		o.ring[o.ringPos%ringSize] = bits
+		o.ringPos++
+	}
+	reset := o.observeLinkage(uid, cr.Region)
 	if cr.Epsilon > 0 {
 		o.spend(uid, cr.Epsilon)
+	}
+	inst := bs.inst
+	o.mu.Unlock()
+
+	inst.releases.Inc()
+	inst.area.Observe(area)
+	if region {
+		inst.kFound.Observe(float64(cr.KFound))
+		if violation {
+			inst.kViolations.Inc()
+		}
+	}
+	if reset {
+		linkResets.Inc()
 	}
 }
 
 // observeLinkage advances the user's online overlap attack with a new
 // released region, mirroring privacy.RunOverlapAttack incrementally:
-// intersect while the regions overlap, reset when they stop.
-func (o *Observer) observeLinkage(uid int64, region geom.Rect) {
-	sh := &o.linkage[uint64(uid)%stateShards]
-	sh.mu.Lock()
-	e := sh.users[uid]
+// intersect while the regions overlap, reset when they stop. It moves
+// the user's survival fraction in the running linkage sum and reports
+// whether the user's window reset. Caller holds o.mu.
+func (o *Observer) observeLinkage(uid int64, region geom.Rect) bool {
+	e := o.linkage[uid]
 	if e == nil {
-		if len(sh.users) >= maxTrackedPerShard {
-			sh.mu.Unlock()
-			o.untracked.Add(1)
-			return
+		if len(o.linkage) >= maxTracked {
+			o.untracked++
+		} else {
+			o.linkage[uid] = &linkEntry{cur: region, base: region}
 		}
-		sh.users[uid] = &linkEntry{cur: region, base: region}
-		sh.mu.Unlock()
-		return
+		return false
+	}
+	if f, ok := e.survival(); ok {
+		o.linkSum -= f
+		o.linkN--
 	}
 	reset := false
 	if in, ok := e.cur.Intersect(region); ok && in.Area() > 0 {
@@ -242,52 +224,30 @@ func (o *Observer) observeLinkage(uid int64, region geom.Rect) {
 			e.base, e.obs = region, 0
 		}
 	} else {
-		e.resets++
+		o.linkResets++
 		e.cur, e.base, e.obs = region, region, 0
 		reset = true
 	}
-	sh.mu.Unlock()
-	if reset {
-		linkResets.Inc()
+	if f, ok := e.survival(); ok {
+		o.linkSum += f
+		o.linkN++
 	}
+	return reset
 }
 
-// spend adds one release's ε to the user's account.
+// spend adds one release's ε to the user's account. Caller holds o.mu.
 func (o *Observer) spend(uid int64, eps float64) {
-	sh := &o.budget[uint64(uid)%stateShards]
-	sh.mu.Lock()
-	prev, seen := sh.spent[uid]
-	total := prev + eps
-	sh.spent[uid] = total
-	sh.mu.Unlock()
-	if !seen {
-		o.budgetUsers.Add(1)
-	}
-	for {
-		old := o.budgetSpendSum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + eps)
-		if o.budgetSpendSum.CompareAndSwap(old, next) {
-			break
-		}
-	}
-	for {
-		old := o.budgetSpendMax.Load()
-		if math.Float64frombits(old) >= total {
-			break
-		}
-		if o.budgetSpendMax.CompareAndSwap(old, math.Float64bits(total)) {
-			break
-		}
-	}
+	total := o.spent[uid] + eps
+	o.spent[uid] = total
+	o.budgetSpendSum += eps
+	o.budgetSpendMax = max(o.budgetSpendMax, total)
 }
 
 // Spent returns a user's cumulative ε spend.
 func (o *Observer) Spent(uid int64) float64 {
-	sh := &o.budget[uint64(uid)%stateShards]
-	sh.mu.Lock()
-	v := sh.spent[uid]
-	sh.mu.Unlock()
-	return v
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.spent[uid]
 }
 
 // SetEpsilonBudget installs (or, with 0, removes) the per-user ε
@@ -296,12 +256,16 @@ func (o *Observer) SetEpsilonBudget(budget float64) {
 	if !(budget > 0) || math.IsInf(budget, 0) {
 		budget = 0
 	}
-	o.budgetCeiling.Store(math.Float64bits(budget))
+	o.mu.Lock()
+	o.budgetCeiling = budget
+	o.mu.Unlock()
 }
 
 // EpsilonBudget returns the active ceiling (0 = none).
 func (o *Observer) EpsilonBudget() float64 {
-	return math.Float64frombits(o.budgetCeiling.Load())
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.budgetCeiling
 }
 
 // BudgetExhausted reports whether a ceiling is set and the user's
@@ -310,16 +274,16 @@ func (o *Observer) EpsilonBudget() float64 {
 // at most one ε_u; after that, every further cloak is refused. The
 // true branch also counts the refusal.
 func (o *Observer) BudgetExhausted(uid int64) bool {
-	ceil := math.Float64frombits(o.budgetCeiling.Load())
-	if ceil <= 0 {
-		return false
+	o.mu.Lock()
+	exhausted := o.budgetCeiling > 0 && o.spent[uid] >= o.budgetCeiling
+	if exhausted {
+		o.budgetRefusals++
 	}
-	if o.Spent(uid) < ceil {
-		return false
+	o.mu.Unlock()
+	if exhausted {
+		budgetExhausted.Inc()
 	}
-	o.budgetRefusals.Add(1)
-	budgetExhausted.Inc()
-	return true
+	return exhausted
 }
 
 // SetSLOThresholds installs the privacy-SLO thresholds: the minimum
@@ -333,110 +297,21 @@ func (o *Observer) SetSLOThresholds(minKFrac, maxLinkage float64) {
 	if !(maxLinkage > 0 && maxLinkage <= 1) {
 		maxLinkage = 0
 	}
-	o.sloMinKFrac.Store(math.Float64bits(minKFrac))
-	o.sloMaxLinkage.Store(math.Float64bits(maxLinkage))
+	o.mu.Lock()
+	o.sloMinKFrac, o.sloMaxLinkage = minKFrac, maxLinkage
+	o.mu.Unlock()
 }
 
-// kSatisfiedFraction is the fraction of region-mechanism releases
-// whose population met the requested k; 1 when nothing was released
-// yet (an idle server violates no SLO).
-func (o *Observer) kSatisfiedFraction() float64 {
-	var region, viol int64
-	o.mu.RLock()
-	for _, bs := range o.backends {
-		region += bs.regionRel.Load()
-		viol += bs.violations.Load()
+// logSLOTransition logs a change of the SLO verdict: a warning on
+// ok→violated, info on recovery. Snapshot calls it after unlocking.
+func logSLOTransition(s Snapshot) {
+	args := []any{
+		"k_satisfied_fraction", s.KSatisfiedFraction, "min_k_satisfied", s.SLO.MinKSatisfied,
+		"linkage", s.Linkage.Estimate, "max_linkage", s.SLO.MaxLinkage,
 	}
-	o.mu.RUnlock()
-	if region == 0 {
-		return 1
+	if s.SLO.OK {
+		slog.Info("privacy SLO recovered", args...)
+	} else {
+		slog.Warn("privacy SLO violated", args...)
 	}
-	return float64(region-viol) / float64(region)
-}
-
-// entropyWindow scans the ring and returns the mean and minimum bits
-// over the written slots, plus how many releases the window covers.
-func (o *Observer) entropyWindow() (mean, min float64, n int) {
-	min = math.Inf(1)
-	var sum float64
-	for i := range o.ring {
-		v := o.ring[i].Load()
-		if v&ringMarker == 0 {
-			continue
-		}
-		bits := math.Float64frombits(v &^ ringMarker)
-		sum += bits
-		if bits < min {
-			min = bits
-		}
-		n++
-	}
-	if n == 0 {
-		return 0, 0, 0
-	}
-	return sum / float64(n), min, n
-}
-
-// linkageEstimate aggregates the per-user overlap-attack survival into
-// one number: the mean surviving fraction over users with at least two
-// observations in their current window. 0 when no user has enough
-// history (no linkage evidence). Also returns the tracked-user count
-// and lifetime reset total.
-func (o *Observer) linkageEstimate() (frac float64, tracked int, noEvidence bool, resets int64) {
-	var sum float64
-	var n int
-	for i := range o.linkage {
-		sh := &o.linkage[i]
-		sh.mu.Lock()
-		tracked += len(sh.users)
-		for _, e := range sh.users {
-			resets += e.resets
-			if e.obs == 0 {
-				continue // single release in this window: nothing to link
-			}
-			if a := e.base.Area(); a > 0 {
-				sum += e.cur.Area() / a
-				n++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	if n > 0 {
-		frac = sum / float64(n)
-	}
-	return frac, tracked, n == 0, resets
-}
-
-// evalSLO evaluates the thresholds against the current estimates,
-// flips the casper_privacy_slo_ok gauge state, and logs transitions.
-// It runs on every /metrics scrape (via the gauge callback) and every
-// Snapshot, so alert latency is the scrape interval.
-func (o *Observer) evalSLO() bool {
-	minK := math.Float64frombits(o.sloMinKFrac.Load())
-	maxLink := math.Float64frombits(o.sloMaxLinkage.Load())
-	kFrac := o.kSatisfiedFraction()
-	link, _, noEvidence, _ := o.linkageEstimate()
-	ok := true
-	if minK > 0 && kFrac < minK {
-		ok = false
-	}
-	if maxLink > 0 && !noEvidence && link > maxLink {
-		ok = false
-	}
-	newState := int32(2)
-	if ok {
-		newState = 1
-	}
-	if old := o.sloState.Swap(newState); old != newState && old != 0 {
-		if ok {
-			slog.Info("privacy SLO recovered",
-				"k_satisfied_fraction", kFrac, "min_k_satisfied", minK,
-				"linkage", link, "max_linkage", maxLink)
-		} else {
-			slog.Warn("privacy SLO violated",
-				"k_satisfied_fraction", kFrac, "min_k_satisfied", minK,
-				"linkage", link, "max_linkage", maxLink)
-		}
-	}
-	return ok
 }

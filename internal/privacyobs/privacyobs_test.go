@@ -3,6 +3,7 @@ package privacyobs
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -61,7 +62,7 @@ func TestBackendAccounting(t *testing.T) {
 
 func TestKSatisfiedFractionIdle(t *testing.T) {
 	o := New()
-	if got := o.kSatisfiedFraction(); got != 1 {
+	if got := o.Snapshot().KSatisfiedFraction; got != 1 {
 		t.Errorf("idle k-satisfied fraction = %g, want 1", got)
 	}
 	// A perturbed release has no k guarantee and must not count.
@@ -70,7 +71,7 @@ func TestKSatisfiedFractionIdle(t *testing.T) {
 		Mechanism: anonymizer.MechPerturbed,
 		Epsilon:   0.1,
 	})
-	if got := o.kSatisfiedFraction(); got != 1 {
+	if got := o.Snapshot().KSatisfiedFraction; got != 1 {
 		t.Errorf("after perturbed release, k-satisfied fraction = %g, want 1", got)
 	}
 	if s := o.Snapshot(); s.Entropy.Window != 0 {
@@ -87,7 +88,8 @@ func TestEntropyWindow(t *testing.T) {
 	for i, k := range ks {
 		o.ObserveCloak("test-entropy", int64(i), regionRelease(geom.R(0, 0, 1, 1), k, 1))
 	}
-	mean, min, n := o.entropyWindow()
+	e := o.Snapshot().Entropy
+	mean, min, n := e.MeanBits, e.MinBits, e.Window
 	if n != len(ks) {
 		t.Fatalf("window n = %d, want %d", n, len(ks))
 	}
@@ -105,7 +107,8 @@ func TestEntropyWindowWraps(t *testing.T) {
 	for i := 0; i < ringSize+50; i++ {
 		o.ObserveCloak("test-wrap", int64(i), regionRelease(geom.R(0, 0, 1, 1), 4, 1))
 	}
-	mean, min, n := o.entropyWindow()
+	e := o.Snapshot().Entropy
+	mean, min, n := e.MeanBits, e.MinBits, e.Window
 	if n != ringSize {
 		t.Errorf("window n = %d, want the ring capacity %d", n, ringSize)
 	}
@@ -134,7 +137,8 @@ func TestLinkageMatchesOverlapAttack(t *testing.T) {
 	}
 	want := privacy.RunOverlapAttack(cloaks)
 
-	frac, tracked, noEvidence, resets := o.linkageEstimate()
+	l := o.Snapshot().Linkage
+	frac, tracked, noEvidence, resets := l.Estimate, l.TrackedUsers, !l.Evidence, l.Resets
 	if noEvidence {
 		t.Fatal("estimator reports no evidence after repeat releases")
 	}
@@ -155,7 +159,8 @@ func TestLinkageNoEvidence(t *testing.T) {
 	for uid := int64(0); uid < 10; uid++ {
 		o.ObserveCloak("test-noev", uid, regionRelease(geom.R(0, 0, 1, 1), 5, 5))
 	}
-	frac, tracked, noEvidence, _ := o.linkageEstimate()
+	l := o.Snapshot().Linkage
+	frac, tracked, noEvidence := l.Estimate, l.TrackedUsers, !l.Evidence
 	if !noEvidence || frac != 0 {
 		t.Errorf("single releases: frac=%g noEvidence=%v, want 0/true", frac, noEvidence)
 	}
@@ -171,14 +176,14 @@ func TestLinkageReanchors(t *testing.T) {
 	for i := 0; i < linkWindow+10; i++ {
 		o.ObserveCloak("test-anchor", 7, regionRelease(geom.R(0, 0, 10, 10), 5, 5))
 	}
-	sh := &o.linkage[uint64(7)%stateShards]
-	sh.mu.Lock()
-	obs := sh.users[7].obs
-	sh.mu.Unlock()
+	o.mu.Lock()
+	obs := o.linkage[7].obs
+	o.mu.Unlock()
 	if obs >= linkWindow {
 		t.Errorf("obs = %d, want < linkWindow (%d) after re-anchor", obs, linkWindow)
 	}
-	frac, _, noEvidence, resets := o.linkageEstimate()
+	l := o.Snapshot().Linkage
+	frac, noEvidence, resets := l.Estimate, !l.Evidence, l.Resets
 	if noEvidence || math.Abs(frac-1) > 1e-12 {
 		t.Errorf("identical releases: frac=%g noEvidence=%v, want 1/false", frac, noEvidence)
 	}
@@ -187,20 +192,62 @@ func TestLinkageReanchors(t *testing.T) {
 	}
 }
 
+// TestLinkageTrackingCap: the cap is global, so users whose uids share
+// a residue (here all ≡ 0 mod 16) are tracked up to maxTracked like
+// any others, and only the user past the cap goes untracked.
 func TestLinkageTrackingCap(t *testing.T) {
 	o := New()
-	// Overflow one shard: uids congruent mod stateShards all land in
-	// shard 0.
-	for i := 0; i <= maxTrackedPerShard; i++ {
-		uid := int64(i * stateShards)
-		o.ObserveCloak("test-cap", uid, regionRelease(geom.R(0, 0, 1, 1), 5, 5))
+	for i := 0; i <= maxTracked; i++ {
+		o.ObserveCloak("test-cap", int64(i*16), regionRelease(geom.R(0, 0, 1, 1), 5, 5))
 	}
 	s := o.Snapshot()
-	if s.Linkage.TrackedUsers != maxTrackedPerShard {
-		t.Errorf("tracked = %d, want the cap %d", s.Linkage.TrackedUsers, maxTrackedPerShard)
+	if s.Linkage.TrackedUsers != maxTracked {
+		t.Errorf("tracked = %d, want the cap %d", s.Linkage.TrackedUsers, maxTracked)
 	}
 	if s.Linkage.Untracked != 1 {
 		t.Errorf("untracked = %d, want 1", s.Linkage.Untracked)
+	}
+}
+
+// TestLinkageRunningSumMatchesWalk: the running linkage sum, moved on
+// every release, must agree with a fresh walk over the tracked users
+// through seeded random release sequences that overlap, reset and
+// re-anchor.
+func TestLinkageRunningSumMatchesWalk(t *testing.T) {
+	o := New()
+	rng := rand.New(rand.NewSource(5))
+	for i := 1; i <= 20000; i++ {
+		uid := int64(rng.Intn(200))
+		x, y := rng.Float64()*4, rng.Float64()*4
+		if rng.Intn(20) == 0 {
+			x += 100 // a jump: the next intersection is empty
+		}
+		o.ObserveCloak("test-walk", uid, regionRelease(geom.R(x, y, x+10, y+10), 5, 5))
+		if i%100 != 0 {
+			continue
+		}
+		o.mu.Lock()
+		var sum float64
+		var n int
+		for _, e := range o.linkage {
+			if f, ok := e.survival(); ok {
+				sum += f
+				n++
+			}
+		}
+		o.mu.Unlock()
+		want := 0.0
+		if n > 0 {
+			want = sum / float64(n)
+		}
+		l := o.Snapshot().Linkage
+		if math.Abs(l.Estimate-want) > 1e-9 || l.Evidence != (n > 0) {
+			t.Fatalf("after %d releases: estimate %g (evidence %v), walk gives %g over %d users",
+				i, l.Estimate, l.Evidence, want, n)
+		}
+	}
+	if s := o.Snapshot().Linkage; s.Resets == 0 {
+		t.Fatal("sequence never reset a window")
 	}
 }
 
@@ -273,24 +320,21 @@ func TestEpsilonBudget(t *testing.T) {
 func TestSLOTransitions(t *testing.T) {
 	o := New()
 	// Unconfigured thresholds: always ok.
-	if !o.evalSLO() {
+	if !o.Snapshot().SLO.OK {
 		t.Fatal("SLO violated with no thresholds configured")
 	}
 	o.SetSLOThresholds(0.9, 0.5)
 
 	// All releases satisfied: ok.
 	o.ObserveCloak("test-slo", 1, regionRelease(geom.R(0, 0, 10, 10), 5, 5))
-	if !o.evalSLO() {
+	if !o.Snapshot().SLO.OK {
 		t.Fatal("SLO violated with 100% k-satisfied")
 	}
 
 	// One violation in two releases drops the fraction to 0.5 < 0.9.
 	o.ObserveCloak("test-slo", 2, regionRelease(geom.R(0, 0, 10, 10), 2, 5))
-	if o.evalSLO() {
+	if o.Snapshot().SLO.OK {
 		t.Fatal("SLO ok with k-satisfied fraction 0.5 < threshold 0.9")
-	}
-	if s := o.Snapshot(); s.SLO.OK {
-		t.Error("snapshot SLO verdict disagrees with evalSLO")
 	}
 
 	// Linkage dimension: identical repeat releases give estimate 1 >
@@ -298,17 +342,17 @@ func TestSLOTransitions(t *testing.T) {
 	o2 := New()
 	o2.SetSLOThresholds(0, 0.5)
 	o2.ObserveCloak("test-slo2", 1, regionRelease(geom.R(0, 0, 10, 10), 5, 5))
-	if !o2.evalSLO() {
+	if !o2.Snapshot().SLO.OK {
 		t.Fatal("linkage SLO violated without repeat-release evidence")
 	}
 	o2.ObserveCloak("test-slo2", 1, regionRelease(geom.R(0, 0, 10, 10), 5, 5))
-	if o2.evalSLO() {
+	if o2.Snapshot().SLO.OK {
 		t.Fatal("linkage SLO ok with surviving fraction 1 > threshold 0.5")
 	}
 
 	// Out-of-range thresholds disable the dimension.
 	o2.SetSLOThresholds(1.5, -0.1)
-	if !o2.evalSLO() {
+	if !o2.Snapshot().SLO.OK {
 		t.Error("out-of-range thresholds were not rejected")
 	}
 }

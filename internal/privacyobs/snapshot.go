@@ -73,63 +73,96 @@ type Snapshot struct {
 	SLO                SLOSnapshot       `json:"slo"`
 }
 
-// Snapshot captures the observer's current state. Taking one also
-// evaluates the SLO (so /debug/privacy readers see transitions logged
-// even if nothing scrapes /metrics).
+// Snapshot captures the observer's current state; it is the
+// observer's only reader (the casper_privacy_* gauges, /debug/privacy
+// and the wire stats block all go through it). Every aggregate is a
+// running total, so the lock is held for O(backends + ringSize). Taking
+// a snapshot also evaluates the SLO and logs a verdict transition, so
+// /debug/privacy readers see transitions even if nothing scrapes
+// /metrics.
 func (o *Observer) Snapshot() Snapshot {
 	var s Snapshot
-	o.mu.RLock()
+	o.mu.Lock()
 	names := make([]string, 0, len(o.backends))
 	for name := range o.backends {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	var region, viol int64
 	for _, name := range names {
 		bs := o.backends[name]
 		b := BackendSnapshot{
 			Backend:        name,
-			Releases:       bs.releases.Load(),
-			RegionReleases: bs.regionRel.Load(),
-			KViolations:    bs.violations.Load(),
+			Releases:       bs.releases,
+			RegionReleases: bs.regionRel,
+			KViolations:    bs.violations,
 		}
 		if b.RegionReleases > 0 {
-			b.KMean = float64(bs.kSum.Load()) / float64(b.RegionReleases)
+			b.KMean = float64(bs.kSum) / float64(b.RegionReleases)
 			b.KP50 = bs.inst.kFound.Quantile(0.50)
 			b.KP99 = bs.inst.kFound.Quantile(0.99)
 		}
 		if b.Releases > 0 {
-			b.AreaMean = math.Float64frombits(bs.areaSum.Load()) / float64(b.Releases)
+			b.AreaMean = bs.areaSum / float64(b.Releases)
 			b.AreaP50 = bs.inst.area.Quantile(0.50)
 			b.AreaP99 = bs.inst.area.Quantile(0.99)
 		}
+		region += bs.regionRel
+		viol += bs.violations
 		s.Backends = append(s.Backends, b)
 	}
-	o.mu.RUnlock()
 
-	s.KSatisfiedFraction = o.kSatisfiedFraction()
-	s.Entropy.MeanBits, s.Entropy.MinBits, s.Entropy.Window = o.entropyWindow()
+	// The k-satisfied fraction is 1 when nothing was released yet (an
+	// idle server violates no SLO).
+	s.KSatisfiedFraction = 1
+	if region > 0 {
+		s.KSatisfiedFraction = float64(region-viol) / float64(region)
+	}
 
-	frac, tracked, noEvidence, resets := o.linkageEstimate()
+	if n := int(min(o.ringPos, ringSize)); n > 0 {
+		sum, lo := 0.0, math.Inf(1)
+		for _, bits := range o.ring[:n] {
+			sum += bits
+			lo = min(lo, bits)
+		}
+		s.Entropy = EntropySnapshot{MeanBits: sum / float64(n), MinBits: lo, Window: n}
+	}
+
 	s.Linkage = LinkageSnapshot{
-		Estimate:     frac,
-		Evidence:     !noEvidence,
-		TrackedUsers: tracked,
-		Untracked:    o.untracked.Load(),
-		Resets:       resets,
+		Evidence:     o.linkN > 0,
+		TrackedUsers: len(o.linkage),
+		Untracked:    o.untracked,
+		Resets:       o.linkResets,
+	}
+	if o.linkN > 0 {
+		s.Linkage.Estimate = o.linkSum / float64(o.linkN)
 	}
 
 	s.Epsilon = EpsilonSnapshot{
-		SpentTotal: math.Float64frombits(o.budgetSpendSum.Load()),
-		MaxUser:    math.Float64frombits(o.budgetSpendMax.Load()),
-		Budget:     o.EpsilonBudget(),
-		Users:      o.budgetUsers.Load(),
-		Refusals:   o.budgetRefusals.Load(),
+		SpentTotal: o.budgetSpendSum,
+		MaxUser:    o.budgetSpendMax,
+		Budget:     o.budgetCeiling,
+		Users:      int64(len(o.spent)),
+		Refusals:   o.budgetRefusals,
 	}
 
-	s.SLO = SLOSnapshot{
-		MinKSatisfied: math.Float64frombits(o.sloMinKFrac.Load()),
-		MaxLinkage:    math.Float64frombits(o.sloMaxLinkage.Load()),
-		OK:            o.evalSLO(),
+	s.SLO = SLOSnapshot{MinKSatisfied: o.sloMinKFrac, MaxLinkage: o.sloMaxLinkage, OK: true}
+	if s.SLO.MinKSatisfied > 0 && s.KSatisfiedFraction < s.SLO.MinKSatisfied {
+		s.SLO.OK = false
+	}
+	if s.SLO.MaxLinkage > 0 && s.Linkage.Evidence && s.Linkage.Estimate > s.SLO.MaxLinkage {
+		s.SLO.OK = false
+	}
+	state := int32(2)
+	if s.SLO.OK {
+		state = 1
+	}
+	old := o.sloState
+	o.sloState = state
+	o.mu.Unlock()
+
+	if old != state && old != 0 {
+		logSLOTransition(s)
 	}
 	return s
 }
