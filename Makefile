@@ -77,7 +77,7 @@ bench:
 bench-updates:
 	$(GO) test -run XXX -bench 'Updates|ParallelMixed' -benchmem . | tee /tmp/bench-updates.txt
 	@awk -v cpus="$$(nproc 2>/dev/null || echo unknown)" \
-	'BEGIN { printf "{\n  \"cpus\": \"%s\",\n  \"headline\": \"BenchmarkSerialUpdates vs BenchmarkBatchUpdates ns/op per user update (batching amortizes the server write lock, tree clone and cache bump); the parallel variants run the same single-writer-lock path from GOMAXPROCS goroutines\",\n  \"benchmarks\": [\n", cpus; first = 1 } \
+	'BEGIN { printf "{\n  \"cpus\": \"%s\",\n  \"headline\": \"BenchmarkSerialUpdates vs BenchmarkBatchUpdates ns/op per user update (batching amortizes the server write lock, snapshot publish and cache bump); the parallel variants run the same single-writer-lock path from GOMAXPROCS goroutines\",\n  \"benchmarks\": [\n", cpus; first = 1 } \
 	/^Benchmark/ { if (!first) printf ",\n"; first = 0; \
 	  printf "    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", $$1, $$2, $$3; \
 	  if ($$5 != "") printf ", \"bytes_per_op\": %s", $$5; \
@@ -199,7 +199,8 @@ fuzz:
 # race detector: the anonymizer backends' stress, the identity table's
 # concurrent churn, the core batch workload, the server/WAL
 # interleavings, the casperd scrape-under-traffic trace-ring stress,
-# the continuous-query monitor's single-lock stress, and the privacy
-# observatory's concurrent observers.
+# the continuous-query monitor's single-lock stress, the privacy
+# observatory's concurrent observers, and the R-tree's readers of
+# copy-on-write snapshots racing a clone-mutate-publish writer.
 race-stress:
-	$(GO) test -race -count=3 -run 'Stress|Concurrent|Batch' ./internal/anonymizer ./internal/pyramid ./internal/core ./internal/server ./internal/protocol ./internal/continuous ./internal/privacyobs ./cmd/casperd
+	$(GO) test -race -count=3 -run 'Stress|Concurrent|Batch' ./internal/anonymizer ./internal/pyramid ./internal/core ./internal/server ./internal/protocol ./internal/continuous ./internal/privacyobs ./internal/rtree ./cmd/casperd

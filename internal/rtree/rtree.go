@@ -18,12 +18,18 @@
 // The tree is not safe for concurrent mutation; readers may run
 // concurrently with each other. Callers that interleave writes and
 // reads must serialize externally (internal/server does so).
+//
+// Snapshots are persistent: Clone is O(1) and shares every node with
+// the original, and a later write to either tree copies only the nodes
+// it changes (copy-on-write, O(height) per insert or delete). A tree
+// that is never cloned owns all of its nodes and mutates them in place.
 package rtree
 
 import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"casper/internal/geom"
 )
@@ -74,6 +80,10 @@ type Tree struct {
 	size       int
 	maxEntries int
 	minEntries int
+	// gen is the tree's write token: nodes stamped with it belong to
+	// this tree alone and are mutated in place; any other node may be
+	// shared with another tree and is copied before a write (own).
+	gen uint64
 }
 
 type node struct {
@@ -81,6 +91,29 @@ type node struct {
 	leaf     bool
 	items    []Item  // leaf only
 	children []*node // internal only
+	gen      uint64  // write token of the tree that created the node
+}
+
+// gens issues write tokens; every tree and every Clone draws a fresh one.
+var gens atomic.Uint64
+
+func nextGen() uint64 { return gens.Add(1) }
+
+// own returns n if this tree owns it, and otherwise a copy of n that it
+// does own, with fresh entry slices that have room for the one entry an
+// insert or a split appends. The caller links the copy into its
+// (already owned) parent or into t.root.
+func (t *Tree) own(n *node) *node {
+	if n.gen == t.gen {
+		return n
+	}
+	c := &node{mbr: n.mbr, leaf: n.leaf, gen: t.gen}
+	if n.leaf {
+		c.items = append(make([]Item, 0, len(n.items)+1), n.items...)
+	} else {
+		c.children = append(make([]*node, 0, len(n.children)+1), n.children...)
+	}
+	return c
 }
 
 // New returns an empty tree with the default node capacity.
@@ -92,10 +125,12 @@ func NewWithCapacity(maxEntries int) *Tree {
 	if maxEntries < 4 {
 		panic(fmt.Sprintf("rtree: capacity %d too small (need >= 4)", maxEntries))
 	}
+	gen := nextGen()
 	return &Tree{
-		root:       &node{leaf: true},
+		root:       &node{leaf: true, gen: gen},
 		maxEntries: maxEntries,
 		minEntries: maxEntries * 2 / 5,
+		gen:        gen,
 	}
 }
 
@@ -117,88 +152,70 @@ func (t *Tree) Insert(it Item) {
 	if !it.Rect.IsValid() {
 		panic(fmt.Sprintf("rtree: inserting invalid rect %v", it.Rect))
 	}
-	leaf := t.chooseLeaf(t.root, it.Rect)
+	path := t.chooseLeaf(it.Rect)
+	leaf := path[len(path)-1]
 	leaf.items = append(leaf.items, it)
 	leaf.mbr = leaf.mbr.Union(it.Rect)
 	if len(leaf.items) == 1 {
 		leaf.mbr = it.Rect
 	}
 	t.size++
-	t.splitUpward(leaf)
+	t.splitUpward(path)
 }
 
 // chooseLeaf descends to the leaf whose MBR needs least enlargement to
-// absorb r, breaking ties by smaller area (Guttman's ChooseLeaf).
-func (t *Tree) chooseLeaf(n *node, r geom.Rect) *node {
-	path := []*node{}
+// absorb r, breaking ties by smaller area (Guttman's ChooseLeaf). It
+// owns every node on the way down and returns that root-to-leaf path.
+func (t *Tree) chooseLeaf(r geom.Rect) []*node {
+	n := t.own(t.root)
+	t.root = n
+	path := []*node{n}
 	for !n.leaf {
-		path = append(path, n)
-		best := n.children[0]
-		bestEnl, bestArea := enlargement(best.mbr, r), best.mbr.Area()
-		for _, c := range n.children[1:] {
+		bi := 0
+		bestEnl, bestArea := enlargement(n.children[0].mbr, r), n.children[0].mbr.Area()
+		for i, c := range n.children[1:] {
 			enl := enlargement(c.mbr, r)
 			area := c.mbr.Area()
 			if enl < bestEnl || (enl == bestEnl && area < bestArea) {
-				best, bestEnl, bestArea = c, enl, area
+				bi, bestEnl, bestArea = i+1, enl, area
 			}
 		}
-		n = best
+		// Grow MBRs along the path eagerly so splits see fresh bounds.
+		n.mbr = n.mbr.Union(r)
+		c := t.own(n.children[bi])
+		n.children[bi] = c
+		path = append(path, c)
+		n = c
 	}
-	// Grow MBRs along the path eagerly so splits see fresh bounds.
-	for _, p := range path {
-		p.mbr = p.mbr.Union(r)
-	}
-	return n
+	return path
 }
 
 func enlargement(mbr, r geom.Rect) float64 {
 	return mbr.Union(r).Area() - mbr.Area()
 }
 
-// splitUpward splits n if overfull and propagates splits to the root.
-func (t *Tree) splitUpward(n *node) {
-	if n.count() <= t.maxEntries {
-		return
-	}
-	// Find the path from root to n so we can attach split siblings.
-	var path []*node
-	if !findPath(t.root, n, &path) && n != t.root {
-		panic("rtree: node not reachable from root")
-	}
-	for n.count() > t.maxEntries {
-		sib := t.splitNode(n)
-		if n == t.root {
-			newRoot := &node{
-				leaf:     false,
-				children: []*node{n, sib},
-			}
-			newRoot.mbr = n.mbr.Union(sib.mbr)
-			t.root = newRoot
+// splitUpward splits the overfull nodes of an owned root-to-leaf path,
+// bottom up, attaching each split sibling to its parent and growing a
+// new root when the root splits.
+func (t *Tree) splitUpward(path []*node) {
+	for i := len(path) - 1; i >= 0; i-- {
+		n := path[i]
+		if n.count() <= t.maxEntries {
 			return
 		}
-		parent := path[len(path)-1]
-		path = path[:len(path)-1]
+		sib := t.splitNode(n)
+		if i == 0 {
+			t.root = &node{
+				mbr:      n.mbr.Union(sib.mbr),
+				children: []*node{n, sib},
+				gen:      t.gen,
+			}
+			return
+		}
+		parent := path[i-1]
 		parent.children = append(parent.children, sib)
 		parent.mbr = parent.mbr.Union(sib.mbr)
-		n = parent
 	}
-}
-
-func findPath(cur, target *node, path *[]*node) bool {
-	if cur == target {
-		return true
-	}
-	if cur.leaf {
-		return false
-	}
-	*path = append(*path, cur)
-	for _, c := range cur.children {
-		if findPath(c, target, path) {
-			return true
-		}
-	}
-	*path = (*path)[:len(*path)-1]
-	return false
 }
 
 // count returns the entry count of n (items for leaves, children for
@@ -297,7 +314,7 @@ func (t *Tree) splitNode(n *node) *node {
 		remaining--
 	}
 
-	sib := &node{leaf: n.leaf}
+	sib := &node{leaf: n.leaf, gen: t.gen}
 	if n.leaf {
 		oldItems := n.items
 		n.items = make([]Item, 0, len(groupA))
@@ -338,56 +355,67 @@ func recomputeMBR(n *node) geom.Rect {
 // It returns false when no such item exists. Orphaned entries from
 // underfull nodes are reinserted (Guttman's CondenseTree).
 func (t *Tree) Delete(id int64, r geom.Rect) bool {
-	leaf, idx := t.findLeaf(t.root, id, r)
-	if leaf == nil {
+	var idxs []int
+	j := findLeaf(t.root, id, r, &idxs)
+	if j < 0 {
 		return false
 	}
-	leaf.items = append(leaf.items[:idx], leaf.items[idx+1:]...)
+	n := t.own(t.root)
+	t.root = n
+	path := append(make([]*node, 0, len(idxs)+1), n)
+	for _, i := range idxs {
+		c := t.own(n.children[i])
+		n.children[i] = c
+		path = append(path, c)
+		n = c
+	}
+	n.items = append(n.items[:j], n.items[j+1:]...)
 	t.size--
-	t.condense(leaf)
+	t.condense(path)
 	return true
 }
 
-func (t *Tree) findLeaf(n *node, id int64, r geom.Rect) (*node, int) {
+// findLeaf returns the index of the item matching (id, r) in its leaf,
+// or -1, and appends to idxs the child index taken at each level on the
+// way down to that leaf.
+func findLeaf(n *node, id int64, r geom.Rect, idxs *[]int) int {
 	if !n.mbr.Intersects(r) && n.count() > 0 {
-		return nil, -1
+		return -1
 	}
 	if n.leaf {
 		for i, it := range n.items {
 			if it.ID == id && it.Rect == r {
-				return n, i
+				return i
 			}
 		}
-		return nil, -1
+		return -1
 	}
-	for _, c := range n.children {
-		if leaf, i := t.findLeaf(c, id, r); leaf != nil {
-			return leaf, i
+	for i, c := range n.children {
+		*idxs = append(*idxs, i)
+		if j := findLeaf(c, id, r, idxs); j >= 0 {
+			return j
 		}
+		*idxs = (*idxs)[:len(*idxs)-1]
 	}
-	return nil, -1
+	return -1
 }
 
-// condense removes underfull nodes on the path to the just-modified
-// leaf, collecting their surviving entries for reinsertion, then
-// shrinks the root if it has a single child. It recomputes the MBRs
-// along the path and at the root; nodes off the path are untouched,
-// and Insert keeps the MBRs exact for the reinserted orphans, so every
-// node's MBR stays the union of its entries (checkInvariants).
-func (t *Tree) condense(leaf *node) {
-	var path []*node
-	findPath(t.root, leaf, &path)
-
+// condense removes underfull nodes on the owned root-to-leaf path of
+// the just-modified leaf, collecting their surviving entries for
+// reinsertion, then shrinks the root if it has a single child. It
+// recomputes the MBRs along the path and at the root; nodes off the
+// path are untouched, and Insert keeps the MBRs exact for the
+// reinserted orphans, so every node's MBR stays the union of its
+// entries (checkInvariants).
+func (t *Tree) condense(path []*node) {
 	var orphans []Item
-	n := leaf
-	for len(path) > 0 {
-		parent := path[len(path)-1]
-		path = path[:len(path)-1]
+	for i := len(path) - 1; i > 0; i-- {
+		n, parent := path[i], path[i-1]
 		if n.count() < t.minEntries {
 			// Remove n from parent, orphan its items.
-			for i, c := range parent.children {
+			for k, c := range parent.children {
 				if c == n {
-					parent.children = append(parent.children[:i], parent.children[i+1:]...)
+					parent.children = append(parent.children[:k], parent.children[k+1:]...)
 					break
 				}
 			}
@@ -395,7 +423,6 @@ func (t *Tree) condense(leaf *node) {
 		} else {
 			n.mbr = recomputeMBR(n)
 		}
-		n = parent
 	}
 	t.root.mbr = recomputeMBR(t.root)
 	// Shrink the root while it is an internal node with one child.
@@ -403,7 +430,7 @@ func (t *Tree) condense(leaf *node) {
 		t.root = t.root.children[0]
 	}
 	if !t.root.leaf && len(t.root.children) == 0 {
-		t.root = &node{leaf: true}
+		t.root = &node{leaf: true, gen: t.gen}
 	}
 	// Reinsert orphans (size was already decremented for the deleted
 	// item only; orphans are still counted, so compensate).
@@ -590,34 +617,26 @@ func (t *Tree) All() []Item {
 	return out
 }
 
-// Clone returns a deep copy of the tree: nodes and item slices are
-// copied, Item payloads (Data) are shared. Mutating the clone never
-// touches the original, which is what makes read-copy-update snapshot
-// publication possible (internal/server clones the published tree,
-// applies a write batch, and publishes the result while readers keep
-// traversing the original lock-free). Cost is O(n) time and memory.
+// Clone returns a snapshot of the tree in O(1): the clone shares every
+// node with t, and Item payloads (Data) are shared. Clone gives both
+// trees fresh write tokens, so every existing node becomes read-only to
+// both, and a later write to either copies the O(height) nodes on its
+// path instead of touching the other tree. This is what makes
+// read-copy-update snapshot publication cheap (internal/server clones
+// the published tree, applies a write batch, and publishes the result
+// while readers keep traversing the original lock-free).
+//
+// Clone writes t's token, so it must not run concurrently with a write
+// to t; it may run concurrently with reads of t.
 func (t *Tree) Clone() *Tree {
+	t.gen = nextGen()
 	return &Tree{
-		root:       cloneNode(t.root),
+		root:       t.root,
 		size:       t.size,
 		maxEntries: t.maxEntries,
 		minEntries: t.minEntries,
+		gen:        nextGen(),
 	}
-}
-
-func cloneNode(n *node) *node {
-	c := &node{mbr: n.mbr, leaf: n.leaf}
-	if n.leaf {
-		if len(n.items) > 0 {
-			c.items = append(make([]Item, 0, len(n.items)), n.items...)
-		}
-		return c
-	}
-	c.children = make([]*node, len(n.children))
-	for i, ch := range n.children {
-		c.children[i] = cloneNode(ch)
-	}
-	return c
 }
 
 // BulkLoad builds a tree from items using Sort-Tile-Recursive packing,
@@ -638,11 +657,11 @@ func BulkLoadWithCapacity(items []Item, maxEntries int) *Tree {
 			panic(fmt.Sprintf("rtree: bulk loading invalid rect %v", it.Rect))
 		}
 	}
-	leaves := strPackLeaves(items, maxEntries)
+	leaves := strPackLeaves(items, maxEntries, t.gen)
 	t.size = len(items)
 	level := leaves
 	for len(level) > 1 {
-		level = strPackNodes(level, maxEntries)
+		level = strPackNodes(level, maxEntries, t.gen)
 	}
 	t.root = level[0]
 	return t
@@ -676,7 +695,7 @@ func (s nodesByCenterY) Len() int           { return len(s) }
 func (s nodesByCenterY) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
 func (s nodesByCenterY) Less(i, j int) bool { return s[i].mbr.Center().Y < s[j].mbr.Center().Y }
 
-func strPackLeaves(items []Item, cap_ int) []*node {
+func strPackLeaves(items []Item, cap_ int, gen uint64) []*node {
 	n := len(items)
 	numLeaves := (n + cap_ - 1) / cap_
 	numStrips := intSqrtCeil(numLeaves)
@@ -689,7 +708,7 @@ func strPackLeaves(items []Item, cap_ int) []*node {
 		sort.Sort(itemsByCenterY(strip))
 		for i := 0; i < len(strip); i += cap_ {
 			j := min(i+cap_, len(strip))
-			leaf := &node{leaf: true, items: append([]Item(nil), strip[i:j]...)}
+			leaf := &node{leaf: true, items: append([]Item(nil), strip[i:j]...), gen: gen}
 			leaf.mbr = recomputeMBR(leaf)
 			leaves = append(leaves, leaf)
 		}
@@ -697,7 +716,7 @@ func strPackLeaves(items []Item, cap_ int) []*node {
 	return leaves
 }
 
-func strPackNodes(nodes []*node, cap_ int) []*node {
+func strPackNodes(nodes []*node, cap_ int, gen uint64) []*node {
 	n := len(nodes)
 	numParents := (n + cap_ - 1) / cap_
 	numStrips := intSqrtCeil(numParents)
@@ -710,7 +729,7 @@ func strPackNodes(nodes []*node, cap_ int) []*node {
 		sort.Sort(nodesByCenterY(strip))
 		for i := 0; i < len(strip); i += cap_ {
 			j := min(i+cap_, len(strip))
-			p := &node{children: append([]*node(nil), strip[i:j]...)}
+			p := &node{children: append([]*node(nil), strip[i:j]...), gen: gen}
 			p.mbr = recomputeMBR(p)
 			parents = append(parents, p)
 		}

@@ -443,3 +443,42 @@ func TestPersistentLoadPublicCompacts(t *testing.T) {
 		t.Fatalf("recovered %d public objects", q.PublicCount())
 	}
 }
+
+// BenchmarkOpenPersistentUncompacted replays a log of 20,000
+// single-entry upsert records, the log a server that stores cloaks one
+// by one leaves between compactions. Replay publishes one private
+// snapshot per record, so its cost is what each clone-and-publish
+// costs, 20,000 times over a growing tree.
+func BenchmarkOpenPersistentUncompacted(b *testing.B) {
+	const n = 20000
+	path := filepath.Join(b.TempDir(), "server.wal")
+	log, err := wal.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(30))
+	for i := 0; i < n; i++ {
+		x, y := rng.Float64()*900, rng.Float64()*900
+		obj := PrivateObject{ID: int64(i), Region: geom.R(x, y, x+1+rng.Float64()*60, y+1+rng.Float64()*60)}
+		if err := log.Append(privateUpsertRecords([]PrivateObject{obj})[0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := OpenPersistent(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if s.PrivateCount() != n {
+			b.Fatalf("recovered %d cloaks, want %d", s.PrivateCount(), n)
+		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -57,11 +57,12 @@ var (
 
 // indexSnapshot is one immutable, consistent view of both spatial
 // tables. Writers never mutate a published snapshot: they clone the
-// tree they are changing, apply the whole batch to the clone, and
-// publish a new snapshot with a single atomic store (RCU). Readers
-// that loaded an older snapshot keep traversing it safely; the Go
-// garbage collector provides the grace period — an old snapshot is
-// reclaimed when the last query holding it returns.
+// tree they are changing (O(1): the clone shares every node, and a
+// write copies only the nodes on its path), apply the whole batch to
+// the clone, and publish a new snapshot with a single atomic store
+// (RCU). Readers that loaded an older snapshot keep traversing it
+// safely; the Go garbage collector provides the grace period — an old
+// snapshot is reclaimed when the last query holding it returns.
 type indexSnapshot struct {
 	public  *rtree.Tree
 	private *rtree.Tree
@@ -256,8 +257,10 @@ func (s *Server) UpsertPrivateBatch(objs []PrivateObject) error {
 // through the anonymizer, and the server's only private write path.
 // The whole batch is validated up front, so a bad region rejects it
 // before anything is logged or applied. It is then logged, applied to
-// one clone of the private tree and published as one snapshot; within
-// a batch, a later entry for the same ID wins. "wal_append" and
+// one clone of the private tree and published as one snapshot: each
+// entry copies the O(height) nodes on its delete and insert paths, and
+// a node copied once is mutated in place for the rest of the batch.
+// Within a batch, a later entry for the same ID wins. "wal_append" and
 // "store" spans are recorded into tr when it is non-nil.
 func (s *Server) UpsertPrivateBatchTraced(objs []PrivateObject, tr *trace.Trace) error {
 	for _, o := range objs {

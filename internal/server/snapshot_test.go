@@ -246,3 +246,33 @@ func TestStressQueriesDuringSnapshotUpdates(t *testing.T) {
 		t.Fatalf("remove unknown: %v", err)
 	}
 }
+
+// TestUpsertPrivateCopiesPathNotTree bounds what one cloak refresh
+// copies: with 20,000 stored cloaks it must copy the O(height) nodes
+// on its delete and insert paths, not the whole private tree (a full
+// copy at this size is over a megabyte and about 2,000 allocations).
+func TestUpsertPrivateCopiesPathNotTree(t *testing.T) {
+	const n = 20000
+	s := New()
+	rng := rand.New(rand.NewSource(30))
+	seedPrivate(t, s, rng, n)
+	var err error
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N && err == nil; i++ {
+			err = s.UpsertPrivate(PrivateObject{ID: int64(i % n), Region: randCloak(rng)})
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.PrivateCount() != n {
+		t.Fatalf("PrivateCount = %d, want %d", s.PrivateCount(), n)
+	}
+	bytes, allocs := res.AllocedBytesPerOp(), res.AllocsPerOp()
+	t.Logf("UpsertPrivate at %d cloaks: %d B, %d allocs per op", n, bytes, allocs)
+	if bytes > 64<<10 || allocs > 100 {
+		t.Fatalf("UpsertPrivate at %d cloaks allocates %d B and %d allocs per op, want <= %d B and <= 100",
+			n, bytes, allocs, 64<<10)
+	}
+}
