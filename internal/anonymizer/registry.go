@@ -5,16 +5,13 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"casper/internal/geom"
 )
 
-// This file is the backend registry: privacy backends are constructed
-// by NAME through a table of factories instead of a hard-coded enum
-// switch, so a new cloaking strategy plugs in by registering a factory
-// and every layer above (core, casperd, casperctl, casper-bench) picks
-// it up without code changes.
+// This file is the backend table: privacy backends are constructed by
+// NAME, so every layer above (core, casperd, casperctl, casper-bench)
+// lists and selects them from one place.
 
 // DefaultBackend is the backend used when no name is given — the
 // incomplete-pyramid anonymizer, the variant the paper's end-to-end
@@ -27,7 +24,7 @@ const DefaultBackend = "adaptive"
 // k=1 user at ~470 m and scales it linearly with k.
 const DefaultEpsilon = 0.01
 
-// BackendConfig parameterizes a backend factory. Universe, Levels and
+// BackendConfig parameterizes a backend. Universe, Levels and
 // Seed apply to every backend; Epsilon and MinK are per-backend knobs
 // a backend is free to ignore (zero always means "backend default").
 type BackendConfig struct {
@@ -74,96 +71,16 @@ func (c BackendConfig) Validate() error {
 	return nil
 }
 
-// Factory builds one backend instance from a validated config.
-type Factory func(BackendConfig) (Anonymizer, error)
-
-// Registry maps backend names to factories. The package-level
-// Register/New/Backends operate on a default registry pre-loaded with
-// the four built-in backends; tests can build private registries.
-type Registry struct {
-	mu        sync.RWMutex
-	factories map[string]Factory
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{factories: make(map[string]Factory)}
-}
-
-// Register adds (or replaces) a named factory. Names are case
-// sensitive and conventionally short lowercase identifiers.
-func (r *Registry) Register(name string, f Factory) {
-	if name == "" || f == nil {
-		panic("anonymizer: Register needs a non-empty name and a factory")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.factories[name] = f
-}
-
-// New validates cfg and builds the named backend; an empty name
-// selects DefaultBackend. The unknown-name error spells out what IS
-// registered — it is what casperd prints at startup and what a failed
-// hot reload reports.
-func (r *Registry) New(name string, cfg BackendConfig) (Anonymizer, error) {
-	if name == "" {
-		name = DefaultBackend
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	r.mu.RLock()
-	f, ok := r.factories[name]
-	r.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("anonymizer: unknown backend %q (registered: %s)",
-			name, strings.Join(r.Names(), ", "))
-	}
-	return f(cfg)
-}
-
-// Names returns the registered backend names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.factories))
-	for n := range r.factories {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Has reports whether name is registered.
-func (r *Registry) Has(name string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.factories[name]
-	return ok
-}
-
-var defaultRegistry = NewRegistry()
-
-// Register adds a factory to the default registry.
-func Register(name string, f Factory) { defaultRegistry.Register(name, f) }
-
-// New builds a backend by name from the default registry.
-func New(name string, cfg BackendConfig) (Anonymizer, error) { return defaultRegistry.New(name, cfg) }
-
-// Backends lists the names registered in the default registry.
-func Backends() []string { return defaultRegistry.Names() }
-
-// Registered reports whether the default registry knows name.
-func Registered(name string) bool { return defaultRegistry.Has(name) }
-
-func init() {
-	Register("basic", func(c BackendConfig) (Anonymizer, error) {
+// backends maps each backend name to the function that builds it from
+// a validated config.
+var backends = map[string]func(BackendConfig) (Anonymizer, error){
+	"basic": func(c BackendConfig) (Anonymizer, error) {
 		return NewBasic(c.Universe, c.Levels), nil
-	})
-	Register("adaptive", func(c BackendConfig) (Anonymizer, error) {
+	},
+	"adaptive": func(c BackendConfig) (Anonymizer, error) {
 		return NewAdaptive(c.Universe, c.Levels), nil
-	})
-	Register("cluster", func(c BackendConfig) (Anonymizer, error) {
+	},
+	"cluster": func(c BackendConfig) (Anonymizer, error) {
 		cl := NewCluster(c.Universe, c.Levels)
 		if c.MinK > 0 {
 			if err := cl.SetMinK(c.MinK); err != nil {
@@ -171,8 +88,8 @@ func init() {
 			}
 		}
 		return cl, nil
-	})
-	Register("geoind", func(c BackendConfig) (Anonymizer, error) {
+	},
+	"geoind": func(c BackendConfig) (Anonymizer, error) {
 		g := NewGeoInd(c.Universe, c.Levels, c.Seed)
 		if c.Epsilon != 0 {
 			if err := g.SetEpsilon(c.Epsilon); err != nil {
@@ -180,5 +97,40 @@ func init() {
 			}
 		}
 		return g, nil
-	})
+	},
+}
+
+// New validates cfg and builds the named backend; an empty name
+// selects DefaultBackend. The unknown-name error spells out the known
+// names — it is what casperd prints at startup and what a failed hot
+// reload reports.
+func New(name string, cfg BackendConfig) (Anonymizer, error) {
+	if name == "" {
+		name = DefaultBackend
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	build, ok := backends[name]
+	if !ok {
+		return nil, fmt.Errorf("anonymizer: unknown backend %q (registered: %s)",
+			name, strings.Join(Backends(), ", "))
+	}
+	return build(cfg)
+}
+
+// Backends lists the backend names, sorted.
+func Backends() []string {
+	names := make([]string, 0, len(backends))
+	for n := range backends {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// Registered reports whether name is a backend.
+func Registered(name string) bool {
+	_, ok := backends[name]
+	return ok
 }

@@ -119,37 +119,6 @@ func TestRegistryKnobsReachBackends(t *testing.T) {
 	}
 }
 
-func TestRegistryRegisterPanics(t *testing.T) {
-	r := NewRegistry()
-	expectPanic := func(name string, f Factory) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("Register(%q, %v) did not panic", name, f)
-			}
-		}()
-		r.Register(name, f)
-	}
-	expectPanic("", func(BackendConfig) (Anonymizer, error) { return nil, nil })
-	expectPanic("x", nil)
-}
-
-func TestPrivateRegistryIsolated(t *testing.T) {
-	r := NewRegistry()
-	if r.Has("basic") {
-		t.Fatal("fresh registry is not empty")
-	}
-	r.Register("mine", func(c BackendConfig) (Anonymizer, error) {
-		return NewBasic(c.Universe, c.Levels), nil
-	})
-	if got := r.Names(); len(got) != 1 || got[0] != "mine" {
-		t.Fatalf("Names() = %v", got)
-	}
-	if Registered("mine") {
-		t.Fatal("private registration leaked into the default registry")
-	}
-}
-
 // TestRegistryEquivalence is the refactor's bit-for-bit property test:
 // a backend built through the registry must behave identically to the
 // directly constructed implementation the old enum switch produced —

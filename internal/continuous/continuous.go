@@ -184,8 +184,8 @@ type query struct {
 	hasSafe   bool
 	radius    float64
 	opt       privacyqp.Options
-	// exclude drops the asker's own pseudonym from private-data
-	// candidate lists; negative means none.
+	// exclude is the asker's own pseudonym, hidden from private-data
+	// evaluations (privacyqp.Without); negative means none.
 	exclude    int64
 	candidates []rtree.Item
 	candIDs    map[int64]bool
@@ -328,9 +328,9 @@ func (m *Monitor) RegisterRangeCount(r geom.Rect, policy privacyqp.CountPolicy) 
 
 // RegisterNN registers a continuous private nearest-neighbor query for
 // an asker whose current cloak is given. kind selects public or
-// private target data; excludeID (>= 0) drops the asker's own stored
-// pseudonym from private-data answers. It returns the initial
-// candidate list.
+// private target data; excludeID (>= 0) hides the asker's own stored
+// cloak from private-data evaluations, so the answer is the nearest
+// other user's. It returns the initial candidate list.
 func (m *Monitor) RegisterNN(cloak geom.Rect, kind privacyqp.DataKind, opt privacyqp.Options, excludeID int64) (QueryID, []rtree.Item, error) {
 	q := &query{kind: qNN, dataKind: kind, cloak: cloak, opt: opt, exclude: excludeID}
 	_, cands, err := m.register(q)

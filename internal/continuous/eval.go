@@ -28,12 +28,13 @@ func (m *Monitor) evalQueryLocked(q *query) error {
 	}
 }
 
-// table returns the shadow table a query over kind reads.
-func (m *Monitor) table(kind privacyqp.DataKind) *rtree.Tree {
-	if kind == privacyqp.PublicData {
+// table returns the shadow table q reads, with the asker's own cloak
+// hidden (privacyqp.Without) when q excludes it.
+func (m *Monitor) table(q *query) privacyqp.SpatialIndex {
+	if q.dataKind == privacyqp.PublicData {
 		return m.pub
 	}
-	return m.priv
+	return privacyqp.Without(m.priv, q.exclude)
 }
 
 // evalCloakFor inflates the asker's cloak per SafeRegionFrac: the
@@ -53,26 +54,22 @@ func (m *Monitor) evalCloakFor(cloak geom.Rect) geom.Rect {
 
 func (m *Monitor) evalNNLocked(q *query) error {
 	ec := m.evalCloakFor(q.cloak)
-	res, err := privacyqp.PrivateNN(m.table(q.dataKind), ec, q.dataKind, q.opt)
+	res, err := privacyqp.PrivateNN(m.table(q), ec, q.dataKind, q.opt)
 	if err != nil {
 		return err
 	}
-	cands := dropID(res.Candidates, q.exclude)
-	slack := 0.0
-	if q.exclude < 0 {
-		slack = privacyqp.CandidateValiditySlack(ec, res.AExt, cands, q.dataKind, q.opt.MinOverlap)
-	}
+	slack := privacyqp.CandidateValiditySlack(ec, res.AExt, res.Candidates, q.dataKind, q.opt.MinOverlap)
 	q.evalCloak = ec
 	q.interest = res.AExt
 	q.safe = ec.Expand(slack)
 	q.hasSafe = true
-	m.setCandidates(q, cands)
+	m.setCandidates(q, res.Candidates)
 	return nil
 }
 
 func (m *Monitor) evalRadiusLocked(q *query) error {
 	ec := m.evalCloakFor(q.cloak)
-	res, err := privacyqp.PrivateRange(m.table(q.dataKind), ec, q.radius, q.dataKind)
+	res, err := privacyqp.PrivateRange(m.table(q), ec, q.radius, q.dataKind)
 	if err != nil {
 		return err
 	}
@@ -84,23 +81,8 @@ func (m *Monitor) evalRadiusLocked(q *query) error {
 	// to add without admitting targets beyond A_EXT.
 	q.safe = ec
 	q.hasSafe = true
-	m.setCandidates(q, dropID(res.Candidates, q.exclude))
+	m.setCandidates(q, res.Candidates)
 	return nil
-}
-
-// dropID filters the asker's own pseudonym out of a candidate list in
-// place; a negative id drops nothing.
-func dropID(cands []rtree.Item, id int64) []rtree.Item {
-	if id < 0 {
-		return cands
-	}
-	kept := cands[:0]
-	for _, c := range cands {
-		if c.ID != id {
-			kept = append(kept, c)
-		}
-	}
-	return kept
 }
 
 func (m *Monitor) setCandidates(q *query, cands []rtree.Item) {

@@ -162,14 +162,15 @@ func runTraceEquivalence(t *testing.T, cfg Config, linearCounts bool) {
 				gotIDs[c.ID] = true
 			}
 			// (a) exact equality with a fresh snapshot at the cloak the
-			// monitor actually evaluated (inflated under SafeRegionFrac>0).
+			// monitor actually evaluated (inflated under SafeRegionFrac>0),
+			// with the asker hidden exactly as a one-shot buddy query
+			// hides it (privacyqp.Without, as in server.NNPrivate).
 			q := m.queries[w.id]
-			var snapdb privacyqp.SpatialIndex = db
-			all := db.All()
+			snapdb := privacyqp.Without(db, w.exclude)
 			if w.dataKind == privacyqp.PublicData {
 				snapdb = rtree.BulkLoad(pub)
-				all = pub
 			}
+			all := snapdb.All()
 			if q.evalCloak.IsValid() && !q.evalCloak.IsPoint() || len(got) > 0 {
 				var wantCands []rtree.Item
 				var err error
@@ -187,9 +188,7 @@ func runTraceEquivalence(t *testing.T, cfg Config, linearCounts bool) {
 				}
 				wantIDs := map[int64]bool{}
 				for _, c := range wantCands {
-					if c.ID != w.exclude {
-						wantIDs[c.ID] = true
-					}
+					wantIDs[c.ID] = true
 				}
 				if !sameIDSet(gotIDs, wantIDs) {
 					t.Fatalf("tick %d: watch %d (kind %d, data %v): maintained %d candidates != snapshot %d at evalCloak %v",
@@ -206,12 +205,8 @@ func runTraceEquivalence(t *testing.T, cfg Config, linearCounts bool) {
 					// Inclusiveness oracle per Theorems 1/3: the exact
 					// NN — for private targets, under a sampled concrete
 					// position inside each target's cloak — must be
-					// among the maintained candidates. The excluded
-					// asker stays in the brute force: the repo-wide
-					// exclusion contract (server.NNPrivate) drops the
-					// asker from the shipped list AFTER the query, so
-					// inclusiveness is over the full table and "your
-					// own cloak won" is an acceptable outcome.
+					// among the maintained candidates. all has the
+					// asker hidden, so this is the nearest OTHER user.
 					best, bd := int64(-1), 0.0
 					for _, it := range all {
 						truePos := it.Rect.Min
@@ -225,7 +220,7 @@ func runTraceEquivalence(t *testing.T, cfg Config, linearCounts bool) {
 							best, bd = it.ID, d
 						}
 					}
-					if best < 0 || best == w.exclude {
+					if best < 0 {
 						continue
 					}
 					if !gotIDs[best] {
@@ -234,7 +229,7 @@ func runTraceEquivalence(t *testing.T, cfg Config, linearCounts bool) {
 					}
 				} else {
 					for _, it := range privacyqp.RefineRange(p, all, w.radius, w.dataKind) {
-						if it.ID != w.exclude && !gotIDs[it.ID] {
+						if !gotIDs[it.ID] {
 							t.Fatalf("tick %d: watch %d: in-range target %d missing from maintained candidates", tick, w.id, it.ID)
 						}
 					}

@@ -84,9 +84,8 @@ func srvErr(err error) error {
 	return err
 }
 
-// Registry names of the built-in privacy backends. Config.Backend
-// accepts any name registered with the anonymizer registry
-// (anonymizer.Register); these constants cover the four built-ins.
+// Names of the privacy backends in the anonymizer's backend table
+// (anonymizer.Backends); Config.Backend takes one of them.
 const (
 	// BasicBackend is the complete-pyramid anonymizer (Sec. 4.1).
 	BasicBackend = "basic"
@@ -107,9 +106,9 @@ type Config struct {
 	// PyramidLevels is the anonymizer's pyramid height H (9 in the
 	// paper's experiments).
 	PyramidLevels int
-	// Backend selects the privacy backend by registry name ("basic",
-	// "adaptive", "cluster", "geoind", or anything registered via
-	// anonymizer.Register). Empty selects the adaptive backend.
+	// Backend selects the privacy backend by name ("basic",
+	// "adaptive", "cluster" or "geoind"). Empty selects the adaptive
+	// backend.
 	Backend string
 	// BackendEpsilon is the geoind backend's base privacy budget
 	// (anonymizer.BackendConfig.Epsilon); zero means the backend
@@ -519,7 +518,8 @@ func (c *Casper) Monitor() *continuous.Monitor {
 // registered user: the monitor keeps the candidate list current as the
 // user's cloak and the target data change. kind selects public targets
 // or other users' cloaks (the asker's own cloak is excluded
-// automatically). EnableContinuous must have been called.
+// automatically; a lone asker gets ErrNoBuddies). EnableContinuous must
+// have been called.
 func (c *Casper) WatchNearest(uid anonymizer.UserID, kind privacyqp.DataKind) (continuous.QueryID, []rtree.Item, error) {
 	c.monMu.Lock()
 	defer c.monMu.Unlock()
@@ -535,6 +535,9 @@ func (c *Casper) WatchNearest(uid anonymizer.UserID, kind privacyqp.DataKind) (c
 		exclude, _ = c.pseudo.Get(int64(uid))
 	}
 	qid, cands, err := c.monitor.RegisterNN(cr.Region, kind, c.cfg.Query, exclude)
+	if kind == privacyqp.PrivateData && errors.Is(err, privacyqp.ErrNoTargets) { // the asker is alone
+		return 0, nil, ErrNoBuddies
+	}
 	if err != nil {
 		return 0, nil, err
 	}
@@ -988,6 +991,9 @@ func (c *Casper) nearestBuddy(uid anonymizer.UserID, tr *trace.Trace) (NNAnswer,
 	region, cands, bd, err := c.privateQuery(uid, tr, func(cr anonymizer.CloakedRegion) (privacyqp.Result, error) {
 		return c.queryNNPrivate(cr, pid, opt)
 	})
+	if errors.Is(err, privacyqp.ErrNoTargets) { // the asker is alone
+		return NNAnswer{}, ErrNoBuddies
+	}
 	if err != nil {
 		return NNAnswer{}, err
 	}

@@ -4,11 +4,14 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
 	"casper/internal/anonymizer"
 	"casper/internal/geom"
+	"casper/internal/privacyqp"
+	"casper/internal/rtree"
 	"casper/internal/server"
 )
 
@@ -93,4 +96,65 @@ func TestNearestBuddyDeregisterRace(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestBuddyProbeEveryBackend pins Theorem 3 for "nearest other user"
+// on three k = 1 users far apart in the default universe. Dropping the
+// asker from the candidate list only after Algorithm 2 had run left
+// its own cloak as every filter object, A_EXT shrank to that cloak,
+// and every backend answered NearestBuddy(1) with ErrNoBuddies and the
+// standing watch with an empty list. A lone asker still gets
+// ErrNoBuddies from both.
+func TestBuddyProbeEveryBackend(t *testing.T) {
+	pos := []geom.Point{geom.Pt(1000, 1000), geom.Pt(20000, 20000), geom.Pt(39000, 39000)}
+	for _, backend := range anonymizer.Backends() {
+		t.Run(backend, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Backend = backend
+			c := MustNew(cfg)
+			c.EnableContinuous(nil)
+			for i, p := range pos {
+				if err := c.RegisterUser(anonymizer.UserID(i+1), p, anonymizer.Profile{K: 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			self, _ := c.pseudo.Get(1)
+			want, _ := c.pseudo.Get(2)
+			check := func(what string, cands []rtree.Item) {
+				t.Helper()
+				if slices.ContainsFunc(cands, func(it rtree.Item) bool { return it.ID == self }) {
+					t.Fatalf("%s: the asker's own cloak is a candidate", what)
+				}
+				if !slices.ContainsFunc(cands, func(it rtree.Item) bool { return it.ID == want }) {
+					t.Fatalf("%s: nearest other user missing from %d candidates", what, len(cands))
+				}
+			}
+
+			ans, err := c.NearestBuddy(1)
+			if err != nil {
+				t.Fatalf("NearestBuddy: %v", err)
+			}
+			check("NearestBuddy", ans.Candidates)
+			if ans.Exact.ID != want {
+				t.Fatalf("NearestBuddy refined to %d, want %d", ans.Exact.ID, want)
+			}
+			_, cands, err := c.WatchNearest(1, privacyqp.PrivateData)
+			if err != nil {
+				t.Fatalf("WatchNearest: %v", err)
+			}
+			check("WatchNearest", cands)
+
+			for _, uid := range []anonymizer.UserID{2, 3} {
+				if err := c.DeregisterUser(uid); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := c.NearestBuddy(1); !errors.Is(err, ErrNoBuddies) {
+				t.Fatalf("lone NearestBuddy: %v, want ErrNoBuddies", err)
+			}
+			if _, _, err := c.WatchNearest(1, privacyqp.PrivateData); !errors.Is(err, ErrNoBuddies) {
+				t.Fatalf("lone WatchNearest: %v, want ErrNoBuddies", err)
+			}
+		})
+	}
 }

@@ -2,6 +2,7 @@ package privacyqp
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"casper/internal/geom"
@@ -53,12 +54,6 @@ func PrivateKNN(db SpatialIndex, cloak geom.Rect, k int, kind DataKind, opt Opti
 	if !cloak.IsValid() {
 		return Result{}, fmt.Errorf("privacyqp: invalid cloaked region %v", cloak)
 	}
-	if db.Len() == 0 {
-		return Result{}, ErrNoTargets
-	}
-	if db.Len() < k {
-		return Result{}, fmt.Errorf("privacyqp: k = %d exceeds %d stored targets", k, db.Len())
-	}
 
 	metric := rtree.MinDist
 	if kind == PrivateData {
@@ -83,6 +78,9 @@ func PrivateKNN(db SpatialIndex, cloak geom.Rect, k int, kind DataKind, opt Opti
 		for _, n := range sc.nbrs {
 			sc.filt = append(sc.filt, n.Item)
 		}
+		if len(sc.nbrs) < k { // reported by tooFew below
+			return math.Inf(1)
+		}
 		return sc.nbrs[len(sc.nbrs)-1].Dist
 	}
 
@@ -105,6 +103,10 @@ func PrivateKNN(db SpatialIndex, cloak geom.Rect, k int, kind DataKind, opt Opti
 			kthDist[i] = dc + v.Dist(c)
 		}
 	}
+	// Every probe finds min(k, stored) targets, so the last one decides.
+	if err := tooFew(len(sc.nbrs), k); err != nil {
+		return Result{}, err
+	}
 	sc.filt2 = dedupeInto(sc.filt2[:0], sc.filt)
 	res.Filters = copyItems(sc.filt2)
 
@@ -122,22 +124,23 @@ func PrivateKNN(db SpatialIndex, cloak geom.Rect, k int, kind DataKind, opt Opti
 	}
 
 	rsp := opt.Trace.StartSpan("query_range")
-	sc.cand = sc.cand[:0]
-	if kind == PrivateData && opt.MinOverlap > 0 {
-		db.SearchFunc(res.AExt, func(it rtree.Item) bool {
-			if geom.OverlapFraction(it.Rect, res.AExt) >= opt.MinOverlap {
-				sc.cand = append(sc.cand, it)
-			}
-			return true
-		})
-	} else {
-		sc.cand = db.SearchAppend(res.AExt, sc.cand)
-	}
+	sc.cand = admitted(db, sc.cand[:0], res.AExt, kind, opt.MinOverlap)
 	res.Candidates = copyItems(sc.cand)
 	if opt.Trace != nil {
 		rsp.End(trace.Int("candidates", int64(len(res.Candidates))))
 	}
 	return res, nil
+}
+
+// tooFew is the error for a k-NN probe that found only n < k targets.
+func tooFew(n, k int) error {
+	switch {
+	case n == 0:
+		return ErrNoTargets
+	case n < k:
+		return fmt.Errorf("privacyqp: k = %d exceeds %d stored targets", k, n)
+	}
+	return nil
 }
 
 // RefineKNN is the client-side refinement for PrivateKNN: the k

@@ -46,9 +46,6 @@ func PerturbedNN(db SpatialIndex, center geom.Point, radius float64, kind DataKi
 	if !(radius >= 0) {
 		return Result{}, fmt.Errorf("privacyqp: perturbed radius %v, need >= 0", radius)
 	}
-	if db.Len() == 0 {
-		return Result{}, ErrNoTargets
-	}
 
 	metric := rtree.MinDist
 	if kind == PrivateData {
@@ -60,6 +57,9 @@ func PerturbedNN(db SpatialIndex, center geom.Point, radius float64, kind DataKi
 
 	fsp := opt.Trace.StartSpan("query_filter")
 	t := nearest1(db, sc, center, metric)
+	if len(sc.nbrs) == 0 {
+		return Result{}, ErrNoTargets
+	}
 	dstar := metric.DistTo(center, t.Rect)
 	res := Result{NNSearches: 1}
 	sc.filt = append(sc.filt[:0], t)
@@ -95,12 +95,6 @@ func PerturbedKNN(db SpatialIndex, center geom.Point, radius float64, k int, kin
 	if !(radius >= 0) {
 		return Result{}, fmt.Errorf("privacyqp: perturbed radius %v, need >= 0", radius)
 	}
-	if db.Len() == 0 {
-		return Result{}, ErrNoTargets
-	}
-	if db.Len() < k {
-		return Result{}, fmt.Errorf("privacyqp: k = %d exceeds %d stored targets", k, db.Len())
-	}
 
 	metric := rtree.MinDist
 	if kind == PrivateData {
@@ -112,6 +106,9 @@ func PerturbedKNN(db SpatialIndex, center geom.Point, radius float64, k int, kin
 
 	fsp := opt.Trace.StartSpan("query_filter")
 	sc.nbrs = db.NearestKInto(center, k, metric, sc.heap, sc.nbrs)
+	if err := tooFew(len(sc.nbrs), k); err != nil {
+		return Result{}, err
+	}
 	res := Result{NNSearches: 1}
 	sc.filt = sc.filt[:0]
 	for _, n := range sc.nbrs {

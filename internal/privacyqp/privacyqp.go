@@ -103,7 +103,8 @@ type Result struct {
 	NNSearches int
 }
 
-// ErrNoTargets is returned when the database holds no target objects.
+// ErrNoTargets is returned when the database holds no target objects
+// the query can see.
 var ErrNoTargets = errors.New("privacyqp: no target objects in database")
 
 // PrivateNN evaluates a private nearest-neighbor query: given only the
@@ -116,9 +117,6 @@ func PrivateNN(db SpatialIndex, cloak geom.Rect, kind DataKind, opt Options) (Re
 	}
 	if !cloak.IsValid() {
 		return Result{}, fmt.Errorf("privacyqp: invalid cloaked region %v", cloak)
-	}
-	if db.Len() == 0 {
-		return Result{}, ErrNoTargets
 	}
 
 	metric := rtree.MinDist
@@ -169,6 +167,9 @@ func PrivateNN(db SpatialIndex, cloak geom.Rect, kind DataKind, opt Options) (Re
 			filters[i] = nb
 		}
 	}
+	if len(sc.nbrs) == 0 { // every probe came back empty
+		return Result{}, ErrNoTargets
+	}
 	sc.filt = dedupeInto(sc.filt[:0], filters[:])
 	res.Filters = copyItems(sc.filt)
 
@@ -193,22 +194,26 @@ func PrivateNN(db SpatialIndex, cloak geom.Rect, kind DataKind, opt Options) (Re
 
 	// STEP 4 — the candidate list step: one range query over A_EXT.
 	rsp := opt.Trace.StartSpan("query_range")
-	sc.cand = sc.cand[:0]
-	if kind == PrivateData && opt.MinOverlap > 0 {
-		db.SearchFunc(res.AExt, func(it rtree.Item) bool {
-			if geom.OverlapFraction(it.Rect, res.AExt) >= opt.MinOverlap {
-				sc.cand = append(sc.cand, it)
-			}
-			return true
-		})
-	} else {
-		sc.cand = db.SearchAppend(res.AExt, sc.cand)
-	}
+	sc.cand = admitted(db, sc.cand[:0], res.AExt, kind, opt.MinOverlap)
 	res.Candidates = copyItems(sc.cand)
 	if opt.Trace != nil {
 		rsp.End(trace.Int("candidates", int64(len(res.Candidates))))
 	}
 	return res, nil
+}
+
+// admitted appends to dst the targets intersecting aext that the
+// candidate list step admits: all of them, or for private data under a
+// MinOverlap policy those with at least that fraction of their area in
+// aext.
+func admitted(db SpatialIndex, dst []rtree.Item, aext geom.Rect, kind DataKind, minOverlap float64) []rtree.Item {
+	db.SearchFunc(aext, func(it rtree.Item) bool {
+		if kind != PrivateData || minOverlap == 0 || geom.OverlapFraction(it.Rect, aext) >= minOverlap {
+			dst = append(dst, it)
+		}
+		return true
+	})
+	return dst
 }
 
 // edgeMaxD computes max_d for one cloak edge: the largest distance

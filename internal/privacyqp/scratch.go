@@ -55,7 +55,8 @@ func putScratch(sc *queryScratch) {
 func SetScratchReuse(on bool) bool { return scratchReuse.Swap(on) }
 
 // nearest1 probes the single nearest item to p using the query's
-// scratch heap and neighbor buffer. Callers guarantee db is non-empty.
+// scratch heap and neighbor buffer. On an empty db it returns the zero
+// Item and leaves sc.nbrs empty, which is how callers detect one.
 func nearest1(db SpatialIndex, sc *queryScratch, p geom.Point, m rtree.Metric) rtree.Item {
 	sc.nbrs = db.NearestKInto(p, 1, m, sc.heap, sc.nbrs)
 	if len(sc.nbrs) == 0 {

@@ -78,11 +78,10 @@ func newQueryInstruments(kind string) queryInstruments {
 }
 
 var (
-	qiNNPublic   = newQueryInstruments("nn_public")
-	qiNNPrivate  = newQueryInstruments("nn_private")
-	qiKNNPublic  = newQueryInstruments("knn_public")
-	qiKNNPrivate = newQueryInstruments("knn_private")
-	qiRange      = newQueryInstruments("range_public")
+	qiNNPublic  = newQueryInstruments("nn_public")
+	qiNNPrivate = newQueryInstruments("nn_private")
+	qiKNNPublic = newQueryInstruments("knn_public")
+	qiRange     = newQueryInstruments("range_public")
 )
 
 // observe records one query processor outcome.

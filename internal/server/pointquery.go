@@ -27,28 +27,15 @@ func (s *Server) NNPublicAt(center geom.Point, radius float64, opt privacyqp.Opt
 	return res, err
 }
 
-// NNPrivateAt is NNPublicAt over the private table, excluding the
-// asker's own stored cloak when excludeID >= 0.
+// NNPrivateAt is NNPublicAt over the private table, with the asker's
+// own stored cloak hidden when excludeID >= 0.
 func (s *Server) NNPrivateAt(center geom.Point, radius float64, excludeID int64, opt privacyqp.Options) (privacyqp.Result, error) {
 	start := time.Now()
 	s.queries.Add(1)
-	snap := s.snap.Load()
-	res, err := privacyqp.PerturbedNN(snap.private, center, radius, privacyqp.PrivateData, opt)
-	if err != nil {
-		qiNNPrivate.observe(start, 0, err)
-		return res, err
-	}
-	if excludeID >= 0 {
-		out := res.Candidates[:0]
-		for _, c := range res.Candidates {
-			if c.ID != excludeID {
-				out = append(out, c)
-			}
-		}
-		res.Candidates = out
-	}
-	qiNNPrivate.observe(start, len(res.Candidates), nil)
-	return res, nil
+	db := privacyqp.Without(s.snap.Load().private, excludeID)
+	res, err := privacyqp.PerturbedNN(db, center, radius, privacyqp.PrivateData, opt)
+	qiNNPrivate.observe(start, len(res.Candidates), err)
+	return res, err
 }
 
 // KNNPublicAt answers a k-nearest-neighbor query for a perturbed-point

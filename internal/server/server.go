@@ -376,29 +376,16 @@ func cacheOutcome(computed bool) string {
 }
 
 // NNPrivate answers a private nearest-neighbor query over the private
-// table (e.g. "nearest buddy"). excludeID removes the asker's own
-// stored cloak from the candidate list; pass a negative value to keep
-// everything.
+// table (e.g. "nearest buddy"). excludeID hides the asker's own stored
+// cloak from the query (privacyqp.Without); pass a negative value to
+// keep everything.
 func (s *Server) NNPrivate(cloak geom.Rect, excludeID int64, opt privacyqp.Options) (privacyqp.Result, error) {
 	start := time.Now()
 	s.queries.Add(1)
-	snap := s.snap.Load()
-	res, err := privacyqp.PrivateNN(snap.private, cloak, privacyqp.PrivateData, opt)
-	if err != nil {
-		qiNNPrivate.observe(start, 0, err)
-		return res, err
-	}
-	if excludeID >= 0 {
-		out := res.Candidates[:0]
-		for _, c := range res.Candidates {
-			if c.ID != excludeID {
-				out = append(out, c)
-			}
-		}
-		res.Candidates = out
-	}
-	qiNNPrivate.observe(start, len(res.Candidates), nil)
-	return res, nil
+	db := privacyqp.Without(s.snap.Load().private, excludeID)
+	res, err := privacyqp.PrivateNN(db, cloak, privacyqp.PrivateData, opt)
+	qiNNPrivate.observe(start, len(res.Candidates), err)
+	return res, err
 }
 
 // KNNPublic answers a private k-nearest-neighbor query over the
@@ -423,31 +410,6 @@ func (s *Server) KNNPublic(cloak geom.Rect, k int, opt privacyqp.Options) (priva
 	}
 	qiKNNPublic.observe(start, len(res.Candidates), err)
 	return res, err
-}
-
-// KNNPrivate answers a private k-nearest-neighbor query over the
-// private table, excluding the asker's own cloak when excludeID >= 0.
-// k is validated against the table size net of the exclusion.
-func (s *Server) KNNPrivate(cloak geom.Rect, k int, excludeID int64, opt privacyqp.Options) (privacyqp.Result, error) {
-	start := time.Now()
-	s.queries.Add(1)
-	snap := s.snap.Load()
-	res, err := privacyqp.PrivateKNN(snap.private, cloak, k, privacyqp.PrivateData, opt)
-	if err != nil {
-		qiKNNPrivate.observe(start, 0, err)
-		return res, err
-	}
-	if excludeID >= 0 {
-		out := res.Candidates[:0]
-		for _, c := range res.Candidates {
-			if c.ID != excludeID {
-				out = append(out, c)
-			}
-		}
-		res.Candidates = out
-	}
-	qiKNNPrivate.observe(start, len(res.Candidates), nil)
-	return res, nil
 }
 
 // RangePublic answers a private range query over the public table.

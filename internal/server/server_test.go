@@ -215,19 +215,6 @@ func TestKNNPublicAndPrivate(t *testing.T) {
 	if len(res.Candidates) < 5 {
 		t.Fatalf("candidates = %d, want >= 5", len(res.Candidates))
 	}
-	self := PrivateObject{ID: 42, Region: geom.R(350, 350, 380, 380)}
-	if err := s.UpsertPrivate(self); err != nil {
-		t.Fatal(err)
-	}
-	pres, err := s.KNNPrivate(self.Region, 3, 42, privacyqp.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range pres.Candidates {
-		if c.ID == 42 {
-			t.Fatal("self in k-NN candidates")
-		}
-	}
 	if _, err := s.KNNPublic(cloak, 0, privacyqp.DefaultOptions()); err == nil {
 		t.Fatal("k=0 accepted")
 	}

@@ -213,7 +213,7 @@ func TestStressQueriesDuringSnapshotUpdates(t *testing.T) {
 				case 3:
 					_, err = s.NNPrivate(cloak, int64(rrng.Intn(256)), opt)
 				case 4:
-					_, err = s.KNNPrivate(cloak, 1+rrng.Intn(5), -1, opt)
+					_, err = s.NNPrivate(cloak, -1, opt)
 				case 5:
 					_, err = s.CountPrivate(cloak, privacyqp.CountFractional)
 				}
