@@ -161,17 +161,19 @@ bench-backends:
 
 # bench-continuous measures the continuous-query monitor and records
 # the numbers in BENCH_continuous.json: per-update maintenance cost at
-# 1k/10k/100k standing queries, batched ingestion, and the safe-region
-# moving-asker trace. Headline (gated here):
+# 1k/10k/100k standing queries, batched ingestion, the buddy-heavy
+# write path, and the safe-region moving-asker trace. Gated here:
 # BenchmarkMonitorNNRecloak/safe evals/update (safe regions must
-# answer >= 50% of cloak movements without a re-evaluation). The first
+# answer >= 50% of cloak movements without a re-evaluation) and
+# BenchmarkMonitorBuddies evals/update (deltas must absorb all but
+# <= 0.5 Algorithm 2 re-runs per monitor update). The first
 # awk is generalized over paired "value unit" benchmark fields, so the
 # custom evals/update and safehits/update metrics land in the JSON next
 # to ns/op.
 bench-continuous:
 	$(GO) test -run XXX -bench 'BenchmarkMonitor' -benchmem ./internal/continuous | tee /tmp/bench-continuous.txt
 	@awk -v cpus="$$(nproc 2>/dev/null || echo unknown)" \
-	'BEGIN { printf "{\n  \"cpus\": \"%s\",\n  \"headline\": \"BenchmarkMonitorNNRecloak/safe evals/update (safe regions, acceptance <= 0.5); BenchmarkMonitorIndexedUpdate ns/op per update at 1k/10k/100k standing queries\",\n  \"benchmarks\": [\n", cpus; first = 1 } \
+	'BEGIN { printf "{\n  \"cpus\": \"%s\",\n  \"headline\": \"BenchmarkMonitorNNRecloak/safe evals/update (safe regions, acceptance <= 0.5); BenchmarkMonitorBuddies evals/update (deltas, acceptance <= 0.5); BenchmarkMonitorIndexedUpdate ns/op per update at 1k/10k/100k standing queries\",\n  \"benchmarks\": [\n", cpus; first = 1 } \
 	/^Benchmark/ { if (!first) printf ",\n"; first = 0; \
 	  printf "    {\"name\": \"%s\", \"iterations\": %s", $$1, $$2; \
 	  for (i = 3; i < NF; i += 2) { \
@@ -184,17 +186,25 @@ bench-continuous:
 	  END { if (ev == "") { print "FAIL: BenchmarkMonitorNNRecloak/safe missing from bench output"; exit 1 } \
 	    if (ev + 0 > 0.5) { printf "FAIL: safe regions still re-evaluate %s times per update (need <= 0.5)\n", ev; exit 1 } \
 	    printf "ok: %.3f evals/update with safe regions\n", ev }' /tmp/bench-continuous.txt
+	@awk '/^BenchmarkMonitorBuddies/ { for (i = 3; i < NF; i++) if ($$(i+1) == "evals/update") ev = $$i } \
+	  END { if (ev == "") { print "FAIL: BenchmarkMonitorBuddies missing from bench output"; exit 1 } \
+	    if (ev + 0 > 0.5) { printf "FAIL: buddy-heavy updates re-run Algorithm 2 %s times per update (need <= 0.5)\n", ev; exit 1 } \
+	    printf "ok: %.3f evals/update on the buddy-heavy write path\n", ev }' /tmp/bench-continuous.txt
 	@echo "wrote BENCH_continuous.json"
 
 # fuzz exercises the v2 frame decoder and codecs beyond the committed
-# seed corpus (internal/protocol/testdata/fuzz), and Theorem 3 with the
-# asker hidden (FuzzPrivateNNInclusive). Each fuzzer gets a short
+# seed corpus (internal/protocol/testdata/fuzz), Theorem 3 with the
+# asker hidden (FuzzPrivateNNInclusive), and the continuous monitor's
+# delta maintenance against fresh evaluations
+# (FuzzMonitorDeltaEquivalence; its minimization is capped so a new
+# input cannot stall the short budget). Each fuzzer gets a short
 # budget; go only allows one -fuzz pattern per invocation.
 fuzz:
 	$(GO) test -run XXX -fuzz FuzzV2DecodeRequest -fuzztime 10s ./internal/protocol
 	$(GO) test -run XXX -fuzz FuzzV2DecodeResponse -fuzztime 10s ./internal/protocol
 	$(GO) test -run XXX -fuzz FuzzV2ReadFrame -fuzztime 10s ./internal/protocol
 	$(GO) test -run XXX -fuzz FuzzPrivateNNInclusive -fuzztime 10s ./internal/privacyqp
+	$(GO) test -run XXX -fuzz FuzzMonitorDeltaEquivalence -fuzztime 10s -fuzzminimizetime 50x ./internal/continuous
 
 # race-stress runs the concurrency stress suites repeatedly under the
 # race detector: the anonymizer backends' stress, the identity table's

@@ -2,6 +2,7 @@ package continuous
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"casper/internal/geom"
@@ -23,6 +24,16 @@ func benchCloak(p geom.Point, half float64) geom.Rect {
 	return geom.R(p.X-half, p.Y-half, p.X+half, p.Y+half).ClipTo(world)
 }
 
+// setBenchPublic loads the benchmarks' 2000 uniform public objects.
+func setBenchPublic(m *Monitor) {
+	pts := mobgen.UniformPoints(world, 2000, 7)
+	pub := make([]rtree.Item, len(pts))
+	for i, p := range pts {
+		pub[i] = rtree.Item{ID: int64(i), Rect: geom.R(p.X, p.Y, p.X, p.Y)}
+	}
+	m.SetPublic(pub)
+}
+
 // benchMonitor builds a monitor with nObjects moving private users
 // (seeded from a mobgen fleet), 2000 public objects, and nQueries
 // standing queries: 80% range counts, 15% public-data NN, 5%
@@ -34,12 +45,7 @@ func benchMonitor(b *testing.B, cfg Config, nQueries, nObjects int) (*Monitor, [
 	m := NewMonitor(cfg)
 	b.Cleanup(m.Close)
 
-	pts := mobgen.UniformPoints(world, 2000, 7)
-	pub := make([]rtree.Item, len(pts))
-	for i, p := range pts {
-		pub[i] = rtree.Item{ID: int64(i), Rect: geom.R(p.X, p.Y, p.X, p.Y)}
-	}
-	m.SetPublic(pub)
+	setBenchPublic(m)
 
 	gen := mobgen.New(benchNet, mobgen.DefaultConfig(nObjects, 13))
 	buf := make([]mobgen.Update, 0, nObjects)
@@ -95,6 +101,109 @@ func BenchmarkMonitorIndexedUpdate(b *testing.B) {
 			}
 		})
 	}
+}
+
+// benchBuddies builds a monitor over nObjects moving private users and
+// 2000 public objects, with nWatches standing queries in the mix a
+// location service with buddy finding registers: one third each
+// public-data NN, private-data NN and private-data radius, the
+// private-data ones excluding their asker. Cloaks are snapped to the
+// cells of a 64x64 grid, as the pyramid anonymizer's are, so many
+// users share a cloak and distance ties are common. Each asker watches
+// from her own stored cloak. It returns the monitor, the askers'
+// watches, and a shuffled update trace of 8 mobgen ticks.
+func benchBuddies(b *testing.B, nWatches, nObjects int) (*Monitor, map[int64]benchWatch, []PrivateUpdate) {
+	b.Helper()
+	m := NewMonitor(Config{})
+	b.Cleanup(m.Close)
+	setBenchPublic(m)
+
+	// mobgen starts every user on a road junction; let the fleet spread
+	// along the roads before seeding the table.
+	gen := mobgen.New(benchNet, mobgen.DefaultConfig(nObjects, 13))
+	buf := make([]mobgen.Update, 0, nObjects)
+	for t := 0; t < 10; t++ {
+		gen.StepInto(60, buf)
+	}
+	seed := make([]PrivateUpdate, 0, nObjects)
+	for _, u := range gen.PositionsInto(buf) {
+		seed = append(seed, PrivateUpdate{ID: u.ID, Region: snapOut(benchCloak(u.Pos, 60), world.Width()/64)})
+	}
+	if err := m.ApplyUpdates(seed); err != nil {
+		b.Fatal(err)
+	}
+
+	watches := make(map[int64]benchWatch, nWatches)
+	stride := int64(max(1, nObjects/nWatches))
+	for i := 0; i < nWatches; i++ {
+		pid := int64(i) * stride
+		cloak := m.regions[pid]
+		var w benchWatch
+		var err error
+		switch i % 3 {
+		case 0:
+			w.id, _, err = m.RegisterNN(cloak, privacyqp.PublicData, privacyqp.DefaultOptions(), -1)
+		case 1:
+			w.id, _, err = m.RegisterNN(cloak, privacyqp.PrivateData, privacyqp.DefaultOptions(), pid)
+		default:
+			w.id, _, err = m.RegisterRadius(cloak, 500, privacyqp.PrivateData, pid)
+			w.radius = true
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		watches[pid] = w
+	}
+
+	const ticks = 8
+	trace := make([]PrivateUpdate, 0, ticks*nObjects)
+	for t := 0; t < ticks; t++ {
+		for _, u := range gen.StepInto(5, buf) {
+			trace = append(trace, PrivateUpdate{ID: u.ID, Region: snapOut(benchCloak(u.Pos, 60), world.Width()/64)})
+		}
+	}
+	// Each tick lists its users in ID order; shuffle so a short run
+	// samples every user, not the lowest IDs.
+	rand.New(rand.NewSource(37)).Shuffle(len(trace), func(i, j int) { trace[i], trace[j] = trace[j], trace[i] })
+	return m, watches, trace
+}
+
+type benchWatch struct {
+	id     QueryID
+	radius bool
+}
+
+// BenchmarkMonitorBuddies is the write path of a service whose
+// standing queries are mostly over private data: each op moves one
+// user, and an asker's own watch follows her cloak, the order a
+// location server feeds the monitor. evals/update counts Algorithm 2
+// re-runs per monitor update (data and asker moves alike); deltas
+// absorb the rest.
+func BenchmarkMonitorBuddies(b *testing.B) {
+	m, watches, trace := benchBuddies(b, 4000, 20000)
+	upd0, evals0 := m.Updates(), m.Evaluations()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		u := trace[i%len(trace)]
+		if err := upsert(m, u.ID, u.Region); err != nil {
+			b.Fatal(err)
+		}
+		w, ok := watches[u.ID]
+		var err error
+		switch {
+		case !ok:
+		case w.radius:
+			err = m.UpdateRadiusCloak(w.id, u.Region)
+		default:
+			err = m.UpdateNNCloak(w.id, u.Region)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(m.Evaluations()-evals0)/float64(m.Updates()-upd0), "evals/update")
 }
 
 // BenchmarkMonitorBatchIngest measures ApplyUpdates amortization: one

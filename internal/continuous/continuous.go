@@ -7,31 +7,36 @@
 //   - standing queries are themselves indexed spatially: every query's
 //     interest region (the range rect, an NN query's extended area
 //     A_EXT, a radius query's expanded cloak) lives in an R-tree, so a
-//     location update is a spatial join against the queries it can
-//     affect — O(matches) index probes per update, not O(Q);
+//     data change is a spatial join against the queries it can affect;
 //   - one mutex guards the whole monitor, and a batch (ApplyUpdates)
-//     takes it once: it applies every update, then re-evaluates each
-//     query the batch touched exactly once;
-//   - range-count queries over private data are maintained purely
-//     incrementally: an object update adjusts each affected query's
-//     count by the difference of its old and new contribution — no
-//     re-evaluation ever;
-//   - nearest-neighbor and radius queries keep a safe region (after
-//     Hashem, Kulik & Zhang, "Privacy Preserving Moving KNN Queries"):
-//     the region within which the current candidate list provably
-//     stays valid, derived from the distance-to-the-nearest-excluded-
-//     target slack (the (k+1)-th-neighbor argument) plus an optional
-//     cloak inflation. A moving asker whose new cloak stays inside the
-//     safe region costs a counter bump; only a region exit (or a data
-//     change inside the interest region) triggers re-evaluation.
+//     takes it once and notifies each query at most once;
+//   - every data change is folded into the answers it touches as a
+//     delta: a range count adds the difference of the object's old and
+//     new contributions, and a candidate list drops, adds or refreshes
+//     the one target under privacyqp's admission rules (Admits,
+//     InRange). A radius answer never needs more: its A_EXT depends on
+//     the cloak alone. An NN answer re-runs Algorithm 2 only when the
+//     change may alter its filter objects (Result.FiltersMayChange):
+//     the target is a filter, or it arrives at most a filter's distance
+//     from that filter's probe anchor. Otherwise a fresh evaluation
+//     picks the same filters — the R-tree breaks distance ties by ID,
+//     so the filters are a function of the table, not of the tree's
+//     shape — hence the same A_EXT, and the list after the delta is
+//     exactly its candidate list: minimal for those filters
+//     (Theorem 4) and inclusive (Theorem 3);
+//   - NN and radius queries keep a safe region (after Hashem, Kulik &
+//     Zhang, "Privacy Preserving Moving KNN Queries"): the region
+//     within which the current candidate list provably stays valid for
+//     a moving asker. A new cloak inside it costs a counter bump; a
+//     cloak leaving it re-runs the query.
 //
 // The monitor owns shadow copies of the public and private tables and
 // is driven by the same update stream the database server receives.
 // Every answer it maintains is what a fresh snapshot query at the
 // query's evaluation cloak would return, and remains inclusive for any
 // asker position inside the safe region (property-tested in
-// monitor_test.go); Evaluations() against Updates() quantifies the
-// incremental savings.
+// monitor_test.go and fuzz_test.go); Evaluations() against Updates()
+// quantifies the incremental savings.
 //
 // All methods are safe for concurrent use.
 package continuous
@@ -128,6 +133,11 @@ type Monitor struct {
 	nextID  QueryID
 	// regions maps each stored pseudonym to its current cloak.
 	regions map[int64]geom.Rect
+	// pending lists the NN/radius queries the ingestion in progress
+	// touched, and flips its candidate deltas; settleLocked empties
+	// both.
+	pending []*query
+	flips   []flip
 
 	// emitMu guards the delivery fields; emitters hold it shared so
 	// Close cannot close the channel under a pending send.
@@ -163,9 +173,11 @@ type query struct {
 	kind     queryKind
 	dataKind privacyqp.DataKind
 
-	// dirty marks a query already queued for re-evaluation by the
-	// ingestion in progress, so each query re-evaluates once per batch.
-	dirty bool
+	// State of the ingestion in progress, reset by settleLocked:
+	// touched queues the query in Monitor.pending, rerun marks it to
+	// re-run Algorithm 2, and changed records that a delta added or
+	// dropped a candidate.
+	touched, rerun, changed bool
 
 	// interest is the indexed interest region: the rect for range
 	// queries, A_EXT for NN, the evaluation cloak expanded by the
@@ -186,9 +198,11 @@ type query struct {
 	opt       privacyqp.Options
 	// exclude is the asker's own pseudonym, hidden from private-data
 	// evaluations (privacyqp.Without); negative means none.
-	exclude    int64
-	candidates []rtree.Item
-	candIDs    map[int64]bool
+	exclude int64
+	// res is the last evaluation. Deltas keep res.Candidates equal to
+	// a fresh evaluation at evalCloak; its filters decide when a change
+	// needs a re-run instead.
+	res privacyqp.Result
 }
 
 // NewMonitor builds a monitor from a Config.
@@ -373,7 +387,8 @@ func (m *Monitor) register(q *query) (count float64, candidates []rtree.Item, er
 	q.id = m.nextID
 	m.queries[q.id] = q
 	m.qidx.Insert(rtree.Item{Rect: q.interest, ID: int64(q.id)})
-	return q.count, q.candidates, nil
+	// Deltas edit the list in place, so the caller gets a copy.
+	return q.count, append([]rtree.Item(nil), q.res.Candidates...), nil
 }
 
 // Unregister removes a continuous query of any kind.
@@ -422,7 +437,7 @@ func (m *Monitor) Candidates(id QueryID) ([]rtree.Item, bool) {
 	if q == nil || q.kind == qRange {
 		return nil, false
 	}
-	return append([]rtree.Item(nil), q.candidates...), true
+	return append([]rtree.Item(nil), q.res.Candidates...), true
 }
 
 // UpdateNNCloak moves a continuous NN query's asker: an unchanged
@@ -458,7 +473,9 @@ func (m *Monitor) updateCloak(id QueryID, cloak geom.Rect, kind queryKind) error
 		contSafeHits.Inc()
 		return nil
 	}
-	m.reevalLocked(q)
+	if m.rerunLocked(q) {
+		m.emitCandidates(q)
+	}
 	return nil
 }
 
@@ -510,18 +527,6 @@ func contribution(region, query geom.Rect, policy privacyqp.CountPolicy) float64
 		return geom.OverlapFraction(region, query)
 	}
 	return 0
-}
-
-func sameIDSet(a, b map[int64]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for id := range a {
-		if !b[id] {
-			return false
-		}
-	}
-	return true
 }
 
 // sortOps orders a batch by pid (ties: input order), which fixes the

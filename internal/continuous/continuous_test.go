@@ -18,6 +18,18 @@ func randRegion(rng *rand.Rand, maxSide float64) geom.Rect {
 	return geom.R(x, y, x+rng.Float64()*maxSide, y+rng.Float64()*maxSide).ClipTo(world)
 }
 
+func sameIDSet(a, b map[int64]bool) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for id := range a {
+		if !b[id] {
+			return false
+		}
+	}
+	return true
+}
+
 // upsert inserts or moves one private object: a batch of one.
 func upsert(m *Monitor, id int64, region geom.Rect) error {
 	return m.ApplyUpdates([]PrivateUpdate{{ID: id, Region: region}})

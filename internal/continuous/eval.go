@@ -12,20 +12,36 @@ import (
 // shadow tables, refreshing its answer, interest region, and safe
 // region. Caller holds mu.
 func (m *Monitor) evalQueryLocked(q *query) error {
-	switch q.kind {
-	case qRange:
+	if q.kind == qRange {
 		count, err := privacyqp.PublicRangeCount(m.priv, q.rect, q.policy)
 		if err != nil {
 			return err
 		}
-		q.count = count
-		q.interest = q.rect
+		q.count, q.interest = count, q.rect
 		return nil
-	case qNN:
-		return m.evalNNLocked(q)
-	default:
-		return m.evalRadiusLocked(q)
 	}
+	ec := m.evalCloakFor(q.cloak)
+	var res privacyqp.Result
+	var err error
+	if q.kind == qNN {
+		res, err = privacyqp.PrivateNN(m.table(q), ec, q.dataKind, q.opt)
+	} else {
+		res, err = privacyqp.PrivateRange(m.table(q), ec, q.radius, q.dataKind)
+	}
+	if err != nil {
+		return err
+	}
+	// An answer computed at C+ is inclusive for every cloak inside C+,
+	// so C+ is the safe region; an NN answer widens it by the distance
+	// slack, while a radius answer has no slack to add without
+	// admitting targets beyond A_EXT.
+	slack := 0.0
+	if q.kind == qNN {
+		slack = privacyqp.CandidateValiditySlack(ec, res.AExt, res.Candidates, q.dataKind, q.opt.MinOverlap)
+	}
+	q.evalCloak, q.interest, q.res = ec, res.AExt, res
+	q.safe, q.hasSafe = ec.Expand(slack), true
+	return nil
 }
 
 // table returns the shadow table q reads, with the asker's own cloak
@@ -52,55 +68,37 @@ func (m *Monitor) evalCloakFor(cloak geom.Rect) geom.Rect {
 	return cloak.Expand(f * math.Max(cloak.Width(), cloak.Height()))
 }
 
-func (m *Monitor) evalNNLocked(q *query) error {
-	ec := m.evalCloakFor(q.cloak)
-	res, err := privacyqp.PrivateNN(m.table(q), ec, q.dataKind, q.opt)
-	if err != nil {
-		return err
+// admits is the candidate rule of q's last evaluation, applied to one
+// target region: privacyqp.Admits over A_EXT for NN queries,
+// privacyqp.InRange for radius queries.
+func (q *query) admits(r geom.Rect) bool {
+	if q.kind == qRadius {
+		return privacyqp.InRange(r, q.evalCloak, q.radius, q.dataKind)
 	}
-	slack := privacyqp.CandidateValiditySlack(ec, res.AExt, res.Candidates, q.dataKind, q.opt.MinOverlap)
-	q.evalCloak = ec
-	q.interest = res.AExt
-	q.safe = ec.Expand(slack)
-	q.hasSafe = true
-	m.setCandidates(q, res.Candidates)
-	return nil
+	return privacyqp.Admits(r, q.res.AExt, q.dataKind, q.opt.MinOverlap)
 }
 
-func (m *Monitor) evalRadiusLocked(q *query) error {
-	ec := m.evalCloakFor(q.cloak)
-	res, err := privacyqp.PrivateRange(m.table(q), ec, q.radius, q.dataKind)
-	if err != nil {
-		return err
-	}
-	q.evalCloak = ec
-	q.interest = res.AExt
-	// A radius answer computed at C+ is inclusive for every cloak
-	// inside C+ (the candidate set only shrinks as the cloak does), so
-	// containment alone is the safe region; there is no distance slack
-	// to add without admitting targets beyond A_EXT.
-	q.safe = ec
-	q.hasSafe = true
-	m.setCandidates(q, res.Candidates)
-	return nil
-}
-
-func (m *Monitor) setCandidates(q *query, cands []rtree.Item) {
-	q.candidates = cands
-	ids := make(map[int64]bool, len(cands))
-	for _, c := range cands {
-		ids[c.ID] = true
-	}
-	q.candIDs = ids
-}
-
-// reevalLocked re-runs one NN/radius query against the current
-// tables, re-indexes it if its interest region moved, and notifies the
-// subscriber if the candidate set changed. Caller holds mu and manages
-// the dirty flag; it must not be called from inside a query-index
+// rerunLocked re-runs one NN/radius query against the current tables
+// and re-indexes it if its interest region moved. It reports whether
+// the candidate ID set differs from the one the query had before the
+// ingestion in progress: its list with the ingestion's flips undone.
+// Caller holds mu; it must not be called from inside a query-index
 // search.
-func (m *Monitor) reevalLocked(q *query) {
-	oldIDs := q.candIDs
+func (m *Monitor) rerunLocked(q *query) bool {
+	before := make(map[int64]bool, len(q.res.Candidates))
+	for _, c := range q.res.Candidates {
+		before[c.ID] = true
+	}
+	for _, f := range m.flips {
+		if f.q != q {
+			continue
+		}
+		if f.was {
+			before[f.id] = true
+		} else {
+			delete(before, f.id)
+		}
+	}
 	oldInterest := q.interest
 	if err := m.evalQueryLocked(q); err != nil {
 		// Evaluation failure (empty table, degenerate cloak): publish
@@ -110,18 +108,31 @@ func (m *Monitor) reevalLocked(q *query) {
 		q.safe = geom.Rect{}
 		q.hasSafe = false
 		q.interest = m.cfg.Universe
-		m.setCandidates(q, nil)
+		q.res = privacyqp.Result{}
 	}
 	m.noteEval()
 	if q.interest != oldInterest {
 		m.qidx.Delete(int64(q.id), oldInterest)
 		m.qidx.Insert(rtree.Item{Rect: q.interest, ID: int64(q.id)})
 	}
-	if !sameIDSet(oldIDs, q.candIDs) {
-		m.emit(Event{
-			Query:      q.id,
-			Kind:       CandidatesChanged,
-			Candidates: append([]rtree.Item(nil), q.candidates...),
-		})
+	// IDs are unique in a table, so equal sizes and inclusion suffice.
+	if len(q.res.Candidates) != len(before) {
+		return true
 	}
+	for _, c := range q.res.Candidates {
+		if !before[c.ID] {
+			return true
+		}
+	}
+	return false
+}
+
+// emitCandidates notifies q's subscriber of its current candidate
+// list. Caller holds mu.
+func (m *Monitor) emitCandidates(q *query) {
+	m.emit(Event{
+		Query:      q.id,
+		Kind:       CandidatesChanged,
+		Candidates: append([]rtree.Item(nil), q.res.Candidates...),
+	})
 }

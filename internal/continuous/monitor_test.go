@@ -3,6 +3,7 @@ package continuous
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -35,22 +36,38 @@ func cloakAround(p geom.Point, half float64) geom.Rect {
 // and inflated configurations; the linear-legacy case reruns the exact
 // one with range counts checked against an O(N) scan of the live
 // objects instead of a snapshot query, so the indexed join is also
-// differentially tested against a linear scan.
+// differentially tested against a linear scan. The grid-snapped case
+// snaps every cloak to pyramid cells and every public target to cell
+// vertices, as a grid anonymizer does: cloak vertices are then often
+// equidistant from several targets, so the answer is only exact if
+// ties break the same way in the monitor's tree and the snapshot's.
 func TestMobgenTraceEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
 		cfg          Config
 		linearCounts bool
+		grid         float64
 	}{
-		{"indexed-exact", Config{Universe: world}, false},
-		{"indexed-inflated", Config{Universe: world, SafeRegionFrac: 0.7}, false},
-		{"linear-legacy", Config{Universe: world}, true},
+		{"indexed-exact", Config{Universe: world}, false, 0},
+		{"indexed-inflated", Config{Universe: world, SafeRegionFrac: 0.7}, false, 0},
+		{"linear-legacy", Config{Universe: world}, true, 0},
+		{"grid-snapped", Config{Universe: world}, false, world.Width() / 16},
 	} {
-		t.Run(tc.name, func(t *testing.T) { runTraceEquivalence(t, tc.cfg, tc.linearCounts) })
+		t.Run(tc.name, func(t *testing.T) { runTraceEquivalence(t, tc.cfg, tc.linearCounts, tc.grid) })
 	}
 }
 
-func runTraceEquivalence(t *testing.T, cfg Config, linearCounts bool) {
+// snapOut grows r to the cells of a grid with side g (g == 0 leaves it
+// as is).
+func snapOut(r geom.Rect, g float64) geom.Rect {
+	if g == 0 {
+		return r
+	}
+	return geom.R(math.Floor(r.Min.X/g)*g, math.Floor(r.Min.Y/g)*g,
+		math.Ceil(r.Max.X/g)*g, math.Ceil(r.Max.Y/g)*g).ClipTo(world)
+}
+
+func runTraceEquivalence(t *testing.T, cfg Config, linearCounts bool, grid float64) {
 	rng := rand.New(rand.NewSource(42))
 	m := NewMonitor(cfg)
 	gen := mobgen.New(traceNet(3), mobgen.DefaultConfig(80, 9))
@@ -58,6 +75,9 @@ func runTraceEquivalence(t *testing.T, cfg Config, linearCounts bool) {
 	// Fixed public targets (points, like the paper's gas stations).
 	var pub []rtree.Item
 	for i, p := range mobgen.UniformPoints(world, 50, 7) {
+		if grid > 0 {
+			p = geom.Pt(math.Round(p.X/grid)*grid, math.Round(p.Y/grid)*grid)
+		}
 		pub = append(pub, rtree.Item{Rect: geom.Rect{Min: p, Max: p}, ID: int64(1000 + i)})
 	}
 	m.SetPublic(pub)
@@ -68,7 +88,7 @@ func runTraceEquivalence(t *testing.T, cfg Config, linearCounts bool) {
 	push := func(us []mobgen.Update) {
 		batch := make([]PrivateUpdate, 0, len(us))
 		for _, u := range us {
-			r := cloakAround(u.Pos, 120)
+			r := snapOut(cloakAround(u.Pos, 120), grid)
 			batch = append(batch, PrivateUpdate{ID: u.ID, Region: r})
 			mirror[u.ID] = r
 		}
@@ -105,7 +125,7 @@ func runTraceEquivalence(t *testing.T, cfg Config, linearCounts bool) {
 
 	opt := privacyqp.DefaultOptions()
 	addWatch := func(asker mobgen.Update) {
-		c := cloakAround(asker.Pos, 150)
+		c := snapOut(cloakAround(asker.Pos, 150), grid)
 		switch rng.Intn(3) {
 		case 0:
 			id, _, err := m.RegisterNN(c, privacyqp.PublicData, opt, -1)
@@ -284,7 +304,7 @@ func runTraceEquivalence(t *testing.T, cfg Config, linearCounts bool) {
 			if !ok {
 				continue
 			}
-			w.cloak = cloakAround(p, 150)
+			w.cloak = snapOut(cloakAround(p, 150), grid)
 			var err error
 			if w.kind == qNN {
 				err = m.UpdateNNCloak(w.id, w.cloak)
@@ -711,5 +731,174 @@ func TestLinearScanMatchesIndexed(t *testing.T) {
 			t.Fatalf("query %d (kind %d): maintained %d candidates != snapshot %d at evalCloak %v",
 				rg.id, rg.kind, len(gotIDs), len(wantIDs), ec)
 		}
+	}
+}
+
+// TestDeltaEventContract pins the notification contract of a batch
+// under deltas: one CandidatesChanged at most per query and ingestion,
+// and only when the candidate ID set differs from the set before the
+// ingestion — also when a delta changed the list and a later op of the
+// same batch forced a re-run.
+func TestDeltaEventContract(t *testing.T) {
+	// One private NN query, one filter (the nearest to the cloak's
+	// center): pid 5 at the center is the filter, pid 1 a candidate
+	// inside A_EXT = C expanded by ~8.49 on every side.
+	cloak := geom.R(0, 0, 10, 10)
+	filter, cand := geom.R(4, 4, 6, 6), geom.R(15, 15, 16, 16)
+	setup := func(t *testing.T) (*Monitor, QueryID, *[]Event) {
+		t.Helper()
+		var events []Event
+		m := New(func(e Event) { events = append(events, e) })
+		if err := m.ApplyUpdates([]PrivateUpdate{{ID: 5, Region: filter}, {ID: 1, Region: cand}}); err != nil {
+			t.Fatal(err)
+		}
+		id, got, err := m.RegisterNN(cloak, privacyqp.PrivateData, privacyqp.Options{Filters: 1}, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameIDSet(idsOf(got), map[int64]bool{1: true, 5: true}) {
+			t.Fatalf("initial candidates %v, want pids 1 and 5", got)
+		}
+		return m, id, &events
+	}
+	far := geom.R(30, 30, 31, 31) // outside A_EXT: the delta drops pid 1
+
+	t.Run("rerun-restores", func(t *testing.T) {
+		m, id, events := setup(t)
+		evals := m.Evaluations()
+		// pid 1 leaves A_EXT (delta), then the filter grows so that the
+		// re-run's A_EXT reaches pid 1 again: same set, no event.
+		if err := m.ApplyUpdates([]PrivateUpdate{{ID: 1, Region: far}, {ID: 5, Region: geom.R(5, 5, 22, 22)}}); err != nil {
+			t.Fatal(err)
+		}
+		if m.Evaluations() != evals+1 {
+			t.Fatalf("%d evaluations, want the filter's one re-run", m.Evaluations()-evals)
+		}
+		if len(*events) != 0 {
+			t.Fatalf("events %+v for a batch that restored the candidate set", *events)
+		}
+		got, _ := m.Candidates(id)
+		if !sameIDSet(idsOf(got), map[int64]bool{1: true, 5: true}) {
+			t.Fatalf("candidates %v, want pids 1 and 5", got)
+		}
+	})
+	t.Run("rerun-keeps-change", func(t *testing.T) {
+		m, id, events := setup(t)
+		if err := m.ApplyUpdates([]PrivateUpdate{{ID: 1, Region: far}, {ID: 5, Region: geom.R(4, 4, 7, 7)}}); err != nil {
+			t.Fatal(err)
+		}
+		if len(*events) != 1 || (*events)[0].Query != id || !sameIDSet(idsOf((*events)[0].Candidates), map[int64]bool{5: true}) {
+			t.Fatalf("events %+v, want exactly one with pid 5 alone", *events)
+		}
+	})
+	t.Run("move-inside", func(t *testing.T) {
+		m, id, events := setup(t)
+		evals := m.Evaluations()
+		moved := geom.R(14, 14, 15, 15)
+		if err := upsert(m, 1, moved); err != nil {
+			t.Fatal(err)
+		}
+		if len(*events) != 0 || m.Evaluations() != evals {
+			t.Fatalf("a candidate moving inside A_EXT cost %d events and %d evaluations", len(*events), m.Evaluations()-evals)
+		}
+		got, _ := m.Candidates(id)
+		found := false
+		for _, c := range got {
+			found = found || c.ID == 1 && c.Rect == moved
+		}
+		if !found {
+			t.Fatalf("candidates %v do not show pid 1 at %v", got, moved)
+		}
+	})
+	t.Run("asker-moves", func(t *testing.T) {
+		var events []Event
+		m := New(func(e Event) { events = append(events, e) })
+		if err := m.ApplyUpdates([]PrivateUpdate{{ID: 5, Region: filter}, {ID: 1, Region: cand}, {ID: 9, Region: cloak}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := m.RegisterNN(cloak, privacyqp.PrivateData, privacyqp.Options{Filters: 1}, 9); err != nil {
+			t.Fatal(err)
+		}
+		evals := m.Evaluations()
+		// The asker's own pseudonym is hidden from her query: moving it,
+		// even onto the filter's distance, changes nothing.
+		if err := upsert(m, 9, geom.R(5, 5, 5, 5)); err != nil {
+			t.Fatal(err)
+		}
+		m.RemovePrivate(9)
+		if len(events) != 0 || m.Evaluations() != evals {
+			t.Fatalf("the asker's own moves cost %d events and %d evaluations", len(events), m.Evaluations()-evals)
+		}
+	})
+}
+
+// TestDeltaAllocations requires a delta-only update of a watched
+// region to run no evaluation and to allocate nothing proportional to
+// the candidate list: a candidate moving around inside A_EXT refreshes
+// its rect in place.
+func TestDeltaAllocations(t *testing.T) {
+	m := New(nil)
+	rng := rand.New(rand.NewSource(11))
+	batch := make([]PrivateUpdate, 0, 2000)
+	for i := 0; i < 2000; i++ {
+		x, y := rng.Float64()*2000, rng.Float64()*2000
+		batch = append(batch, PrivateUpdate{ID: int64(i), Region: geom.R(x, y, x+20, y+20)})
+	}
+	if err := m.ApplyUpdates(batch); err != nil {
+		t.Fatal(err)
+	}
+	cloak := geom.R(900, 900, 1100, 1100)
+	nn, nnCands, err := m.RegisterNN(cloak, privacyqp.PrivateData, privacyqp.DefaultOptions(), -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rad, radCands, err := m.RegisterRadius(cloak, 400, privacyqp.PrivateData, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The mover: a candidate of both whose shifts by 1 and 2 stay
+	// admitted by both and beat no filter.
+	shift := func(r geom.Rect, dx float64) geom.Rect {
+		return geom.R(r.Min.X+dx, r.Min.Y, r.Max.X+dx, r.Max.Y)
+	}
+	q, qr := m.queries[nn], m.queries[rad]
+	var pid int64 = -1
+	for _, c := range nnCands {
+		ok := true
+		for dx := 0.0; dx <= 2; dx++ {
+			ch := privacyqp.Change{Old: c, Had: true, New: rtree.Item{Rect: shift(c.Rect, dx), ID: c.ID}, Has: true}
+			ok = ok && !q.res.FiltersMayChange(ch, privacyqp.PrivateData) && q.admits(ch.New.Rect) && qr.admits(ch.New.Rect)
+		}
+		if ok {
+			pid = c.ID
+			break
+		}
+	}
+	if pid < 0 || len(nnCands) < 100 || len(radCands) < 100 {
+		t.Fatalf("setup: mover %d, %d NN and %d radius candidates", pid, len(nnCands), len(radCands))
+	}
+	base := m.regions[pid]
+	evals := m.Evaluations()
+	step := 0
+	move := func() {
+		step++
+		if err := upsert(m, pid, shift(base, float64(step%3))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	move()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const moves = 200
+	for i := 0; i < moves; i++ {
+		move()
+	}
+	runtime.ReadMemStats(&after)
+	if m.Evaluations() != evals {
+		t.Fatalf("%d evaluations for delta-only moves", m.Evaluations()-evals)
+	}
+	// One list copy is len(candidates) * 56 bytes (over 5 KB here).
+	if perMove := (after.TotalAlloc - before.TotalAlloc) / moves; perMove > 1024 {
+		t.Fatalf("a delta-only move allocates %d bytes", perMove)
 	}
 }

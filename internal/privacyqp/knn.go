@@ -55,10 +55,7 @@ func PrivateKNN(db SpatialIndex, cloak geom.Rect, k int, kind DataKind, opt Opti
 		return Result{}, fmt.Errorf("privacyqp: invalid cloaked region %v", cloak)
 	}
 
-	metric := rtree.MinDist
-	if kind == PrivateData {
-		metric = rtree.MaxDist
-	}
+	metric := metricFor(kind)
 
 	sc := getScratch()
 	defer putScratch(sc)

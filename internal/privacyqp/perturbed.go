@@ -47,16 +47,13 @@ func PerturbedNN(db SpatialIndex, center geom.Point, radius float64, kind DataKi
 		return Result{}, fmt.Errorf("privacyqp: perturbed radius %v, need >= 0", radius)
 	}
 
-	metric := rtree.MinDist
-	if kind == PrivateData {
-		metric = rtree.MaxDist
-	}
+	metric := metricFor(kind)
 
 	sc := getScratch()
 	defer putScratch(sc)
 
 	fsp := opt.Trace.StartSpan("query_filter")
-	t := nearest1(db, sc, center, metric)
+	t := nearest1(db, sc, center, metric).Item
 	if len(sc.nbrs) == 0 {
 		return Result{}, ErrNoTargets
 	}
@@ -96,10 +93,7 @@ func PerturbedKNN(db SpatialIndex, center geom.Point, radius float64, k int, kin
 		return Result{}, fmt.Errorf("privacyqp: perturbed radius %v, need >= 0", radius)
 	}
 
-	metric := rtree.MinDist
-	if kind == PrivateData {
-		metric = rtree.MaxDist
-	}
+	metric := metricFor(kind)
 
 	sc := getScratch()
 	defer putScratch(sc)

@@ -101,6 +101,17 @@ type Result struct {
 	// NNSearches is how many nearest-neighbor probes the filter step
 	// issued (equal to the number of distinct query anchors).
 	NNSearches int
+	// probes[:NNSearches] are PrivateNN's filter-step probes, read by
+	// FiltersMayChange.
+	probes [4]probe
+}
+
+// probe is one filter-step nearest-neighbor probe: the anchor it was
+// issued from, and the metric distance and ID of the filter it found.
+type probe struct {
+	at   geom.Point
+	dist float64
+	id   int64
 }
 
 // ErrNoTargets is returned when the database holds no target objects
@@ -119,13 +130,7 @@ func PrivateNN(db SpatialIndex, cloak geom.Rect, kind DataKind, opt Options) (Re
 		return Result{}, fmt.Errorf("privacyqp: invalid cloaked region %v", cloak)
 	}
 
-	metric := rtree.MinDist
-	if kind == PrivateData {
-		// A private target's distance from a vertex is measured to its
-		// furthest corner: wherever it really is inside its cloak, it
-		// is no further than that.
-		metric = rtree.MaxDist
-	}
+	metric := metricFor(kind)
 
 	// The query owns a pooled scratch arena for its duration; every
 	// buffer below lives in it, and only exact-size copies reach the
@@ -141,14 +146,12 @@ func PrivateNN(db SpatialIndex, cloak geom.Rect, kind DataKind, opt Options) (Re
 	switch opt.Filters {
 	case 4:
 		for i, v := range corners {
-			filters[i] = nearest1(db, sc, v, metric)
-			res.NNSearches++
+			filters[i] = res.probe(db, sc, v, metric)
 		}
 	case 2:
 		// Two opposite corners: lower-left (0) and upper-right (3).
-		t0 := nearest1(db, sc, corners[0], metric)
-		t3 := nearest1(db, sc, corners[3], metric)
-		res.NNSearches = 2
+		t0 := res.probe(db, sc, corners[0], metric)
+		t3 := res.probe(db, sc, corners[3], metric)
 		filters[0], filters[3] = t0, t3
 		// The remaining corners adopt whichever of the two filters is
 		// closer to them (any assignment preserves inclusiveness; the
@@ -161,8 +164,7 @@ func PrivateNN(db SpatialIndex, cloak geom.Rect, kind DataKind, opt Options) (Re
 			}
 		}
 	case 1:
-		nb := nearest1(db, sc, cloak.Center(), metric)
-		res.NNSearches = 1
+		nb := res.probe(db, sc, cloak.Center(), metric)
 		for i := range filters {
 			filters[i] = nb
 		}
@@ -202,18 +204,92 @@ func PrivateNN(db SpatialIndex, cloak geom.Rect, kind DataKind, opt Options) (Re
 	return res, nil
 }
 
-// admitted appends to dst the targets intersecting aext that the
-// candidate list step admits: all of them, or for private data under a
-// MinOverlap policy those with at least that fraction of their area in
-// aext.
+// metricFor is the filter step's distance for a data kind. A private
+// target's distance from a vertex is measured to its furthest corner:
+// wherever it really is inside its cloak, it is no further than that.
+func metricFor(kind DataKind) rtree.Metric {
+	if kind == PrivateData {
+		return rtree.MaxDist
+	}
+	return rtree.MinDist
+}
+
+// probe issues one filter-step nearest-neighbor probe from anchor v,
+// records it, and returns the filter object it found.
+func (r *Result) probe(db SpatialIndex, sc *queryScratch, v geom.Point, m rtree.Metric) rtree.Item {
+	nb := nearest1(db, sc, v, m)
+	r.probes[r.NNSearches] = probe{at: v, dist: nb.Dist, id: nb.Item.ID}
+	r.NNSearches++
+	return nb.Item
+}
+
+// admitted appends to dst the targets of db that Admits.
 func admitted(db SpatialIndex, dst []rtree.Item, aext geom.Rect, kind DataKind, minOverlap float64) []rtree.Item {
 	db.SearchFunc(aext, func(it rtree.Item) bool {
-		if kind != PrivateData || minOverlap == 0 || geom.OverlapFraction(it.Rect, aext) >= minOverlap {
+		if Admits(it.Rect, aext, kind, minOverlap) {
 			dst = append(dst, it)
 		}
 		return true
 	})
 	return dst
+}
+
+// Admits is the candidate list step's rule (step 4): a target with
+// region r enters the list of a query with extended area aext if it
+// intersects aext and, for private data under a MinOverlap policy, has
+// at least that fraction of its area inside aext.
+func Admits(r, aext geom.Rect, kind DataKind, minOverlap float64) bool {
+	return r.Intersects(aext) &&
+		(kind != PrivateData || minOverlap == 0 || geom.OverlapFraction(r, aext) >= minOverlap)
+}
+
+// Change is one target's transition in the table a query reads: Old
+// is the stored item before it (when Had), New the one after it (when
+// Has). An insert has only New, a removal only Old, and a move both,
+// with the same ID.
+type Change struct {
+	Old, New rtree.Item
+	Had, Has bool
+}
+
+// ID is the changed target's ID.
+func (c Change) ID() int64 {
+	if c.Has {
+		return c.New.ID
+	}
+	return c.Old.ID
+}
+
+// FiltersMayChange reports whether ch can alter the filter objects that
+// PrivateNN chose for res: Old is one of them, or New would win some
+// probe, being nearer its anchor (under kind's metric) than the
+// anchor's filter, or as near with an ID no higher — the tree breaks
+// distance ties by ID, so every probe's answer is a function of the
+// table. When it reports false, PrivateNN on the changed table picks
+// the same filters, hence the same A_EXT, and its candidate list is
+// res.Candidates with at most ch's target added, dropped or moved
+// under Admits. A result without filters — a failed evaluation —
+// always reports true.
+func (res *Result) FiltersMayChange(ch Change, kind DataKind) bool {
+	if len(res.Filters) == 0 {
+		return true
+	}
+	if ch.Had {
+		for _, f := range res.Filters {
+			if f.ID == ch.Old.ID && f.Rect == ch.Old.Rect {
+				return true
+			}
+		}
+	}
+	if ch.Has {
+		m := metricFor(kind)
+		for _, p := range res.probes[:res.NNSearches] {
+			if d := m.DistTo(p.at, ch.New.Rect); d < p.dist || d == p.dist && ch.New.ID <= p.id {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // edgeMaxD computes max_d for one cloak edge: the largest distance

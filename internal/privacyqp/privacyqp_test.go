@@ -569,3 +569,77 @@ func TestDensityGridMatchesCountPerCell(t *testing.T) {
 		}
 	}
 }
+
+// TestPrivateNNTiesIndependentOfTreeShape loads the same grid-snapped
+// targets — every cloak vertex equidistant from several of them — into
+// trees built in different insertion orders and requires identical
+// filters, A_EXT and candidate sets: with ties broken by ID, Algorithm
+// 2's answer is a function of the data, which is what lets the
+// continuous monitor maintain it as deltas.
+func TestPrivateNNTiesIndependentOfTreeShape(t *testing.T) {
+	var points, rects []rtree.Item
+	for x := 0; x < 10; x++ {
+		for y := 0; y < 10; y++ {
+			px, py := float64(x)*20, float64(y)*20
+			id := int64(x*10 + y)
+			points = append(points, rtree.Item{Rect: geom.R(px, py, px, py), ID: id})
+			rects = append(rects, rtree.Item{Rect: geom.R(px, py, px+20, py+20), ID: id})
+		}
+	}
+	cloaks := []geom.Rect{geom.R(90, 90, 110, 110), geom.R(80, 100, 120, 140), geom.R(0, 0, 20, 20), geom.R(70, 30, 110, 50)}
+	rng := rand.New(rand.NewSource(9))
+	for _, tc := range []struct {
+		kind  DataKind
+		items []rtree.Item
+	}{{PublicData, points}, {PrivateData, rects}} {
+		for _, filters := range []int{1, 2, 4} {
+			opt := Options{Filters: filters}
+			var want []Result
+			for order := 0; order < 5; order++ {
+				perm := append([]rtree.Item(nil), tc.items...)
+				rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+				db := rtree.NewWithCapacity(4)
+				for _, it := range perm {
+					db.Insert(it)
+				}
+				for ci, c := range cloaks {
+					res, err := PrivateNN(db, c, tc.kind, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if order == 0 {
+						want = append(want, res)
+						continue
+					}
+					w := want[ci]
+					if len(res.Filters) != len(w.Filters) || res.AExt != w.AExt {
+						t.Fatalf("%v filters=%d cloak %v order %d: filters %v A_EXT %v, first tree %v %v",
+							tc.kind, filters, c, order, res.Filters, res.AExt, w.Filters, w.AExt)
+					}
+					for i := range res.Filters {
+						if res.Filters[i].ID != w.Filters[i].ID {
+							t.Fatalf("%v filters=%d cloak %v order %d: filters %v, first tree %v", tc.kind, filters, c, order, res.Filters, w.Filters)
+						}
+					}
+					if got, exp := idSet(res.Candidates), idSet(w.Candidates); len(got) != len(exp) {
+						t.Fatalf("%v filters=%d cloak %v order %d: %d candidates, first tree %d", tc.kind, filters, c, order, len(got), len(exp))
+					} else {
+						for id := range exp {
+							if !got[id] {
+								t.Fatalf("%v filters=%d cloak %v order %d: candidate %d missing", tc.kind, filters, c, order, id)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func idSet(items []rtree.Item) map[int64]bool {
+	s := make(map[int64]bool, len(items))
+	for _, it := range items {
+		s[it.ID] = true
+	}
+	return s
+}

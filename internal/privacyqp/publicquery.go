@@ -164,22 +164,28 @@ func PrivateRange(db SpatialIndex, cloak geom.Rect, radius float64, kind DataKin
 	defer putScratch(sc)
 	sc.cand = sc.cand[:0]
 	db.SearchFunc(aext, func(it rtree.Item) bool {
-		// Prune the rectangle's corner slack: keep only targets whose
-		// (pessimistic, for private data) distance to the cloak is
-		// within radius.
-		var d float64
-		if kind == PrivateData {
-			d = geom.MinDistRects(cloak, it.Rect)
-		} else {
-			d = it.Rect.Min.MinDistRect(cloak)
-		}
-		if d <= radius {
+		if InRange(it.Rect, cloak, radius, kind) {
 			sc.cand = append(sc.cand, it)
 		}
 		return true
 	})
 	res.Candidates = copyItems(sc.cand)
 	return res, nil
+}
+
+// InRange is PrivateRange's admission rule: a target with region r is
+// a candidate of the query (cloak, radius) if it intersects the cloak
+// expanded by radius and its distance to the cloak — the nearest point
+// of its region for private data — is within radius. The second test
+// prunes the expanded rectangle's corner slack.
+func InRange(r, cloak geom.Rect, radius float64, kind DataKind) bool {
+	if !r.Intersects(cloak.Expand(radius)) {
+		return false
+	}
+	if kind == PrivateData {
+		return geom.MinDistRects(cloak, r) <= radius
+	}
+	return r.Min.MinDistRect(cloak) <= radius
 }
 
 // RefineRange is the client-side refinement for PrivateRange: keep the

@@ -56,13 +56,13 @@ func SetScratchReuse(on bool) bool { return scratchReuse.Swap(on) }
 
 // nearest1 probes the single nearest item to p using the query's
 // scratch heap and neighbor buffer. On an empty db it returns the zero
-// Item and leaves sc.nbrs empty, which is how callers detect one.
-func nearest1(db SpatialIndex, sc *queryScratch, p geom.Point, m rtree.Metric) rtree.Item {
+// Neighbor and leaves sc.nbrs empty, which is how callers detect one.
+func nearest1(db SpatialIndex, sc *queryScratch, p geom.Point, m rtree.Metric) rtree.Neighbor {
 	sc.nbrs = db.NearestKInto(p, 1, m, sc.heap, sc.nbrs)
 	if len(sc.nbrs) == 0 {
-		return rtree.Item{}
+		return rtree.Neighbor{}
 	}
-	return sc.nbrs[0].Item
+	return sc.nbrs[0]
 }
 
 // copyItems returns an exact-size copy of src, or nil when empty —

@@ -525,7 +525,8 @@ func (t *Tree) Nearest(q geom.Point, m Metric) (Neighbor, bool) {
 }
 
 // NearestK returns the k items nearest to q under metric m in
-// ascending distance order (fewer if the tree holds fewer). It runs a
+// ascending distance order, equal distances by ascending ID (fewer if
+// the tree holds fewer). It runs a
 // best-first search over the tree: node MBRs are ranked by min-dist,
 // which lower-bounds both metrics (for MaxDist, a degenerate rectangle
 // at the nearest point of the MBR attains min-dist), so the search is
@@ -598,9 +599,15 @@ func (t *Tree) nearestK(q geom.Point, k int, m Metric, h *NNHeap, out []Neighbor
 	return out
 }
 
-// insertNeighbor inserts nb into the sorted slice keeping at most k.
+// insertNeighbor inserts nb into the slice sorted by (Dist, Item.ID),
+// keeping at most k. Ordering equal distances by ID makes the k nearest
+// a function of the stored items, not of the tree's shape: nearestK
+// never prunes an entry at exactly the k-th distance, so every tied
+// item reaches this comparison.
 func insertNeighbor(out []Neighbor, nb Neighbor, k int) []Neighbor {
-	i := sort.Search(len(out), func(i int) bool { return out[i].Dist > nb.Dist })
+	i := sort.Search(len(out), func(i int) bool {
+		return out[i].Dist > nb.Dist || out[i].Dist == nb.Dist && out[i].Item.ID > nb.Item.ID
+	})
 	out = append(out, Neighbor{})
 	copy(out[i+1:], out[i:])
 	out[i] = nb

@@ -641,3 +641,50 @@ func BenchmarkNearestK10K(b *testing.B) {
 		tr.NearestK(geom.Pt(500, 500), 4, MinDist)
 	}
 }
+
+// TestNearestKTiesByID pins the tie-break: on a lattice, where many
+// items are equidistant from a lattice point, the k nearest are the
+// same (distance, then ID) prefix whatever order built the tree.
+func TestNearestKTiesByID(t *testing.T) {
+	var items []Item
+	for x := 0; x < 12; x++ {
+		for y := 0; y < 12; y++ {
+			p := geom.Pt(float64(x)*10, float64(y)*10)
+			items = append(items, Item{Rect: geom.Rect{Min: p, Max: p}, ID: int64(x*12 + y)})
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	var want [][]Neighbor
+	for order := 0; order < 6; order++ {
+		perm := append([]Item(nil), items...)
+		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		tr := NewWithCapacity(4)
+		for _, it := range perm {
+			tr.Insert(it)
+		}
+		var got [][]Neighbor
+		for _, q := range []geom.Point{geom.Pt(55, 55), geom.Pt(50, 50), geom.Pt(0, 5), geom.Pt(35, 60)} {
+			for _, m := range []Metric{MinDist, MaxDist} {
+				ns := tr.NearestK(q, 5, m)
+				for i := 1; i < len(ns); i++ {
+					a, b := ns[i-1], ns[i]
+					if a.Dist > b.Dist || a.Dist == b.Dist && a.Item.ID > b.Item.ID {
+						t.Fatalf("order %d: neighbors out of (dist, ID) order: %+v before %+v", order, a, b)
+					}
+				}
+				got = append(got, ns)
+			}
+		}
+		if order == 0 {
+			want = got
+			continue
+		}
+		for i := range got {
+			for j := range got[i] {
+				if got[i][j] != want[i][j] {
+					t.Fatalf("order %d probe %d rank %d: %+v, first tree gave %+v", order, i, j, got[i][j], want[i][j])
+				}
+			}
+		}
+	}
+}
