@@ -112,16 +112,29 @@ bench-queries:
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime=1x ./...
 
-# bench-allocs asserts the query kernel's allocation budget: with
+# bench-allocs asserts the query kernels' allocation budgets: with
 # tracing compiled in but no trace attached, BenchmarkNN must stay at
 # or below 5 allocs/op (the PR 4 scratch-arena baseline is 3; the
 # margin absorbs harness noise, not regressions). A tracing change
-# that makes the disabled path allocate fails CI here.
+# that makes the disabled path allocate fails CI here. The R-tree k-NN
+# search must stay at or below 4 KB/op (BenchmarkNearestK10K; its
+# frontier queues 16-byte node entries, never items), and the client's
+# k-NN refinement at or below 2 allocs/op (BenchmarkRefineKNN; it
+# allocates only the k-item result). A gated benchmark that does not
+# run fails too.
 bench-allocs:
 	$(GO) test -run XXX -bench 'BenchmarkNN$$' -benchmem . | tee /tmp/bench-allocs.txt
 	@awk '/^BenchmarkNN\// || /^BenchmarkNN-/ || /^BenchmarkNN / { \
 	  if ($$7+0 > 5) { printf "FAIL: %s allocates %s allocs/op (budget 5)\n", $$1, $$7; exit 1 } \
 	  else { printf "ok: %s at %s allocs/op (budget 5)\n", $$1, $$7 } }' /tmp/bench-allocs.txt
+	$(GO) test -run XXX -bench 'BenchmarkNearestK10K$$|BenchmarkRefineKNN$$' -benchmem ./internal/rtree ./internal/privacyqp | tee /tmp/bench-allocs-kernels.txt
+	@awk '/^BenchmarkNearestK10K/ { knn = 1; \
+	  if ($$5+0 > 4096) { printf "FAIL: %s uses %s B/op (budget 4096)\n", $$1, $$5; bad = 1 } \
+	  else { printf "ok: %s at %s B/op (budget 4096)\n", $$1, $$5 } } \
+	  /^BenchmarkRefineKNN/ { refine = 1; \
+	  if ($$7+0 > 2) { printf "FAIL: %s allocates %s allocs/op (budget 2)\n", $$1, $$7; bad = 1 } \
+	  else { printf "ok: %s at %s allocs/op (budget 2)\n", $$1, $$7 } } \
+	  END { if (!knn || !refine) { print "FAIL: a gated kernel benchmark did not run"; bad = 1 } exit bad }' /tmp/bench-allocs-kernels.txt
 
 # bench-e2e measures the wire protocol end to end and records the
 # numbers in BENCH_e2e.json. Two layers: the single-connection

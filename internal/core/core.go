@@ -1008,7 +1008,8 @@ func (c *Casper) nearestBuddy(uid anonymizer.UserID, tr *trace.Trace) (NNAnswer,
 
 // KNearestPublic runs the private k-NN pipeline over public data: the
 // server computes an inclusive candidate list from the cloak alone;
-// the client refines the exact k nearest, ascending.
+// the client refines the exact k nearest, ascending, equal distances
+// by ID (privacyqp.RefineKNN).
 func (c *Casper) KNearestPublic(uid anonymizer.UserID, k int) ([]rtree.Item, Breakdown, error) {
 	return c.kNearestPublic(uid, k, nil)
 }

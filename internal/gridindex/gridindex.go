@@ -19,7 +19,6 @@ package gridindex
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"casper/internal/geom"
@@ -210,7 +209,8 @@ var seenPool = sync.Pool{
 	New: func() any { return make(map[itemKey]int, 64) },
 }
 
-// NearestK returns the k nearest items in ascending metric order. The
+// NearestK returns the k nearest items in ascending metric order,
+// equal distances by ascending ID (rtree.InsertNeighbor). The
 // search expands square rings of buckets around the query point; it
 // stops when the k-th best distance is closer than any unvisited ring
 // can offer (ring min-distance lower-bounds both metrics, exactly as
@@ -255,14 +255,7 @@ func (g *Grid) nearestK(q geom.Point, k int, m rtree.Metric, out []rtree.Neighbo
 		x0, y0, x1, y1 := g.span(it.Rect)
 		copies := (x1 - x0 + 1) * (y1 - y0 + 1)
 		seen[key] = copies - 1
-		d := m.DistTo(q, it.Rect)
-		i := sort.Search(len(out), func(i int) bool { return out[i].Dist > d })
-		out = append(out, rtree.Neighbor{})
-		copy(out[i+1:], out[i:])
-		out[i] = rtree.Neighbor{Item: it, Dist: d}
-		if len(out) > k {
-			out = out[:k]
-		}
+		out = rtree.InsertNeighbor(out, rtree.Neighbor{Item: it, Dist: m.DistTo(q, it.Rect)}, k)
 		if len(out) == k {
 			kth = out[k-1].Dist
 		}

@@ -146,3 +146,91 @@ func TestNaiveAllIndexIndependence(t *testing.T) {
 		t.Fatalf("All sizes: %d, %d", len(a), len(b))
 	}
 }
+
+// linearKNN is the k-NN oracle: every item measured, sorted by
+// (distance, ID), first k kept.
+func linearKNN(items []rtree.Item, q geom.Point, k int, m rtree.Metric) []rtree.Neighbor {
+	ns := make([]rtree.Neighbor, 0, len(items))
+	for _, it := range items {
+		ns = append(ns, rtree.Neighbor{Item: it, Dist: m.DistTo(q, it.Rect)})
+	}
+	sort.Slice(ns, func(i, j int) bool {
+		a, b := ns[i], ns[j]
+		return a.Dist < b.Dist || a.Dist == b.Dist && a.Item.ID < b.Item.ID
+	})
+	return ns[:min(k, len(ns))]
+}
+
+// snappedRect returns a cloak-shaped rectangle: an aligned block of 1,
+// 2 or 4 cells of a 16×16 grid over world, so many items share one
+// rectangle, as users sharing a pyramid cell share one stored cloak.
+func snappedRect(rng *rand.Rand) geom.Rect {
+	const cell = 625
+	side := []float64{1, 2, 4}[rng.Intn(3)]
+	n := int(16 / side)
+	x, y := float64(rng.Intn(n))*side*cell, float64(rng.Intn(n))*side*cell
+	return geom.R(x, y, x+side*cell, y+side*cell)
+}
+
+// TestNearestKMatchesLinearOracle checks the k-NN primitive of every
+// index against a linear (distance, ID) sort of its items, ties
+// included: the R-tree (inserted and bulk loaded, NearestK and
+// NearestKInto with reused scratch), the grid, and each of them behind
+// Without. Grid-snapped data makes ties the common case: duplicate
+// rectangles tie under both metrics, and a query point inside several
+// of them ties them all at min-dist zero.
+func TestNearestKMatchesLinearOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	for _, data := range []string{"random", "snapped"} {
+		items := make([]rtree.Item, 1500)
+		ids := rng.Perm(len(items)) // unique, unrelated to insertion order
+		for i := range items {
+			r := snappedRect(rng)
+			if data == "random" {
+				x, y := rng.Float64()*9500, rng.Float64()*9500
+				r = geom.R(x, y, x+rng.Float64()*400, y+rng.Float64()*400)
+			}
+			items[i] = rtree.Item{Rect: r, ID: int64(ids[i])}
+		}
+		ins, gr := bothIndexes(items)
+		bulk := rtree.BulkLoadWithCapacity(append([]rtree.Item(nil), items...), 8)
+		h, out := &rtree.NNHeap{}, []rtree.Neighbor(nil)
+		for trial := 0; trial < 150; trial++ {
+			q := geom.Pt(rng.Float64()*11000-500, rng.Float64()*11000-500)
+			if trial%2 == 0 { // a grid vertex: equidistant from its cells
+				q = geom.Pt(float64(rng.Intn(17))*625, float64(rng.Intn(17))*625)
+			}
+			k := 1 + rng.Intn(16)
+			m := []rtree.Metric{rtree.MinDist, rtree.MaxDist}[trial%4/2]
+			hide := items[rng.Intn(len(items))].ID
+			want := linearKNN(items, q, k, m)
+			var wantHidden []rtree.Neighbor
+			for _, n := range linearKNN(items, q, k+1, m) {
+				if n.Item.ID != hide && len(wantHidden) < k {
+					wantHidden = append(wantHidden, n)
+				}
+			}
+			check := func(name string, got, want []rtree.Neighbor) {
+				t.Helper()
+				if len(got) != len(want) {
+					t.Fatalf("%s %s trial %d k=%d metric %v: %d neighbors, want %d", data, name, trial, k, m, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s %s trial %d k=%d metric %v rank %d: %+v, want %+v", data, name, trial, k, m, i, got[i], want[i])
+					}
+				}
+			}
+			for _, ix := range []struct {
+				name string
+				db   privacyqp.SpatialIndex
+			}{{"inserted", ins}, {"bulk", bulk}, {"grid", gr}} {
+				out = ix.db.NearestKInto(q, k, m, h, out)
+				check(ix.name+" NearestKInto", out, want)
+				out = privacyqp.Without(ix.db, hide).NearestKInto(q, k, m, h, out)
+				check(ix.name+" Without", out, wantHidden)
+			}
+			check("NearestK", bulk.NearestK(q, k, m), want)
+		}
+	}
+}

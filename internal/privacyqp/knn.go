@@ -3,7 +3,6 @@ package privacyqp
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"casper/internal/geom"
 	"casper/internal/rtree"
@@ -141,19 +140,25 @@ func tooFew(n, k int) error {
 }
 
 // RefineKNN is the client-side refinement for PrivateKNN: the k
-// candidates nearest to the exact user location, ascending.
+// candidates nearest to the exact user location, ascending, equal
+// distances by ID (rtree.InsertNeighbor), so the answer is a function
+// of the candidate set. Each candidate is measured once; the result is
+// the one allocation.
 func RefineKNN(user geom.Point, candidates []rtree.Item, k int, kind DataKind) []rtree.Item {
 	if k <= 0 || len(candidates) == 0 {
 		return nil
 	}
-	sorted := append([]rtree.Item(nil), candidates...)
-	sort.Slice(sorted, func(i, j int) bool {
-		return refineDist(user, sorted[i], kind) < refineDist(user, sorted[j], kind)
-	})
-	if len(sorted) > k {
-		sorted = sorted[:k]
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.nbrs = sc.nbrs[:0]
+	for _, c := range candidates {
+		sc.nbrs = rtree.InsertNeighbor(sc.nbrs, rtree.Neighbor{Item: c, Dist: refineDist(user, c, kind)}, k)
 	}
-	return sorted
+	out := make([]rtree.Item, len(sc.nbrs))
+	for i, n := range sc.nbrs {
+		out[i] = n.Item
+	}
+	return out
 }
 
 func minf(a, b float64) float64 {

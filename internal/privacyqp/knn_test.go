@@ -192,6 +192,75 @@ func TestRefineKNN(t *testing.T) {
 	}
 }
 
+// refineCandidates returns n candidates on a coarse lattice, so equal
+// refine distances are common: public points repeat lattice positions,
+// private rectangles repeat aligned lattice blocks.
+func refineCandidates(rng *rand.Rand, n int, kind DataKind) []rtree.Item {
+	cands := make([]rtree.Item, n)
+	for i, id := range rng.Perm(n) {
+		x, y := float64(rng.Intn(8))*100, float64(rng.Intn(8))*100
+		r := geom.R(x, y, x, y)
+		if kind == PrivateData {
+			r.Max = geom.Pt(x+100, y+100)
+		}
+		cands[i] = rtree.Item{Rect: r, ID: int64(id)}
+	}
+	return cands
+}
+
+// TestRefineKNNMatchesSortedCandidates: the refinement is the first k
+// of a full (refine distance, ID) sort of the candidates, whatever
+// their order, and allocates only the result.
+func TestRefineKNNMatchesSortedCandidates(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	for _, kind := range []DataKind{PublicData, PrivateData} {
+		for trial := 0; trial < 200; trial++ {
+			cands := refineCandidates(rng, 1+rng.Intn(60), kind)
+			user := geom.Pt(float64(rng.Intn(15))*50, float64(rng.Intn(15))*50)
+			k := rng.Intn(len(cands)+5) - 2 // k <= 0 and k > len included
+			want := append([]rtree.Item(nil), cands...)
+			sort.Slice(want, func(i, j int) bool {
+				di, dj := refineDist(user, want[i], kind), refineDist(user, want[j], kind)
+				return di < dj || di == dj && want[i].ID < want[j].ID
+			})
+			want = want[:max(0, min(k, len(want)))]
+			for pass := 0; pass < 2; pass++ {
+				got := RefineKNN(user, cands, k, kind)
+				if len(got) != len(want) || k <= 0 && got != nil {
+					t.Fatalf("%v trial %d k=%d of %d: %d items, want %d", kind, trial, k, len(cands), len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%v trial %d k=%d rank %d: %+v, want %+v", kind, trial, k, i, got[i], want[i])
+					}
+				}
+				rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+			}
+		}
+		cands := refineCandidates(rng, 150, kind)
+		if a := testing.AllocsPerRun(100, func() { RefineKNN(geom.Pt(350, 350), cands, 5, kind) }); a > 2 {
+			t.Fatalf("%v: RefineKNN allocates %v times per call, budget 2", kind, a)
+		}
+	}
+}
+
+// refineSink keeps BenchmarkRefineKNN's calls from being optimized away.
+var refineSink []rtree.Item
+
+// BenchmarkRefineKNN is the client refinement of a k-NN answer at the
+// size of a query-cache miss: 150 candidates, k = 5.
+func BenchmarkRefineKNN(b *testing.B) {
+	rng := rand.New(rand.NewSource(35))
+	db := pointDB(rng, 150)
+	cands := db.All()
+	user := geom.Pt(500, 500)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		refineSink = RefineKNN(user, cands, 5, PublicData)
+	}
+}
+
 func TestKNNMinOverlapPolicy(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	db := rectDB(rng, 1500, 400)

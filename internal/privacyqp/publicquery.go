@@ -190,9 +190,12 @@ func InRange(r, cloak geom.Rect, radius float64, kind DataKind) bool {
 
 // RefineRange is the client-side refinement for PrivateRange: keep the
 // candidates truly within radius of the user's exact location (any
-// overlap of the pessimistic ball for private data).
+// overlap of the pessimistic ball for private data). The matches
+// gather in scratch, so the result is the one exact-size allocation.
 func RefineRange(user geom.Point, candidates []rtree.Item, radius float64, kind DataKind) []rtree.Item {
-	var out []rtree.Item
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.cand = sc.cand[:0]
 	for _, c := range candidates {
 		var d float64
 		if kind == PrivateData {
@@ -201,8 +204,8 @@ func RefineRange(user geom.Point, candidates []rtree.Item, radius float64, kind 
 			d = user.Dist(c.Rect.Min)
 		}
 		if d <= radius {
-			out = append(out, c)
+			sc.cand = append(sc.cand, c)
 		}
 	}
-	return out
+	return copyItems(sc.cand)
 }

@@ -8,8 +8,8 @@ import (
 	"casper/internal/rtree"
 )
 
-// queryScratch is the per-query arena: every buffer a single
-// PrivateNN/PrivateKNN/PrivateRange evaluation needs, owned by the
+// queryScratch is the per-query arena: every buffer a single query
+// evaluation or client refinement needs, owned by the
 // query for its duration and recycled through scratchPool afterwards.
 // Results handed back to the caller are always exact-size copies —
 // nothing in a Result aliases scratch memory, so pooling is invisible

@@ -1,15 +1,7 @@
 package rtree
 
-import "casper/internal/geom"
-
 // CheckInvariants exposes structural validation to the tests.
 func (t *Tree) CheckInvariants() error { return t.checkInvariants() }
-
-// NearestKNoPrune runs the k-NN search with distance pruning disabled,
-// so tests can assert the pruned search returns identical results.
-func (t *Tree) NearestKNoPrune(q geom.Point, k int, m Metric) []Neighbor {
-	return t.nearestK(q, k, m, nil, nil, false)
-}
 
 // SharedNodes returns how many of a's nodes are also reachable from b
 // (the same pointer), so tests can check that a write to a clone copies

@@ -27,7 +27,6 @@ package rtree
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync/atomic"
 
@@ -526,14 +525,17 @@ func (t *Tree) Nearest(q geom.Point, m Metric) (Neighbor, bool) {
 
 // NearestK returns the k items nearest to q under metric m in
 // ascending distance order, equal distances by ascending ID (fewer if
-// the tree holds fewer). It runs a
-// best-first search over the tree: node MBRs are ranked by min-dist,
-// which lower-bounds both metrics (for MaxDist, a degenerate rectangle
-// at the nearest point of the MBR attains min-dist), so the search is
-// admissible and terminates as soon as k items are closer than the
-// best unexplored node.
+// the tree holds fewer). It runs a best-first search whose frontier
+// holds nodes only, ranked by MBR min-dist, which lower-bounds both
+// metrics (for MaxDist, a degenerate rectangle at the nearest point of
+// the MBR attains min-dist). A popped leaf measures each item once and
+// merges it into the result (InsertNeighbor). A node whose bound exceeds
+// the current k-th best distance is not queued, or ends the search when
+// popped: the k-th best only decreases, so nothing under it can enter
+// the top k. A bound equal to the k-th best is explored, since it may
+// hold an item at that distance with a lower ID.
 func (t *Tree) NearestK(q geom.Point, k int, m Metric) []Neighbor {
-	return t.nearestK(q, k, m, nil, nil, true)
+	return t.NearestKInto(q, k, m, nil, nil)
 }
 
 // NearestKInto is NearestK with caller-owned scratch: the heap h (nil
@@ -542,16 +544,6 @@ func (t *Tree) NearestK(q geom.Point, k int, m Metric) []Neighbor {
 // they have grown to the working-set size. out is truncated to out[:0]
 // before use; the returned slice aliases its backing array.
 func (t *Tree) NearestKInto(q geom.Point, k int, m Metric, h *NNHeap, out []Neighbor) []Neighbor {
-	return t.nearestK(q, k, m, h, out, true)
-}
-
-// nearestK is the shared best-first search. When prune is set, leaf
-// items and child nodes whose metric distance (resp. min-dist lower
-// bound) already exceeds the current k-th best are never pushed: the
-// k-th best distance only decreases as results accumulate, so an entry
-// beyond it can never enter the final top k. The pruned and unpruned
-// searches return identical results (asserted by TestNearestKPruning).
-func (t *Tree) nearestK(q geom.Point, k int, m Metric, h *NNHeap, out []Neighbor, prune bool) []Neighbor {
 	if out != nil {
 		out = out[:0]
 	}
@@ -562,59 +554,61 @@ func (t *Tree) nearestK(q geom.Point, k int, m Metric, h *NNHeap, out []Neighbor
 		h = &NNHeap{}
 	}
 	h.reset()
-	kth := math.Inf(1)
 	h.push(nnEntry{dist: q.MinDistRect(t.root.mbr), node: t.root})
 	for h.Len() > 0 {
 		e := h.pop()
-		if len(out) == k && e.dist > out[len(out)-1].Dist {
+		if len(out) == k && e.dist > out[k-1].Dist {
 			break
 		}
-		if e.node == nil {
-			// A concrete item surfaced: its metric distance is exact.
-			out = insertNeighbor(out, Neighbor{Item: e.item, Dist: e.dist}, k)
-			if len(out) == k {
-				kth = out[k-1].Dist
+		if e.node.leaf {
+			for i := range e.node.items {
+				// InsertNeighbor's early reject, before the item is copied.
+				it := &e.node.items[i]
+				d := m.DistTo(q, it.Rect)
+				if len(out) < k || out[k-1].behind(d, it.ID) {
+					out = InsertNeighbor(out, Neighbor{Item: *it, Dist: d}, k)
+				}
 			}
 			continue
 		}
-		n := e.node
-		if n.leaf {
-			for _, it := range n.items {
-				d := m.DistTo(q, it.Rect)
-				if prune && d > kth {
-					continue
-				}
-				h.push(nnEntry{dist: d, item: it})
+		for _, c := range e.node.children {
+			d := q.MinDistRect(c.mbr)
+			if len(out) == k && d > out[k-1].Dist {
+				continue
 			}
-		} else {
-			for _, c := range n.children {
-				d := q.MinDistRect(c.mbr)
-				if prune && d > kth {
-					continue
-				}
-				h.push(nnEntry{dist: d, node: c})
-			}
+			h.push(nnEntry{dist: d, node: c})
 		}
 	}
 	return out
 }
 
-// insertNeighbor inserts nb into the slice sorted by (Dist, Item.ID),
-// keeping at most k. Ordering equal distances by ID makes the k nearest
-// a function of the stored items, not of the tree's shape: nearestK
-// never prunes an entry at exactly the k-th distance, so every tied
-// item reaches this comparison.
-func insertNeighbor(out []Neighbor, nb Neighbor, k int) []Neighbor {
-	i := sort.Search(len(out), func(i int) bool {
-		return out[i].Dist > nb.Dist || out[i].Dist == nb.Dist && out[i].Item.ID > nb.Item.ID
-	})
-	out = append(out, Neighbor{})
-	copy(out[i+1:], out[i:])
-	out[i] = nb
-	if len(out) > k {
-		out = out[:k]
+// InsertNeighbor merges nb into out, which is sorted by (Dist, Item.ID)
+// and holds at most k >= 1 neighbors. A neighbor that cannot beat the
+// k-th of a full list (a larger distance, or an equal one with an ID no
+// lower) leaves out untouched. Ordering equal distances by ID makes the
+// k nearest a function of the measured items, not of their arrival
+// order: NearestKInto never prunes a node whose bound equals the k-th
+// distance, so every tied item reaches this comparison.
+func InsertNeighbor(out []Neighbor, nb Neighbor, k int) []Neighbor {
+	i := len(out)
+	if i == k {
+		if !out[i-1].behind(nb.Dist, nb.Item.ID) {
+			return out
+		}
+		i--
+	} else {
+		out = append(out, nb)
 	}
+	for ; i > 0 && out[i-1].behind(nb.Dist, nb.Item.ID); i-- {
+		out[i] = out[i-1]
+	}
+	out[i] = nb
 	return out
+}
+
+// behind reports whether (d, id) ranks ahead of nb in (Dist, ID) order.
+func (nb Neighbor) behind(d float64, id int64) bool {
+	return d < nb.Dist || d == nb.Dist && id < nb.Item.ID
 }
 
 // All returns every item in the tree in unspecified order.
@@ -852,13 +846,11 @@ func (t *Tree) checkInvariants() error {
 	return nil
 }
 
-// nnEntry is one element of the best-first frontier: either a node
-// (ranked by min-dist lower bound) or a concrete item (exact metric
-// distance).
+// nnEntry is one element of the best-first frontier: a node, ranked by
+// the min-dist of its MBR. Items never enter the frontier.
 type nnEntry struct {
 	dist float64
 	node *node
-	item Item
 }
 
 // NNHeap is the priority queue of the best-first nearest-neighbor

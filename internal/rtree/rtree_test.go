@@ -454,41 +454,6 @@ func TestNearestMaxDistPrefersSmallNearRects(t *testing.T) {
 	}
 }
 
-func TestNearestKPruning(t *testing.T) {
-	// The leaf/child pruning in nearestK must not change results: for
-	// random float coordinates (ties are measure-zero) the pruned and
-	// unpruned searches return identical neighbor lists.
-	rng := rand.New(rand.NewSource(21))
-	for _, gen := range []func(*rand.Rand, int64) Item{randPointItem, randRectItem} {
-		var items []Item
-		tr := NewWithCapacity(8)
-		for i := 0; i < 1200; i++ {
-			it := gen(rng, int64(i))
-			items = append(items, it)
-			tr.Insert(it)
-		}
-		for trial := 0; trial < 80; trial++ {
-			q := geom.Pt(rng.Float64()*1200-100, rng.Float64()*1200-100)
-			k := 1 + rng.Intn(16)
-			m := MinDist
-			if trial%2 == 1 {
-				m = MaxDist
-			}
-			pruned := tr.NearestK(q, k, m)
-			unpruned := tr.NearestKNoPrune(q, k, m)
-			if len(pruned) != len(unpruned) {
-				t.Fatalf("trial %d: pruned %d results, unpruned %d", trial, len(pruned), len(unpruned))
-			}
-			for i := range pruned {
-				if pruned[i] != unpruned[i] {
-					t.Fatalf("trial %d rank %d: pruned %+v != unpruned %+v",
-						trial, i, pruned[i], unpruned[i])
-				}
-			}
-		}
-	}
-}
-
 func TestSearchAppendReusesBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	var items []Item
@@ -639,6 +604,35 @@ func BenchmarkNearestK10K(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.NearestK(geom.Pt(500, 500), 4, MinDist)
+	}
+}
+
+// BenchmarkNearestKMaxDist is the buddy query's filter probe: k = 2
+// (the asker's own cloak plus one other, see privacyqp.Without) under
+// MaxDist from a cloak corner, over 20,000 cloaks snapped to a 64×64
+// grid, so many users share one stored rectangle and ties are common.
+func BenchmarkNearestKMaxDist(b *testing.B) {
+	const cell = 10000.0 / 64
+	rng := rand.New(rand.NewSource(4))
+	snapped := func() geom.Rect {
+		side := float64(int(1) << rng.Intn(3))
+		n := int(64 / side)
+		x, y := float64(rng.Intn(n))*side*cell, float64(rng.Intn(n))*side*cell
+		return geom.R(x, y, x+side*cell, y+side*cell)
+	}
+	tr := New()
+	for i := 0; i < 20000; i++ {
+		tr.Insert(Item{Rect: snapped(), ID: int64(i)})
+	}
+	qs := make([]geom.Point, 1024)
+	for i := range qs {
+		qs[i] = snapped().Corners()[rng.Intn(4)]
+	}
+	h, out := &NNHeap{}, []Neighbor(nil)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		out = tr.NearestKInto(qs[i%len(qs)], 2, MaxDist, h, out)
 	}
 }
 
