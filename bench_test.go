@@ -564,7 +564,7 @@ func BenchmarkContinuousMonitorUpdate(b *testing.B) {
 	w := world()
 	rng := rand.New(rand.NewSource(205))
 	events := 0
-	mon := continuous.New(func(continuous.Event) { events++ })
+	mon := continuous.NewMonitor(continuous.Config{Notify: func(continuous.Event) { events++ }})
 	region := func() geom.Rect {
 		x, y := rng.Float64()*w.Universe.Width()*0.9, rng.Float64()*w.Universe.Height()*0.9
 		return geom.R(x, y, x+300, y+300)

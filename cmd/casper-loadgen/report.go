@@ -71,8 +71,10 @@ type privacyReport struct {
 // continuousReport summarizes the -subscribe side-load: how many
 // standing watches rode the run, how much churn the churner mixed in,
 // and what the monitor's incremental maintenance cost. EvalsPerUpdate
-// is the headline — safe regions and indexed matching keep it well
-// below one full re-evaluation per location update.
+// is the headline — candidate deltas and indexed matching keep it well
+// below one full re-evaluation per location update; SafeRegionHits
+// counts asker cloaks kept because they lie inside the last evaluated
+// cloak.
 type continuousReport struct {
 	Subscriptions      int     `json:"subscriptions"`
 	Churned            int64   `json:"churned"`

@@ -79,12 +79,7 @@ func (m *Monitor) RemovePrivate(id int64) bool {
 // most once.
 func (m *Monitor) applyPrivate(ops []applyOp) {
 	start := time.Now()
-	defer func() {
-		d := time.Since(start)
-		m.applyTicks.Add(1)
-		m.applyNanos.Add(int64(d))
-		monApplySeconds.Observe(d.Seconds())
-	}()
+	defer func() { monApplySeconds.Observe(time.Since(start).Seconds()) }()
 	m.noteUpdates(int64(len(ops)))
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -169,9 +164,8 @@ func (m *Monitor) fold(q *query, ch privacyqp.Change, kind privacyqp.DataKind) {
 		q.touched = true
 		m.pending = append(m.pending, q)
 	}
-	// A failed evaluation has nothing to fold into, and a safe region
-	// widened by the distance slack was derived from the list itself.
-	if !q.hasSafe || q.safe != q.evalCloak || q.kind == qNN && q.res.FiltersMayChange(ch, kind) {
+	// A failed evaluation has nothing to fold into.
+	if q.failed || q.kind == qNN && q.res.FiltersMayChange(ch, kind) {
 		q.rerun = true
 		return
 	}

@@ -40,9 +40,9 @@ func setBenchPublic(m *Monitor) {
 // private-data radius. It returns the monitor and a pre-generated
 // update trace (8 mobgen ticks, cloaked) for the measured loop, so
 // trace generation stays off the benchmark clock.
-func benchMonitor(b *testing.B, cfg Config, nQueries, nObjects int) (*Monitor, []PrivateUpdate) {
+func benchMonitor(b *testing.B, nQueries, nObjects int) (*Monitor, []PrivateUpdate) {
 	b.Helper()
-	m := NewMonitor(cfg)
+	m := NewMonitor(Config{})
 	b.Cleanup(m.Close)
 
 	setBenchPublic(m)
@@ -90,7 +90,7 @@ func benchMonitor(b *testing.B, cfg Config, nQueries, nObjects int) (*Monitor, [
 func BenchmarkMonitorIndexedUpdate(b *testing.B) {
 	for _, q := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("q%d", q), func(b *testing.B) {
-			m, trace := benchMonitor(b, Config{}, q, 2048)
+			m, trace := benchMonitor(b, q, 2048)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -213,9 +213,8 @@ func BenchmarkMonitorBuddies(b *testing.B) {
 // BenchmarkMonitorIndexedUpdate.
 func BenchmarkMonitorBatchIngest(b *testing.B) {
 	const batchSize = 256
-	m, trace := benchMonitor(b, Config{}, 10000, 2048)
+	m, trace := benchMonitor(b, 10000, 2048)
 	nBatches := len(trace) / batchSize
-	ticks0, total0 := m.ApplyStats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -226,57 +225,49 @@ func BenchmarkMonitorBatchIngest(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(batchSize, "updates/op")
-	// Per-tick apply cost and the delivery-queue high-water mark are
-	// the resource-telemetry headline numbers (ROADMAP): the same
-	// figures casper_monitor_apply_seconds and
-	// casper_monitor_queue_high_water export at runtime.
-	if ticks, total := m.ApplyStats(); ticks > ticks0 {
-		b.ReportMetric(float64(total-total0)/float64(ticks-ticks0), "applyns/tick")
-	}
+	// One op is one apply tick, so ns/op is the per-tick cost
+	// casper_monitor_apply_seconds exports at runtime; the queue
+	// high-water mark is casper_monitor_queue_high_water's figure.
 	_, hw := m.QueueStats()
 	b.ReportMetric(float64(hw), "queuehw/run")
 }
 
 // BenchmarkMonitorNNRecloak drives a moving-asker trace through
-// standing NN watches and reports how many full re-evaluations each
-// cloak movement costs. Without safe regions every movement would
-// re-evaluate (evals/update = 1); the safe sub-benchmark answers
-// movements inside the safe region with a containment check, so its
-// evals/update ratio is the safe-region headline.
+// standing NN watches and reports the exact cost of a cloak movement:
+// full re-evaluations per update, and how many updates kept their list
+// because the new cloak lay inside the last evaluated one.
 func BenchmarkMonitorNNRecloak(b *testing.B) {
 	const nAskers = 64
-	b.Run("safe", func(b *testing.B) {
-		m, _ := benchMonitor(b, Config{SafeRegionFrac: 0.7}, 1000, 1024)
-		gen := mobgen.New(benchNet, mobgen.DefaultConfig(nAskers, 31))
-		watches := make([]QueryID, nAskers)
-		for i, u := range gen.Positions() {
-			id, _, err := m.RegisterNN(benchCloak(u.Pos, 150), privacyqp.PublicData, privacyqp.DefaultOptions(), -1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			watches[i] = id
+	m, _ := benchMonitor(b, 1000, 1024)
+	gen := mobgen.New(benchNet, mobgen.DefaultConfig(nAskers, 31))
+	watches := make([]QueryID, nAskers)
+	for i, u := range gen.Positions() {
+		id, _, err := m.RegisterNN(benchCloak(u.Pos, 150), privacyqp.PublicData, privacyqp.DefaultOptions(), -1)
+		if err != nil {
+			b.Fatal(err)
 		}
-		const ticks = 256
-		pos := make([][]geom.Point, ticks)
-		buf := make([]mobgen.Update, 0, nAskers)
-		for t := range pos {
-			pos[t] = make([]geom.Point, nAskers)
-			for i, u := range gen.StepInto(2, buf) {
-				pos[t][i] = u.Pos
-			}
+		watches[i] = id
+	}
+	const ticks = 256
+	pos := make([][]geom.Point, ticks)
+	buf := make([]mobgen.Update, 0, nAskers)
+	for t := range pos {
+		pos[t] = make([]geom.Point, nAskers)
+		for i, u := range gen.StepInto(2, buf) {
+			pos[t][i] = u.Pos
 		}
-		evals0, hits0 := m.Evaluations(), m.SafeRegionHits()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			t, a := (i/nAskers)%ticks, i%nAskers
-			if err := m.UpdateNNCloak(watches[a], benchCloak(pos[t][a], 150)); err != nil {
-				b.Fatal(err)
-			}
+	}
+	evals0, hits0 := m.Evaluations(), m.SafeRegionHits()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t, a := (i/nAskers)%ticks, i%nAskers
+		if err := m.UpdateNNCloak(watches[a], benchCloak(pos[t][a], 150)); err != nil {
+			b.Fatal(err)
 		}
-		b.StopTimer()
-		n := float64(b.N)
-		b.ReportMetric(float64(m.Evaluations()-evals0)/n, "evals/update")
-		b.ReportMetric(float64(m.SafeRegionHits()-hits0)/n, "safehits/update")
-	})
+	}
+	b.StopTimer()
+	n := float64(b.N)
+	b.ReportMetric(float64(m.Evaluations()-evals0)/n, "evals/update")
+	b.ReportMetric(float64(m.SafeRegionHits()-hits0)/n, "safehits/update")
 }

@@ -24,17 +24,16 @@
 //     shape — hence the same A_EXT, and the list after the delta is
 //     exactly its candidate list: minimal for those filters
 //     (Theorem 4) and inclusive (Theorem 3);
-//   - NN and radius queries keep a safe region (after Hashem, Kulik &
-//     Zhang, "Privacy Preserving Moving KNN Queries"): the region
-//     within which the current candidate list provably stays valid for
-//     a moving asker. A new cloak inside it costs a counter bump; a
-//     cloak leaving it re-runs the query.
+//   - an asker's new cloak inside the cloak its query was last
+//     evaluated at keeps the candidate list: a list inclusive for C is
+//     inclusive for every C' inside C. Any other new cloak re-runs the
+//     query at that cloak.
 //
 // The monitor owns shadow copies of the public and private tables and
 // is driven by the same update stream the database server receives.
 // Every answer it maintains is what a fresh snapshot query at the
-// query's evaluation cloak would return, and remains inclusive for any
-// asker position inside the safe region (property-tested in
+// query's evaluation cloak would return, and so stays inclusive for
+// the asker's current cloak, which lies inside it (property-tested in
 // monitor_test.go and fuzz_test.go); Evaluations() against Updates()
 // quantifies the incremental savings.
 //
@@ -46,7 +45,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"casper/internal/geom"
 	"casper/internal/privacyqp"
@@ -79,7 +77,7 @@ type Event struct {
 }
 
 // Config tunes a Monitor. The zero value is usable: a default
-// universe, inline notification, safe regions at their exact setting.
+// universe and inline notification.
 type Config struct {
 	// Universe is the spatial extent served: a query whose evaluation
 	// fails watches all of it, so the first relevant change recovers
@@ -99,20 +97,6 @@ type Config struct {
 	// re-entrant callback that blocks can deadlock emitters once the
 	// buffer fills. Events emitted after Close are dropped.
 	Buffer int
-
-	// SafeRegionFrac tunes moving-asker safe regions:
-	//
-	//	  0  exact: evaluate at the cloak itself; skip re-evaluation
-	//	     only while the new cloak stays inside the derived
-	//	     candidate-validity region (cloak containment + the
-	//	     distance-to-excluded-target slack);
-	//	> 0  inflate the evaluation cloak by this fraction of its
-	//	     longer side before evaluating, widening the safe region at
-	//	     the price of a slightly larger (still inclusive) candidate
-	//	     list. 1.0 absorbs a full adjacent pyramid cell per side.
-	//
-	// Negative values act as 0.
-	SafeRegionFrac float64
 }
 
 // Monitor is the continuous query processor.
@@ -150,8 +134,6 @@ type Monitor struct {
 	updates     atomic.Int64
 	evaluations atomic.Int64
 	safeHits    atomic.Int64
-	applyTicks  atomic.Int64
-	applyNanos  atomic.Int64
 	queueHW     atomic.Int64
 
 	nRange  atomic.Int64
@@ -191,9 +173,8 @@ type query struct {
 
 	// nn / radius state
 	cloak     geom.Rect // asker's current cloak (last reported)
-	evalCloak geom.Rect // (possibly inflated) cloak of the last evaluation
-	safe      geom.Rect // candidate list provably valid while cloak stays inside
-	hasSafe   bool
+	evalCloak geom.Rect // cloak of the last evaluation; contains cloak unless failed
+	failed    bool      // the last evaluation failed: no list to keep
 	radius    float64
 	opt       privacyqp.Options
 	// exclude is the asker's own pseudonym, hidden from private-data
@@ -235,13 +216,6 @@ func NewMonitor(cfg Config) *Monitor {
 	return m
 }
 
-// New builds a monitor with inline notification. notify is called
-// synchronously under the monitor lock, so it must not call back into
-// the Monitor (queue if needed). A nil notify is allowed.
-func New(notify func(Event)) *Monitor {
-	return NewMonitor(Config{Notify: notify})
-}
-
 // Close stops the asynchronous delivery goroutine after it drains the
 // queued events, then returns. It is a no-op for monitors without a
 // Buffer, and idempotent.
@@ -266,8 +240,8 @@ func (m *Monitor) Updates() int64 { return m.updates.Load() }
 // caused; Evaluations << Updates is the incremental win.
 func (m *Monitor) Evaluations() int64 { return m.evaluations.Load() }
 
-// SafeRegionHits returns how many cloak updates were absorbed by a
-// safe region: the candidate list was provably still valid, so no
+// SafeRegionHits returns how many cloak updates kept their candidate
+// list because the new cloak lies inside the last evaluated one, so no
 // re-evaluation ran.
 func (m *Monitor) SafeRegionHits() int64 { return m.safeHits.Load() }
 
@@ -293,17 +267,9 @@ func (m *Monitor) noteQueueDepth(n int64) {
 	}
 }
 
-// ApplyStats returns how many apply ticks have run and their
-// cumulative wall time. An apply tick is one private-update batch
-// through applyPrivate; it runs single-threaded, so total/ticks is the
-// per-tick CPU cost the ROADMAP tracks.
-func (m *Monitor) ApplyStats() (ticks int64, total time.Duration) {
-	return m.applyTicks.Load(), time.Duration(m.applyNanos.Load())
-}
-
 // QueueStats returns the asynchronous delivery queue's current depth
 // and its high-water mark since the monitor started. Both are 0 for
-// monitors built with New (inline notification).
+// monitors without a Buffer (inline notification).
 func (m *Monitor) QueueStats() (depth, highWater int) {
 	m.emitMu.Lock()
 	ch := m.events
@@ -441,15 +407,15 @@ func (m *Monitor) Candidates(id QueryID) ([]rtree.Item, bool) {
 }
 
 // UpdateNNCloak moves a continuous NN query's asker: an unchanged
-// cloak, or one still inside the query's safe region, is a counter
-// bump; only a safe-region exit re-evaluates and notifies subscribers
-// of the new candidate list.
+// cloak, or one inside the cloak the query was last evaluated at, is a
+// counter bump; any other cloak re-evaluates and notifies subscribers
+// of a changed candidate list.
 func (m *Monitor) UpdateNNCloak(id QueryID, cloak geom.Rect) error {
 	return m.updateCloak(id, cloak, qNN)
 }
 
 // UpdateRadiusCloak moves a standing radius query's asker; the same
-// safe-region rule as UpdateNNCloak applies.
+// containment rule as UpdateNNCloak applies.
 func (m *Monitor) UpdateRadiusCloak(id QueryID, cloak geom.Rect) error {
 	return m.updateCloak(id, cloak, qRadius)
 }
@@ -466,9 +432,10 @@ func (m *Monitor) updateCloak(id QueryID, cloak geom.Rect, kind queryKind) error
 		return nil
 	}
 	q.cloak = cloak
-	if q.hasSafe && q.safe.ContainsRect(cloak) {
-		// The candidate list is still inclusive for every position in
-		// the new cloak: pure counter bump, no re-evaluation, no event.
+	if !q.failed && q.evalCloak.ContainsRect(cloak) {
+		// A list inclusive for the evaluated cloak is inclusive for
+		// every cloak inside it: counter bump, no re-evaluation, no
+		// event.
 		m.safeHits.Add(1)
 		contSafeHits.Inc()
 		return nil

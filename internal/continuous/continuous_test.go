@@ -37,7 +37,7 @@ func upsert(m *Monitor, id int64, region geom.Rect) error {
 
 func TestRangeCountIncrementalMatchesSnapshot(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	m := New(nil)
+	m := NewMonitor(Config{})
 	// Standing queries of every policy.
 	type reg struct {
 		id     QueryID
@@ -108,7 +108,7 @@ func TestRangeCountIncrementalMatchesSnapshot(t *testing.T) {
 
 func TestRangeCountNotifications(t *testing.T) {
 	var events []Event
-	m := New(func(e Event) { events = append(events, e) })
+	m := NewMonitor(Config{Notify: func(e Event) { events = append(events, e) }})
 	id, _, err := m.RegisterRangeCount(geom.R(0, 0, 100, 100), privacyqp.CountAnyOverlap)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestRangeCountNotifications(t *testing.T) {
 
 func TestContinuousNNOverPublicData(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	m := New(nil)
+	m := NewMonitor(Config{})
 	var items []rtree.Item
 	for i := 0; i < 500; i++ {
 		p := geom.Pt(rng.Float64()*9000, rng.Float64()*9000)
@@ -202,7 +202,7 @@ func TestContinuousNNOverPublicData(t *testing.T) {
 
 func TestContinuousNNSkipsIrrelevantUpdates(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	m := New(nil)
+	m := NewMonitor(Config{})
 	var items []rtree.Item
 	for i := 0; i < 300; i++ {
 		p := geom.Pt(rng.Float64()*2000, rng.Float64()*2000) // dense SW corner
@@ -228,7 +228,7 @@ func TestContinuousNNSkipsIrrelevantUpdates(t *testing.T) {
 
 func TestContinuousNNCloakUpdate(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	m := New(nil)
+	m := NewMonitor(Config{})
 	var items []rtree.Item
 	for i := 0; i < 400; i++ {
 		p := geom.Pt(rng.Float64()*9000, rng.Float64()*9000)
@@ -256,6 +256,14 @@ func TestContinuousNNCloakUpdate(t *testing.T) {
 	if m.Evaluations() != evals+1 {
 		t.Fatal("moved cloak not re-evaluated")
 	}
+	// A cloak inside the evaluated one keeps the list: a counter bump.
+	hits := m.SafeRegionHits()
+	if err := m.UpdateNNCloak(id, geom.R(7100, 7100, 7300, 7300)); err != nil {
+		t.Fatal(err)
+	}
+	if m.Evaluations() != evals+1 || m.SafeRegionHits() != hits+1 {
+		t.Fatal("a cloak inside the evaluated one re-evaluated")
+	}
 	got, _ := m.Candidates(id)
 	want, err := privacyqp.PrivateNN(rtree.BulkLoad(items), newCloak, privacyqp.PublicData, privacyqp.DefaultOptions())
 	if err != nil {
@@ -271,7 +279,7 @@ func TestContinuousNNCloakUpdate(t *testing.T) {
 
 func TestContinuousBuddyTracking(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	m := New(nil)
+	m := NewMonitor(Config{})
 	// 200 cloaked buddies.
 	for i := int64(0); i < 200; i++ {
 		if err := upsert(m, i, randRegion(rng, 200)); err != nil {
@@ -314,7 +322,7 @@ func TestContinuousBuddyTracking(t *testing.T) {
 }
 
 func TestUnregister(t *testing.T) {
-	m := New(nil)
+	m := NewMonitor(Config{})
 	id, _, err := m.RegisterRangeCount(geom.R(0, 0, 10, 10), privacyqp.CountAnyOverlap)
 	if err != nil {
 		t.Fatal(err)
@@ -334,7 +342,7 @@ func TestUnregister(t *testing.T) {
 }
 
 func TestInvalidInputs(t *testing.T) {
-	m := New(nil)
+	m := NewMonitor(Config{})
 	if err := upsert(m, 1, geom.Rect{Min: geom.Pt(5, 5), Max: geom.Pt(1, 1)}); err == nil {
 		t.Fatal("invalid region accepted")
 	}
@@ -356,7 +364,7 @@ func TestIncrementalSavings(t *testing.T) {
 	// The headline: a standing query over a busy system re-evaluates
 	// rarely relative to the update volume.
 	rng := rand.New(rand.NewSource(6))
-	m := New(nil)
+	m := NewMonitor(Config{})
 	for i := int64(0); i < 500; i++ {
 		if err := upsert(m, i, randRegion(rng, 150)); err != nil {
 			t.Fatal(err)
@@ -387,7 +395,7 @@ func TestIncrementalSavings(t *testing.T) {
 
 func TestConcurrentMonitorAccess(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	m := New(nil)
+	m := NewMonitor(Config{})
 	for i := int64(0); i < 200; i++ {
 		if err := upsert(m, i, randRegion(rng, 200)); err != nil {
 			t.Fatal(err)
@@ -420,7 +428,7 @@ func TestConcurrentMonitorAccess(t *testing.T) {
 
 func TestStandingRadiusQueryOverPublicData(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	m := New(nil)
+	m := NewMonitor(Config{})
 	var items []rtree.Item
 	for i := 0; i < 400; i++ {
 		p := geom.Pt(rng.Float64()*9000, rng.Float64()*9000)
@@ -481,7 +489,7 @@ func TestStandingRadiusQueryOverPublicData(t *testing.T) {
 
 func TestStandingRadiusQueryOverPrivateData(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	m := New(nil)
+	m := NewMonitor(Config{})
 	for i := int64(0); i < 150; i++ {
 		if err := upsert(m, i, randRegion(rng, 200)); err != nil {
 			t.Fatal(err)

@@ -1,16 +1,14 @@
 package continuous
 
 import (
-	"math"
-
 	"casper/internal/geom"
 	"casper/internal/privacyqp"
 	"casper/internal/rtree"
 )
 
 // evalQueryLocked (re)evaluates a query of any kind from the current
-// shadow tables, refreshing its answer, interest region, and safe
-// region. Caller holds mu.
+// shadow tables at its current cloak, refreshing its answer and
+// interest region. Caller holds mu.
 func (m *Monitor) evalQueryLocked(q *query) error {
 	if q.kind == qRange {
 		count, err := privacyqp.PublicRangeCount(m.priv, q.rect, q.policy)
@@ -20,27 +18,17 @@ func (m *Monitor) evalQueryLocked(q *query) error {
 		q.count, q.interest = count, q.rect
 		return nil
 	}
-	ec := m.evalCloakFor(q.cloak)
 	var res privacyqp.Result
 	var err error
 	if q.kind == qNN {
-		res, err = privacyqp.PrivateNN(m.table(q), ec, q.dataKind, q.opt)
+		res, err = privacyqp.PrivateNN(m.table(q), q.cloak, q.dataKind, q.opt)
 	} else {
-		res, err = privacyqp.PrivateRange(m.table(q), ec, q.radius, q.dataKind)
+		res, err = privacyqp.PrivateRange(m.table(q), q.cloak, q.radius, q.dataKind)
 	}
 	if err != nil {
 		return err
 	}
-	// An answer computed at C+ is inclusive for every cloak inside C+,
-	// so C+ is the safe region; an NN answer widens it by the distance
-	// slack, while a radius answer has no slack to add without
-	// admitting targets beyond A_EXT.
-	slack := 0.0
-	if q.kind == qNN {
-		slack = privacyqp.CandidateValiditySlack(ec, res.AExt, res.Candidates, q.dataKind, q.opt.MinOverlap)
-	}
-	q.evalCloak, q.interest, q.res = ec, res.AExt, res
-	q.safe, q.hasSafe = ec.Expand(slack), true
+	q.evalCloak, q.interest, q.res, q.failed = q.cloak, res.AExt, res, false
 	return nil
 }
 
@@ -51,21 +39,6 @@ func (m *Monitor) table(q *query) privacyqp.SpatialIndex {
 		return m.pub
 	}
 	return privacyqp.Without(m.priv, q.exclude)
-}
-
-// evalCloakFor inflates the asker's cloak per SafeRegionFrac: the
-// evaluation runs at C+ = cloak expanded by frac of its longer side.
-// Because C+ contains every cloak the asker can report while staying
-// inside the safe region, a candidate list computed at C+ is
-// inclusive for all of them — that containment is the safe region's
-// correctness argument, and the slack from CandidateValiditySlack
-// widens it further.
-func (m *Monitor) evalCloakFor(cloak geom.Rect) geom.Rect {
-	f := m.cfg.SafeRegionFrac
-	if f <= 0 || !cloak.IsValid() {
-		return cloak
-	}
-	return cloak.Expand(f * math.Max(cloak.Width(), cloak.Height()))
 }
 
 // admits is the candidate rule of q's last evaluation, applied to one
@@ -104,9 +77,7 @@ func (m *Monitor) rerunLocked(q *query) bool {
 		// Evaluation failure (empty table, degenerate cloak): publish
 		// an empty answer and watch the whole universe so the first
 		// relevant change re-evaluates and recovers the query.
-		q.evalCloak = geom.Rect{}
-		q.safe = geom.Rect{}
-		q.hasSafe = false
+		q.evalCloak, q.failed = geom.Rect{}, true
 		q.interest = m.cfg.Universe
 		q.res = privacyqp.Result{}
 	}

@@ -180,7 +180,7 @@ func checkDeltaEquivalence(t *testing.T, op int, m *Monitor, priv map[int64]geom
 		var want privacyqp.Result
 		var err error
 		at := q.evalCloak
-		if !q.hasSafe {
+		if q.failed {
 			// A failed evaluation must still fail at the asker's cloak.
 			at = q.cloak
 		}
@@ -189,7 +189,7 @@ func checkDeltaEquivalence(t *testing.T, op int, m *Monitor, priv map[int64]geom
 		} else {
 			want, err = privacyqp.PrivateRange(db, at, q.radius, q.dataKind)
 		}
-		if !q.hasSafe {
+		if q.failed {
 			if err == nil {
 				t.Fatalf("op %d: query %d is marked failed but a fresh evaluation succeeds", op, id)
 			}
@@ -204,8 +204,8 @@ func checkDeltaEquivalence(t *testing.T, op int, m *Monitor, priv map[int64]geom
 		}
 		if q.kind == qNN && q.dataKind == privacyqp.PublicData {
 			// A public NN list must also stay inclusive for the asker's
-			// current cloak, which may have drifted inside the safe
-			// region since the evaluation.
+			// current cloak, which may lie inside the evaluated cloak
+			// rather than equal it.
 			c := q.cloak
 			for _, p := range []geom.Point{c.Min, c.Max, c.Center(), geom.Pt(c.Min.X, c.Max.Y), geom.Pt(c.Max.X, c.Min.Y)} {
 				if nearestDist(p, got) > nearestDist(p, pubItems) {

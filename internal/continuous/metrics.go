@@ -45,5 +45,5 @@ var (
 		"Full re-evaluations those updates caused (lower is better).")
 	contSafeHits = metrics.Default.Counter(
 		"casper_continuous_safe_region_hits_total", "",
-		"Cloak updates absorbed by a safe region without re-evaluating.")
+		"Cloak updates inside the last evaluated cloak, answered without re-evaluating.")
 )

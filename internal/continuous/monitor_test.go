@@ -24,19 +24,18 @@ func cloakAround(p geom.Point, half float64) geom.Rect {
 	return geom.R(p.X-half, p.Y-half, p.X+half, p.Y+half).ClipTo(world)
 }
 
-// TestMobgenTraceEquivalence is the property test for the indexed,
-// safe-region monitor: over a seeded mobgen trace interleaving
-// registrations, deregistrations, object churn, and asker movement,
-// every maintained answer must (a) exactly equal a fresh snapshot
-// query at the query's evaluation cloak, and (b) stay inclusive — the
-// refined exact answer at any position inside the asker's CURRENT
-// cloak is always among the maintained candidates. (b) is the
-// property the safe region is allowed to trade (a)'s freshness for;
-// both are checked on every tick. The trace runs against the exact
-// and inflated configurations; the linear-legacy case reruns the exact
-// one with range counts checked against an O(N) scan of the live
-// objects instead of a snapshot query, so the indexed join is also
-// differentially tested against a linear scan. The grid-snapped case
+// TestMobgenTraceEquivalence is the property test for the indexed
+// monitor: over a seeded mobgen trace interleaving registrations,
+// deregistrations, object churn, and asker movement, every maintained
+// answer must (a) exactly equal a fresh snapshot query at the query's
+// evaluation cloak, and (b) stay inclusive — the refined exact answer
+// at any position inside the asker's CURRENT cloak is always among the
+// maintained candidates. (b) is what keeping the list for a cloak
+// inside the evaluated one relies on; both are checked on every tick.
+// The linear-legacy case reruns the trace with range counts checked
+// against an O(N) scan of the live objects instead of a snapshot
+// query, so the indexed join is also differentially tested against a
+// linear scan. The grid-snapped case
 // snaps every cloak to pyramid cells and every public target to cell
 // vertices, as a grid anonymizer does: cloak vertices are then often
 // equidistant from several targets, so the answer is only exact if
@@ -44,16 +43,14 @@ func cloakAround(p geom.Point, half float64) geom.Rect {
 func TestMobgenTraceEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
-		cfg          Config
 		linearCounts bool
 		grid         float64
 	}{
-		{"indexed-exact", Config{Universe: world}, false, 0},
-		{"indexed-inflated", Config{Universe: world, SafeRegionFrac: 0.7}, false, 0},
-		{"linear-legacy", Config{Universe: world}, true, 0},
-		{"grid-snapped", Config{Universe: world}, false, world.Width() / 16},
+		{"indexed-exact", false, 0},
+		{"linear-legacy", true, 0},
+		{"grid-snapped", false, world.Width() / 16},
 	} {
-		t.Run(tc.name, func(t *testing.T) { runTraceEquivalence(t, tc.cfg, tc.linearCounts, tc.grid) })
+		t.Run(tc.name, func(t *testing.T) { runTraceEquivalence(t, tc.linearCounts, tc.grid) })
 	}
 }
 
@@ -67,9 +64,9 @@ func snapOut(r geom.Rect, g float64) geom.Rect {
 		math.Ceil(r.Max.X/g)*g, math.Ceil(r.Max.Y/g)*g).ClipTo(world)
 }
 
-func runTraceEquivalence(t *testing.T, cfg Config, linearCounts bool, grid float64) {
+func runTraceEquivalence(t *testing.T, linearCounts bool, grid float64) {
 	rng := rand.New(rand.NewSource(42))
-	m := NewMonitor(cfg)
+	m := NewMonitor(Config{Universe: world})
 	gen := mobgen.New(traceNet(3), mobgen.DefaultConfig(80, 9))
 
 	// Fixed public targets (points, like the paper's gas stations).
@@ -182,8 +179,7 @@ func runTraceEquivalence(t *testing.T, cfg Config, linearCounts bool, grid float
 				gotIDs[c.ID] = true
 			}
 			// (a) exact equality with a fresh snapshot at the cloak the
-			// monitor actually evaluated (inflated under SafeRegionFrac>0),
-			// with the asker hidden exactly as a one-shot buddy query
+			// monitor last evaluated, with the asker hidden exactly as a one-shot buddy query
 			// hides it (privacyqp.Without, as in server.NNPrivate).
 			q := m.queries[w.id]
 			snapdb := privacyqp.Without(db, w.exclude)
@@ -244,7 +240,7 @@ func runTraceEquivalence(t *testing.T, cfg Config, linearCounts bool, grid float
 						continue
 					}
 					if !gotIDs[best] {
-						t.Fatalf("tick %d: watch %d: true NN %d at %v missing from maintained candidates (safe region broke inclusiveness)",
+						t.Fatalf("tick %d: watch %d: true NN %d at %v missing from maintained candidates (a kept list broke inclusiveness)",
 							tick, w.id, best, p)
 					}
 				} else {
@@ -320,68 +316,12 @@ func runTraceEquivalence(t *testing.T, cfg Config, linearCounts bool, grid float
 	if m.Updates() == 0 || m.Evaluations() == 0 {
 		t.Fatalf("trace exercised nothing: updates %d evals %d", m.Updates(), m.Evaluations())
 	}
-	t.Logf("cfg %+v: updates %d evaluations %d safe-hits %d", cfg, m.Updates(), m.Evaluations(), m.SafeRegionHits())
-}
-
-// TestSafeRegionCutsNNReevaluations drives a mobgen moving-asker
-// trace through a safe-region monitor and requires it to cut NN
-// re-evaluations by at least half against re-evaluating on every
-// cloak change (what a monitor without safe regions does) — the
-// acceptance bar for the Hashem-style safe regions.
-func TestSafeRegionCutsNNReevaluations(t *testing.T) {
-	gen := mobgen.New(traceNet(5), mobgen.DefaultConfig(8, 11))
-	var cloaks [][]geom.Rect // per tick, per asker
-	for tick := 0; tick < 300; tick++ {
-		us := gen.Step(1)
-		row := make([]geom.Rect, len(us))
-		for i, u := range us {
-			row[i] = cloakAround(u.Pos, 150)
-		}
-		cloaks = append(cloaks, row)
-	}
-	var changes int64
-	for tick := 1; tick < len(cloaks); tick++ {
-		for i, c := range cloaks[tick] {
-			if c != cloaks[tick-1][i] {
-				changes++
-			}
-		}
-	}
-	var pub []rtree.Item
-	for i, p := range mobgen.UniformPoints(world, 200, 13) {
-		pub = append(pub, rtree.Item{Rect: geom.Rect{Min: p, Max: p}, ID: int64(i)})
-	}
-	m := NewMonitor(Config{Universe: world, SafeRegionFrac: 1.0})
-	m.SetPublic(pub)
-	ids := make([]QueryID, len(cloaks[0]))
-	for i, c := range cloaks[0] {
-		id, _, err := m.RegisterNN(c, privacyqp.PublicData, privacyqp.DefaultOptions(), -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = id
-	}
-	evals0 := m.Evaluations()
-	for _, row := range cloaks[1:] {
-		for i, c := range row {
-			if err := m.UpdateNNCloak(ids[i], c); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	safeEvals, safeHits := m.Evaluations()-evals0, m.SafeRegionHits()
-	t.Logf("cloak changes %d, safe-region re-evaluations %d (hits %d)", changes, safeEvals, safeHits)
-	if safeHits == 0 {
-		t.Fatal("safe regions absorbed no cloak updates")
-	}
-	if 2*safeEvals > changes {
-		t.Fatalf("safe regions cut re-evaluations only %d -> %d (< 50%%)", changes, safeEvals)
-	}
+	t.Logf("updates %d evaluations %d safe-hits %d", m.Updates(), m.Evaluations(), m.SafeRegionHits())
 }
 
 // TestApplyUpdatesBatch pins the batch entry point's semantics.
 func TestApplyUpdatesBatch(t *testing.T) {
-	m := New(nil)
+	m := NewMonitor(Config{})
 	qid, _, err := m.RegisterRangeCount(geom.R(0, 0, 1000, 1000), privacyqp.CountAnyOverlap)
 	if err != nil {
 		t.Fatal(err)
@@ -423,7 +363,7 @@ func TestApplyUpdatesBatch(t *testing.T) {
 // center, registration churn, asker movement, and readers all run at
 // once. The final counts must equal a fresh snapshot.
 func TestConcurrentStripeStress(t *testing.T) {
-	m := NewMonitor(Config{Universe: world, SafeRegionFrac: 0.5, Buffer: 256, Notify: func(Event) {}})
+	m := NewMonitor(Config{Universe: world, Buffer: 256, Notify: func(Event) {}})
 	defer m.Close()
 	var pub []rtree.Item
 	for i, p := range mobgen.UniformPoints(world, 100, 3) {
@@ -552,7 +492,7 @@ func TestConcurrentStripeStress(t *testing.T) {
 
 // TestQueryCounts pins the per-kind gauges' source of truth.
 func TestQueryCounts(t *testing.T) {
-	m := New(nil)
+	m := NewMonitor(Config{})
 	if err := upsert(m, 1, geom.R(100, 100, 200, 200)); err != nil {
 		t.Fatal(err)
 	}
@@ -624,7 +564,7 @@ func TestStripeAssignment(t *testing.T) {
 // index against references the test computes itself on a random op
 // stream: every range count against a linear scan of the live objects,
 // every candidate list against a fresh snapshot query at the query's
-// evaluation cloak. SafeRegionFrac 0 evaluates at the cloak itself.
+// evaluation cloak.
 func TestLinearScanMatchesIndexed(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	m := NewMonitor(Config{Universe: world})
@@ -748,7 +688,7 @@ func TestDeltaEventContract(t *testing.T) {
 	setup := func(t *testing.T) (*Monitor, QueryID, *[]Event) {
 		t.Helper()
 		var events []Event
-		m := New(func(e Event) { events = append(events, e) })
+		m := NewMonitor(Config{Notify: func(e Event) { events = append(events, e) }})
 		if err := m.ApplyUpdates([]PrivateUpdate{{ID: 5, Region: filter}, {ID: 1, Region: cand}}); err != nil {
 			t.Fatal(err)
 		}
@@ -812,7 +752,7 @@ func TestDeltaEventContract(t *testing.T) {
 	})
 	t.Run("asker-moves", func(t *testing.T) {
 		var events []Event
-		m := New(func(e Event) { events = append(events, e) })
+		m := NewMonitor(Config{Notify: func(e Event) { events = append(events, e) }})
 		if err := m.ApplyUpdates([]PrivateUpdate{{ID: 5, Region: filter}, {ID: 1, Region: cand}, {ID: 9, Region: cloak}}); err != nil {
 			t.Fatal(err)
 		}
@@ -837,7 +777,7 @@ func TestDeltaEventContract(t *testing.T) {
 // the candidate list: a candidate moving around inside A_EXT refreshes
 // its rect in place.
 func TestDeltaAllocations(t *testing.T) {
-	m := New(nil)
+	m := NewMonitor(Config{})
 	rng := rand.New(rand.NewSource(11))
 	batch := make([]PrivateUpdate, 0, 2000)
 	for i := 0; i < 2000; i++ {

@@ -141,7 +141,8 @@ type Stats struct {
 // ContinuousStats is the continuous monitor's block of Stats: the
 // standing-query population and the incremental-maintenance counters
 // (evaluations/updates is the ratio to watch; safe-region hits are
-// cloak moves absorbed without re-evaluating).
+// asker cloaks inside the last evaluated cloak, kept without
+// re-evaluating).
 type ContinuousStats struct {
 	Queries        int   `json:"queries"`
 	Updates        int64 `json:"updates"`
