@@ -19,8 +19,10 @@
 //	add-public <id> <x> <y> <name>      add a public object
 //	stats [debug-addr] [-watch interval]  deployment statistics; with the
 //	                                    host:port of casperd -debug-addr,
-//	                                    fetch health, readiness and /metrics;
-//	                                    -watch prints per-second counter rates
+//	                                    fetch health, readiness and
+//	                                    /debug/stats (statistics plus every
+//	                                    metric family); -watch prints
+//	                                    per-second counter rates
 //	trace <debug-addr> [trace-id]       list recent request traces, or render
 //	                                    one trace's span waterfall
 //	privacy <debug-addr> [-watch interval]  the live privacy observatory:
@@ -64,14 +66,14 @@ func main() {
 		defer cancel()
 	}
 
-	// `stats <debug-addr>` and `trace <debug-addr>` talk to the
+	// `stats <debug-addr>`, `privacy` and `trace` talk to the
 	// observability endpoint, not the protocol port, so they need no
 	// protocol connection at all.
 	if args[0] == "stats" && len(args) > 1 {
 		fs := flag.NewFlagSet("stats", flag.ExitOnError)
-		watch := fs.Duration("watch", 0, "scrape twice, this far apart, and print per-second counter rates")
+		watch := fs.Duration("watch", 0, "fetch twice, this far apart, and print per-second counter rates")
 		fs.Parse(args[2:])
-		if err := statsFromDebug(args[1], *watch); err != nil {
+		if err := statsFromDebug(os.Stdout, args[1], *watch); err != nil {
 			fatal("stats: %v", err)
 		}
 		return
@@ -83,7 +85,7 @@ func main() {
 		fs := flag.NewFlagSet("privacy", flag.ExitOnError)
 		watch := fs.Duration("watch", 0, "refresh this often until interrupted")
 		fs.Parse(args[2:])
-		if err := privacyFromDebug(args[1], *watch); err != nil {
+		if err := privacyFromDebug(os.Stdout, args[1], *watch); err != nil {
 			fatal("privacy: %v", err)
 		}
 		return
@@ -233,33 +235,7 @@ func run(ctx context.Context, cl *casper.ProtocolClient, cmd string, args []stri
 		if err != nil {
 			return err
 		}
-		backend := st.Backend
-		if backend == "" {
-			backend = "unknown (pre-backend server)"
-		}
-		fmt.Printf("backend: %s\nusers: %d\npublic objects: %d\nqueries served: %d\nanonymizer update cost: %d\n",
-			backend, st.Users, st.PublicObjs, st.Queries, st.UpdateCost)
-		if c := st.Continuous; c != nil {
-			ratio := 0.0
-			if c.Updates > 0 {
-				ratio = float64(c.Evaluations) / float64(c.Updates)
-			}
-			fmt.Printf("continuous queries: %d\nmonitor updates: %d\nmonitor evaluations: %d (%.3f per update)\nsafe-region hits: %d\n",
-				c.Queries, c.Updates, c.Evaluations, ratio, c.SafeRegionHits)
-		}
-		if p := st.Privacy; p != nil {
-			slo := "ok"
-			if !p.SLOOK {
-				slo = "VIOLATED"
-			}
-			fmt.Printf("privacy: %d releases, %d k-violations (%.4f k-satisfied), entropy %.2f bits mean / %.2f min, linkage %.3f, SLO %s\n",
-				p.Releases, p.KViolations, p.KSatisfiedFraction,
-				p.EntropyMeanBits, p.EntropyMinBits, p.Linkage, slo)
-			if p.EpsilonSpent > 0 || p.EpsilonBudget > 0 {
-				fmt.Printf("epsilon: %.4g spent, %.4g max user, budget %g, %d refused\n",
-					p.EpsilonSpent, p.EpsilonMaxUser, p.EpsilonBudget, p.BudgetExhausted)
-			}
-		}
+		printStats(os.Stdout, st)
 	default:
 		return fmt.Errorf("unknown command (run casperctl -h)")
 	}
@@ -339,8 +315,10 @@ commands:
   stats [debug-addr] [-watch interval]   deployment statistics; with the
                                          host:port of casperd -debug-addr,
                                          fetch health, readiness and
-                                         /metrics; -watch prints per-second
-                                         counter rates over the interval
+                                         /debug/stats (statistics plus every
+                                         metric family); -watch prints
+                                         per-second counter rates over the
+                                         interval
   trace <debug-addr> [trace-id]          list recent request traces, or
                                          render one trace's span waterfall
   privacy <debug-addr> [-watch interval] the live privacy observatory:

@@ -6,42 +6,15 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"casper/internal/trace"
 )
-
-// traceJSON mirrors trace.TraceJSON (decoded from /debug/traces).
-type traceJSON struct {
-	ID       string     `json:"trace_id"`
-	Op       string     `json:"op"`
-	Started  time.Time  `json:"started"`
-	TotalNS  int64      `json:"total_ns"`
-	Err      string     `json:"error"`
-	Code     string     `json:"code"`
-	Slow     bool       `json:"slow"`
-	NumSpans int        `json:"num_spans"`
-	Dropped  int        `json:"dropped_spans"`
-	Spans    []spanJSON `json:"spans"`
-}
-
-type spanJSON struct {
-	Name    string     `json:"name"`
-	StartNS int64      `json:"start_ns"`
-	DurNS   int64      `json:"dur_ns"`
-	Attrs   []attrJSON `json:"attrs"`
-}
-
-type attrJSON struct {
-	K string `json:"k"`
-	V any    `json:"v"`
-}
 
 // traceFromDebug talks to a casperd -debug-addr endpoint: without an
 // id it lists the retained traces newest-first; with one it renders
 // that trace's span waterfall.
 func traceFromDebug(addr, id string) error {
-	if !strings.Contains(addr, "://") {
-		addr = "http://" + addr
-	}
-	base := strings.TrimSuffix(addr, "/") + "/debug/traces"
+	base := debugBase(addr) + "/debug/traces"
 	cl := &http.Client{Timeout: 10 * time.Second}
 	if id == "" {
 		return listTraces(cl, base)
@@ -58,7 +31,7 @@ func listTraces(cl *http.Client, url string) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("%s: %s", url, resp.Status)
 	}
-	var ts []traceJSON
+	var ts []trace.TraceJSON
 	if err := json.NewDecoder(resp.Body).Decode(&ts); err != nil {
 		return fmt.Errorf("decode trace list: %w", err)
 	}
@@ -97,7 +70,7 @@ func showTrace(cl *http.Client, base, id string) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("%s: %s", base, resp.Status)
 	}
-	var t traceJSON
+	var t trace.TraceJSON
 	if err := json.NewDecoder(resp.Body).Decode(&t); err != nil {
 		return fmt.Errorf("decode trace: %w", err)
 	}

@@ -9,8 +9,9 @@ import (
 	"net/http/pprof"
 	"time"
 
+	"casper"
+	"casper/internal/core"
 	"casper/internal/metrics"
-	"casper/internal/privacyobs"
 	"casper/internal/trace"
 )
 
@@ -21,27 +22,27 @@ import (
 //	/readyz        readiness probe: 503 with a reason when the process
 //	               should be taken out of rotation (see ready below)
 //	/debug/traces  recent request traces (JSON list; ?id= for detail)
-//	/debug/privacy the privacy observatory's full snapshot: per-backend
-//	               achieved-k and area distributions, k-satisfied
-//	               fraction, windowed entropy, online linkage estimate,
-//	               ε-budget ledger, and the SLO verdict
+//	/debug/stats   the operator snapshot as JSON: {"stats": c.Stats(),
+//	               "metrics": every metric family as typed values}; the
+//	               stats object is the wire stats frame's core.Stats,
+//	               privacy observatory included
 //	/debug/pprof/  the standard Go profiling handlers
 //	/-/reload      POST: re-read and apply the -config file (the
 //	               API-driven twin of SIGHUP); 500 with the parse or
 //	               validation error when the file is rejected
 //
-// ready, when non-nil, is consulted by /readyz: a non-nil error means
-// not-ready and its text becomes the response body. /healthz stays
-// 200 regardless — liveness and readiness are split so an unwritable
-// WAL directory drains traffic without triggering a restart loop.
-// reload, when non-nil, backs /-/reload; with no -config file the
-// endpoint answers 404.
+// c is the instance /debug/stats reports on. ready, when non-nil, is
+// consulted by /readyz: a non-nil error means not-ready and its text
+// becomes the response body. /healthz stays 200 regardless — liveness
+// and readiness are split so an unwritable WAL directory drains
+// traffic without triggering a restart loop. reload, when non-nil,
+// backs /-/reload; with no -config file the endpoint answers 404.
 //
 // The debug listener is separate from the protocol port on purpose:
 // it can be bound to localhost or a management network while the
 // protocol endpoint faces clients. Returns the bound address and a
 // shutdown func.
-func startDebugServer(addr string, ready func() error, reload func() error) (net.Addr, func(), error) {
+func startDebugServer(addr string, c *casper.Casper, ready func() error, reload func() error) (net.Addr, func(), error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -85,7 +86,7 @@ func startDebugServer(addr string, ready func() error, reload func() error) (net
 		io.WriteString(w, "ok\n")
 	})
 	mux.HandleFunc("/debug/traces", serveTraces)
-	mux.HandleFunc("/debug/privacy", servePrivacy)
+	mux.HandleFunc("/debug/stats", serveStats(c))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -131,13 +132,19 @@ func serveTraces(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(out)
 }
 
-// servePrivacy exposes the privacy observatory. Taking the snapshot
-// also evaluates the SLO, so watching this endpoint (casperctl privacy
-// -watch) keeps the verdict and its slog transitions current even when
-// nothing scrapes /metrics.
-func servePrivacy(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(privacyobs.Default.Snapshot())
+// serveStats exposes the operator snapshot. Taking it also evaluates
+// the privacy SLO, so watching this endpoint (casperctl privacy -watch)
+// keeps the verdict and its slog transitions current even when nothing
+// scrapes /metrics. A document that does not encode is a 500, not a
+// truncated body.
+func serveStats(c *casper.Casper) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		b, err := json.MarshalIndent(core.DebugStats{Stats: c.Stats(), Metrics: metrics.Default.Snapshot()}, "", "  ")
+		if err != nil {
+			http.Error(w, "encode /debug/stats: "+err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		w.Write(append(b, '\n'))
+	}
 }

@@ -1,21 +1,26 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
+	"math/rand"
 	"net/http"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"casper"
+	"casper/internal/core"
 	"casper/internal/trace"
 )
 
 func TestDebugServerEndpoints(t *testing.T) {
-	addr, stop, err := startDebugServer("127.0.0.1:0", nil, nil)
+	addr, stop, err := startDebugServer("127.0.0.1:0", nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +78,7 @@ func TestReadyzSplitFromHealthz(t *testing.T) {
 		}
 		return nil
 	}
-	addr, stop, err := startDebugServer("127.0.0.1:0", ready, nil)
+	addr, stop, err := startDebugServer("127.0.0.1:0", nil, ready, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +124,7 @@ func TestReadinessProbeWALDir(t *testing.T) {
 }
 
 func TestDebugTracesEndpoint(t *testing.T) {
-	addr, stop, err := startDebugServer("127.0.0.1:0", nil, nil)
+	addr, stop, err := startDebugServer("127.0.0.1:0", nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,5 +189,90 @@ func TestDebugTracesEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown id: got %s, want 404", resp.Status)
+	}
+}
+
+// TestDebugStatsMatchesWireStats is the one-document contract: after
+// load through an in-process casperd, the stats frame read over the
+// wire and the "stats" object of /debug/stats are the same core.Stats.
+func TestDebugStatsMatchesWireStats(t *testing.T) {
+	c := casper.MustNew(casper.DefaultConfig())
+	defer c.Close()
+	if err := c.LoadPublicObjects(casper.UniformTargets(c.Config().Universe, 200, 1)); err != nil {
+		t.Fatal(err)
+	}
+	c.EnableContinuous(nil)
+	srv := casper.NewProtocolServer(c)
+	bound, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	addr, stop, err := startDebugServer("127.0.0.1:0", c, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+
+	ctx := context.Background()
+	cl, err := casper.DialProtocolContext(ctx, bound.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	rng := rand.New(rand.NewSource(7))
+	const users = 40
+	for uid := int64(1); uid <= users; uid++ {
+		if err := cl.Register(ctx, uid, rng.Float64()*40000, rng.Float64()*40000, 1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := c.WatchNearest(1, casper.PublicData); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		uid := 1 + int64(i%users)
+		if err := cl.Update(ctx, uid, rng.Float64()*40000, rng.Float64()*40000); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.NearestPublic(ctx, uid); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.NearestBuddy(ctx, uid); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	wire, err := cl.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get("http://" + addr.String() + "/debug/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/debug/stats: %s", resp.Status)
+	}
+	var doc core.DebugStats
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(wire, doc.Stats) {
+		t.Fatalf("wire stats and /debug/stats differ:\nwire  %+v\ndebug %+v", wire, doc.Stats)
+	}
+	if wire.Users != users || wire.Continuous == nil || wire.Continuous.Queries != 1 ||
+		len(wire.Privacy.Backends) == 0 || wire.Privacy.Backends[0].Releases == 0 {
+		t.Fatalf("stats miss the load: %+v", wire)
+	}
+	found := false
+	for _, f := range doc.Metrics {
+		if f.Name == "casper_rpc_requests_total" {
+			found = len(f.Series) > 0
+		}
+	}
+	if !found {
+		t.Fatal("/debug/stats metrics miss casper_rpc_requests_total")
 	}
 }

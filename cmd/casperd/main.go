@@ -49,9 +49,10 @@
 // 503 when the WAL directory is unwritable or the published query
 // snapshot is older than -ready-max-snapshot-age with writes
 // pending), /debug/traces (recent request traces; ?id= for a full
-// span listing), /debug/privacy (the live privacy observatory:
-// per-backend achieved-k, windowed entropy, linkage estimate, ε-budget
-// ledger, SLO verdict), and /debug/pprof/* on that address; with -slow-query
+// span listing), /debug/stats (the operator snapshot as JSON: the
+// same core.Stats the wire stats frame carries — deployment counters,
+// continuous monitor, the full privacy observatory — plus every metric
+// family as typed values), and /debug/pprof/* on that address; with -slow-query
 // set (e.g. 50ms), every request slower than the threshold is logged
 // with its cloak/query/transmit breakdown and its trace is always
 // retained in the ring regardless of sampling. See DESIGN.md §8.
@@ -102,7 +103,7 @@ func main() {
 	targets := flag.Int("targets", 10000, "number of preloaded public target objects")
 	seed := flag.Int64("seed", 1, "seed for target placement")
 	walPath := flag.String("wal", "", "write-ahead log path; empty disables persistence")
-	debugAddr := flag.String("debug-addr", "", "address for /metrics, /healthz, /readyz, /debug/traces and /debug/pprof; empty disables")
+	debugAddr := flag.String("debug-addr", "", "address for /metrics, /healthz, /readyz, /debug/traces, /debug/stats and /debug/pprof; empty disables")
 	slowQuery := flag.Duration("slow-query", 0, "log requests slower than this (e.g. 50ms); 0 disables")
 	traceOn := flag.Bool("trace", true, "record per-request traces into the /debug/traces ring")
 	traceSample := flag.Int("trace-sample", 16, "head-sample 1 in N successful requests (1 = all, 0 = none; slow and errored requests are always kept)")
@@ -245,14 +246,14 @@ func main() {
 		if *configPath != "" {
 			reloadFn = rel.Reload
 		}
-		dbgBound, stopDebug, err := startDebugServer(*debugAddr, ready, reloadFn)
+		dbgBound, stopDebug, err := startDebugServer(*debugAddr, c, ready, reloadFn)
 		if err != nil {
 			slog.Error("debug listen", "err", err)
 			os.Exit(1)
 		}
 		defer stopDebug()
 		slog.Info("observability endpoints up", "addr", dbgBound.String(),
-			"endpoints", "/metrics /healthz /readyz /debug/traces /debug/privacy /debug/pprof /-/reload")
+			"endpoints", "/metrics /healthz /readyz /debug/traces /debug/stats /debug/pprof /-/reload")
 	}
 
 	bound, err := srv.Listen(*addr)

@@ -175,7 +175,7 @@ func TestReloadEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	addr, stop, err := startDebugServer("127.0.0.1:0", nil, rel.Reload)
+	addr, stop, err := startDebugServer("127.0.0.1:0", nil, nil, rel.Reload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestReloadEndpoint(t *testing.T) {
 	}
 
 	// Without a -config file the endpoint does not exist.
-	addr2, stop2, err := startDebugServer("127.0.0.1:0", nil, nil)
+	addr2, stop2, err := startDebugServer("127.0.0.1:0", nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,20 +16,21 @@ import (
 
 // TestDebugEndpointsUnderConcurrentLoad scrapes every observability
 // endpoint — /metrics (whose gauges read live registries), the trace
-// ring, and the privacy observatory — while workers drive mixed
+// ring, and /debug/stats (the operator snapshot, privacy observatory
+// included) — while workers drive mixed
 // register/update/query load through an in-process Casper. Run with
 // -race this is the torn-read check for the whole telemetry plane:
 // every scrape walks state the hot path is mutating concurrently.
 func TestDebugEndpointsUnderConcurrentLoad(t *testing.T) {
-	addr, stop, err := startDebugServer("127.0.0.1:0", nil, nil)
+	c := casper.MustNew(casper.DefaultConfig())
+	defer c.Close()
+	addr, stop, err := startDebugServer("127.0.0.1:0", c, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stop()
 	base := "http://" + addr.String()
 
-	c := casper.MustNew(casper.DefaultConfig())
-	defer c.Close()
 	objs := make([]casper.PublicObject, 50)
 	for i := range objs {
 		objs[i] = casper.PublicObject{
@@ -86,7 +87,7 @@ func TestDebugEndpointsUnderConcurrentLoad(t *testing.T) {
 		}(w)
 	}
 
-	endpoints := []string{"/metrics", "/debug/traces", "/debug/privacy"}
+	endpoints := []string{"/metrics", "/debug/traces", "/debug/stats"}
 	var scrapeWG sync.WaitGroup
 	for _, ep := range endpoints {
 		scrapeWG.Add(1)

@@ -149,10 +149,10 @@ func (m *Monitor) fold(q *query, ch privacyqp.Change, kind privacyqp.DataKind) {
 		}
 		var delta float64
 		if ch.Had {
-			delta -= contribution(ch.Old.Rect, q.rect, q.policy)
+			delta -= q.policy.Contribution(ch.Old.Rect, q.rect)
 		}
 		if ch.Has {
-			delta += contribution(ch.New.Rect, q.rect, q.policy)
+			delta += q.policy.Contribution(ch.New.Rect, q.rect)
 		}
 		m.applyCountDelta(q, delta)
 		return

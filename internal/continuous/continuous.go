@@ -478,24 +478,6 @@ func (m *Monitor) emit(e Event) {
 	}
 }
 
-// contribution is the amount a cloaked region adds to a range count
-// under the policy.
-func contribution(region, query geom.Rect, policy privacyqp.CountPolicy) float64 {
-	switch policy {
-	case privacyqp.CountAnyOverlap:
-		if region.Intersects(query) {
-			return 1
-		}
-	case privacyqp.CountCenterIn:
-		if query.Contains(region.Center()) {
-			return 1
-		}
-	case privacyqp.CountFractional:
-		return geom.OverlapFraction(region, query)
-	}
-	return 0
-}
-
 // sortOps orders a batch by pid (ties: input order), which fixes the
 // order a batch's events are emitted in and lets duplicate pids
 // collapse to their last occurrence.

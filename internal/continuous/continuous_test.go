@@ -94,7 +94,7 @@ func TestRangeCountIncrementalMatchesSnapshot(t *testing.T) {
 	for _, rg := range regs {
 		want := 0.0
 		for _, r := range live {
-			want += contribution(r, rg.rect, rg.policy)
+			want += rg.policy.Contribution(r, rg.rect)
 		}
 		got, ok := m.Count(rg.id)
 		if !ok {

@@ -157,7 +157,7 @@ func runTraceEquivalence(t *testing.T, linearCounts bool, grid float64) {
 			var want float64
 			if linearCounts {
 				for _, r := range mirror {
-					want += contribution(r, rr.rect, rr.policy)
+					want += rr.policy.Contribution(r, rr.rect)
 				}
 			} else {
 				var err error
@@ -638,7 +638,7 @@ func TestLinearScanMatchesIndexed(t *testing.T) {
 			}
 			want := 0.0
 			for _, r := range mirror {
-				want += contribution(r, rg.rect, privacyqp.CountFractional)
+				want += privacyqp.CountFractional.Contribution(r, rg.rect)
 			}
 			if math.Abs(got-want) > 1e-6 {
 				t.Fatalf("range query %d: indexed count %v, linear scan %v", rg.id, got, want)

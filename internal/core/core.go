@@ -206,16 +206,19 @@ func (b Breakdown) Total() time.Duration { return b.Cloak + b.Query + b.Transmit
 //
 // Casper is safe for concurrent use. Queries (NearestPublic,
 // NearestBuddy, KNearestPublic, RangePublic, CountUsersIn,
-// UserDensityGrid) run in parallel with each other: the anonymizer's
-// pyramid, the server's R-trees and candidate cache, and the
-// framework's own pseudonym table each sit behind their own
-// reader/writer lock, so cloaking and query answering do not contend.
-// Mutations (RegisterUser, UpdateUser, SetProfile, DeregisterUser, the
-// public-table editors, and Watch registration) take the relevant
-// write locks and serialize only against operations touching the same
-// structure. Concurrent updates to the same user are applied in some
-// serial order; the cloak stored at the server is always one that was
-// valid at some instant.
+// UserDensityGrid) run in parallel with each other. Cloaking takes the
+// live backend's lock (a read lock on the pyramid backends). The
+// server then answers from one atomically loaded index snapshot and
+// takes no lock, except that a public query consults the candidate
+// cache, whose single sync.Mutex is held for one map operation and
+// never across a computation. Mutations (RegisterUser, UpdateUser,
+// SetProfile, DeregisterUser, the public-table editors, and Watch
+// registration) take the backend's write lock and the server's writer
+// mutex; a server write clones the trees it touches and publishes a
+// new snapshot, so it never blocks a query already running on the old
+// one. Concurrent updates to the same user are applied in some serial
+// order; the cloak stored at the server is always one that was valid
+// at some instant.
 //
 // The framework's own state is no single lock: the pseudonym table
 // (pyramid.UserTable) has its own read-mostly lock, the pseudonym RNG

@@ -361,22 +361,9 @@ func escapeLabel(s string) string {
 // Prometheus text exposition format (version 0.0.4), grouping
 // families so HELP/TYPE appear once each.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	ms := append([]*metric(nil), r.ordered...)
-	r.mu.Unlock()
-
-	// Stable output: sort by family then label set, keeping families
-	// contiguous for the HELP/TYPE headers.
-	sort.SliceStable(ms, func(i, j int) bool {
-		if ms[i].family != ms[j].family {
-			return ms[i].family < ms[j].family
-		}
-		return ms[i].labels < ms[j].labels
-	})
-
 	var b strings.Builder
 	lastFamily := ""
-	for _, m := range ms {
+	for _, m := range r.sorted() {
 		if m.family != lastFamily {
 			lastFamily = m.family
 			fmt.Fprintf(&b, "# HELP %s %s\n", m.family, m.help)
@@ -411,6 +398,82 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// sorted returns the registered instruments in exposition order:
+// by family then label set, keeping families contiguous for the
+// HELP/TYPE headers.
+func (r *Registry) sorted() []*metric {
+	r.mu.Lock()
+	ms := append([]*metric(nil), r.ordered...)
+	r.mu.Unlock()
+	sort.SliceStable(ms, func(i, j int) bool {
+		if ms[i].family != ms[j].family {
+			return ms[i].family < ms[j].family
+		}
+		return ms[i].labels < ms[j].labels
+	})
+	return ms
+}
+
+// Family is the typed view of one metric family, in the order and
+// with the values /metrics exposes, for readers that want numbers
+// instead of exposition text (casperd's /debug/stats, casperctl).
+type Family struct {
+	Name   string   `json:"name"`
+	Help   string   `json:"help"`
+	Type   string   `json:"type"` // counter | gauge | histogram
+	Series []Series `json:"series"`
+}
+
+// Series is one label set of a family. Counters and gauges carry
+// Value; histograms carry Count, Sum and the Histogram.Quantile
+// estimates. Non-finite values (a 0/0 ratio gauge, the quantiles of an
+// empty histogram) read as 0, as in WritePrometheus, so the view
+// always encodes as JSON.
+type Series struct {
+	Labels string  `json:"labels,omitempty"` // rendered, e.g. `op="nn"`
+	Value  float64 `json:"value,omitempty"`
+	Count  int64   `json:"count,omitempty"`
+	Sum    float64 `json:"sum,omitempty"`
+	P50    float64 `json:"p50,omitempty"`
+	P95    float64 `json:"p95,omitempty"`
+	P99    float64 `json:"p99,omitempty"`
+}
+
+// Snapshot returns every registered family as typed values.
+func (r *Registry) Snapshot() []Family {
+	var out []Family
+	for _, m := range r.sorted() {
+		if len(out) == 0 || out[len(out)-1].Name != m.family {
+			out = append(out, Family{Name: m.family, Help: m.help, Type: typeName(m.kind)})
+		}
+		s := Series{Labels: m.labels}
+		switch m.kind {
+		case kindCounter:
+			s.Value = float64(m.counter.Value())
+		case kindGauge:
+			s.Value = float64(m.gauge.Value())
+		case kindGaugeFunc:
+			s.Value = finite(m.fn())
+		case kindHistogram:
+			s.Count = m.hist.Count()
+			s.Sum = finite(m.hist.Sum())
+			s.P50 = finite(m.hist.Quantile(0.50))
+			s.P95 = finite(m.hist.Quantile(0.95))
+			s.P99 = finite(m.hist.Quantile(0.99))
+		}
+		f := &out[len(out)-1]
+		f.Series = append(f.Series, s)
+	}
+	return out
+}
+
+func finite(v float64) float64 {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0
+	}
+	return v
 }
 
 func typeName(k metricKind) string {

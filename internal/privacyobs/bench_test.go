@@ -40,7 +40,7 @@ func BenchmarkObserveCloak(b *testing.B) {
 }
 
 // BenchmarkSnapshot is the scrape-path cost (metrics GaugeFuncs and
-// /debug/privacy), with a populated observer: 1,000 tracked users, and
+// /debug/stats), with a populated observer: 1,000 tracked users, and
 // 20,000 — the benchmark workloads' population.
 func BenchmarkSnapshot(b *testing.B) {
 	for _, users := range []int{1000, 20000} {

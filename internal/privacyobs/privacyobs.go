@@ -46,7 +46,7 @@ import (
 )
 
 // Default is the process-global observer the framework's cloak path
-// feeds. The casper_privacy_* gauges and /debug/privacy read it.
+// feeds. The casper_privacy_* gauges and /debug/stats read it.
 var Default = New()
 
 // ringSize bounds the entropy window: the estimate covers the last

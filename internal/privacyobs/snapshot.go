@@ -62,8 +62,9 @@ type SLOSnapshot struct {
 	OK            bool    `json:"ok"`
 }
 
-// Snapshot is the full state of the privacy observatory, as served by
-// /debug/privacy and rendered by casperctl privacy.
+// Snapshot is the full state of the privacy observatory: the privacy
+// block of core.Stats, carried whole by the wire stats frame and
+// /debug/stats and rendered by casperctl privacy.
 type Snapshot struct {
 	Backends           []BackendSnapshot `json:"backends"`
 	KSatisfiedFraction float64           `json:"k_satisfied_fraction"`
@@ -74,11 +75,11 @@ type Snapshot struct {
 }
 
 // Snapshot captures the observer's current state; it is the
-// observer's only reader (the casper_privacy_* gauges, /debug/privacy
+// observer's only reader (the casper_privacy_* gauges, /debug/stats
 // and the wire stats block all go through it). Every aggregate is a
 // running total, so the lock is held for O(backends + ringSize). Taking
 // a snapshot also evaluates the SLO and logs a verdict transition, so
-// /debug/privacy readers see transitions even if nothing scrapes
+// /debug/stats readers see transitions even if nothing scrapes
 // /metrics.
 func (o *Observer) Snapshot() Snapshot {
 	var s Snapshot

@@ -48,6 +48,26 @@ func (p CountPolicy) String() string {
 	}
 }
 
+// Contribution is the amount a cloaked region adds to a count over
+// query under the policy: PublicRangeCount sums it over the stored
+// cloaks, and the continuous monitor maintains standing counts by its
+// deltas.
+func (p CountPolicy) Contribution(region, query geom.Rect) float64 {
+	switch p {
+	case CountAnyOverlap:
+		if region.Intersects(query) {
+			return 1
+		}
+	case CountCenterIn:
+		if query.Contains(region.Center()) {
+			return 1
+		}
+	case CountFractional:
+		return geom.OverlapFraction(region, query)
+	}
+	return 0
+}
+
 // PublicRangeCount answers a public range query over private data:
 // how many cloaked objects are in region r, under the given policy.
 // The float result is integral except under CountFractional.
@@ -57,16 +77,7 @@ func PublicRangeCount(db SpatialIndex, r geom.Rect, policy CountPolicy) (float64
 	}
 	var total float64
 	db.SearchFunc(r, func(it rtree.Item) bool {
-		switch policy {
-		case CountAnyOverlap:
-			total++
-		case CountCenterIn:
-			if r.Contains(it.Rect.Center()) {
-				total++
-			}
-		case CountFractional:
-			total += geom.OverlapFraction(it.Rect, r)
-		}
+		total += policy.Contribution(it.Rect, r)
 		return true
 	})
 	return total, nil

@@ -10,6 +10,8 @@ import (
 	"runtime"
 	"sync"
 	"time"
+
+	"casper/internal/core"
 )
 
 // Client is a mobile-user (or administrator) connection to a Casper
@@ -519,14 +521,14 @@ func (c *Client) Density(ctx context.Context, n int) ([][]float64, error) {
 	return resp.Density, nil
 }
 
-// Stats fetches deployment statistics.
-func (c *Client) Stats(ctx context.Context) (Stats, error) {
+// Stats fetches the server's operator snapshot (core.Casper.Stats).
+func (c *Client) Stats(ctx context.Context) (core.Stats, error) {
 	resp, err := c.call(ctx, Request{Op: OpStats})
 	if err != nil {
-		return Stats{}, err
+		return core.Stats{}, err
 	}
 	if resp.Stats == nil {
-		return Stats{}, fmt.Errorf("protocol: stats response missing payload")
+		return core.Stats{}, fmt.Errorf("protocol: stats response missing payload")
 	}
 	return *resp.Stats, nil
 }

@@ -196,15 +196,19 @@ func expectRefusal(t *testing.T, payload []byte) {
 	}
 }
 
-// TestV2ServerRefusesOtherRevisions pins how the packed response
-// layout was rolled out: there is no fallback decoder and nothing is
-// negotiated, so a client built before it (handshake byte 2, the
-// fixed-width layout) — or after it, with a layout this server has
-// never heard of — is refused at the handshake. It is told which
-// revision the server speaks, and the request frame it pipelined
-// behind its hello is never decoded.
+// TestV2ServerRefusesOtherRevisions pins how payload layouts roll
+// out: there is no fallback decoder and nothing is negotiated, so a
+// client of any earlier revision (2, the fixed-width objects; 3, the
+// four-field stats block with extension bits) — or of a later one, with
+// a layout this server has never heard of — is refused at the
+// handshake. It is told which revision the server speaks, and the
+// request frame it pipelined behind its hello is never decoded.
 func TestV2ServerRefusesOtherRevisions(t *testing.T) {
-	for _, rev := range []byte{binaryRevision - 1, binaryRevision + 1} {
+	var revs []byte
+	for rev := byte(2); rev < binaryRevision; rev++ {
+		revs = append(revs, rev)
+	}
+	for _, rev := range append(revs, binaryRevision+1) {
 		t.Run(fmt.Sprintf("revision%d", rev), func(t *testing.T) {
 			other := append(hello[:4:4], rev)
 			expectRefusal(t, append(other, rawFrame(1, rawRequest(t, Request{Op: OpStats}))...))

@@ -17,6 +17,7 @@ package protocol
 import (
 	"fmt"
 
+	"casper/internal/core"
 	"casper/internal/geom"
 )
 
@@ -120,66 +121,18 @@ type Cost struct {
 	Candidates int   `json:"candidates"`
 }
 
-// Stats reports deployment-wide counters.
-type Stats struct {
-	Users      int   `json:"users"`
-	PublicObjs int   `json:"public_objects"`
-	Queries    int64 `json:"queries"`
-	UpdateCost int64 `json:"update_cost"`
-	// Backend names the active privacy backend ("" from servers
-	// predating backend selection).
-	Backend string `json:"backend,omitempty"`
-	// Continuous reports the continuous-query monitor; nil when the
-	// monitor is disabled (or the server predates it).
-	Continuous *ContinuousStats `json:"continuous,omitempty"`
-	// Privacy reports the privacy observatory's aggregates; nil from
-	// servers predating it. The full per-backend distribution lives on
-	// /debug/privacy — the wire carries only the headline numbers.
-	Privacy *PrivacyStats `json:"privacy,omitempty"`
-}
-
-// ContinuousStats is the continuous monitor's block of Stats: the
-// standing-query population and the incremental-maintenance counters
-// (evaluations/updates is the ratio to watch; safe-region hits are
-// asker cloaks inside the last evaluated cloak, kept without
-// re-evaluating).
-type ContinuousStats struct {
-	Queries        int   `json:"queries"`
-	Updates        int64 `json:"updates"`
-	Evaluations    int64 `json:"evaluations"`
-	SafeRegionHits int64 `json:"safe_region_hits"`
-}
-
-// PrivacyStats is the privacy observatory's block of Stats: the
-// aggregate release accounting, the windowed anonymity-set entropy,
-// the online linkage estimate, the ε-budget ledger, and the SLO
-// verdict. See internal/privacyobs for the semantics of each number.
-type PrivacyStats struct {
-	Releases           int64   `json:"releases"`
-	KViolations        int64   `json:"k_violations"`
-	KSatisfiedFraction float64 `json:"k_satisfied_fraction"`
-	EntropyMeanBits    float64 `json:"entropy_mean_bits"`
-	EntropyMinBits     float64 `json:"entropy_min_bits"`
-	Linkage            float64 `json:"linkage"`
-	EpsilonSpent       float64 `json:"epsilon_spent"`
-	EpsilonMaxUser     float64 `json:"epsilon_max_user"`
-	EpsilonBudget      float64 `json:"epsilon_budget"`
-	BudgetExhausted    int64   `json:"budget_exhausted"`
-	SLOOK              bool    `json:"slo_ok"`
-}
-
 // Response is one server frame.
 type Response struct {
 	OK    bool   `json:"ok"`
 	Error string `json:"error,omitempty"`
 	// Code is the stable wire error code for application errors ("" for
 	// transport-level problems like malformed frames); see errors.go.
-	Code       string   `json:"code,omitempty"`
-	Exact      *Object  `json:"exact,omitempty"`
-	Candidates []Object `json:"candidates,omitempty"`
-	Count      float64  `json:"count,omitempty"`
-	Cost       *Cost    `json:"cost,omitempty"`
-	Stats      *Stats   `json:"stats,omitempty"`
+	Code       string      `json:"code,omitempty"`
+	Exact      *Object     `json:"exact,omitempty"`
+	Candidates []Object    `json:"candidates,omitempty"`
+	Count      float64     `json:"count,omitempty"`
+	Cost       *Cost       `json:"cost,omitempty"`
+	Stats      *core.Stats `json:"stats,omitempty"`
 	// Density is the row-major n x n expected-count grid returned by
 	// OpDensity ([0] is the bottom row).
 	Density [][]float64 `json:"density,omitempty"`

@@ -694,24 +694,8 @@ func (s *Server) dispatch(req Request, tr *trace.Trace) Response {
 		}
 		return Response{OK: true, Density: grid}
 	case OpStats:
-		st := &Stats{
-			Users:      s.casper.Users(),
-			PublicObjs: s.casper.Server().PublicCount(),
-			Queries:    s.casper.Server().Queries(),
-			UpdateCost: s.casper.Anonymizer().UpdateCost(),
-			Backend:    s.casper.Backend(),
-		}
-		if mon := s.casper.Monitor(); mon != nil {
-			nr, nn, nrad := mon.QueryCounts()
-			st.Continuous = &ContinuousStats{
-				Queries:        nr + nn + nrad,
-				Updates:        mon.Updates(),
-				Evaluations:    mon.Evaluations(),
-				SafeRegionHits: mon.SafeRegionHits(),
-			}
-		}
-		st.Privacy = privacyStats()
-		return Response{OK: true, Stats: st}
+		st := s.casper.Stats()
+		return Response{OK: true, Stats: &st}
 	default:
 		return errResponse("unknown op %q", req.Op)
 	}
