@@ -88,17 +88,16 @@ bench-updates:
 
 # bench-queries measures the snapshot-isolated query path and records
 # the numbers in BENCH_queries.json: serial and parallel NN
-# throughput, the query kernels with allocs/op (BenchmarkNN/KNN/Range
-# vs the *Baseline variants that disable the scratch arena), and the
-# query-vs-update contention pair (BenchmarkParallelNNUnderUpdates vs
-# the reconstructed RWMutex discipline). Headlines: allocs/op of
-# BenchmarkNN vs BenchmarkNNBaseline (target >= 50% reduction), and
-# ParallelNNUnderUpdates vs ParallelNNRWMutexUnderUpdates at the
-# recorded cpus.
+# throughput, the query kernels with allocs/op (BenchmarkNN/KNN/Range),
+# and the query-vs-update contention pair
+# (BenchmarkParallelNNUnderUpdates vs the reconstructed RWMutex
+# discipline). Headlines: allocs/op of BenchmarkNN (bench-allocs
+# budget 5), and ParallelNNUnderUpdates vs
+# ParallelNNRWMutexUnderUpdates at the recorded cpus.
 bench-queries:
 	$(GO) test -run XXX -bench 'BenchmarkNN|BenchmarkKNN|BenchmarkRange|ParallelNN|SerialNN' -benchmem . | tee /tmp/bench-queries.txt
 	@awk -v cpus="$$(nproc 2>/dev/null || echo unknown)" \
-	'BEGIN { printf "{\n  \"cpus\": \"%s\",\n  \"headline\": \"BenchmarkNN vs BenchmarkNNBaseline allocs/op (scratch arena); BenchmarkParallelNNUnderUpdates vs BenchmarkParallelNNRWMutexUnderUpdates (snapshot isolation)\",\n  \"benchmarks\": [\n", cpus; first = 1 } \
+	'BEGIN { printf "{\n  \"cpus\": \"%s\",\n  \"headline\": \"BenchmarkNN allocs/op (scratch arena); BenchmarkParallelNNUnderUpdates vs BenchmarkParallelNNRWMutexUnderUpdates (snapshot isolation)\",\n  \"benchmarks\": [\n", cpus; first = 1 } \
 	/^Benchmark/ { if (!first) printf ",\n"; first = 0; \
 	  printf "    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", $$1, $$2, $$3; \
 	  if ($$5 != "") printf ", \"bytes_per_op\": %s", $$5; \
@@ -219,7 +218,9 @@ fuzz:
 # concurrent churn, the core batch workload, the server/WAL
 # interleavings, the casperd scrape-under-traffic trace-ring stress,
 # the continuous-query monitor's single-lock stress, the privacy
-# observatory's concurrent observers, and the R-tree's readers of
-# copy-on-write snapshots racing a clone-mutate-publish writer.
+# observatory's concurrent observers, the R-tree's readers of
+# copy-on-write snapshots racing a clone-mutate-publish writer, the
+# public memo's readers on old and new snapshots racing public churn,
+# and the wire client's abandoned-call race (ContextDeadline).
 race-stress:
-	$(GO) test -race -count=3 -run 'Stress|Concurrent|Batch' ./internal/anonymizer ./internal/pyramid ./internal/core ./internal/server ./internal/protocol ./internal/continuous ./internal/privacyobs ./internal/rtree ./cmd/casperd
+	$(GO) test -race -count=3 -run 'Stress|Concurrent|Batch|ContextDeadline' ./internal/anonymizer ./internal/pyramid ./internal/core ./internal/server ./internal/protocol ./internal/continuous ./internal/privacyobs ./internal/rtree ./cmd/casperd

@@ -770,11 +770,9 @@ func BenchmarkParallelBatchUpdates(b *testing.B) {
 // --- Query path: snapshot isolation + scratch arena ------------------
 //
 // BenchmarkNN/KNN/Range time the privacyqp kernels directly (no server
-// wrapper) with ReportAllocs; the *Baseline variants disable the
-// pooled scratch arena to reconstruct the fresh-buffers-per-query
-// allocation profile the kernels had before the arena existed. The
-// allocs/op ratio is the headline for the zero-allocation work (see
-// BENCH_queries.json, target >= 50% reduction).
+// wrapper) with ReportAllocs; with the pooled scratch arena each query
+// allocates little beyond its result lists (make bench-allocs gates
+// BenchmarkNN at <= 5 allocs/op).
 
 func nnQueryKernel(b *testing.B) {
 	w := world()
@@ -821,37 +819,14 @@ func rangeQueryKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkNN is the private NN kernel with the scratch arena on.
+// BenchmarkNN is the private NN kernel.
 func BenchmarkNN(b *testing.B) { nnQueryKernel(b) }
 
-// BenchmarkNNBaseline reruns BenchmarkNN with the pooled scratch arena
-// disabled: every query allocates fresh heap/neighbor/candidate
-// buffers, as the kernel did before this optimization.
-func BenchmarkNNBaseline(b *testing.B) {
-	prev := privacyqp.SetScratchReuse(false)
-	defer privacyqp.SetScratchReuse(prev)
-	nnQueryKernel(b)
-}
-
-// BenchmarkKNN is the private k-NN kernel (k=4) with the arena on.
+// BenchmarkKNN is the private k-NN kernel (k=4).
 func BenchmarkKNN(b *testing.B) { knnQueryKernel(b) }
 
-// BenchmarkKNNBaseline is BenchmarkKNN without the arena.
-func BenchmarkKNNBaseline(b *testing.B) {
-	prev := privacyqp.SetScratchReuse(false)
-	defer privacyqp.SetScratchReuse(prev)
-	knnQueryKernel(b)
-}
-
-// BenchmarkRange is the private range kernel with the arena on.
+// BenchmarkRange is the private range kernel.
 func BenchmarkRange(b *testing.B) { rangeQueryKernel(b) }
-
-// BenchmarkRangeBaseline is BenchmarkRange without the arena.
-func BenchmarkRangeBaseline(b *testing.B) {
-	prev := privacyqp.SetScratchReuse(false)
-	defer privacyqp.SetScratchReuse(prev)
-	rangeQueryKernel(b)
-}
 
 // BenchmarkParallelNNUnderUpdates is the query-vs-update contention
 // benchmark: GOMAXPROCS query goroutines run the NN pipeline while a

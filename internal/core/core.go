@@ -209,8 +209,8 @@ func (b Breakdown) Total() time.Duration { return b.Cloak + b.Query + b.Transmit
 // UserDensityGrid) run in parallel with each other. Cloaking takes the
 // live backend's lock (a read lock on the pyramid backends). The
 // server then answers from one atomically loaded index snapshot and
-// takes no lock, except that a public query consults the candidate
-// cache, whose single sync.Mutex is held for one map operation and
+// takes no lock, except that a public query consults that snapshot's
+// candidate memo, whose sync.Mutex is held for one map operation and
 // never across a computation. Mutations (RegisterUser, UpdateUser,
 // SetProfile, DeregisterUser, the public-table editors, and Watch
 // registration) take the backend's write lock and the server's writer

@@ -2,7 +2,6 @@ package privacyqp
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"casper/internal/geom"
 	"casper/internal/rtree"
@@ -26,33 +25,9 @@ var scratchPool = sync.Pool{
 	New: func() any { return &queryScratch{heap: &rtree.NNHeap{}} },
 }
 
-// scratchReuse gates the pool. It exists only so benchmarks can
-// reconstruct the pre-optimization allocation profile; see
-// SetScratchReuse.
-var scratchReuse atomic.Bool
+func getScratch() *queryScratch { return scratchPool.Get().(*queryScratch) }
 
-func init() { scratchReuse.Store(true) }
-
-func getScratch() *queryScratch {
-	if !scratchReuse.Load() {
-		return &queryScratch{heap: &rtree.NNHeap{}}
-	}
-	return scratchPool.Get().(*queryScratch)
-}
-
-func putScratch(sc *queryScratch) {
-	if scratchReuse.Load() {
-		scratchPool.Put(sc)
-	}
-}
-
-// SetScratchReuse enables or disables the pooled per-query scratch
-// arena and reports the previous setting. Production code leaves reuse
-// on (the default); the alloc-baseline benchmarks
-// (BenchmarkNNBaseline and friends) turn it off to measure the
-// fresh-buffers-per-query profile this package had before the arena
-// existed.
-func SetScratchReuse(on bool) bool { return scratchReuse.Swap(on) }
+func putScratch(sc *queryScratch) { scratchPool.Put(sc) }
 
 // nearest1 probes the single nearest item to p using the query's
 // scratch heap and neighbor buffer. On an empty db it returns the zero

@@ -177,7 +177,14 @@ func TestContextDeadlineAndPoisoning(t *testing.T) {
 		t.Fatalf("connection unusable after an abandoned call: %v", err)
 	}
 	// ...and after its late response arrives for an id nobody awaits.
+	// The unparked Register and the Update below are dispatched
+	// concurrently, so wait until the registration has landed first.
 	release()
+	for deadline := time.Now().Add(5 * time.Second); srv.Casper().Users() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("released Register never landed")
+		}
+	}
 	if err := cl.Update(ctx, 1, 2, 2); err != nil {
 		t.Fatalf("call after the late response: %v", err)
 	}

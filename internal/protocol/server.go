@@ -68,13 +68,6 @@ type Server struct {
 	// before Listen. Zero disables it.
 	IdleTimeout time.Duration
 
-	// SlowQueryThreshold, when positive, logs every request that takes
-	// longer than this to answer — with the cloak/query/transmit
-	// breakdown when the op produced one — so latency outliers are
-	// attributable. Set before Listen; SetSlowQueryThreshold changes it
-	// at runtime.
-	SlowQueryThreshold time.Duration
-
 	// WriteTimeout bounds how long each response frame may take to
 	// flush to the client; set before Listen. Zero disables it.
 	// Timeouts close the connection and count as "write_timeout" in
@@ -95,8 +88,7 @@ type Server struct {
 
 	// slowQuery is the live slow-query threshold (nanoseconds), read
 	// per request and swapped atomically by SetSlowQueryThreshold so
-	// hot config reload needs no restart. Seeded from the
-	// SlowQueryThreshold field when serving starts.
+	// hot config reload needs no restart.
 	slowQuery atomic.Int64
 
 	// adm is the admission-control state: per-user token buckets and
@@ -139,9 +131,11 @@ func NewServer(c *core.Casper) *Server {
 // rather than the wire layer.
 func (s *Server) Casper() *core.Casper { return s.casper }
 
-// SetSlowQueryThreshold changes the slow-query log threshold at
-// runtime (hot config reload); zero disables the log. Safe to call
-// while serving.
+// SetSlowQueryThreshold sets the slow-query log threshold: every
+// request that takes longer than d to answer is logged, with the
+// cloak/query/transmit breakdown when the op produced one, so latency
+// outliers are attributable. Zero (the default) disables the log. Safe
+// to call while serving (hot config reload).
 func (s *Server) SetSlowQueryThreshold(d time.Duration) { s.slowQuery.Store(int64(d)) }
 
 // SlowQuery reports the live slow-query threshold.
@@ -170,11 +164,6 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 // fault-injecting ones).
 func (s *Server) Serve(ln net.Listener) net.Addr {
 	s.ln = ln
-	// Seed the live threshold from the set-before-Listen field unless
-	// SetSlowQueryThreshold already configured it.
-	if s.slowQuery.Load() == 0 && s.SlowQueryThreshold != 0 {
-		s.slowQuery.Store(int64(s.SlowQueryThreshold))
-	}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return ln.Addr()

@@ -79,7 +79,7 @@ func TestSlowRequestTraceRetained(t *testing.T) {
 
 	srv := NewServer(c)
 	srv.SetLogger(quietLogger()) // slow-query warnings are expected noise here
-	srv.SlowQueryThreshold = time.Nanosecond
+	srv.SetSlowQueryThreshold(time.Nanosecond)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

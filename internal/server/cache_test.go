@@ -2,8 +2,8 @@ package server
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"casper/internal/geom"
@@ -11,109 +11,15 @@ import (
 	"casper/internal/rtree"
 )
 
-func cacheKeyN(i int) cacheKey {
-	f := float64(i)
-	return cacheKey{region: geom.R(f, f, f+1, f+1), filters: 4, k: 1}
+// resident is the number of entries the memo holds.
+func resident(m *publicMemo) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.results)
 }
 
-// lookup runs c.do with a compute that returns a one-candidate result
-// tagged id, and reports whether the compute ran (a miss).
-func lookup(c *queryCache, key cacheKey, version, id int64) (privacyqp.Result, bool) {
-	computed := false
-	res, _ := c.do(key, version, nil, func() (privacyqp.Result, error) {
-		computed = true
-		return privacyqp.Result{Candidates: []rtree.Item{{ID: id}}}, nil
-	})
-	return res, computed
-}
-
-// resident is the number of entries the cache holds.
-func resident(c *queryCache) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// TestCachePurgesStaleVersionsFirst: when the cache is full, entries
-// stamped with an outdated table version are evicted en masse before
-// any current entry is sacrificed.
-func TestCachePurgesStaleVersionsFirst(t *testing.T) {
-	c := newQueryCache(8)
-	// Fill to capacity at version 1.
-	for i := 0; i < 8; i++ {
-		lookup(c, cacheKeyN(i), 1, 1)
-	}
-	// The table changed; insert three entries at version 2. The first
-	// insert must purge all eight stale entries, so the fresh ones
-	// coexist without evicting each other.
-	for i := 100; i < 103; i++ {
-		lookup(c, cacheKeyN(i), 2, 2)
-	}
-	for i := 100; i < 103; i++ {
-		if _, miss := lookup(c, cacheKeyN(i), 2, 2); miss {
-			t.Fatalf("fresh entry %d evicted while stale entries existed", i)
-		}
-	}
-	if got := resident(c); got != 3 {
-		t.Fatalf("cache holds %d entries, want 3 (stale purged)", got)
-	}
-	for i := 0; i < 8; i++ {
-		if res, miss := lookup(c, cacheKeyN(i), 2, 2); !miss || res.Candidates[0].ID != 2 {
-			t.Fatalf("stale entry %d still serving", i)
-		}
-	}
-}
-
-// TestCacheEvictsWhenAllCurrent: with every entry at the live version,
-// a miss still makes room instead of growing the cache unboundedly.
-func TestCacheEvictsWhenAllCurrent(t *testing.T) {
-	c := newQueryCache(4)
-	for i := 0; i < 10; i++ {
-		lookup(c, cacheKeyN(i), 7, 0)
-		if got := resident(c); got > 4 {
-			t.Fatalf("cache grew to %d entries, max 4", got)
-		}
-	}
-	// The newest entry always survives its own insert.
-	if _, miss := lookup(c, cacheKeyN(9), 7, 0); miss {
-		t.Fatal("just-inserted entry missing")
-	}
-}
-
-// TestCacheDropsStaleEntriesOnVersionBump: the first lookup at a newer
-// table version drops every entry of the old one, full or not, so a
-// public-table change leaves no stale entries resident.
-func TestCacheDropsStaleEntriesOnVersionBump(t *testing.T) {
-	c := newQueryCache(64)
-	for i := 0; i < 8; i++ {
-		lookup(c, cacheKeyN(i), 1, 1)
-	}
-	lookup(c, cacheKeyN(100), 2, 2)
-	if got := resident(c); got != 1 {
-		t.Fatalf("cache holds %d entries after a version bump, want 1", got)
-	}
-}
-
-// TestCacheOlderSnapshotDoesNotDisplace: a query pinned to an older
-// public snapshot computes its own answer without caching it, so the
-// current version's entry keeps serving.
-func TestCacheOlderSnapshotDoesNotDisplace(t *testing.T) {
-	c := newQueryCache(64)
-	key := cacheKeyN(0)
-	lookup(c, key, 2, 2)
-	res, miss := lookup(c, key, 1, 1)
-	if !miss || res.Candidates[0].ID != 1 {
-		t.Fatalf("version-1 lookup served %+v (miss=%v), want its own result", res, miss)
-	}
-	res, miss = lookup(c, key, 2, 3)
-	if miss || res.Candidates[0].ID != 2 {
-		t.Fatalf("version-2 entry displaced: %+v (miss=%v)", res, miss)
-	}
-}
-
-// TestCacheHitDoesNotAllocate: serving a cached NNPublic answer takes
-// the lock, looks up and receives from a closed channel — no
-// allocation on the hit path.
+// TestCacheHitDoesNotAllocate: serving a memoized NNPublic answer takes
+// the lock and looks up — no allocation on the hit path.
 func TestCacheHitDoesNotAllocate(t *testing.T) {
 	s := loadedServer(rand.New(rand.NewSource(9)), 300, 0)
 	cloak := geom.R(100, 100, 200, 200)
@@ -135,124 +41,176 @@ func TestCacheHitDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestConcurrentColdMissSingleFlight: N goroutines issuing the same
-// cold key concurrently must trigger exactly one underlying
-// computation; the other N-1 wait for the leader and share its result.
-func TestConcurrentColdMissSingleFlight(t *testing.T) {
-	c := newQueryCache(64)
-	key := cacheKeyN(0)
-	want := privacyqp.Result{Candidates: []rtree.Item{{ID: 42}}}
-
-	var computes atomic.Int64
-	release := make(chan struct{})
-	compute := func() (privacyqp.Result, error) {
-		computes.Add(1)
-		<-release // hold every would-be leader until all callers queued
-		return want, nil
+// TestMemoBoundedAndExact: past memoCap distinct cloaks the memo stays
+// within its cap, and every answer — fresh, evicted and recomputed, or
+// served from the memo — equals the uncached PrivateNN answer.
+func TestMemoBoundedAndExact(t *testing.T) {
+	s := loadedServer(rand.New(rand.NewSource(10)), 300, 0)
+	snap := s.snap.Load()
+	opt := privacyqp.DefaultOptions()
+	cloak := func(i int) geom.Rect {
+		x, y := float64(i%80)*12, float64(i/80)*12
+		return geom.R(x, y, x+10, y+10)
 	}
-
-	const n = 32
-	var started, done sync.WaitGroup
-	started.Add(n)
-	done.Add(n)
-	for i := 0; i < n; i++ {
-		go func() {
-			defer done.Done()
-			started.Done()
-			res, err := c.do(key, 1, nil, compute)
-			if err != nil {
-				t.Errorf("do: %v", err)
-			}
-			if len(res.Candidates) != 1 || res.Candidates[0].ID != 42 {
-				t.Errorf("res = %+v", res)
-			}
-		}()
-	}
-	started.Wait()
-	close(release)
-	done.Wait()
-
-	if got := computes.Load(); got != 1 {
-		t.Fatalf("%d computations for one cold key, want 1", got)
-	}
-	hits, misses := c.stats()
-	if misses != 1 || hits != n-1 {
-		t.Fatalf("stats = (%d hits, %d misses), want (%d, 1)", hits, misses, n-1)
-	}
-}
-
-// TestSingleFlightErrorNotCached: a failed leader must not leave a
-// poisoned entry behind — the next call recomputes.
-func TestSingleFlightErrorNotCached(t *testing.T) {
-	c := newQueryCache(64)
-	key := cacheKeyN(0)
-	var computes atomic.Int64
-	boom := func() (privacyqp.Result, error) {
-		computes.Add(1)
-		return privacyqp.Result{}, privacyqp.ErrNoTargets
-	}
-	if _, err := c.do(key, 1, nil, boom); err == nil {
-		t.Fatal("expected error")
-	}
-	if n := resident(c); n != 0 {
-		t.Fatalf("error left %d entries cached", n)
-	}
-	ok := func() (privacyqp.Result, error) {
-		computes.Add(1)
-		return privacyqp.Result{Candidates: []rtree.Item{{ID: 1}}}, nil
-	}
-	res, err := c.do(key, 1, nil, ok)
-	if err != nil || len(res.Candidates) != 1 {
-		t.Fatalf("recompute after error: %v %+v", err, res)
-	}
-	if computes.Load() != 2 {
-		t.Fatalf("computes = %d, want 2", computes.Load())
-	}
-}
-
-// TestSingleFlightStaleVersionReplaced: a caller at a newer table
-// version replaces the stale entry and becomes the new leader.
-func TestSingleFlightStaleVersionReplaced(t *testing.T) {
-	c := newQueryCache(64)
-	key := cacheKeyN(0)
-	mk := func(id int64) func() (privacyqp.Result, error) {
-		return func() (privacyqp.Result, error) {
-			return privacyqp.Result{Candidates: []rtree.Item{{ID: id}}}, nil
+	check := func(i int) {
+		got, err := s.NNPublic(cloak(i), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := privacyqp.PrivateNN(snap.public, cloak(i), privacyqp.PublicData, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("cloak %d: memoized answer differs from PrivateNN", i)
 		}
 	}
-	if res, _ := c.do(key, 1, nil, mk(1)); res.Candidates[0].ID != 1 {
-		t.Fatalf("v1 fill: %+v", res)
+	n := memoCap + 100
+	for i := 0; i < n; i++ {
+		check(i)
+		if got := resident(snap.memo); got > memoCap {
+			t.Fatalf("memo grew to %d entries, cap %d", got, memoCap)
+		}
 	}
-	// Same key at version 2: the v1 entry must not serve.
-	if res, _ := c.do(key, 2, nil, mk(2)); res.Candidates[0].ID != 2 {
-		t.Fatalf("v2 served stale result: %+v", res)
+	// Revisit every cloak: some are still memoized, some were evicted.
+	for i := 0; i < n; i++ {
+		check(i)
 	}
-	// And the replacement is now cached at v2.
-	if res, miss := lookup(c, key, 2, 3); miss || res.Candidates[0].ID != 2 {
-		t.Fatalf("v2 entry missing: miss=%v %+v", miss, res)
-	}
-	if n := resident(c); n != 1 {
-		t.Fatalf("len = %d, want 1 (replacement, not addition)", n)
+	if hits, _ := s.CacheStats(); hits == 0 {
+		t.Fatal("no revisit hit the memo")
 	}
 }
 
-// TestCacheVersionedGet documents the exact-version contract the purge
-// relies on: an entry filled at version v misses at any other version.
-func TestCacheVersionedGet(t *testing.T) {
-	c := newQueryCache(4)
-	key := cacheKeyN(0)
-	lookup(c, key, 3, 3)
-	if _, miss := lookup(c, key, 2, 2); !miss {
-		t.Fatal("version-3 entry hit at version 2")
+// TestMemoOldSnapshotStoreNotServed: a query that loaded its snapshot
+// before an AddPublic and stores its answer afterwards stores into the
+// old snapshot's memo, so queries after the write never see it.
+func TestMemoOldSnapshotStoreNotServed(t *testing.T) {
+	s := loadedServer(rand.New(rand.NewSource(11)), 300, 0)
+	cloak := geom.R(100, 100, 200, 200)
+	opt := privacyqp.DefaultOptions()
+	old := s.snap.Load()
+	if err := s.AddPublic(PublicObject{ID: 9999, Pos: geom.Pt(150, 150)}); err != nil {
+		t.Fatal(err)
 	}
-	if _, miss := lookup(c, key, 3, 3); miss {
-		t.Fatal("entry missing at its own version")
+	key := cacheKey{region: cloak, filters: opt.Filters, k: 1}
+	stale := privacyqp.Result{Candidates: []rtree.Item{{ID: -1}}}
+	if _, err := s.memoized(old, key, nil, func() (privacyqp.Result, error) { return stale, nil }); err != nil {
+		t.Fatal(err)
 	}
-	if _, miss := lookup(c, key, 4, 4); !miss {
-		t.Fatal("version-3 entry hit at version 4")
+	_, m0 := s.CacheStats()
+	res, err := s.NNPublic(cloak, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	hits, misses := c.stats()
-	if hits != 1 || misses != 3 {
-		t.Fatalf("stats = (%d, %d), want (1, 3)", hits, misses)
+	if _, m1 := s.CacheStats(); m1 != m0+1 {
+		t.Fatal("query after AddPublic hit an entry stored through the old snapshot")
+	}
+	found := false
+	for _, c := range res.Candidates {
+		if c.ID == -1 {
+			t.Fatal("stale answer served after AddPublic")
+		}
+		found = found || c.ID == 9999
+	}
+	if !found {
+		t.Fatal("answer after AddPublic misses the added object")
+	}
+}
+
+// TestMemoErrorNotStored: a failing computation leaves nothing behind,
+// so the next identical query computes again.
+func TestMemoErrorNotStored(t *testing.T) {
+	s := loadedServer(rand.New(rand.NewSource(12)), 300, 0)
+	cloak := geom.R(100, 100, 200, 200)
+	bad := privacyqp.Options{Filters: 3}
+	for i := 1; i <= 2; i++ {
+		if _, err := s.NNPublic(cloak, bad); err == nil {
+			t.Fatal("Filters: 3 accepted")
+		}
+		if n := resident(s.snap.Load().memo); n != 0 {
+			t.Fatalf("failed query stored %d entries", n)
+		}
+		if hits, misses := s.CacheStats(); hits != 0 || misses != int64(i) {
+			t.Fatalf("after %d failed queries: hits=%d misses=%d, want 0 and %d", i, hits, misses, i)
+		}
+	}
+}
+
+// TestConcurrentMemoUnderPublicChurn: readers look up through the
+// current snapshot and through snapshots they held across public
+// writes while a writer churns AddPublic/RemovePublic; every answer
+// must be the one the looked-up snapshot's own public tree gives.
+func TestConcurrentMemoUnderPublicChurn(t *testing.T) {
+	s := loadedServer(rand.New(rand.NewSource(13)), 300, 0)
+	opt := privacyqp.DefaultOptions()
+	cloaks := []geom.Rect{
+		geom.R(0, 0, 125, 125), geom.R(125, 0, 250, 125),
+		geom.R(500, 500, 625, 625), geom.R(750, 250, 875, 375),
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(14))
+		for id := int64(1000); ; id++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			o := PublicObject{ID: id, Pos: geom.Pt(rng.Float64()*1000, rng.Float64()*1000)}
+			if err := s.AddPublic(o); err != nil {
+				t.Errorf("add public: %v", err)
+				return
+			}
+			if err := s.RemovePublic(id); err != nil {
+				t.Errorf("remove public: %v", err)
+				return
+			}
+		}
+	}()
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func(seed int64) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(seed))
+			held := s.snap.Load()
+			for i := 0; i < 400; i++ {
+				snap := s.snap.Load()
+				if i%2 == 1 {
+					snap = held // an older snapshot, outlived by writes
+				}
+				if i%50 == 0 {
+					held = s.snap.Load()
+				}
+				cloak := cloaks[rng.Intn(len(cloaks))]
+				compute := func() (privacyqp.Result, error) {
+					return privacyqp.PrivateNN(snap.public, cloak, privacyqp.PublicData, opt)
+				}
+				key := cacheKey{region: cloak, filters: opt.Filters, k: 1}
+				got, err := s.memoized(snap, key, nil, compute)
+				if err != nil {
+					t.Errorf("memoized: %v", err)
+					return
+				}
+				want, _ := compute()
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("memo served an answer from another public tree for %v", cloak)
+					return
+				}
+				if _, err := s.NNPublic(cloak, opt); err != nil {
+					t.Errorf("NNPublic: %v", err)
+					return
+				}
+			}
+		}(int64(20 + r))
+	}
+	readers.Wait()
+	close(stop)
+	wg.Wait()
+	if hits, _ := s.CacheStats(); hits == 0 {
+		t.Fatal("no lookup hit the memo")
 	}
 }

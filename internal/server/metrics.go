@@ -28,7 +28,7 @@ var (
 		"Public-table candidate-cache hits.")
 	cacheMisses = metrics.Default.Counter(
 		"casper_query_cache_misses_total", "",
-		"Public-table candidate-cache misses (including version invalidations).")
+		"Public-table candidate-cache misses (each one computes the candidate list).")
 
 	snapshotPublishes = metrics.Default.Counter(
 		"casper_snapshot_publishes_total", "",

@@ -15,9 +15,9 @@
 //
 // All methods are safe for concurrent use. Queries never block behind
 // location updates: the spatial indexes are published as immutable
-// snapshots (see indexSnapshot), so the query hot path acquires zero
-// mutexes — a single atomic pointer load pins a consistent view of
-// both tables for the query's duration.
+// snapshots (see indexSnapshot), so the query hot path takes no lock a
+// writer holds — a single atomic pointer load pins a consistent view
+// of both tables for the query's duration.
 package server
 
 import (
@@ -63,17 +63,32 @@ var (
 // (RCU). Readers that loaded an older snapshot keep traversing it
 // safely; the Go garbage collector provides the grace period — an old
 // snapshot is reclaimed when the last query holding it returns.
+//
+// Snapshots are built by withPublic and withPrivate only, which keep
+// the memo rule in one place: a new public tree gets a new memo.
 type indexSnapshot struct {
-	public  *rtree.Tree
+	public *rtree.Tree
+	// memo holds candidate lists computed from public (see publicMemo).
+	memo    *publicMemo
 	private *rtree.Tree
-	// pubVersion stamps the public table for the query cache;
 	// privVersion exists for diagnostics and tests (every private
 	// batch bumps it).
-	pubVersion  int64
 	privVersion int64
 	// published is when this snapshot became current (drives the
 	// casper_snapshot_age_seconds gauge).
 	published time.Time
+}
+
+// withPublic returns the successor of cur with public tree pub and a
+// fresh, empty memo.
+func (cur *indexSnapshot) withPublic(pub *rtree.Tree) *indexSnapshot {
+	return &indexSnapshot{public: pub, memo: newPublicMemo(), private: cur.private, privVersion: cur.privVersion}
+}
+
+// withPrivate returns the successor of cur with private tree priv; the
+// public tree is unchanged, so its memo carries forward.
+func (cur *indexSnapshot) withPrivate(priv *rtree.Tree) *indexSnapshot {
+	return &indexSnapshot{public: cur.public, memo: cur.memo, private: priv, privVersion: cur.privVersion + 1}
 }
 
 // Server is the location-based database server.
@@ -111,9 +126,10 @@ type Server struct {
 	// gracefully is fine.
 	lastWriteAttempt atomic.Int64
 
-	// cache memoizes public-table candidate lists, validated against
-	// the snapshot's pubVersion.
-	cache *queryCache
+	// cacheHits and cacheMisses count public-memo lookups across all
+	// snapshots (CacheStats).
+	cacheHits   atomic.Int64
+	cacheMisses atomic.Int64
 }
 
 // New returns an empty server.
@@ -121,20 +137,17 @@ func New() *Server {
 	s := &Server{
 		pubIdx:  make(map[int64]PublicObject),
 		privIdx: make(map[int64]PrivateObject),
-		cache:   newQueryCache(4096),
 	}
-	s.snap.Store(&indexSnapshot{
-		public:    rtree.New(),
-		private:   rtree.New(),
-		published: time.Now(),
-	})
+	first := (&indexSnapshot{private: rtree.New()}).withPublic(rtree.New())
+	first.published = time.Now()
+	s.snap.Store(first)
 	registerServerGauges(s)
 	return s
 }
 
 // publish installs next as the current snapshot. Callers hold writeMu
-// and have already stamped versions; publish adds the timestamp and
-// the metric.
+// and build next with withPublic or withPrivate; publish adds the
+// timestamp and the metric.
 func (s *Server) publish(next *indexSnapshot) {
 	next.published = time.Now()
 	s.snap.Store(next)
@@ -178,13 +191,7 @@ func (s *Server) LoadPublic(objs []PublicObject) error {
 	s.idxMu.Lock()
 	s.pubIdx = pubIdx
 	s.idxMu.Unlock()
-	cur := s.snap.Load()
-	s.publish(&indexSnapshot{
-		public:      rtree.BulkLoad(items),
-		private:     cur.private,
-		pubVersion:  cur.pubVersion + 1,
-		privVersion: cur.privVersion,
-	})
+	s.publish(s.snap.Load().withPublic(rtree.BulkLoad(items)))
 	return s.compactLocked()
 }
 
@@ -205,12 +212,7 @@ func (s *Server) AddPublic(o PublicObject) error {
 	cur := s.snap.Load()
 	pub := cur.public.Clone()
 	pub.Insert(rtree.Item{Rect: geom.Rect{Min: o.Pos, Max: o.Pos}, ID: o.ID, Data: o.Name})
-	s.publish(&indexSnapshot{
-		public:      pub,
-		private:     cur.private,
-		pubVersion:  cur.pubVersion + 1,
-		privVersion: cur.privVersion,
-	})
+	s.publish(cur.withPublic(pub))
 	return nil
 }
 
@@ -232,12 +234,7 @@ func (s *Server) RemovePublic(id int64) error {
 	cur := s.snap.Load()
 	pub := cur.public.Clone()
 	pub.Delete(id, geom.Rect{Min: o.Pos, Max: o.Pos})
-	s.publish(&indexSnapshot{
-		public:      pub,
-		private:     cur.private,
-		pubVersion:  cur.pubVersion + 1,
-		privVersion: cur.privVersion,
-	})
+	s.publish(cur.withPublic(pub))
 	return nil
 }
 
@@ -289,12 +286,7 @@ func (s *Server) UpsertPrivateBatchTraced(objs []PrivateObject, tr *trace.Trace)
 		priv.Insert(rtree.Item{Rect: o.Region, ID: o.ID})
 	}
 	s.idxMu.Unlock()
-	s.publish(&indexSnapshot{
-		public:      cur.public,
-		private:     priv,
-		pubVersion:  cur.pubVersion,
-		privVersion: cur.privVersion + 1,
-	})
+	s.publish(cur.withPrivate(priv))
 	sp.End()
 	return nil
 }
@@ -317,12 +309,7 @@ func (s *Server) RemovePrivate(id int64) error {
 	cur := s.snap.Load()
 	priv := cur.private.Clone()
 	priv.Delete(id, o.Region)
-	s.publish(&indexSnapshot{
-		public:      cur.public,
-		private:     priv,
-		pubVersion:  cur.pubVersion,
-		privVersion: cur.privVersion + 1,
-	})
+	s.publish(cur.withPrivate(priv))
 	return nil
 }
 
@@ -348,31 +335,12 @@ func (s *Server) NNPublic(cloak geom.Rect, opt privacyqp.Options) (privacyqp.Res
 	start := time.Now()
 	s.queries.Add(1)
 	snap := s.snap.Load()
-	tr := opt.Trace
-	csp := tr.StartSpan("cache_lookup")
 	key := cacheKey{region: cloak, filters: opt.Filters, k: 1}
-	computed := false
-	res, err := s.cache.do(key, snap.pubVersion, tr, func() (privacyqp.Result, error) {
-		computed = true
+	res, err := s.memoized(snap, key, opt.Trace, func() (privacyqp.Result, error) {
 		return privacyqp.PrivateNN(snap.public, cloak, privacyqp.PublicData, opt)
 	})
-	if tr != nil {
-		csp.End(trace.Str("outcome", cacheOutcome(computed)),
-			trace.Int("pub_version", snap.pubVersion),
-			trace.Int("candidates", int64(len(res.Candidates))))
-	}
 	qiNNPublic.observe(start, len(res.Candidates), err)
 	return res, err
-}
-
-// cacheOutcome names a cache_lookup span's result: "miss" when this
-// caller ran the compute (leader or error-fallback), "hit" when a
-// cached or single-flight-shared result was served.
-func cacheOutcome(computed bool) string {
-	if computed {
-		return "miss"
-	}
-	return "hit"
 }
 
 // NNPrivate answers a private nearest-neighbor query over the private
@@ -395,19 +363,10 @@ func (s *Server) KNNPublic(cloak geom.Rect, k int, opt privacyqp.Options) (priva
 	start := time.Now()
 	s.queries.Add(1)
 	snap := s.snap.Load()
-	tr := opt.Trace
-	csp := tr.StartSpan("cache_lookup")
 	key := cacheKey{region: cloak, filters: opt.Filters, k: k}
-	computed := false
-	res, err := s.cache.do(key, snap.pubVersion, tr, func() (privacyqp.Result, error) {
-		computed = true
+	res, err := s.memoized(snap, key, opt.Trace, func() (privacyqp.Result, error) {
 		return privacyqp.PrivateKNN(snap.public, cloak, k, privacyqp.PublicData, opt)
 	})
-	if tr != nil {
-		csp.End(trace.Str("outcome", cacheOutcome(computed)),
-			trace.Int("pub_version", snap.pubVersion),
-			trace.Int("candidates", int64(len(res.Candidates))))
-	}
 	qiKNNPublic.observe(start, len(res.Candidates), err)
 	return res, err
 }
@@ -440,8 +399,8 @@ func (s *Server) ListPrivateIn(r geom.Rect, minOverlap float64) ([]rtree.Item, e
 	return privacyqp.PublicRangeObjects(s.snap.Load().private, r, minOverlap)
 }
 
-// CacheStats returns the public-query cache's (hits, misses).
-func (s *Server) CacheStats() (int64, int64) { return s.cache.stats() }
+// CacheStats returns the public-query memo's (hits, misses).
+func (s *Server) CacheStats() (int64, int64) { return s.cacheHits.Load(), s.cacheMisses.Load() }
 
 // PublicItems snapshots the public table as index items (used to seed
 // the continuous monitor).

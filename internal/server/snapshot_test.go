@@ -161,8 +161,8 @@ func TestStressQueriesDuringSnapshotUpdates(t *testing.T) {
 		}(int64(200 + w))
 	}
 
-	// Public writer: churns one rotating slot so pubVersion moves and
-	// the cache must invalidate, but the table never shrinks below the
+	// Public writer: churns one rotating slot so every publish brings
+	// a fresh public memo, but the table never shrinks below the
 	// KNN k bound.
 	wg.Add(1)
 	go func() {
