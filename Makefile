@@ -119,8 +119,11 @@ bench-smoke:
 # search must stay at or below 4 KB/op (BenchmarkNearestK10K; its
 # frontier queues 16-byte node entries, never items), and the client's
 # k-NN refinement at or below 2 allocs/op (BenchmarkRefineKNN; it
-# allocates only the k-item result). A gated benchmark that does not
-# run fails too.
+# allocates only the k-item result), and one serialized wire round trip
+# at or below 11 allocs/op (BenchmarkProtocolSerialized; its count when
+# the per-request traced view of core.Casper was pinned to the stack, so
+# a view that escapes to the heap on the dispatch path fails here). A
+# gated benchmark that does not run fails too.
 bench-allocs:
 	$(GO) test -run XXX -bench 'BenchmarkNN$$' -benchmem . | tee /tmp/bench-allocs.txt
 	@awk '/^BenchmarkNN\// || /^BenchmarkNN-/ || /^BenchmarkNN / { \
@@ -134,6 +137,11 @@ bench-allocs:
 	  if ($$7+0 > 2) { printf "FAIL: %s allocates %s allocs/op (budget 2)\n", $$1, $$7; bad = 1 } \
 	  else { printf "ok: %s at %s allocs/op (budget 2)\n", $$1, $$7 } } \
 	  END { if (!knn || !refine) { print "FAIL: a gated kernel benchmark did not run"; bad = 1 } exit bad }' /tmp/bench-allocs-kernels.txt
+	$(GO) test -run XXX -bench 'BenchmarkProtocolSerialized$$' -benchmem ./internal/protocol | tee /tmp/bench-allocs-protocol.txt
+	@awk '/^BenchmarkProtocolSerialized/ { ran = 1; \
+	  if ($$7+0 > 11) { printf "FAIL: %s allocates %s allocs/op (budget 11)\n", $$1, $$7; bad = 1 } \
+	  else { printf "ok: %s at %s allocs/op (budget 11)\n", $$1, $$7 } } \
+	  END { if (!ran) { print "FAIL: BenchmarkProtocolSerialized did not run"; bad = 1 } exit bad }' /tmp/bench-allocs-protocol.txt
 
 # bench-e2e measures the wire protocol end to end and records the
 # numbers in BENCH_e2e.json. Two layers: the single-connection

@@ -253,8 +253,8 @@ var (
 var ErrOverloaded = protocol.ErrOverloaded
 
 // ErrResponseTooLarge reports that the answer to a request would not
-// fit in one wire frame (1 MiB): a density map finer than about
-// 360 x 360, or a range query matching tens of thousands of objects.
+// fit in one wire frame (1 MiB): a density map finer than 361 x 361,
+// or a range query matching tens of thousands of objects.
 // Only that request fails — the connection and every other request in
 // flight on it carry on — and asking for less succeeds. Travels as the
 // wire-stable "response_too_large" code.

@@ -224,17 +224,3 @@ func (d *tcpDriver) query(uid int64) (int, error) {
 	}
 	return len(res.Candidates), nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

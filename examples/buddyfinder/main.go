@@ -91,10 +91,3 @@ func maxf(a, b float64) float64 {
 	}
 	return b
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -79,10 +79,3 @@ func main() {
 	fmt.Printf("\nincremental processing: %d updates caused only %d query evaluations\n",
 		mon.Updates(), mon.Evaluations())
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -96,10 +96,3 @@ func main() {
 	fmt.Printf("  end-to-end: cloak %v + query %v + transmit %v\n",
 		ans.Cost.Cloak, ans.Cost.Query, ans.Cost.Transmit)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -119,10 +119,3 @@ func clamp(v, n int) int {
 	}
 	return v
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -96,17 +96,3 @@ func main() {
 			d.name, exact, frac, 100*(frac-float64(exact))/float64(max(exact, 1)))
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -226,7 +226,21 @@ func (b Breakdown) Total() time.Duration { return b.Cloak + b.Query + b.Transmit
 // the continuous-monitor pointer and watch lists sit behind monMu. The
 // update hot path (UpdateUser, UpdateUsers) therefore takes none of
 // the framework locks beyond one pseudonym-table read.
+//
+// A Casper value is a view: the state it operates on sits behind the
+// embedded pointer, and Traced hands out further views of the same
+// state that record spans into one request's trace. The instance New
+// returns traces nothing.
 type Casper struct {
+	*state
+	// tr receives the spans of every operation run through this view;
+	// nil records nothing.
+	tr *trace.Trace
+}
+
+// state is everything a Casper instance holds; all views of the
+// instance share it.
+type state struct {
 	// backend is the live privacy backend plus its registry name,
 	// swapped atomically by ReloadBackend so queries racing a hot
 	// backend switch see a consistent (name, anonymizer) pair.
@@ -268,11 +282,11 @@ func New(cfg Config) (*Casper, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Casper{
+	c := &Casper{state: &state{
 		cfg:    cfg,
 		pseudo: pyramid.NewUserTable[int64](),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
-	}
+	}}
 	c.backend.Store(&backendState{name: name, anon: anon})
 	metrics.SetBackendInfo(name)
 	if cfg.WALPath == "" {
@@ -292,6 +306,17 @@ func MustNew(cfg Config) *Casper {
 		panic(fmt.Sprintf("core: MustNew: %v", err))
 	}
 	return c
+}
+
+// Traced returns a view of c whose operations record spans into tr:
+// cloaking, query processing, WAL persistence and index stores all
+// record into it as they run. The view shares all of c's state, so a
+// write through it is a write to c. A nil tr records nothing, which
+// makes the view behave exactly like c. The view is valid for as long
+// as tr is (until the request's trace is finished and published or
+// recycled).
+func (c *Casper) Traced(tr *trace.Trace) *Casper {
+	return &Casper{state: c.state, tr: tr}
 }
 
 // Close shuts down the continuous monitor (when enabled) and flushes
@@ -392,7 +417,7 @@ func (c *Casper) ReloadBackend(name string, epsilon float64, minK int) error {
 	// place (same contract as a failed UpdateUser) and is reported.
 	var pushErr error
 	c.pseudo.Range(func(uid int64, _ int64) bool {
-		if err := c.pushCloak(anonymizer.UserID(uid), nil); err != nil && pushErr == nil {
+		if err := c.pushCloak(anonymizer.UserID(uid)); err != nil && pushErr == nil {
 			pushErr = fmt.Errorf("core: backend switch to %q: re-cloak uid %d: %w", name, uid, err)
 		}
 		return true
@@ -611,15 +636,11 @@ func dropQID(m map[anonymizer.UserID][]continuous.QueryID, uid anonymizer.UserID
 // cloaked region to the server. The anonymizer's own duplicate check
 // is the atomicity point for concurrent registrations of the same ID.
 func (c *Casper) RegisterUser(uid anonymizer.UserID, pos geom.Point, prof anonymizer.Profile) error {
-	return c.registerUser(uid, pos, prof, nil)
-}
-
-func (c *Casper) registerUser(uid anonymizer.UserID, pos geom.Point, prof anonymizer.Profile, tr *trace.Trace) error {
 	if err := c.anon().Register(uid, pos, prof); err != nil {
 		return userErr(err)
 	}
 	c.pseudo.Store(int64(uid), c.newPseudonym())
-	if err := c.pushCloak(uid, tr); err != nil {
+	if err := c.pushCloak(uid); err != nil {
 		// Roll back so a failed registration leaves no ghost user; the
 		// caller can fix the profile and retry without hitting
 		// ErrAlreadyRegistered.
@@ -649,14 +670,10 @@ func (c *Casper) newPseudonym() int64 {
 // UpdateUser processes a location update and refreshes the user's
 // cloaked region at the server.
 func (c *Casper) UpdateUser(uid anonymizer.UserID, pos geom.Point) error {
-	return c.updateUser(uid, pos, nil)
-}
-
-func (c *Casper) updateUser(uid anonymizer.UserID, pos geom.Point, tr *trace.Trace) error {
 	if err := c.anon().Update(uid, pos); err != nil {
 		return userErr(err)
 	}
-	return c.pushCloak(uid, tr)
+	return c.pushCloak(uid)
 }
 
 // UserUpdate is one entry of a batched location-update call.
@@ -686,10 +703,6 @@ type cloakedPush struct {
 // anonymizer-applied updates; the anonymizer state keeps them, their
 // cloak refresh is lost (same contract as a failed UpdateUser).
 func (c *Casper) UpdateUsers(updates []UserUpdate) (int, error) {
-	return c.updateUsers(updates, nil)
-}
-
-func (c *Casper) updateUsers(updates []UserUpdate, tr *trace.Trace) (int, error) {
 	if len(updates) == 0 {
 		return 0, nil
 	}
@@ -708,7 +721,7 @@ func (c *Casper) updateUsers(updates []UserUpdate, tr *trace.Trace) (int, error)
 			applied++
 			continue
 		}
-		cr, err := c.cloakUID(u.UID, tr)
+		cr, err := c.cloakUID(u.UID)
 		if err != nil {
 			// Unsatisfiable profile: the previous region stays in place,
 			// exactly like a failed UpdateUser push.
@@ -718,7 +731,7 @@ func (c *Casper) updateUsers(updates []UserUpdate, tr *trace.Trace) (int, error)
 		pushed = append(pushed, cloakedPush{uid: u.UID, pid: pid, region: cr.Region})
 		applied++
 	}
-	if err := c.storeCloaks(pushed, tr); err != nil {
+	if err := c.storeCloaks(pushed); err != nil {
 		return applied, err
 	}
 	return applied, firstErr
@@ -729,7 +742,7 @@ func (c *Casper) updateUsers(updates []UserUpdate, tr *trace.Trace) (int, error)
 // then propagates them to the continuous monitor. Every cloak the
 // framework stores goes through here; a single update is a batch of
 // one.
-func (c *Casper) storeCloaks(pushed []cloakedPush, tr *trace.Trace) error {
+func (c *Casper) storeCloaks(pushed []cloakedPush) error {
 	if len(pushed) == 0 {
 		return nil
 	}
@@ -737,7 +750,7 @@ func (c *Casper) storeCloaks(pushed []cloakedPush, tr *trace.Trace) error {
 	for i, p := range pushed {
 		objs[i] = server.PrivateObject{ID: p.pid, Region: p.region}
 	}
-	if err := c.srv.UpsertPrivateBatchTraced(objs, tr); err != nil {
+	if err := c.srv.UpsertPrivateBatchTraced(objs, c.tr); err != nil {
 		return err
 	}
 	return c.notifyCloakBatch(pushed)
@@ -776,14 +789,10 @@ func (c *Casper) notifyCloakBatch(pushed []cloakedPush) error {
 
 // SetProfile changes a user's privacy profile and re-cloaks.
 func (c *Casper) SetProfile(uid anonymizer.UserID, prof anonymizer.Profile) error {
-	return c.setProfile(uid, prof, nil)
-}
-
-func (c *Casper) setProfile(uid anonymizer.UserID, prof anonymizer.Profile, tr *trace.Trace) error {
 	if err := c.anon().SetProfile(uid, prof); err != nil {
 		return userErr(err)
 	}
-	return c.pushCloak(uid, tr)
+	return c.pushCloak(uid)
 }
 
 // DeregisterUser removes a user from both components, tearing down
@@ -817,37 +826,37 @@ func (c *Casper) DeregisterUser(uid anonymizer.UserID) error {
 // pushCloak recomputes the user's cloaked region and stores it under
 // the pseudonym (see storeCloaks). An unsatisfiable profile leaves the
 // previous region in place and reports the error.
-func (c *Casper) pushCloak(uid anonymizer.UserID, tr *trace.Trace) error {
+func (c *Casper) pushCloak(uid anonymizer.UserID) error {
 	pid, ok := c.pseudo.Get(int64(uid))
 	if !ok {
 		// The user was deregistered between the anonymizer update and
 		// this push (concurrent update/deregister); nothing to store.
 		return fmt.Errorf("%w: user %d", ErrNotRegistered, uid)
 	}
-	cr, err := c.cloakUID(uid, tr)
+	cr, err := c.cloakUID(uid)
 	if err != nil {
 		return userErr(err)
 	}
-	return c.storeCloaks([]cloakedPush{{uid: uid, pid: pid, region: cr.Region}}, tr)
+	return c.storeCloaks([]cloakedPush{{uid: uid, pid: pid, region: cr.Region}})
 }
 
 // cloakUID cloaks the user's location. Every release in the process
 // funnels through here, so this is where the privacy observatory
 // plugs in: the ε-budget ceiling is enforced before the cloak, and
-// every successful release is fed to privacyobs.Default. When tr is
+// every successful release is fed to privacyobs.Default. When c.tr is
 // non-nil the cloak runs inside a "cloak" span annotated with the
 // release's privacy characteristics.
-func (c *Casper) cloakUID(uid anonymizer.UserID, tr *trace.Trace) (anonymizer.CloakedRegion, error) {
+func (c *Casper) cloakUID(uid anonymizer.UserID) (anonymizer.CloakedRegion, error) {
 	if privacyobs.Default.BudgetExhausted(int64(uid)) {
 		return anonymizer.CloakedRegion{}, fmt.Errorf("%w: user %d", ErrBudgetExhausted, uid)
 	}
 	b := c.backend.Load()
-	sp := tr.StartSpan("cloak")
+	sp := c.tr.StartSpan("cloak")
 	cr, err := b.anon.Cloak(uid)
 	if err == nil {
 		privacyobs.Default.ObserveCloak(b.name, int64(uid), cr)
 	}
-	if tr == nil {
+	if c.tr == nil {
 		return cr, err
 	}
 	sp.End(trace.Str("backend", b.name),
@@ -913,9 +922,10 @@ type NNAnswer struct {
 // region the server saw, the candidate list and the cost breakdown. A
 // cloak failure comes back through userErr; q's error is returned as q
 // returned it, so each caller keeps its own wrapping.
-func (c *Casper) privateQuery(uid anonymizer.UserID, tr *trace.Trace, q func(anonymizer.CloakedRegion) (privacyqp.Result, error)) (geom.Rect, []rtree.Item, Breakdown, error) {
+func (c *Casper) privateQuery(uid anonymizer.UserID, q func(anonymizer.CloakedRegion) (privacyqp.Result, error)) (geom.Rect, []rtree.Item, Breakdown, error) {
 	t0 := time.Now()
-	cr, err := c.cloakUID(uid, tr)
+	tr := c.tr
+	cr, err := c.cloakUID(uid)
 	if err != nil {
 		return geom.Rect{}, nil, Breakdown{}, userErr(err)
 	}
@@ -945,17 +955,13 @@ func (c *Casper) privateQuery(uid anonymizer.UserID, tr *trace.Trace, q func(ano
 // for a registered user: cloak the query location, compute the
 // candidate list server-side, ship it, refine locally.
 func (c *Casper) NearestPublic(uid anonymizer.UserID) (NNAnswer, error) {
-	return c.nearestPublic(uid, nil)
-}
-
-func (c *Casper) nearestPublic(uid anonymizer.UserID, tr *trace.Trace) (NNAnswer, error) {
 	pos, err := c.userPos(uid)
 	if err != nil {
 		return NNAnswer{}, err
 	}
 	opt := c.cfg.Query
-	opt.Trace = tr
-	region, cands, bd, err := c.privateQuery(uid, tr, func(cr anonymizer.CloakedRegion) (privacyqp.Result, error) {
+	opt.Trace = c.tr
+	region, cands, bd, err := c.privateQuery(uid, func(cr anonymizer.CloakedRegion) (privacyqp.Result, error) {
 		res, err := c.queryNNPublic(cr, opt)
 		return res, srvErr(err)
 	})
@@ -975,10 +981,6 @@ func (c *Casper) nearestPublic(uid anonymizer.UserID, tr *trace.Trace) (NNAnswer
 // candidate list holds cloaked regions of other users; the refined
 // answer minimizes the pessimistic (furthest-corner) distance.
 func (c *Casper) NearestBuddy(uid anonymizer.UserID) (NNAnswer, error) {
-	return c.nearestBuddy(uid, nil)
-}
-
-func (c *Casper) nearestBuddy(uid anonymizer.UserID, tr *trace.Trace) (NNAnswer, error) {
 	pos, err := c.userPos(uid)
 	if err != nil {
 		return NNAnswer{}, err
@@ -990,8 +992,8 @@ func (c *Casper) nearestBuddy(uid anonymizer.UserID, tr *trace.Trace) (NNAnswer,
 		return NNAnswer{}, fmt.Errorf("%w: user %d", ErrNotRegistered, uid)
 	}
 	opt := c.cfg.Query
-	opt.Trace = tr
-	region, cands, bd, err := c.privateQuery(uid, tr, func(cr anonymizer.CloakedRegion) (privacyqp.Result, error) {
+	opt.Trace = c.tr
+	region, cands, bd, err := c.privateQuery(uid, func(cr anonymizer.CloakedRegion) (privacyqp.Result, error) {
 		return c.queryNNPrivate(cr, pid, opt)
 	})
 	if errors.Is(err, privacyqp.ErrNoTargets) { // the asker is alone
@@ -1014,17 +1016,13 @@ func (c *Casper) nearestBuddy(uid anonymizer.UserID, tr *trace.Trace) (NNAnswer,
 // the client refines the exact k nearest, ascending, equal distances
 // by ID (privacyqp.RefineKNN).
 func (c *Casper) KNearestPublic(uid anonymizer.UserID, k int) ([]rtree.Item, Breakdown, error) {
-	return c.kNearestPublic(uid, k, nil)
-}
-
-func (c *Casper) kNearestPublic(uid anonymizer.UserID, k int, tr *trace.Trace) ([]rtree.Item, Breakdown, error) {
 	pos, err := c.userPos(uid)
 	if err != nil {
 		return nil, Breakdown{}, err
 	}
 	opt := c.cfg.Query
-	opt.Trace = tr
-	_, cands, bd, err := c.privateQuery(uid, tr, func(cr anonymizer.CloakedRegion) (privacyqp.Result, error) {
+	opt.Trace = c.tr
+	_, cands, bd, err := c.privateQuery(uid, func(cr anonymizer.CloakedRegion) (privacyqp.Result, error) {
 		res, err := c.queryKNNPublic(cr, k, opt)
 		return res, srvErr(err)
 	})
@@ -1037,15 +1035,11 @@ func (c *Casper) kNearestPublic(uid anonymizer.UserID, k int, tr *trace.Trace) (
 // RangePublic runs a private range query over public data: all public
 // targets within radius of the user, refined exactly client-side.
 func (c *Casper) RangePublic(uid anonymizer.UserID, radius float64) ([]rtree.Item, Breakdown, error) {
-	return c.rangePublic(uid, radius, nil)
-}
-
-func (c *Casper) rangePublic(uid anonymizer.UserID, radius float64, tr *trace.Trace) ([]rtree.Item, Breakdown, error) {
 	pos, err := c.userPos(uid)
 	if err != nil {
 		return nil, Breakdown{}, err
 	}
-	_, cands, bd, err := c.privateQuery(uid, tr, func(cr anonymizer.CloakedRegion) (privacyqp.Result, error) {
+	_, cands, bd, err := c.privateQuery(uid, func(cr anonymizer.CloakedRegion) (privacyqp.Result, error) {
 		res, err := c.queryRangePublic(cr, radius)
 		return res, srvErr(err)
 	})

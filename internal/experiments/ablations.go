@@ -45,7 +45,7 @@ func AblationNeighborMerge(w *World) Table {
 			without += float64(b.KFound) / float64(k)
 			n++
 		}
-		t.AddRow(kLabel(g), f2(with/float64(maxInt(n, 1))), f2(without/float64(maxInt(n, 1))))
+		t.AddRow(kLabel(g), f2(with/float64(max(n, 1))), f2(without/float64(max(n, 1))))
 	}
 	return t
 }
@@ -160,7 +160,7 @@ func AblationCloakers(w *World) Table {
 		qt = time.Since(start)
 		t.AddRow(fmt.Sprint(k), "quadtree",
 			us(avgDuration(qt, samples)), f1(100*float64(okQt)/float64(samples)),
-			f2(float64(leakQt)/float64(maxInt(okQt, 1))))
+			f2(float64(leakQt)/float64(max(okQt, 1))))
 
 		// CliqueCloak: each successful cloak serves a whole group, so
 		// iterate until the pending set can no longer serve.
@@ -182,8 +182,8 @@ func AblationCloakers(w *World) Table {
 		}
 		lt = time.Since(start)
 		t.AddRow(fmt.Sprint(k), "cliquecloak",
-			us(avgDuration(lt, attempts)), f1(100*float64(okLt)/float64(maxInt(attempts, 1))),
-			f2(float64(leakLt)/float64(maxInt(okLt, 1))))
+			us(avgDuration(lt, attempts)), f1(100*float64(okLt)/float64(max(attempts, 1))),
+			f2(float64(leakLt)/float64(max(okLt, 1))))
 	}
 	return t
 }
@@ -529,7 +529,7 @@ func AblationTemporal(w *World) Table {
 		t.AddRow(fmt.Sprint(k),
 			f1(meanDelay),
 			f1(100*float64(unreleased)/float64(samples)),
-			f1(areaSum/float64(maxInt(n, 1))),
+			f1(areaSum/float64(max(n, 1))),
 			"0.0")
 	}
 	return t

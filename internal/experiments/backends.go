@@ -139,7 +139,7 @@ func compareOne(w *World, name string, db privacyqp.SpatialIndex, tx core.Transm
 		var res privacyqp.Result
 		var err error
 		if mechs[i] == anonymizer.MechPerturbed {
-			res, err = privacyqp.PerturbedNN(db, cloaks[i].Center(), radii[i], privacyqp.PublicData, privacyqp.Options{})
+			res, err = privacyqp.PerturbedKNN(db, cloaks[i].Center(), radii[i], 1, privacyqp.PublicData, privacyqp.Options{})
 		} else {
 			res, err = privacyqp.PrivateNN(db, cloaks[i], privacyqp.PublicData, privacyqp.Options{Filters: 4})
 		}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"casper/internal/anonymizer"
+	"casper/internal/core"
 	"casper/internal/geom"
 	"casper/internal/privacyqp"
 	"casper/internal/rtree"
@@ -139,7 +140,7 @@ func Fig10c(w *World) Table {
 				sum += float64(cr.KFound) / float64(k)
 				n++
 			}
-			row = append(row, f2(sum/float64(maxInt(n, 1))))
+			row = append(row, f2(sum/float64(max(n, 1))))
 		}
 		t.AddRow(row...)
 	}
@@ -174,7 +175,7 @@ func Fig10d(w *World) Table {
 				sum += cr.Region.Area() / amin
 				n++
 			}
-			row = append(row, f2(sum/float64(maxInt(n, 1))))
+			row = append(row, f2(sum/float64(max(n, 1))))
 		}
 		t.AddRow(row...)
 	}
@@ -449,7 +450,7 @@ func Fig17(w *World, large bool) Table {
 	}
 	publicDB := w.PublicTree(w.P.Targets)
 	privateDB := w.PrivateTree(w.P.Targets, w.P.PrivateCells)
-	tx := transmission{recordBytes: 64, bandwidthBps: 100e6}
+	tx := core.DefaultTransmission()
 	for _, g := range groups {
 		profiles := w.MakeProfiles(w.P.Users, g, w.P.AminFrac)
 		anon := w.BuildAdaptive(w.P.Levels, w.P.Users, profiles)
@@ -475,7 +476,7 @@ func Fig17(w *World, large bool) Table {
 				t2 := time.Now()
 				cloakT += t1.Sub(t0)
 				queryT += t2.Sub(t1)
-				txT += tx.time(len(res.Candidates))
+				txT += tx.Time(len(res.Candidates))
 				totalCand += len(res.Candidates)
 			}
 			n := w.P.QuerySamples
@@ -490,34 +491,12 @@ func Fig17(w *World, large bool) Table {
 	return t
 }
 
-// transmission mirrors core.TransmissionModel without importing core
-// (experiments sits below the framework layer).
-type transmission struct {
-	recordBytes  int
-	bandwidthBps float64
-}
-
-func (t transmission) time(records int) time.Duration {
-	if records <= 0 {
-		return 0
-	}
-	bits := float64(records*t.recordBytes) * 8
-	return time.Duration(bits / t.bandwidthBps * float64(time.Second))
-}
-
 func labelsK(groups [][2]int) []string {
 	out := make([]string, len(groups))
 	for i, g := range groups {
 		out[i] = "k" + kLabel(g)
 	}
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // The paper twice notes that the Amin counterparts of its k sweeps
@@ -587,7 +566,7 @@ func FigX3(w *World) Table {
 	}
 	publicDB := w.PublicTree(w.P.Targets)
 	privateDB := w.PrivateTree(w.P.Targets, w.P.PrivateCells)
-	tx := transmission{recordBytes: 64, bandwidthBps: 100e6}
+	tx := core.DefaultTransmission()
 	for _, g := range aminGroupsSweep {
 		profiles := w.MakeProfiles(w.P.Users, [2]int{1, 1}, g)
 		anon := w.BuildAdaptive(w.P.Levels, w.P.Users, profiles)
@@ -613,7 +592,7 @@ func FigX3(w *World) Table {
 				t2 := time.Now()
 				cloakT += t1.Sub(t0)
 				queryT += t2.Sub(t1)
-				txT += tx.time(len(res.Candidates))
+				txT += tx.Time(len(res.Candidates))
 				totalCand += len(res.Candidates)
 			}
 			n := w.P.QuerySamples

@@ -312,10 +312,3 @@ func (g *Grid) visitRing(cx, cy, ring int, fn func(bucket int)) {
 		}
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

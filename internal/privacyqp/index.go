@@ -7,7 +7,8 @@ import (
 
 // SpatialIndex is the spatial-access-method contract the privacy-aware
 // query processor needs: one nearest-neighbor primitive for the filter
-// step and one range primitive for the candidate-list step. The paper
+// step, one range primitive for the candidate-list step, and a full
+// listing for the ship-everything baseline. The paper
 // is explicit that Casper is independent of the underlying index
 // ("it can be employed using R-tree or any other methods", Sec. 5.1.1);
 // this interface is that independence made concrete. *rtree.Tree and
@@ -19,11 +20,9 @@ import (
 // which is what lets Without hide an object without knowing whether it
 // is stored.
 type SpatialIndex interface {
-	// Nearest returns the nearest item to q under the metric; ok is
-	// false when the index is empty.
-	Nearest(q geom.Point, m rtree.Metric) (rtree.Neighbor, bool)
 	// NearestKInto returns the k nearest items in ascending distance
-	// order (fewer if the index holds fewer), appended into out[:0].
+	// order (fewer if the index holds fewer), appended into out[:0];
+	// a single nearest neighbor is the k = 1 call.
 	// The heap h (ignored by indexes that do not traverse a node heap;
 	// nil allocates one) is reused across calls, so repeated queries
 	// allocate nothing.
@@ -60,14 +59,6 @@ func Without(db SpatialIndex, id int64) SpatialIndex {
 type without struct {
 	db SpatialIndex
 	id int64
-}
-
-func (w without) Nearest(q geom.Point, m rtree.Metric) (rtree.Neighbor, bool) {
-	ns := w.NearestKInto(q, 1, m, nil, nil)
-	if len(ns) == 0 {
-		return rtree.Neighbor{}, false
-	}
-	return ns[0], true
 }
 
 // NearestKInto asks for one neighbor more than k and drops the hidden

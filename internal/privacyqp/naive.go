@@ -22,15 +22,11 @@ import (
 // NaiveCenterNN returns the single target nearest to the center of the
 // cloaked area. ok is false on an empty database.
 func NaiveCenterNN(db SpatialIndex, cloak geom.Rect, kind DataKind) (rtree.Item, bool) {
-	metric := rtree.MinDist
-	if kind == PrivateData {
-		metric = rtree.MaxDist
-	}
-	nb, ok := db.Nearest(cloak.Center(), metric)
-	if !ok {
+	nbs := db.NearestKInto(cloak.Center(), 1, metricFor(kind), nil, nil)
+	if len(nbs) == 0 {
 		return rtree.Item{}, false
 	}
-	return nb.Item, true
+	return nbs[0].Item, true
 }
 
 // NaiveAll returns every target in the database — the full-shipping

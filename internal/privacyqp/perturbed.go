@@ -31,54 +31,14 @@ import (
 // the furthest corner, range admission optimistically uses the
 // nearest one.
 
-// PerturbedNN evaluates a nearest-neighbor query for a perturbed-point
-// release: the candidate list contains the exact nearest target of
-// every true position within radius of center. Only opt.MinOverlap
-// and opt.Trace apply (there is no filter-count choice: the
-// construction always issues exactly one NN probe).
-func PerturbedNN(db SpatialIndex, center geom.Point, radius float64, kind DataKind, opt Options) (Result, error) {
-	if opt.Filters == 0 {
-		opt.Filters = 1 // the knob does not apply; accept the zero value
-	}
-	if err := opt.validate(); err != nil {
-		return Result{}, err
-	}
-	if !(radius >= 0) {
-		return Result{}, fmt.Errorf("privacyqp: perturbed radius %v, need >= 0", radius)
-	}
-
-	metric := metricFor(kind)
-
-	sc := getScratch()
-	defer putScratch(sc)
-
-	fsp := opt.Trace.StartSpan("query_filter")
-	t := nearest1(db, sc, center, metric).Item
-	if len(sc.nbrs) == 0 {
-		return Result{}, ErrNoTargets
-	}
-	dstar := metric.DistTo(center, t.Rect)
-	res := Result{NNSearches: 1}
-	sc.filt = append(sc.filt[:0], t)
-	res.Filters = copyItems(sc.filt)
-	bound := dstar + 2*radius
-	res.AExt = geom.R(center.X-bound, center.Y-bound, center.X+bound, center.Y+bound)
-	if opt.Trace != nil {
-		fsp.End(trace.Int("nn_searches", 1))
-	}
-
-	rsp := opt.Trace.StartSpan("query_range")
-	sc.cand = collectWithin(db, sc.cand[:0], res.AExt, center, bound, kind, opt.MinOverlap)
-	res.Candidates = copyItems(sc.cand)
-	if opt.Trace != nil {
-		rsp.End(trace.Int("candidates", int64(len(res.Candidates))))
-	}
-	return res, nil
-}
-
-// PerturbedKNN is the k-nearest-neighbor form of PerturbedNN: one
-// k-NN probe at the noisy point, then every target within the k-th
-// distance plus 2·radius is a candidate.
+// PerturbedKNN evaluates a k-nearest-neighbor query for a
+// perturbed-point release: one k-NN probe at the noisy point, then
+// every target within the k-th distance plus 2·radius is a candidate,
+// so the list contains the exact k nearest targets of every true
+// position within radius of center. A nearest-neighbor query is the
+// k = 1 case. Only opt.MinOverlap and opt.Trace apply (there is no
+// filter-count choice: the construction always issues exactly one
+// probe).
 func PerturbedKNN(db SpatialIndex, center geom.Point, radius float64, k int, kind DataKind, opt Options) (Result, error) {
 	if opt.Filters == 0 {
 		opt.Filters = 1 // the knob does not apply; accept the zero value
@@ -132,8 +92,8 @@ func PerturbedRange(db SpatialIndex, center geom.Point, radius, queryRadius floa
 	if !(radius >= 0) {
 		return Result{}, fmt.Errorf("privacyqp: perturbed radius %v, need >= 0", radius)
 	}
-	if !(queryRadius >= 0) {
-		return Result{}, fmt.Errorf("privacyqp: negative radius %v", queryRadius)
+	if err := checkRangeRadius(queryRadius); err != nil {
+		return Result{}, err
 	}
 	bound := queryRadius + radius
 	aext := geom.R(center.X-bound, center.Y-bound, center.X+bound, center.Y+bound)

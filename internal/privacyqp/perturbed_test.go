@@ -23,8 +23,8 @@ func TestPerturbedValidation(t *testing.T) {
 	db := pointDB(rand.New(rand.NewSource(1)), 20)
 	q := geom.Pt(100, 100)
 	for _, bad := range []float64{-1, math.NaN()} {
-		if _, err := PerturbedNN(db, q, bad, PublicData, Options{}); err == nil {
-			t.Errorf("PerturbedNN radius=%v accepted", bad)
+		if _, err := PerturbedKNN(db, q, bad, 1, PublicData, Options{}); err == nil {
+			t.Errorf("PerturbedKNN k=1 radius=%v accepted", bad)
 		}
 		if _, err := PerturbedKNN(db, q, bad, 3, PublicData, Options{}); err == nil {
 			t.Errorf("PerturbedKNN radius=%v accepted", bad)
@@ -42,12 +42,12 @@ func TestPerturbedValidation(t *testing.T) {
 	if _, err := PerturbedKNN(db, q, 10, 21, PublicData, Options{}); err == nil {
 		t.Error("PerturbedKNN k beyond DB size accepted")
 	}
-	if _, err := PerturbedNN(db, q, 10, PublicData, Options{MinOverlap: 2}); err == nil {
-		t.Error("PerturbedNN invalid MinOverlap accepted")
+	if _, err := PerturbedKNN(db, q, 10, 1, PublicData, Options{MinOverlap: 2}); err == nil {
+		t.Error("PerturbedKNN k=1 invalid MinOverlap accepted")
 	}
 	empty := rtree.BulkLoad(nil)
-	if _, err := PerturbedNN(empty, q, 10, PublicData, Options{}); err == nil {
-		t.Error("PerturbedNN on empty DB accepted")
+	if _, err := PerturbedKNN(empty, q, 10, 1, PublicData, Options{}); err == nil {
+		t.Error("PerturbedKNN k=1 on empty DB accepted")
 	}
 	if _, err := PerturbedKNN(empty, q, 10, 1, PublicData, Options{}); err == nil {
 		t.Error("PerturbedKNN on empty DB accepted")
@@ -63,7 +63,7 @@ func TestPerturbedNNInclusive(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		q := samplePt(rng, world)
 		radius := rng.Float64() * 400
-		res, err := PerturbedNN(db, q, radius, PublicData, Options{})
+		res, err := PerturbedKNN(db, q, radius, 1, PublicData, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestPerturbedZeroRadius(t *testing.T) {
 	db := pointDB(rng, 200)
 	for trial := 0; trial < 50; trial++ {
 		q := samplePt(rng, world)
-		res, err := PerturbedNN(db, q, 0, PublicData, Options{})
+		res, err := PerturbedKNN(db, q, 0, 1, PublicData, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestPerturbedNNPrivateData(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		q := samplePt(rng, world)
 		radius := rng.Float64() * 300
-		res, err := PerturbedNN(db, q, radius, PrivateData, Options{})
+		res, err := PerturbedKNN(db, q, radius, 1, PrivateData, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func TestPerturbedAExtShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	db := pointDB(rng, 200)
 	q := geom.Pt(5000, 5000)
-	res, err := PerturbedNN(db, q, 100, PublicData, Options{})
+	res, err := PerturbedKNN(db, q, 100, 1, PublicData, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestPerturbedAExtShape(t *testing.T) {
 		t.Fatalf("AExt not square: %v x %v", w, h)
 	}
 	// Growing the confidence radius grows the candidate area.
-	wide, err := PerturbedNN(db, q, 500, PublicData, Options{})
+	wide, err := PerturbedKNN(db, q, 500, 1, PublicData, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

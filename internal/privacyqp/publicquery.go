@@ -2,6 +2,7 @@ package privacyqp
 
 import (
 	"fmt"
+	"math"
 
 	"casper/internal/geom"
 	"casper/internal/rtree"
@@ -166,8 +167,8 @@ func PrivateRange(db SpatialIndex, cloak geom.Rect, radius float64, kind DataKin
 	if !cloak.IsValid() {
 		return Result{}, fmt.Errorf("privacyqp: invalid cloaked region %v", cloak)
 	}
-	if radius < 0 {
-		return Result{}, fmt.Errorf("privacyqp: negative radius %v", radius)
+	if err := checkRangeRadius(radius); err != nil {
+		return Result{}, err
 	}
 	aext := cloak.Expand(radius)
 	res := Result{AExt: aext}
@@ -182,6 +183,18 @@ func PrivateRange(db SpatialIndex, cloak geom.Rect, radius float64, kind DataKin
 	})
 	res.Candidates = copyItems(sc.cand)
 	return res, nil
+}
+
+// checkRangeRadius is the rule both range kernels (PrivateRange and
+// PerturbedRange) apply to a query radius: finite and non-negative.
+// The negated test also rejects NaN, as Options.validate does; +Inf
+// would make the candidate list the whole table and cannot index a
+// standing query's interest region.
+func checkRangeRadius(radius float64) error {
+	if !(radius >= 0) || math.IsInf(radius, 1) {
+		return fmt.Errorf("privacyqp: range radius %v, need finite and >= 0", radius)
+	}
+	return nil
 }
 
 // InRange is PrivateRange's admission rule: a target with region r is

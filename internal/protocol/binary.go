@@ -21,6 +21,7 @@ import (
 
 	"casper/internal/core"
 	"casper/internal/privacyobs"
+	"casper/internal/trace"
 )
 
 // Opcodes for the known ops. Opcode 0 escapes to an explicit op
@@ -457,6 +458,20 @@ func appendResponse(b []byte, resp *Response) []byte {
 		b = appendString(b, resp.TraceID)
 	}
 	return b
+}
+
+// densityGridRoom is what a density answer's frame leaves for its
+// grid: MaxFrameBytes less the request id, the flags byte, the field
+// mask, the row count and the longest trace id a response echoes (its
+// length prefix plus trace.MaxIDLen). Each of the n rows of an n x n
+// grid then takes a u32 length and n f64 cells, so at 1 MiB the finest
+// grid that fits is 361 x 361.
+const densityGridRoom = MaxFrameBytes - frameIDLen - 1 - 4 - 4 - (4 + trace.MaxIDLen)
+
+// densityFits reports whether the answer to an n x n density request
+// fits one frame. The first test keeps the product from overflowing.
+func densityFits(n int) bool {
+	return n <= densityGridRoom/8 && n*(4+8*n) <= densityGridRoom
 }
 
 // The stats block (respFStats) carries core.Stats whole, fields in

@@ -17,11 +17,11 @@ import (
 var ErrOverloaded = errors.New("server overloaded, retry later")
 
 // ErrResponseTooLarge reports that the answer to a request would not
-// fit in one frame (MaxFrameBytes): a density map finer than about
-// 360 x 360, or a range query matching tens of thousands of objects.
-// The request was executed; only its answer is withheld, and asking
-// for less (a coarser grid, a smaller radius) succeeds. Travels as the
-// wire-stable "response_too_large" code.
+// fit in one frame (MaxFrameBytes): a density map finer than 361 x 361,
+// which is refused before it is computed, or a range query matching
+// tens of thousands of objects, which was executed and has only its
+// answer withheld. Asking for less (a coarser grid, a smaller radius)
+// succeeds. Travels as the wire-stable "response_too_large" code.
 var ErrResponseTooLarge = errors.New("response too large")
 
 // Stable wire error codes. The server maps the framework's sentinel

@@ -677,6 +677,12 @@ func (s *Server) dispatch(req Request, tr *trace.Trace) Response {
 		if n == 0 {
 			n = 16
 		}
+		if !densityFits(n) {
+			// Refused before the grid is computed: its n² cells would be
+			// allocated only for the writer to withhold the answer.
+			return errFrom(fmt.Errorf("%w: a %d x %d density grid exceeds the %d-byte frame limit",
+				ErrResponseTooLarge, n, n, MaxFrameBytes))
+		}
 		grid, err := s.casper.UserDensityGrid(n)
 		if err != nil {
 			return errFrom(err)

@@ -746,13 +746,6 @@ func intSqrtCeil(n int) int {
 	return s
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Stats describes the shape of the tree; useful in tests and for
 // tuning.
 type Stats struct {

@@ -22,7 +22,7 @@ func (s *Server) NNPublicAt(center geom.Point, radius float64, opt privacyqp.Opt
 	start := time.Now()
 	s.queries.Add(1)
 	snap := s.snap.Load()
-	res, err := privacyqp.PerturbedNN(snap.public, center, radius, privacyqp.PublicData, opt)
+	res, err := privacyqp.PerturbedKNN(snap.public, center, radius, 1, privacyqp.PublicData, opt)
 	qiNNPublic.observe(start, len(res.Candidates), err)
 	return res, err
 }
@@ -33,7 +33,7 @@ func (s *Server) NNPrivateAt(center geom.Point, radius float64, excludeID int64,
 	start := time.Now()
 	s.queries.Add(1)
 	db := privacyqp.Without(s.snap.Load().private, excludeID)
-	res, err := privacyqp.PerturbedNN(db, center, radius, privacyqp.PrivateData, opt)
+	res, err := privacyqp.PerturbedKNN(db, center, radius, 1, privacyqp.PrivateData, opt)
 	qiNNPrivate.observe(start, len(res.Candidates), err)
 	return res, err
 }

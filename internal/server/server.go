@@ -119,7 +119,9 @@ type Server struct {
 	queries atomic.Int64
 
 	// lastWriteAttempt is the UnixNano timestamp of the most recent
-	// mutation attempt (successful or not). Readiness probes compare
+	// write that passed its refusal checks, taken before the write is
+	// logged, so a write that then fails or stalls in the log still
+	// counts (see noteWrite). Readiness probes compare
 	// it against the published snapshot's time: a snapshot older than
 	// the staleness bound is only unhealthy if a write has been
 	// attempted since it was published — an idle server aging
@@ -154,8 +156,10 @@ func (s *Server) publish(next *indexSnapshot) {
 	snapshotPublishes.Inc()
 }
 
-// noteWrite records that a mutation is being attempted; called at the
-// entry of every write path, before anything can fail.
+// noteWrite records that a mutation is being attempted. Every write
+// path calls it under writeMu once its refusal checks have passed and
+// before its log append, so a refused write never marks the snapshot
+// stale while a write stuck in the log does.
 func (s *Server) noteWrite() {
 	s.lastWriteAttempt.Store(time.Now().UnixNano())
 }
@@ -179,9 +183,9 @@ func (s *Server) SnapshotStale(bound time.Duration) (bool, time.Duration) {
 // attached the log is then compacted to the new state, so an error
 // means the load is live in memory but not durable.
 func (s *Server) LoadPublic(objs []PublicObject) error {
-	s.noteWrite()
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
+	s.noteWrite()
 	items := make([]rtree.Item, len(objs))
 	pubIdx := make(map[int64]PublicObject, len(objs))
 	for i, o := range objs {
@@ -197,12 +201,12 @@ func (s *Server) LoadPublic(objs []PublicObject) error {
 
 // AddPublic inserts one public object.
 func (s *Server) AddPublic(o PublicObject) error {
-	s.noteWrite()
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	if _, ok := s.pubIdx[o.ID]; ok {
 		return fmt.Errorf("%w: public %d", ErrDuplicateObject, o.ID)
 	}
+	s.noteWrite()
 	if err := s.logLocked(nil, publicAddRecord(o)); err != nil {
 		return err
 	}
@@ -218,13 +222,13 @@ func (s *Server) AddPublic(o PublicObject) error {
 
 // RemovePublic deletes a public object.
 func (s *Server) RemovePublic(id int64) error {
-	s.noteWrite()
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	o, ok := s.pubIdx[id]
 	if !ok {
 		return fmt.Errorf("%w: public %d", ErrUnknownObject, id)
 	}
+	s.noteWrite()
 	if err := s.logLocked(nil, wal.Record{Type: wal.PublicRemove, ID: id}); err != nil {
 		return err
 	}
@@ -268,9 +272,9 @@ func (s *Server) UpsertPrivateBatchTraced(objs []PrivateObject, tr *trace.Trace)
 	if len(objs) == 0 {
 		return nil
 	}
-	s.noteWrite()
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
+	s.noteWrite()
 	if err := s.logLocked(tr, privateUpsertRecords(objs)...); err != nil {
 		return err
 	}
@@ -293,13 +297,13 @@ func (s *Server) UpsertPrivateBatchTraced(objs []PrivateObject, tr *trace.Trace)
 
 // RemovePrivate deletes a private object (user quit).
 func (s *Server) RemovePrivate(id int64) error {
-	s.noteWrite()
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	o, ok := s.privIdx[id]
 	if !ok {
 		return fmt.Errorf("%w: private %d", ErrUnknownObject, id)
 	}
+	s.noteWrite()
 	if err := s.logLocked(nil, wal.Record{Type: wal.PrivateRemove, ID: id}); err != nil {
 		return err
 	}

@@ -276,3 +276,51 @@ func TestUpsertPrivateCopiesPathNotTree(t *testing.T) {
 			n, bytes, allocs, 64<<10)
 	}
 }
+
+// TestRefusedWritesLeaveSnapshotFresh: AddPublic, RemovePublic and
+// RemovePrivate used to note a write before refusing a duplicate or
+// unknown id, so on an idle server one bad request made SnapshotStale
+// report true until the next accepted write (and readiness with a
+// snapshot-age bound took the instance out of rotation).
+func TestRefusedWritesLeaveSnapshotFresh(t *testing.T) {
+	s := New()
+	if err := s.AddPublic(PublicObject{ID: 1, Pos: geom.Pt(10, 10)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddPublic(PublicObject{ID: 1, Pos: geom.Pt(20, 20)}); !errors.Is(err, ErrDuplicateObject) {
+		t.Fatalf("duplicate AddPublic = %v, want ErrDuplicateObject", err)
+	}
+	if err := s.RemovePublic(99); !errors.Is(err, ErrUnknownObject) {
+		t.Fatalf("unknown RemovePublic = %v, want ErrUnknownObject", err)
+	}
+	if err := s.RemovePrivate(99); !errors.Is(err, ErrUnknownObject) {
+		t.Fatalf("unknown RemovePrivate = %v, want ErrUnknownObject", err)
+	}
+	time.Sleep(60 * time.Millisecond)
+	if stale, age := s.SnapshotStale(20 * time.Millisecond); stale {
+		t.Errorf("SnapshotStale after refused writes only = true (age %v), want false", age)
+	}
+}
+
+// TestNotedUnpublishedWriteIsStale: a write that passed its refusal
+// checks but has not published (for example one stuck in the log)
+// makes an old snapshot stale, and the next publish clears it.
+func TestNotedUnpublishedWriteIsStale(t *testing.T) {
+	s := New()
+	time.Sleep(5 * time.Millisecond)
+	s.noteWrite()
+	time.Sleep(60 * time.Millisecond)
+	if stale, age := s.SnapshotStale(20 * time.Millisecond); !stale {
+		t.Errorf("SnapshotStale with a noted, unpublished write = false (age %v), want true", age)
+	}
+	if stale, _ := s.SnapshotStale(time.Hour); stale {
+		t.Error("SnapshotStale under a bound the snapshot is younger than = true")
+	}
+	if err := s.UpsertPrivate(PrivateObject{ID: 1, Region: geom.R(0, 0, 10, 10)}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(60 * time.Millisecond)
+	if stale, age := s.SnapshotStale(20 * time.Millisecond); stale {
+		t.Errorf("SnapshotStale after the write published = true (age %v), want false", age)
+	}
+}

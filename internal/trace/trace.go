@@ -45,15 +45,15 @@ const maxSpans = 16
 // steps_up, k_req, area_m2, epsilon_micro).
 const maxAttrs = 8
 
-// maxIDLen bounds client-supplied trace IDs; longer IDs are truncated
+// MaxIDLen bounds client-supplied trace IDs; longer IDs are truncated
 // so a hostile client cannot make the ring retain, or a response echo,
 // arbitrary payloads.
-const maxIDLen = 64
+const MaxIDLen = 64
 
-// ClampID truncates a client-supplied trace ID to maxIDLen bytes.
+// ClampID truncates a client-supplied trace ID to MaxIDLen bytes.
 func ClampID(id string) string {
-	if len(id) > maxIDLen {
-		return id[:maxIDLen]
+	if len(id) > MaxIDLen {
+		return id[:MaxIDLen]
 	}
 	return id
 }
@@ -128,7 +128,7 @@ var tracePool = sync.Pool{
 
 // New starts a trace anchored at time.Now. id may be empty (one is
 // generated) or a client-supplied correlation ID (truncated to
-// maxIDLen).
+// MaxIDLen).
 func New(op, id string) *Trace { return NewAt(op, id, time.Now()) }
 
 // NewAt starts a trace anchored at started, which becomes offset 0

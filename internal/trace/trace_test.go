@@ -56,8 +56,8 @@ func TestClientIDTruncatedAndEchoed(t *testing.T) {
 		long[i] = 'a'
 	}
 	tr := New("op", string(long))
-	if len(tr.ID) != maxIDLen {
-		t.Fatalf("ID length %d, want %d", len(tr.ID), maxIDLen)
+	if len(tr.ID) != MaxIDLen {
+		t.Fatalf("ID length %d, want %d", len(tr.ID), MaxIDLen)
 	}
 	tr2 := New("op", "client-chosen")
 	if tr2.ID != "client-chosen" {
