@@ -122,8 +122,12 @@ bench-smoke:
 # allocates only the k-item result), and one serialized wire round trip
 # at or below 11 allocs/op (BenchmarkProtocolSerialized; its count when
 # the per-request traced view of core.Casper was pinned to the stack, so
-# a view that escapes to the heap on the dispatch path fails here). A
-# gated benchmark that does not run fails too.
+# a view that escapes to the heap on the dispatch path fails here). One
+# standing query of the BenchmarkMonitorBuddies set-up must retain at
+# most 2422 B of live heap (B/watch; 1938 B measured with candidate
+# lists held as 4-byte slots, + 25 %; 17,722 B when each list was a
+# copy of 56-byte items). A gated benchmark that does not run fails
+# too.
 bench-allocs:
 	$(GO) test -run XXX -bench 'BenchmarkNN$$' -benchmem . | tee /tmp/bench-allocs.txt
 	@awk '/^BenchmarkNN\// || /^BenchmarkNN-/ || /^BenchmarkNN / { \
@@ -142,6 +146,11 @@ bench-allocs:
 	  if ($$7+0 > 11) { printf "FAIL: %s allocates %s allocs/op (budget 11)\n", $$1, $$7; bad = 1 } \
 	  else { printf "ok: %s at %s allocs/op (budget 11)\n", $$1, $$7 } } \
 	  END { if (!ran) { print "FAIL: BenchmarkProtocolSerialized did not run"; bad = 1 } exit bad }' /tmp/bench-allocs-protocol.txt
+	$(GO) test -run XXX -bench 'BenchmarkMonitorBuddies$$' -benchtime 1x ./internal/continuous | tee /tmp/bench-allocs-monitor.txt
+	@awk '/^BenchmarkMonitorBuddies/ { for (i = 3; i < NF; i++) if ($$(i+1) == "B/watch") bw = $$i } \
+	  END { if (bw == "") { print "FAIL: BenchmarkMonitorBuddies did not report B/watch"; exit 1 } \
+	    if (bw + 0 > 2422) { printf "FAIL: a standing query retains %s B (budget 2422)\n", bw; exit 1 } \
+	    printf "ok: a standing query retains %s B (budget 2422)\n", bw }' /tmp/bench-allocs-monitor.txt
 
 # bench-e2e measures the wire protocol end to end and records the
 # numbers in BENCH_e2e.json. Two layers: the single-connection

@@ -2,6 +2,7 @@ package continuous
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"casper/internal/geom"
@@ -73,7 +74,7 @@ func (m *Monitor) RemovePrivate(id int64) bool {
 }
 
 // applyPrivate is the ingestion core, one critical section. ops must
-// be pid-unique. It applies every op — mutating the shadow table and
+// be pid-unique. It applies every op — mutating the private table and
 // folding the change into each matched query — then settles, so a query
 // matched by many ops of one batch re-runs at most once and notifies at
 // most once.
@@ -89,10 +90,15 @@ func (m *Monitor) applyPrivate(ops []applyOp) {
 	m.settleLocked()
 }
 
-// applyOneLocked mutates the shadow table for one op and matches the
+// applyOneLocked mutates the private table for one op and matches the
 // change against the standing queries. Caller holds mu.
 func (m *Monitor) applyOneLocked(op *applyOp) {
-	old, had := m.regions[op.pid]
+	t := &m.privSlots
+	s, had := t.of[op.pid]
+	var old geom.Rect
+	if had {
+		old = t.items[s].Rect
+	}
 	if op.remove && !had || !op.remove && had && old == op.region {
 		// Nothing to remove, or the same region re-announced: counted
 		// as an update (the stream delivered it) but nothing changed.
@@ -105,23 +111,23 @@ func (m *Monitor) applyOneLocked(op *applyOp) {
 		m.priv.Delete(op.pid, old)
 	}
 	if op.remove {
-		delete(m.regions, op.pid)
+		t.release(op.pid)
 	} else {
 		ch.New, ch.Has = rtree.Item{Rect: op.region, ID: op.pid}, true
 		m.priv.Insert(ch.New)
-		m.regions[op.pid] = op.region
+		s = t.put(ch.New)
 	}
-	m.match(ch, privacyqp.PrivateData)
+	m.match(ch, s, privacyqp.PrivateData)
 }
 
-// match folds one change to the table of kind into every standing
-// query whose interest region its old or new region touches, once
-// each. fold never re-indexes a query, so the searches stay valid:
-// re-runs wait for settleLocked. Caller holds mu.
-func (m *Monitor) match(ch privacyqp.Change, kind privacyqp.DataKind) {
+// match folds one change to the table of kind, whose target holds slot
+// s, into every standing query whose interest region its old or new
+// region touches, once each. fold never re-indexes a query, so the
+// searches stay valid: re-runs wait for settleLocked. Caller holds mu.
+func (m *Monitor) match(ch privacyqp.Change, s int32, kind privacyqp.DataKind) {
 	if ch.Had {
 		m.qidx.SearchFunc(ch.Old.Rect, func(it rtree.Item) bool {
-			m.fold(m.queries[QueryID(it.ID)], ch, kind)
+			m.fold(m.queries[QueryID(it.ID)], ch, s, kind)
 			return true
 		})
 	}
@@ -130,7 +136,7 @@ func (m *Monitor) match(ch privacyqp.Change, kind privacyqp.DataKind) {
 			// The old region's search folded the whole change into the
 			// queries it matched.
 			if q := m.queries[QueryID(it.ID)]; !ch.Had || !q.interest.Intersects(ch.Old.Rect) {
-				m.fold(q, ch, kind)
+				m.fold(q, ch, s, kind)
 			}
 			return true
 		})
@@ -142,7 +148,7 @@ func (m *Monitor) match(ch privacyqp.Change, kind privacyqp.DataKind) {
 // query over kind takes a candidate delta, or is marked to re-run when
 // its filters may change. The asker's own excluded pseudonym is
 // invisible to her query. Caller holds mu.
-func (m *Monitor) fold(q *query, ch privacyqp.Change, kind privacyqp.DataKind) {
+func (m *Monitor) fold(q *query, ch privacyqp.Change, s int32, kind privacyqp.DataKind) {
 	if q.kind == qRange {
 		if kind != privacyqp.PrivateData {
 			return
@@ -169,46 +175,41 @@ func (m *Monitor) fold(q *query, ch privacyqp.Change, kind privacyqp.DataKind) {
 		q.rerun = true
 		return
 	}
-	m.delta(q, ch)
+	m.delta(q, ch, s)
 }
 
-// delta folds ch into q's candidate list. The filters, and with them
-// A_EXT, are unchanged, so a fresh evaluation differs from the list at
-// most in ch's target: it is dropped (swap-remove), added, or — still
-// admitted — refreshed in place with no change to the ID set. Caller
-// holds mu.
-func (m *Monitor) delta(q *query, ch privacyqp.Change) {
-	cands := q.res.Candidates
+// delta folds ch, whose target holds slot s, into q's candidate list.
+// The filters, and with them A_EXT, are unchanged, so a fresh
+// evaluation differs from the list at most in ch's target: it is
+// dropped (swap-remove) or added. A target that moves and stays
+// admitted keeps its slot, whose item the table already updated.
+// Caller holds mu.
+func (m *Monitor) delta(q *query, ch privacyqp.Change, s int32) {
+	list := q.list
 	i := -1
 	// The list holds exactly the admitted targets, so only an admitted
 	// old region needs the scan.
 	if ch.Had && q.admits(ch.Old.Rect) {
-		for j, c := range cands {
-			if c.ID == ch.Old.ID && c.Rect == ch.Old.Rect {
-				i = j
-				break
-			}
-		}
+		i = slices.Index(list, s)
 	}
 	in := ch.Has && q.admits(ch.New.Rect)
 	switch {
 	case i >= 0 && in:
-		cands[i] = ch.New
 		return
 	case i >= 0:
-		last := len(cands) - 1
-		cands[i], cands[last] = cands[last], rtree.Item{}
-		q.res.Candidates = cands[:last]
-		m.flips = append(m.flips, flip{q: q, id: ch.Old.ID, was: true})
+		last := len(list) - 1
+		list[i] = list[last]
+		q.list = list[:last]
+		m.flips = append(m.flips, flip{q: q, s: s, was: true})
 	case in:
-		if len(cands) == cap(cands) {
+		if len(list) == cap(list) {
 			// Grow by an eighth, not by append's doubling: lists live as
-			// long as their queries, and drops free slots as often as
-			// adds fill them.
-			cands = append(make([]rtree.Item, 0, len(cands)+len(cands)/8+1), cands...)
+			// long as their queries, and drops free room as often as
+			// adds fill it.
+			list = append(make([]int32, 0, len(list)+len(list)/8+1), list...)
 		}
-		q.res.Candidates = append(cands, ch.New)
-		m.flips = append(m.flips, flip{q: q, id: ch.New.ID})
+		q.list = append(list, s)
+		m.flips = append(m.flips, flip{q: q, s: s})
 	default:
 		return
 	}
@@ -216,18 +217,20 @@ func (m *Monitor) delta(q *query, ch privacyqp.Change) {
 }
 
 // flip records one delta that added (was false) or dropped (was true)
-// a candidate during the ingestion in progress, so a re-run in the
-// same ingestion can recover the ID set the query started from.
+// the candidate in slot s during the ingestion in progress, so a
+// re-run in the same ingestion can recover the set the query started
+// from.
 type flip struct {
 	q   *query
-	id  int64
+	s   int32
 	was bool
 }
 
 // settleLocked ends an ingestion: it re-runs the queries marked for a
 // re-run and emits one CandidatesChanged for each query whose candidate
-// ID set now differs from the set before the ingestion. Caller holds
-// mu.
+// ID set now differs from the set before the ingestion. Every re-run
+// has then read its old list, so the slots the ingestion released are
+// reclaimed. Caller holds mu.
 func (m *Monitor) settleLocked() {
 	for _, q := range m.pending {
 		changed := q.changed
@@ -243,6 +246,8 @@ func (m *Monitor) settleLocked() {
 	m.pending = m.pending[:0]
 	clear(m.flips)
 	m.flips = m.flips[:0]
+	m.pubSlots.reclaim()
+	m.privSlots.reclaim()
 }
 
 func (m *Monitor) applyCountDelta(q *query, delta float64) {
@@ -255,27 +260,56 @@ func (m *Monitor) applyCountDelta(q *query, delta float64) {
 
 // SetPublic replaces the public table (stationary objects of
 // interest) and re-evaluates every standing query over public data.
+// An ID given more than once keeps its last item.
 func (m *Monitor) SetPublic(items []rtree.Item) {
-	// BulkLoad reorders its input; copy so the caller's slice is untouched.
-	pub := rtree.BulkLoad(append([]rtree.Item(nil), items...))
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.pub = pub
+	// IDs that remain keep their slots; the rest are released, and
+	// reclaimed once the re-runs have read the old lists.
+	t := &m.pubSlots
+	gen := t.nextGen()
+	slots := make([]int32, len(items))
+	for i, it := range items {
+		slots[i] = t.put(it)
+		t.mark[slots[i]] = gen
+	}
+	for id, s := range t.of {
+		if t.mark[s] != gen {
+			t.release(id)
+		}
+	}
+	// BulkLoad reorders its input, so it gets a copy: one item per ID.
+	pub := make([]rtree.Item, 0, len(t.of))
+	for _, s := range slots {
+		if t.mark[s] == gen {
+			pub = append(pub, t.items[s])
+			t.mark[s] = 0
+		}
+	}
+	m.pub = rtree.BulkLoad(pub)
 	for _, q := range m.queries {
 		if q.kind != qRange && q.dataKind == privacyqp.PublicData && m.rerunLocked(q) {
 			m.emitCandidates(q)
 		}
 	}
+	t.reclaim()
 }
 
 // AddPublic inserts one public object and folds it into the
-// public-data queries whose interest regions it enters.
+// public-data queries whose interest regions it enters. An ID already
+// stored moves to the new item.
 func (m *Monitor) AddPublic(it rtree.Item) {
 	m.noteUpdates(1)
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	t := &m.pubSlots
+	ch := privacyqp.Change{New: it, Has: true}
+	if s, ok := t.of[it.ID]; ok {
+		ch.Old, ch.Had = t.items[s], true
+		m.pub.Delete(it.ID, ch.Old.Rect)
+	}
 	m.pub.Insert(it)
-	m.match(privacyqp.Change{New: it, Has: true}, privacyqp.PublicData)
+	m.match(ch, t.put(it), privacyqp.PublicData)
 	m.settleLocked()
 }
 
@@ -287,7 +321,8 @@ func (m *Monitor) RemovePublic(id int64, r geom.Rect) bool {
 	defer m.mu.Unlock()
 	ok := m.pub.Delete(id, r)
 	if ok {
-		m.match(privacyqp.Change{Old: rtree.Item{Rect: r, ID: id}, Had: true}, privacyqp.PublicData)
+		s := m.pubSlots.release(id)
+		m.match(privacyqp.Change{Old: rtree.Item{Rect: r, ID: id}, Had: true}, s, privacyqp.PublicData)
 		m.settleLocked()
 	}
 	return ok

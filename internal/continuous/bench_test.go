@@ -3,6 +3,7 @@ package continuous
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"casper/internal/geom"
@@ -111,8 +112,9 @@ func BenchmarkMonitorIndexedUpdate(b *testing.B) {
 // cells of a 64x64 grid, as the pyramid anonymizer's are, so many
 // users share a cloak and distance ties are common. Each asker watches
 // from her own stored cloak. It returns the monitor, the askers'
-// watches, and a shuffled update trace of 8 mobgen ticks.
-func benchBuddies(b *testing.B, nWatches, nObjects int) (*Monitor, map[int64]benchWatch, []PrivateUpdate) {
+// watches, a shuffled update trace of 8 mobgen ticks, and the live
+// heap the registrations retain per watch.
+func benchBuddies(b *testing.B, nWatches, nObjects int) (*Monitor, map[int64]benchWatch, []PrivateUpdate, float64) {
 	b.Helper()
 	m := NewMonitor(Config{})
 	b.Cleanup(m.Close)
@@ -134,10 +136,11 @@ func benchBuddies(b *testing.B, nWatches, nObjects int) (*Monitor, map[int64]ben
 	}
 
 	watches := make(map[int64]benchWatch, nWatches)
+	heap0 := liveHeap()
 	stride := int64(max(1, nObjects/nWatches))
 	for i := 0; i < nWatches; i++ {
 		pid := int64(i) * stride
-		cloak := m.regions[pid]
+		cloak := m.privSlots.rect(pid)
 		var w benchWatch
 		var err error
 		switch i % 3 {
@@ -154,6 +157,7 @@ func benchBuddies(b *testing.B, nWatches, nObjects int) (*Monitor, map[int64]ben
 		}
 		watches[pid] = w
 	}
+	perWatch := float64(int64(liveHeap())-int64(heap0)) / float64(nWatches)
 
 	const ticks = 8
 	trace := make([]PrivateUpdate, 0, ticks*nObjects)
@@ -165,7 +169,17 @@ func benchBuddies(b *testing.B, nWatches, nObjects int) (*Monitor, map[int64]ben
 	// Each tick lists its users in ID order; shuffle so a short run
 	// samples every user, not the lowest IDs.
 	rand.New(rand.NewSource(37)).Shuffle(len(trace), func(i, j int) { trace[i], trace[j] = trace[j], trace[i] })
-	return m, watches, trace
+	return m, watches, trace, perWatch
+}
+
+// liveHeap returns HeapAlloc after two collections: the bytes still
+// reachable, pooled buffers dropped.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 type benchWatch struct {
@@ -178,9 +192,11 @@ type benchWatch struct {
 // user, and an asker's own watch follows her cloak, the order a
 // location server feeds the monitor. evals/update counts Algorithm 2
 // re-runs per monitor update (data and asker moves alike); deltas
-// absorb the rest.
+// absorb the rest. B/watch is the live heap one standing query retains
+// after registration: its state, its candidate list and its index
+// entry.
 func BenchmarkMonitorBuddies(b *testing.B) {
-	m, watches, trace := benchBuddies(b, 4000, 20000)
+	m, watches, trace, perWatch := benchBuddies(b, 4000, 20000)
 	upd0, evals0 := m.Updates(), m.Evaluations()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -204,6 +220,7 @@ func BenchmarkMonitorBuddies(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(m.Evaluations()-evals0)/float64(m.Updates()-upd0), "evals/update")
+	b.ReportMetric(perWatch, "B/watch")
 }
 
 // BenchmarkMonitorBatchIngest measures ApplyUpdates amortization: one

@@ -12,10 +12,10 @@
 //     takes it once and notifies each query at most once;
 //   - every data change is folded into the answers it touches as a
 //     delta: a range count adds the difference of the object's old and
-//     new contributions, and a candidate list drops, adds or refreshes
-//     the one target under privacyqp's admission rules (Admits,
-//     InRange). A radius answer never needs more: its A_EXT depends on
-//     the cloak alone. An NN answer re-runs Algorithm 2 only when the
+//     new contributions, and a candidate list drops or adds the one
+//     target under privacyqp's admission rules (Admits, InRange). A
+//     radius answer never needs more: its A_EXT depends on the cloak
+//     alone. An NN answer re-runs Algorithm 2 only when the
 //     change may alter its filter objects (Result.FiltersMayChange):
 //     the target is a filter, or it arrives at most a filter's distance
 //     from that filter's probe anchor. Otherwise a fresh evaluation
@@ -29,8 +29,11 @@
 //     inclusive for every C' inside C. Any other new cloak re-runs the
 //     query at that cloak.
 //
-// The monitor owns shadow copies of the public and private tables and
-// is driven by the same update stream the database server receives.
+// The monitor keeps its own R-trees of the public and private tables
+// and is driven by the same update stream the database server
+// receives. A slot table per kind holds one item per stored object
+// (slots.go); a standing candidate list is a list of 4-byte slots into
+// it, built into items only when it is handed out.
 // Every answer it maintains is what a fresh snapshot query at the
 // query's evaluation cloak would return, and so stays inclusive for
 // the asker's current cloak, which lies inside it (property-tested in
@@ -106,17 +109,18 @@ type Config struct {
 type Monitor struct {
 	cfg Config // Universe normalized by NewMonitor
 
-	// mu guards the shadow tables, the query index and registry, and
-	// every registered query's mutable state.
+	// mu guards the tables, the query index and registry, and every
+	// registered query's mutable state.
 	mu   sync.Mutex
 	pub  *rtree.Tree
 	priv *rtree.Tree
+	// pubSlots and privSlots number the objects of each tree; candidate
+	// lists hold their slots.
+	pubSlots, privSlots slotTable
 	// qidx indexes the interest regions of the registered queries.
 	qidx    *rtree.Tree
 	queries map[QueryID]*query
 	nextID  QueryID
-	// regions maps each stored pseudonym to its current cloak.
-	regions map[int64]geom.Rect
 	// pending lists the NN/radius queries the ingestion in progress
 	// touched, and flips its candidate deltas; settleLocked empties
 	// both.
@@ -180,9 +184,13 @@ type query struct {
 	// exclude is the asker's own pseudonym, hidden from private-data
 	// evaluations (privacyqp.Without); negative means none.
 	exclude int64
-	// res is the last evaluation. Deltas keep res.Candidates equal to
-	// a fresh evaluation at evalCloak; its filters decide when a change
-	// needs a re-run instead.
+	// list is the candidate list as slots into the slot table of
+	// dataKind. Deltas keep it equal to a fresh evaluation at
+	// evalCloak.
+	list []int32
+	// res is the last evaluation without its candidates: A_EXT, and the
+	// filters and probes that decide when a change needs a re-run
+	// instead of a delta.
 	res privacyqp.Result
 }
 
@@ -192,13 +200,14 @@ func NewMonitor(cfg Config) *Monitor {
 		cfg.Universe = geom.R(0, 0, 10000, 10000)
 	}
 	m := &Monitor{
-		cfg:     cfg,
-		pub:     rtree.New(),
-		priv:    rtree.New(),
-		qidx:    rtree.New(),
-		queries: make(map[QueryID]*query),
-		regions: make(map[int64]geom.Rect),
-		notify:  cfg.Notify,
+		cfg:       cfg,
+		pub:       rtree.New(),
+		priv:      rtree.New(),
+		qidx:      rtree.New(),
+		queries:   make(map[QueryID]*query),
+		pubSlots:  newSlotTable(),
+		privSlots: newSlotTable(),
+		notify:    cfg.Notify,
 	}
 	if cfg.Buffer > 0 {
 		m.events = make(chan Event, cfg.Buffer)
@@ -338,14 +347,15 @@ func (m *Monitor) RegisterRadius(cloak geom.Rect, radius float64, kind privacyqp
 }
 
 // register evaluates q, gives it an ID, and adds it to the registry
-// and the query index. It returns the initial count and candidate list
-// read under the lock: once registered, a concurrent ingestion may
-// mutate q.count or swap q.candidates, so the caller must not read q's
-// answer fields after register returns.
+// and the query index. It returns the initial count and the
+// evaluation's own candidate list: once registered, a concurrent
+// ingestion may mutate q's answer fields, so the caller must not read
+// them after register returns.
 func (m *Monitor) register(q *query) (count float64, candidates []rtree.Item, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.evalQueryLocked(q); err != nil {
+	candidates, err = m.evalQueryLocked(q)
+	if err != nil {
 		return 0, nil, err
 	}
 	m.noteEval()
@@ -353,8 +363,7 @@ func (m *Monitor) register(q *query) (count float64, candidates []rtree.Item, er
 	q.id = m.nextID
 	m.queries[q.id] = q
 	m.qidx.Insert(rtree.Item{Rect: q.interest, ID: int64(q.id)})
-	// Deltas edit the list in place, so the caller gets a copy.
-	return q.count, append([]rtree.Item(nil), q.res.Candidates...), nil
+	return q.count, candidates, nil
 }
 
 // Unregister removes a continuous query of any kind.
@@ -403,7 +412,7 @@ func (m *Monitor) Candidates(id QueryID) ([]rtree.Item, bool) {
 	if q == nil || q.kind == qRange {
 		return nil, false
 	}
-	return append([]rtree.Item(nil), q.res.Candidates...), true
+	return m.slots(q.dataKind).itemsOf(q.list), true
 }
 
 // UpdateNNCloak moves a continuous NN query's asker: an unchanged

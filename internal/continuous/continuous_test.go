@@ -35,6 +35,16 @@ func upsert(m *Monitor, id int64, region geom.Rect) error {
 	return m.ApplyUpdates([]PrivateUpdate{{ID: id, Region: region}})
 }
 
+// rect returns the region stored under id, or the zero Rect when id
+// is not stored.
+func (t *slotTable) rect(id int64) geom.Rect {
+	s, ok := t.of[id]
+	if !ok {
+		return geom.Rect{}
+	}
+	return t.items[s].Rect
+}
+
 func TestRangeCountIncrementalMatchesSnapshot(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := NewMonitor(Config{})

@@ -7,16 +7,17 @@ import (
 )
 
 // evalQueryLocked (re)evaluates a query of any kind from the current
-// shadow tables at its current cloak, refreshing its answer and
-// interest region. Caller holds mu.
-func (m *Monitor) evalQueryLocked(q *query) error {
+// tables at its current cloak, refreshing its answer and interest
+// region. It returns the evaluation's candidate list, which q keeps as
+// slots only. Caller holds mu.
+func (m *Monitor) evalQueryLocked(q *query) ([]rtree.Item, error) {
 	if q.kind == qRange {
 		count, err := privacyqp.PublicRangeCount(m.priv, q.rect, q.policy)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		q.count, q.interest = count, q.rect
-		return nil
+		return nil, nil
 	}
 	var res privacyqp.Result
 	var err error
@@ -26,19 +27,30 @@ func (m *Monitor) evalQueryLocked(q *query) error {
 		res, err = privacyqp.PrivateRange(m.table(q), q.cloak, q.radius, q.dataKind)
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
+	cands := res.Candidates
+	res.Candidates = nil
 	q.evalCloak, q.interest, q.res, q.failed = q.cloak, res.AExt, res, false
-	return nil
+	q.list = m.slots(q.dataKind).slotsOf(cands)
+	return cands, nil
 }
 
-// table returns the shadow table q reads, with the asker's own cloak
-// hidden (privacyqp.Without) when q excludes it.
+// table returns the tree q reads, with the asker's own cloak hidden
+// (privacyqp.Without) when q excludes it.
 func (m *Monitor) table(q *query) privacyqp.SpatialIndex {
 	if q.dataKind == privacyqp.PublicData {
 		return m.pub
 	}
 	return privacyqp.Without(m.priv, q.exclude)
+}
+
+// slots returns the slot table of a data kind.
+func (m *Monitor) slots(kind privacyqp.DataKind) *slotTable {
+	if kind == privacyqp.PublicData {
+		return &m.pubSlots
+	}
+	return &m.privSlots
 }
 
 // admits is the candidate rule of q's last evaluation, applied to one
@@ -53,45 +65,51 @@ func (q *query) admits(r geom.Rect) bool {
 
 // rerunLocked re-runs one NN/radius query against the current tables
 // and re-indexes it if its interest region moved. It reports whether
-// the candidate ID set differs from the one the query had before the
-// ingestion in progress: its list with the ingestion's flips undone.
-// Caller holds mu; it must not be called from inside a query-index
-// search.
+// the candidate set differs from the one the query had before the
+// ingestion in progress: its list with the ingestion's flips undone,
+// marked in the slot table. Caller holds mu; it must not be called
+// from inside a query-index search.
 func (m *Monitor) rerunLocked(q *query) bool {
-	before := make(map[int64]bool, len(q.res.Candidates))
-	for _, c := range q.res.Candidates {
-		before[c.ID] = true
+	t := m.slots(q.dataKind)
+	gen := t.nextGen()
+	for _, s := range q.list {
+		t.mark[s] = gen
 	}
-	for _, f := range m.flips {
-		if f.q != q {
-			continue
-		}
-		if f.was {
-			before[f.id] = true
-		} else {
-			delete(before, f.id)
+	n := len(q.list)
+	// Undo the flips latest first, so the marks end as they stood
+	// before the ingestion.
+	for i := len(m.flips) - 1; i >= 0; i-- {
+		f := m.flips[i]
+		switch {
+		case f.q != q:
+		case f.was && t.mark[f.s] != gen:
+			t.mark[f.s] = gen
+			n++
+		case !f.was && t.mark[f.s] == gen:
+			t.mark[f.s] = 0
+			n--
 		}
 	}
 	oldInterest := q.interest
-	if err := m.evalQueryLocked(q); err != nil {
+	if _, err := m.evalQueryLocked(q); err != nil {
 		// Evaluation failure (empty table, degenerate cloak): publish
 		// an empty answer and watch the whole universe so the first
 		// relevant change re-evaluates and recovers the query.
 		q.evalCloak, q.failed = geom.Rect{}, true
 		q.interest = m.cfg.Universe
-		q.res = privacyqp.Result{}
+		q.res, q.list = privacyqp.Result{}, nil
 	}
 	m.noteEval()
 	if q.interest != oldInterest {
 		m.qidx.Delete(int64(q.id), oldInterest)
 		m.qidx.Insert(rtree.Item{Rect: q.interest, ID: int64(q.id)})
 	}
-	// IDs are unique in a table, so equal sizes and inclusion suffice.
-	if len(q.res.Candidates) != len(before) {
+	// Slots are unique in a list, so equal sizes and inclusion suffice.
+	if len(q.list) != n {
 		return true
 	}
-	for _, c := range q.res.Candidates {
-		if !before[c.ID] {
+	for _, s := range q.list {
+		if t.mark[s] != gen {
 			return true
 		}
 	}
@@ -104,6 +122,6 @@ func (m *Monitor) emitCandidates(q *query) {
 	m.emit(Event{
 		Query:      q.id,
 		Kind:       CandidatesChanged,
-		Candidates: append([]rtree.Item(nil), q.res.Candidates...),
+		Candidates: m.slots(q.dataKind).itemsOf(q.list),
 	})
 }

@@ -774,8 +774,8 @@ func TestDeltaEventContract(t *testing.T) {
 
 // TestDeltaAllocations requires a delta-only update of a watched
 // region to run no evaluation and to allocate nothing proportional to
-// the candidate list: a candidate moving around inside A_EXT refreshes
-// its rect in place.
+// the candidate list: a candidate moving around inside A_EXT keeps its
+// slot, and only the slot table's item changes.
 func TestDeltaAllocations(t *testing.T) {
 	m := NewMonitor(Config{})
 	rng := rand.New(rand.NewSource(11))
@@ -817,7 +817,7 @@ func TestDeltaAllocations(t *testing.T) {
 	if pid < 0 || len(nnCands) < 100 || len(radCands) < 100 {
 		t.Fatalf("setup: mover %d, %d NN and %d radius candidates", pid, len(nnCands), len(radCands))
 	}
-	base := m.regions[pid]
+	base := m.privSlots.rect(pid)
 	evals := m.Evaluations()
 	step := 0
 	move := func() {

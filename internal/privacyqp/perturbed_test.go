@@ -49,8 +49,8 @@ func TestPerturbedValidation(t *testing.T) {
 	if _, err := PerturbedKNN(empty, q, 10, 1, PublicData, Options{}); err == nil {
 		t.Error("PerturbedKNN k=1 on empty DB accepted")
 	}
-	if _, err := PerturbedKNN(empty, q, 10, 1, PublicData, Options{}); err == nil {
-		t.Error("PerturbedKNN on empty DB accepted")
+	if _, err := PerturbedKNN(empty, q, 10, 3, PublicData, Options{}); err == nil {
+		t.Error("PerturbedKNN k=3 on empty DB accepted")
 	}
 }
 
