@@ -126,7 +126,10 @@ bench-smoke:
 # standing query of the BenchmarkMonitorBuddies set-up must retain at
 # most 2422 B of live heap (B/watch; 1938 B measured with candidate
 # lists held as 4-byte slots, + 25 %; 17,722 B when each list was a
-# copy of 56-byte items). A gated benchmark that does not run fails
+# copy of 56-byte items), and one update of it must allocate at most
+# 17369 B (B/op over 3000 updates; 13,895 B measured when events carry
+# the change to a candidate list, + 25 %; 598,666 B when each event
+# carried the whole list). A gated benchmark that does not run fails
 # too.
 bench-allocs:
 	$(GO) test -run XXX -bench 'BenchmarkNN$$' -benchmem . | tee /tmp/bench-allocs.txt
@@ -146,11 +149,14 @@ bench-allocs:
 	  if ($$7+0 > 11) { printf "FAIL: %s allocates %s allocs/op (budget 11)\n", $$1, $$7; bad = 1 } \
 	  else { printf "ok: %s at %s allocs/op (budget 11)\n", $$1, $$7 } } \
 	  END { if (!ran) { print "FAIL: BenchmarkProtocolSerialized did not run"; bad = 1 } exit bad }' /tmp/bench-allocs-protocol.txt
-	$(GO) test -run XXX -bench 'BenchmarkMonitorBuddies$$' -benchtime 1x ./internal/continuous | tee /tmp/bench-allocs-monitor.txt
-	@awk '/^BenchmarkMonitorBuddies/ { for (i = 3; i < NF; i++) if ($$(i+1) == "B/watch") bw = $$i } \
-	  END { if (bw == "") { print "FAIL: BenchmarkMonitorBuddies did not report B/watch"; exit 1 } \
-	    if (bw + 0 > 2422) { printf "FAIL: a standing query retains %s B (budget 2422)\n", bw; exit 1 } \
-	    printf "ok: a standing query retains %s B (budget 2422)\n", bw }' /tmp/bench-allocs-monitor.txt
+	$(GO) test -run XXX -bench 'BenchmarkMonitorBuddies$$' -benchtime 3000x -benchmem ./internal/continuous | tee /tmp/bench-allocs-monitor.txt
+	@awk '/^BenchmarkMonitorBuddies/ { for (i = 3; i < NF; i++) { if ($$(i+1) == "B/watch") bw = $$i; if ($$(i+1) == "B/op") bop = $$i } } \
+	  END { if (bw == "" || bop == "") { print "FAIL: BenchmarkMonitorBuddies did not report B/watch and B/op"; exit 1 } \
+	    if (bw + 0 > 2422) { printf "FAIL: a standing query retains %s B (budget 2422)\n", bw; bad = 1 } \
+	    else printf "ok: a standing query retains %s B (budget 2422)\n", bw; \
+	    if (bop + 0 > 17369) { printf "FAIL: a monitor update allocates %s B (budget 17369)\n", bop; bad = 1 } \
+	    else printf "ok: a monitor update allocates %s B (budget 17369)\n", bop; \
+	    exit bad }' /tmp/bench-allocs-monitor.txt
 
 # bench-e2e measures the wire protocol end to end and records the
 # numbers in BENCH_e2e.json. Two layers: the single-connection

@@ -160,7 +160,11 @@ const (
 type (
 	// ContinuousMonitor maintains standing queries incrementally.
 	ContinuousMonitor = continuous.Monitor
-	// ContinuousEvent is a change notification for a standing query.
+	// ContinuousEvent is a change notification for a standing query:
+	// a range count's new value, or the change to an NN or radius
+	// query's candidate list (the candidates added and the IDs
+	// dropped). The full list comes from the Watch* call that
+	// registered the query, and from ContinuousMonitor.Candidates.
 	ContinuousEvent = continuous.Event
 	// ContinuousQueryID identifies a standing query.
 	ContinuousQueryID = continuous.QueryID
@@ -170,7 +174,7 @@ type (
 const (
 	// CountChanged reports a new range-count value.
 	CountChanged = continuous.CountChanged
-	// CandidatesChanged reports a new NN candidate list.
+	// CandidatesChanged reports a change to a candidate list.
 	CandidatesChanged = continuous.CandidatesChanged
 )
 

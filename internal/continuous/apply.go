@@ -1,6 +1,7 @@
 package continuous
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -195,7 +196,7 @@ func (m *Monitor) delta(q *query, ch privacyqp.Change, s int32) {
 	in := ch.Has && q.admits(ch.New.Rect)
 	switch {
 	case i >= 0 && in:
-		return
+		// Kept: the table already holds its new rect.
 	case i >= 0:
 		last := len(list) - 1
 		list[i] = list[last]
@@ -210,16 +211,15 @@ func (m *Monitor) delta(q *query, ch privacyqp.Change, s int32) {
 		}
 		q.list = append(list, s)
 		m.flips = append(m.flips, flip{q: q, s: s})
-	default:
-		return
 	}
-	q.changed = true
 }
 
 // flip records one delta that added (was false) or dropped (was true)
-// the candidate in slot s during the ingestion in progress, so a
-// re-run in the same ingestion can recover the set the query started
-// from.
+// the candidate in slot s during the ingestion in progress. Ops are
+// pid-unique and a released slot is not reused before the ingestion
+// settles, so a slot flips at most once per query and ingestion: a
+// query's flips are its change, and a re-run in the same ingestion
+// undoes them to recover the set the query started from.
 type flip struct {
 	q   *query
 	s   int32
@@ -228,19 +228,27 @@ type flip struct {
 
 // settleLocked ends an ingestion: it re-runs the queries marked for a
 // re-run and emits one CandidatesChanged for each query whose candidate
-// ID set now differs from the set before the ingestion. Every re-run
+// ID set now differs from the set before the ingestion, carrying the
+// difference: the query's flips, or what its re-run found. Every re-run
 // has then read its old list, so the slots the ingestion released are
 // reclaimed. Caller holds mu.
 func (m *Monitor) settleLocked() {
+	slices.SortStableFunc(m.flips, func(a, b flip) int { return cmp.Compare(a.q.id, b.q.id) })
 	for _, q := range m.pending {
-		changed := q.changed
+		flips := m.flipsOf(q)
 		if q.rerun {
-			changed = m.rerunLocked(q)
+			m.rerunLocked(q, flips)
+		} else {
+			for _, f := range flips {
+				if f.was {
+					m.dropped = append(m.dropped, f.s)
+				} else {
+					m.added = append(m.added, f.s)
+				}
+			}
 		}
-		q.touched, q.rerun, q.changed = false, false, false
-		if changed {
-			m.emitCandidates(q)
-		}
+		q.touched, q.rerun = false, false
+		m.emitDelta(q)
 	}
 	clear(m.pending)
 	m.pending = m.pending[:0]
@@ -248,6 +256,17 @@ func (m *Monitor) settleLocked() {
 	m.flips = m.flips[:0]
 	m.pubSlots.reclaim()
 	m.privSlots.reclaim()
+}
+
+// flipsOf returns q's flips from m.flips, which settleLocked sorted by
+// query ID.
+func (m *Monitor) flipsOf(q *query) []flip {
+	i, _ := slices.BinarySearchFunc(m.flips, q.id, func(f flip, id QueryID) int { return cmp.Compare(f.q.id, id) })
+	j := i
+	for j < len(m.flips) && m.flips[j].q == q {
+		j++
+	}
+	return m.flips[i:j]
 }
 
 func (m *Monitor) applyCountDelta(q *query, delta float64) {
@@ -288,8 +307,9 @@ func (m *Monitor) SetPublic(items []rtree.Item) {
 	}
 	m.pub = rtree.BulkLoad(pub)
 	for _, q := range m.queries {
-		if q.kind != qRange && q.dataKind == privacyqp.PublicData && m.rerunLocked(q) {
-			m.emitCandidates(q)
+		if q.kind != qRange && q.dataKind == privacyqp.PublicData {
+			m.rerunLocked(q, nil)
+			m.emitDelta(q)
 		}
 	}
 	t.reclaim()

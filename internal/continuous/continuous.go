@@ -40,6 +40,14 @@
 // monitor_test.go and fuzz_test.go); Evaluations() against Updates()
 // quantifies the incremental savings.
 //
+// A subscriber is told what changed, not the whole answer, as in
+// SINA's positive and negative updates: registration returns the full
+// candidate list, and each CandidatesChanged event then carries the
+// candidates that entered and the IDs that left since the previous
+// event. A kept candidate that moves is not re-sent; Candidates returns
+// the whole list with current rects, the resync for a subscriber that
+// lost track.
+//
 // All methods are safe for concurrent use.
 package continuous
 
@@ -63,7 +71,8 @@ type EventKind int
 const (
 	// CountChanged reports a new count for a range-count query.
 	CountChanged EventKind = iota
-	// CandidatesChanged reports a new candidate list for an NN query.
+	// CandidatesChanged reports a change to the candidate list of an NN
+	// or radius query.
 	CandidatesChanged
 )
 
@@ -73,10 +82,16 @@ type Event struct {
 	Kind  EventKind
 	// Count is the new value for CountChanged events.
 	Count float64
-	// Candidates is the new candidate list for CandidatesChanged
-	// events; the subscriber refines it client-side exactly as with
-	// snapshot queries.
-	Candidates []rtree.Item
+	// Added and Dropped are the change to the candidate list for
+	// CandidatesChanged events: the candidates that entered, with their
+	// current rects (and public names), and the IDs of those that left.
+	// Folded into the list the subscriber held, they give the new list,
+	// which it refines client-side exactly as with snapshot queries. A
+	// candidate that stays is not re-sent when it moves: its rect in
+	// the subscriber's list may be stale, and Candidates returns the
+	// current one. The two are disjoint, and at least one is non-empty.
+	Added   []rtree.Item
+	Dropped []int64
 }
 
 // Config tunes a Monitor. The zero value is usable: a default
@@ -126,6 +141,9 @@ type Monitor struct {
 	// both.
 	pending []*query
 	flips   []flip
+	// added and dropped collect the slots of one query's event before
+	// emitDelta builds it; empty between events.
+	added, dropped []int32
 
 	// emitMu guards the delivery fields; emitters hold it shared so
 	// Close cannot close the channel under a pending send.
@@ -160,10 +178,9 @@ type query struct {
 	dataKind privacyqp.DataKind
 
 	// State of the ingestion in progress, reset by settleLocked:
-	// touched queues the query in Monitor.pending, rerun marks it to
-	// re-run Algorithm 2, and changed records that a delta added or
-	// dropped a candidate.
-	touched, rerun, changed bool
+	// touched queues the query in Monitor.pending, and rerun marks it to
+	// re-run Algorithm 2.
+	touched, rerun bool
 
 	// interest is the indexed interest region: the rect for range
 	// queries, A_EXT for NN, the evaluation cloak expanded by the
@@ -418,7 +435,7 @@ func (m *Monitor) Candidates(id QueryID) ([]rtree.Item, bool) {
 // UpdateNNCloak moves a continuous NN query's asker: an unchanged
 // cloak, or one inside the cloak the query was last evaluated at, is a
 // counter bump; any other cloak re-evaluates and notifies subscribers
-// of a changed candidate list.
+// of the change to the candidate list, if any.
 func (m *Monitor) UpdateNNCloak(id QueryID, cloak geom.Rect) error {
 	return m.updateCloak(id, cloak, qNN)
 }
@@ -449,9 +466,8 @@ func (m *Monitor) updateCloak(id QueryID, cloak geom.Rect, kind queryKind) error
 		contSafeHits.Inc()
 		return nil
 	}
-	if m.rerunLocked(q) {
-		m.emitCandidates(q)
-	}
+	m.rerunLocked(q, nil)
+	m.emitDelta(q)
 	return nil
 }
 

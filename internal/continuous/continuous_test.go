@@ -1,6 +1,7 @@
 package continuous
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -28,6 +29,31 @@ func sameIDSet(a, b map[int64]bool) bool {
 		}
 	}
 	return true
+}
+
+// applyDelta folds a CandidatesChanged event into the candidate ID set
+// its subscriber holds. It fails when the event is empty, drops an ID
+// the set lacks, adds one the set already has, or both drops and adds
+// one ID.
+func applyDelta(set map[int64]bool, e Event) error {
+	if len(e.Added) == 0 && len(e.Dropped) == 0 {
+		return fmt.Errorf("query %d notified of an unchanged candidate set", e.Query)
+	}
+	dropped := make(map[int64]bool, len(e.Dropped))
+	for _, id := range e.Dropped {
+		if !set[id] {
+			return fmt.Errorf("query %d: event drops %d, which its subscriber does not hold", e.Query, id)
+		}
+		delete(set, id)
+		dropped[id] = true
+	}
+	for _, it := range e.Added {
+		if set[it.ID] || dropped[it.ID] {
+			return fmt.Errorf("query %d: event adds %d, which its subscriber holds or the event drops", e.Query, it.ID)
+		}
+		set[it.ID] = true
+	}
+	return nil
 }
 
 // upsert inserts or moves one private object: a batch of one.

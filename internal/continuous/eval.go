@@ -64,33 +64,28 @@ func (q *query) admits(r geom.Rect) bool {
 }
 
 // rerunLocked re-runs one NN/radius query against the current tables
-// and re-indexes it if its interest region moved. It reports whether
-// the candidate set differs from the one the query had before the
-// ingestion in progress: its list with the ingestion's flips undone,
-// marked in the slot table. Caller holds mu; it must not be called
-// from inside a query-index search.
-func (m *Monitor) rerunLocked(q *query) bool {
+// and re-indexes it if its interest region moved. It appends to
+// m.added and m.dropped the slots by which the new candidate set
+// differs from the set the query had before the ingestion in progress:
+// its list with flips, its own flips of that ingestion, undone, marked
+// in the slot table. Caller holds mu; it must not be called from inside
+// a query-index search.
+func (m *Monitor) rerunLocked(q *query, flips []flip) {
 	t := m.slots(q.dataKind)
 	gen := t.nextGen()
 	for _, s := range q.list {
 		t.mark[s] = gen
 	}
-	n := len(q.list)
-	// Undo the flips latest first, so the marks end as they stood
-	// before the ingestion.
-	for i := len(m.flips) - 1; i >= 0; i-- {
-		f := m.flips[i]
-		switch {
-		case f.q != q:
-		case f.was && t.mark[f.s] != gen:
+	// A slot flips at most once per ingestion, so the undo can run in
+	// any order.
+	for _, f := range flips {
+		if f.was {
 			t.mark[f.s] = gen
-			n++
-		case !f.was && t.mark[f.s] == gen:
+		} else {
 			t.mark[f.s] = 0
-			n--
 		}
 	}
-	oldInterest := q.interest
+	old, oldInterest := q.list, q.interest
 	if _, err := m.evalQueryLocked(q); err != nil {
 		// Evaluation failure (empty table, degenerate cloak): publish
 		// an empty answer and watch the whole universe so the first
@@ -104,24 +99,40 @@ func (m *Monitor) rerunLocked(q *query) bool {
 		m.qidx.Delete(int64(q.id), oldInterest)
 		m.qidx.Insert(rtree.Item{Rect: q.interest, ID: int64(q.id)})
 	}
-	// Slots are unique in a list, so equal sizes and inclusion suffice.
-	if len(q.list) != n {
-		return true
-	}
+	// Unmarking the kept slots leaves marked exactly the dropped ones,
+	// each in the old list or among the dropping flips, never both.
 	for _, s := range q.list {
-		if t.mark[s] != gen {
-			return true
+		if t.mark[s] == gen {
+			t.mark[s] = 0
+		} else {
+			m.added = append(m.added, s)
 		}
 	}
-	return false
+	for _, s := range old {
+		if t.mark[s] == gen {
+			m.dropped = append(m.dropped, s)
+		}
+	}
+	for _, f := range flips {
+		if f.was && t.mark[f.s] == gen {
+			m.dropped = append(m.dropped, f.s)
+		}
+	}
 }
 
-// emitCandidates notifies q's subscriber of its current candidate
-// list. Caller holds mu.
-func (m *Monitor) emitCandidates(q *query) {
+// emitDelta notifies q's subscriber of the change collected in
+// m.added and m.dropped, if there is one, and empties both. Caller
+// holds mu.
+func (m *Monitor) emitDelta(q *query) {
+	if len(m.added) == 0 && len(m.dropped) == 0 {
+		return
+	}
+	t := m.slots(q.dataKind)
 	m.emit(Event{
-		Query:      q.id,
-		Kind:       CandidatesChanged,
-		Candidates: m.slots(q.dataKind).itemsOf(q.list),
+		Query:   q.id,
+		Kind:    CandidatesChanged,
+		Added:   t.itemsOf(m.added),
+		Dropped: t.idsOf(m.dropped),
 	})
+	m.added, m.dropped = m.added[:0], m.dropped[:0]
 }

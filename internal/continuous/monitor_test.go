@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -702,6 +703,20 @@ func TestDeltaEventContract(t *testing.T) {
 		return m, id, &events
 	}
 	far := geom.R(30, 30, 31, 31) // outside A_EXT: the delta drops pid 1
+	// resync folds the events into the registration answer and requires
+	// the result to equal the maintained list.
+	resync := func(t *testing.T, m *Monitor, id QueryID, events []Event) {
+		t.Helper()
+		known := map[int64]bool{1: true, 5: true}
+		for _, e := range events {
+			if err := applyDelta(known, e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, _ := m.Candidates(id); !sameIDSet(idsOf(got), known) {
+			t.Fatalf("events fold to %v, the maintained list is %v", known, got)
+		}
+	}
 
 	t.Run("rerun-restores", func(t *testing.T) {
 		m, id, events := setup(t)
@@ -721,15 +736,24 @@ func TestDeltaEventContract(t *testing.T) {
 		if !sameIDSet(idsOf(got), map[int64]bool{1: true, 5: true}) {
 			t.Fatalf("candidates %v, want pids 1 and 5", got)
 		}
+		resync(t, m, id, *events)
 	})
 	t.Run("rerun-keeps-change", func(t *testing.T) {
 		m, id, events := setup(t)
 		if err := m.ApplyUpdates([]PrivateUpdate{{ID: 1, Region: far}, {ID: 5, Region: geom.R(4, 4, 7, 7)}}); err != nil {
 			t.Fatal(err)
 		}
-		if len(*events) != 1 || (*events)[0].Query != id || !sameIDSet(idsOf((*events)[0].Candidates), map[int64]bool{5: true}) {
-			t.Fatalf("events %+v, want exactly one with pid 5 alone", *events)
+		if len(*events) != 1 || (*events)[0].Query != id {
+			t.Fatalf("events %+v, want exactly one", *events)
 		}
+		if e := (*events)[0]; !slices.Equal(e.Dropped, []int64{1}) || len(e.Added) != 0 {
+			t.Fatalf("event adds %v and drops %v, want pid 1 dropped alone", e.Added, e.Dropped)
+		}
+		got, _ := m.Candidates(id)
+		if !sameIDSet(idsOf(got), map[int64]bool{5: true}) {
+			t.Fatalf("candidates %v, want pid 5 alone", got)
+		}
+		resync(t, m, id, *events)
 	})
 	t.Run("move-inside", func(t *testing.T) {
 		m, id, events := setup(t)
@@ -749,6 +773,7 @@ func TestDeltaEventContract(t *testing.T) {
 		if !found {
 			t.Fatalf("candidates %v do not show pid 1 at %v", got, moved)
 		}
+		resync(t, m, id, *events)
 	})
 	t.Run("asker-moves", func(t *testing.T) {
 		var events []Event

@@ -91,7 +91,7 @@ func (t *slotTable) slotsOf(items []rtree.Item) []int32 {
 }
 
 // itemsOf returns the items a slot list names as an exact-size list,
-// nil when empty: the one place a standing list becomes rtree.Items.
+// nil when empty.
 func (t *slotTable) itemsOf(slots []int32) []rtree.Item {
 	if len(slots) == 0 {
 		return nil
@@ -101,4 +101,18 @@ func (t *slotTable) itemsOf(slots []int32) []rtree.Item {
 		items[i] = t.items[s]
 	}
 	return items
+}
+
+// idsOf returns the IDs of the items a slot list names as an
+// exact-size list, nil when empty. A released slot still names its
+// object until reclaim.
+func (t *slotTable) idsOf(slots []int32) []int64 {
+	if len(slots) == 0 {
+		return nil
+	}
+	ids := make([]int64, len(slots))
+	for i, s := range slots {
+		ids[i] = t.items[s].ID
+	}
+	return ids
 }

@@ -20,11 +20,12 @@ import (
 // names), and its subscriber must have been told its ID set.
 func TestSlotLifetime(t *testing.T) {
 	// known is each query's candidate ID set as its subscriber was
-	// told: the registration answer, then every event.
+	// told: the registration answer, with every event folded in.
 	known := map[QueryID]map[int64]bool{}
+	var bad error
 	m := NewMonitor(Config{Notify: func(e Event) {
-		if e.Kind == CandidatesChanged {
-			known[e.Query] = idsOf(e.Candidates)
+		if e.Kind == CandidatesChanged && bad == nil {
+			bad = applyDelta(known[e.Query], e)
 		}
 	}})
 	priv := map[int64]geom.Rect{}
@@ -77,6 +78,9 @@ func TestSlotLifetime(t *testing.T) {
 
 	check := func(step string) {
 		t.Helper()
+		if bad != nil {
+			t.Fatalf("%s: %v", step, bad)
+		}
 		var privItems, pubItems []rtree.Item
 		for id, r := range priv {
 			privItems = append(privItems, rtree.Item{Rect: r, ID: id})

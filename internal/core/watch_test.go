@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -43,7 +44,9 @@ func (r *cloakRecorder) Cloak(uid anonymizer.UserID) (anonymizer.CloakedRegion, 
 // one keeps the list (SafeRegionHits advances) until the next
 // re-evaluation, so the list may instead equal the one-shot answer at
 // an earlier cloak containing the current one; it must then also stay
-// inclusive at sampled points of the current cloak.
+// inclusive at sampled points of the current cloak. The watch's events,
+// folded into its registration answer, must give the same ID set as
+// Candidates after every batch.
 func TestWatchesMatchSnapshot(t *testing.T) {
 	for _, kind := range []string{BasicBackend, AdaptiveBackend, ClusterBackend, GeoIndBackend} {
 		t.Run(kind, func(t *testing.T) { runWatchesMatchSnapshot(t, kind) })
@@ -75,7 +78,15 @@ func runWatchesMatchSnapshot(t *testing.T, kind string) {
 	if err := c.LoadPublicObjects(objs); err != nil {
 		t.Fatal(err)
 	}
-	mon := c.EnableContinuous(nil)
+	// known is each watch's candidate ID set as its subscriber was told:
+	// the registration answer, with every event folded in.
+	known := map[continuous.QueryID]map[int64]bool{}
+	var bad error
+	mon := c.EnableContinuous(func(e continuous.Event) {
+		if e.Kind == continuous.CandidatesChanged && bad == nil {
+			bad = foldEvent(known[e.Query], e)
+		}
+	})
 
 	// given lists the cloaks the monitor may have evaluated the watch
 	// at: every cloak it was handed since the last one that lay inside
@@ -93,18 +104,20 @@ func runWatchesMatchSnapshot(t *testing.T, kind string) {
 	for i := 0; i < nUsers; i += 5 {
 		w := &watch{uid: anonymizer.UserID(i), kind: i / 5 % 3}
 		w.pid, _ = c.pseudo.Get(int64(w.uid))
+		var cands []rtree.Item
 		var err error
 		switch w.kind {
 		case 0:
-			w.qid, _, err = c.WatchNearest(w.uid, privacyqp.PublicData)
+			w.qid, cands, err = c.WatchNearest(w.uid, privacyqp.PublicData)
 		case 1:
-			w.qid, _, err = c.WatchNearest(w.uid, privacyqp.PrivateData)
+			w.qid, cands, err = c.WatchNearest(w.uid, privacyqp.PrivateData)
 		default:
-			w.qid, _, err = c.WatchRange(w.uid, radius, privacyqp.PrivateData)
+			w.qid, cands, err = c.WatchRange(w.uid, radius, privacyqp.PrivateData)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
+		known[w.qid] = idSet(cands)
 		w.given = []geom.Rect{rec.last[w.uid]}
 		watches = append(watches, w)
 		byUID[w.uid] = w
@@ -113,6 +126,9 @@ func runWatchesMatchSnapshot(t *testing.T, kind string) {
 	opt := c.Config().Query
 	check := func(batch int) {
 		t.Helper()
+		if bad != nil {
+			t.Fatalf("batch %d: %v", batch, bad)
+		}
 		pubAll := c.Server().PublicItems()
 		priv := rtree.BulkLoad(c.Server().PrivateItems())
 		for _, w := range watches {
@@ -121,6 +137,9 @@ func runWatchesMatchSnapshot(t *testing.T, kind string) {
 				t.Fatalf("batch %d: watch %d vanished", batch, w.qid)
 			}
 			gotIDs := idSet(got)
+			if !sameIDs(gotIDs, known[w.qid]) {
+				t.Fatalf("batch %d: watch %d holds %d candidates, its events fold to %d", batch, w.qid, len(gotIDs), len(known[w.qid]))
+			}
 			all := pubAll
 			if w.kind != 0 {
 				all = privacyqp.Without(priv, w.pid).All()
@@ -220,6 +239,31 @@ func runWatchesMatchSnapshot(t *testing.T, kind string) {
 		check(batch)
 	}
 	t.Logf("%s: %d watches, %d evaluations, %d of %d nested cloaks kept their list", kind, len(watches), mon.Evaluations(), hits, mayKeep)
+}
+
+// foldEvent folds a CandidatesChanged event into the candidate ID set
+// its subscriber holds. It fails when the event is for no known watch,
+// is empty, drops an ID the set lacks, or adds one the set holds.
+func foldEvent(set map[int64]bool, e continuous.Event) error {
+	switch {
+	case set == nil:
+		return fmt.Errorf("event for unknown watch %d", e.Query)
+	case len(e.Added) == 0 && len(e.Dropped) == 0:
+		return fmt.Errorf("watch %d notified of an unchanged candidate set", e.Query)
+	}
+	for _, id := range e.Dropped {
+		if !set[id] {
+			return fmt.Errorf("watch %d: event drops %d, which its subscriber does not hold", e.Query, id)
+		}
+		delete(set, id)
+	}
+	for _, it := range e.Added {
+		if set[it.ID] {
+			return fmt.Errorf("watch %d: event adds %d, which its subscriber holds", e.Query, it.ID)
+		}
+		set[it.ID] = true
+	}
+	return nil
 }
 
 func idSet(items []rtree.Item) map[int64]bool {

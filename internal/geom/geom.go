@@ -159,24 +159,24 @@ func (r Rect) Intersect(s Rect) (Rect, bool) {
 		return Rect{}, false
 	}
 	return Rect{
-		Min: Point{math.Max(r.Min.X, s.Min.X), math.Max(r.Min.Y, s.Min.Y)},
-		Max: Point{math.Min(r.Max.X, s.Max.X), math.Min(r.Max.Y, s.Max.Y)},
+		Min: Point{max(r.Min.X, s.Min.X), max(r.Min.Y, s.Min.Y)},
+		Max: Point{min(r.Max.X, s.Max.X), min(r.Max.Y, s.Max.Y)},
 	}, true
 }
 
 // Union returns the minimum bounding rectangle of r and s.
 func (r Rect) Union(s Rect) Rect {
 	return Rect{
-		Min: Point{math.Min(r.Min.X, s.Min.X), math.Min(r.Min.Y, s.Min.Y)},
-		Max: Point{math.Max(r.Max.X, s.Max.X), math.Max(r.Max.Y, s.Max.Y)},
+		Min: Point{min(r.Min.X, s.Min.X), min(r.Min.Y, s.Min.Y)},
+		Max: Point{max(r.Max.X, s.Max.X), max(r.Max.Y, s.Max.Y)},
 	}
 }
 
 // ExtendPoint returns the minimum bounding rectangle of r and p.
 func (r Rect) ExtendPoint(p Point) Rect {
 	return Rect{
-		Min: Point{math.Min(r.Min.X, p.X), math.Min(r.Min.Y, p.Y)},
-		Max: Point{math.Max(r.Max.X, p.X), math.Max(r.Max.Y, p.Y)},
+		Min: Point{min(r.Min.X, p.X), min(r.Min.Y, p.Y)},
+		Max: Point{max(r.Max.X, p.X), max(r.Max.Y, p.Y)},
 	}
 }
 
@@ -272,8 +272,8 @@ func (p Point) MaxDistRect(r Rect) float64 {
 
 // MaxDist2Rect returns the squared maximum distance from p to r.
 func (p Point) MaxDist2Rect(r Rect) float64 {
-	dx := math.Max(math.Abs(p.X-r.Min.X), math.Abs(p.X-r.Max.X))
-	dy := math.Max(math.Abs(p.Y-r.Min.Y), math.Abs(p.Y-r.Max.Y))
+	dx := max(math.Abs(p.X-r.Min.X), math.Abs(p.X-r.Max.X))
+	dy := max(math.Abs(p.Y-r.Min.Y), math.Abs(p.Y-r.Max.Y))
 	return dx*dx + dy*dy
 }
 
@@ -288,8 +288,8 @@ func MinDistRects(a, b Rect) float64 {
 // MaxDistRects returns the maximum distance between any point of a and
 // any point of b.
 func MaxDistRects(a, b Rect) float64 {
-	dx := math.Max(math.Abs(a.Max.X-b.Min.X), math.Abs(b.Max.X-a.Min.X))
-	dy := math.Max(math.Abs(a.Max.Y-b.Min.Y), math.Abs(b.Max.Y-a.Min.Y))
+	dx := max(math.Abs(a.Max.X-b.Min.X), math.Abs(b.Max.X-a.Min.X))
+	dy := max(math.Abs(a.Max.Y-b.Min.Y), math.Abs(b.Max.Y-a.Min.Y))
 	return math.Hypot(dx, dy)
 }
 

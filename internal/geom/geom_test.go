@@ -500,3 +500,65 @@ func randRect(rng *rand.Rand, scale float64) Rect {
 func samplePoint(rng *rand.Rand, r Rect) Point {
 	return Pt(r.Min.X+rng.Float64()*r.Width(), r.Min.Y+rng.Float64()*r.Height())
 }
+
+// TestKernelsMatchMathMinMax pins the rect kernels that use the builtin
+// min and max to the math.Min/math.Max forms they replaced, bit for
+// bit, on finite coordinates with ±0 included: the two differ only
+// when a NaN meets an infinity, and IsValid rejects both.
+func TestKernelsMatchMathMinMax(t *testing.T) {
+	special := []float64{math.Copysign(0, -1), 0, -1, 1, 2.5, -3.25, 1e300, -1e300, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64}
+	rng := rand.New(rand.NewSource(5))
+	coord := func() float64 {
+		if rng.Intn(2) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return rng.Float64()*200 - 100
+	}
+	// rect keeps both zeros' signs where they land: Min <= Max holds
+	// for -0 and +0 in either order.
+	rect := func() Rect {
+		x0, x1, y0, y1 := coord(), coord(), coord(), coord()
+		if x1 < x0 {
+			x0, x1 = x1, x0
+		}
+		if y1 < y0 {
+			y0, y1 = y1, y0
+		}
+		return Rect{Min: Point{x0, y0}, Max: Point{x1, y1}}
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	sameRect := func(a, b Rect) bool {
+		return same(a.Min.X, b.Min.X) && same(a.Min.Y, b.Min.Y) && same(a.Max.X, b.Max.X) && same(a.Max.Y, b.Max.Y)
+	}
+	for i := 0; i < 20000; i++ {
+		r, s, p := rect(), rect(), Pt(coord(), coord())
+		if got, ok := r.Intersect(s); ok && !sameRect(got, Rect{
+			Min: Point{math.Max(r.Min.X, s.Min.X), math.Max(r.Min.Y, s.Min.Y)},
+			Max: Point{math.Min(r.Max.X, s.Max.X), math.Min(r.Max.Y, s.Max.Y)},
+		}) {
+			t.Fatalf("%v.Intersect(%v) = %v", r, s, got)
+		}
+		if got := r.Union(s); !sameRect(got, Rect{
+			Min: Point{math.Min(r.Min.X, s.Min.X), math.Min(r.Min.Y, s.Min.Y)},
+			Max: Point{math.Max(r.Max.X, s.Max.X), math.Max(r.Max.Y, s.Max.Y)},
+		}) {
+			t.Fatalf("%v.Union(%v) = %v", r, s, got)
+		}
+		if got := r.ExtendPoint(p); !sameRect(got, Rect{
+			Min: Point{math.Min(r.Min.X, p.X), math.Min(r.Min.Y, p.Y)},
+			Max: Point{math.Max(r.Max.X, p.X), math.Max(r.Max.Y, p.Y)},
+		}) {
+			t.Fatalf("%v.ExtendPoint(%v) = %v", r, p, got)
+		}
+		dx := math.Max(math.Abs(p.X-r.Min.X), math.Abs(p.X-r.Max.X))
+		dy := math.Max(math.Abs(p.Y-r.Min.Y), math.Abs(p.Y-r.Max.Y))
+		if got := p.MaxDist2Rect(r); !same(got, dx*dx+dy*dy) {
+			t.Fatalf("%v.MaxDist2Rect(%v) = %v, want %v", p, r, got, dx*dx+dy*dy)
+		}
+		dx = math.Max(math.Abs(r.Max.X-s.Min.X), math.Abs(s.Max.X-r.Min.X))
+		dy = math.Max(math.Abs(r.Max.Y-s.Min.Y), math.Abs(s.Max.Y-r.Min.Y))
+		if got := MaxDistRects(r, s); !same(got, math.Hypot(dx, dy)) {
+			t.Fatalf("MaxDistRects(%v, %v) = %v, want %v", r, s, got, math.Hypot(dx, dy))
+		}
+	}
+}
