@@ -237,7 +237,8 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzMonitorDeltaEquivalence -fuzztime 10s -fuzzminimizetime 50x ./internal/continuous
 
 # race-stress runs the concurrency stress suites repeatedly under the
-# race detector: the anonymizer backends' stress, the identity table's
+# race detector: all four anonymizer backends' stress (one
+# stressAnonymizer workload each, in stress_test.go), the identity table's
 # concurrent churn, the core batch workload, the server/WAL
 # interleavings, the casperd scrape-under-traffic trace-ring stress,
 # the continuous-query monitor's single-lock stress, the privacy

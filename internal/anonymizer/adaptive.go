@@ -2,8 +2,6 @@ package anonymizer
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"casper/internal/geom"
 	"casper/internal/pyramid"
@@ -15,7 +13,8 @@ import (
 // privacy profile. The structure is a quadtree whose leaves are the
 // "lowest maintained cells"; cells split when a user in them could be
 // satisfied one level deeper, and four sibling cells merge when no
-// user in them can be satisfied at their level.
+// user in them can be satisfied at their level. Each user's table
+// slot is her maintained leaf.
 //
 // Cloaking runs the same Algorithm 1 as the basic anonymizer but
 // starts from the user's lowest maintained cell instead of the lowest
@@ -24,19 +23,13 @@ import (
 // maintained ancestors and their siblings — exists as a node, because
 // splits always create all four children of a cell.
 //
-// Adaptive is safe for concurrent use: cloaking and other read-only
-// operations proceed in parallel under a read lock, while mutations
-// (register, deregister, update, profile changes) serialize behind the
-// write lock and restructure the pyramid eagerly before releasing it:
-// each mutation runs the merge check on the cell a user left, then the
-// split check on the cell she is in, so every reader sees the split/
-// merge fixed point.
+// Maintenance is eager: under the table's write lock each mutation
+// runs the merge check on the cell a user left, then the split check
+// on the cell she is in, so every reader sees the split/merge fixed
+// point.
 type Adaptive struct {
-	mu      sync.RWMutex
-	grid    pyramid.Grid
-	root    *aNode
-	users   map[UserID]*aEntry
-	updates int64
+	table[*aNode]
+	root *aNode
 }
 
 // aNode is one maintained pyramid cell. children is nil for a
@@ -49,25 +42,15 @@ type aNode struct {
 	users    map[UserID]*aEntry
 }
 
-type aEntry struct {
-	uid     UserID
-	profile Profile
-	pos     geom.Point
-	leaf    *aNode
-}
+// aEntry is a user row whose slot is her maintained leaf.
+type aEntry = entry[*aNode]
 
 // NewAdaptive builds an adaptive anonymizer over a square universe
 // with the given maximum pyramid height.
 func NewAdaptive(universe geom.Rect, levels int) *Adaptive {
-	grid := pyramid.NewGrid(universe, levels)
-	return &Adaptive{
-		grid: grid,
-		root: &aNode{
-			cell:  pyramid.Root(),
-			users: make(map[UserID]*aEntry),
-		},
-		users: make(map[UserID]*aEntry),
-	}
+	a := &Adaptive{root: &aNode{cell: pyramid.Root(), users: make(map[UserID]*aEntry)}}
+	a.init("adaptive", pyramid.NewGrid(universe, levels), a)
+	return a
 }
 
 // childIndex returns which of a node's four children (in
@@ -77,8 +60,8 @@ func childIndex(parent pyramid.CellID, descendant pyramid.CellID) int {
 	return (c.Y&1)<<1 | (c.X & 1)
 }
 
-// locate descends to the maintained leaf containing p.
-func (a *Adaptive) locate(p geom.Point) *aNode {
+// at descends to the maintained leaf containing p.
+func (a *Adaptive) at(p geom.Point) *aNode {
 	target := a.grid.LeafAt(p)
 	n := a.root
 	for n.children != nil {
@@ -91,68 +74,44 @@ func (a *Adaptive) locate(p geom.Point) *aNode {
 	return n
 }
 
-// Register implements Anonymizer.
-func (a *Adaptive) Register(uid UserID, p geom.Point, prof Profile) error {
-	if err := prof.Validate(); err != nil {
-		return err
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if _, ok := a.users[uid]; ok {
-		return fmt.Errorf("%w: %d", ErrDuplicateUser, uid)
-	}
-	leaf := a.locate(p)
-	e := &aEntry{uid: uid, profile: prof, pos: p, leaf: leaf}
-	leaf.users[uid] = e
-	a.users[uid] = e
+// add places a new user in her maintained leaf, counting her on the
+// path to the root, and splits the leaf if she justifies it.
+func (a *Adaptive) add(e *aEntry) {
+	leaf := a.at(e.pos)
+	e.slot = leaf
+	leaf.users[e.uid] = e
 	for n := leaf; n != nil; n = n.parent {
 		n.count++
 		a.updates++
 	}
 	a.maybeSplit(leaf)
-	return nil
 }
 
-// Deregister implements Anonymizer.
-func (a *Adaptive) Deregister(uid UserID) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	e, ok := a.users[uid]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownUser, uid)
-	}
-	leaf := e.leaf
-	delete(leaf.users, uid)
-	delete(a.users, uid)
+// remove uncounts a departed user and merges what she leaves behind.
+func (a *Adaptive) remove(e *aEntry) {
+	leaf := e.slot
+	delete(leaf.users, e.uid)
 	for n := leaf; n != nil; n = n.parent {
 		n.count--
 		a.updates++
 	}
 	a.maybeMerge(leaf.parent)
-	return nil
 }
 
-// Update implements Anonymizer.
-func (a *Adaptive) Update(uid UserID, p geom.Point) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	e, ok := a.users[uid]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownUser, uid)
-	}
-	oldLeaf := e.leaf
-	target := a.grid.LeafAt(p)
+// move re-homes a user after a location update.
+func (a *Adaptive) move(e *aEntry) {
+	oldLeaf := e.slot
+	target := a.grid.LeafAt(e.pos)
 	if oldLeaf.cell.ContainsCell(target) {
 		// Still inside the same maintained cell: no counter changes,
 		// but the user's child assignment may now justify a split.
-		e.pos = p
 		a.maybeSplit(oldLeaf)
-		return nil
+		return
 	}
 	// Remove from the old leaf and walk up, decrementing, until the
 	// lowest common ancestor (the first maintained cell containing the
 	// new position).
-	delete(oldLeaf.users, uid)
+	delete(oldLeaf.users, e.uid)
 	n := oldLeaf
 	for !n.cell.ContainsCell(target) {
 		n.count--
@@ -165,66 +124,27 @@ func (a *Adaptive) Update(uid UserID, p geom.Point) error {
 		n.count++
 		a.updates++
 	}
-	e.pos = p
-	e.leaf = n
-	n.users[uid] = e
+	e.slot = n
+	n.users[e.uid] = e
 	a.maybeMerge(oldLeaf.parent)
 	a.maybeSplit(n)
-	return nil
 }
 
-// SetProfile implements Anonymizer. A more relaxed profile can
-// justify splitting the user's cell; a stricter one can allow merging.
-func (a *Adaptive) SetProfile(uid UserID, prof Profile) error {
-	if err := prof.Validate(); err != nil {
-		return err
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	e, ok := a.users[uid]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownUser, uid)
-	}
-	e.profile = prof
-	leaf := e.leaf
+// reprofile restructures after a profile change: a more relaxed
+// profile can justify splitting the user's cell, a stricter one can
+// allow merging.
+func (a *Adaptive) reprofile(e *aEntry) {
+	leaf := e.slot
 	a.maybeMerge(leaf.parent)
 	a.maybeSplit(leaf)
-	return nil
 }
 
-// Cloak implements Anonymizer.
-func (a *Adaptive) Cloak(uid UserID) (CloakedRegion, error) {
-	start := time.Now()
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	e, ok := a.users[uid]
-	if !ok {
-		return CloakedRegion{}, fmt.Errorf("%w: %d", ErrUnknownUser, uid)
-	}
-	cr, err := a.cloakFromNode(e.leaf, e.profile)
-	adaptiveCloakMetrics.observe(start, cr, err)
-	return cr, err
-}
-
-// CloakAt implements Anonymizer.
-func (a *Adaptive) CloakAt(p geom.Point, prof Profile) (CloakedRegion, error) {
-	start := time.Now()
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	cr, err := a.cloakFromNode(a.locate(p), prof)
-	adaptiveCloakMetrics.observe(start, cr, err)
-	return cr, err
-}
-
-// cloakFromNode is Algorithm 1 running directly on the incomplete
-// pyramid's node structure: counts and sibling neighbors are O(1)
+// cloak is Algorithm 1 running directly on the incomplete pyramid's
+// node structure, from node n: counts and sibling neighbors are O(1)
 // pointer lookups instead of root-to-cell descents, which is where the
 // adaptive anonymizer's cloaking-time advantage comes from. The
 // neighbor step is the same neighborMerge the basic anonymizer uses.
-func (a *Adaptive) cloakFromNode(n *aNode, prof Profile) (CloakedRegion, error) {
-	if err := prof.Validate(); err != nil {
-		return CloakedRegion{}, err
-	}
+func (a *Adaptive) cloak(_ geom.Point, n *aNode, prof Profile) (CloakedRegion, error) {
 	steps := 0
 	for {
 		area := a.grid.CellArea(n.cell.Level)
@@ -263,45 +183,6 @@ func (a *Adaptive) cloakFromNode(n *aNode, prof Profile) (CloakedRegion, error) 
 		n = n.parent
 		steps++
 	}
-}
-
-// Name implements Anonymizer.
-func (a *Adaptive) Name() string { return "adaptive" }
-
-// ForEachUser implements Anonymizer.
-func (a *Adaptive) ForEachUser(fn func(UserID, geom.Point, Profile) bool) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	for uid, e := range a.users {
-		if !fn(uid, e.pos, e.profile) {
-			return
-		}
-	}
-}
-
-// Users implements Anonymizer.
-func (a *Adaptive) Users() int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return len(a.users)
-}
-
-// Grid implements Anonymizer.
-func (a *Adaptive) Grid() pyramid.Grid { return a.grid }
-
-// UpdateCost implements Anonymizer. It includes the restructuring work
-// the mutations triggered.
-func (a *Adaptive) UpdateCost() int64 {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.updates
-}
-
-// ResetUpdateCost implements Anonymizer.
-func (a *Adaptive) ResetUpdateCost() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.updates = 0
 }
 
 // MaintainedCells returns the number of maintained cells (nodes); an
@@ -392,7 +273,7 @@ func (a *Adaptive) maybeSplit(leaf *aNode) {
 	for uid, e := range leaf.users {
 		c := children[childIndex(leaf.cell, a.grid.LeafAt(e.pos))]
 		c.users[uid] = e
-		e.leaf = c
+		e.slot = c
 	}
 	leaf.users = nil
 	leaf.children = &children
@@ -411,7 +292,7 @@ func (a *Adaptive) maybeMerge(parent *aNode) {
 		for _, c := range parent.children {
 			for uid, e := range c.users {
 				merged[uid] = e
-				e.leaf = parent
+				e.slot = parent
 				moved++
 			}
 			// Detach the orphaned child so stale references to it are
@@ -440,7 +321,7 @@ func (a *Adaptive) CheckConsistency() error {
 	walk = func(n *aNode) (int, error) {
 		if n.children == nil {
 			for uid, e := range n.users {
-				if e.leaf != n {
+				if e.slot != n {
 					return 0, fmt.Errorf("user %d leaf pointer mismatch", uid)
 				}
 				if got := a.grid.CellAt(n.cell.Level, e.pos); got != n.cell {
@@ -499,26 +380,4 @@ func (a *Adaptive) CheckConsistency() error {
 		}
 	}
 	return nil
-}
-
-// Profile returns the stored profile of a user.
-func (a *Adaptive) Profile(uid UserID) (Profile, error) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	e, ok := a.users[uid]
-	if !ok {
-		return Profile{}, fmt.Errorf("%w: %d", ErrUnknownUser, uid)
-	}
-	return e.profile, nil
-}
-
-// Position returns the stored exact position of a user.
-func (a *Adaptive) Position(uid UserID) (geom.Point, error) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	e, ok := a.users[uid]
-	if !ok {
-		return geom.Point{}, fmt.Errorf("%w: %d", ErrUnknownUser, uid)
-	}
-	return e.pos, nil
 }

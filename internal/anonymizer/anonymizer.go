@@ -4,7 +4,9 @@
 // user's privacy profile (k, Amin) before anything reaches the
 // location-based database server (Sec. 4 of the paper).
 //
-// Two interchangeable implementations are provided:
+// Four backends share one user table (table.go): the uid map and its
+// lock, the profile checks, the lifecycle operations and the cloak
+// metrics. A backend is only the spatial structure behind the table:
 //
 //   - Basic: a complete grid pyramid with a per-cell user counter at
 //     every level (Sec. 4.1). Location updates propagate counter
@@ -15,18 +17,21 @@
 //     (Sec. 4.2), with cell splitting and merging as profiles and
 //     positions change. Cloaking starts from the lowest *maintained*
 //     cell, usually eliminating the upward recursion entirely.
+//   - Cluster: leaf-cell buckets searched ring by ring for the k
+//     nearest users (group formation, for comparison).
+//   - GeoInd: a planar Laplace sampler releasing perturbed points
+//     (geo-indistinguishability, for comparison).
 //
-// Both run the same bottom-up cloaking procedure (Algorithm 1), so
-// they satisfy the paper's four requirements: accuracy (the region's
-// population and area track k and Amin), quality (regions are
-// grid-aligned and data-independent, so every point of a region is
-// equally likely), efficiency, and flexibility (per-user profiles,
-// changeable at any time).
+// Basic and Adaptive run the same bottom-up cloaking procedure
+// (Algorithm 1), so they satisfy the paper's four requirements:
+// accuracy (the region's population and area track k and Amin),
+// quality (regions are grid-aligned and data-independent, so every
+// point of a region is equally likely), efficiency, and flexibility
+// (per-user profiles, changeable at any time).
 //
-// Both implementations are safe for concurrent use: cloaking (a pure
-// read of the pyramid) runs in parallel under a read lock, while
-// registrations, location updates, and profile changes take the write
-// lock.
+// Every backend is safe for concurrent use: cloaking runs in parallel
+// under the table's read lock, while registrations, location updates,
+// and profile changes take its write lock.
 package anonymizer
 
 import (
@@ -62,13 +67,6 @@ func (p Profile) Validate() error {
 		return fmt.Errorf("anonymizer: profile Amin=%v, need Amin >= 0", p.AMin)
 	}
 	return nil
-}
-
-// MoreRelaxedThan reports whether p is a strictly weaker requirement
-// than q on at least one axis and no stronger on the other. It orders
-// the "most relaxed user" bookkeeping of the adaptive anonymizer.
-func (p Profile) MoreRelaxedThan(q Profile) bool {
-	return (p.K < q.K && p.AMin <= q.AMin) || (p.K <= q.K && p.AMin < q.AMin)
 }
 
 // Mechanism discriminates how a backend blurred a location. The query
@@ -180,6 +178,9 @@ type Anonymizer interface {
 	CloakAt(p geom.Point, prof Profile) (CloakedRegion, error)
 	// Users returns the number of registered users.
 	Users() int
+	// Position returns a user's stored exact position. Only the
+	// anonymizer side (the trusted party) may call this.
+	Position(uid UserID) (geom.Point, error)
 	// Grid exposes the pyramid geometry in use.
 	Grid() pyramid.Grid
 	// UpdateCost returns the cumulative number of cell-counter writes
@@ -193,8 +194,8 @@ type Anonymizer interface {
 	// party) may call this; it exists so one backend can hand its
 	// population to another when the operator switches backends at
 	// runtime. Iteration order is unspecified; fn returning false
-	// stops the walk. The snapshot is best-effort under concurrent
-	// mutation.
+	// stops the walk. The walk holds the backend's read lock, so fn
+	// sees a consistent population and must not mutate the backend.
 	ForEachUser(fn func(UserID, geom.Point, Profile) bool)
 }
 
@@ -213,11 +214,8 @@ type CloakOpts struct {
 // otherwise try combining it with its horizontal or vertical sibling
 // neighbor (neighborMerge); otherwise recurse on the parent. The loop
 // form below is the tail-recursive algorithm unrolled. The caller
-// holds a lock that excludes writers of pyr.
+// holds a lock that excludes writers of pyr and has validated prof.
 func bottomUpCloak(pyr *pyramid.Complete, g pyramid.Grid, start pyramid.CellID, prof Profile, opts CloakOpts) (CloakedRegion, error) {
-	if err := prof.Validate(); err != nil {
-		return CloakedRegion{}, err
-	}
 	steps := 0
 	for cid := start; ; cid = cid.Parent() {
 		n := pyr.Count(cid)

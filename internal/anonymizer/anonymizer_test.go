@@ -24,24 +24,6 @@ func TestProfileValidate(t *testing.T) {
 	}
 }
 
-func TestProfileMoreRelaxedThan(t *testing.T) {
-	cases := []struct {
-		p, q Profile
-		want bool
-	}{
-		{Profile{1, 0}, Profile{5, 0}, true},
-		{Profile{5, 0}, Profile{1, 0}, false},
-		{Profile{3, 10}, Profile{3, 20}, true},
-		{Profile{3, 10}, Profile{3, 10}, false},
-		{Profile{2, 30}, Profile{5, 10}, false}, // incomparable
-	}
-	for _, c := range cases {
-		if got := c.p.MoreRelaxedThan(c.q); got != c.want {
-			t.Errorf("MoreRelaxedThan(%v, %v) = %v", c.p, c.q, got)
-		}
-	}
-}
-
 // both runs a subtest against each implementation.
 func both(t *testing.T, levels int, fn func(t *testing.T, a Anonymizer)) {
 	t.Helper()
@@ -49,25 +31,60 @@ func both(t *testing.T, levels int, fn func(t *testing.T, a Anonymizer)) {
 	t.Run("adaptive", func(t *testing.T) { fn(t, NewAdaptive(universe, levels)) })
 }
 
+// everyBackend runs a subtest against each registered backend.
+func everyBackend(t *testing.T, levels int, fn func(t *testing.T, a Anonymizer)) {
+	t.Helper()
+	for _, name := range Backends() {
+		t.Run(name, func(t *testing.T) {
+			a, err := New(name, BackendConfig{Universe: universe, Levels: levels, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fn(t, a)
+		})
+	}
+}
+
+// profiler is the profile read every backend offers next to the
+// Anonymizer interface.
+type profiler interface {
+	Profile(UserID) (Profile, error)
+}
+
 func TestRegisterErrors(t *testing.T) {
-	both(t, 5, func(t *testing.T, a Anonymizer) {
-		if err := a.Register(1, geom.Pt(10, 10), Profile{K: 1}); err != nil {
+	everyBackend(t, 5, func(t *testing.T, a Anonymizer) {
+		r := a.(profiler)
+		prof, pos := Profile{K: 1, AMin: 4}, geom.Pt(10, 10)
+		if err := a.Register(1, pos, prof); err != nil {
 			t.Fatal(err)
 		}
-		if err := a.Register(1, geom.Pt(20, 20), Profile{K: 1}); !errors.Is(err, ErrDuplicateUser) {
+		if err := a.Register(1, geom.Pt(20, 20), Profile{K: 3}); !errors.Is(err, ErrDuplicateUser) {
 			t.Fatalf("duplicate register: %v", err)
 		}
 		if err := a.Register(2, geom.Pt(10, 10), Profile{K: 0}); err == nil {
 			t.Fatal("invalid profile accepted")
 		}
+		if err := a.SetProfile(1, Profile{K: 1, AMin: -1}); err == nil {
+			t.Fatal("invalid profile change accepted")
+		}
 		if a.Users() != 1 {
 			t.Fatalf("Users = %d", a.Users())
+		}
+		// Refusals leave the stored user untouched and store nobody.
+		if got, err := r.Profile(1); err != nil || got != prof {
+			t.Fatalf("Profile(1) = %+v, %v; want %+v", got, err, prof)
+		}
+		if got, err := a.Position(1); err != nil || got != pos {
+			t.Fatalf("Position(1) = %v, %v; want %v", got, err, pos)
+		}
+		if _, err := r.Profile(2); !errors.Is(err, ErrUnknownUser) {
+			t.Fatalf("refused registration stored uid 2: %v", err)
 		}
 	})
 }
 
 func TestUnknownUserErrors(t *testing.T) {
-	both(t, 5, func(t *testing.T, a Anonymizer) {
+	everyBackend(t, 5, func(t *testing.T, a Anonymizer) {
 		if err := a.Update(9, geom.Pt(1, 1)); !errors.Is(err, ErrUnknownUser) {
 			t.Fatalf("Update: %v", err)
 		}
@@ -79,6 +96,12 @@ func TestUnknownUserErrors(t *testing.T) {
 		}
 		if _, err := a.Cloak(9); !errors.Is(err, ErrUnknownUser) {
 			t.Fatalf("Cloak: %v", err)
+		}
+		if _, err := a.(profiler).Profile(9); !errors.Is(err, ErrUnknownUser) {
+			t.Fatalf("Profile: %v", err)
+		}
+		if _, err := a.Position(9); !errors.Is(err, ErrUnknownUser) {
+			t.Fatalf("Position: %v", err)
 		}
 	})
 }

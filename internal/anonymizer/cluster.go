@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"casper/internal/geom"
 	"casper/internal/pyramid"
@@ -27,11 +25,10 @@ import (
 // between cell boundaries. The comparison harness quantifies exactly
 // this trade-off.
 //
-// Cluster is safe for concurrent use: cloaks run under a read lock,
-// mutations under the write lock. The lock guards both the uid index
-// and the per-leaf-cell buckets that drive the ring search.
+// The table's slot is each user's leaf cell; the leaf-cell buckets
+// that drive the ring search sit under the table's lock.
 type Cluster struct {
-	grid     pyramid.Grid
+	table[pyramid.CellID]
 	universe geom.Rect
 	cellW    float64 // leaf cell width
 	cellH    float64 // leaf cell height
@@ -40,17 +37,7 @@ type Cluster struct {
 	// minK floors every profile's k during group formation; 0 = none.
 	minK atomic.Int64
 
-	mu    sync.RWMutex
-	users map[UserID]*clusterEntry
-	cells map[pyramid.CellID]map[UserID]*clusterEntry
-
-	updates atomic.Int64
-}
-
-type clusterEntry struct {
-	profile Profile
-	pos     geom.Point
-	leaf    pyramid.CellID
+	cells map[pyramid.CellID]map[UserID]*cellEntry
 }
 
 // NewCluster builds a clustering backend over the universe; levels
@@ -60,15 +47,15 @@ func NewCluster(universe geom.Rect, levels int) *Cluster {
 	grid := pyramid.NewGrid(universe, levels)
 	side := 1 << grid.LowestLevel()
 	u := grid.CellRect(pyramid.Root())
-	return &Cluster{
-		grid:     grid,
+	c := &Cluster{
 		universe: u,
 		cellW:    u.Width() / float64(side),
 		cellH:    u.Height() / float64(side),
 		side:     side,
-		users:    make(map[UserID]*clusterEntry),
-		cells:    make(map[pyramid.CellID]map[UserID]*clusterEntry),
+		cells:    make(map[pyramid.CellID]map[UserID]*cellEntry),
 	}
+	c.init("cluster", grid, c)
+	return c
 }
 
 // SetMinK sets (or with 0 clears) the group-size floor applied on top
@@ -84,132 +71,52 @@ func (c *Cluster) SetMinK(k int) error {
 // MinK returns the current group-size floor (0 = none).
 func (c *Cluster) MinK() int { return int(c.minK.Load()) }
 
-// Name implements Anonymizer.
-func (c *Cluster) Name() string { return "cluster" }
-
-func (c *Cluster) addToCell(uid UserID, e *clusterEntry) {
-	m := c.cells[e.leaf]
+// add puts a user in the bucket of her leaf cell.
+func (c *Cluster) add(e *cellEntry) {
+	e.slot = c.grid.LeafAt(e.pos)
+	m := c.cells[e.slot]
 	if m == nil {
-		m = make(map[UserID]*clusterEntry)
-		c.cells[e.leaf] = m
+		m = make(map[UserID]*cellEntry)
+		c.cells[e.slot] = m
 	}
-	m[uid] = e
-	c.updates.Add(1)
+	m[e.uid] = e
+	c.updates++
 }
 
-func (c *Cluster) removeFromCell(uid UserID, e *clusterEntry) {
-	if m := c.cells[e.leaf]; m != nil {
-		delete(m, uid)
+// remove takes a user out of her leaf cell's bucket.
+func (c *Cluster) remove(e *cellEntry) {
+	if m := c.cells[e.slot]; m != nil {
+		delete(m, e.uid)
 		if len(m) == 0 {
-			delete(c.cells, e.leaf)
+			delete(c.cells, e.slot)
 		}
 	}
-	c.updates.Add(1)
+	c.updates++
 }
 
-// Register implements Anonymizer.
-func (c *Cluster) Register(uid UserID, p geom.Point, prof Profile) error {
-	if err := prof.Validate(); err != nil {
-		return err
+// move re-buckets a user who crossed into another leaf cell.
+func (c *Cluster) move(e *cellEntry) {
+	if c.grid.LeafAt(e.pos) == e.slot {
+		c.updates++
+		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.users[uid]; ok {
-		return fmt.Errorf("%w: %d", ErrDuplicateUser, uid)
-	}
-	e := &clusterEntry{profile: prof, pos: p, leaf: c.grid.LeafAt(p)}
-	c.users[uid] = e
-	c.addToCell(uid, e)
-	return nil
+	c.remove(e)
+	c.add(e)
 }
 
-// Deregister implements Anonymizer.
-func (c *Cluster) Deregister(uid UserID) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.users[uid]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownUser, uid)
-	}
-	delete(c.users, uid)
-	c.removeFromCell(uid, e)
-	return nil
-}
+// reprofile is a no-op: the buckets do not depend on profiles.
+func (c *Cluster) reprofile(*cellEntry) {}
 
-// Update implements Anonymizer.
-func (c *Cluster) Update(uid UserID, p geom.Point) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.users[uid]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownUser, uid)
-	}
-	leaf := c.grid.LeafAt(p)
-	if leaf != e.leaf {
-		c.removeFromCell(uid, e)
-		e.leaf = leaf
-		e.pos = p
-		c.addToCell(uid, e)
-	} else {
-		e.pos = p
-		c.updates.Add(1)
-	}
-	return nil
-}
-
-// SetProfile implements Anonymizer.
-func (c *Cluster) SetProfile(uid UserID, prof Profile) error {
-	if err := prof.Validate(); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.users[uid]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownUser, uid)
-	}
-	e.profile = prof
-	return nil
-}
-
-// Cloak implements Anonymizer.
-func (c *Cluster) Cloak(uid UserID) (CloakedRegion, error) {
-	start := time.Now()
-	c.mu.RLock()
-	e, ok := c.users[uid]
-	var cr CloakedRegion
-	var err error
-	if !ok {
-		err = fmt.Errorf("%w: %d", ErrUnknownUser, uid)
-	} else {
-		cr, err = c.cloakLocked(e.pos, e.profile)
-	}
-	c.mu.RUnlock()
-	clusterCloakMetrics.observe(start, cr, err)
-	return cr, err
-}
-
-// CloakAt implements Anonymizer.
-func (c *Cluster) CloakAt(p geom.Point, prof Profile) (CloakedRegion, error) {
-	start := time.Now()
-	c.mu.RLock()
-	cr, err := c.cloakLocked(p, prof)
-	c.mu.RUnlock()
-	clusterCloakMetrics.observe(start, cr, err)
-	return cr, err
-}
+func (c *Cluster) at(p geom.Point) pyramid.CellID { return c.grid.LeafAt(p) }
 
 type groupCand struct {
 	d   float64
 	pos geom.Point
 }
 
-// cloakLocked forms the group and builds the region. Caller holds at
-// least the read lock.
-func (c *Cluster) cloakLocked(pos geom.Point, prof Profile) (CloakedRegion, error) {
-	if err := prof.Validate(); err != nil {
-		return CloakedRegion{}, err
-	}
+// cloak forms the group around pos, in leaf cell center, and builds
+// the region.
+func (c *Cluster) cloak(pos geom.Point, center pyramid.CellID, prof Profile) (CloakedRegion, error) {
 	k := prof.K
 	if mk := int(c.minK.Load()); mk > k {
 		k = mk
@@ -223,7 +130,6 @@ func (c *Cluster) cloakLocked(pos geom.Point, prof Profile) (CloakedRegion, erro
 	// until the k nearest members provably lie inside the scanned
 	// area: after completing ring r, every unseen user is at least
 	// r*min(cellW,cellH) away.
-	center := c.grid.LeafAt(pos)
 	cellMin := math.Min(c.cellW, c.cellH)
 	cands := make([]groupCand, 0, 4*k)
 	rings := 0
@@ -254,7 +160,7 @@ func (c *Cluster) cloakLocked(pos geom.Point, prof Profile) (CloakedRegion, erro
 	return CloakedRegion{
 		Region:     box,
 		Level:      -1,
-		KFound:     c.countInLocked(box),
+		KFound:     c.countIn(box),
 		KRequested: k,
 		StepsUp:    rings,
 	}, nil
@@ -317,9 +223,9 @@ func (c *Cluster) fitToUniverse(r geom.Rect) geom.Rect {
 	return r.ClipTo(c.universe)
 }
 
-// countInLocked counts registered users inside r. Caller holds at
-// least the read lock. Only occupied cells are visited.
-func (c *Cluster) countInLocked(r geom.Rect) int {
+// countIn counts registered users inside r. Only occupied cells are
+// visited.
+func (c *Cluster) countIn(r geom.Rect) int {
 	n := 0
 	for cid, m := range c.cells {
 		if !c.grid.CellRect(cid).Intersects(r) {
@@ -332,54 +238,4 @@ func (c *Cluster) countInLocked(r geom.Rect) int {
 		}
 	}
 	return n
-}
-
-// Users implements Anonymizer.
-func (c *Cluster) Users() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.users)
-}
-
-// Grid implements Anonymizer.
-func (c *Cluster) Grid() pyramid.Grid { return c.grid }
-
-// UpdateCost implements Anonymizer: cumulative leaf-bucket writes.
-func (c *Cluster) UpdateCost() int64 { return c.updates.Load() }
-
-// ResetUpdateCost implements Anonymizer.
-func (c *Cluster) ResetUpdateCost() { c.updates.Store(0) }
-
-// ForEachUser implements Anonymizer.
-func (c *Cluster) ForEachUser(fn func(UserID, geom.Point, Profile) bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for uid, e := range c.users {
-		if !fn(uid, e.pos, e.profile) {
-			return
-		}
-	}
-}
-
-// Profile returns the stored profile of a user.
-func (c *Cluster) Profile(uid UserID) (Profile, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	e, ok := c.users[uid]
-	if !ok {
-		return Profile{}, fmt.Errorf("%w: %d", ErrUnknownUser, uid)
-	}
-	return e.profile, nil
-}
-
-// Position returns the stored exact position of a user. Only the
-// anonymizer (the trusted party) may see this.
-func (c *Cluster) Position(uid UserID) (geom.Point, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	e, ok := c.users[uid]
-	if !ok {
-		return geom.Point{}, fmt.Errorf("%w: %d", ErrUnknownUser, uid)
-	}
-	return e.pos, nil
 }

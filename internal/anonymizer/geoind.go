@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"casper/internal/geom"
 	"casper/internal/pyramid"
@@ -33,30 +32,24 @@ import (
 // uniform, and the radius CDF of the planar Laplace distribution,
 // C(r) = 1 - (1 + ε r)·e^(-ε r), is inverted with the Lambert W
 // function's W₋₁ branch: r = -(W₋₁((p-1)/e) + 1)/ε.
+//
+// The table's slot is empty: a user's row is all the state there is.
 type GeoInd struct {
-	grid     pyramid.Grid
+	table[struct{}]
 	universe geom.Rect
 
 	// epsilon is the base budget, stored as float bits so hot reload
 	// can swap it without a lock.
 	epsilon atomic.Uint64
 
-	users *pyramid.UserTable[*geoEntry]
-
-	// rngMu guards the noise source; sampling is two Float64 draws.
+	// rngMu guards the noise source, which concurrent cloaks share
+	// under the table's read lock; sampling is two Float64 draws.
 	rngMu sync.Mutex
 	rng   *rand.Rand
-
-	updates atomic.Int64
 }
 
-// geoEntry holds one user's state behind its own tiny mutex, so
-// updates to different users never serialize.
-type geoEntry struct {
-	mu      sync.Mutex
-	profile Profile
-	pos     geom.Point
-}
+// geoEntry is a user row with an empty slot.
+type geoEntry = entry[struct{}]
 
 // geoindConfidence is the mass of the noise distribution the reported
 // Radius (and therefore Region) covers.
@@ -67,12 +60,11 @@ const geoindConfidence = 0.95
 func NewGeoInd(universe geom.Rect, levels int, seed int64) *GeoInd {
 	grid := pyramid.NewGrid(universe, levels)
 	g := &GeoInd{
-		grid:     grid,
 		universe: grid.CellRect(pyramid.Root()),
-		users:    pyramid.NewUserTable[*geoEntry](),
 		rng:      rand.New(rand.NewSource(seed)),
 	}
 	g.epsilon.Store(math.Float64bits(DefaultEpsilon))
+	g.init("geoind", grid, g)
 	return g
 }
 
@@ -90,88 +82,17 @@ func (g *GeoInd) SetEpsilon(eps float64) error {
 // Epsilon returns the current base privacy budget.
 func (g *GeoInd) Epsilon() float64 { return math.Float64frombits(g.epsilon.Load()) }
 
-// Name implements Anonymizer.
-func (g *GeoInd) Name() string { return "geoind" }
+// add, move and remove count one table write each: there is no
+// pyramid to maintain — that is the mechanism's efficiency story.
+func (g *GeoInd) add(*geoEntry)          { g.updates++ }
+func (g *GeoInd) move(*geoEntry)         { g.updates++ }
+func (g *GeoInd) remove(*geoEntry)       { g.updates++ }
+func (g *GeoInd) reprofile(*geoEntry)    {}
+func (g *GeoInd) at(geom.Point) struct{} { return struct{}{} }
 
-// Register implements Anonymizer.
-func (g *GeoInd) Register(uid UserID, p geom.Point, prof Profile) error {
-	if err := prof.Validate(); err != nil {
-		return err
-	}
-	if !g.users.Insert(int64(uid), &geoEntry{profile: prof, pos: p}) {
-		return fmt.Errorf("%w: %d", ErrDuplicateUser, uid)
-	}
-	g.updates.Add(1)
-	return nil
-}
-
-// Deregister implements Anonymizer.
-func (g *GeoInd) Deregister(uid UserID) error {
-	if _, ok := g.users.Delete(int64(uid)); !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownUser, uid)
-	}
-	g.updates.Add(1)
-	return nil
-}
-
-// Update implements Anonymizer.
-func (g *GeoInd) Update(uid UserID, p geom.Point) error {
-	e, ok := g.users.Get(int64(uid))
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownUser, uid)
-	}
-	e.mu.Lock()
-	e.pos = p
-	e.mu.Unlock()
-	g.updates.Add(1)
-	return nil
-}
-
-// SetProfile implements Anonymizer.
-func (g *GeoInd) SetProfile(uid UserID, prof Profile) error {
-	if err := prof.Validate(); err != nil {
-		return err
-	}
-	e, ok := g.users.Get(int64(uid))
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownUser, uid)
-	}
-	e.mu.Lock()
-	e.profile = prof
-	e.mu.Unlock()
-	return nil
-}
-
-// Cloak implements Anonymizer.
-func (g *GeoInd) Cloak(uid UserID) (CloakedRegion, error) {
-	start := time.Now()
-	e, ok := g.users.Get(int64(uid))
-	if !ok {
-		err := fmt.Errorf("%w: %d", ErrUnknownUser, uid)
-		geoindCloakMetrics.observe(start, CloakedRegion{}, err)
-		return CloakedRegion{}, err
-	}
-	e.mu.Lock()
-	pos, prof := e.pos, e.profile
-	e.mu.Unlock()
-	cr, err := g.perturb(pos, prof)
-	geoindCloakMetrics.observe(start, cr, err)
-	return cr, err
-}
-
-// CloakAt implements Anonymizer.
-func (g *GeoInd) CloakAt(p geom.Point, prof Profile) (CloakedRegion, error) {
-	start := time.Now()
-	cr, err := g.perturb(p, prof)
-	geoindCloakMetrics.observe(start, cr, err)
-	return cr, err
-}
-
-// perturb draws one planar Laplace sample and assembles the release.
-func (g *GeoInd) perturb(pos geom.Point, prof Profile) (CloakedRegion, error) {
-	if err := prof.Validate(); err != nil {
-		return CloakedRegion{}, err
-	}
+// cloak draws one planar Laplace sample around pos and assembles the
+// release.
+func (g *GeoInd) cloak(pos geom.Point, _ struct{}, prof Profile) (CloakedRegion, error) {
 	// Stronger k-anonymity requests translate to a smaller budget:
 	// ε_u = ε/k, so the noise radius scales linearly with k.
 	epsU := g.Epsilon() / float64(prof.K)
@@ -265,50 +186,4 @@ func clampF(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// Users implements Anonymizer.
-func (g *GeoInd) Users() int { return g.users.Len() }
-
-// Grid implements Anonymizer.
-func (g *GeoInd) Grid() pyramid.Grid { return g.grid }
-
-// UpdateCost implements Anonymizer: table writes (there is no pyramid
-// to maintain — that is the mechanism's efficiency story).
-func (g *GeoInd) UpdateCost() int64 { return g.updates.Load() }
-
-// ResetUpdateCost implements Anonymizer.
-func (g *GeoInd) ResetUpdateCost() { g.updates.Store(0) }
-
-// ForEachUser implements Anonymizer.
-func (g *GeoInd) ForEachUser(fn func(UserID, geom.Point, Profile) bool) {
-	g.users.Range(func(uid int64, e *geoEntry) bool {
-		e.mu.Lock()
-		pos, prof := e.pos, e.profile
-		e.mu.Unlock()
-		return fn(UserID(uid), pos, prof)
-	})
-}
-
-// Profile returns the stored profile of a user.
-func (g *GeoInd) Profile(uid UserID) (Profile, error) {
-	e, ok := g.users.Get(int64(uid))
-	if !ok {
-		return Profile{}, fmt.Errorf("%w: %d", ErrUnknownUser, uid)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.profile, nil
-}
-
-// Position returns the stored exact position of a user. Only the
-// anonymizer (the trusted party) may see this.
-func (g *GeoInd) Position(uid UserID) (geom.Point, error) {
-	e, ok := g.users.Get(int64(uid))
-	if !ok {
-		return geom.Point{}, fmt.Errorf("%w: %d", ErrUnknownUser, uid)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.pos, nil
 }

@@ -29,8 +29,8 @@ var (
 		"Cloak requests that failed (unknown user or unsatisfiable profile), by backend.")
 )
 
-// cloakMetrics bundles the per-kind instruments, resolved once so the
-// cloak hot path pays only atomic adds.
+// cloakMetrics bundles one backend's instruments, resolved once when
+// the backend is built so the cloak hot path pays only atomic adds.
 type cloakMetrics struct {
 	seconds *metrics.Histogram
 	steps   *metrics.Histogram
@@ -46,13 +46,6 @@ func newCloakMetrics(kind string) *cloakMetrics {
 		errors:  cloakErrors.With(kind),
 	}
 }
-
-var (
-	basicCloakMetrics    = newCloakMetrics("basic")
-	adaptiveCloakMetrics = newCloakMetrics("adaptive")
-	clusterCloakMetrics  = newCloakMetrics("cluster")
-	geoindCloakMetrics   = newCloakMetrics("geoind")
-)
 
 // observe records one cloak outcome.
 func (m *cloakMetrics) observe(start time.Time, cr CloakedRegion, err error) {

@@ -357,12 +357,6 @@ func (c *Casper) anon() anonymizer.Anonymizer { return c.backend.Load().anon }
 // can differ from Config().Backend after a hot backend switch.
 func (c *Casper) Backend() string { return c.backend.Load().name }
 
-// SwitchBackend swaps the live privacy backend for the named one,
-// keeping the current knob values. See ReloadBackend.
-func (c *Casper) SwitchBackend(name string) error {
-	return c.ReloadBackend(name, c.cfg.BackendEpsilon, c.cfg.BackendMinK)
-}
-
 // ReloadBackend applies a (backend name, epsilon, minK) triple from a
 // hot config reload. Same name: the knobs are pushed into the live
 // backend in place (backends ignore knobs they don't use). Different
@@ -1067,14 +1061,7 @@ func (c *Casper) UserDensityGrid(n int) ([][]float64, error) {
 // stands in for "the client knows where it is" in this in-process
 // deployment.
 func (c *Casper) userPos(uid anonymizer.UserID) (geom.Point, error) {
-	type positioned interface {
-		Position(anonymizer.UserID) (geom.Point, error)
-	}
-	p, ok := c.anon().(positioned)
-	if !ok {
-		return geom.Point{}, fmt.Errorf("core: anonymizer does not expose positions")
-	}
-	pos, err := p.Position(uid)
+	pos, err := c.anon().Position(uid)
 	return pos, userErr(err)
 }
 

@@ -2,10 +2,10 @@ package pyramid
 
 import "sync"
 
-// UserTable is a hash table keyed by int64 identity (user ID or
-// pseudonym) behind one RWMutex. It backs core's pseudonym table and
-// the geoind backend's (uid → entry) table, the two identity tables no
-// coarser lock already guards.
+// UserTable is a hash table keyed by int64 identity behind one
+// RWMutex. It backs core's pseudonym table, the one identity table no
+// coarser lock already guards (the anonymizer backends keep their
+// users in their own table, under their one lock).
 //
 // The lock is leaf-level: no UserTable method calls out while holding
 // it, so it can never participate in a lock-order cycle with the
@@ -28,19 +28,6 @@ func (t *UserTable[V]) Get(key int64) (V, bool) {
 	return v, ok
 }
 
-// Insert stores v under key if key is absent and reports whether it
-// did (false means the key was already present and the table is
-// unchanged).
-func (t *UserTable[V]) Insert(key int64, v V) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, exists := t.m[key]; exists {
-		return false
-	}
-	t.m[key] = v
-	return true
-}
-
 // Store stores v under key unconditionally.
 func (t *UserTable[V]) Store(key int64, v V) {
 	t.mu.Lock()
@@ -57,13 +44,6 @@ func (t *UserTable[V]) Delete(key int64) (V, bool) {
 		delete(t.m, key)
 	}
 	return v, ok
-}
-
-// Len returns the number of stored keys.
-func (t *UserTable[V]) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.m)
 }
 
 // Range calls fn for every entry until fn returns false. The table is
