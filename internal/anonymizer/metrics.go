@@ -6,11 +6,11 @@ import (
 	"casper/internal/metrics"
 )
 
-// Cloaking instrumentation, split by backend name. These are the
-// quantities the paper's Sec. 6.1 evaluation plots: cloaking time,
+// Cloaking instrumentation, split by backend name: cloaking time and
 // widening steps (Algorithm 1 recursion depth for pyramid backends,
-// ring expansions for cluster), and cloaked-region area (the
-// privacy/answer-quality trade-off).
+// ring expansions for cluster), two of the quantities the paper's
+// Sec. 6.1 evaluation plots. Cloaked-region area, the third, is
+// recorded per release by privacyobs (casper_privacy_release_area_m2).
 var (
 	cloakSeconds = metrics.Default.HistogramVec(
 		"casper_cloak_seconds", "anonymizer",
@@ -20,10 +20,6 @@ var (
 		"casper_cloak_steps_up", "anonymizer",
 		"Widening steps the cloaking procedure needed before succeeding, by backend.",
 		metrics.LinearBuckets(0, 1, 16))
-	cloakArea = metrics.Default.HistogramVec(
-		"casper_cloak_area_m2", "anonymizer",
-		"Area of the produced cloaked region in squared universe units, by backend.",
-		metrics.ExpBuckets(1, 4, 20))
 	cloakErrors = metrics.Default.CounterVec(
 		"casper_cloak_errors_total", "anonymizer",
 		"Cloak requests that failed (unknown user or unsatisfiable profile), by backend.")
@@ -34,7 +30,6 @@ var (
 type cloakMetrics struct {
 	seconds *metrics.Histogram
 	steps   *metrics.Histogram
-	area    *metrics.Histogram
 	errors  *metrics.Counter
 }
 
@@ -42,7 +37,6 @@ func newCloakMetrics(kind string) *cloakMetrics {
 	return &cloakMetrics{
 		seconds: cloakSeconds.With(kind),
 		steps:   cloakStepsUp.With(kind),
-		area:    cloakArea.With(kind),
 		errors:  cloakErrors.With(kind),
 	}
 }
@@ -55,5 +49,4 @@ func (m *cloakMetrics) observe(start time.Time, cr CloakedRegion, err error) {
 	}
 	m.seconds.Observe(time.Since(start).Seconds())
 	m.steps.Observe(float64(cr.StepsUp))
-	m.area.Observe(cr.Region.Area())
 }

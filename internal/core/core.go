@@ -119,8 +119,6 @@ type Config struct {
 	BackendMinK int
 	// Query tunes the privacy-aware query processor (filter count).
 	Query privacyqp.Options
-	// Transmission models the downlink carrying the candidate list.
-	Transmission TransmissionModel
 	// Seed drives pseudonym generation and backend randomness.
 	Seed int64
 	// WALPath, when non-empty, makes the database server durable: all
@@ -139,7 +137,6 @@ func DefaultConfig() Config {
 		PyramidLevels: 9,
 		Backend:       AdaptiveBackend,
 		Query:         privacyqp.DefaultOptions(),
-		Transmission:  DefaultTransmission(),
 		Seed:          1,
 	}
 }
@@ -932,7 +929,7 @@ func (c *Casper) privateQuery(uid anonymizer.UserID, q func(anonymizer.CloakedRe
 	}
 	t2 := time.Now()
 	n := len(res.Candidates)
-	tx := c.cfg.Transmission.TimeFor(cr.Mechanism, n)
+	tx := DefaultTransmission().TimeFor(cr.Mechanism, n)
 	if tr != nil {
 		qsp.End(trace.Int("candidates", int64(n)))
 		tr.RecordSpan("transmit", t2, tx, trace.Int("candidates", int64(n)))

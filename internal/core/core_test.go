@@ -169,7 +169,7 @@ func TestNearestPublicEndToEnd(t *testing.T) {
 			if ans.Cost.Candidates != len(ans.Candidates) {
 				t.Fatal("cost candidate count mismatch")
 			}
-			if ans.Cost.Transmit != c.Config().Transmission.Time(len(ans.Candidates)) {
+			if ans.Cost.Transmit != DefaultTransmission().Time(len(ans.Candidates)) {
 				t.Fatal("transmit time mismatch")
 			}
 			if !ans.CloakedQuery.Contains(user) {

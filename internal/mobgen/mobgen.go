@@ -9,8 +9,8 @@
 //
 // Destination choice can be biased toward the network center
 // (CenterBias) to reproduce the downtown density skew of a real county
-// map. All randomness is owned by an explicit seed, so traces are
-// reproducible.
+// map. All randomness is owned by an explicit seed, so update streams
+// are reproducible.
 package mobgen
 
 import (
@@ -69,7 +69,6 @@ type Generator struct {
 	objects []object
 	weights []float64 // node sampling weights (center bias)
 	wsum    float64
-	nextID  int64 // next fresh object ID for churn arrivals
 }
 
 // New builds a generator over the given road network. It panics on a
@@ -87,7 +86,6 @@ func New(g *roadnet.Graph, cfg Config) *Generator {
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
 	gen.buildWeights()
-	gen.nextID = int64(cfg.NumObjects)
 	gen.objects = make([]object, cfg.NumObjects)
 	for i := range gen.objects {
 		o := &gen.objects[i]
@@ -153,9 +151,8 @@ func (gen *Generator) assignRoute(o *object, start roadnet.NodeID) {
 // NumObjects returns the number of simulated objects.
 func (gen *Generator) NumObjects() int { return len(gen.objects) }
 
-// Positions returns the current position of every object. Before any
-// churn the order coincides with ID order; after churn it is the
-// internal slot order. The slice is freshly allocated.
+// Positions returns the current position of every object, in ID
+// order. The slice is freshly allocated.
 func (gen *Generator) Positions() []Update {
 	out := make([]Update, len(gen.objects))
 	for i := range gen.objects {
@@ -244,52 +241,6 @@ func (gen *Generator) advance(o *object, dt float64) {
 			o.pos = geom.Pt(pa.X+(pb.X-pa.X)*t, pa.Y+(pb.Y-pa.Y)*t)
 		}
 	}
-}
-
-// ChurnResult reports one churning simulation step: Brinkhoff's
-// generator creates and destroys objects over time, which is what
-// drives user registration and deregistration at the anonymizer.
-type ChurnResult struct {
-	// Updates holds the current position of every live object
-	// (arrivals included).
-	Updates []Update
-	// Departed lists object IDs retired this step. IDs are never
-	// reused.
-	Departed []int64
-	// Arrived lists the replacement objects spawned this step.
-	Arrived []Update
-}
-
-// StepChurn advances the simulation by dt seconds and then retires a
-// departFrac fraction of the fleet (rounded down), replacing each
-// retiree with a fresh object (new ID, new spawn point) so the fleet
-// size stays constant. departFrac must be in [0, 1).
-func (gen *Generator) StepChurn(dt float64, departFrac float64) ChurnResult {
-	if departFrac < 0 || departFrac >= 1 {
-		panic(fmt.Sprintf("mobgen: departFrac %v out of [0,1)", departFrac))
-	}
-	for i := range gen.objects {
-		gen.advance(&gen.objects[i], dt)
-	}
-	var res ChurnResult
-	departures := int(float64(len(gen.objects)) * departFrac)
-	// Choose distinct victims so an object cannot arrive and depart
-	// within the same step (partial Fisher-Yates over the slots).
-	slots := gen.rng.Perm(len(gen.objects))[:departures]
-	for _, i := range slots {
-		o := &gen.objects[i]
-		res.Departed = append(res.Departed, o.id)
-		// Replace in place with a fresh object.
-		o.id = gen.nextID
-		gen.nextID++
-		o.speedMul = 1 + (gen.rng.Float64()*2-1)*gen.cfg.SpeedJitter
-		start := gen.sampleNode()
-		o.pos = gen.graph.Node(start).Pos
-		gen.assignRoute(o, start)
-		res.Arrived = append(res.Arrived, Update{ID: o.id, Pos: o.pos})
-	}
-	res.Updates = gen.Positions()
-	return res
 }
 
 // UniformPoints returns n points uniformly distributed over r —

@@ -266,63 +266,3 @@ func TestUniformRectsValidation(t *testing.T) {
 	}()
 	UniformRects(geom.R(0, 0, 1, 1), 1, 0, 10, 1)
 }
-
-func TestStepChurn(t *testing.T) {
-	g := testNet(t)
-	gen := New(g, DefaultConfig(100, 21))
-	seen := map[int64]bool{}
-	for _, u := range gen.Positions() {
-		seen[u.ID] = true
-	}
-	dead := map[int64]bool{}
-	for step := 0; step < 30; step++ {
-		res := gen.StepChurn(10, 0.1)
-		if len(res.Departed) != 10 || len(res.Arrived) != 10 {
-			t.Fatalf("step %d: departed %d arrived %d", step, len(res.Departed), len(res.Arrived))
-		}
-		if len(res.Updates) != 100 {
-			t.Fatalf("step %d: fleet size %d", step, len(res.Updates))
-		}
-		for _, id := range res.Departed {
-			if dead[id] {
-				t.Fatalf("id %d departed twice", id)
-			}
-			dead[id] = true
-		}
-		for _, a := range res.Arrived {
-			if seen[a.ID] || dead[a.ID] {
-				t.Fatalf("arrival reused id %d", a.ID)
-			}
-			seen[a.ID] = true
-			if !g.Bounds().Contains(a.Pos) {
-				t.Fatalf("arrival outside bounds")
-			}
-		}
-		// No live update carries a dead ID.
-		for _, u := range res.Updates {
-			if dead[u.ID] {
-				t.Fatalf("dead id %d still reporting", u.ID)
-			}
-		}
-	}
-}
-
-func TestStepChurnValidation(t *testing.T) {
-	g := testNet(t)
-	gen := New(g, DefaultConfig(10, 22))
-	for _, frac := range []float64{-0.1, 1.0} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("departFrac %v accepted", frac)
-				}
-			}()
-			gen.StepChurn(1, frac)
-		}()
-	}
-	// Zero churn is a plain step.
-	res := gen.StepChurn(1, 0)
-	if len(res.Departed) != 0 || len(res.Arrived) != 0 || len(res.Updates) != 10 {
-		t.Fatalf("zero churn result: %+v", res)
-	}
-}

@@ -371,31 +371,6 @@ func TestPublicRangeCountOrderings(t *testing.T) {
 	}
 }
 
-func TestPublicRangeObjects(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	db := rectDB(rng, 1000, 400)
-	r := randCloak(rng, 2000)
-	all, err := PublicRangeObjects(db, r, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	strict, err := PublicRangeObjects(db, r, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(strict) > len(all) {
-		t.Fatal("minOverlap grew the result")
-	}
-	for _, it := range strict {
-		if geom.OverlapFraction(it.Rect, r) < 0.8 {
-			t.Fatalf("object %d admitted below threshold", it.ID)
-		}
-	}
-	if _, err := PublicRangeObjects(db, r, 1.5); err == nil {
-		t.Fatal("bad minOverlap accepted")
-	}
-}
-
 func TestPrivateRangeInclusive(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	db := pointDB(rng, 2000)

@@ -84,27 +84,6 @@ func PublicRangeCount(db SpatialIndex, r geom.Rect, policy CountPolicy) (float64
 	return total, nil
 }
 
-// PublicRangeObjects returns the cloaked objects admitted into region
-// r by the MinOverlap policy (0 = any overlap). This is the listing
-// form of PublicRangeCount for administrators who need the regions
-// themselves.
-func PublicRangeObjects(db SpatialIndex, r geom.Rect, minOverlap float64) ([]rtree.Item, error) {
-	if !r.IsValid() {
-		return nil, fmt.Errorf("privacyqp: invalid query region %v", r)
-	}
-	if minOverlap < 0 || minOverlap > 1 {
-		return nil, fmt.Errorf("privacyqp: MinOverlap %v out of [0,1]", minOverlap)
-	}
-	var out []rtree.Item
-	db.SearchFunc(r, func(it rtree.Item) bool {
-		if minOverlap == 0 || geom.OverlapFraction(it.Rect, r) >= minOverlap {
-			out = append(out, it)
-		}
-		return true
-	})
-	return out, nil
-}
-
 // DensityGrid answers the map-wide form of the public count query: an
 // n x n grid of expected user counts over the universe, computed from
 // cloaks only. Each cloaked object contributes to every grid cell it

@@ -468,6 +468,29 @@ func TestBatchUpdateOverWire(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("applied before abort = %d, want 1", n)
 	}
+	// A deregistered user aborts a batch the same way, with the core
+	// sentinel intact across the wire: user 1 moves, user 2 does not.
+	if err := cl.Deregister(ctx, 3); err != nil {
+		t.Fatal(err)
+	}
+	gone := []BatchUpdate{
+		{UserID: 1, X: 200, Y: 3900},
+		{UserID: 3, X: 300, Y: 3900},
+		{UserID: 2, X: 3900, Y: 200},
+	}
+	n, err = cl.BatchUpdate(ctx, gone)
+	if !errors.Is(err, core.ErrNotRegistered) {
+		t.Fatalf("batch naming a deregistered user: err = %v, want ErrNotRegistered", err)
+	}
+	if n != 1 {
+		t.Fatalf("applied before abort = %d, want 1", n)
+	}
+	if c, err := cl.CountUsers(ctx, Rect{MinX: 0, MinY: 3584, MaxX: 512, MaxY: 4096}, ""); err != nil || c != 1 {
+		t.Fatalf("count at user 1's new position = %v, %v; want 1", c, err)
+	}
+	if c, err := cl.CountUsers(ctx, Rect{MinX: 3584, MinY: 0, MaxX: 4096, MaxY: 512}, ""); err != nil || c != 0 {
+		t.Fatalf("count where user 2 would have moved = %v, %v; want 0", c, err)
+	}
 }
 
 func TestDensityOverWire(t *testing.T) {

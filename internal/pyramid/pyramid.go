@@ -179,19 +179,6 @@ func (g Grid) CellArea(level int) float64 {
 // LeafArea returns the area of a lowest-level cell.
 func (g Grid) LeafArea() float64 { return g.CellArea(g.LowestLevel()) }
 
-// LevelForArea returns the deepest level whose cells have area >= a
-// (level 0 when even the root is too small — the caller must handle
-// unsatisfiable requirements). This is how the anonymizers translate
-// an Amin requirement into a pyramid level.
-func (g Grid) LevelForArea(a float64) int {
-	for l := g.LowestLevel(); l > 0; l-- {
-		if g.CellArea(l) >= a {
-			return l
-		}
-	}
-	return 0
-}
-
 // Complete is the complete pyramid of the basic location anonymizer:
 // a user counter per cell at every level. Counter changes at the leaf
 // level propagate to the root. Updates counts every counter

@@ -234,7 +234,7 @@ func TestCellRectTiling(t *testing.T) {
 	}
 }
 
-func TestCellAreaAndLevelForArea(t *testing.T) {
+func TestCellArea(t *testing.T) {
 	g := testGrid(6)
 	total := g.Universe.Area()
 	if g.CellArea(0) != total {
@@ -247,19 +247,6 @@ func TestCellAreaAndLevelForArea(t *testing.T) {
 	}
 	if g.LeafArea() != g.CellArea(5) {
 		t.Fatal("LeafArea mismatch")
-	}
-	// LevelForArea returns the deepest level with cell area >= a.
-	if l := g.LevelForArea(g.CellArea(3)); l != 3 {
-		t.Fatalf("LevelForArea(exact L3) = %d", l)
-	}
-	if l := g.LevelForArea(g.CellArea(3) + 1); l != 2 {
-		t.Fatalf("LevelForArea(just above L3) = %d", l)
-	}
-	if l := g.LevelForArea(0); l != g.LowestLevel() {
-		t.Fatalf("LevelForArea(0) = %d", l)
-	}
-	if l := g.LevelForArea(total * 10); l != 0 {
-		t.Fatalf("LevelForArea(huge) = %d", l)
 	}
 }
 

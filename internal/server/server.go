@@ -397,12 +397,6 @@ func (s *Server) DensityPrivate(universe geom.Rect, n int) ([][]float64, error) 
 	return privacyqp.DensityGrid(s.snap.Load().private, universe, n)
 }
 
-// ListPrivateIn lists the cloaked objects overlapping region r by at
-// least minOverlap of their area.
-func (s *Server) ListPrivateIn(r geom.Rect, minOverlap float64) ([]rtree.Item, error) {
-	return privacyqp.PublicRangeObjects(s.snap.Load().private, r, minOverlap)
-}
-
 // CacheStats returns the public-query memo's (hits, misses).
 func (s *Server) CacheStats() (int64, int64) { return s.cacheHits.Load(), s.cacheMisses.Load() }
 

@@ -162,15 +162,6 @@ func TestRangePublicAndCounts(t *testing.T) {
 	if n != 300 {
 		t.Fatalf("CountPrivate(all) = %v, want 300", n)
 	}
-	items, err := s.ListPrivateIn(geom.R(0, 0, 500, 500), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, it := range items {
-		if geom.OverlapFraction(it.Rect, geom.R(0, 0, 500, 500)) < 0.5 {
-			t.Fatal("ListPrivateIn admitted under threshold")
-		}
-	}
 }
 
 func TestConcurrentAccess(t *testing.T) {
