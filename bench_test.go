@@ -28,6 +28,7 @@ import (
 	"casper/internal/geom"
 	"casper/internal/gridindex"
 	"casper/internal/privacyqp"
+	"casper/internal/pyramid"
 	"casper/internal/rtree"
 	"casper/internal/server"
 )
@@ -670,6 +671,40 @@ func BenchmarkSerialUpdates(b *testing.B) {
 		uid := anonymizer.UserID(i % concurrencyUsers)
 		pos := geom.Pt(rng.Float64()*10000, rng.Float64()*10000)
 		if err := c.UpdateUser(uid, pos); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkUpdateUserSameCloak is the update a moving user sends most
+// often: a nudge that stays inside the user's lowest pyramid cell, so
+// the cloak it yields is the one already stored. Each user is first
+// moved to the centre of a random lowest-level cell, and the timed
+// updates then alternate a metre either side of it.
+// BenchmarkSerialUpdates is the other extreme: its teleports change
+// every cloak.
+func BenchmarkUpdateUserSameCloak(b *testing.B) {
+	c := concurrencyWorld(b)
+	defer c.Close()
+	grid := pyramid.NewGrid(casper.R(0, 0, 10000, 10000), 8)
+	rng := rand.New(rand.NewSource(7))
+	centers := make([]geom.Point, concurrencyUsers)
+	for i := range centers {
+		p := geom.Pt(rng.Float64()*10000, rng.Float64()*10000)
+		centers[i] = grid.CellRect(grid.LeafAt(p)).Center()
+		if err := c.UpdateUser(anonymizer.UserID(i), centers[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		u := i % concurrencyUsers
+		dx := 1.0
+		if i/concurrencyUsers%2 == 0 {
+			dx = -1
+		}
+		if err := c.UpdateUser(anonymizer.UserID(u), geom.Pt(centers[u].X+dx, centers[u].Y)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -98,14 +98,19 @@ func (a *Adaptive) remove(e *aEntry) {
 	a.maybeMerge(leaf.parent)
 }
 
-// move re-homes a user after a location update.
-func (a *Adaptive) move(e *aEntry) {
+// move re-homes a user after a location update from position old.
+func (a *Adaptive) move(e *aEntry, old geom.Point) {
 	oldLeaf := e.slot
 	target := a.grid.LeafAt(e.pos)
 	if oldLeaf.cell.ContainsCell(target) {
-		// Still inside the same maintained cell: no counter changes,
-		// but the user's child assignment may now justify a split.
-		a.maybeSplit(oldLeaf)
+		// Still inside the same maintained cell: no counter changes.
+		// Only a move into another child quadrant changes the child
+		// counts the split criterion reads; a leaf at the lowest level
+		// has no children to split into.
+		if oldLeaf.cell.Level < a.grid.LowestLevel() &&
+			childIndex(oldLeaf.cell, target) != childIndex(oldLeaf.cell, a.grid.LeafAt(old)) {
+			a.maybeSplit(oldLeaf)
+		}
 		return
 	}
 	// Remove from the old leaf and walk up, decrementing, until the

@@ -551,6 +551,36 @@ func TestAdaptiveChurnConsistency(t *testing.T) {
 	}
 }
 
+// TestAdaptiveSmallMovesConsistency walks users in steps of a few
+// metres, so most updates stay in their maintained leaf and many of
+// those cross into another child quadrant of it, where the split
+// criterion can turn true. The structure must stay the split/merge
+// fixed point after every move.
+func TestAdaptiveSmallMovesConsistency(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	a := NewAdaptive(universe, 7)
+	const users = 40
+	pos := make([]geom.Point, users)
+	for i := range pos {
+		pos[i] = geom.Pt(448+rng.Float64()*128, 448+rng.Float64()*128)
+		prof := Profile{K: 2 + rng.Intn(5), AMin: rng.Float64() * 500}
+		if err := a.Register(UserID(i), pos[i], prof); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clamp := func(v float64) float64 { return math.Min(math.Max(v, 0), 1023) }
+	for step := 0; step < 4000; step++ {
+		i := rng.Intn(users)
+		pos[i] = geom.Pt(clamp(pos[i].X+rng.Float64()*8-4), clamp(pos[i].Y+rng.Float64()*8-4))
+		if err := a.Update(UserID(i), pos[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.CheckConsistency(); err != nil {
+			t.Fatalf("step %d, user %d to %v: %v", step, i, pos[i], err)
+		}
+	}
+}
+
 func TestBasicChurnConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	b := NewBasic(universe, 7)

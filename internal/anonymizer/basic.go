@@ -31,9 +31,9 @@ func NewBasic(universe geom.Rect, levels int) *Basic {
 	return b
 }
 
-func (b *Basic) add(e *cellEntry)    { e.slot = b.pyr.Add(e.pos) }
-func (b *Basic) move(e *cellEntry)   { e.slot, _ = b.pyr.Move(e.slot, e.pos) }
-func (b *Basic) remove(e *cellEntry) { b.pyr.RemoveAt(e.slot) }
+func (b *Basic) add(e *cellEntry)                { e.slot = b.pyr.Add(e.pos) }
+func (b *Basic) move(e *cellEntry, _ geom.Point) { e.slot, _ = b.pyr.Move(e.slot, e.pos) }
+func (b *Basic) remove(e *cellEntry)             { b.pyr.RemoveAt(e.slot) }
 
 // reprofile is a no-op: the complete pyramid's shape does not depend
 // on profiles.

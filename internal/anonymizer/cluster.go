@@ -95,7 +95,7 @@ func (c *Cluster) remove(e *cellEntry) {
 }
 
 // move re-buckets a user who crossed into another leaf cell.
-func (c *Cluster) move(e *cellEntry) {
+func (c *Cluster) move(e *cellEntry, _ geom.Point) {
 	if c.grid.LeafAt(e.pos) == e.slot {
 		c.updates++
 		return

@@ -84,11 +84,11 @@ func (g *GeoInd) Epsilon() float64 { return math.Float64frombits(g.epsilon.Load(
 
 // add, move and remove count one table write each: there is no
 // pyramid to maintain — that is the mechanism's efficiency story.
-func (g *GeoInd) add(*geoEntry)          { g.updates++ }
-func (g *GeoInd) move(*geoEntry)         { g.updates++ }
-func (g *GeoInd) remove(*geoEntry)       { g.updates++ }
-func (g *GeoInd) reprofile(*geoEntry)    {}
-func (g *GeoInd) at(geom.Point) struct{} { return struct{}{} }
+func (g *GeoInd) add(*geoEntry)              { g.updates++ }
+func (g *GeoInd) move(*geoEntry, geom.Point) { g.updates++ }
+func (g *GeoInd) remove(*geoEntry)           { g.updates++ }
+func (g *GeoInd) reprofile(*geoEntry)        {}
+func (g *GeoInd) at(geom.Point) struct{}     { return struct{}{} }
 
 // cloak draws one planar Laplace sample around pos and assembles the
 // release.

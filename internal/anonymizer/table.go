@@ -46,11 +46,12 @@ type entry[S any] struct {
 // spatial is a backend's spatial structure: the hooks the table calls
 // under its lock. The mutating hooks run under the write lock after
 // the table has written the row: add sees a new row, move the row's
-// new pos, remove a row already gone from the map, reprofile the new
-// profile. at and cloak run under at least the read lock.
+// new pos (and gets the position it replaced), remove a row already
+// gone from the map, reprofile the new profile. at and cloak run under
+// at least the read lock.
 type spatial[S any] interface {
 	add(e *entry[S])
-	move(e *entry[S])
+	move(e *entry[S], old geom.Point)
 	remove(e *entry[S])
 	reprofile(e *entry[S])
 	// at returns the slot a point would occupy, for CloakAt.
@@ -117,8 +118,9 @@ func (t *table[S]) Update(uid UserID, p geom.Point) error {
 	if err != nil {
 		return err
 	}
+	old := e.pos
 	e.pos = p
-	t.space.move(e)
+	t.space.move(e, old)
 	return nil
 }
 

@@ -144,6 +144,9 @@ type Monitor struct {
 	// added and dropped collect the slots of one query's event before
 	// emitDelta builds it; empty between events.
 	added, dropped []int32
+	// evalBuf is the buffer re-runs evaluate their candidate lists
+	// into (rerunLocked); a query keeps only the slots.
+	evalBuf []rtree.Item
 
 	// emitMu guards the delivery fields; emitters hold it shared so
 	// Close cannot close the channel under a pending send.
@@ -371,7 +374,7 @@ func (m *Monitor) RegisterRadius(cloak geom.Rect, radius float64, kind privacyqp
 func (m *Monitor) register(q *query) (count float64, candidates []rtree.Item, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	candidates, err = m.evalQueryLocked(q)
+	candidates, err = m.evalQueryLocked(q, nil)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -8,9 +8,10 @@ import (
 
 // evalQueryLocked (re)evaluates a query of any kind from the current
 // tables at its current cloak, refreshing its answer and interest
-// region. It returns the evaluation's candidate list, which q keeps as
-// slots only. Caller holds mu.
-func (m *Monitor) evalQueryLocked(q *query) ([]rtree.Item, error) {
+// region. It returns the evaluation's candidate list appended to dst
+// (an exact-size list when dst is nil), which q keeps as slots only.
+// Caller holds mu.
+func (m *Monitor) evalQueryLocked(q *query, dst []rtree.Item) ([]rtree.Item, error) {
 	if q.kind == qRange {
 		count, err := privacyqp.PublicRangeCount(m.priv, q.rect, q.policy)
 		if err != nil {
@@ -22,9 +23,9 @@ func (m *Monitor) evalQueryLocked(q *query) ([]rtree.Item, error) {
 	var res privacyqp.Result
 	var err error
 	if q.kind == qNN {
-		res, err = privacyqp.PrivateNN(m.table(q), q.cloak, q.dataKind, q.opt)
+		res, err = privacyqp.PrivateNNInto(m.table(q), q.cloak, q.dataKind, q.opt, dst)
 	} else {
-		res, err = privacyqp.PrivateRange(m.table(q), q.cloak, q.radius, q.dataKind)
+		res, err = privacyqp.PrivateRangeInto(m.table(q), q.cloak, q.radius, q.dataKind, dst)
 	}
 	if err != nil {
 		return nil, err
@@ -86,7 +87,9 @@ func (m *Monitor) rerunLocked(q *query, flips []flip) {
 		}
 	}
 	old, oldInterest := q.list, q.interest
-	if _, err := m.evalQueryLocked(q); err != nil {
+	cands, err := m.evalQueryLocked(q, m.evalBuf[:0])
+	m.evalBuf = cands
+	if err != nil {
 		// Evaluation failure (empty table, degenerate cloak): publish
 		// an empty answer and watch the whole universe so the first
 		// relevant change re-evaluates and recovers the query.

@@ -123,6 +123,14 @@ var ErrNoTargets = errors.New("privacyqp: no target objects in database")
 // kind selects the public-data algorithm (Sec. 5.1.1) or its
 // private-data modification (Sec. 5.2.1).
 func PrivateNN(db SpatialIndex, cloak geom.Rect, kind DataKind, opt Options) (Result, error) {
+	return PrivateNNInto(db, cloak, kind, opt, nil)
+}
+
+// PrivateNNInto is PrivateNN with the candidate list appended to dst:
+// the Result's Candidates is the extended dst. A caller that evaluates
+// many queries passes its own buffer as dst[:0] and allocates no list;
+// with a nil dst the list is an exact-size copy.
+func PrivateNNInto(db SpatialIndex, cloak geom.Rect, kind DataKind, opt Options, dst []rtree.Item) (Result, error) {
 	if err := opt.validate(); err != nil {
 		return Result{}, err
 	}
@@ -133,8 +141,7 @@ func PrivateNN(db SpatialIndex, cloak geom.Rect, kind DataKind, opt Options) (Re
 	metric := metricFor(kind)
 
 	// The query owns a pooled scratch arena for its duration; every
-	// buffer below lives in it, and only exact-size copies reach the
-	// Result.
+	// buffer below lives in it, and only copies reach the Result.
 	sc := getScratch()
 	defer putScratch(sc)
 
@@ -197,7 +204,7 @@ func PrivateNN(db SpatialIndex, cloak geom.Rect, kind DataKind, opt Options) (Re
 	// STEP 4 — the candidate list step: one range query over A_EXT.
 	rsp := opt.Trace.StartSpan("query_range")
 	sc.cand = admitted(db, sc.cand[:0], res.AExt, kind, opt.MinOverlap)
-	res.Candidates = copyItems(sc.cand)
+	res.Candidates = appendItems(dst, sc.cand)
 	if opt.Trace != nil {
 		rsp.End(trace.Int("candidates", int64(len(res.Candidates))))
 	}

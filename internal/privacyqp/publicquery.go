@@ -143,6 +143,12 @@ func clampIdx(v, n int) int {
 // Sec. 5; the expansion is exact for the rectangle-norm and inclusive
 // for the Euclidean ball.
 func PrivateRange(db SpatialIndex, cloak geom.Rect, radius float64, kind DataKind) (Result, error) {
+	return PrivateRangeInto(db, cloak, radius, kind, nil)
+}
+
+// PrivateRangeInto is PrivateRange with the candidate list appended to
+// dst, as PrivateNNInto.
+func PrivateRangeInto(db SpatialIndex, cloak geom.Rect, radius float64, kind DataKind, dst []rtree.Item) (Result, error) {
 	if !cloak.IsValid() {
 		return Result{}, fmt.Errorf("privacyqp: invalid cloaked region %v", cloak)
 	}
@@ -160,7 +166,7 @@ func PrivateRange(db SpatialIndex, cloak geom.Rect, radius float64, kind DataKin
 		}
 		return true
 	})
-	res.Candidates = copyItems(sc.cand)
+	res.Candidates = appendItems(dst, sc.cand)
 	return res, nil
 }
 

@@ -10,7 +10,8 @@ import (
 // queryScratch is the per-query arena: every buffer a single query
 // evaluation or client refinement needs, owned by the
 // query for its duration and recycled through scratchPool afterwards.
-// Results handed back to the caller are always exact-size copies —
+// Results handed back to the caller are always copies — exact-size
+// unless the caller supplied its own buffer (PrivateNNInto) — and
 // nothing in a Result aliases scratch memory, so pooling is invisible
 // to clients (Results are cached and held across queries).
 type queryScratch struct {
@@ -48,4 +49,13 @@ func copyItems(src []rtree.Item) []rtree.Item {
 		return nil
 	}
 	return append(make([]rtree.Item, 0, len(src)), src...)
+}
+
+// appendItems appends src to a caller's buffer dst, or returns
+// copyItems(src) when dst is nil.
+func appendItems(dst, src []rtree.Item) []rtree.Item {
+	if dst == nil {
+		return copyItems(src)
+	}
+	return append(dst, src...)
 }

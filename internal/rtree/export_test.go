@@ -1,5 +1,7 @@
 package rtree
 
+import "casper/internal/geom"
+
 // CheckInvariants exposes structural validation to the tests.
 func (t *Tree) CheckInvariants() error { return t.checkInvariants() }
 
@@ -28,4 +30,13 @@ func SharedNodes(a, b *Tree) int {
 	}
 	count(a.root)
 	return shared
+}
+
+// DeleteVisits deletes (id, r) from t and returns the MBRs of the
+// nodes Delete's search entered, in order.
+func DeleteVisits(t *Tree, id int64, r geom.Rect) (deleted bool, visited []geom.Rect) {
+	findLeafVisit = func(mbr geom.Rect) { visited = append(visited, mbr) }
+	defer func() { findLeafVisit = nil }()
+	deleted = t.Delete(id, r)
+	return deleted, visited
 }

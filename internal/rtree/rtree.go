@@ -376,10 +376,16 @@ func (t *Tree) Delete(id int64, r geom.Rect) bool {
 
 // findLeaf returns the index of the item matching (id, r) in its leaf,
 // or -1, and appends to idxs the child index taken at each level on the
-// way down to that leaf.
+// way down to that leaf. Every node on a stored item's path has an MBR
+// that contains the item's rect, so the walk enters only such nodes:
+// it finds the same item in the same order as a walk over every
+// intersecting node, without entering the subtrees that merely touch r.
 func findLeaf(n *node, id int64, r geom.Rect, idxs *[]int) int {
-	if !n.mbr.Intersects(r) && n.count() > 0 {
+	if !n.mbr.ContainsRect(r) && n.count() > 0 {
 		return -1
+	}
+	if findLeafVisit != nil {
+		findLeafVisit(n.mbr)
 	}
 	if n.leaf {
 		for i, it := range n.items {
@@ -398,6 +404,10 @@ func findLeaf(n *node, id int64, r geom.Rect, idxs *[]int) int {
 	}
 	return -1
 }
+
+// findLeafVisit, when non-nil, is called with the MBR of every node
+// findLeaf enters; tests set it to watch Delete's pruning.
+var findLeafVisit func(mbr geom.Rect)
 
 // condense removes underfull nodes on the owned root-to-leaf path of
 // the just-modified leaf, collecting their surviving entries for

@@ -682,3 +682,38 @@ func TestNearestKTiesByID(t *testing.T) {
 		}
 	}
 }
+
+// TestDeleteEntersOnlyContainingNodes: Delete's search enters only
+// nodes whose MBR contains the deleted rect. On a grid of cells, each
+// stored many times over as cloaks are, every neighbouring cell's node
+// touches the deleted rect without containing it.
+func TestDeleteEntersOnlyContainingNodes(t *testing.T) {
+	const side, perCell = 16, 6
+	cell := func(i int) geom.Rect {
+		x, y := float64(i%side)*10, float64(i/side)*10
+		return geom.R(x, y, x+10, y+10)
+	}
+	tr := New()
+	for i := 0; i < side*side*perCell; i++ {
+		tr.Insert(Item{Rect: cell(i % (side * side)), ID: int64(i)})
+	}
+	rng := rand.New(rand.NewSource(9))
+	for _, i := range rng.Perm(side * side * perCell)[:400] {
+		r := cell(i % (side * side))
+		deleted, visited := DeleteVisits(tr, int64(i), r)
+		if !deleted {
+			t.Fatalf("Delete(%d, %v) found nothing", i, r)
+		}
+		for _, mbr := range visited {
+			if !mbr.ContainsRect(r) {
+				t.Fatalf("Delete(%d, %v) entered a node with MBR %v", i, r, mbr)
+			}
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := side*side*perCell - 400; tr.Len() != want {
+		t.Fatalf("Len = %d, want %d", tr.Len(), want)
+	}
+}

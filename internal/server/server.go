@@ -72,7 +72,7 @@ type indexSnapshot struct {
 	memo    *publicMemo
 	private *rtree.Tree
 	// privVersion exists for diagnostics and tests (every private
-	// batch bumps it).
+	// write that changes the table bumps it).
 	privVersion int64
 	// published is when this snapshot became current (drives the
 	// casper_snapshot_age_seconds gauge).
@@ -261,19 +261,22 @@ func (s *Server) UpsertPrivateBatch(objs []PrivateObject) error {
 // one clone of the private tree and published as one snapshot: each
 // entry copies the O(height) nodes on its delete and insert paths, and
 // a node copied once is mutated in place for the rest of the batch.
-// Within a batch, a later entry for the same ID wins. "wal_append" and
-// "store" spans are recorded into tr when it is non-nil.
+// Within a batch, a later entry for the same ID wins. An entry that
+// would store the region already current for its ID is dropped first
+// (changedLocked); a batch with nothing left is a no-op that logs,
+// clones and publishes nothing. "wal_append" and "store" spans are
+// recorded into tr when it is non-nil.
 func (s *Server) UpsertPrivateBatchTraced(objs []PrivateObject, tr *trace.Trace) error {
 	for _, o := range objs {
 		if !o.Region.IsValid() {
 			return fmt.Errorf("server: invalid cloaked region %v for %d", o.Region, o.ID)
 		}
 	}
-	if len(objs) == 0 {
-		return nil
-	}
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
+	if objs = s.changedLocked(objs); len(objs) == 0 {
+		return nil
+	}
 	s.noteWrite()
 	if err := s.logLocked(tr, privateUpsertRecords(objs)...); err != nil {
 		return err
@@ -293,6 +296,44 @@ func (s *Server) UpsertPrivateBatchTraced(objs []PrivateObject, tr *trace.Trace)
 	s.publish(cur.withPrivate(priv))
 	sp.End()
 	return nil
+}
+
+// changedLocked returns the entries of objs that change the private
+// table: those whose region differs from the one current for their ID
+// when they apply, which is the region of the batch's own latest
+// earlier entry for that ID, or else the stored one. Comparing with
+// the stored region alone would drop the r0 of [A→r1, A→r0] over a
+// stored r0 and leave A at r1. objs itself is returned when every
+// entry changes something. Caller holds writeMu.
+func (s *Server) changedLocked(objs []PrivateObject) []PrivateObject {
+	var out []PrivateObject
+	var latest map[int64]geom.Rect // the batch's regions so far, by ID
+	if len(objs) > 1 {
+		latest = make(map[int64]geom.Rect, len(objs))
+	}
+	for i, o := range objs {
+		cur, ok := latest[o.ID]
+		if !ok {
+			var stored PrivateObject
+			stored, ok = s.privIdx[o.ID]
+			cur = stored.Region
+		}
+		if latest != nil {
+			latest[o.ID] = o.Region
+		}
+		switch {
+		case ok && cur == o.Region:
+			if out == nil {
+				out = append(make([]PrivateObject, 0, len(objs)-1), objs[:i]...)
+			}
+		case out != nil:
+			out = append(out, o)
+		}
+	}
+	if out == nil {
+		return objs
+	}
+	return out
 }
 
 // RemovePrivate deletes a private object (user quit).
