@@ -248,12 +248,17 @@ fuzz:
 # race-stress runs the concurrency stress suites repeatedly under the
 # race detector: all four anonymizer backends' stress (one
 # stressAnonymizer workload each, in stress_test.go), the identity table's
-# concurrent churn, the core batch workload, the server/WAL
-# interleavings, the casperd scrape-under-traffic trace-ring stress,
-# the continuous-query monitor's single-lock stress, the privacy
-# observatory's concurrent observers, the R-tree's readers of
-# copy-on-write snapshots racing a clone-mutate-publish writer, the
+# concurrent churn, the core batch workload, the release gate's ε
+# ceiling under concurrent queries (TestConcurrentBudgetCeiling), the
+# server/WAL interleavings, the casperd scrape-under-traffic trace-ring
+# stress, the continuous-query monitor's single-lock stress, the privacy
+# observatory's concurrent observers and releases, the R-tree's readers
+# of copy-on-write snapshots racing a clone-mutate-publish writer, the
 # public memo's readers on old and new snapshots racing public churn,
-# and the wire client's abandoned-call race (ContextDeadline).
+# and the wire client's abandoned-call race (ContextDeadline). It also
+# repeats two tests that once failed only now and then: the k-NN
+# refinement's check against a full sort, whose allocation budget is
+# asserted only without the race detector, and the adaptive
+# anonymizer's seeded churn, which picks its users reproducibly.
 race-stress:
-	$(GO) test -race -count=3 -run 'Stress|Concurrent|Batch|ContextDeadline' ./internal/anonymizer ./internal/pyramid ./internal/core ./internal/server ./internal/protocol ./internal/continuous ./internal/privacyobs ./internal/rtree ./cmd/casperd
+	$(GO) test -race -count=3 -run 'Stress|Concurrent|Batch|ContextDeadline|TestRefineKNNMatchesSortedCandidates|TestAdaptiveChurnConsistency' ./internal/anonymizer ./internal/pyramid ./internal/core ./internal/server ./internal/protocol ./internal/continuous ./internal/privacyobs ./internal/privacyqp ./internal/rtree ./cmd/casperd

@@ -265,8 +265,10 @@ var ErrOverloaded = protocol.ErrOverloaded
 var ErrResponseTooLarge = protocol.ErrResponseTooLarge
 
 // ErrBudgetExhausted reports a cloak refused because the user's
-// cumulative ε spend reached the per-user budget ceiling (casperd
-// -epsilon-budget, hot-reloadable as epsilon_budget). Travels as the
+// cumulative ε spend had reached the per-user budget ceiling (casperd
+// -epsilon-budget, hot-reloadable as epsilon_budget); the refused cloak
+// is discarded unreleased. Queries, updates and watch registrations
+// are all refused alike. Travels as the
 // wire-stable "budget_exhausted" code, so
 // errors.Is(err, casper.ErrBudgetExhausted) holds across a
 // ProtocolClient round trip. Requests succeed again once an operator

@@ -5,8 +5,8 @@
 // location-based database server (Sec. 4 of the paper).
 //
 // Four backends share one user table (table.go): the uid map and its
-// lock, the profile checks, the lifecycle operations and the cloak
-// metrics. A backend is only the spatial structure behind the table:
+// lock, the profile checks and the lifecycle operations. A backend is
+// only the spatial structure behind the table:
 //
 //   - Basic: a complete grid pyramid with a per-cell user counter at
 //     every level (Sec. 4.1). Location updates propagate counter

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"casper/internal/geom"
@@ -484,10 +485,24 @@ func TestAdaptiveMaintainsFewerCellsForStrictProfiles(t *testing.T) {
 	}
 }
 
+// TestAdaptiveChurnConsistency drives a seeded register / deregister /
+// reprofile / move churn and checks the split/merge fixed point along
+// the way. Users are picked by the seeded generator from a slice of
+// live IDs, so a failure replays: two runs touch the same users in the
+// same order.
 func TestAdaptiveChurnConsistency(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
+	first := runAdaptiveChurn(t, 11)
+	if second := runAdaptiveChurn(t, 11); !slices.Equal(first, second) {
+		t.Fatal("two runs of one seed touched different users")
+	}
+}
+
+// runAdaptiveChurn runs the churn from seed and returns the users it
+// touched, in order.
+func runAdaptiveChurn(t *testing.T, seed int64) []UserID {
+	rng := rand.New(rand.NewSource(seed))
 	a := NewAdaptive(universe, 7)
-	live := map[UserID]bool{}
+	var live, touched []UserID
 	next := UserID(0)
 	randProfile := func() Profile {
 		return Profile{K: 1 + rng.Intn(40), AMin: rng.Float64() * 1000}
@@ -495,11 +510,11 @@ func TestAdaptiveChurnConsistency(t *testing.T) {
 	randPoint := func() geom.Point {
 		return geom.Pt(rng.Float64()*1024, rng.Float64()*1024)
 	}
-	pick := func() UserID {
-		for uid := range live {
-			return uid
-		}
-		return 0
+	// pick returns the index in live of a seeded random user.
+	pick := func() int {
+		i := rng.Intn(len(live))
+		touched = append(touched, live[i])
+		return i
 	}
 	for round := 0; round < 8000; round++ {
 		switch r := rng.Float64(); {
@@ -507,20 +522,22 @@ func TestAdaptiveChurnConsistency(t *testing.T) {
 			if err := a.Register(next, randPoint(), randProfile()); err != nil {
 				t.Fatal(err)
 			}
-			live[next] = true
+			live = append(live, next)
+			touched = append(touched, next)
 			next++
 		case r < 0.35:
-			uid := pick()
-			if err := a.Deregister(uid); err != nil {
+			i := pick()
+			if err := a.Deregister(live[i]); err != nil {
 				t.Fatal(err)
 			}
-			delete(live, uid)
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
 		case r < 0.45:
-			if err := a.SetProfile(pick(), randProfile()); err != nil {
+			if err := a.SetProfile(live[pick()], randProfile()); err != nil {
 				t.Fatal(err)
 			}
 		default:
-			if err := a.Update(pick(), randPoint()); err != nil {
+			if err := a.Update(live[pick()], randPoint()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -537,7 +554,7 @@ func TestAdaptiveChurnConsistency(t *testing.T) {
 		t.Fatalf("Users = %d, want %d", a.Users(), len(live))
 	}
 	// All survivors still cloak correctly.
-	for uid := range live {
+	for _, uid := range live {
 		cr, err := a.Cloak(uid)
 		if err != nil && !errors.Is(err, ErrUnsatisfiable) {
 			t.Fatalf("user %d: %v", uid, err)
@@ -549,6 +566,7 @@ func TestAdaptiveChurnConsistency(t *testing.T) {
 			}
 		}
 	}
+	return touched
 }
 
 // TestAdaptiveSmallMovesConsistency walks users in steps of a few

@@ -3,7 +3,6 @@ package anonymizer
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"casper/internal/geom"
 	"casper/internal/pyramid"
@@ -11,8 +10,8 @@ import (
 
 // table is the user lifecycle every backend shares (Sec. 4): the
 // uid → {exact position, profile, backend slot} map behind one
-// RWMutex, the profile checks, the duplicate- and unknown-user errors,
-// and the cloak metrics. A backend embeds a table and supplies only
+// RWMutex, the profile checks and the duplicate- and unknown-user
+// errors. A backend embeds a table and supplies only
 // its spatial structure, as the hooks of spatial[S]; S is the slot the
 // structure keeps per user (the leaf cell of the basic and cluster
 // backends, the maintained node of the adaptive one, nothing for
@@ -24,12 +23,11 @@ import (
 // adaptive backend's splits and merges included) before it is
 // released, so every reader sees a settled structure.
 type table[S any] struct {
-	mu      sync.RWMutex
-	name    string
-	grid    pyramid.Grid
-	users   map[UserID]*entry[S]
-	space   spatial[S]
-	metrics *cloakMetrics
+	mu    sync.RWMutex
+	name  string
+	grid  pyramid.Grid
+	users map[UserID]*entry[S]
+	space spatial[S]
 	// updates is the UpdateCost accounting of the backends that count
 	// their own writes (all but basic, whose pyramid counts them).
 	updates int64
@@ -64,7 +62,6 @@ type spatial[S any] interface {
 func (t *table[S]) init(name string, grid pyramid.Grid, space spatial[S]) {
 	t.name, t.grid, t.space = name, grid, space
 	t.users = make(map[UserID]*entry[S])
-	t.metrics = newCloakMetrics(name)
 }
 
 // lookup returns uid's row. The caller holds t.mu.
@@ -142,30 +139,23 @@ func (t *table[S]) SetProfile(uid UserID, prof Profile) error {
 
 // Cloak implements Anonymizer.
 func (t *table[S]) Cloak(uid UserID) (CloakedRegion, error) {
-	start := time.Now()
-	var cr CloakedRegion
 	t.mu.RLock()
+	defer t.mu.RUnlock()
 	e, err := t.lookup(uid)
-	if err == nil {
-		cr, err = t.space.cloak(e.pos, e.slot, e.profile)
+	if err != nil {
+		return CloakedRegion{}, err
 	}
-	t.mu.RUnlock()
-	t.metrics.observe(start, cr, err)
-	return cr, err
+	return t.space.cloak(e.pos, e.slot, e.profile)
 }
 
 // CloakAt implements Anonymizer.
 func (t *table[S]) CloakAt(p geom.Point, prof Profile) (CloakedRegion, error) {
-	start := time.Now()
-	var cr CloakedRegion
-	err := prof.Validate()
-	if err == nil {
-		t.mu.RLock()
-		cr, err = t.space.cloak(p, t.space.at(p), prof)
-		t.mu.RUnlock()
+	if err := prof.Validate(); err != nil {
+		return CloakedRegion{}, err
 	}
-	t.metrics.observe(start, cr, err)
-	return cr, err
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.space.cloak(p, t.space.at(p), prof)
 }
 
 // ForEachUser implements Anonymizer. The walk holds the read lock, so

@@ -54,9 +54,11 @@ var (
 	// it.
 	ErrNoBuddies = errors.New("core: no other users to answer the buddy query")
 	// ErrBudgetExhausted reports a cloak refused because the user's
-	// cumulative ε spend reached the configured per-user budget ceiling
-	// (see privacyobs). Retryable in the operational sense: the request
-	// succeeds again once an operator raises or clears the ceiling.
+	// cumulative ε spend had reached the configured per-user budget
+	// ceiling (see privacyobs). The refused cloak was cut and then
+	// discarded unreleased. Retryable in the operational sense: the
+	// request succeeds again once an operator raises or clears the
+	// ceiling.
 	ErrBudgetExhausted = errors.New("core: privacy budget exhausted")
 )
 
@@ -545,7 +547,7 @@ func (c *Casper) WatchNearest(uid anonymizer.UserID, kind privacyqp.DataKind) (c
 	if c.monitor == nil {
 		return 0, nil, ErrMonitorDisabled
 	}
-	cr, err := c.anon().Cloak(uid)
+	cr, _, err := c.cloakUID(uid)
 	if err != nil {
 		return 0, nil, userErr(err)
 	}
@@ -574,7 +576,7 @@ func (c *Casper) WatchRange(uid anonymizer.UserID, radius float64, kind privacyq
 	if c.monitor == nil {
 		return 0, nil, ErrMonitorDisabled
 	}
-	cr, err := c.anon().Cloak(uid)
+	cr, _, err := c.cloakUID(uid)
 	if err != nil {
 		return 0, nil, userErr(err)
 	}
@@ -712,7 +714,7 @@ func (c *Casper) UpdateUsers(updates []UserUpdate) (int, error) {
 			applied++
 			continue
 		}
-		cr, err := c.cloakUID(u.UID)
+		cr, _, err := c.cloakUID(u.UID)
 		if err != nil {
 			// Unsatisfiable profile: the previous region stays in place,
 			// exactly like a failed UpdateUser push.
@@ -824,33 +826,35 @@ func (c *Casper) pushCloak(uid anonymizer.UserID) error {
 		// this push (concurrent update/deregister); nothing to store.
 		return fmt.Errorf("%w: user %d", ErrNotRegistered, uid)
 	}
-	cr, err := c.cloakUID(uid)
+	cr, _, err := c.cloakUID(uid)
 	if err != nil {
 		return userErr(err)
 	}
 	return c.storeCloaks([]cloakedPush{{uid: uid, pid: pid, region: cr.Region}})
 }
 
-// cloakUID cloaks the user's location. Every release in the process
-// funnels through here, so this is where the privacy observatory
-// plugs in: the ε-budget ceiling is enforced before the cloak, and
-// every successful release is fed to privacyobs.Default. When c.tr is
-// non-nil the cloak runs inside a "cloak" span annotated with the
+// cloakUID is the release gate: it cloaks the user's location and is
+// the only path by which a cloak leaves the anonymizer — stored at the
+// server, run as a private query, or registered as a standing watch
+// (a watch is a release of the asker's location). It times the cloak
+// once and makes one privacyobs.Default.Release call, which checks the
+// user's ε ceiling, spends and records the release in one critical
+// section. A refused cloak is discarded unreleased and reported as
+// ErrBudgetExhausted. It returns the cloak and the time it took; when
+// c.tr is non-nil that time is also a "cloak" span annotated with the
 // release's privacy characteristics.
-func (c *Casper) cloakUID(uid anonymizer.UserID) (anonymizer.CloakedRegion, error) {
-	if privacyobs.Default.BudgetExhausted(int64(uid)) {
-		return anonymizer.CloakedRegion{}, fmt.Errorf("%w: user %d", ErrBudgetExhausted, uid)
-	}
+func (c *Casper) cloakUID(uid anonymizer.UserID) (anonymizer.CloakedRegion, time.Duration, error) {
 	b := c.backend.Load()
-	sp := c.tr.StartSpan("cloak")
+	start := time.Now()
 	cr, err := b.anon.Cloak(uid)
-	if err == nil {
-		privacyobs.Default.ObserveCloak(b.name, int64(uid), cr)
+	took := time.Since(start)
+	if privacyobs.Default.Release(b.name, int64(uid), cr, took, err) {
+		return anonymizer.CloakedRegion{}, took, fmt.Errorf("%w: user %d", ErrBudgetExhausted, uid)
 	}
 	if c.tr == nil {
-		return cr, err
+		return cr, took, err
 	}
-	sp.End(trace.Str("backend", b.name),
+	c.tr.RecordSpan("cloak", start, took, trace.Str("backend", b.name),
 		trace.Str("mechanism", cr.Mechanism.String()),
 		trace.Int("level", int64(cr.Level)),
 		trace.Int("k_found", int64(cr.KFound)),
@@ -858,7 +862,7 @@ func (c *Casper) cloakUID(uid anonymizer.UserID) (anonymizer.CloakedRegion, erro
 		trace.Int("k_req", int64(cr.KRequested)),
 		trace.Int("area_m2", int64(cr.Region.Area())),
 		trace.Int("epsilon_micro", int64(cr.Epsilon*1e6)))
-	return cr, err
+	return cr, took, err
 }
 
 // Mechanism-dispatched query entries: region cloaks go through
@@ -914,9 +918,8 @@ type NNAnswer struct {
 // cloak failure comes back through userErr; q's error is returned as q
 // returned it, so each caller keeps its own wrapping.
 func (c *Casper) privateQuery(uid anonymizer.UserID, q func(anonymizer.CloakedRegion) (privacyqp.Result, error)) (geom.Rect, []rtree.Item, Breakdown, error) {
-	t0 := time.Now()
 	tr := c.tr
-	cr, err := c.cloakUID(uid)
+	cr, cloak, err := c.cloakUID(uid)
 	if err != nil {
 		return geom.Rect{}, nil, Breakdown{}, userErr(err)
 	}
@@ -935,7 +938,7 @@ func (c *Casper) privateQuery(uid anonymizer.UserID, q func(anonymizer.CloakedRe
 		tr.RecordSpan("transmit", t2, tx, trace.Int("candidates", int64(n)))
 	}
 	return cr.Region, res.Candidates, Breakdown{
-		Cloak:      t1.Sub(t0),
+		Cloak:      cloak,
 		Query:      t2.Sub(t1),
 		Transmit:   tx,
 		Candidates: n,

@@ -8,18 +8,19 @@ import (
 	"casper/internal/geom"
 )
 
-// BenchmarkObserveCloak is the observatory's whole hot-path cost: what
-// every released cloak pays on top of the cloaking algorithm itself.
+// BenchmarkRelease is the observatory's whole hot-path cost: what
+// every released cloak pays on top of the cloaking algorithm itself,
+// the ε-ceiling check and the casper_cloak_* samples included.
 // The existing-user path must not allocate — the DESIGN.md overhead
 // budget (≤5% of a cloak) depends on it.
-func BenchmarkObserveCloak(b *testing.B) {
+func BenchmarkRelease(b *testing.B) {
 	bench := func(b *testing.B, cr anonymizer.CloakedRegion) {
 		o := New()
-		o.ObserveCloak("bench", 1, cr) // create the user up front
+		o.Release("bench", 1, cr, 0, nil) // create the user up front
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			o.ObserveCloak("bench", int64(i%64), cr)
+			o.Release("bench", int64(i%64), cr, 0, nil)
 		}
 	}
 	b.Run("region", func(b *testing.B) {
@@ -47,12 +48,12 @@ func BenchmarkSnapshot(b *testing.B) {
 		b.Run(fmt.Sprintf("users=%d", users), func(b *testing.B) {
 			o := New()
 			for i := 0; i < 5*users; i++ {
-				o.ObserveCloak("bench-snap", int64(i%users), anonymizer.CloakedRegion{
+				o.Release("bench-snap", int64(i%users), anonymizer.CloakedRegion{
 					Region:     geom.R(float64(i%30), 0, float64(i%30)+10, 10),
 					KFound:     5 + i%10,
 					KRequested: 5,
 					Mechanism:  anonymizer.MechRegion,
-				})
+				}, 0, nil)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

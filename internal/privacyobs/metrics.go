@@ -2,12 +2,31 @@ package privacyobs
 
 import "casper/internal/metrics"
 
-// The casper_privacy_* families. Distribution instruments are split by
-// backend (the four built-ins resolve eagerly below; a custom backend
-// resolves once on its first release). The aggregate gauges read the
-// Default observer's Snapshot at scrape time, which also evaluates the
-// SLO, so every /metrics scrape is an SLO check.
+// The casper_cloak_* and casper_privacy_* families. Distribution
+// instruments are split by backend (the four built-ins resolve eagerly
+// below; a custom backend resolves once on its first release). The
+// aggregate gauges read the Default observer's Snapshot at scrape time,
+// which also evaluates the SLO, so every /metrics scrape is an SLO
+// check.
+//
+// The casper_cloak_* families are the cloaking cost, split by backend:
+// cloaking time and widening steps (Algorithm 1 recursion depth for
+// pyramid backends, ring expansions for cluster), two of the quantities
+// the paper's Sec. 6.1 evaluation plots; cloaked-region area, the
+// third, is casper_privacy_release_area_m2. The release gate times each
+// cloak once and hands the duration to Release.
 var (
+	cloakSeconds = metrics.Default.HistogramVec(
+		"casper_cloak_seconds", "anonymizer",
+		"Time to blur one exact location into a cloaked region, by backend.",
+		metrics.TimeBuckets())
+	cloakStepsUp = metrics.Default.HistogramVec(
+		"casper_cloak_steps_up", "anonymizer",
+		"Widening steps the cloaking procedure needed before succeeding, by backend.",
+		metrics.LinearBuckets(0, 1, 16))
+	cloakErrors = metrics.Default.CounterVec(
+		"casper_cloak_errors_total", "anonymizer",
+		"Cloak requests that failed (unknown user or unsatisfiable profile), by backend.")
 	privReleases = metrics.Default.CounterVec(
 		"casper_privacy_releases_total", "backend",
 		"Cloaked locations released to the query processor, by backend.")
@@ -33,26 +52,23 @@ var (
 // privacyInstruments is one backend's resolved distribution handles,
 // fetched once so the release hot path pays only atomic adds.
 type privacyInstruments struct {
-	releases    *metrics.Counter
-	kFound      *metrics.Histogram
-	area        *metrics.Histogram
-	kViolations *metrics.Counter
+	cloakSeconds *metrics.Histogram
+	cloakSteps   *metrics.Histogram
+	releases     *metrics.Counter
+	kFound       *metrics.Histogram
+	area         *metrics.Histogram
+	kViolations  *metrics.Counter
 }
 
 func instrumentsFor(name string) *privacyInstruments {
 	return &privacyInstruments{
-		releases:    privReleases.With(name),
-		kFound:      privKFound.With(name),
-		area:        privArea.With(name),
-		kViolations: privKViolations.With(name),
+		cloakSeconds: cloakSeconds.With(name),
+		cloakSteps:   cloakStepsUp.With(name),
+		releases:     privReleases.With(name),
+		kFound:       privKFound.With(name),
+		area:         privArea.With(name),
+		kViolations:  privKViolations.With(name),
 	}
-}
-
-// Resolve the built-in backends eagerly so their series exist from the
-// first scrape, matching internal/anonymizer's cloakMetrics.
-var _ = []*privacyInstruments{
-	instrumentsFor("basic"), instrumentsFor("adaptive"),
-	instrumentsFor("cluster"), instrumentsFor("geoind"),
 }
 
 // privacyGauge registers one casper_privacy_* gauge over a field of
@@ -62,6 +78,13 @@ func privacyGauge(family, help string, field func(Snapshot) float64) {
 }
 
 func init() {
+	// Resolve the built-in backends eagerly so their series exist from
+	// the first scrape. A failed cloak has no release to account, so its
+	// counter is not part of the release instruments.
+	for _, name := range []string{"basic", "adaptive", "cluster", "geoind"} {
+		instrumentsFor(name)
+		cloakErrors.With(name)
+	}
 	privacyGauge("casper_privacy_slo_ok",
 		"1 when the configured privacy SLO holds (k-satisfied fraction and linkage within thresholds), else 0. Evaluated at scrape time.",
 		func(s Snapshot) float64 {

@@ -5,6 +5,9 @@
 // the anonymizer actually releases and keeps the same quantities
 // continuously current on a running server:
 //
+//   - per-backend cloak time, widening steps and failures (the
+//     casper_cloak_* families), measured once per cloak by the release
+//     gate, core.cloakUID;
 //   - per-backend achieved-k and cloak-area distributions, with
 //     k-violation accounting (a release whose population fell short of
 //     the user's requested k — possible only transiently, when users
@@ -20,32 +23,35 @@
 //     0.23 headline in results_csv/backends_quick.csv);
 //   - per-user ε-budget accounts for perturbed-mechanism backends
 //     (geoind): cumulative spend, and an optional ceiling that makes
-//     the framework refuse further releases for an exhausted user;
+//     the framework refuse further releases for an exhausted user. The
+//     ceiling check and the spend share one critical section, so a
+//     user ends below the ceiling plus one release's ε;
 //   - privacy-SLO thresholds (minimum k-satisfied fraction, maximum
 //     linkage) evaluated on every scrape, driving the
 //     casper_privacy_slo_ok gauge and slog alerts on transitions.
 //
 // Like internal/metrics and internal/trace, the package is
-// zero-dependency and built for the hot path: observing one release is
-// one short critical section under the observer's mutex — a few field
-// updates, one ring store and one map update, with no allocation for a
-// user the observer has seen before. Every aggregate is a running
-// total, so a Snapshot (the one reader) holds the lock for O(backends +
-// ringSize), never for a walk over the tracked users. State lives in the
-// process-global Default observer (the cloak path feeds it
-// unconditionally); New exists for tests.
+// zero-dependency and built for the hot path: observing one release
+// (Release) is one short critical section under the observer's mutex —
+// the ceiling check, a few field updates, one ring store and one map
+// update, with no allocation for a user the observer has seen before.
+// Every aggregate is a running total, so a Snapshot (the one reader)
+// holds the lock for O(backends + ringSize), never for a walk over the
+// tracked users. State lives in the process-global Default observer
+// (the release gate feeds it unconditionally); New exists for tests.
 package privacyobs
 
 import (
 	"log/slog"
 	"math"
 	"sync"
+	"time"
 
 	"casper/internal/anonymizer"
 	"casper/internal/geom"
 )
 
-// Default is the process-global observer the framework's cloak path
+// Default is the process-global observer the framework's release gate
 // feeds. The casper_privacy_* gauges and /debug/stats read it.
 var Default = New()
 
@@ -141,11 +147,26 @@ func New() *Observer {
 	}
 }
 
-// ObserveCloak records one released cloak. uid keys the linkage and
-// budget accounts; it never leaves the trusted anonymizer process (the
-// observer lives on the same side of the trust boundary as the
-// anonymizer itself). The existing-user path performs no allocation.
-func (o *Observer) ObserveCloak(backendName string, uid int64, cr anonymizer.CloakedRegion) {
+// Release is the release gate's one observer call: core.cloakUID
+// makes it once per cloak, after the cloak, with the cloak's outcome
+// and the time it took. uid keys the linkage and budget accounts; it
+// never leaves the trusted anonymizer process (the observer lives on
+// the same side of the trust boundary as the anonymizer itself).
+//
+// A failed cloak counts in casper_cloak_errors_total and nothing else.
+// Otherwise one acquisition of the observer's lock checks the user's ε
+// ceiling and, unless that refuses the release, spends the release's ε
+// and records it; the distribution samples follow outside the lock. A
+// refused release counts one refusal and nothing else, and the caller
+// must discard the cloak. Because the check and the spend share one
+// critical section, a user's spend ends below the ceiling plus one
+// release's ε however many cloaks race. The existing-user path performs
+// no allocation.
+func (o *Observer) Release(backendName string, uid int64, cr anonymizer.CloakedRegion, took time.Duration, err error) (refused bool) {
+	if err != nil {
+		cloakErrors.With(backendName).Inc()
+		return false
+	}
 	area := cr.Region.Area()
 	region := cr.Mechanism == anonymizer.MechRegion
 	violation := region && cr.KRequested > 0 && cr.KFound < cr.KRequested
@@ -158,6 +179,12 @@ func (o *Observer) ObserveCloak(backendName string, uid int64, cr anonymizer.Clo
 	}
 
 	o.mu.Lock()
+	if o.budgetCeiling > 0 && o.spent[uid] >= o.budgetCeiling {
+		o.budgetRefusals++
+		o.mu.Unlock()
+		budgetExhausted.Inc()
+		return true
+	}
 	bs := o.backends[backendName]
 	if bs == nil {
 		bs = &backendStats{inst: instrumentsFor(backendName)}
@@ -181,6 +208,8 @@ func (o *Observer) ObserveCloak(backendName string, uid int64, cr anonymizer.Clo
 	inst := bs.inst
 	o.mu.Unlock()
 
+	inst.cloakSeconds.Observe(took.Seconds())
+	inst.cloakSteps.Observe(float64(cr.StepsUp))
 	inst.releases.Inc()
 	inst.area.Observe(area)
 	if region {
@@ -192,6 +221,7 @@ func (o *Observer) ObserveCloak(backendName string, uid int64, cr anonymizer.Clo
 	if reset {
 		linkResets.Inc()
 	}
+	return false
 }
 
 // observeLinkage advances the user's online overlap attack with a new
@@ -266,24 +296,6 @@ func (o *Observer) EpsilonBudget() float64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.budgetCeiling
-}
-
-// BudgetExhausted reports whether a ceiling is set and the user's
-// cumulative spend has reached it. The check runs before the release,
-// so a user's final release may carry the spend past the ceiling by
-// at most one ε_u; after that, every further cloak is refused. The
-// true branch also counts the refusal.
-func (o *Observer) BudgetExhausted(uid int64) bool {
-	o.mu.Lock()
-	exhausted := o.budgetCeiling > 0 && o.spent[uid] >= o.budgetCeiling
-	if exhausted {
-		o.budgetRefusals++
-	}
-	o.mu.Unlock()
-	if exhausted {
-		budgetExhausted.Inc()
-	}
-	return exhausted
 }
 
 // SetSLOThresholds installs the privacy-SLO thresholds: the minimum

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"casper/internal/anonymizer"
 	"casper/internal/geom"
@@ -28,9 +29,9 @@ func regionRelease(r geom.Rect, kFound, kReq int) anonymizer.CloakedRegion {
 func TestBackendAccounting(t *testing.T) {
 	o := New()
 	const backend = "test-accounting"
-	o.ObserveCloak(backend, 1, regionRelease(geom.R(0, 0, 10, 10), 5, 5))
-	o.ObserveCloak(backend, 2, regionRelease(geom.R(0, 0, 20, 20), 7, 5))
-	o.ObserveCloak(backend, 3, regionRelease(geom.R(0, 0, 10, 20), 3, 5)) // violation
+	o.Release(backend, 1, regionRelease(geom.R(0, 0, 10, 10), 5, 5), 0, nil)
+	o.Release(backend, 2, regionRelease(geom.R(0, 0, 20, 20), 7, 5), 0, nil)
+	o.Release(backend, 3, regionRelease(geom.R(0, 0, 10, 20), 3, 5), 0, nil) // violation
 
 	s := o.Snapshot()
 	if len(s.Backends) != 1 {
@@ -66,11 +67,11 @@ func TestKSatisfiedFractionIdle(t *testing.T) {
 		t.Errorf("idle k-satisfied fraction = %g, want 1", got)
 	}
 	// A perturbed release has no k guarantee and must not count.
-	o.ObserveCloak("test-idle", 1, anonymizer.CloakedRegion{
+	o.Release("test-idle", 1, anonymizer.CloakedRegion{
 		Region:    geom.R(0, 0, 1, 1),
 		Mechanism: anonymizer.MechPerturbed,
 		Epsilon:   0.1,
-	})
+	}, 0, nil)
 	if got := o.Snapshot().KSatisfiedFraction; got != 1 {
 		t.Errorf("after perturbed release, k-satisfied fraction = %g, want 1", got)
 	}
@@ -86,7 +87,7 @@ func TestEntropyWindow(t *testing.T) {
 	o := New()
 	ks := []int{1, 2, 4, 8, 32}
 	for i, k := range ks {
-		o.ObserveCloak("test-entropy", int64(i), regionRelease(geom.R(0, 0, 1, 1), k, 1))
+		o.Release("test-entropy", int64(i), regionRelease(geom.R(0, 0, 1, 1), k, 1), 0, nil)
 	}
 	e := o.Snapshot().Entropy
 	mean, min, n := e.MeanBits, e.MinBits, e.Window
@@ -105,7 +106,7 @@ func TestEntropyWindow(t *testing.T) {
 func TestEntropyWindowWraps(t *testing.T) {
 	o := New()
 	for i := 0; i < ringSize+50; i++ {
-		o.ObserveCloak("test-wrap", int64(i), regionRelease(geom.R(0, 0, 1, 1), 4, 1))
+		o.Release("test-wrap", int64(i), regionRelease(geom.R(0, 0, 1, 1), 4, 1), 0, nil)
 	}
 	e := o.Snapshot().Entropy
 	mean, min, n := e.MeanBits, e.MinBits, e.Window
@@ -133,7 +134,7 @@ func TestLinkageMatchesOverlapAttack(t *testing.T) {
 	}
 	o := New()
 	for _, r := range cloaks {
-		o.ObserveCloak("test-linkage", 42, regionRelease(r, 5, 5))
+		o.Release("test-linkage", 42, regionRelease(r, 5, 5), 0, nil)
 	}
 	want := privacy.RunOverlapAttack(cloaks)
 
@@ -157,7 +158,7 @@ func TestLinkageNoEvidence(t *testing.T) {
 	o := New()
 	// Distinct users, one release each: nothing linkable.
 	for uid := int64(0); uid < 10; uid++ {
-		o.ObserveCloak("test-noev", uid, regionRelease(geom.R(0, 0, 1, 1), 5, 5))
+		o.Release("test-noev", uid, regionRelease(geom.R(0, 0, 1, 1), 5, 5), 0, nil)
 	}
 	l := o.Snapshot().Linkage
 	frac, tracked, noEvidence := l.Estimate, l.TrackedUsers, !l.Evidence
@@ -174,7 +175,7 @@ func TestLinkageReanchors(t *testing.T) {
 	// linkWindow+10 identical releases: obs must re-anchor and stay
 	// below the window, and the estimate stays 1 (identical regions).
 	for i := 0; i < linkWindow+10; i++ {
-		o.ObserveCloak("test-anchor", 7, regionRelease(geom.R(0, 0, 10, 10), 5, 5))
+		o.Release("test-anchor", 7, regionRelease(geom.R(0, 0, 10, 10), 5, 5), 0, nil)
 	}
 	o.mu.Lock()
 	obs := o.linkage[7].obs
@@ -198,7 +199,7 @@ func TestLinkageReanchors(t *testing.T) {
 func TestLinkageTrackingCap(t *testing.T) {
 	o := New()
 	for i := 0; i <= maxTracked; i++ {
-		o.ObserveCloak("test-cap", int64(i*16), regionRelease(geom.R(0, 0, 1, 1), 5, 5))
+		o.Release("test-cap", int64(i*16), regionRelease(geom.R(0, 0, 1, 1), 5, 5), 0, nil)
 	}
 	s := o.Snapshot()
 	if s.Linkage.TrackedUsers != maxTracked {
@@ -222,7 +223,7 @@ func TestLinkageRunningSumMatchesWalk(t *testing.T) {
 		if rng.Intn(20) == 0 {
 			x += 100 // a jump: the next intersection is empty
 		}
-		o.ObserveCloak("test-walk", uid, regionRelease(geom.R(x, y, x+10, y+10), 5, 5))
+		o.Release("test-walk", uid, regionRelease(geom.R(x, y, x+10, y+10), 5, 5), 0, nil)
 		if i%100 != 0 {
 			continue
 		}
@@ -251,59 +252,56 @@ func TestLinkageRunningSumMatchesWalk(t *testing.T) {
 	}
 }
 
+// perturbedRelease builds a perturbed-mechanism release spending eps.
+func perturbedRelease(eps float64) anonymizer.CloakedRegion {
+	return anonymizer.CloakedRegion{
+		Region:    geom.R(0, 0, 1, 1),
+		Mechanism: anonymizer.MechPerturbed,
+		Epsilon:   eps,
+	}
+}
+
 func TestEpsilonBudget(t *testing.T) {
 	o := New()
-	perturbed := func(eps float64) anonymizer.CloakedRegion {
-		return anonymizer.CloakedRegion{
-			Region:    geom.R(0, 0, 1, 1),
-			Mechanism: anonymizer.MechPerturbed,
-			Epsilon:   eps,
-		}
-	}
-	if o.BudgetExhausted(1) {
-		t.Fatal("exhausted with no ceiling configured")
-	}
 	// 0.125 is exact in binary, so 8 releases sum to exactly 1.0.
 	o.SetEpsilonBudget(1.0)
-	for i := 0; i < 7; i++ {
-		if o.BudgetExhausted(1) {
-			t.Fatalf("exhausted after %d of 8 releases", i)
+	for i := 0; i < 8; i++ {
+		if o.Release("test-budget", 1, perturbedRelease(0.125), 0, nil) {
+			t.Fatalf("release %d of 8 refused below the ceiling", i+1)
 		}
-		o.ObserveCloak("test-budget", 1, perturbed(0.125))
 	}
-	if got := o.Spent(1); got != 0.875 {
-		t.Fatalf("spent = %g, want 0.875", got)
+	// The eighth release carried the spend to the ceiling, after which
+	// further releases are refused.
+	if got := o.Spent(1); got != 1.0 {
+		t.Fatalf("spent = %g, want 1.0", got)
 	}
-	// The eighth release carries the spend to the ceiling...
-	o.ObserveCloak("test-budget", 1, perturbed(0.125))
-	// ...after which further cloaks are refused.
-	if !o.BudgetExhausted(1) {
-		t.Error("not exhausted at the ceiling")
+	if !o.Release("test-budget", 1, perturbedRelease(0.125), 0, nil) {
+		t.Error("release at the ceiling was not refused")
 	}
 	// Other users are unaffected.
-	if o.BudgetExhausted(2) {
-		t.Error("fresh user reported exhausted")
+	if o.Release("test-budget", 2, perturbedRelease(0.125), 0, nil) {
+		t.Error("fresh user refused")
 	}
 	s := o.Snapshot()
 	if s.Epsilon.Refusals != 1 {
 		t.Errorf("refusals = %d, want 1", s.Epsilon.Refusals)
 	}
-	if math.Abs(s.Epsilon.SpentTotal-1.0) > 1e-12 {
-		t.Errorf("spent total = %g, want 1.0", s.Epsilon.SpentTotal)
+	if math.Abs(s.Epsilon.SpentTotal-1.125) > 1e-12 {
+		t.Errorf("spent total = %g, want 1.125", s.Epsilon.SpentTotal)
 	}
 	if math.Abs(s.Epsilon.MaxUser-1.0) > 1e-12 {
 		t.Errorf("max user = %g, want 1.0", s.Epsilon.MaxUser)
 	}
-	if s.Epsilon.Users != 1 {
-		t.Errorf("users = %d, want 1", s.Epsilon.Users)
+	if s.Epsilon.Users != 2 {
+		t.Errorf("users = %d, want 2", s.Epsilon.Users)
 	}
 	// Raising the ceiling un-refuses; clearing it (0) too.
 	o.SetEpsilonBudget(2.0)
-	if o.BudgetExhausted(1) {
-		t.Error("still exhausted after the ceiling was raised")
+	if o.Release("test-budget", 1, perturbedRelease(0.125), 0, nil) {
+		t.Error("still refused after the ceiling was raised")
 	}
 	o.SetEpsilonBudget(0)
-	if o.BudgetExhausted(1) || o.EpsilonBudget() != 0 {
+	if o.Release("test-budget", 1, perturbedRelease(0.125), 0, nil) || o.EpsilonBudget() != 0 {
 		t.Error("ceiling clear did not take effect")
 	}
 	// Garbage values disable the ceiling rather than installing it.
@@ -317,6 +315,133 @@ func TestEpsilonBudget(t *testing.T) {
 	}
 }
 
+// releaseState is everything a release can touch: the observer's
+// per-backend, entropy, linkage and ε accounts, and the backend's metric
+// series.
+type releaseState struct {
+	releases       int64 // observer's count for the backend
+	entropy        EntropySnapshot
+	linkage        LinkageSnapshot
+	epsilon        EpsilonSnapshot
+	releaseSeries  int64
+	seconds, steps int64 // casper_cloak_seconds / _steps_up samples
+	area, k        int64 // casper_privacy_release_area_m2 / achieved_k samples
+	errors         int64 // casper_cloak_errors_total
+	exhausted      int64 // casper_privacy_budget_exhausted_total
+	linkResets     int64 // casper_privacy_linkage_resets_total
+}
+
+func stateOf(o *Observer, backend string) releaseState {
+	inst := instrumentsFor(backend)
+	s := o.Snapshot()
+	st := releaseState{
+		entropy:       s.Entropy,
+		linkage:       s.Linkage,
+		epsilon:       s.Epsilon,
+		releaseSeries: inst.releases.Value(),
+		seconds:       inst.cloakSeconds.Count(),
+		steps:         inst.cloakSteps.Count(),
+		area:          inst.area.Count(),
+		k:             inst.kFound.Count(),
+		errors:        cloakErrors.With(backend).Value(),
+		exhausted:     budgetExhausted.Value(),
+		linkResets:    linkResets.Value(),
+	}
+	for _, b := range s.Backends {
+		if b.Backend == backend {
+			st.releases = b.Releases
+		}
+	}
+	return st
+}
+
+// TestReleaseRefusedRecordsOnlyRefusal: a release refused at the ε
+// ceiling counts one refusal and nothing else — no spend, no linkage
+// step, no backend release, no histogram sample.
+func TestReleaseRefusedRecordsOnlyRefusal(t *testing.T) {
+	const backend = "test-refused"
+	o := New()
+	o.SetEpsilonBudget(0.5)
+	if o.Release(backend, 1, perturbedRelease(0.5), time.Millisecond, nil) {
+		t.Fatal("first release refused")
+	}
+	before := stateOf(o, backend)
+	if !o.Release(backend, 1, perturbedRelease(0.5), time.Millisecond, nil) {
+		t.Fatal("release at the ceiling was not refused")
+	}
+	want := before
+	want.epsilon.Refusals++
+	want.exhausted++
+	if got := stateOf(o, backend); got != want {
+		t.Errorf("refused release left\n%+v, want\n%+v", got, want)
+	}
+}
+
+// TestReleaseFailedCloakCountsOnlyError: a failed cloak counts in
+// casper_cloak_errors_total and nothing else — not even a refusal for a
+// user past the ceiling.
+func TestReleaseFailedCloakCountsOnlyError(t *testing.T) {
+	const backend = "test-failed"
+	o := New()
+	o.SetEpsilonBudget(0.5)
+	o.Release(backend, 1, perturbedRelease(0.5), time.Millisecond, nil)
+	before := stateOf(o, backend)
+	if o.Release(backend, 1, anonymizer.CloakedRegion{}, time.Millisecond, anonymizer.ErrUnknownUser) {
+		t.Error("failed cloak reported as refused")
+	}
+	want := before
+	want.errors++
+	if got := stateOf(o, backend); got != want {
+		t.Errorf("failed cloak left\n%+v, want\n%+v", got, want)
+	}
+}
+
+// TestReleaseRecordsEachQuantityOnce: a successful release records its
+// spend, linkage step, k, area, latency and steps-up exactly once.
+func TestReleaseRecordsEachQuantityOnce(t *testing.T) {
+	const backend = "test-success"
+	o := New()
+	o.SetEpsilonBudget(10)
+	first := regionRelease(geom.R(0, 0, 10, 10), 4, 4)
+	first.Epsilon = 0.25
+	o.Release(backend, 1, first, time.Millisecond, nil)
+	before := stateOf(o, backend)
+	inst := instrumentsFor(backend)
+	sums := func() [4]float64 {
+		return [4]float64{inst.cloakSeconds.Sum(), inst.cloakSteps.Sum(), inst.kFound.Sum(), inst.area.Sum()}
+	}
+	sumsBefore := sums()
+
+	cr := regionRelease(geom.R(0, 0, 10, 5), 8, 5)
+	cr.Epsilon, cr.StepsUp = 0.25, 3
+	if o.Release(backend, 1, cr, 2*time.Millisecond, nil) {
+		t.Fatal("release refused below the ceiling")
+	}
+	want := before
+	want.releases++
+	want.releaseSeries++
+	want.seconds++
+	want.steps++
+	want.area++
+	want.k++
+	want.entropy = EntropySnapshot{MeanBits: 2.5, MinBits: 2, Window: 2}
+	// One linkage step: the second region halves the first.
+	want.linkage.Estimate, want.linkage.Evidence = 0.5, true
+	want.epsilon.SpentTotal, want.epsilon.MaxUser = 0.5, 0.5
+	if got := stateOf(o, backend); got != want {
+		t.Errorf("release left\n%+v, want\n%+v", got, want)
+	}
+	if got, want := o.Spent(1), 0.5; got != want {
+		t.Errorf("spent = %g, want %g", got, want)
+	}
+	got := sums()
+	for i, w := range [4]float64{0.002, 3, 8, 50} {
+		if d := got[i] - sumsBefore[i]; math.Abs(d-w) > 1e-12 {
+			t.Errorf("sample %d added %g, want %g", i, d, w)
+		}
+	}
+}
+
 func TestSLOTransitions(t *testing.T) {
 	o := New()
 	// Unconfigured thresholds: always ok.
@@ -326,13 +451,13 @@ func TestSLOTransitions(t *testing.T) {
 	o.SetSLOThresholds(0.9, 0.5)
 
 	// All releases satisfied: ok.
-	o.ObserveCloak("test-slo", 1, regionRelease(geom.R(0, 0, 10, 10), 5, 5))
+	o.Release("test-slo", 1, regionRelease(geom.R(0, 0, 10, 10), 5, 5), 0, nil)
 	if !o.Snapshot().SLO.OK {
 		t.Fatal("SLO violated with 100% k-satisfied")
 	}
 
 	// One violation in two releases drops the fraction to 0.5 < 0.9.
-	o.ObserveCloak("test-slo", 2, regionRelease(geom.R(0, 0, 10, 10), 2, 5))
+	o.Release("test-slo", 2, regionRelease(geom.R(0, 0, 10, 10), 2, 5), 0, nil)
 	if o.Snapshot().SLO.OK {
 		t.Fatal("SLO ok with k-satisfied fraction 0.5 < threshold 0.9")
 	}
@@ -341,11 +466,11 @@ func TestSLOTransitions(t *testing.T) {
 	// 0.5, a violation even when the k dimension is disabled.
 	o2 := New()
 	o2.SetSLOThresholds(0, 0.5)
-	o2.ObserveCloak("test-slo2", 1, regionRelease(geom.R(0, 0, 10, 10), 5, 5))
+	o2.Release("test-slo2", 1, regionRelease(geom.R(0, 0, 10, 10), 5, 5), 0, nil)
 	if !o2.Snapshot().SLO.OK {
 		t.Fatal("linkage SLO violated without repeat-release evidence")
 	}
-	o2.ObserveCloak("test-slo2", 1, regionRelease(geom.R(0, 0, 10, 10), 5, 5))
+	o2.Release("test-slo2", 1, regionRelease(geom.R(0, 0, 10, 10), 5, 5), 0, nil)
 	if o2.Snapshot().SLO.OK {
 		t.Fatal("linkage SLO ok with surviving fraction 1 > threshold 0.5")
 	}
@@ -373,14 +498,13 @@ func TestConcurrentObservers(t *testing.T) {
 				uid := int64(w*1000 + i%50)
 				f := float64(i % 30)
 				if i%3 == 0 {
-					o.BudgetExhausted(uid)
-					o.ObserveCloak(backend, uid, anonymizer.CloakedRegion{
+					o.Release(backend, uid, anonymizer.CloakedRegion{
 						Region:    geom.R(f, f, f+1, f+1),
 						Mechanism: anonymizer.MechPerturbed,
 						Epsilon:   0.01,
-					})
+					}, 0, nil)
 				} else {
-					o.ObserveCloak(backend, uid, regionRelease(geom.R(f, f, f+10, f+10), 5, 5))
+					o.Release(backend, uid, regionRelease(geom.R(f, f, f+10, f+10), 5, 5), 0, nil)
 				}
 			}
 		}(w)
@@ -401,5 +525,33 @@ func TestConcurrentObservers(t *testing.T) {
 	}
 	if want := int64(workers * 500); total != want {
 		t.Errorf("releases = %d, want %d", total, want)
+	}
+}
+
+// TestConcurrentReleasesKeepBudgetBound races many releases of one user
+// against the ε ceiling. The check and the spend share one critical
+// section, so exactly the four releases that bring the spend to the
+// ceiling pass, however the goroutines interleave.
+func TestConcurrentReleasesKeepBudgetBound(t *testing.T) {
+	const eps, ceiling, workers = 0.25, 1.0, 16
+	o := New()
+	o.SetEpsilonBudget(ceiling)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				o.Release("test-conc-budget", 1, perturbedRelease(eps), 0, nil)
+			}
+		}()
+	}
+	wg.Wait()
+	s := o.Snapshot()
+	if got := o.Spent(1); got != ceiling {
+		t.Errorf("spent = %g, want exactly the ceiling %g (4 releases of %g)", got, ceiling, eps)
+	}
+	if want := int64(workers*20 - 4); s.Epsilon.Refusals != want {
+		t.Errorf("refusals = %d, want %d", s.Epsilon.Refusals, want)
 	}
 }

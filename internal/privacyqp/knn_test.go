@@ -237,8 +237,11 @@ func TestRefineKNNMatchesSortedCandidates(t *testing.T) {
 				rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
 			}
 		}
+		// The allocation budget holds only without the race detector,
+		// under which sync.Pool drops Puts at random and a pooled
+		// scratch arena is sometimes allocated afresh.
 		cands := refineCandidates(rng, 150, kind)
-		if a := testing.AllocsPerRun(100, func() { RefineKNN(geom.Pt(350, 350), cands, 5, kind) }); a > 2 {
+		if a := testing.AllocsPerRun(100, func() { RefineKNN(geom.Pt(350, 350), cands, 5, kind) }); a > 2 && !raceEnabled {
 			t.Fatalf("%v: RefineKNN allocates %v times per call, budget 2", kind, a)
 		}
 	}

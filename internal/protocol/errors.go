@@ -50,9 +50,10 @@ const (
 	// request under admission control before doing any work.
 	CodeOverloaded = "overloaded"
 	// CodeBudgetExhausted maps core.ErrBudgetExhausted. The cloak was
-	// refused before doing any work because the user's cumulative ε
-	// spend reached the -epsilon-budget ceiling; retrying succeeds once
-	// an operator raises or clears the ceiling.
+	// cut and then discarded unreleased, because the user's cumulative
+	// ε spend had reached the -epsilon-budget ceiling; nothing reached
+	// the server. Retrying succeeds once an operator raises or clears
+	// the ceiling.
 	CodeBudgetExhausted = "budget_exhausted"
 	// CodeResponseTooLarge maps ErrResponseTooLarge.
 	CodeResponseTooLarge = "response_too_large"
