@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check staticcheck test race check shutdown-smoke metrics-audit bench-selftest bench bench-updates bench-queries bench-smoke bench-allocs bench-e2e bench-backends bench-continuous fuzz race-stress
+.PHONY: all build vet fmt-check staticcheck test race check shutdown-smoke metrics-audit bench-selftest bench bench-updates bench-queries bench-smoke bench-allocs bench-e2e bench-backends bench-continuous fuzz race-stress mutants
 
 all: check
 
@@ -114,9 +114,10 @@ bench-smoke:
 
 # bench-allocs asserts the query kernels' allocation budgets: with
 # tracing compiled in but no trace attached, BenchmarkNN must stay at
-# or below 5 allocs/op (the PR 4 scratch-arena baseline is 3; the
-# margin absorbs harness noise, not regressions). A tracing change
-# that makes the disabled path allocate fails CI here. The R-tree k-NN
+# or below 5 allocs/op (4 measured: the Filters and Candidates copies,
+# and step 4's SearchFunc callback with the dst slice it captures, see
+# DESIGN.md §8; the margin absorbs harness noise, not regressions). A
+# tracing change that makes the disabled path allocate fails CI here. The R-tree k-NN
 # search must stay at or below 4 KB/op (BenchmarkNearestK10K; its
 # frontier queues 16-byte node entries, never items), and the client's
 # k-NN refinement at or below 2 allocs/op (BenchmarkRefineKNN; it
@@ -262,3 +263,11 @@ fuzz:
 # anonymizer's seeded churn, which picks its users reproducibly.
 race-stress:
 	$(GO) test -race -count=3 -run 'Stress|Concurrent|Batch|ContextDeadline|TestRefineKNNMatchesSortedCandidates|TestAdaptiveChurnConsistency' ./internal/anonymizer ./internal/pyramid ./internal/core ./internal/server ./internal/protocol ./internal/continuous ./internal/privacyobs ./internal/privacyqp ./internal/rtree ./cmd/casperd
+
+# mutants scores the suite: each testdata/mutants/NAME.patch is a small
+# deliberate fault whose header names the packages to test and the test
+# that must catch it. The script applies each to a temporary copy of the
+# tree with git apply and fails if a mutant survives, a patch no longer
+# applies, or a named test does not pass on the unmutated tree.
+mutants:
+	GO=$(GO) bash testdata/mutants/run.sh

@@ -6,43 +6,22 @@
 //
 //	casperd [flags]
 //
-//	-addr        listen address                (default 127.0.0.1:7467)
-//	-extent      universe side length, meters  (default 40000)
-//	-levels      pyramid height H              (default 9)
-//	-backend     privacy backend: basic | adaptive | cluster | geoind
-//	             (default adaptive)
-//	-epsilon     geoind base privacy budget ε  (default backend's)
-//	-min-k       cluster k-anonymity floor     (default off)
-//	-filters     query filters: 1, 2 or 4      (default 4)
-//	-targets     preloaded public objects      (default 10000)
-//	-seed        workload seed                 (default 1)
-//	-wal         write-ahead log path          (default none)
-//	-debug-addr  observability HTTP endpoint   (default off)
-//	-slow-query  slow-query log threshold      (default off)
-//	-trace       request tracing on/off        (default on)
-//	-trace-sample  head-sample 1 in N requests (default 16)
-//	-ready-max-snapshot-age  /readyz staleness bound (default off)
-//	-tls-cert / -tls-key     serve TLS on the RPC port (default off)
-//	-tls-client-ca           require CA-signed client certs (mTLS)
-//	-config      runtime-reloadable config file (default none)
-//	-drain       graceful-shutdown drain deadline (default 10s)
-//	-rate-limit  per-user token-bucket req/s   (default off)
-//	-rate-burst  per-user bucket size          (default 2x rate)
-//	-max-concurrent  global in-flight ceiling  (default off)
-//	-epsilon-budget  per-user cumulative ε ceiling (default off)
-//	-slo-min-k-satisfied  privacy-SLO floor on the k-satisfied
-//	             fraction of region releases   (default off)
-//	-slo-max-linkage  privacy-SLO ceiling on the online linkage
-//	             estimate                      (default off)
+// casperd -h lists every flag with its default. The twelve runtime
+// settings, -slow-query through -slo-max-linkage, are declared once in
+// internal/config, next to their config file keys; the other flags
+// (listen address, universe, pyramid height, WAL, TLS, debug endpoint)
+// take effect at startup only.
 //
 // Lifecycle: on the first SIGINT/SIGTERM casperd flips /readyz to 503,
 // stops accepting, finishes in-flight requests up to the drain
 // deadline, force-closes stragglers, syncs the WAL, and exits 0. A
 // second signal during the drain forces an immediate nonzero exit.
 // SIGHUP (or POST /-/reload on the debug endpoint) re-reads -config
-// and applies the reloadable keys — slow-query threshold, trace
-// sampling, rate limits, drain deadline — without a restart; a file
-// that fails to parse changes nothing. See DESIGN.md §10.
+// and applies the reloadable keys — the twelve flags from -slow-query
+// to -slo-max-linkage, declared in internal/config — without a
+// restart; keys absent from the file take their flag values, and a
+// file that fails to parse changes nothing. A flag value is checked by
+// the same rule as its file key. See DESIGN.md §10.
 //
 // With -debug-addr set (e.g. ":6060"), casperd serves /metrics
 // (Prometheus text format), /healthz (liveness), /readyz (readiness:
@@ -70,18 +49,16 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"slices"
-	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
 
 	"casper"
+	"casper/internal/config"
 	"casper/internal/metrics"
 	"casper/internal/trace"
 )
@@ -90,44 +67,64 @@ import (
 // -ldflags "-X main.version=v1.2.3".
 var version = "dev"
 
+// options is casperd's command line: the startup-only flags, and the
+// runtime settings the -config file is read onto.
+type options struct {
+	addr, walPath, debugAddr     string
+	tlsCert, tlsKey, tlsClientCA string
+	configPath                   string
+	extent                       float64
+	levels, filters, targets     int
+	maxInFlight                  int
+	seed                         int64
+	traceOn                      bool
+	readyMaxSnapAge              time.Duration
+	settings                     config.Settings
+}
+
+// parseFlags parses args (without the program name) and checks them;
+// an invalid runtime setting is refused with the message its config
+// file key gets.
+func parseFlags(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("casperd", flag.ContinueOnError)
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:7467", "listen address")
+	fs.Float64Var(&o.extent, "extent", 40000, "universe side length in meters")
+	fs.IntVar(&o.levels, "levels", 9, "pyramid height")
+	fs.IntVar(&o.filters, "filters", 4, "query processor filters: 1, 2 or 4")
+	fs.IntVar(&o.targets, "targets", 10000, "number of preloaded public target objects")
+	fs.Int64Var(&o.seed, "seed", 1, "seed for target placement")
+	fs.StringVar(&o.walPath, "wal", "", "write-ahead log path; empty disables persistence")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "address for /metrics, /healthz, /readyz, /debug/traces, /debug/stats and /debug/pprof; empty disables")
+	fs.BoolVar(&o.traceOn, "trace", true, "record per-request traces into the /debug/traces ring")
+	fs.DurationVar(&o.readyMaxSnapAge, "ready-max-snapshot-age", 0, "/readyz fails when the query snapshot is older than this with writes pending; 0 disables")
+	fs.IntVar(&o.maxInFlight, "max-inflight", 0, "per-connection cap on concurrently dispatched requests (0 = default)")
+	fs.StringVar(&o.tlsCert, "tls-cert", "", "PEM server certificate; with -tls-key, serves TLS on the RPC port")
+	fs.StringVar(&o.tlsKey, "tls-key", "", "PEM server key for -tls-cert")
+	fs.StringVar(&o.tlsClientCA, "tls-client-ca", "", "PEM CA bundle; when set, clients must present a certificate it signed (mTLS)")
+	fs.StringVar(&o.configPath, "config", "", "runtime-reloadable config file (JSON); reloaded on SIGHUP or POST /-/reload")
+	o.settings.Flags(fs)
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	if (o.tlsCert == "") != (o.tlsKey == "") {
+		return o, errors.New("-tls-cert and -tls-key must be set together")
+	}
+	if o.tlsClientCA != "" && o.tlsCert == "" {
+		return o, errors.New("-tls-client-ca requires -tls-cert/-tls-key")
+	}
+	return o, o.settings.Validate()
+}
+
 func main() {
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)))
 
-	addr := flag.String("addr", "127.0.0.1:7467", "listen address")
-	extent := flag.Float64("extent", 40000, "universe side length in meters")
-	levels := flag.Int("levels", 9, "pyramid height")
-	backend := flag.String("backend", "", "privacy backend: basic, adaptive, cluster or geoind (default adaptive)")
-	epsilon := flag.Float64("epsilon", 0, "geoind base privacy budget ε; 0 keeps the backend default")
-	minK := flag.Int("min-k", 0, "cluster backend k-anonymity floor; 0 disables")
-	filters := flag.Int("filters", 4, "query processor filters: 1, 2 or 4")
-	targets := flag.Int("targets", 10000, "number of preloaded public target objects")
-	seed := flag.Int64("seed", 1, "seed for target placement")
-	walPath := flag.String("wal", "", "write-ahead log path; empty disables persistence")
-	debugAddr := flag.String("debug-addr", "", "address for /metrics, /healthz, /readyz, /debug/traces, /debug/stats and /debug/pprof; empty disables")
-	slowQuery := flag.Duration("slow-query", 0, "log requests slower than this (e.g. 50ms); 0 disables")
-	traceOn := flag.Bool("trace", true, "record per-request traces into the /debug/traces ring")
-	traceSample := flag.Int("trace-sample", 16, "head-sample 1 in N successful requests (1 = all, 0 = none; slow and errored requests are always kept)")
-	readyMaxSnapAge := flag.Duration("ready-max-snapshot-age", 0, "/readyz fails when the query snapshot is older than this with writes pending; 0 disables")
-	maxInFlight := flag.Int("max-inflight", 0, "per-connection cap on concurrently dispatched requests (0 = default)")
-	tlsCert := flag.String("tls-cert", "", "PEM server certificate; with -tls-key, serves TLS on the RPC port")
-	tlsKey := flag.String("tls-key", "", "PEM server key for -tls-cert")
-	tlsClientCA := flag.String("tls-client-ca", "", "PEM CA bundle; when set, clients must present a certificate it signed (mTLS)")
-	configPath := flag.String("config", "", "runtime-reloadable config file (JSON); reloaded on SIGHUP or POST /-/reload")
-	drainDeadline := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline for in-flight requests")
-	rateLimit := flag.Float64("rate-limit", 0, "per-user token-bucket rate limit in req/s; 0 disables")
-	rateBurst := flag.Float64("rate-burst", 0, "per-user token-bucket burst size (0 = 2x -rate-limit)")
-	maxConcurrent := flag.Int("max-concurrent", 0, "global in-flight request ceiling; excess is shed with the retryable overloaded code; 0 disables")
-	epsilonBudget := flag.Float64("epsilon-budget", 0, "per-user cumulative ε ceiling; further cloaks for an exhausted user fail with the budget_exhausted code; 0 disables")
-	sloMinKSat := flag.Float64("slo-min-k-satisfied", 0, "privacy-SLO floor on the fraction of region releases meeting requested k, in (0,1]; 0 disables")
-	sloMaxLinkage := flag.Float64("slo-max-linkage", 0, "privacy-SLO ceiling on the online linkage estimate, in (0,1]; 0 disables")
-	flag.Parse()
-
-	if (*tlsCert == "") != (*tlsKey == "") {
-		fmt.Fprintln(os.Stderr, "casperd: -tls-cert and -tls-key must be set together")
-		os.Exit(2)
+	o, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
 	}
-	if *tlsClientCA != "" && *tlsCert == "" {
-		fmt.Fprintln(os.Stderr, "casperd: -tls-client-ca requires -tls-cert/-tls-key")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "casperd:", err)
 		os.Exit(2)
 	}
 
@@ -137,116 +134,66 @@ func main() {
 		"goversion", runtime.Version(),
 		"gomaxprocs", runtime.GOMAXPROCS(0))
 
-	trace.SetEnabled(*traceOn)
-	trace.SetSampleEvery(int64(*traceSample))
+	trace.SetEnabled(o.traceOn)
 
 	cfg := casper.DefaultConfig()
-	cfg.Universe = casper.R(0, 0, *extent, *extent)
-	cfg.PyramidLevels = *levels
-	cfg.Query.Filters = *filters
-	backendName := *backend
-	if backendName == "" {
-		backendName = casper.AdaptiveBackend
-	}
-	if !slices.Contains(casper.Backends(), backendName) {
-		fmt.Fprintf(os.Stderr, "casperd: unknown backend %q (registered: %s)\n",
-			backendName, strings.Join(casper.Backends(), ", "))
-		os.Exit(2)
-	}
-	// Explicitly passing a knob demands a usable value; only the unset
-	// zero defers to the backend's default.
-	if *epsilon != 0 && (!(*epsilon > 0) || math.IsInf(*epsilon, 0)) {
-		fmt.Fprintf(os.Stderr, "casperd: -epsilon %v must be finite and > 0\n", *epsilon)
-		os.Exit(2)
-	}
-	if *minK < 0 {
-		fmt.Fprintf(os.Stderr, "casperd: -min-k %d must be >= 1 (0 disables)\n", *minK)
-		os.Exit(2)
-	}
-	if *epsilonBudget != 0 && (!(*epsilonBudget > 0) || math.IsInf(*epsilonBudget, 0)) {
-		fmt.Fprintf(os.Stderr, "casperd: -epsilon-budget %v must be finite and > 0 (0 disables)\n", *epsilonBudget)
-		os.Exit(2)
-	}
-	if !(*sloMinKSat >= 0) || *sloMinKSat > 1 {
-		fmt.Fprintf(os.Stderr, "casperd: -slo-min-k-satisfied %v must be in [0,1]\n", *sloMinKSat)
-		os.Exit(2)
-	}
-	if !(*sloMaxLinkage >= 0) || *sloMaxLinkage > 1 {
-		fmt.Fprintf(os.Stderr, "casperd: -slo-max-linkage %v must be in [0,1]\n", *sloMaxLinkage)
-		os.Exit(2)
-	}
-	cfg.Backend = backendName
-	cfg.BackendEpsilon = *epsilon
-	cfg.BackendMinK = *minK
-
-	cfg.WALPath = *walPath
+	cfg.Universe = casper.R(0, 0, o.extent, o.extent)
+	cfg.PyramidLevels = o.levels
+	cfg.Query.Filters = o.filters
+	cfg.Backend = o.settings.Backend
+	cfg.BackendEpsilon = o.settings.BackendEpsilon
+	cfg.BackendMinK = o.settings.BackendMinK
+	cfg.WALPath = o.walPath
 	c, err := casper.New(cfg)
 	if err != nil {
 		slog.Error("open", "err", err)
 		os.Exit(1)
 	}
-	if *walPath != "" {
+	if o.walPath != "" {
 		slog.Info("durable server: WAL recovered",
-			"path", *walPath,
+			"path", o.walPath,
 			"public", c.Server().PublicCount(),
 			"private", c.Server().PrivateCount())
 	}
 	// Preload targets only when the (possibly recovered) table is empty.
-	if *targets > 0 && c.Server().PublicCount() == 0 {
-		if err := c.LoadPublicObjects(casper.UniformTargets(cfg.Universe, *targets, *seed)); err != nil {
+	if o.targets > 0 && c.Server().PublicCount() == 0 {
+		if err := c.LoadPublicObjects(casper.UniformTargets(cfg.Universe, o.targets, o.seed)); err != nil {
 			slog.Error("load public targets", "err", err)
 			os.Exit(1)
 		}
-		slog.Info("loaded public targets", "targets", *targets, "extent_m", *extent)
+		slog.Info("loaded public targets", "targets", o.targets, "extent_m", o.extent)
 	}
 
 	srv := casper.NewProtocolServer(c)
-	srv.MaxInFlight = *maxInFlight
-	if *tlsCert != "" {
-		tcfg, err := buildTLSConfig(*tlsCert, *tlsKey, *tlsClientCA)
+	srv.MaxInFlight = o.maxInFlight
+	if o.tlsCert != "" {
+		tcfg, err := buildTLSConfig(o.tlsCert, o.tlsKey, o.tlsClientCA)
 		if err != nil {
 			slog.Error("tls", "err", err)
 			os.Exit(1)
 		}
 		srv.TLSConfig = tcfg
-		slog.Info("tls enabled", "cert", *tlsCert, "mtls", *tlsClientCA != "")
+		slog.Info("tls enabled", "cert", o.tlsCert, "mtls", o.tlsClientCA != "")
 	}
 
-	// The flag-derived baseline for every runtime-reloadable knob; the
-	// -config file (now and on every reload) overlays it.
-	burst := *rateBurst
-	if burst <= 0 {
-		burst = 2 * *rateLimit
-	}
-	rel, err := newReloader(srv, settings{
-		slowQuery:        *slowQuery,
-		traceSample:      *traceSample,
-		rateLimitRPS:     *rateLimit,
-		rateLimitBurst:   burst,
-		maxConcurrent:    *maxConcurrent,
-		drainDeadline:    *drainDeadline,
-		backend:          backendName,
-		backendEpsilon:   *epsilon,
-		backendMinK:      *minK,
-		epsilonBudget:    *epsilonBudget,
-		sloMinKSatisfied: *sloMinKSat,
-		sloMaxLinkage:    *sloMaxLinkage,
-	}, *configPath)
+	// The flag settings are the baseline the -config file (now and on
+	// every reload) is read onto.
+	rel, err := newReloader(srv, o.settings, o.configPath)
 	if err != nil {
-		slog.Error("config", "path", *configPath, "err", err)
+		slog.Error("config", "path", o.configPath, "err", err)
 		os.Exit(1)
 	}
 
 	// draining flips /readyz to 503 the moment shutdown starts, so load
 	// balancers stop routing here while in-flight requests finish.
 	var draining atomic.Bool
-	if *debugAddr != "" {
-		ready := readiness(c, *walPath, *readyMaxSnapAge, &draining)
+	if o.debugAddr != "" {
+		ready := readiness(c, o.walPath, o.readyMaxSnapAge, &draining)
 		var reloadFn func() error
-		if *configPath != "" {
+		if o.configPath != "" {
 			reloadFn = rel.Reload
 		}
-		dbgBound, stopDebug, err := startDebugServer(*debugAddr, c, ready, reloadFn)
+		dbgBound, stopDebug, err := startDebugServer(o.debugAddr, c, ready, reloadFn)
 		if err != nil {
 			slog.Error("debug listen", "err", err)
 			os.Exit(1)
@@ -256,18 +203,18 @@ func main() {
 			"endpoints", "/metrics /healthz /readyz /debug/traces /debug/stats /debug/pprof /-/reload")
 	}
 
-	bound, err := srv.Listen(*addr)
+	bound, err := srv.Listen(o.addr)
 	if err != nil {
 		slog.Error("listen", "err", err)
 		os.Exit(1)
 	}
 	slog.Info("serving",
 		"addr", bound.String(),
-		"pyramid_levels", *levels,
+		"pyramid_levels", o.levels,
 		"backend", c.Backend(),
-		"filters", *filters,
-		"tls", *tlsCert != "",
-		"trace", *traceOn,
+		"filters", o.filters,
+		"tls", o.tlsCert != "",
+		"trace", o.traceOn,
 		"trace_sample", trace.SampleEvery())
 
 	sig := make(chan os.Signal, 2)
@@ -278,12 +225,12 @@ serveLoop:
 	for {
 		select {
 		case <-hup:
-			if *configPath == "" {
+			if o.configPath == "" {
 				slog.Warn("SIGHUP ignored: no -config file to reload")
 				continue
 			}
 			if rel.Reload() == nil {
-				slog.Info("config reloaded on SIGHUP", "path", *configPath)
+				slog.Info("config reloaded on SIGHUP", "path", o.configPath)
 			}
 		case <-sig:
 			break serveLoop

@@ -31,96 +31,30 @@ var (
 // first scrape and the metric inventory audit sees the family.
 var _ = []*metrics.Counter{configReloads.With("ok"), configReloads.With("error")}
 
-// settings is the effective runtime-tunable configuration: the
-// flag-derived baseline overlaid with whatever keys the config file
-// names. Everything here can change on a live server.
-type settings struct {
-	slowQuery      time.Duration
-	traceSample    int
-	rateLimitRPS   float64
-	rateLimitBurst float64
-	maxConcurrent  int
-	drainDeadline  time.Duration
-	backend        string  // "" keeps the framework's current backend
-	backendEpsilon float64 // 0 keeps the backend's current budget
-	backendMinK    int     // 0 keeps the backend's current k floor
-
-	// Privacy-observatory knobs; 0 disables the respective enforcement
-	// or SLO dimension.
-	epsilonBudget    float64
-	sloMinKSatisfied float64
-	sloMaxLinkage    float64
-}
-
-// overlay returns base with f's present keys applied; a nil file is
-// the baseline itself.
-func overlay(base settings, f *config.File) settings {
-	if f == nil {
-		return base
-	}
-	eff := base
-	if f.SlowQuery != nil {
-		eff.slowQuery = time.Duration(*f.SlowQuery)
-	}
-	if f.TraceSample != nil {
-		eff.traceSample = *f.TraceSample
-	}
-	if f.RateLimitRPS != nil {
-		eff.rateLimitRPS = *f.RateLimitRPS
-	}
-	if f.RateLimitBurst != nil {
-		eff.rateLimitBurst = *f.RateLimitBurst
-	}
-	if f.MaxConcurrent != nil {
-		eff.maxConcurrent = *f.MaxConcurrent
-	}
-	if f.DrainDeadline != nil {
-		eff.drainDeadline = time.Duration(*f.DrainDeadline)
-	}
-	if f.Backend != nil {
-		eff.backend = *f.Backend
-	}
-	if f.BackendEpsilon != nil {
-		eff.backendEpsilon = *f.BackendEpsilon
-	}
-	if f.BackendMinK != nil {
-		eff.backendMinK = *f.BackendMinK
-	}
-	if f.EpsilonBudget != nil {
-		eff.epsilonBudget = *f.EpsilonBudget
-	}
-	if f.SLOMinKSatisfied != nil {
-		eff.sloMinKSatisfied = *f.SLOMinKSatisfied
-	}
-	if f.SLOMaxLinkage != nil {
-		eff.sloMaxLinkage = *f.SLOMaxLinkage
-	}
-	return eff
-}
-
 // reloader applies runtime config to the live server and trace layer.
-// Reload (SIGHUP or POST /-/reload) re-reads the file and re-applies;
-// a file that fails to parse or validate changes nothing.
+// Reload (SIGHUP or POST /-/reload) re-reads the file onto the flag
+// settings and applies the result; a file that fails to parse or
+// validate changes nothing.
 type reloader struct {
-	path  string // config file; "" means reloads are no-ops
-	base  settings
+	path  string          // config file; "" means reloads are no-ops
+	base  config.Settings // the flag settings every file is read onto
 	srv   *casper.ProtocolServer
 	drain atomic.Int64 // current drain deadline (ns), read at shutdown
 	gen   atomic.Int64
 }
 
-// newReloader applies the baseline (overlaid with the config file when
+// newReloader applies base (with the config file read onto it when
 // path is set) and returns the reloader driving future reloads.
-func newReloader(srv *casper.ProtocolServer, base settings, path string) (*reloader, error) {
+func newReloader(srv *casper.ProtocolServer, base config.Settings, path string) (*reloader, error) {
 	r := &reloader{path: path, base: base, srv: srv}
 	if path == "" {
 		return r, r.apply(base)
 	}
-	f, err := config.Load(path)
+	s, err := config.Load(path, base)
 	if err != nil {
 		return nil, err
 	}
-	return r, r.apply(overlay(base, f))
+	return r, r.apply(s)
 }
 
 // Reload re-reads the config file and applies it; the error (if any)
@@ -129,13 +63,13 @@ func (r *reloader) Reload() error {
 	if r.path == "" {
 		return fmt.Errorf("no -config file to reload")
 	}
-	f, err := config.Load(r.path)
+	s, err := config.Load(r.path, r.base)
 	if err != nil {
 		configReloads.With("error").Inc()
 		slog.Error("config reload rejected; keeping current config", "path", r.path, "err", err)
 		return err
 	}
-	if err := r.apply(overlay(r.base, f)); err != nil {
+	if err := r.apply(s); err != nil {
 		configReloads.With("error").Inc()
 		slog.Error("config reload rejected; keeping current backend", "path", r.path, "err", err)
 		return err
@@ -144,43 +78,44 @@ func (r *reloader) Reload() error {
 	return nil
 }
 
-// apply pushes eff into every layer that consumes it. The backend swap
+// apply pushes s into every layer that consumes it. The backend swap
 // goes first — it is the only step that can fail, and a failed swap
 // leaves everything (including the old backend) untouched. The
 // remaining targets are individually atomic; a reload is not
 // transactional across keys, but every key is a single independent
 // knob.
-func (r *reloader) apply(eff settings) error {
-	if eff.backend != "" || eff.backendEpsilon != 0 || eff.backendMinK != 0 {
-		name := eff.backend
-		if name == "" {
-			name = r.srv.Casper().Backend()
-		}
-		if err := r.srv.Casper().ReloadBackend(name, eff.backendEpsilon, eff.backendMinK); err != nil {
-			return fmt.Errorf("backend reload: %w", err)
-		}
+func (r *reloader) apply(s config.Settings) error {
+	if err := r.srv.Casper().ReloadBackend(s.Backend, s.BackendEpsilon, s.BackendMinK); err != nil {
+		return fmt.Errorf("backend reload: %w", err)
 	}
-	r.srv.SetSlowQueryThreshold(eff.slowQuery)
-	r.srv.SetRateLimit(eff.rateLimitRPS, eff.rateLimitBurst)
-	r.srv.SetMaxConcurrent(eff.maxConcurrent)
-	trace.SetSampleEvery(int64(eff.traceSample))
-	privacyobs.Default.SetEpsilonBudget(eff.epsilonBudget)
-	privacyobs.Default.SetSLOThresholds(eff.sloMinKSatisfied, eff.sloMaxLinkage)
-	r.drain.Store(int64(eff.drainDeadline))
+	// A burst of 0 is twice the rate; SetRateLimit raises it to 1.
+	burst := s.RateLimitBurst
+	if burst == 0 {
+		burst = 2 * s.RateLimitRPS
+	}
+	r.srv.SetSlowQueryThreshold(time.Duration(s.SlowQuery))
+	r.srv.SetRateLimit(s.RateLimitRPS, burst)
+	r.srv.SetMaxConcurrent(s.MaxConcurrent)
+	trace.SetSampleEvery(int64(s.TraceSample))
+	privacyobs.Default.SetEpsilonBudget(s.EpsilonBudget)
+	privacyobs.Default.SetSLOThresholds(s.SLOMinKSatisfied, s.SLOMaxLinkage)
+	r.drain.Store(int64(s.DrainDeadline))
 	gen := r.gen.Add(1)
 	configGeneration.Set(gen)
 	slog.Info("runtime config applied",
 		"generation", gen,
-		"slow_query", eff.slowQuery,
-		"trace_sample", eff.traceSample,
-		"rate_limit_rps", eff.rateLimitRPS,
-		"rate_limit_burst", eff.rateLimitBurst,
-		"max_concurrent", eff.maxConcurrent,
-		"drain_deadline", eff.drainDeadline,
-		"backend", r.srv.Casper().Backend(),
-		"epsilon_budget", eff.epsilonBudget,
-		"slo_min_k_satisfied", eff.sloMinKSatisfied,
-		"slo_max_linkage", eff.sloMaxLinkage)
+		"slow_query", time.Duration(s.SlowQuery),
+		"trace_sample", s.TraceSample,
+		"rate_limit_rps", s.RateLimitRPS,
+		"rate_limit_burst", burst,
+		"max_concurrent", s.MaxConcurrent,
+		"drain_deadline", time.Duration(s.DrainDeadline),
+		"backend", s.Backend,
+		"backend_epsilon", s.BackendEpsilon,
+		"backend_min_k", s.BackendMinK,
+		"epsilon_budget", s.EpsilonBudget,
+		"slo_min_k_satisfied", s.SLOMinKSatisfied,
+		"slo_max_linkage", s.SLOMaxLinkage)
 	return nil
 }
 

@@ -36,33 +36,41 @@ func saveSampleEvery(t *testing.T) {
 	t.Cleanup(func() { trace.SetSampleEvery(old) })
 }
 
-func baseSettings() settings {
-	return settings{
-		slowQuery:      100 * time.Millisecond,
-		traceSample:    1,
-		rateLimitRPS:   0,
-		rateLimitBurst: 1,
-		maxConcurrent:  0,
-		drainDeadline:  10 * time.Second,
+// flagDefaults returns the settings casperd runs with when no flag
+// names them.
+func flagDefaults() config.Settings {
+	o, err := parseFlags(nil)
+	if err != nil {
+		panic(err)
 	}
+	return o.settings
+}
+
+// baseSettings is a flag baseline for reloader tests: the casperd
+// defaults with a few knobs moved off them.
+func baseSettings() config.Settings {
+	s := flagDefaults()
+	s.SlowQuery = config.Duration(100 * time.Millisecond)
+	s.TraceSample = 1
+	s.RateLimitBurst = 1
+	return s
 }
 
 func TestOverlay(t *testing.T) {
 	base := baseSettings()
-	if got := overlay(base, nil); got != base {
-		t.Fatalf("overlay(base, nil) = %+v; want the baseline", got)
+	if got, err := config.Parse([]byte(`{}`), base); err != nil || got != base {
+		t.Fatalf("Parse({}, base) = %+v, %v; want the baseline", got, err)
 	}
 
-	f, err := config.Parse([]byte(`{"slow_query": "5ms", "rate_limit_rps": 50, "rate_limit_burst": 75}`))
+	got, err := config.Parse([]byte(`{"slow_query": "5ms", "rate_limit_rps": 50, "rate_limit_burst": 75}`), base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := overlay(base, f)
-	if got.slowQuery != 5*time.Millisecond || got.rateLimitRPS != 50 || got.rateLimitBurst != 75 {
+	if got.SlowQuery != config.Duration(5*time.Millisecond) || got.RateLimitRPS != 50 || got.RateLimitBurst != 75 {
 		t.Fatalf("overlay applied = %+v", got)
 	}
 	// Keys absent from the file keep their flag-derived values.
-	if got.traceSample != base.traceSample || got.maxConcurrent != base.maxConcurrent || got.drainDeadline != base.drainDeadline {
+	if got.TraceSample != base.TraceSample || got.MaxConcurrent != base.MaxConcurrent || got.DrainDeadline != base.DrainDeadline {
 		t.Fatalf("overlay disturbed absent keys: %+v", got)
 	}
 }
@@ -138,11 +146,11 @@ func TestReloaderWithoutConfigFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.SlowQuery(); got != base.slowQuery {
-		t.Fatalf("SlowQuery = %v; want the flag baseline %v", got, base.slowQuery)
+	if got := srv.SlowQuery(); got != time.Duration(base.SlowQuery) {
+		t.Fatalf("SlowQuery = %v; want the flag baseline %v", got, base.SlowQuery)
 	}
-	if got := rel.drainDeadline(); got != base.drainDeadline {
-		t.Fatalf("drainDeadline = %v; want %v", got, base.drainDeadline)
+	if got := rel.drainDeadline(); got != time.Duration(base.DrainDeadline) {
+		t.Fatalf("drainDeadline = %v; want %v", got, base.DrainDeadline)
 	}
 	if err := rel.Reload(); err == nil {
 		t.Fatal("Reload without a -config file succeeded; want an error")
@@ -321,21 +329,19 @@ func TestBuildTLSConfig(t *testing.T) {
 
 func TestOverlayBackendKeys(t *testing.T) {
 	base := baseSettings()
-	f, err := config.Parse([]byte(`{"backend": "cluster", "backend_epsilon": 0.5, "backend_min_k": 4}`))
+	got, err := config.Parse([]byte(`{"backend": "cluster", "backend_epsilon": 0.5, "backend_min_k": 4}`), base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := overlay(base, f)
-	if got.backend != "cluster" || got.backendEpsilon != 0.5 || got.backendMinK != 4 {
+	if got.Backend != "cluster" || got.BackendEpsilon != 0.5 || got.BackendMinK != 4 {
 		t.Fatalf("overlay applied = %+v", got)
 	}
-	// Absent backend keys keep the baseline zero values ("no change").
-	f, err = config.Parse([]byte(`{"trace_sample": 2}`))
+	// Absent backend keys keep the baseline's values.
+	got, err = config.Parse([]byte(`{"trace_sample": 2}`), base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = overlay(base, f)
-	if got.backend != "" || got.backendEpsilon != 0 || got.backendMinK != 0 {
+	if got.Backend != base.Backend || got.BackendEpsilon != base.BackendEpsilon || got.BackendMinK != base.BackendMinK {
 		t.Fatalf("overlay invented backend settings: %+v", got)
 	}
 }
@@ -381,13 +387,13 @@ func TestReloaderBackendSwap(t *testing.T) {
 		t.Fatalf("backend after rejected reload = %q; want geoind", got)
 	}
 
-	// Dropping the backend keys from the file keeps the active backend
-	// (zero value = no change) rather than resetting to the default.
+	// Dropping the backend keys from the file restores the flag's
+	// backend, like every other absent key.
 	write(`{"trace_sample": 3}`)
 	if err := rel.Reload(); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.Casper().Backend(); got != "geoind" {
-		t.Fatalf("backend after key removal = %q; want geoind kept", got)
+	if got := srv.Casper().Backend(); got != baseSettings().Backend {
+		t.Fatalf("backend after key removal = %q; want the flag's %q", got, baseSettings().Backend)
 	}
 }

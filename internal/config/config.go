@@ -1,13 +1,18 @@
-// Package config loads casperd's runtime-reloadable configuration
-// file. The file is JSON and covers exactly the keys that are safe to
-// change on a live server without a restart — the slow-query log
-// threshold, trace sampling, admission-control limits, the drain
-// deadline, and the privacy backend with its knobs. casperd reads it
-// at startup, again on SIGHUP, and on POST /-/reload at the debug
-// endpoint; keys absent from the file keep their flag-derived values,
-// so the file only has to name what it overrides.
+// Package config holds casperd's runtime settings: the twelve knobs
+// that are safe to change on a live server without a restart — the
+// slow-query log threshold, trace sampling, admission-control limits,
+// the drain deadline, the privacy backend with its knobs, and the
+// privacy observatory's ε ceiling and SLOs.
 //
-// Example:
+// Each setting is one field of Settings, named once: its JSON key is
+// the field tag, and Flags binds the same field to its casperd flag
+// with the flag's default and help text. casperd fills a Settings from
+// its flags, then Load decodes the -config file onto a copy of it at
+// startup, on SIGHUP and on POST /-/reload: keys the file names replace
+// the flag values, absent keys keep them, so the file only has to name
+// what it overrides. Validate is the one rule set for both sources.
+//
+// Example file:
 //
 //	{
 //	  "slow_query": "50ms",
@@ -24,15 +29,16 @@
 //	  "slo_max_linkage": 0.5
 //	}
 //
-// Parsing is strict: unknown keys, malformed durations, negative
-// values, unregistered backend names, and non-finite or non-positive
-// privacy budgets all reject the whole file, and a rejected reload
-// leaves the running configuration untouched.
+// Parsing is strict: unknown keys, trailing data, malformed durations,
+// negative values, unregistered backend names, and non-finite or
+// non-positive privacy budgets all reject the whole file, and a
+// rejected reload leaves the running configuration untouched.
 package config
 
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"math"
 	"os"
@@ -65,120 +71,127 @@ func (d Duration) MarshalJSON() ([]byte, error) {
 	return json.Marshal(time.Duration(d).String())
 }
 
-// File is the reloadable key set. Every field is a pointer so an
-// absent key ("keep the current value") is distinguishable from an
-// explicit zero ("disable this").
-type File struct {
-	// SlowQuery is the slow-query log threshold; "0s" disables the log.
-	SlowQuery *Duration `json:"slow_query,omitempty"`
-	// TraceSample head-samples 1 in N successful requests (1 = all,
-	// 0 = none; slow and errored requests are always retained).
-	TraceSample *int `json:"trace_sample,omitempty"`
-	// RateLimitRPS is the per-user token-bucket rate in
-	// requests/second; 0 disables per-user limiting.
-	RateLimitRPS *float64 `json:"rate_limit_rps,omitempty"`
-	// RateLimitBurst is the per-user bucket size; values below 1 are
-	// raised to 1 when a rate is set.
-	RateLimitBurst *float64 `json:"rate_limit_burst,omitempty"`
-	// MaxConcurrent is the global in-flight request ceiling; 0
-	// disables it.
-	MaxConcurrent *int `json:"max_concurrent,omitempty"`
-	// DrainDeadline bounds graceful shutdown: how long in-flight
-	// requests get to finish before connections are force-closed.
-	DrainDeadline *Duration `json:"drain_deadline,omitempty"`
-	// Backend names the privacy backend ("basic", "adaptive",
-	// "cluster", "geoind"). Changing it on a live server migrates every
-	// registered user onto the new backend and re-pushes their cloaks.
-	Backend *string `json:"backend,omitempty"`
-	// BackendEpsilon is the geoind base privacy budget; must be finite
-	// and strictly positive when present.
-	BackendEpsilon *float64 `json:"backend_epsilon,omitempty"`
-	// BackendMinK is the cluster backend's k floor; must be >= 1 when
-	// present.
-	BackendMinK *int `json:"backend_min_k,omitempty"`
-	// EpsilonBudget is the per-user cumulative ε ceiling enforced by
-	// the privacy observatory; 0 disables enforcement. Must be finite
-	// and >= 0 when present.
-	EpsilonBudget *float64 `json:"epsilon_budget,omitempty"`
-	// SLOMinKSatisfied is the privacy-SLO floor on the fraction of
-	// region releases meeting their requested k, in (0,1]; 0 disables
-	// this SLO dimension.
-	SLOMinKSatisfied *float64 `json:"slo_min_k_satisfied,omitempty"`
-	// SLOMaxLinkage is the privacy-SLO ceiling on the online linkage
-	// estimate, in (0,1]; 0 disables this SLO dimension.
-	SLOMaxLinkage *float64 `json:"slo_max_linkage,omitempty"`
+// Settings is the runtime-reloadable key set. Each field's JSON tag
+// is its config file key; Flags gives its flag name, default and
+// meaning. No value means "keep the current one": every field is
+// applied as it stands.
+type Settings struct {
+	SlowQuery        Duration `json:"slow_query"`
+	TraceSample      int      `json:"trace_sample"`
+	RateLimitRPS     float64  `json:"rate_limit_rps"`
+	RateLimitBurst   float64  `json:"rate_limit_burst"`
+	MaxConcurrent    int      `json:"max_concurrent"`
+	DrainDeadline    Duration `json:"drain_deadline"`
+	Backend          string   `json:"backend"`
+	BackendEpsilon   float64  `json:"backend_epsilon"`
+	BackendMinK      int      `json:"backend_min_k"`
+	EpsilonBudget    float64  `json:"epsilon_budget"`
+	SLOMinKSatisfied float64  `json:"slo_min_k_satisfied"`
+	SLOMaxLinkage    float64  `json:"slo_max_linkage"`
 }
 
-// Parse decodes and validates a config file's contents.
-func Parse(b []byte) (*File, error) {
+// Flags binds every setting to its casperd flag on fs and sets each
+// field to the flag's default.
+func (s *Settings) Flags(fs *flag.FlagSet) {
+	fs.DurationVar((*time.Duration)(&s.SlowQuery), "slow-query", 0,
+		"log requests slower than this (e.g. 50ms); 0 disables")
+	fs.IntVar(&s.TraceSample, "trace-sample", 16,
+		"head-sample 1 in N successful requests (1 = all, 0 = none; slow and errored requests are always kept)")
+	fs.Float64Var(&s.RateLimitRPS, "rate-limit", 0,
+		"per-user token-bucket rate limit in req/s; 0 disables")
+	fs.Float64Var(&s.RateLimitBurst, "rate-burst", 0,
+		"per-user token-bucket burst size (0 = 2x -rate-limit, at least 1)")
+	fs.IntVar(&s.MaxConcurrent, "max-concurrent", 0,
+		"global in-flight request ceiling; excess is shed with the retryable overloaded code; 0 disables")
+	fs.DurationVar((*time.Duration)(&s.DrainDeadline), "drain", 10*time.Second,
+		"graceful-shutdown drain deadline for in-flight requests")
+	fs.StringVar(&s.Backend, "backend", anonymizer.DefaultBackend,
+		"privacy backend: "+strings.Join(anonymizer.Backends(), ", ")+"; changing it on a live server migrates every registered user")
+	fs.Float64Var(&s.BackendEpsilon, "epsilon", anonymizer.DefaultEpsilon,
+		"geoind base privacy budget ε, finite and > 0; each user's budget is ε/k")
+	fs.IntVar(&s.BackendMinK, "min-k", 1,
+		"cluster backend k-anonymity floor, >= 1; 1 is no floor, since every profile has k >= 1")
+	fs.Float64Var(&s.EpsilonBudget, "epsilon-budget", 0,
+		"per-user cumulative ε ceiling; further cloaks for an exhausted user fail with the budget_exhausted code; 0 disables")
+	fs.Float64Var(&s.SLOMinKSatisfied, "slo-min-k-satisfied", 0,
+		"privacy-SLO floor on the fraction of region releases meeting requested k, in (0,1]; 0 disables")
+	fs.Float64Var(&s.SLOMaxLinkage, "slo-max-linkage", 0,
+		"privacy-SLO ceiling on the online linkage estimate, in (0,1]; 0 disables")
+}
+
+// Validate checks every setting; the message names the JSON key.
+func (s Settings) Validate() error {
+	if s.SlowQuery < 0 {
+		return fmt.Errorf("slow_query must be >= 0, got %s", time.Duration(s.SlowQuery))
+	}
+	if s.TraceSample < 0 {
+		return fmt.Errorf("trace_sample must be >= 0, got %d", s.TraceSample)
+	}
+	// The negated comparisons also reject NaN (every comparison with
+	// NaN is false); Inf needs its own check where it is refused.
+	if !(s.RateLimitRPS >= 0) {
+		return fmt.Errorf("rate_limit_rps must be >= 0, got %v", s.RateLimitRPS)
+	}
+	if !(s.RateLimitBurst >= 0) {
+		return fmt.Errorf("rate_limit_burst must be >= 0, got %v", s.RateLimitBurst)
+	}
+	if s.MaxConcurrent < 0 {
+		return fmt.Errorf("max_concurrent must be >= 0, got %d", s.MaxConcurrent)
+	}
+	if s.DrainDeadline <= 0 {
+		return fmt.Errorf("drain_deadline must be > 0, got %s", time.Duration(s.DrainDeadline))
+	}
+	if !anonymizer.Registered(s.Backend) {
+		return fmt.Errorf("backend %q is not registered (registered: %s)",
+			s.Backend, strings.Join(anonymizer.Backends(), ", "))
+	}
+	if !(s.BackendEpsilon > 0) || math.IsInf(s.BackendEpsilon, 0) {
+		return fmt.Errorf("backend_epsilon must be finite and > 0, got %v", s.BackendEpsilon)
+	}
+	if s.BackendMinK < 1 {
+		return fmt.Errorf("backend_min_k must be >= 1, got %d", s.BackendMinK)
+	}
+	if !(s.EpsilonBudget >= 0) || math.IsInf(s.EpsilonBudget, 0) {
+		return fmt.Errorf("epsilon_budget must be finite and >= 0, got %v", s.EpsilonBudget)
+	}
+	if !(s.SLOMinKSatisfied >= 0) || s.SLOMinKSatisfied > 1 {
+		return fmt.Errorf("slo_min_k_satisfied must be in [0,1], got %v", s.SLOMinKSatisfied)
+	}
+	if !(s.SLOMaxLinkage >= 0) || s.SLOMaxLinkage > 1 {
+		return fmt.Errorf("slo_max_linkage must be in [0,1], got %v", s.SLOMaxLinkage)
+	}
+	return nil
+}
+
+// Parse decodes a config file's contents onto a copy of base and
+// validates the result: keys the file names replace base's values,
+// absent keys keep them.
+func Parse(b []byte, base Settings) (Settings, error) {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
-	var f File
-	if err := dec.Decode(&f); err != nil {
-		return nil, err
+	s := base
+	if err := dec.Decode(&s); err != nil {
+		return Settings{}, err
 	}
 	// A second document in the same file is a mangled edit, not config.
 	if dec.More() {
-		return nil, fmt.Errorf("trailing data after config object")
+		return Settings{}, fmt.Errorf("trailing data after config object")
 	}
-	if err := f.validate(); err != nil {
-		return nil, err
+	if err := s.Validate(); err != nil {
+		return Settings{}, err
 	}
-	return &f, nil
+	return s, nil
 }
 
-// Load reads and validates the config file at path.
-func Load(path string) (*File, error) {
+// Load reads the config file at path and parses it onto base.
+func Load(path string, base Settings) (Settings, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return Settings{}, err
 	}
-	f, err := Parse(b)
+	s, err := Parse(b, base)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return Settings{}, fmt.Errorf("%s: %w", path, err)
 	}
-	return f, nil
-}
-
-func (f *File) validate() error {
-	if f.SlowQuery != nil && *f.SlowQuery < 0 {
-		return fmt.Errorf("slow_query must be >= 0, got %s", time.Duration(*f.SlowQuery))
-	}
-	if f.TraceSample != nil && *f.TraceSample < 0 {
-		return fmt.Errorf("trace_sample must be >= 0, got %d", *f.TraceSample)
-	}
-	if f.RateLimitRPS != nil && *f.RateLimitRPS < 0 {
-		return fmt.Errorf("rate_limit_rps must be >= 0, got %v", *f.RateLimitRPS)
-	}
-	if f.RateLimitBurst != nil && *f.RateLimitBurst < 0 {
-		return fmt.Errorf("rate_limit_burst must be >= 0, got %v", *f.RateLimitBurst)
-	}
-	if f.MaxConcurrent != nil && *f.MaxConcurrent < 0 {
-		return fmt.Errorf("max_concurrent must be >= 0, got %d", *f.MaxConcurrent)
-	}
-	if f.DrainDeadline != nil && *f.DrainDeadline <= 0 {
-		return fmt.Errorf("drain_deadline must be > 0, got %s", time.Duration(*f.DrainDeadline))
-	}
-	if f.Backend != nil && !anonymizer.Registered(*f.Backend) {
-		return fmt.Errorf("backend %q is not registered (registered: %s)",
-			*f.Backend, strings.Join(anonymizer.Backends(), ", "))
-	}
-	// The negated comparison also rejects NaN (every comparison with
-	// NaN is false); Inf needs its own check.
-	if f.BackendEpsilon != nil && (!(*f.BackendEpsilon > 0) || math.IsInf(*f.BackendEpsilon, 0)) {
-		return fmt.Errorf("backend_epsilon must be finite and > 0, got %v", *f.BackendEpsilon)
-	}
-	if f.BackendMinK != nil && *f.BackendMinK < 1 {
-		return fmt.Errorf("backend_min_k must be >= 1, got %d", *f.BackendMinK)
-	}
-	if f.EpsilonBudget != nil && (!(*f.EpsilonBudget >= 0) || math.IsInf(*f.EpsilonBudget, 0)) {
-		return fmt.Errorf("epsilon_budget must be finite and >= 0, got %v", *f.EpsilonBudget)
-	}
-	if f.SLOMinKSatisfied != nil && (!(*f.SLOMinKSatisfied >= 0) || *f.SLOMinKSatisfied > 1) {
-		return fmt.Errorf("slo_min_k_satisfied must be in [0,1], got %v", *f.SLOMinKSatisfied)
-	}
-	if f.SLOMaxLinkage != nil && (!(*f.SLOMaxLinkage >= 0) || *f.SLOMaxLinkage > 1) {
-		return fmt.Errorf("slo_max_linkage must be in [0,1], got %v", *f.SLOMaxLinkage)
-	}
-	return nil
+	return s, nil
 }

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,54 +9,67 @@ import (
 	"time"
 )
 
+// defaults returns the settings the flags give when none is set.
+func defaults() Settings {
+	var s Settings
+	s.Flags(flag.NewFlagSet("", flag.ContinueOnError))
+	return s
+}
+
 func TestParseFull(t *testing.T) {
-	f, err := Parse([]byte(`{
+	s, err := Parse([]byte(`{
 		"slow_query": "50ms",
 		"trace_sample": 16,
 		"rate_limit_rps": 100,
 		"rate_limit_burst": 200,
 		"max_concurrent": 1024,
 		"drain_deadline": "10s"
-	}`))
+	}`), defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.SlowQuery == nil || time.Duration(*f.SlowQuery) != 50*time.Millisecond {
-		t.Fatalf("SlowQuery = %v; want 50ms", f.SlowQuery)
+	if time.Duration(s.SlowQuery) != 50*time.Millisecond {
+		t.Fatalf("SlowQuery = %v; want 50ms", s.SlowQuery)
 	}
-	if f.TraceSample == nil || *f.TraceSample != 16 {
-		t.Fatalf("TraceSample = %v; want 16", f.TraceSample)
+	if s.TraceSample != 16 {
+		t.Fatalf("TraceSample = %v; want 16", s.TraceSample)
 	}
-	if f.RateLimitRPS == nil || *f.RateLimitRPS != 100 {
-		t.Fatalf("RateLimitRPS = %v; want 100", f.RateLimitRPS)
+	if s.RateLimitRPS != 100 {
+		t.Fatalf("RateLimitRPS = %v; want 100", s.RateLimitRPS)
 	}
-	if f.RateLimitBurst == nil || *f.RateLimitBurst != 200 {
-		t.Fatalf("RateLimitBurst = %v; want 200", f.RateLimitBurst)
+	if s.RateLimitBurst != 200 {
+		t.Fatalf("RateLimitBurst = %v; want 200", s.RateLimitBurst)
 	}
-	if f.MaxConcurrent == nil || *f.MaxConcurrent != 1024 {
-		t.Fatalf("MaxConcurrent = %v; want 1024", f.MaxConcurrent)
+	if s.MaxConcurrent != 1024 {
+		t.Fatalf("MaxConcurrent = %v; want 1024", s.MaxConcurrent)
 	}
-	if f.DrainDeadline == nil || time.Duration(*f.DrainDeadline) != 10*time.Second {
-		t.Fatalf("DrainDeadline = %v; want 10s", f.DrainDeadline)
+	if time.Duration(s.DrainDeadline) != 10*time.Second {
+		t.Fatalf("DrainDeadline = %v; want 10s", s.DrainDeadline)
 	}
 }
 
 func TestParsePartial(t *testing.T) {
-	// Absent keys stay nil ("keep the current value"); explicit zeros
-	// are present pointers ("disable this"). The distinction is the
-	// whole point of the pointer fields.
-	f, err := Parse([]byte(`{"slow_query": "0s", "max_concurrent": 0}`))
+	// Absent keys keep the base's values; explicit zeros replace them
+	// ("disable this").
+	base := defaults()
+	base.SlowQuery = Duration(time.Second)
+	base.MaxConcurrent = 7
+	base.TraceSample = 3
+	base.RateLimitRPS = 5
+	base.RateLimitBurst = 6
+	s, err := Parse([]byte(`{"slow_query": "0s", "max_concurrent": 0}`), base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.SlowQuery == nil || *f.SlowQuery != 0 {
-		t.Fatalf("SlowQuery = %v; want explicit 0", f.SlowQuery)
+	if s.SlowQuery != 0 {
+		t.Fatalf("SlowQuery = %v; want explicit 0", s.SlowQuery)
 	}
-	if f.MaxConcurrent == nil || *f.MaxConcurrent != 0 {
-		t.Fatalf("MaxConcurrent = %v; want explicit 0", f.MaxConcurrent)
+	if s.MaxConcurrent != 0 {
+		t.Fatalf("MaxConcurrent = %v; want explicit 0", s.MaxConcurrent)
 	}
-	if f.TraceSample != nil || f.RateLimitRPS != nil || f.RateLimitBurst != nil || f.DrainDeadline != nil {
-		t.Fatalf("absent keys decoded non-nil: %+v", f)
+	if s.TraceSample != base.TraceSample || s.RateLimitRPS != base.RateLimitRPS ||
+		s.RateLimitBurst != base.RateLimitBurst || s.DrainDeadline != base.DrainDeadline {
+		t.Fatalf("absent keys left the base: %+v", s)
 	}
 }
 
@@ -77,7 +91,7 @@ func TestParseRejects(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Parse([]byte(tc.in))
+			_, err := Parse([]byte(tc.in), defaults())
 			if err == nil {
 				t.Fatalf("Parse(%q) accepted; want rejection", tc.in)
 			}
@@ -94,22 +108,22 @@ func TestLoad(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"trace_sample": 4}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f, err := Load(path)
+	s, err := Load(path, defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.TraceSample == nil || *f.TraceSample != 4 {
-		t.Fatalf("TraceSample = %v; want 4", f.TraceSample)
+	if s.TraceSample != 4 {
+		t.Fatalf("TraceSample = %v; want 4", s.TraceSample)
 	}
 
 	// Errors carry the path so reload logs are actionable.
 	if err := os.WriteFile(path, []byte(`{"nope": 1}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), path) {
+	if _, err := Load(path, defaults()); err == nil || !strings.Contains(err.Error(), path) {
 		t.Fatalf("Load error %v; want it to name %s", err, path)
 	}
-	if _, err := Load(filepath.Join(dir, "missing.json")); err == nil {
+	if _, err := Load(filepath.Join(dir, "missing.json"), defaults()); err == nil {
 		t.Fatal("Load of missing file succeeded")
 	}
 }
@@ -133,32 +147,33 @@ func TestDurationMarshalRoundTrip(t *testing.T) {
 }
 
 func TestParseBackendKeys(t *testing.T) {
-	f, err := Parse([]byte(`{
+	s, err := Parse([]byte(`{
 		"backend": "geoind",
 		"backend_epsilon": 0.05,
 		"backend_min_k": 5
-	}`))
+	}`), defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Backend == nil || *f.Backend != "geoind" {
-		t.Fatalf("Backend = %v; want geoind", f.Backend)
+	if s.Backend != "geoind" {
+		t.Fatalf("Backend = %v; want geoind", s.Backend)
 	}
-	if f.BackendEpsilon == nil || *f.BackendEpsilon != 0.05 {
-		t.Fatalf("BackendEpsilon = %v; want 0.05", f.BackendEpsilon)
+	if s.BackendEpsilon != 0.05 {
+		t.Fatalf("BackendEpsilon = %v; want 0.05", s.BackendEpsilon)
 	}
-	if f.BackendMinK == nil || *f.BackendMinK != 5 {
-		t.Fatalf("BackendMinK = %v; want 5", f.BackendMinK)
+	if s.BackendMinK != 5 {
+		t.Fatalf("BackendMinK = %v; want 5", s.BackendMinK)
 	}
 
-	// All four registered names parse; absent keys stay nil.
+	// All four registered names parse; absent knobs keep the base's.
+	base := defaults()
 	for _, name := range []string{"basic", "adaptive", "cluster", "geoind"} {
-		f, err := Parse([]byte(`{"backend": "` + name + `"}`))
+		s, err := Parse([]byte(`{"backend": "`+name+`"}`), base)
 		if err != nil {
 			t.Fatalf("backend %q rejected: %v", name, err)
 		}
-		if f.BackendEpsilon != nil || f.BackendMinK != nil {
-			t.Fatalf("absent knobs decoded non-nil: %+v", f)
+		if s.BackendEpsilon != base.BackendEpsilon || s.BackendMinK != base.BackendMinK {
+			t.Fatalf("absent knobs left the base: %+v", s)
 		}
 	}
 }
@@ -176,7 +191,7 @@ func TestParseBackendRejects(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Parse([]byte(tc.in))
+			_, err := Parse([]byte(tc.in), defaults())
 			if err == nil {
 				t.Fatalf("Parse(%q) accepted; want rejection", tc.in)
 			}
@@ -188,7 +203,7 @@ func TestParseBackendRejects(t *testing.T) {
 
 	// The unknown-backend error must list what IS registered — it's the
 	// operator's first diagnostic when a reload fails.
-	_, err := Parse([]byte(`{"backend": "onion"}`))
+	_, err := Parse([]byte(`{"backend": "onion"}`), defaults())
 	for _, name := range []string{"basic", "adaptive", "cluster", "geoind"} {
 		if !strings.Contains(err.Error(), name) {
 			t.Fatalf("unknown-backend error %q does not list %q", err, name)
