@@ -120,7 +120,7 @@ func PrivateKNN(db SpatialIndex, cloak geom.Rect, k int, kind DataKind, opt Opti
 	}
 
 	rsp := opt.Trace.StartSpan("query_range")
-	sc.cand = admitted(db, sc.cand[:0], res.AExt, kind, opt.MinOverlap)
+	admitted(db, sc, res.AExt, kind, opt.MinOverlap)
 	res.Candidates = copyItems(sc.cand)
 	if opt.Trace != nil {
 		rsp.End(trace.Int("candidates", int64(len(res.Candidates))))

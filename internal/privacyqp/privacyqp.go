@@ -203,7 +203,7 @@ func PrivateNNInto(db SpatialIndex, cloak geom.Rect, kind DataKind, opt Options,
 
 	// STEP 4 — the candidate list step: one range query over A_EXT.
 	rsp := opt.Trace.StartSpan("query_range")
-	sc.cand = admitted(db, sc.cand[:0], res.AExt, kind, opt.MinOverlap)
+	admitted(db, sc, res.AExt, kind, opt.MinOverlap)
 	res.Candidates = appendItems(dst, sc.cand)
 	if opt.Trace != nil {
 		rsp.End(trace.Int("candidates", int64(len(res.Candidates))))
@@ -230,15 +230,17 @@ func (r *Result) probe(db SpatialIndex, sc *queryScratch, v geom.Point, m rtree.
 	return nb.Item
 }
 
-// admitted appends to dst the targets of db that Admits.
-func admitted(db SpatialIndex, dst []rtree.Item, aext geom.Rect, kind DataKind, minOverlap float64) []rtree.Item {
+// admitted fills sc.cand with the targets of db that Admits. The
+// callback escapes through SpatialIndex, so it appends to the pooled
+// scratch rather than to a captured slice, which would escape with it.
+func admitted(db SpatialIndex, sc *queryScratch, aext geom.Rect, kind DataKind, minOverlap float64) {
+	sc.cand = sc.cand[:0]
 	db.SearchFunc(aext, func(it rtree.Item) bool {
 		if Admits(it.Rect, aext, kind, minOverlap) {
-			dst = append(dst, it)
+			sc.cand = append(sc.cand, it)
 		}
 		return true
 	})
-	return dst
 }
 
 // Admits is the candidate list step's rule (step 4): a target with

@@ -139,18 +139,23 @@ func appendRect(b []byte, r Rect) []byte {
 // payloads, -0, ±Inf, subnormals), because clients refine answers on
 // the exact coordinates.
 //
-//	hdr     u8       objPoint | objSameName | objID64 | objFullWidth
+//	hdr     u8       objPoint | objSameName | objID64 | objFullWidth |
+//	                 objSameRect
 //	widths  u8       point: MinX<<4 | MinY             (absent when
-//	        2 x u8   rect:  MinX<<4 | MinY, MaxX<<4 | MaxY  objFullWidth)
+//	        2 x u8   rect:  MinX<<4 | MinY, MaxX<<4 | MaxY  objFullWidth
+//	                                                   or objSameRect)
 //	id      zig-zag varint, or 8 fixed bytes when objID64
 //	coords  the leading `width` bytes of each big-endian float64, Min
-//	        corner first; the Max corner only when !objPoint
+//	        corner first; the Max corner only when !objPoint; absent
+//	        when objSameRect
 //	name    uvarint length + bytes; absent when objSameName
 //
 // A width counts the bytes of a float64 that are sent; the trailing
 // 8-width bytes are zero and dropped. A pyramid-cell corner such as
 // i x 156.25 keeps at most 4 bytes, 0 keeps none, an arbitrary float
-// keeps all 8.
+// keeps all 8. An adaptive cloak is a pyramid cell, so many users
+// share one exactly: a cloak equal to the one before it costs only its
+// header, id and name rule.
 const (
 	// objPoint: the Max corner's bits equal the Min corner's (a public
 	// point target); only the Min corner is sent.
@@ -166,14 +171,18 @@ const (
 	// objFullWidth: every coordinate keeps all 8 bytes, so the widths
 	// are not sent (an arbitrary point pays no width byte).
 	objFullWidth
+	// objSameRect: the rect's bits equal the previous object's in this
+	// frame, so neither widths nor coordinates are sent. Never set on a
+	// frame's first object, nor with objPoint or objFullWidth (the
+	// previous rect says all they would).
+	objSameRect
 
-	objKnown = objFullWidth<<1 - 1
+	objKnown = objSameRect<<1 - 1
 )
 
-// minObjectBytes is the smallest encoded object: header, one widths
-// byte, a one-byte id, zero-width coordinates and a back-referenced
-// name.
-const minObjectBytes = 3
+// minObjectBytes is the smallest encoded object: header, a one-byte id,
+// a repeated rect and a back-referenced name.
+const minObjectBytes = 2
 
 // fullWidths is the widths byte of two coordinates that keep all
 // eight bytes each.
@@ -195,18 +204,21 @@ func putTrimmed(s []byte, k int, v uint64, width byte) int {
 
 // appendObject appends o in the packed layout; prev is the object
 // appended before it in this frame (nil for the first), which is what
-// the name-run rule compares against.
+// the name-run and rect-run rules compare against.
 func appendObject(b []byte, o, prev *Object) []byte {
 	minX, minY := math.Float64bits(o.Rect.MinX), math.Float64bits(o.Rect.MinY)
 	maxX, maxY := math.Float64bits(o.Rect.MaxX), math.Float64bits(o.Rect.MaxY)
 	var hdr byte
 	wMin, wMax := widthsByte(minX, minY), byte(fullWidths)
-	if minX == maxX && minY == maxY {
+	switch {
+	case prev != nil && sameRect(o.Rect, prev.Rect):
+		hdr |= objSameRect
+	case minX == maxX && minY == maxY:
 		hdr |= objPoint
-	} else {
+	default:
 		wMax = widthsByte(maxX, maxY)
 	}
-	if wMin == fullWidths && wMax == fullWidths {
+	if hdr&objSameRect == 0 && wMin == fullWidths && wMax == fullWidths {
 		hdr |= objFullWidth
 	}
 	if prev != nil && o.Name == prev.Name {
@@ -223,7 +235,7 @@ func appendObject(b []byte, o, prev *Object) []byte {
 	s := b[len(b) : len(b)+maxHead]
 	s[0] = hdr
 	k := 1
-	if hdr&objFullWidth == 0 {
+	if hdr&(objFullWidth|objSameRect) == 0 {
 		s[k] = wMin
 		k++
 		if hdr&objPoint == 0 {
@@ -237,11 +249,13 @@ func appendObject(b []byte, o, prev *Object) []byte {
 	} else {
 		k += binary.PutUvarint(s[k:], zz)
 	}
-	k = putTrimmed(s, k, minX, wMin>>4)
-	k = putTrimmed(s, k, minY, wMin&0x0F)
-	if hdr&objPoint == 0 {
-		k = putTrimmed(s, k, maxX, wMax>>4)
-		k = putTrimmed(s, k, maxY, wMax&0x0F)
+	if hdr&objSameRect == 0 {
+		k = putTrimmed(s, k, minX, wMin>>4)
+		k = putTrimmed(s, k, minY, wMin&0x0F)
+		if hdr&objPoint == 0 {
+			k = putTrimmed(s, k, maxX, wMax>>4)
+			k = putTrimmed(s, k, maxY, wMax&0x0F)
+		}
 	}
 	b = b[:len(b)+k]
 	if hdr&objSameName == 0 {
@@ -251,15 +265,19 @@ func appendObject(b []byte, o, prev *Object) []byte {
 	return b
 }
 
+// sameRect reports whether two rects have bit-equal coordinates (so
+// NaN equals itself and -0 differs from 0, unlike ==).
+func sameRect(a, b Rect) bool {
+	return math.Float64bits(a.MinX) == math.Float64bits(b.MinX) &&
+		math.Float64bits(a.MinY) == math.Float64bits(b.MinY) &&
+		math.Float64bits(a.MaxX) == math.Float64bits(b.MaxX) &&
+		math.Float64bits(a.MaxY) == math.Float64bits(b.MaxY)
+}
+
 // sameObject reports whether two objects encode identically: equal id
-// and name and bit-equal coordinates (so NaN equals itself and -0
-// differs from 0, unlike ==).
+// and name and bit-equal coordinates.
 func sameObject(a, b *Object) bool {
-	return a.ID == b.ID && a.Name == b.Name &&
-		math.Float64bits(a.Rect.MinX) == math.Float64bits(b.Rect.MinX) &&
-		math.Float64bits(a.Rect.MinY) == math.Float64bits(b.Rect.MinY) &&
-		math.Float64bits(a.Rect.MaxX) == math.Float64bits(b.Rect.MaxX) &&
-		math.Float64bits(a.Rect.MaxY) == math.Float64bits(b.Rect.MaxY)
+	return a.ID == b.ID && a.Name == b.Name && sameRect(a.Rect, b.Rect)
 }
 
 // appendRequest encodes req after the frame header.
@@ -557,10 +575,12 @@ type wireReader struct {
 	off int
 	bad bool
 
-	// prevName is the name of the last object decoded from this frame
-	// (valid once named is set): the name-run state of object().
+	// prevName and prevRect are the name and rect of the last object
+	// decoded from this frame (valid once decoded is set): the run state
+	// of object().
 	prevName string
-	named    bool
+	prevRect Rect
+	decoded  bool
 }
 
 func (r *wireReader) remaining() int { return len(r.b) - r.off }
@@ -756,11 +776,12 @@ func (r *wireReader) trimmed(w byte) float64 {
 // names decodes to one shared string.
 func (r *wireReader) object() Object {
 	hdr := r.u8()
-	if hdr&^objKnown != 0 || (hdr&objSameName != 0 && !r.named) {
+	if hdr&^objKnown != 0 || (hdr&(objSameName|objSameRect) != 0 && !r.decoded) ||
+		(hdr&objSameRect != 0 && hdr&(objPoint|objFullWidth) != 0) {
 		r.bad = true
 	}
 	wMin, wMax := byte(fullWidths), byte(fullWidths)
-	if hdr&objFullWidth == 0 {
+	if hdr&(objFullWidth|objSameRect) == 0 {
 		wMin = r.u8()
 		if hdr&objPoint == 0 {
 			wMax = r.u8()
@@ -772,11 +793,15 @@ func (r *wireReader) object() Object {
 	} else {
 		o.ID = r.varint()
 	}
-	o.Rect.MinX, o.Rect.MinY = r.trimmed(wMin>>4), r.trimmed(wMin&0x0F)
-	if hdr&objPoint != 0 {
-		o.Rect.MaxX, o.Rect.MaxY = o.Rect.MinX, o.Rect.MinY
+	if hdr&objSameRect != 0 {
+		o.Rect = r.prevRect
 	} else {
-		o.Rect.MaxX, o.Rect.MaxY = r.trimmed(wMax>>4), r.trimmed(wMax&0x0F)
+		o.Rect.MinX, o.Rect.MinY = r.trimmed(wMin>>4), r.trimmed(wMin&0x0F)
+		if hdr&objPoint != 0 {
+			o.Rect.MaxX, o.Rect.MaxY = o.Rect.MinX, o.Rect.MinY
+		} else {
+			o.Rect.MaxX, o.Rect.MaxY = r.trimmed(wMax>>4), r.trimmed(wMax&0x0F)
+		}
 	}
 	if hdr&objSameName != 0 {
 		o.Name = r.prevName
@@ -789,7 +814,7 @@ func (r *wireReader) object() Object {
 		o.Name = string(r.b[r.off : r.off+int(nameLen)])
 		r.off += int(nameLen)
 	}
-	r.prevName, r.named = o.Name, true
+	r.prevName, r.prevRect, r.decoded = o.Name, o.Rect, true
 	return o
 }
 
@@ -895,9 +920,9 @@ func decodeResponse(b []byte) (Response, error) {
 		resp.Code = r.str()
 	}
 	if mask&respFCandidates != 0 {
-		// A packed object is at least minObjectBytes (3) on the wire and
+		// A packed object is at least minObjectBytes (2) on the wire and
 		// an Object is 56 bytes in memory, so the list this allocates is
-		// at most 56/3 < 19 times the frame's length (under 20 MiB at
+		// less than 56/2 = 28 times the frame's length (under 28 MiB at
 		// MaxFrameBytes); names add nothing beyond the frame's own bytes.
 		n := r.uvarintCount(minObjectBytes)
 		if n > 0 {

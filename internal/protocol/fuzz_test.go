@@ -84,9 +84,9 @@ func FuzzV2DecodeResponse(f *testing.F) {
 		{OK: true, Density: [][]float64{{1, 2}, {3}}},
 	}
 	// Packed candidate lists: points and cloaks, trimmed and full-width
-	// floats, varint and fixed-width ids, name runs, exact as an index
-	// and exact inline.
-	seeds = append(seeds, nnPublicResponse(3), nnBuddyResponse(3), Response{OK: true,
+	// floats, varint and fixed-width ids, name runs, rect runs, exact as
+	// an index and exact inline.
+	seeds = append(seeds, nnPublicResponse(3), nnBuddyResponse(3), nnBuddyRunsResponse(12), Response{OK: true,
 		Exact:      &Object{ID: -7, Rect: Rect{MinX: math.NaN(), MinY: math.Copysign(0, -1), MaxX: math.Inf(1)}, Name: "b"},
 		Candidates: []Object{{ID: math.MaxInt64, Name: "a"}, {ID: math.MinInt64, Name: "b"}, {Name: "b"}},
 	})

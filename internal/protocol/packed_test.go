@@ -10,8 +10,23 @@ import (
 
 // packed_test.go pins the packed response-object layout (binary.go):
 // that it is lossless down to the bit, that the decoder refuses every
-// malformed spelling, and that the three answer shapes the benchmark
-// pays for stay under fixed byte budgets.
+// malformed spelling, and that the answer shapes the benchmark pays
+// for stay under fixed byte budgets.
+
+// objectBits is an object with its coordinates as bit patterns, so
+// that == on it tells NaN payloads and the signs of zeros apart. It
+// does not lean on the codec's own sameRect, which is under test.
+type objectBits struct {
+	id     int64
+	name   string
+	coords [4]uint64
+}
+
+func bitsOf(o Object) objectBits {
+	r := o.Rect
+	return objectBits{o.ID, o.Name, [4]uint64{math.Float64bits(r.MinX), math.Float64bits(r.MinY),
+		math.Float64bits(r.MaxX), math.Float64bits(r.MaxY)}}
+}
 
 // sameBits is reflect.DeepEqual for responses whose coordinates may be
 // NaN: candidates and the exact answer must match field for field and
@@ -31,7 +46,7 @@ func sameBits(t *testing.T, got, want Response) {
 			len(g), got.Exact != nil, len(w), want.Exact != nil)
 	}
 	for i := range w {
-		if !sameObject(&g[i], &w[i]) {
+		if bitsOf(g[i]) != bitsOf(w[i]) {
 			t.Fatalf("object %d changed on the wire:\n got %+v\nwant %+v", i, g[i], w[i])
 		}
 	}
@@ -42,7 +57,10 @@ func sameBits(t *testing.T, got, want Response) {
 
 // TestPackedObjectsRoundTripProperty is the losslessness property:
 // random candidate lists drawn from the hostile corners of every field
-// decode to exactly what was encoded.
+// decode to exactly what was encoded. Lists repeat rects in runs, as
+// the cloaks of users who share a pyramid cell do: runs of NaN-payload
+// rects must repeat bit for bit, and a rect that differs from the one
+// before it only in the sign of a zero must not join its run.
 func TestPackedObjectsRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	coords := []float64{
@@ -64,12 +82,27 @@ func TestPackedObjectsRoundTripProperty(t *testing.T) {
 	ids := []int64{0, 1, -1, 63, 64, -64, -65, 16383, 1 << 55, -(1 << 55), 1<<55 - 1,
 		math.MaxInt64, math.MinInt64}
 	id := func() int64 {
-		if rng.Intn(2) == 0 {
+		switch rng.Intn(3) {
+		case 0:
 			return ids[rng.Intn(len(ids))]
+		case 1:
+			return int64(rng.Intn(128)) - 64 // a one-byte varint
+		default:
+			return int64(rng.Uint64())
 		}
-		return int64(rng.Uint64())
+	}
+	nanPayload := math.Float64frombits(0x7FF8_0000_0000_BEEF)
+	// flipZeros turns every ±0 coordinate of r into the other zero.
+	flipZeros := func(r Rect) Rect {
+		for _, c := range []*float64{&r.MinX, &r.MinY, &r.MaxX, &r.MaxY} {
+			if *c == 0 {
+				*c = math.Copysign(0, -math.Copysign(1, *c))
+			}
+		}
+		return r
 	}
 	names := []string{"", "target", "poi", "a somewhat longer name than the others"}
+	sameRectObjects, signedZeroPairs, twoByteObjects := 0, 0, 0
 	for iter := 0; iter < 2000; iter++ {
 		want := Response{OK: true}
 		nameMode := rng.Intn(4) // empty, repeated, alternating, random
@@ -80,6 +113,23 @@ func TestPackedObjectsRoundTripProperty(t *testing.T) {
 			} else {
 				o.Rect.MaxX, o.Rect.MaxY = coord(), coord()
 			}
+			if i > 0 {
+				prev := want.Candidates[i-1].Rect
+				switch rng.Intn(6) {
+				case 0, 1: // a run: the previous object's cloak again
+					o.Rect = prev
+				case 2: // a run of NaN-payload rects
+					o.Rect = Rect{MinX: nanPayload, MinY: 0, MaxX: nanPayload, MaxY: 156.25}
+					if rng.Intn(2) == 0 {
+						o.Rect = prev
+					}
+				case 3: // ±0 against the previous object's 0 or -0
+					prev.MinX = 0
+					want.Candidates[i-1].Rect = prev
+					o.Rect = flipZeros(prev)
+					signedZeroPairs++
+				}
+			}
 			switch nameMode {
 			case 1:
 				o.Name = "target"
@@ -87,6 +137,12 @@ func TestPackedObjectsRoundTripProperty(t *testing.T) {
 				o.Name = names[1+i%2]
 			case 3:
 				o.Name = names[rng.Intn(len(names))]
+			}
+			if i > 0 && sameRect(o.Rect, want.Candidates[i-1].Rect) {
+				sameRectObjects++
+				if o.Name == want.Candidates[i-1].Name && len(appendObject(nil, &o, &want.Candidates[i-1])) == 2 {
+					twoByteObjects++
+				}
 			}
 			want.Candidates = append(want.Candidates, o)
 		}
@@ -109,6 +165,11 @@ func TestPackedObjectsRoundTripProperty(t *testing.T) {
 			t.Fatalf("iteration %d: %v\nresponse %+v", iter, err, want)
 		}
 		sameBits(t, got, want)
+	}
+	// The draw must reach the cases it exists for.
+	if sameRectObjects < 1000 || signedZeroPairs < 500 || twoByteObjects < 50 {
+		t.Fatalf("drew %d same-rect objects, %d signed-zero pairs, %d two-byte objects",
+			sameRectObjects, signedZeroPairs, twoByteObjects)
 	}
 }
 
@@ -162,6 +223,33 @@ func nnBuddyResponse(n int) Response {
 	return resp
 }
 
+// nnBuddyRunsResponse is an nn_buddy answer as the benchmark's world
+// measures it: n cloaks over about n/10 distinct pyramid-cell rects,
+// about three in four repeating the cloak just before them (users who
+// share a cell share its cloak), under random 63-bit pseudonyms.
+func nnBuddyRunsResponse(n int) Response {
+	rng := rand.New(rand.NewSource(179))
+	rects := make([]Rect, (n+9)/10)
+	for i := range rects {
+		x, y := float64(rng.Intn(250)), float64(rng.Intn(250))
+		w, h := float64(1+rng.Intn(6)), float64(1+rng.Intn(6))
+		rects[i] = Rect{MinX: x * 156.25, MinY: y * 156.25, MaxX: (x + w) * 156.25, MaxY: (y + h) * 156.25}
+	}
+	resp := Response{OK: true, Cost: &Cost{CloakNS: 2100, QueryNS: 310000, TransmitNS: 610000, Candidates: n}}
+	next := 0
+	for i := 0; i < n; i++ {
+		if i > 0 && rng.Intn(100) < 76 {
+			resp.Candidates = append(resp.Candidates, Object{ID: rng.Int63(), Rect: resp.Candidates[i-1].Rect})
+			continue
+		}
+		resp.Candidates = append(resp.Candidates, Object{ID: rng.Int63(), Rect: rects[next%len(rects)]})
+		next++
+	}
+	ex := resp.Candidates[n/2]
+	resp.Exact = &ex
+	return resp
+}
+
 // frameLen is what one response costs on the downlink: the whole
 // frame, length prefix and request id included.
 func frameLen(t *testing.T, resp Response) int {
@@ -175,10 +263,12 @@ func frameLen(t *testing.T, resp Response) int {
 }
 
 // TestPackedSizeGate keeps the codec's density from regressing without
-// the repository benchmark: the budgets are the three answer shapes of
-// its workloads at their measured list lengths (36 candidates per
-// nn_public, 172 per nn_buddy, k = 5). The fixed-width layout spent
-// 1903, 7665 and 303 bytes on the same answers.
+// the repository benchmark: the budgets are the answer shapes of its
+// workloads at their measured list lengths (36 candidates per
+// nn_public, about 179 per nn_buddy, k = 5). The nn_buddy answer is
+// gated twice: as measured, in runs of equal cloaks, and all distinct,
+// the worst case for the same-rect rule. The fixed-width layout spent
+// 1903, 7665 and 303 bytes on the first, third and fourth answers.
 func TestPackedSizeGate(t *testing.T) {
 	knn := nnPublicResponse(5)
 	knn.Exact = nil
@@ -188,7 +278,8 @@ func TestPackedSizeGate(t *testing.T) {
 		budget int
 	}{
 		{"nn_public, 36 points", nnPublicResponse(36), 800},
-		{"nn_buddy, 172 cloaks", nnBuddyResponse(172), 4900},
+		{"nn_buddy, 179 cloaks in runs", nnBuddyRunsResponse(179), 2500},
+		{"nn_buddy, 172 distinct cloaks", nnBuddyResponse(172), 4900},
 		{"knn_public, 5 points", knn, 130},
 	} {
 		got := frameLen(t, tc.resp)
@@ -212,6 +303,12 @@ func TestPackedDecoderRejects(t *testing.T) {
 	}{
 		{"name back-reference on the first object",
 			append(append(head(respFCandidates), 1), objPoint|objSameName, 0x00, 0x02)},
+		{"rect back-reference on the first object",
+			append(append(head(respFCandidates), 1), objSameRect, 0x02, 0x00)},
+		{"rect back-reference on a point",
+			append(append(append(head(respFCandidates), 2), point...), objSameRect|objPoint, 0x02, 0x00)},
+		{"rect back-reference at full width",
+			append(append(append(head(respFCandidates), 2), point...), objSameRect|objFullWidth, 0x02, 0x00)},
 		{"unknown object header bit",
 			append(append(head(respFCandidates), 1), 0x80, 0x00, 0x02, 0x00)},
 		{"float width above 8",
@@ -246,6 +343,23 @@ func TestPackedDecoderRejects(t *testing.T) {
 	resp, err := decodeResponse(good)
 	if err != nil || len(resp.Candidates) != 1 || resp.Exact == nil || resp.Exact.ID != 1 {
 		t.Fatalf("well-formed packed frame: %+v, %v", resp, err)
+	}
+	repeat := append(append(append(head(respFCandidates), 2), point...), objSameRect|objSameName, 0x04)
+	resp, err = decodeResponse(repeat)
+	if err != nil || len(resp.Candidates) != 2 || resp.Candidates[1] != (Object{ID: 2}) {
+		t.Fatalf("well-formed same-rect frame: %+v, %v", resp, err)
+	}
+	// The candidate count admits exactly as many objects as fit at two
+	// bytes each, the size of a repeated cloak under a one-byte id.
+	for n := 1; n <= 4; n++ {
+		r := wireReader{b: append([]byte{byte(n)}, make([]byte, 2*n)...)}
+		if got := r.uvarintCount(minObjectBytes); r.bad || got != n {
+			t.Fatalf("%d objects over %d bytes: count %d, bad=%v", n, 2*n, got, r.bad)
+		}
+		r = wireReader{b: append([]byte{byte(n + 1)}, make([]byte, 2*n)...)}
+		if r.uvarintCount(minObjectBytes); !r.bad {
+			t.Fatalf("%d objects over %d bytes: count accepted", n+1, 2*n)
+		}
 	}
 	// A maximal uvarint is still a value, not an error.
 	r := wireReader{b: binary.AppendUvarint(nil, math.MaxUint64)}
