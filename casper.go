@@ -111,8 +111,6 @@ type (
 	PublicObject = server.PublicObject
 	// PrivateObject is a pseudonymous cloaked object.
 	PrivateObject = server.PrivateObject
-	// QueryOptions tunes the privacy-aware query processor.
-	QueryOptions = privacyqp.Options
 	// CountPolicy decides how cloaked objects are counted by public
 	// range queries.
 	CountPolicy = privacyqp.CountPolicy
@@ -212,12 +210,9 @@ func New(cfg Config) (*Casper, error) { return core.New(cfg) }
 func MustNew(cfg Config) *Casper { return core.MustNew(cfg) }
 
 // DefaultConfig mirrors the paper's experimental setup: a
-// 40 km x 40 km universe, a 9-level pyramid, the adaptive anonymizer,
-// four query filters, and a 100 Mbps / 64-byte-record downlink.
+// 40 km x 40 km universe, a 9-level pyramid and the adaptive
+// anonymizer. Queries always run Algorithm 2 with four filters.
 func DefaultConfig() Config { return core.DefaultConfig() }
-
-// DefaultQueryOptions is the paper's full Algorithm 2 (four filters).
-func DefaultQueryOptions() QueryOptions { return privacyqp.DefaultOptions() }
 
 // Protocol types, for deploying the anonymizer as a real third party
 // over TCP (see cmd/casperd and cmd/casperctl).

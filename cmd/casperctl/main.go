@@ -265,8 +265,8 @@ func raw(ctx context.Context, cl *casper.ProtocolClient, line string) error {
 func printNN(res protocol.NNResult) {
 	fmt.Printf("exact answer: #%d %s at (%.1f, %.1f)\n",
 		res.Exact.ID, res.Exact.Name, res.Exact.Rect.MinX, res.Exact.Rect.MinY)
-	fmt.Printf("candidate list: %d records, cloak %v ns + query %v ns + transmit %v ns\n",
-		res.Cost.Candidates, res.Cost.CloakNS, res.Cost.QueryNS, res.Cost.TransmitNS)
+	fmt.Printf("candidate list: %d records, cloak %v ns + query %v ns\n",
+		res.Cost.Candidates, res.Cost.CloakNS, res.Cost.QueryNS)
 }
 
 func argStr(args []string, i int) string {

@@ -33,7 +33,7 @@
 // continuous monitor, the full privacy observatory — plus every metric
 // family as typed values), and /debug/pprof/* on that address; with -slow-query
 // set (e.g. 50ms), every request slower than the threshold is logged
-// with its cloak/query/transmit breakdown and its trace is always
+// with its cloak/query breakdown and its trace is always
 // retained in the ring regardless of sampling. See DESIGN.md §8.
 //
 // Try it with casperctl (raw sends one hand-written JSON request):
@@ -74,7 +74,7 @@ type options struct {
 	tlsCert, tlsKey, tlsClientCA string
 	configPath                   string
 	extent                       float64
-	levels, filters, targets     int
+	levels, targets              int
 	maxInFlight                  int
 	seed                         int64
 	traceOn                      bool
@@ -91,7 +91,6 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:7467", "listen address")
 	fs.Float64Var(&o.extent, "extent", 40000, "universe side length in meters")
 	fs.IntVar(&o.levels, "levels", 9, "pyramid height")
-	fs.IntVar(&o.filters, "filters", 4, "query processor filters: 1, 2 or 4")
 	fs.IntVar(&o.targets, "targets", 10000, "number of preloaded public target objects")
 	fs.Int64Var(&o.seed, "seed", 1, "seed for target placement")
 	fs.StringVar(&o.walPath, "wal", "", "write-ahead log path; empty disables persistence")
@@ -139,7 +138,6 @@ func main() {
 	cfg := casper.DefaultConfig()
 	cfg.Universe = casper.R(0, 0, o.extent, o.extent)
 	cfg.PyramidLevels = o.levels
-	cfg.Query.Filters = o.filters
 	cfg.Backend = o.settings.Backend
 	cfg.BackendEpsilon = o.settings.BackendEpsilon
 	cfg.BackendMinK = o.settings.BackendMinK
@@ -212,7 +210,6 @@ func main() {
 		"addr", bound.String(),
 		"pyramid_levels", o.levels,
 		"backend", c.Backend(),
-		"filters", o.filters,
 		"tls", o.tlsCert != "",
 		"trace", o.traceOn,
 		"trace_sample", trace.SampleEvery())

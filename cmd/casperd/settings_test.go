@@ -175,26 +175,49 @@ func TestFlagAndFileRejectAlike(t *testing.T) {
 	}
 }
 
+// exitOfMain runs casperd's main with args in a child copy of the test
+// binary, which re-enters the calling test, and returns its exit status
+// and output. args must make main exit before it serves.
+func exitOfMain(t *testing.T, args ...string) (int, string) {
+	if os.Getenv("CASPERD_TEST_MAIN") == "1" {
+		os.Args = append([]string{"casperd"}, args...)
+		main()
+		os.Exit(0)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^"+t.Name()+"$")
+	cmd.Env = append(os.Environ(), "CASPERD_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatalf("casperd %q: %v\n%s", args, err, out)
+	}
+	return cmd.ProcessState.ExitCode(), string(out)
+}
+
 // TestInvalidFlagExitsTwo runs casperd's main with a negative
 // -trace-sample: it must exit 2 with the config key's message before
 // it opens anything.
 func TestInvalidFlagExitsTwo(t *testing.T) {
-	if os.Getenv("CASPERD_TEST_MAIN") == "1" {
-		os.Args = []string{"casperd", "-addr", "127.0.0.1:0", "-targets", "0", "-trace-sample", "-1"}
-		main()
-		return
+	code, out := exitOfMain(t, "-addr", "127.0.0.1:0", "-targets", "0", "-trace-sample", "-1")
+	if code != 2 {
+		t.Fatalf("casperd -trace-sample -1 exited %d; want exit status 2\n%s", code, out)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestInvalidFlagExitsTwo$")
-	cmd.Env = append(os.Environ(), "CASPERD_TEST_MAIN=1")
-	out, err := cmd.CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("casperd -trace-sample -1: %v; want exit status 2\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "trace_sample must be >= 0, got -1") {
+	if !strings.Contains(out, "trace_sample must be >= 0, got -1") {
 		t.Fatalf("casperd -trace-sample -1 printed %q; want the trace_sample rule", out)
+	}
+}
+
+// TestFiltersFlagIsGone: queries always run Algorithm 2 with four
+// filters, so -filters is an unknown flag and casperd exits 2.
+func TestFiltersFlagIsGone(t *testing.T) {
+	code, out := exitOfMain(t, "-addr", "127.0.0.1:0", "-targets", "0", "-filters", "2")
+	if code != 2 {
+		t.Fatalf("casperd -filters 2 exited %d; want exit status 2\n%s", code, out)
+	}
+	if !strings.Contains(out, "flag provided but not defined: -filters") {
+		t.Fatalf("casperd -filters 2 printed %q; want an unknown-flag error", out)
 	}
 }
 

@@ -119,8 +119,6 @@ type Config struct {
 	// BackendMinK floors every profile's k in the cluster backend
 	// (anonymizer.BackendConfig.MinK); zero means no floor.
 	BackendMinK int
-	// Query tunes the privacy-aware query processor (filter count).
-	Query privacyqp.Options
 	// Seed drives pseudonym generation and backend randomness.
 	Seed int64
 	// WALPath, when non-empty, makes the database server durable: all
@@ -138,7 +136,6 @@ func DefaultConfig() Config {
 		Universe:      geom.R(0, 0, 40000, 40000),
 		PyramidLevels: 9,
 		Backend:       AdaptiveBackend,
-		Query:         privacyqp.DefaultOptions(),
 		Seed:          1,
 	}
 }
@@ -357,7 +354,8 @@ func (c *Casper) anon() anonymizer.Anonymizer { return c.backend.Load().anon }
 func (c *Casper) Backend() string { return c.backend.Load().name }
 
 // ReloadBackend applies a (backend name, epsilon, minK) triple from a
-// hot config reload. Same name: the knobs are pushed into the live
+// hot config reload; as in anonymizer.BackendConfig, epsilon 0 means
+// DefaultEpsilon. Same name: the knobs are pushed into the live
 // backend in place (backends ignore knobs they don't use). Different
 // name: a fresh backend is built, every registered user's exact
 // position and profile migrate into it, the pair swaps atomically,
@@ -373,13 +371,14 @@ func (c *Casper) ReloadBackend(name string, epsilon float64, minK int) error {
 	if name == "" {
 		name = anonymizer.DefaultBackend
 	}
+	if epsilon == 0 {
+		epsilon = anonymizer.DefaultEpsilon
+	}
 	cur := c.backend.Load()
 	if cur.name == name {
-		if epsilon != 0 {
-			if es, ok := cur.anon.(interface{ SetEpsilon(float64) error }); ok {
-				if err := es.SetEpsilon(epsilon); err != nil {
-					return err
-				}
+		if es, ok := cur.anon.(interface{ SetEpsilon(float64) error }); ok {
+			if err := es.SetEpsilon(epsilon); err != nil {
+				return err
 			}
 		}
 		if ms, ok := cur.anon.(interface{ SetMinK(int) error }); ok {
@@ -555,7 +554,7 @@ func (c *Casper) WatchNearest(uid anonymizer.UserID, kind privacyqp.DataKind) (c
 	if kind == privacyqp.PrivateData {
 		exclude, _ = c.pseudo.Get(int64(uid))
 	}
-	qid, cands, err := c.monitor.RegisterNN(cr.Region, kind, c.cfg.Query, exclude)
+	qid, cands, err := c.monitor.RegisterNN(cr.Region, kind, privacyqp.DefaultOptions(), exclude)
 	if kind == privacyqp.PrivateData && errors.Is(err, privacyqp.ErrNoTargets) { // the asker is alone
 		return 0, nil, ErrNoBuddies
 	}
@@ -911,36 +910,37 @@ type NNAnswer struct {
 }
 
 // privateQuery is the anonymizer path every private query shares
-// (Fig. 1): cloak uid's location, run the mechanism-dispatched server
-// query q on the cloak inside a "query" span, and charge the candidate
-// list's downlink in a "transmit" span. It returns the cloaked query
-// region the server saw, the candidate list and the cost breakdown. A
-// cloak failure comes back through userErr; q's error is returned as q
-// returned it, so each caller keeps its own wrapping.
-func (c *Casper) privateQuery(uid anonymizer.UserID, q func(anonymizer.CloakedRegion) (privacyqp.Result, error)) (geom.Rect, []rtree.Item, Breakdown, error) {
+// (Fig. 1): cloak uid's location and run the mechanism-dispatched
+// server query q on the cloak, with Algorithm 2's four filters, inside
+// a "query" span. It returns the cloaked query region the server saw,
+// the candidate list and the cost breakdown (whose Transmit is
+// modelled, so it is not traced). A cloak failure comes back through
+// userErr; q's error is returned as q returned it, so each caller
+// keeps its own wrapping.
+func (c *Casper) privateQuery(uid anonymizer.UserID, q func(anonymizer.CloakedRegion, privacyqp.Options) (privacyqp.Result, error)) (geom.Rect, []rtree.Item, Breakdown, error) {
 	tr := c.tr
 	cr, cloak, err := c.cloakUID(uid)
 	if err != nil {
 		return geom.Rect{}, nil, Breakdown{}, userErr(err)
 	}
+	opt := privacyqp.DefaultOptions()
+	opt.Trace = tr
 	t1 := time.Now()
 	qsp := tr.StartSpan("query")
-	res, err := q(cr)
+	res, err := q(cr, opt)
 	if err != nil {
 		qsp.End()
 		return geom.Rect{}, nil, Breakdown{}, err
 	}
 	t2 := time.Now()
 	n := len(res.Candidates)
-	tx := DefaultTransmission().TimeFor(cr.Mechanism, n)
 	if tr != nil {
 		qsp.End(trace.Int("candidates", int64(n)))
-		tr.RecordSpan("transmit", t2, tx, trace.Int("candidates", int64(n)))
 	}
 	return cr.Region, res.Candidates, Breakdown{
 		Cloak:      cloak,
 		Query:      t2.Sub(t1),
-		Transmit:   tx,
+		Transmit:   DefaultTransmission().TimeFor(cr.Mechanism, n),
 		Candidates: n,
 	}, nil
 }
@@ -953,9 +953,7 @@ func (c *Casper) NearestPublic(uid anonymizer.UserID) (NNAnswer, error) {
 	if err != nil {
 		return NNAnswer{}, err
 	}
-	opt := c.cfg.Query
-	opt.Trace = c.tr
-	region, cands, bd, err := c.privateQuery(uid, func(cr anonymizer.CloakedRegion) (privacyqp.Result, error) {
+	region, cands, bd, err := c.privateQuery(uid, func(cr anonymizer.CloakedRegion, opt privacyqp.Options) (privacyqp.Result, error) {
 		res, err := c.queryNNPublic(cr, opt)
 		return res, srvErr(err)
 	})
@@ -985,9 +983,7 @@ func (c *Casper) NearestBuddy(uid anonymizer.UserID) (NNAnswer, error) {
 		// would wrongly exclude (or fail to exclude) a stored cloak.
 		return NNAnswer{}, fmt.Errorf("%w: user %d", ErrNotRegistered, uid)
 	}
-	opt := c.cfg.Query
-	opt.Trace = c.tr
-	region, cands, bd, err := c.privateQuery(uid, func(cr anonymizer.CloakedRegion) (privacyqp.Result, error) {
+	region, cands, bd, err := c.privateQuery(uid, func(cr anonymizer.CloakedRegion, opt privacyqp.Options) (privacyqp.Result, error) {
 		return c.queryNNPrivate(cr, pid, opt)
 	})
 	if errors.Is(err, privacyqp.ErrNoTargets) { // the asker is alone
@@ -1014,9 +1010,7 @@ func (c *Casper) KNearestPublic(uid anonymizer.UserID, k int) ([]rtree.Item, Bre
 	if err != nil {
 		return nil, Breakdown{}, err
 	}
-	opt := c.cfg.Query
-	opt.Trace = c.tr
-	_, cands, bd, err := c.privateQuery(uid, func(cr anonymizer.CloakedRegion) (privacyqp.Result, error) {
+	_, cands, bd, err := c.privateQuery(uid, func(cr anonymizer.CloakedRegion, opt privacyqp.Options) (privacyqp.Result, error) {
 		res, err := c.queryKNNPublic(cr, k, opt)
 		return res, srvErr(err)
 	})
@@ -1033,7 +1027,7 @@ func (c *Casper) RangePublic(uid anonymizer.UserID, radius float64) ([]rtree.Ite
 	if err != nil {
 		return nil, Breakdown{}, err
 	}
-	_, cands, bd, err := c.privateQuery(uid, func(cr anonymizer.CloakedRegion) (privacyqp.Result, error) {
+	_, cands, bd, err := c.privateQuery(uid, func(cr anonymizer.CloakedRegion, _ privacyqp.Options) (privacyqp.Result, error) {
 		res, err := c.queryRangePublic(cr, radius)
 		return res, srvErr(err)
 	})

@@ -69,10 +69,13 @@ func TestTracedViewSharesState(t *testing.T) {
 	}
 
 	names := spanNames(tr)
-	for _, want := range []string{"cloak", "store", "query", "transmit"} {
+	for _, want := range []string{"cloak", "store", "query"} {
 		if !names[want] {
 			t.Errorf("view's trace lacks a %q span; has %v", want, names)
 		}
+	}
+	if names["transmit"] {
+		t.Errorf("view's trace holds a modelled transmit span; has %v", names)
 	}
 	if c.tr != nil {
 		t.Error("the instance New returned carries a trace")

@@ -123,7 +123,7 @@ func runWatchesMatchSnapshot(t *testing.T, kind string) {
 		byUID[w.uid] = w
 	}
 
-	opt := c.Config().Query
+	opt := privacyqp.DefaultOptions()
 	check := func(batch int) {
 		t.Helper()
 		if bad != nil {

@@ -1,6 +1,7 @@
 package privacyobs
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -439,6 +440,35 @@ func TestReleaseRecordsEachQuantityOnce(t *testing.T) {
 		if d := got[i] - sumsBefore[i]; math.Abs(d-w) > 1e-12 {
 			t.Errorf("sample %d added %g, want %g", i, d, w)
 		}
+	}
+}
+
+// TestSnapshotBeforeHistogramsObserve: Release counts a release under
+// the lock and observes the shared histograms after it, so a snapshot
+// can see a backend's first region release before any k or area
+// sample. Its quantiles read 0 then, not NaN, and the snapshot still
+// encodes as JSON for /debug/stats.
+func TestSnapshotBeforeHistogramsObserve(t *testing.T) {
+	const backend = "test-unobserved"
+	o := New()
+	o.mu.Lock()
+	o.backends[backend] = &backendStats{inst: instrumentsFor(backend), releases: 1, regionRel: 1, kSum: 4, areaSum: 100}
+	o.mu.Unlock()
+	s := o.Snapshot()
+	if len(s.Backends) != 1 {
+		t.Fatalf("snapshot has %d backends, want 1", len(s.Backends))
+	}
+	b := s.Backends[0]
+	for name, q := range map[string]float64{"k_p50": b.KP50, "k_p99": b.KP99, "area_p50": b.AreaP50, "area_p99": b.AreaP99} {
+		if q != 0 {
+			t.Errorf("%s = %v before any sample, want 0", name, q)
+		}
+	}
+	if b.KMean != 4 || b.AreaMean != 100 {
+		t.Errorf("means = %v, %v; want 4, 100 from the exact sums", b.KMean, b.AreaMean)
+	}
+	if _, err := json.Marshal(s); err != nil {
+		t.Fatalf("snapshot does not encode: %v", err)
 	}
 }
 

@@ -3,6 +3,8 @@ package privacyobs
 import (
 	"math"
 	"sort"
+
+	"casper/internal/metrics"
 )
 
 // BackendSnapshot is one backend's release accounting at a point in
@@ -100,13 +102,13 @@ func (o *Observer) Snapshot() Snapshot {
 		}
 		if b.RegionReleases > 0 {
 			b.KMean = float64(bs.kSum) / float64(b.RegionReleases)
-			b.KP50 = bs.inst.kFound.Quantile(0.50)
-			b.KP99 = bs.inst.kFound.Quantile(0.99)
+			b.KP50 = quantile(bs.inst.kFound, 0.50)
+			b.KP99 = quantile(bs.inst.kFound, 0.99)
 		}
 		if b.Releases > 0 {
 			b.AreaMean = bs.areaSum / float64(b.Releases)
-			b.AreaP50 = bs.inst.area.Quantile(0.50)
-			b.AreaP99 = bs.inst.area.Quantile(0.99)
+			b.AreaP50 = quantile(bs.inst.area, 0.50)
+			b.AreaP99 = quantile(bs.inst.area, 0.99)
 		}
 		region += bs.regionRel
 		viol += bs.violations
@@ -166,4 +168,14 @@ func (o *Observer) Snapshot() Snapshot {
 		logSLOTransition(s)
 	}
 	return s
+}
+
+// quantile is h's p-quantile, or 0 while h is empty: Release observes
+// the histograms after unlocking, so a snapshot can count a release
+// before its sample lands, and /debug/stats cannot encode NaN.
+func quantile(h *metrics.Histogram, p float64) float64 {
+	if q := h.Quantile(p); !math.IsNaN(q) {
+		return q
+	}
+	return 0
 }

@@ -457,7 +457,6 @@ func appendResponse(b []byte, resp *Response) []byte {
 	if mask&respFCost != 0 {
 		b = binary.AppendVarint(b, resp.Cost.CloakNS)
 		b = binary.AppendVarint(b, resp.Cost.QueryNS)
-		b = binary.AppendVarint(b, resp.Cost.TransmitNS)
 		b = binary.AppendVarint(b, int64(resp.Cost.Candidates))
 	}
 	if mask&respFStats != 0 {
@@ -950,7 +949,6 @@ func decodeResponse(b []byte) (Response, error) {
 		resp.Cost = &Cost{
 			CloakNS:    r.varint(),
 			QueryNS:    r.varint(),
-			TransmitNS: r.varint(),
 			Candidates: r.narrow(r.varint()),
 		}
 	}

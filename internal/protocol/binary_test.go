@@ -88,7 +88,7 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 			{ID: 2, Rect: Rect{MinX: 3, MinY: 3, MaxX: 9, MaxY: 9}, Name: "cloaked"},
 		}},
 		{OK: true, Count: 41.5},
-		{OK: true, Cost: &Cost{CloakNS: 1, QueryNS: 2, TransmitNS: 3, Candidates: 4}},
+		{OK: true, Cost: &Cost{CloakNS: 1, QueryNS: 2, Candidates: 4}},
 		{OK: true, Stats: &core.Stats{Users: 10, PublicObjs: 20, Queries: 30, UpdateCost: 40}},
 		{OK: true, Stats: fullStats()},
 		{OK: true, Density: [][]float64{{1, 2}, {3, 4, 5}, {}}},
@@ -198,6 +198,30 @@ func TestBinaryRejectsMalformed(t *testing.T) {
 			t.Fatal("bool byte 2 accepted")
 		}
 	})
+}
+
+// TestEveryOpcodeHasItsOwnRPCInstruments: the per-op RPC series are
+// built from the opcode table, so every op a client can send is counted
+// under its own label and none falls into the "unknown" series.
+func TestEveryOpcodeHasItsOwnRPCInstruments(t *testing.T) {
+	unknown, ok := rpcByOp["unknown"]
+	if !ok {
+		t.Fatal(`no "unknown" instruments`)
+	}
+	ops := 0
+	for code, op := range opByOpcode {
+		if op == "" {
+			continue
+		}
+		ops++
+		ri, ok := rpcByOp[op]
+		if !ok || ri.requests == unknown.requests || ri.seconds == unknown.seconds {
+			t.Errorf("opcode %d (%q) has no instruments of its own", code, op)
+		}
+	}
+	if len(rpcByOp) != ops+1 {
+		t.Errorf("%d instrument sets for %d ops plus unknown", len(rpcByOp), ops)
+	}
 }
 
 func TestFrameRoundTrip(t *testing.T) {

@@ -18,12 +18,13 @@ import (
 // the payload layout. Revision 2 sent response objects at fixed width;
 // revision 3 packs them (binary.go); revision 4 carries the whole
 // core.Stats in one stats block; revision 5 sends a rect equal to the
-// previous object's as one header bit (objSameRect). There is one
+// previous object's as one header bit (objSameRect); revision 6 drops
+// the modelled transmit time from the cost block. There is one
 // layout per build and no fallback decoder, so peers of different
 // revisions refuse each other here, at the handshake, instead of
 // mis-decoding frames. Bump it whenever the payload layout changes
 // incompatibly.
-const binaryRevision byte = 5
+const binaryRevision byte = 6
 
 // handshakeLen is the length of hello.
 const handshakeLen = 5

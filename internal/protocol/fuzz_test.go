@@ -78,7 +78,7 @@ func FuzzV2DecodeResponse(f *testing.F) {
 		{OK: false, Error: "boom", Code: CodeNotRegistered},
 		{OK: true, Exact: &Object{ID: 5, Rect: Rect{MaxX: 1, MaxY: 1}, Name: "poi"}},
 		{OK: true, Candidates: []Object{{ID: 1}, {ID: 2, Name: "x"}}},
-		{OK: true, Cost: &Cost{CloakNS: 1, QueryNS: 2, TransmitNS: 3, Candidates: 4}},
+		{OK: true, Cost: &Cost{CloakNS: 1, QueryNS: 2, Candidates: 4}},
 		{OK: true, Stats: &core.Stats{Users: 1, PublicObjs: 2, Queries: 3, UpdateCost: 4}},
 		{OK: true, Stats: fullStats(), TraceID: "t-1"},
 		{OK: true, Density: [][]float64{{1, 2}, {3}}},

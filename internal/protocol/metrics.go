@@ -63,15 +63,14 @@ type rpcInstruments struct {
 	seconds  *metrics.Histogram
 }
 
-// rpcByOp pre-resolves every known op; unknown ops fall back to the
-// "unknown" entry rather than minting unbounded label values.
+// rpcByOp pre-resolves every op in the opcode table; unknown ops fall
+// back to the "unknown" entry rather than minting unbounded labels.
 var rpcByOp = func() map[string]rpcInstruments {
 	m := make(map[string]rpcInstruments)
-	for _, op := range []string{
-		OpRegister, OpUpdate, OpUpdateBatch, OpDeregister, OpSetProfile,
-		OpNearestPublic, OpNearestBuddy, OpKNearestPublic, OpRangePublic,
-		OpCountUsers, OpAddPublic, OpDensity, OpStats, "unknown",
-	} {
+	for _, op := range append(opByOpcode[:], "unknown") {
+		if op == "" {
+			continue
+		}
 		m[op] = rpcInstruments{
 			requests: rpcRequests.With(op),
 			seconds:  rpcSeconds.With(op),

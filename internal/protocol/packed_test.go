@@ -157,7 +157,7 @@ func TestPackedObjectsRoundTripProperty(t *testing.T) {
 				Name: names[rng.Intn(len(names))]}
 		}
 		if rng.Intn(2) == 0 {
-			want.Cost = &Cost{CloakNS: rng.Int63n(1e6), QueryNS: -rng.Int63(), TransmitNS: math.MaxInt64,
+			want.Cost = &Cost{CloakNS: rng.Int63n(1e6), QueryNS: -rng.Int63(),
 				Candidates: len(want.Candidates)}
 		}
 		got, err := decodeResponse(appendResponse(nil, &want))
@@ -195,7 +195,7 @@ func TestPackedNameRunsShareOneString(t *testing.T) {
 // with ids below 16384, the refined answer among them.
 func nnPublicResponse(n int) Response {
 	rng := rand.New(rand.NewSource(36))
-	resp := Response{OK: true, Cost: &Cost{CloakNS: 2100, QueryNS: 48000, TransmitNS: 152000, Candidates: n}}
+	resp := Response{OK: true, Cost: &Cost{CloakNS: 2100, QueryNS: 48000, Candidates: n}}
 	for i := 0; i < n; i++ {
 		x, y := rng.Float64()*40000, rng.Float64()*40000
 		resp.Candidates = append(resp.Candidates, Object{
@@ -211,7 +211,7 @@ func nnPublicResponse(n int) Response {
 // (multiples of 156.25) under random 63-bit pseudonyms.
 func nnBuddyResponse(n int) Response {
 	rng := rand.New(rand.NewSource(172))
-	resp := Response{OK: true, Cost: &Cost{CloakNS: 2100, QueryNS: 310000, TransmitNS: 610000, Candidates: n}}
+	resp := Response{OK: true, Cost: &Cost{CloakNS: 2100, QueryNS: 310000, Candidates: n}}
 	for i := 0; i < n; i++ {
 		x, y := float64(rng.Intn(250)), float64(rng.Intn(250))
 		w, h := float64(1+rng.Intn(6)), float64(1+rng.Intn(6))
@@ -235,7 +235,7 @@ func nnBuddyRunsResponse(n int) Response {
 		w, h := float64(1+rng.Intn(6)), float64(1+rng.Intn(6))
 		rects[i] = Rect{MinX: x * 156.25, MinY: y * 156.25, MaxX: (x + w) * 156.25, MaxY: (y + h) * 156.25}
 	}
-	resp := Response{OK: true, Cost: &Cost{CloakNS: 2100, QueryNS: 310000, TransmitNS: 610000, Candidates: n}}
+	resp := Response{OK: true, Cost: &Cost{CloakNS: 2100, QueryNS: 310000, Candidates: n}}
 	next := 0
 	for i := 0; i < n; i++ {
 		if i > 0 && rng.Intn(100) < 76 {

@@ -113,11 +113,11 @@ type Object struct {
 	Name string `json:"name,omitempty"`
 }
 
-// Cost is the wire form of the end-to-end breakdown (nanoseconds).
+// Cost is the wire form of the measured part of the end-to-end
+// breakdown (nanoseconds) and the candidate-list length.
 type Cost struct {
 	CloakNS    int64 `json:"cloak_ns"`
 	QueryNS    int64 `json:"query_ns"`
-	TransmitNS int64 `json:"transmit_ns"`
 	Candidates int   `json:"candidates"`
 }
 

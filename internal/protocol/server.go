@@ -133,7 +133,7 @@ func (s *Server) Casper() *core.Casper { return s.casper }
 
 // SetSlowQueryThreshold sets the slow-query log threshold: every
 // request that takes longer than d to answer is logged, with the
-// cloak/query/transmit breakdown when the op produced one, so latency
+// cloak/query breakdown when the op produced one, so latency
 // outliers are attributable. Zero (the default) disables the log. Safe
 // to call while serving (hot config reload).
 func (s *Server) SetSlowQueryThreshold(d time.Duration) { s.slowQuery.Store(int64(d)) }
@@ -697,9 +697,9 @@ func (s *Server) dispatch(req Request, tr *trace.Trace) Response {
 }
 
 // logSlow is the slow-query log: one line per request over the
-// threshold, carrying the end-to-end cost breakdown the framework
-// already computes (Fig. 17's cloak + query + transmit decomposition)
-// when the op produced one, so outliers are attributable to a stage.
+// threshold, carrying the measured cloak and query times and the
+// candidate count when the op produced them, so outliers are
+// attributable to a stage.
 func (s *Server) logSlow(req Request, resp Response, elapsed time.Duration) {
 	rpcSlow.Inc()
 	outcome := "ok"
@@ -717,7 +717,6 @@ func (s *Server) logSlow(req Request, resp Response, elapsed time.Duration) {
 		attrs = append(attrs,
 			"cloak", time.Duration(resp.Cost.CloakNS),
 			"query", time.Duration(resp.Cost.QueryNS),
-			"transmit", time.Duration(resp.Cost.TransmitNS),
 			"candidates", resp.Cost.Candidates)
 	}
 	s.logger.Warn("casper/protocol: slow query", attrs...)
@@ -742,7 +741,6 @@ func costWire(b core.Breakdown) *Cost {
 	return &Cost{
 		CloakNS:    b.Cloak.Nanoseconds(),
 		QueryNS:    b.Query.Nanoseconds(),
-		TransmitNS: b.Transmit.Nanoseconds(),
 		Candidates: b.Candidates,
 	}
 }

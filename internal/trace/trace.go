@@ -36,8 +36,7 @@ import (
 
 // maxSpans bounds the spans recorded per trace. The full pipeline
 // taxonomy (decode, cloak, query, cache_lookup, query_filter,
-// query_range, wal_append, store, transmit, encode) is well under
-// this.
+// query_range, wal_append, store, encode) is well under this.
 const maxSpans = 16
 
 // maxAttrs bounds the attributes per span; extras are dropped. The
