@@ -122,9 +122,11 @@ bench-smoke:
 # frontier queues 16-byte node entries, never items), and the client's
 # k-NN refinement at or below 2 allocs/op (BenchmarkRefineKNN; it
 # allocates only the k-item result), and one serialized wire round trip
-# at or below 11 allocs/op (BenchmarkProtocolSerialized; its count when
-# the per-request traced view of core.Casper was pinned to the stack, so
-# a view that escapes to the heap on the dispatch path fails here). A
+# at or below 10 allocs/op (BenchmarkProtocolSerialized: an update of a
+# user to the position it already holds, which dispatches through the
+# per-request traced view of core.Casper; 8 measured, + 25 % rounds down
+# to 10, so a view or an admission release that escapes to the heap on
+# the dispatch path fails here). A
 # location update whose cloak is unchanged must stay at or below 1
 # alloc/op (BenchmarkUpdateUserSameCloak; 1 measured, and + 25 % rounds
 # down to 1; 17 when such an update was logged, cloned and published
@@ -156,8 +158,8 @@ bench-allocs:
 	  END { if (!knn || !refine) { print "FAIL: a gated kernel benchmark did not run"; bad = 1 } exit bad }' /tmp/bench-allocs-kernels.txt
 	$(GO) test -run XXX -bench 'BenchmarkProtocolSerialized$$' -benchmem ./internal/protocol | tee /tmp/bench-allocs-protocol.txt
 	@awk '/^BenchmarkProtocolSerialized/ { ran = 1; \
-	  if ($$7+0 > 11) { printf "FAIL: %s allocates %s allocs/op (budget 11)\n", $$1, $$7; bad = 1 } \
-	  else { printf "ok: %s at %s allocs/op (budget 11)\n", $$1, $$7 } } \
+	  if ($$7+0 > 10) { printf "FAIL: %s allocates %s allocs/op (budget 10)\n", $$1, $$7; bad = 1 } \
+	  else { printf "ok: %s at %s allocs/op (budget 10)\n", $$1, $$7 } } \
 	  END { if (!ran) { print "FAIL: BenchmarkProtocolSerialized did not run"; bad = 1 } exit bad }' /tmp/bench-allocs-protocol.txt
 	$(GO) test -run XXX -bench 'BenchmarkMonitorBuddies$$' -benchtime 3000x -benchmem ./internal/continuous | tee /tmp/bench-allocs-monitor.txt
 	@awk '/^BenchmarkMonitorBuddies/ { for (i = 3; i < NF; i++) { if ($$(i+1) == "B/watch") bw = $$i; if ($$(i+1) == "B/op") bop = $$i } } \

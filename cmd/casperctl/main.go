@@ -17,12 +17,12 @@
 //	count    <x0> <y0> <x1> <y1> [policy]  users in a region
 //	density  [n]                        ASCII density heatmap
 //	add-public <id> <x> <y> <name>      add a public object
-//	stats [debug-addr] [-watch interval]  deployment statistics; with the
-//	                                    host:port of casperd -debug-addr,
-//	                                    fetch health, readiness and
-//	                                    /debug/stats (statistics plus every
-//	                                    metric family); -watch prints
-//	                                    per-second counter rates
+//	stats <debug-addr> [-watch interval]  deployment statistics from the
+//	                                    host:port of casperd -debug-addr:
+//	                                    health, readiness and /debug/stats
+//	                                    (statistics plus every metric
+//	                                    family); -watch prints per-second
+//	                                    counter rates
 //	trace <debug-addr> [trace-id]       list recent request traces, or render
 //	                                    one trace's span waterfall
 //	privacy <debug-addr> [-watch interval]  the live privacy observatory:
@@ -66,10 +66,13 @@ func main() {
 		defer cancel()
 	}
 
-	// `stats <debug-addr>`, `privacy` and `trace` talk to the
-	// observability endpoint, not the protocol port, so they need no
-	// protocol connection at all.
-	if args[0] == "stats" && len(args) > 1 {
+	// `stats`, `privacy` and `trace` talk to the observability
+	// endpoint, not the protocol port, so they need no protocol
+	// connection at all.
+	if args[0] == "stats" {
+		if len(args) < 2 {
+			fatal("stats: need the casperd -debug-addr (host:port)")
+		}
 		fs := flag.NewFlagSet("stats", flag.ExitOnError)
 		watch := fs.Duration("watch", 0, "fetch twice, this far apart, and print per-second counter rates")
 		fs.Parse(args[2:])
@@ -230,12 +233,6 @@ func run(ctx context.Context, cl *casper.ProtocolClient, cmd string, args []stri
 			fmt.Printf("  %s\n", line)
 		}
 		fmt.Printf("(expected users per cell, max %.1f)\n", maxV)
-	case "stats":
-		st, err := cl.Stats(ctx)
-		if err != nil {
-			return err
-		}
-		printStats(os.Stdout, st)
 	default:
 		return fmt.Errorf("unknown command (run casperctl -h)")
 	}
@@ -312,13 +309,12 @@ commands:
   count    <x0> <y0> <x1> <y1> [policy]  users in a region
   density  [n]                           ASCII density heatmap (n x n)
   add-public <id> <x> <y> <name>         add a public object
-  stats [debug-addr] [-watch interval]   deployment statistics; with the
-                                         host:port of casperd -debug-addr,
-                                         fetch health, readiness and
-                                         /debug/stats (statistics plus every
-                                         metric family); -watch prints
-                                         per-second counter rates over the
-                                         interval
+  stats <debug-addr> [-watch interval]   deployment statistics from the
+                                         host:port of casperd -debug-addr:
+                                         health, readiness and /debug/stats
+                                         (statistics plus every metric
+                                         family); -watch prints per-second
+                                         counter rates over the interval
   trace <debug-addr> [trace-id]          list recent request traces, or
                                          render one trace's span waterfall
   privacy <debug-addr> [-watch interval] the live privacy observatory:

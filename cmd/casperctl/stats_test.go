@@ -81,8 +81,8 @@ func TestDebugViewsBeforeTraffic(t *testing.T) {
 	}
 }
 
-// TestWireStatsView renders the stats frame with the continuous and
-// privacy sections present.
+// TestWireStatsView renders casperctl's stats view of a core.Stats with
+// the continuous and privacy sections present.
 func TestWireStatsView(t *testing.T) {
 	c := casper.MustNew(casper.DefaultConfig())
 	defer c.Close()

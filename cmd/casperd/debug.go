@@ -24,8 +24,8 @@ import (
 //	/debug/traces  recent request traces (JSON list; ?id= for detail)
 //	/debug/stats   the operator snapshot as JSON: {"stats": c.Stats(),
 //	               "metrics": every metric family as typed values}; the
-//	               stats object is the wire stats frame's core.Stats,
-//	               privacy observatory included
+//	               one transport of core.Stats, privacy observatory
+//	               included
 //	/debug/pprof/  the standard Go profiling handlers
 //	/-/reload      POST: re-read and apply the -config file (the
 //	               API-driven twin of SIGHUP); 500 with the parse or

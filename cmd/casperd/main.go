@@ -29,8 +29,8 @@
 // snapshot is older than -ready-max-snapshot-age with writes
 // pending), /debug/traces (recent request traces; ?id= for a full
 // span listing), /debug/stats (the operator snapshot as JSON: the
-// same core.Stats the wire stats frame carries — deployment counters,
-// continuous monitor, the full privacy observatory — plus every metric
+// core.Stats document — deployment counters, continuous monitor, the
+// full privacy observatory — plus every metric
 // family as typed values), and /debug/pprof/* on that address; with -slow-query
 // set (e.g. 50ms), every request slower than the threshold is logged
 // with its cloak/query breakdown and its trace is always

@@ -94,10 +94,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("count: %v", err)
 	}
-	st, err := admin.Stats(ctx)
-	if err != nil {
-		log.Fatalf("stats: %v", err)
-	}
+	// Operator statistics are not a client answer: casperd serves them at
+	// /debug/stats on its debug port, and in process they are a call.
+	st := core.Stats()
 	fmt.Printf("\nadmin: ~%.1f users in the SW quadrant; server stats: %d users, %d POIs, %d queries served\n",
 		n, st.Users, st.PublicObjs, st.Queries)
 }

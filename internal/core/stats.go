@@ -6,9 +6,9 @@ import (
 )
 
 // Stats is the operator snapshot of a running instance. It is the one
-// document every operator surface renders: the wire stats frame, the
-// "stats" object of casperd's /debug/stats, and casperctl's stats and
-// privacy views.
+// document every operator surface renders: the "stats" object of
+// casperd's /debug/stats, its one transport, and casperctl's stats
+// and privacy views.
 type Stats struct {
 	// Backend names the live privacy backend.
 	Backend    string `json:"backend"`

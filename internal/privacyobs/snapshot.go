@@ -65,8 +65,8 @@ type SLOSnapshot struct {
 }
 
 // Snapshot is the full state of the privacy observatory: the privacy
-// block of core.Stats, carried whole by the wire stats frame and
-// /debug/stats and rendered by casperctl privacy.
+// block of core.Stats, served whole at /debug/stats and rendered by
+// casperctl privacy.
 type Snapshot struct {
 	Backends           []BackendSnapshot `json:"backends"`
 	KSatisfiedFraction float64           `json:"k_satisfied_fraction"`
@@ -77,8 +77,8 @@ type Snapshot struct {
 }
 
 // Snapshot captures the observer's current state; it is the
-// observer's only reader (the casper_privacy_* gauges, /debug/stats
-// and the wire stats block all go through it). Every aggregate is a
+// observer's only reader (the casper_privacy_* gauges and
+// /debug/stats both go through it). Every aggregate is a
 // running total, so the lock is held for O(backends + ringSize). Taking
 // a snapshot also evaluates the SLO and logs a verdict transition, so
 // /debug/stats readers see transitions even if nothing scrapes

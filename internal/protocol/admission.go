@@ -163,24 +163,27 @@ func (a *admission) evictIdleLocked(buckets map[int64]*userBucket, l *rateLimit,
 }
 
 // admit runs one decoded request through admission control. It returns
-// reason == "" and a release func when the request may dispatch; the
-// caller must invoke release exactly once after the response is built.
-// A non-empty reason means the request was shed: the caller answers
-// with the overloaded error frame and does nothing else.
-func (a *admission) admit(uid int64) (reason string, release func()) {
+// "" when the request may dispatch; the caller must then call release
+// exactly once after the response is built. A non-empty reason means
+// the request was shed: the caller answers with the overloaded error
+// frame and does nothing else.
+func (a *admission) admit(uid int64) (reason string) {
 	if !a.allowUser(uid) {
-		return shedReasonRateLimit, nil
+		return shedReasonRateLimit
 	}
 	if max := a.maxConcurrent.Load(); max > 0 {
 		if a.inFlight.Add(1) > max {
 			a.inFlight.Add(-1)
-			return shedReasonInFlight, nil
+			return shedReasonInFlight
 		}
 	} else {
 		a.inFlight.Add(1)
 	}
-	return "", func() { a.inFlight.Add(-1) }
+	return ""
 }
+
+// release frees the in-flight slot of a request admit let through.
+func (a *admission) release() { a.inFlight.Add(-1) }
 
 // Shed reasons: the label values of casper_shed_total and the "reason"
 // attribute on shed trace spans.

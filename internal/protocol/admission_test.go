@@ -25,9 +25,9 @@ func TestRateLimitBucket(t *testing.T) {
 	s.SetRateLimit(1, 2) // 1 req/s sustained, burst of 2
 
 	admit := func(uid int64) (string, bool) {
-		reason, release := s.adm.admit(uid)
-		if release != nil {
-			release()
+		reason := s.adm.admit(uid)
+		if reason == "" {
+			s.adm.release()
 			return "", true
 		}
 		return reason, false
@@ -80,10 +80,10 @@ func TestRateLimitDisabledAndClamped(t *testing.T) {
 
 	// No limit configured: everything is admitted.
 	for i := 0; i < 100; i++ {
-		if reason, release := s.adm.admit(42); release == nil {
+		if reason := s.adm.admit(42); reason != "" {
 			t.Fatalf("unlimited server shed a request (%s)", reason)
 		} else {
-			release()
+			s.adm.release()
 		}
 	}
 
@@ -107,30 +107,30 @@ func TestMaxConcurrentCeiling(t *testing.T) {
 		t.Fatalf("MaxConcurrent() = %d; want 2", s.MaxConcurrent())
 	}
 
-	_, rel1 := s.adm.admit(1)
-	_, rel2 := s.adm.admit(2)
-	if rel1 == nil || rel2 == nil {
+	r1 := s.adm.admit(1)
+	r2 := s.adm.admit(2)
+	if r1 != "" || r2 != "" {
 		t.Fatal("requests under the ceiling shed")
 	}
 	if got := s.InFlight(); got != 2 {
 		t.Fatalf("InFlight() = %d; want 2", got)
 	}
-	reason, rel3 := s.adm.admit(3)
-	if rel3 != nil || reason != shedReasonInFlight {
-		t.Fatalf("over-ceiling request: admitted=%v reason=%q; want shed %q", rel3 != nil, reason, shedReasonInFlight)
+	reason := s.adm.admit(3)
+	if reason != shedReasonInFlight {
+		t.Fatalf("over-ceiling request: admitted=%v reason=%q; want shed %q", reason == "", reason, shedReasonInFlight)
 	}
 	// A failed admission must not leak in-flight slots.
 	if got := s.InFlight(); got != 2 {
 		t.Fatalf("InFlight() after shed = %d; want 2", got)
 	}
 
-	rel1()
-	if _, rel4 := s.adm.admit(4); rel4 == nil {
+	s.adm.release()
+	if s.adm.admit(4) != "" {
 		t.Fatal("request after release shed; want admitted")
 	} else {
-		rel4()
+		s.adm.release()
 	}
-	rel2()
+	s.adm.release()
 	if got := s.InFlight(); got != 0 {
 		t.Fatalf("InFlight() after all releases = %d; want 0", got)
 	}
@@ -144,8 +144,8 @@ func TestBucketEviction(t *testing.T) {
 	// shard 0; skip uid 0, which bypasses limiting entirely).
 	for i := 1; i <= admissionMaxBucketsPerShard; i++ {
 		uid := int64(i) * admissionShards
-		if _, release := s.adm.admit(uid); release != nil {
-			release()
+		if s.adm.admit(uid) == "" {
+			s.adm.release()
 		}
 	}
 	sh := &s.adm.shards[0]
@@ -160,10 +160,10 @@ func TestBucketEviction(t *testing.T) {
 	// uid triggers eviction instead of growing past the cap.
 	*now = now.Add(2 * time.Second)
 	newUID := int64(admissionMaxBucketsPerShard+1) * admissionShards
-	if _, release := s.adm.admit(newUID); release == nil {
+	if s.adm.admit(newUID) != "" {
 		t.Fatal("new uid shed during eviction; want admitted")
 	} else {
-		release()
+		s.adm.release()
 	}
 	sh.mu.Lock()
 	after := len(sh.buckets)

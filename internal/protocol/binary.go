@@ -19,16 +19,14 @@ import (
 	"math/bits"
 	"slices"
 
-	"casper/internal/core"
-	"casper/internal/privacyobs"
 	"casper/internal/trace"
 )
 
 // Opcodes for the known ops. Opcode 0 escapes to an explicit op
 // string so Raw requests with unknown ops still round-trip (and still
 // earn the server's "unknown op" response). Opcodes are wire-stable:
-// never renumber or reuse one; opcode 4, a retired op spelling, stays
-// reserved.
+// never renumber or reuse one; opcode 4, a retired op spelling, and
+// opcode 15, the retired stats op, stay reserved.
 const (
 	opcodeStringOp byte = iota
 	opcodeRegister
@@ -44,7 +42,7 @@ const (
 	opcodeCountUsers
 	opcodeAddPublic
 	opcodeDensity
-	opcodeStats
+	_         // reserved: retired stats op
 	opcodeEnd // one past the last valid opcode
 )
 
@@ -62,7 +60,6 @@ var opByOpcode = [opcodeEnd]string{
 	opcodeCountUsers:     OpCountUsers,
 	opcodeAddPublic:      OpAddPublic,
 	opcodeDensity:        OpDensity,
-	opcodeStats:          OpStats,
 }
 
 var opcodeByOp = func() map[string]byte {
@@ -103,11 +100,11 @@ const (
 	respFCandidates
 	respFCount
 	respFCost
-	respFStats
+	respFRetired // the stats block of revisions 4 to 6: reserved, refused
 	respFDensity
 	respFTraceID
 
-	respFKnown = respFTraceID<<1 - 1
+	respFKnown = (respFTraceID<<1 - 1) &^ respFRetired
 )
 
 const respFlagOK byte = 1
@@ -409,9 +406,6 @@ func appendResponse(b []byte, resp *Response) []byte {
 	if resp.Cost != nil {
 		mask |= respFCost
 	}
-	if resp.Stats != nil {
-		mask |= respFStats
-	}
 	if resp.Density != nil {
 		mask |= respFDensity
 	}
@@ -459,9 +453,6 @@ func appendResponse(b []byte, resp *Response) []byte {
 		b = binary.AppendVarint(b, resp.Cost.QueryNS)
 		b = binary.AppendVarint(b, int64(resp.Cost.Candidates))
 	}
-	if mask&respFStats != 0 {
-		b = appendStats(b, resp.Stats)
-	}
 	if mask&respFDensity != 0 {
 		b = appendU32(b, uint32(len(resp.Density)))
 		for _, row := range resp.Density {
@@ -489,79 +480,6 @@ const densityGridRoom = MaxFrameBytes - frameIDLen - 1 - 4 - 4 - (4 + trace.MaxI
 // fits one frame. The first test keeps the product from overflowing.
 func densityFits(n int) bool {
 	return n <= densityGridRoom/8 && n*(4+8*n) <= densityGridRoom
-}
-
-// The stats block (respFStats) carries core.Stats whole, fields in
-// declaration order:
-//
-//	backend                           str
-//	users public_objects queries
-//	update_cost                       4 x i64
-//	continuous                        u8 presence, then 4 x i64 when 1
-//	privacy.backends                  u32 count, then per backend: name
-//	                                  str, 3 x i64 counts, 6 x f64 k and
-//	                                  area statistics
-//	privacy.k_satisfied_fraction      f64
-//	privacy.entropy                   2 x f64, window i64
-//	privacy.linkage                   estimate f64, evidence u8, 3 x i64
-//	privacy.epsilon                   3 x f64, 2 x i64
-//	privacy.slo                       2 x f64, ok u8
-//
-// Booleans are one byte, 0 or 1.
-
-// backendRowBytes is the encoded size of a privacy backend row with an
-// empty name.
-const backendRowBytes = 4 + 3*8 + 6*8
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-func appendStats(b []byte, st *core.Stats) []byte {
-	b = appendString(b, st.Backend)
-	b = appendI64(b, int64(st.Users))
-	b = appendI64(b, int64(st.PublicObjs))
-	b = appendI64(b, st.Queries)
-	b = appendI64(b, st.UpdateCost)
-	b = appendBool(b, st.Continuous != nil)
-	if c := st.Continuous; c != nil {
-		b = appendI64(b, int64(c.Queries))
-		b = appendI64(b, c.Updates)
-		b = appendI64(b, c.Evaluations)
-		b = appendI64(b, c.SafeRegionHits)
-	}
-	p := &st.Privacy
-	b = appendU32(b, uint32(len(p.Backends)))
-	for i := range p.Backends {
-		row := &p.Backends[i]
-		b = appendString(b, row.Backend)
-		b = appendI64(b, row.Releases)
-		b = appendI64(b, row.RegionReleases)
-		b = appendI64(b, row.KViolations)
-		for _, v := range [...]float64{row.KMean, row.KP50, row.KP99, row.AreaMean, row.AreaP50, row.AreaP99} {
-			b = appendF64(b, v)
-		}
-	}
-	b = appendF64(b, p.KSatisfiedFraction)
-	b = appendF64(b, p.Entropy.MeanBits)
-	b = appendF64(b, p.Entropy.MinBits)
-	b = appendI64(b, int64(p.Entropy.Window))
-	b = appendF64(b, p.Linkage.Estimate)
-	b = appendBool(b, p.Linkage.Evidence)
-	b = appendI64(b, int64(p.Linkage.TrackedUsers))
-	b = appendI64(b, p.Linkage.Untracked)
-	b = appendI64(b, p.Linkage.Resets)
-	b = appendF64(b, p.Epsilon.SpentTotal)
-	b = appendF64(b, p.Epsilon.MaxUser)
-	b = appendF64(b, p.Epsilon.Budget)
-	b = appendI64(b, p.Epsilon.Users)
-	b = appendI64(b, p.Epsilon.Refusals)
-	b = appendF64(b, p.SLO.MinKSatisfied)
-	b = appendF64(b, p.SLO.MaxLinkage)
-	return appendBool(b, p.SLO.OK)
 }
 
 // --- bounds-checked reader ------------------------------------------
@@ -630,71 +548,6 @@ func (r *wireReader) narrow(v int64) int {
 
 // intField decodes an i64 and narrows it to int.
 func (r *wireReader) intField() int { return r.narrow(r.i64()) }
-
-// boolean decodes a one-byte bool; any byte but 0 or 1 is malformed,
-// so every value has exactly one encoding.
-func (r *wireReader) boolean() bool {
-	v := r.u8()
-	if v > 1 {
-		r.bad = true
-	}
-	return v == 1
-}
-
-// stats decodes the stats block (see appendStats).
-func (r *wireReader) stats() *core.Stats {
-	st := &core.Stats{
-		Backend:    r.str(),
-		Users:      r.intField(),
-		PublicObjs: r.intField(),
-		Queries:    r.i64(),
-		UpdateCost: r.i64(),
-	}
-	if r.boolean() {
-		st.Continuous = &core.ContinuousStats{
-			Queries:        r.intField(),
-			Updates:        r.i64(),
-			Evaluations:    r.i64(),
-			SafeRegionHits: r.i64(),
-		}
-	}
-	p := &st.Privacy
-	if n := r.count(backendRowBytes); n > 0 {
-		p.Backends = make([]privacyobs.BackendSnapshot, n)
-		for i := range p.Backends {
-			p.Backends[i] = privacyobs.BackendSnapshot{
-				Backend:        r.str(),
-				Releases:       r.i64(),
-				RegionReleases: r.i64(),
-				KViolations:    r.i64(),
-				KMean:          r.f64(),
-				KP50:           r.f64(),
-				KP99:           r.f64(),
-				AreaMean:       r.f64(),
-				AreaP50:        r.f64(),
-				AreaP99:        r.f64(),
-			}
-		}
-	}
-	p.KSatisfiedFraction = r.f64()
-	p.Entropy = privacyobs.EntropySnapshot{MeanBits: r.f64(), MinBits: r.f64(), Window: r.intField()}
-	p.Linkage = privacyobs.LinkageSnapshot{
-		Estimate:     r.f64(),
-		Evidence:     r.boolean(),
-		TrackedUsers: r.intField(),
-		Untracked:    r.i64(),
-		Resets:       r.i64(),
-	}
-	p.Epsilon = privacyobs.EpsilonSnapshot{
-		SpentTotal: r.f64(),
-		MaxUser:    r.f64(),
-		Budget:     r.f64(),
-		Users:      r.i64(),
-		Refusals:   r.i64(),
-	}
-	p.SLO = privacyobs.SLOSnapshot{MinKSatisfied: r.f64(), MaxLinkage: r.f64(), OK: r.boolean()}
-	return st
-}
 
 func (r *wireReader) str() string {
 	n := r.u32()
@@ -951,9 +804,6 @@ func decodeResponse(b []byte) (Response, error) {
 			QueryNS:    r.varint(),
 			Candidates: r.narrow(r.varint()),
 		}
-	}
-	if mask&respFStats != 0 {
-		resp.Stats = r.stats()
 	}
 	if mask&respFDensity != 0 {
 		rows := r.count(4)

@@ -6,9 +6,6 @@ import (
 	"encoding/binary"
 	"reflect"
 	"testing"
-
-	"casper/internal/core"
-	"casper/internal/privacyobs"
 )
 
 // roundTripRequest encodes req with the wire codec and decodes it back.
@@ -40,7 +37,6 @@ func TestBinaryRequestRoundTrip(t *testing.T) {
 			{UserID: 3, X: -5, Y: -6},
 		}},
 		{Op: OpDensity, NN: 32},
-		{Op: OpStats},
 		// Unknown op travels via the opcode-0 string escape.
 		{Op: "from_the_future", UserID: 3},
 		// All-zero optional fields: nothing but the op on the wire.
@@ -51,30 +47,6 @@ func TestBinaryRequestRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("round trip changed the request:\n got %+v\nwant %+v", got, want)
 		}
-	}
-}
-
-// fullStats sets every field of the stats block, with two per-backend
-// privacy rows, to a distinct non-zero value.
-func fullStats() *core.Stats {
-	return &core.Stats{
-		Backend: "adaptive", Users: 10, PublicObjs: 20, Queries: 30, UpdateCost: 40,
-		Continuous: &core.ContinuousStats{Queries: 5, Updates: 600, Evaluations: 35, SafeRegionHits: 7},
-		Privacy: privacyobs.Snapshot{
-			Backends: []privacyobs.BackendSnapshot{
-				{Backend: "adaptive", Releases: 900, RegionReleases: 880, KViolations: 3,
-					KMean: 12.5, KP50: 11, KP99: 40, AreaMean: 2.5e5, AreaP50: 2e5, AreaP99: 9.75e5},
-				{Backend: "geoind", Releases: 40, RegionReleases: 1, KViolations: 1,
-					KMean: 1, KP50: 1, KP99: 1, AreaMean: 0.5, AreaP50: 0.25, AreaP99: 0.75},
-			},
-			KSatisfiedFraction: 0.9955,
-			Entropy:            privacyobs.EntropySnapshot{MeanBits: 3.5, MinBits: 1, Window: 256},
-			Linkage: privacyobs.LinkageSnapshot{Estimate: 0.42, Evidence: true,
-				TrackedUsers: 77, Untracked: 2, Resets: 9},
-			Epsilon: privacyobs.EpsilonSnapshot{SpentTotal: 12.25, MaxUser: 1.5, Budget: 2,
-				Users: 31, Refusals: 4},
-			SLO: privacyobs.SLOSnapshot{MinKSatisfied: 0.99, MaxLinkage: 0.5, OK: true},
-		},
 	}
 }
 
@@ -89,8 +61,6 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 		}},
 		{OK: true, Count: 41.5},
 		{OK: true, Cost: &Cost{CloakNS: 1, QueryNS: 2, Candidates: 4}},
-		{OK: true, Stats: &core.Stats{Users: 10, PublicObjs: 20, Queries: 30, UpdateCost: 40}},
-		{OK: true, Stats: fullStats()},
 		{OK: true, Density: [][]float64{{1, 2}, {3, 4, 5}, {}}},
 		{OK: true, TraceID: "t-17", Count: 2},
 	}
@@ -147,8 +117,8 @@ func TestBinaryRejectsMalformed(t *testing.T) {
 	})
 	t.Run("unknown opcode", func(t *testing.T) {
 		// opcodeUpdateBatch+1 is the reserved slot of a retired op
-		// spelling.
-		for _, code := range []byte{opcodeUpdateBatch + 1, opcodeEnd} {
+		// spelling, opcodeDensity+1 that of the retired stats op.
+		for _, code := range []byte{opcodeUpdateBatch + 1, opcodeDensity + 1, opcodeEnd} {
 			if _, err := decodeRequest([]byte{code, 0, 0, 0, 0}); err == nil {
 				t.Fatalf("opcode %d accepted", code)
 			}
@@ -182,20 +152,6 @@ func TestBinaryRejectsMalformed(t *testing.T) {
 		b = appendU32(b, 1<<31)
 		if _, err := decodeRequest(b); err == nil {
 			t.Fatal("absurd batch count accepted")
-		}
-	})
-	t.Run("stats bool not 0 or 1", func(t *testing.T) {
-		st := &core.Stats{Backend: "b"}
-		b := appendResponse(nil, &Response{OK: true, Stats: st})
-		// flags, mask, backend string, four i64 counters, then the
-		// continuous presence byte.
-		presence := 1 + 4 + 4 + len(st.Backend) + 4*8
-		if b[presence] != 0 {
-			t.Fatalf("byte %d = %d, want the absent-continuous 0", presence, b[presence])
-		}
-		b[presence] = 2
-		if _, err := decodeResponse(b); err == nil {
-			t.Fatal("bool byte 2 accepted")
 		}
 	})
 }

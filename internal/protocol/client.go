@@ -10,8 +10,6 @@ import (
 	"runtime"
 	"sync"
 	"time"
-
-	"casper/internal/core"
 )
 
 // Client is a mobile-user (or administrator) connection to a Casper
@@ -27,14 +25,7 @@ import (
 type Client struct {
 	conn net.Conn
 
-	mu sync.Mutex
-	// nextTraceID, when non-empty, is stamped onto the next request's
-	// trace_id field and cleared (one-shot; see SetNextTraceID).
-	// lastTraceID is the trace_id the server echoed on the most recent
-	// response. Both are guarded by mu.
-	nextTraceID string
-	lastTraceID string
-
+	mu      sync.Mutex
 	sem     chan struct{}            // in-flight cap
 	pending map[uint64]chan delivery // response routing, keyed by request ID
 	nextID  uint64                   // last assigned request ID (under mu)
@@ -190,28 +181,6 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-// SetNextTraceID asks the server to label the next RPC's trace with
-// id instead of generating one. It applies to exactly one request
-// (the next round trip consumes it); the server truncates IDs longer
-// than 64 bytes. Retrieve the echoed ID afterwards with LastTraceID.
-// With concurrent callers, "next" is whichever request claims the id
-// first.
-func (c *Client) SetNextTraceID(id string) {
-	c.mu.Lock()
-	c.nextTraceID = id
-	c.mu.Unlock()
-}
-
-// LastTraceID returns the trace ID the server assigned to (or echoed
-// for) the most recently completed round trip. Look the trace up at
-// the server's /debug/traces?id= endpoint. Empty until the first
-// response or when the server predates trace support.
-func (c *Client) LastTraceID() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastTraceID
-}
-
 // roundTrip issues one pipelined request: claim an in-flight slot,
 // register the request ID, write the frame, and wait for the read
 // loop to deliver the matching response. Context expiry abandons the
@@ -237,10 +206,6 @@ func (c *Client) roundTrip(ctx context.Context, req Request) (Response, error) {
 		err := c.fatal
 		c.mu.Unlock()
 		return Response{}, fmt.Errorf("protocol: connection unusable after earlier failure: %w", err)
-	}
-	if c.nextTraceID != "" {
-		req.TraceID = c.nextTraceID
-		c.nextTraceID = ""
 	}
 	c.nextID++
 	id := c.nextID
@@ -271,11 +236,6 @@ func (c *Client) roundTrip(ctx context.Context, req Request) (Response, error) {
 		respChPool.Put(ch)
 		if r.err != nil {
 			return Response{}, fmt.Errorf("protocol: recv: %w", r.err)
-		}
-		if r.resp.TraceID != "" {
-			c.mu.Lock()
-			c.lastTraceID = r.resp.TraceID
-			c.mu.Unlock()
 		}
 		return r.resp, nil
 	case <-ctx.Done():
@@ -519,18 +479,6 @@ func (c *Client) Density(ctx context.Context, n int) ([][]float64, error) {
 		return nil, err
 	}
 	return resp.Density, nil
-}
-
-// Stats fetches the server's operator snapshot (core.Casper.Stats).
-func (c *Client) Stats(ctx context.Context) (core.Stats, error) {
-	resp, err := c.call(ctx, Request{Op: OpStats})
-	if err != nil {
-		return core.Stats{}, err
-	}
-	if resp.Stats == nil {
-		return core.Stats{}, fmt.Errorf("protocol: stats response missing payload")
-	}
-	return *resp.Stats, nil
 }
 
 // Raw sends an arbitrary request (testing and debugging).

@@ -173,7 +173,7 @@ func TestContextDeadlineAndPoisoning(t *testing.T) {
 	}
 	// Not poisoned: the same connection serves a call while the
 	// abandoned one is still parked server-side...
-	if _, err := cl.Stats(ctx); err != nil {
+	if _, err := cl.CountUsers(ctx, Rect{MaxX: 1, MaxY: 1}, ""); err != nil {
 		t.Fatalf("connection unusable after an abandoned call: %v", err)
 	}
 	// ...and after its late response arrives for an id nobody awaits.

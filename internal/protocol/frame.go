@@ -19,12 +19,13 @@ import (
 // revision 3 packs them (binary.go); revision 4 carries the whole
 // core.Stats in one stats block; revision 5 sends a rect equal to the
 // previous object's as one header bit (objSameRect); revision 6 drops
-// the modelled transmit time from the cost block. There is one
-// layout per build and no fallback decoder, so peers of different
-// revisions refuse each other here, at the handshake, instead of
-// mis-decoding frames. Bump it whenever the payload layout changes
-// incompatibly.
-const binaryRevision byte = 6
+// the modelled transmit time from the cost block; revision 7 retires
+// the stats op and its block (operator statistics are served at
+// /debug/stats). There is one layout per build and no fallback
+// decoder, so peers of different revisions refuse each other here, at
+// the handshake, instead of mis-decoding frames. Bump it whenever the
+// payload layout changes incompatibly.
+const binaryRevision byte = 7
 
 // handshakeLen is the length of hello.
 const handshakeLen = 5

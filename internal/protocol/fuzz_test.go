@@ -6,8 +6,6 @@ import (
 	"encoding/binary"
 	"math"
 	"testing"
-
-	"casper/internal/core"
 )
 
 // Fuzz targets for the binary wire codec. The decoder's contract is
@@ -79,8 +77,8 @@ func FuzzV2DecodeResponse(f *testing.F) {
 		{OK: true, Exact: &Object{ID: 5, Rect: Rect{MaxX: 1, MaxY: 1}, Name: "poi"}},
 		{OK: true, Candidates: []Object{{ID: 1}, {ID: 2, Name: "x"}}},
 		{OK: true, Cost: &Cost{CloakNS: 1, QueryNS: 2, Candidates: 4}},
-		{OK: true, Stats: &core.Stats{Users: 1, PublicObjs: 2, Queries: 3, UpdateCost: 4}},
-		{OK: true, Stats: fullStats(), TraceID: "t-1"},
+		{OK: true, Count: 3, TraceID: "t-1"},
+		{OK: false, Error: "update shed by inflight", Code: CodeOverloaded, TraceID: "t-2"},
 		{OK: true, Density: [][]float64{{1, 2}, {3}}},
 	}
 	// Packed candidate lists: points and cloaks, trimmed and full-width

@@ -11,15 +11,18 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"casper/internal/core"
 )
 
 // Interop: a client and a server of this build agree on everything;
 // peers that are not (another binary revision, a JSON line, a mute
 // server) are refused at the handshake, before any frame is decoded.
 
-// exerciseClient drives one client through the full request shape:
-// register, update, query, range, stats.
-func exerciseClient(t *testing.T, cl *Client, uid int64) {
+// exerciseClient drives one client of the server over c through the
+// full request shape: register, update, query, range; c's statistics
+// must then count the user.
+func exerciseClient(t *testing.T, c *core.Casper, cl *Client, uid int64) {
 	t.Helper()
 	if err := cl.Register(ctx, uid, 1000, 1000, 1, 0); err != nil {
 		t.Fatalf("register: %v", err)
@@ -33,11 +36,7 @@ func exerciseClient(t *testing.T, cl *Client, uid int64) {
 	if _, _, err := cl.RangePublic(ctx, uid, 300); err != nil {
 		t.Fatalf("range: %v", err)
 	}
-	st, err := cl.Stats(ctx)
-	if err != nil {
-		t.Fatalf("stats: %v", err)
-	}
-	if st.Users == 0 {
+	if st := c.Stats(); st.Users == 0 {
 		t.Fatal("stats reports zero users after a register")
 	}
 	// Application errors carry their sentinel across the wire.
@@ -51,7 +50,8 @@ func exerciseClient(t *testing.T, cl *Client, uid int64) {
 func ErrNotRegisteredWire() error { return sentinelOf(CodeNotRegistered) }
 
 func TestInteropV2Client(t *testing.T) {
-	exerciseClient(t, dial(t, startServer(t)), 9002)
+	c, addr := startCasper(t)
+	exerciseClient(t, c, dial(t, addr), 9002)
 }
 
 // TestV2PipeliningStress keeps 64 requests in flight on ONE connection
@@ -199,9 +199,9 @@ func expectRefusal(t *testing.T, payload []byte) {
 // TestV2ServerRefusesOtherRevisions pins how payload layouts roll
 // out: there is no fallback decoder and nothing is negotiated, so a
 // client of any earlier revision (2, the fixed-width objects; 3, the
-// four-field stats block with extension bits) — or of a later one, with
-// a layout this server has never heard of — is refused at the
-// handshake. It is told which revision the server speaks, and the
+// four-field stats block with extension bits; 6, the last to carry a
+// stats block) — or of a later one, with a layout this server has never
+// heard of — is refused at the handshake. It is told which revision the server speaks, and the
 // request frame it pipelined behind its hello is never decoded.
 func TestV2ServerRefusesOtherRevisions(t *testing.T) {
 	var revs []byte
@@ -211,7 +211,7 @@ func TestV2ServerRefusesOtherRevisions(t *testing.T) {
 	for _, rev := range append(revs, binaryRevision+1) {
 		t.Run(fmt.Sprintf("revision%d", rev), func(t *testing.T) {
 			other := append(hello[:4:4], rev)
-			expectRefusal(t, append(other, rawFrame(1, rawRequest(t, Request{Op: OpStats}))...))
+			expectRefusal(t, append(other, rawFrame(1, rawRequest(t, Request{Op: OpUpdate, UserID: 1}))...))
 		})
 	}
 }
@@ -220,7 +220,7 @@ func TestV2ServerRefusesOtherRevisions(t *testing.T) {
 // request — what netcat or a client of the retired JSON protocol sends
 // — fails the same five-byte comparison as a foreign revision.
 func TestJSONLineRefusedAtHandshake(t *testing.T) {
-	expectRefusal(t, []byte(`{"op":"stats"}`+"\n"))
+	expectRefusal(t, []byte(`{"op":"update","uid":1}`+"\n"))
 }
 
 // TestV2ClientRefusesOtherRevision is the mirror image: a client of

@@ -262,8 +262,8 @@ func TestOverloadedRoundTrip(t *testing.T) {
 			}
 
 			// The shed is retryable: the same connection keeps working once
-			// admission allows (uid 0 stats bypass the bucket).
-			if _, err := cl.Stats(ctx); err != nil {
+			// admission allows (a uid-0 count bypasses the bucket).
+			if _, err := cl.CountUsers(ctx, Rect{MaxX: 1, MaxY: 1}, ""); err != nil {
 				t.Fatalf("connection unusable after a shed: %v", err)
 			}
 		})
@@ -291,7 +291,11 @@ func TestOverloadedRoundTrip(t *testing.T) {
 			}
 			inFlight := make(chan error, 1)
 			go func() { inFlight <- holder.Update(ctx, 1, 200, 200) }()
-			<-entered
+			select {
+			case <-entered:
+			case err := <-inFlight:
+				t.Fatalf("slot-holding request answered without dispatching: %v", err)
+			}
 
 			// With the single slot held, a second connection sheds.
 			other := dial(t, addr.String())
@@ -323,7 +327,7 @@ func TestOversizedResponseFailsOnlyItsRequest(t *testing.T) {
 	park := make(chan struct{})
 	entered := make(chan struct{}, 1)
 	srv.dispatchHook = func(req Request) {
-		if req.Op == OpStats {
+		if req.Op == OpCountUsers {
 			entered <- struct{}{}
 			<-park
 		}
@@ -341,7 +345,7 @@ func TestOversizedResponseFailsOnlyItsRequest(t *testing.T) {
 
 	sibling := make(chan error, 1)
 	go func() {
-		_, err := cl.Stats(ctx)
+		_, err := cl.CountUsers(ctx, Rect{MaxX: 1, MaxY: 1}, "")
 		sibling <- err
 	}()
 	<-entered // the sibling is in flight, held in dispatch
@@ -376,16 +380,16 @@ func TestHugeTraceIDIsClampedWithTracingOff(t *testing.T) {
 	t.Run("v2", func(t *testing.T) {
 		cl := dial(t, startServer(t))
 		huge := strings.Repeat("x", MaxFrameBytes-40)
-		cl.SetNextTraceID(huge)
-		if _, err := cl.Stats(ctx); err != nil {
-			t.Fatalf("stats with a %d-byte trace id: %v", len(huge), err)
+		resp, err := cl.Raw(ctx, Request{Op: OpDensity, NN: 1, TraceID: huge})
+		if err != nil || !resp.OK {
+			t.Fatalf("density with a %d-byte trace id: %+v, %v", len(huge), resp, err)
 		}
-		if got := cl.LastTraceID(); got != huge[:64] {
+		if got := resp.TraceID; got != huge[:64] {
 			t.Fatalf("echoed trace id is %d bytes, want the first 64", len(got))
 		}
 		// The connection (and the server) keep serving.
-		if _, err := cl.Stats(ctx); err != nil {
-			t.Fatalf("stats after the huge trace id: %v", err)
+		if _, err := cl.Density(ctx, 1); err != nil {
+			t.Fatalf("density after the huge trace id: %v", err)
 		}
 	})
 }

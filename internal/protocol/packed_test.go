@@ -332,6 +332,8 @@ func TestPackedDecoderRejects(t *testing.T) {
 			append(head(respFExact), 1)},
 		{"cost varint truncated",
 			append(head(respFCost), 0x02, 0x02, 0x80)},
+		{"the retired stats block's mask bit",
+			head(respFRetired)},
 	} {
 		if resp, err := decodeResponse(tc.frame); err == nil {
 			t.Errorf("%s: accepted as %+v", tc.name, resp)

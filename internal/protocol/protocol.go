@@ -17,7 +17,6 @@ package protocol
 import (
 	"fmt"
 
-	"casper/internal/core"
 	"casper/internal/geom"
 )
 
@@ -55,8 +54,6 @@ const (
 	// OpDensity is the administrator density-map query over private
 	// data; Request.NN carries the grid resolution.
 	OpDensity = "density"
-	// OpStats reports server statistics.
-	OpStats = "stats"
 )
 
 // Request is one client frame.
@@ -127,12 +124,11 @@ type Response struct {
 	Error string `json:"error,omitempty"`
 	// Code is the stable wire error code for application errors ("" for
 	// transport-level problems like malformed frames); see errors.go.
-	Code       string      `json:"code,omitempty"`
-	Exact      *Object     `json:"exact,omitempty"`
-	Candidates []Object    `json:"candidates,omitempty"`
-	Count      float64     `json:"count,omitempty"`
-	Cost       *Cost       `json:"cost,omitempty"`
-	Stats      *core.Stats `json:"stats,omitempty"`
+	Code       string   `json:"code,omitempty"`
+	Exact      *Object  `json:"exact,omitempty"`
+	Candidates []Object `json:"candidates,omitempty"`
+	Count      float64  `json:"count,omitempty"`
+	Cost       *Cost    `json:"cost,omitempty"`
 	// Density is the row-major n x n expected-count grid returned by
 	// OpDensity ([0] is the bottom row).
 	Density [][]float64 `json:"density,omitempty"`

@@ -28,6 +28,14 @@ var ctx = context.Background()
 // returns its address plus a cleanup-registered close.
 func startServer(t *testing.T) string {
 	t.Helper()
+	_, addr := startCasper(t)
+	return addr
+}
+
+// startCasper is startServer that also returns the served instance,
+// whose statistics tests read in process.
+func startCasper(t *testing.T) (*core.Casper, string) {
+	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Universe = geom.R(0, 0, 4096, 4096)
 	cfg.PyramidLevels = 7
@@ -51,7 +59,7 @@ func startServer(t *testing.T) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	return addr.String()
+	return c, addr.String()
 }
 
 // quietLogger discards the server's log output.
@@ -127,7 +135,7 @@ func TestRectRoundTrip(t *testing.T) {
 }
 
 func TestRegisterQueryFlow(t *testing.T) {
-	addr := startServer(t)
+	c, addr := startCasper(t)
 	cl, err := DialContext(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
@@ -184,12 +192,8 @@ func TestRegisterQueryFlow(t *testing.T) {
 		t.Fatalf("CountUsers = %v", n)
 	}
 
-	// Stats.
-	st, err := cl.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Users != 2 || st.PublicObjs != 200 || st.Queries < 2 {
+	// The served instance counted it all.
+	if st := c.Stats(); st.Users != 2 || st.PublicObjs != 200 || st.Queries < 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -256,15 +260,19 @@ func TestApplicationErrors(t *testing.T) {
 	if _, err := cl.CountUsers(ctx, Rect{}, "bogus-policy"); err == nil {
 		t.Fatal("bad policy accepted")
 	}
-	resp, err := cl.Raw(ctx, Request{Op: "no-such-op"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.OK || !strings.Contains(resp.Error, "unknown op") {
-		t.Fatalf("response = %+v", resp)
+	// The retired stats op is an unknown op like any other: operator
+	// statistics are served at casperd's /debug/stats, not to clients.
+	for _, op := range []string{"no-such-op", "stats"} {
+		resp, err := cl.Raw(ctx, Request{Op: op})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.OK || !strings.Contains(resp.Error, "unknown op") {
+			t.Fatalf("%s: response = %+v", op, resp)
+		}
 	}
 	// count_users without a rect.
-	resp, err = cl.Raw(ctx, Request{Op: OpCountUsers})
+	resp, err := cl.Raw(ctx, Request{Op: OpCountUsers})
 	if err != nil || resp.OK {
 		t.Fatalf("missing rect: %+v, %v", resp, err)
 	}
@@ -283,17 +291,18 @@ func TestMalformedFrameGetsErrorResponse(t *testing.T) {
 	if id != 7 || resp.OK || !strings.Contains(resp.Error, "malformed") {
 		t.Fatalf("frame %d: response = %+v, want a malformed-request error for frame 7", id, resp)
 	}
-	if _, err := conn.Write(rawFrame(8, rawRequest(t, Request{Op: OpStats}))); err != nil {
+	count := Request{Op: OpCountUsers, Rect: &Rect{MaxX: 1, MaxY: 1}}
+	if _, err := conn.Write(rawFrame(8, rawRequest(t, count))); err != nil {
 		t.Fatal(err)
 	}
 	id, resp = readRawResponse(t, br)
-	if id != 8 || !resp.OK || resp.Stats == nil {
-		t.Fatalf("frame %d after the malformed one: response = %+v, want stats for frame 8", id, resp)
+	if id != 8 || !resp.OK {
+		t.Fatalf("frame %d after the malformed one: response = %+v, want a count for frame 8", id, resp)
 	}
 }
 
 func TestConcurrentClients(t *testing.T) {
-	addr := startServer(t)
+	c, addr := startCasper(t)
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
 	for w := 0; w < 8; w++ {
@@ -328,19 +337,13 @@ func TestConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	cl, _ := DialContext(ctx, addr)
-	defer cl.Close()
-	st, err := cl.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Users != 160 {
+	if st := c.Stats(); st.Users != 160 {
 		t.Fatalf("users = %d, want 160", st.Users)
 	}
 }
 
 func TestAddPublicOverWire(t *testing.T) {
-	addr := startServer(t)
+	c, addr := startCasper(t)
 	cl, _ := DialContext(ctx, addr)
 	defer cl.Close()
 	if err := cl.AddPublic(ctx, 9999, 50, 50, "new-cafe"); err != nil {
@@ -349,8 +352,7 @@ func TestAddPublicOverWire(t *testing.T) {
 	if err := cl.AddPublic(ctx, 9999, 60, 60, "dup"); err == nil {
 		t.Fatal("duplicate public object accepted")
 	}
-	st, _ := cl.Stats(ctx)
-	if st.PublicObjs != 201 {
+	if st := c.Stats(); st.PublicObjs != 201 {
 		t.Fatalf("public objects = %d", st.PublicObjs)
 	}
 }

@@ -76,8 +76,8 @@ func TestDensityRefusedBeforeComputing(t *testing.T) {
 	if err != nil || len(grid) != 361 {
 		t.Fatalf("density 361: %d rows, %v", len(grid), err)
 	}
-	if _, err := cl.Stats(ctx); err != nil {
-		t.Errorf("stats after the refused density: %v", err)
+	if _, err := cl.CountUsers(ctx, Rect{MaxX: 1, MaxY: 1}, ""); err != nil {
+		t.Errorf("count after the refused density: %v", err)
 	}
 }
 

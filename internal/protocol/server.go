@@ -433,8 +433,7 @@ readLoop:
 		}
 		// Admission runs before the per-connection dispatch slot: a shed
 		// costs one error frame, never a sem wait or a goroutine.
-		reason, release := s.adm.admit(req.UserID)
-		if release == nil {
+		if reason := s.adm.admit(req.UserID); reason != "" {
 			resp := s.shedResponse(req.Op, reason, tr, decodeStart)
 			observeRPC(req.Op, time.Since(decodeStart).Seconds(), resp)
 			if tr != nil {
@@ -456,7 +455,7 @@ readLoop:
 			// The admission slot is freed before the answer is queued, so
 			// a client that sends its next request on seeing this one's
 			// answer never finds the slot still held by it.
-			release()
+			s.adm.release()
 			elapsed := time.Since(start)
 			observeRPC(req.Op, elapsed.Seconds(), resp)
 			if tr != nil {
@@ -492,7 +491,7 @@ func (s *Server) writeLoop(conn net.Conn, out <-chan outFrame, done chan<- struc
 	var lastArm time.Time
 	for o := range out {
 		if dead {
-			s.finishTrace(o, time.Time{})
+			s.finishTrace(o)
 			continue
 		}
 		encStart := time.Now()
@@ -512,17 +511,20 @@ func (s *Server) writeLoop(conn net.Conn, out <-chan outFrame, done chan<- struc
 					"remote", conn.RemoteAddr().String(), "err", err)
 				dead = true
 				conn.Close()
-				s.finishTrace(o, encStart)
+				o.tr.RecordSpan("encode", encStart, time.Since(encStart))
+				s.finishTrace(o)
 				continue
 			}
 		}
-		if s.WriteTimeout > 0 {
-			if now := time.Now(); now.Sub(lastArm) >= time.Second {
-				if err := conn.SetWriteDeadline(now.Add(s.WriteTimeout)); err != nil {
-					dead = true
-				}
-				lastArm = now
+		// The encode span ends here; buffering the frame, the yield and
+		// the flush syscall are the write span.
+		writeStart := time.Now()
+		o.tr.RecordSpan("encode", encStart, writeStart.Sub(encStart))
+		if s.WriteTimeout > 0 && writeStart.Sub(lastArm) >= time.Second {
+			if err := conn.SetWriteDeadline(writeStart.Add(s.WriteTimeout)); err != nil {
+				dead = true
 			}
+			lastArm = writeStart
 		}
 		var werr error
 		if !dead {
@@ -538,7 +540,8 @@ func (s *Server) writeLoop(conn net.Conn, out <-chan outFrame, done chan<- struc
 			}
 		}
 		putFrameBuf(bp)
-		s.finishTrace(o, encStart)
+		o.tr.RecordSpan("write", writeStart, time.Since(writeStart))
+		s.finishTrace(o)
 		if werr != nil {
 			var nerr net.Error
 			if errors.As(werr, &nerr) && nerr.Timeout() {
@@ -559,16 +562,12 @@ func (s *Server) writeLoop(conn net.Conn, out <-chan outFrame, done chan<- struc
 	}
 }
 
-// finishTrace records the encode span and applies the retention
-// policy: slow and errored requests are always kept, the rest are
-// head-sampled. Published traces are immutable and never return to the
-// pool.
-func (s *Server) finishTrace(o outFrame, encStart time.Time) {
+// finishTrace applies the retention policy: slow and errored requests
+// are always kept, the rest are head-sampled. Published traces are
+// immutable and never return to the pool.
+func (s *Server) finishTrace(o outFrame) {
 	if o.tr == nil {
 		return
-	}
-	if !encStart.IsZero() {
-		o.tr.RecordSpan("encode", encStart, time.Since(encStart))
 	}
 	o.tr.Finish(time.Since(o.started), o.resp.Error, o.resp.Code, o.slow)
 	if o.slow || !o.resp.OK || trace.HeadSample() {
@@ -688,9 +687,6 @@ func (s *Server) dispatch(req Request, tr *trace.Trace) Response {
 			return errFrom(err)
 		}
 		return Response{OK: true, Density: grid}
-	case OpStats:
-		st := s.casper.Stats()
-		return Response{OK: true, Stats: &st}
 	default:
 		return errResponse("unknown op %q", req.Op)
 	}
