@@ -121,7 +121,10 @@ bench-smoke:
 # search must stay at or below 4 KB/op (BenchmarkNearestK10K; its
 # frontier queues 16-byte node entries, never items), and the client's
 # k-NN refinement at or below 2 allocs/op (BenchmarkRefineKNN; it
-# allocates only the k-item result), and one serialized wire round trip
+# allocates only the k-item result), the exact step of a public NN
+# list at or below 1 alloc/op (BenchmarkExactNNPublic, about 36
+# candidates in; its scratch is pooled and the exact-size result is the
+# one allocation), and one serialized wire round trip
 # at or below 10 allocs/op (BenchmarkProtocolSerialized: an update of a
 # user to the position it already holds, which dispatches through the
 # per-request traced view of core.Casper; 8 measured, + 25 % rounds down
@@ -148,14 +151,17 @@ bench-allocs:
 	  if ($$7+0 > 1) { printf "FAIL: %s allocates %s allocs/op (budget 1)\n", $$1, $$7; bad = 1 } \
 	  else { printf "ok: %s at %s allocs/op (budget 1)\n", $$1, $$7 } } \
 	  END { if (!same) { print "FAIL: BenchmarkUpdateUserSameCloak did not run"; bad = 1 } exit bad }' /tmp/bench-allocs.txt
-	$(GO) test -run XXX -bench 'BenchmarkNearestK10K$$|BenchmarkRefineKNN$$' -benchmem ./internal/rtree ./internal/privacyqp | tee /tmp/bench-allocs-kernels.txt
+	$(GO) test -run XXX -bench 'BenchmarkNearestK10K$$|BenchmarkRefineKNN$$|BenchmarkExactNNPublic$$' -benchmem ./internal/rtree ./internal/privacyqp | tee /tmp/bench-allocs-kernels.txt
 	@awk '/^BenchmarkNearestK10K/ { knn = 1; \
 	  if ($$5+0 > 4096) { printf "FAIL: %s uses %s B/op (budget 4096)\n", $$1, $$5; bad = 1 } \
 	  else { printf "ok: %s at %s B/op (budget 4096)\n", $$1, $$5 } } \
 	  /^BenchmarkRefineKNN/ { refine = 1; \
 	  if ($$7+0 > 2) { printf "FAIL: %s allocates %s allocs/op (budget 2)\n", $$1, $$7; bad = 1 } \
 	  else { printf "ok: %s at %s allocs/op (budget 2)\n", $$1, $$7 } } \
-	  END { if (!knn || !refine) { print "FAIL: a gated kernel benchmark did not run"; bad = 1 } exit bad }' /tmp/bench-allocs-kernels.txt
+	  /^BenchmarkExactNNPublic/ { for (i = 3; i < NF; i++) if ($$(i+1) == "allocs/op") ea = $$i; exact = 1; \
+	  if (ea+0 > 1) { printf "FAIL: %s allocates %s allocs/op (budget 1)\n", $$1, ea; bad = 1 } \
+	  else { printf "ok: %s at %s allocs/op (budget 1)\n", $$1, ea } } \
+	  END { if (!knn || !refine || !exact) { print "FAIL: a gated kernel benchmark did not run"; bad = 1 } exit bad }' /tmp/bench-allocs-kernels.txt
 	$(GO) test -run XXX -bench 'BenchmarkProtocolSerialized$$' -benchmem ./internal/protocol | tee /tmp/bench-allocs-protocol.txt
 	@awk '/^BenchmarkProtocolSerialized/ { ran = 1; \
 	  if ($$7+0 > 10) { printf "FAIL: %s allocates %s allocs/op (budget 10)\n", $$1, $$7; bad = 1 } \

@@ -147,8 +147,11 @@ func (m *Monitor) match(ch privacyqp.Change, s int32, kind privacyqp.DataKind) {
 // fold applies one change to the table of kind to one query: a range
 // count over private data adds its contribution delta; an NN or radius
 // query over kind takes a candidate delta, or is marked to re-run when
-// its filters may change. The asker's own excluded pseudonym is
-// invisible to her query. Caller holds mu.
+// its filters may change. A public NN list is exact
+// (privacyqp.ExactPublicNNInto), and one admitted target can evict
+// others, so a public change admitted under its A_EXT re-runs it too.
+// The asker's own excluded pseudonym is invisible to her query. Caller
+// holds mu.
 func (m *Monitor) fold(q *query, ch privacyqp.Change, s int32, kind privacyqp.DataKind) {
 	if q.kind == qRange {
 		if kind != privacyqp.PrivateData {
@@ -172,7 +175,8 @@ func (m *Monitor) fold(q *query, ch privacyqp.Change, s int32, kind privacyqp.Da
 		m.pending = append(m.pending, q)
 	}
 	// A failed evaluation has nothing to fold into.
-	if q.failed || q.kind == qNN && q.res.FiltersMayChange(ch, kind) {
+	if q.failed || q.kind == qNN && (q.res.FiltersMayChange(ch, kind) ||
+		kind == privacyqp.PublicData && (ch.Had && q.admits(ch.Old.Rect) || ch.Has && q.admits(ch.New.Rect))) {
 		q.rerun = true
 		return
 	}

@@ -23,7 +23,10 @@
 //     so the filters are a function of the table, not of the tree's
 //     shape — hence the same A_EXT, and the list after the delta is
 //     exactly its candidate list: minimal for those filters
-//     (Theorem 4) and inclusive (Theorem 3);
+//     (Theorem 4) and inclusive (Theorem 3). A public NN answer is the
+//     exact list the server serves (privacyqp.ExactPublicNNInto), where
+//     one admitted target can evict others, so a public change admitted
+//     under its A_EXT re-runs it instead;
 //   - an asker's new cloak inside the cloak its query was last
 //     evaluated at keeps the candidate list: a list inclusive for C is
 //     inclusive for every C' inside C. Any other new cloak re-runs the

@@ -19,6 +19,16 @@ func randRegion(rng *rand.Rand, maxSide float64) geom.Rect {
 	return geom.R(x, y, x+rng.Float64()*maxSide, y+rng.Float64()*maxSide).ClipTo(world)
 }
 
+// freshNN is the one-shot answer a standing NN query must hold at
+// cloak: Algorithm 2's list, cut by the exact step over public data as
+// server.NNPublic serves it.
+func freshNN(db privacyqp.SpatialIndex, cloak geom.Rect, kind privacyqp.DataKind, opt privacyqp.Options) (privacyqp.Result, error) {
+	if kind == privacyqp.PublicData {
+		return privacyqp.ExactPublicNNInto(db, cloak, opt, nil)
+	}
+	return privacyqp.PrivateNN(db, cloak, kind, opt)
+}
+
 func sameIDSet(a, b map[int64]bool) bool {
 	if len(a) != len(b) {
 		return false
@@ -205,7 +215,7 @@ func TestContinuousNNOverPublicData(t *testing.T) {
 			t.Fatal("query vanished")
 		}
 		db := rtree.BulkLoad(append([]rtree.Item(nil), m.pub.All()...))
-		want, err := privacyqp.PrivateNN(db, cloak, privacyqp.PublicData, privacyqp.DefaultOptions())
+		want, err := freshNN(db, cloak, privacyqp.PublicData, privacyqp.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,7 +311,7 @@ func TestContinuousNNCloakUpdate(t *testing.T) {
 		t.Fatal("a cloak inside the evaluated one re-evaluated")
 	}
 	got, _ := m.Candidates(id)
-	want, err := privacyqp.PrivateNN(rtree.BulkLoad(items), newCloak, privacyqp.PublicData, privacyqp.DefaultOptions())
+	want, err := freshNN(rtree.BulkLoad(items), newCloak, privacyqp.PublicData, privacyqp.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,9 +22,13 @@ func (m *Monitor) evalQueryLocked(q *query, dst []rtree.Item) ([]rtree.Item, err
 	}
 	var res privacyqp.Result
 	var err error
-	if q.kind == qNN {
+	switch {
+	case q.kind == qNN && q.dataKind == privacyqp.PublicData:
+		// The one-shot answer's exact list (server.NNPublic).
+		res, err = privacyqp.ExactPublicNNInto(m.pub, q.cloak, q.opt, dst)
+	case q.kind == qNN:
 		res, err = privacyqp.PrivateNNInto(m.table(q), q.cloak, q.dataKind, q.opt, dst)
-	} else {
+	default:
 		res, err = privacyqp.PrivateRangeInto(m.table(q), q.cloak, q.radius, q.dataKind, dst)
 	}
 	if err != nil {

@@ -16,8 +16,8 @@ import (
 // radius registrations over both data kinds, with and without an
 // excluded asker, every Filters setting and MinOverlap 0 or > 0;
 // unregistrations and asker moves. After every op each standing
-// query's candidate ID set must equal a fresh PrivateNN or
-// PrivateRange on the same tables at the query's evaluation cloak, and
+// query's candidate ID set must equal a fresh evaluation (freshNN or
+// PrivateRange) on the same tables at the query's evaluation cloak, and
 // the events, folded into the registration answer, must tell the
 // subscriber exactly that set: one event per change of it, none
 // without one, each dropping only held IDs and adding only new ones.
@@ -183,7 +183,7 @@ func checkDeltaEquivalence(t *testing.T, op int, m *Monitor, priv map[int64]geom
 			at = q.cloak
 		}
 		if q.kind == qNN {
-			want, err = privacyqp.PrivateNN(db, at, q.dataKind, q.opt)
+			want, err = freshNN(db, at, q.dataKind, q.opt)
 		} else {
 			want, err = privacyqp.PrivateRange(db, at, q.radius, q.dataKind)
 		}

@@ -193,7 +193,7 @@ func runTraceEquivalence(t *testing.T, linearCounts bool, grid float64) {
 				var err error
 				if w.kind == qNN {
 					var res privacyqp.Result
-					res, err = privacyqp.PrivateNN(snapdb, q.evalCloak, w.dataKind, opt)
+					res, err = freshNN(snapdb, q.evalCloak, w.dataKind, opt)
 					wantCands = res.Candidates
 				} else {
 					var res privacyqp.Result
@@ -654,7 +654,7 @@ func TestLinearScanMatchesIndexed(t *testing.T) {
 		var res privacyqp.Result
 		var err error
 		if rg.kind == qNN {
-			res, err = privacyqp.PrivateNN(pubDB, ec, privacyqp.PublicData, privacyqp.DefaultOptions())
+			res, err = freshNN(pubDB, ec, privacyqp.PublicData, privacyqp.DefaultOptions())
 		} else {
 			res, err = privacyqp.PrivateRange(privDB, ec, rg.radius, privacyqp.PrivateData)
 		}

@@ -98,7 +98,7 @@ func TestSlotLifetime(t *testing.T) {
 			var want privacyqp.Result
 			var err error
 			if q.kind == qNN {
-				want, err = privacyqp.PrivateNN(db, q.evalCloak, q.dataKind, q.opt)
+				want, err = freshNN(db, q.evalCloak, q.dataKind, q.opt)
 			} else {
 				want, err = privacyqp.PrivateRange(db, q.evalCloak, q.radius, q.dataKind)
 			}

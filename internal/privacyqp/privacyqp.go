@@ -11,8 +11,10 @@
 //   - minimal: the region fetched is the smallest possible given the
 //     chosen filter objects (Theorems 2 and 4).
 //
-// The client then refines the exact answer locally from the candidate
-// list.
+// For public data, ExactPublicNNInto goes past Theorem 2: it cuts the
+// list to exactly the targets nearest to some point of the cloak
+// (exact.go). The client then refines the exact answer locally from the
+// candidate list.
 //
 // Algorithm 2 is implemented once, generalized over (a) the number of
 // filter objects (1, 2 or 4 — the three variants compared in Sec. 6.2)
@@ -131,6 +133,22 @@ func PrivateNN(db SpatialIndex, cloak geom.Rect, kind DataKind, opt Options) (Re
 // many queries passes its own buffer as dst[:0] and allocates no list;
 // with a nil dst the list is an exact-size copy.
 func PrivateNNInto(db SpatialIndex, cloak geom.Rect, kind DataKind, opt Options, dst []rtree.Item) (Result, error) {
+	// The query owns a pooled scratch arena for its duration; every
+	// buffer of the algorithm lives in it, and only copies reach the
+	// Result.
+	sc := getScratch()
+	defer putScratch(sc)
+	res, err := privateNN(db, sc, cloak, kind, opt)
+	if err != nil {
+		return Result{}, err
+	}
+	res.Candidates = appendItems(dst, sc.cand)
+	return res, nil
+}
+
+// privateNN is Algorithm 2 in the arena sc. It returns the Result
+// without Candidates and leaves the candidate list in sc.cand.
+func privateNN(db SpatialIndex, sc *queryScratch, cloak geom.Rect, kind DataKind, opt Options) (Result, error) {
 	if err := opt.validate(); err != nil {
 		return Result{}, err
 	}
@@ -139,11 +157,6 @@ func PrivateNNInto(db SpatialIndex, cloak geom.Rect, kind DataKind, opt Options,
 	}
 
 	metric := metricFor(kind)
-
-	// The query owns a pooled scratch arena for its duration; every
-	// buffer below lives in it, and only copies reach the Result.
-	sc := getScratch()
-	defer putScratch(sc)
 
 	// STEP 1 — the filter step: a filter object per vertex.
 	fsp := opt.Trace.StartSpan("query_filter")
@@ -204,9 +217,8 @@ func PrivateNNInto(db SpatialIndex, cloak geom.Rect, kind DataKind, opt Options,
 	// STEP 4 — the candidate list step: one range query over A_EXT.
 	rsp := opt.Trace.StartSpan("query_range")
 	admitted(db, sc, res.AExt, kind, opt.MinOverlap)
-	res.Candidates = appendItems(dst, sc.cand)
 	if opt.Trace != nil {
-		rsp.End(trace.Int("candidates", int64(len(res.Candidates))))
+		rsp.End(trace.Int("candidates", int64(len(sc.cand))))
 	}
 	return res, nil
 }

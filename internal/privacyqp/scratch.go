@@ -20,6 +20,8 @@ type queryScratch struct {
 	cand  []rtree.Item     // candidate-list accumulation
 	filt  []rtree.Item     // filter-object accumulation
 	filt2 []rtree.Item     // dedupe target for filt
+	sites []site           // the exact step's sites
+	edge  []edgeSite       // the sites of one edge walk
 }
 
 var scratchPool = sync.Pool{

@@ -24,6 +24,11 @@ var ErrOverloaded = errors.New("server overloaded, retry later")
 // succeeds. Travels as the wire-stable "response_too_large" code.
 var ErrResponseTooLarge = errors.New("response too large")
 
+// ErrUnknownOp reports a request whose op the server does not serve:
+// a misspelling, an op of a newer protocol, or a retired one such as
+// "stats". Travels as the wire-stable "unknown_op" code.
+var ErrUnknownOp = errors.New("unknown op")
+
 // Stable wire error codes. The server maps the framework's sentinel
 // errors onto these strings (Response.Code); the client maps them back
 // to the same sentinels, so errors.Is works identically in-process and
@@ -57,6 +62,8 @@ const (
 	CodeBudgetExhausted = "budget_exhausted"
 	// CodeResponseTooLarge maps ErrResponseTooLarge.
 	CodeResponseTooLarge = "response_too_large"
+	// CodeUnknownOp maps ErrUnknownOp.
+	CodeUnknownOp = "unknown_op"
 )
 
 // wireCodes orders the sentinel → code mapping. More specific
@@ -77,6 +84,7 @@ var wireCodes = []struct {
 	{ErrOverloaded, CodeOverloaded},
 	{core.ErrBudgetExhausted, CodeBudgetExhausted},
 	{ErrResponseTooLarge, CodeResponseTooLarge},
+	{ErrUnknownOp, CodeUnknownOp},
 }
 
 // Resolve an error-code child per wire code eagerly (plus the two

@@ -262,13 +262,15 @@ func TestApplicationErrors(t *testing.T) {
 	}
 	// The retired stats op is an unknown op like any other: operator
 	// statistics are served at casperd's /debug/stats, not to clients.
+	// Both carry the stable unknown_op code, which the client maps back
+	// to ErrUnknownOp.
 	for _, op := range []string{"no-such-op", "stats"} {
-		resp, err := cl.Raw(ctx, Request{Op: op})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.OK || !strings.Contains(resp.Error, "unknown op") {
+		resp, err := cl.call(ctx, Request{Op: op})
+		if resp.OK || resp.Code != CodeUnknownOp || !strings.Contains(resp.Error, "unknown op") {
 			t.Fatalf("%s: response = %+v", op, resp)
+		}
+		if !errors.Is(err, ErrUnknownOp) {
+			t.Fatalf("%s: %v does not unwrap to ErrUnknownOp", op, err)
 		}
 	}
 	// count_users without a rect.

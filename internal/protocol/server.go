@@ -688,7 +688,7 @@ func (s *Server) dispatch(req Request, tr *trace.Trace) Response {
 		}
 		return Response{OK: true, Density: grid}
 	default:
-		return errResponse("unknown op %q", req.Op)
+		return errFrom(fmt.Errorf("%w %q", ErrUnknownOp, req.Op))
 	}
 }
 

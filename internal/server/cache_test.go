@@ -43,7 +43,8 @@ func TestCacheHitDoesNotAllocate(t *testing.T) {
 
 // TestMemoBoundedAndExact: past memoCap distinct cloaks the memo stays
 // within its cap, and every answer — fresh, evicted and recomputed, or
-// served from the memo — equals the uncached PrivateNN answer.
+// served from the memo — equals the uncached answer: Algorithm 2 cut
+// by the exact step (privacyqp.ExactPublicNNInto).
 func TestMemoBoundedAndExact(t *testing.T) {
 	s := loadedServer(rand.New(rand.NewSource(10)), 300, 0)
 	snap := s.snap.Load()
@@ -57,12 +58,12 @@ func TestMemoBoundedAndExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := privacyqp.PrivateNN(snap.public, cloak(i), privacyqp.PublicData, opt)
+		want, err := privacyqp.ExactPublicNNInto(snap.public, cloak(i), opt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("cloak %d: memoized answer differs from PrivateNN", i)
+			t.Fatalf("cloak %d: memoized answer differs from the uncached one", i)
 		}
 	}
 	n := memoCap + 100
@@ -187,7 +188,7 @@ func TestConcurrentMemoUnderPublicChurn(t *testing.T) {
 				}
 				cloak := cloaks[rng.Intn(len(cloaks))]
 				compute := func() (privacyqp.Result, error) {
-					return privacyqp.PrivateNN(snap.public, cloak, privacyqp.PublicData, opt)
+					return privacyqp.ExactPublicNNInto(snap.public, cloak, opt, nil)
 				}
 				key := cacheKey{region: cloak, filters: opt.Filters, k: 1}
 				got, err := s.memoized(snap, key, nil, compute)

@@ -372,8 +372,10 @@ func (s *Server) PrivateCount() int {
 func (s *Server) Queries() int64 { return s.queries.Load() }
 
 // NNPublic answers a private nearest-neighbor query over the public
-// table: only the cloaked region of the asker is known. The result's
-// candidate list is inclusive and minimal (Theorems 1-2).
+// table: only the cloaked region of the asker is known. The result is
+// Algorithm 2's (inclusive, Theorem 1) with its candidate list cut by
+// the exact step (privacyqp.ExactPublicNNInto) to the targets nearest
+// to some point of the cloak, so the memo holds the short lists.
 // Cached results share their candidate slices across callers; treat
 // them as read-only.
 func (s *Server) NNPublic(cloak geom.Rect, opt privacyqp.Options) (privacyqp.Result, error) {
@@ -382,7 +384,7 @@ func (s *Server) NNPublic(cloak geom.Rect, opt privacyqp.Options) (privacyqp.Res
 	snap := s.snap.Load()
 	key := cacheKey{region: cloak, filters: opt.Filters, k: 1}
 	res, err := s.memoized(snap, key, opt.Trace, func() (privacyqp.Result, error) {
-		return privacyqp.PrivateNN(snap.public, cloak, privacyqp.PublicData, opt)
+		return privacyqp.ExactPublicNNInto(snap.public, cloak, opt, nil)
 	})
 	qiNNPublic.observe(start, len(res.Candidates), err)
 	return res, err
