@@ -256,11 +256,13 @@ fuzz:
 
 # race-stress runs the concurrency stress suites repeatedly under the
 # race detector: all four anonymizer backends' stress (one
-# stressAnonymizer workload each, in stress_test.go), the identity table's
-# concurrent churn, the core batch workload, the release gate's ε
-# ceiling under concurrent queries (TestConcurrentBudgetCeiling), the
-# server/WAL interleavings, the casperd scrape-under-traffic trace-ring
-# stress, the continuous-query monitor's single-lock stress, the privacy
+# stressAnonymizer workload each, in stress_test.go), core's watch
+# churn under its one lock (TestConcurrentWatchChurn: registrations,
+# watches and deregistrations racing updates with the monitor on), the
+# core batch workload, the release gate's ε ceiling under concurrent
+# queries (TestConcurrentBudgetCeiling), the server/WAL interleavings,
+# the casperd scrape-under-traffic trace-ring stress, the
+# continuous-query monitor's single-lock stress, the privacy
 # observatory's concurrent observers and releases, the R-tree's readers
 # of copy-on-write snapshots racing a clone-mutate-publish writer, the
 # public memo's readers on old and new snapshots racing public churn,
@@ -270,7 +272,7 @@ fuzz:
 # asserted only without the race detector, and the adaptive
 # anonymizer's seeded churn, which picks its users reproducibly.
 race-stress:
-	$(GO) test -race -count=3 -run 'Stress|Concurrent|Batch|ContextDeadline|TestRefineKNNMatchesSortedCandidates|TestAdaptiveChurnConsistency' ./internal/anonymizer ./internal/pyramid ./internal/core ./internal/server ./internal/protocol ./internal/continuous ./internal/privacyobs ./internal/privacyqp ./internal/rtree ./cmd/casperd
+	$(GO) test -race -count=3 -run 'Stress|Concurrent|Batch|ContextDeadline|TestRefineKNNMatchesSortedCandidates|TestAdaptiveChurnConsistency' ./internal/anonymizer ./internal/core ./internal/server ./internal/protocol ./internal/continuous ./internal/privacyobs ./internal/privacyqp ./internal/rtree ./cmd/casperd
 
 # mutants scores the suite: each testdata/mutants/NAME.patch is a small
 # deliberate fault whose header names the packages to test and the test

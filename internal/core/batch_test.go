@@ -47,14 +47,8 @@ func TestUpdateUsersBatchSemantics(t *testing.T) {
 				t.Fatalf("applied = %d, want %d", applied, len(batch))
 			}
 			for i := range batch {
-				spid, ok := single.pseudo.Get(int64(i))
-				if !ok {
-					t.Fatalf("single: pseudonym for %d missing", i)
-				}
-				bpid, ok := batched.pseudo.Get(int64(i))
-				if !ok {
-					t.Fatalf("batched: pseudonym for %d missing", i)
-				}
+				spid := pidOf(t, single, anonymizer.UserID(i))
+				bpid := pidOf(t, batched, anonymizer.UserID(i))
 				sobj, ok1 := single.srv.GetPrivate(spid)
 				bobj, ok2 := batched.srv.GetPrivate(bpid)
 				if !ok1 || !ok2 {
@@ -95,7 +89,7 @@ func TestUpdateUsersAbortsAtUnknownUser(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cloak %d: %v", i, err)
 		}
-		pid, _ := c.pseudo.Get(int64(i))
+		pid := pidOf(t, c, anonymizer.UserID(i))
 		obj, ok := c.srv.GetPrivate(pid)
 		if !ok || obj.Region != cr.Region {
 			t.Fatalf("user %d: prefix not stored (ok=%v)", i, ok)
@@ -138,7 +132,7 @@ func TestUpdateUsersPersistsThroughWAL(t *testing.T) {
 	}
 	want := make(map[int64]geom.Rect)
 	for i := range batch {
-		pid, _ := c.pseudo.Get(int64(i))
+		pid := pidOf(t, c, anonymizer.UserID(i))
 		obj, ok := c.srv.GetPrivate(pid)
 		if !ok {
 			t.Fatalf("cloak for %d missing before restart", i)

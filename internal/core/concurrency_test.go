@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"casper/internal/anonymizer"
+	"casper/internal/continuous"
 	"casper/internal/geom"
 	"casper/internal/privacyqp"
 	"casper/internal/server"
@@ -85,14 +86,13 @@ func TestConcurrentWritesRecoverLiveState(t *testing.T) {
 	wg.Wait()
 
 	live := make(map[int64]geom.Rect, base)
-	c.pseudo.Range(func(_ int64, pid int64) bool {
+	for _, pid := range c.pids {
 		o, ok := c.srv.GetPrivate(pid)
 		if !ok {
 			t.Errorf("pseudonym %d has no stored cloak", pid)
 		}
 		live[pid] = o.Region
-		return true
-	})
+	}
 	livePub := publicTable(c.srv)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
@@ -238,5 +238,97 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 				t.Fatalf("post-stress NN: %v", err)
 			}
 		})
+	}
+}
+
+// TestConcurrentWatchChurn runs registrations, location updates, watch
+// registrations and teardowns, and deregistrations from several
+// goroutines with the monitor on. Each goroutine churns users of its
+// own, so it knows which of its watches still stand: at the end the
+// monitor's standing queries must be exactly the watches of users
+// still registered, and no user without a pseudonym may hold a watch
+// list.
+func TestConcurrentWatchChurn(t *testing.T) {
+	c := MustNew(smallConfig(AdaptiveBackend))
+	defer c.Close()
+	const base, workers, span = 16, 4, 12
+	populate(t, c, base, 40, 21)
+	c.EnableContinuous(nil)
+	u := c.Config().Universe
+
+	var wg sync.WaitGroup
+	standing := make([]int, workers)
+	errs := make(chan error, workers)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(300 + g)))
+			pt := func() geom.Point { return geom.Pt(rng.Float64()*u.Width(), rng.Float64()*u.Height()) }
+			// watches holds the standing queries of each of this
+			// goroutine's registered users.
+			watches := map[anonymizer.UserID][]continuous.QueryID{}
+			for i := 0; i < 300; i++ {
+				uid := anonymizer.UserID(1000*(g+1) + rng.Intn(span))
+				qids, registered := watches[uid]
+				var err error
+				switch op := rng.Intn(6); {
+				case !registered:
+					if err = c.RegisterUser(uid, pt(), anonymizer.Profile{K: 1}); err == nil {
+						watches[uid] = nil
+					}
+				case op == 1:
+					kind := privacyqp.PublicData
+					if rng.Intn(2) == 0 {
+						kind = privacyqp.PrivateData
+					}
+					var qid continuous.QueryID
+					if qid, _, err = c.WatchNearest(uid, kind); err == nil {
+						watches[uid] = append(qids, qid)
+					}
+				case op == 2:
+					var qid continuous.QueryID
+					if qid, _, err = c.WatchRange(uid, 100+rng.Float64()*300, privacyqp.PrivateData); err == nil {
+						watches[uid] = append(qids, qid)
+					}
+				case op == 3 && len(qids) > 0:
+					j := rng.Intn(len(qids))
+					if !c.Unwatch(uid, qids[j]) {
+						err = fmt.Errorf("watch %d not found", qids[j])
+					}
+					watches[uid] = append(qids[:j], qids[j+1:]...)
+				case op == 4:
+					err = c.DeregisterUser(uid)
+					delete(watches, uid)
+				default:
+					err = c.UpdateUser(uid, pt())
+				}
+				if err != nil {
+					errs <- fmt.Errorf("worker %d, op %d on user %d: %w", g, i, uid, err)
+					return
+				}
+			}
+			for _, qids := range watches {
+				standing[g] += len(qids)
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	want := 0
+	for _, n := range standing {
+		want += n
+	}
+	if got := c.Stats().Continuous.Queries; got != want {
+		t.Fatalf("the monitor holds %d standing queries, registered users hold %d", got, want)
+	}
+	for uid := range c.watches {
+		if _, ok := c.pids[uid]; !ok {
+			t.Errorf("user %d holds a watch list but no pseudonym", uid)
+		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,7 +28,6 @@ import (
 	"casper/internal/metrics"
 	"casper/internal/privacyobs"
 	"casper/internal/privacyqp"
-	"casper/internal/pyramid"
 	"casper/internal/rtree"
 	"casper/internal/server"
 	"casper/internal/trace"
@@ -216,12 +216,10 @@ func (b Breakdown) Total() time.Duration { return b.Cloak + b.Query + b.Transmit
 // order; the cloak stored at the server is always one that was valid
 // at some instant.
 //
-// The framework's own state is no single lock: the pseudonym table
-// (pyramid.UserTable) has its own read-mostly lock, the pseudonym RNG
-// sits behind its own small mutex touched only at registration, and
-// the continuous-monitor pointer and watch lists sit behind monMu. The
-// update hot path (UpdateUser, UpdateUsers) therefore takes none of
-// the framework locks beyond one pseudonym-table read.
+// The framework's own per-user state (pseudonyms, their generator, the
+// monitor pointer and the watch lists) sits behind one RWMutex, mu. An
+// update takes its read side twice: once for the pseudonym and once to
+// hand the stored cloak to the monitor.
 //
 // A Casper value is a view: the state it operates on sits behind the
 // embedded pointer, and Traced hands out further views of the same
@@ -244,23 +242,23 @@ type state struct {
 	srv     *server.Server
 	cfg     Config
 
-	// pseudo maps uid -> server pseudonym; updates only read it, so
-	// concurrent updates share its read lock.
-	pseudo *pyramid.UserTable[int64]
+	// mu guards the fields below. It is taken before the anonymizer,
+	// privacy-observer, monitor and server locks, never under one.
+	mu sync.RWMutex
+	// pids maps each registered uid to its server pseudonym.
+	pids    map[anonymizer.UserID]int64
+	rng     *rand.Rand
+	monitor *continuous.Monitor
+	// watches lists each user's standing queries; a user without any
+	// has no entry.
+	watches map[anonymizer.UserID][]watch
+}
 
-	// rngMu guards pseudonym generation only.
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
-	// monMu guards the monitor pointer and the per-user watch lists.
-	// It is acquired only after any anonymizer/server locks have been
-	// released (pushCloak), or before they are taken (Watch*); it is
-	// never held while waiting on another framework lock that could be
-	// waiting on it, so no lock-order cycle exists.
-	monMu        sync.RWMutex
-	monitor      *continuous.Monitor
-	watches      map[anonymizer.UserID][]continuous.QueryID
-	rangeWatches map[anonymizer.UserID][]continuous.QueryID
+// watch is one standing query a user registered: an NN watch, or a
+// radius watch when radius is set.
+type watch struct {
+	id     continuous.QueryID
+	radius bool
 }
 
 // New builds a Casper instance from the configuration, recovering the
@@ -279,9 +277,9 @@ func New(cfg Config) (*Casper, error) {
 		return nil, err
 	}
 	c := &Casper{state: &state{
-		cfg:    cfg,
-		pseudo: pyramid.NewUserTable[int64](),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		cfg:  cfg,
+		pids: make(map[anonymizer.UserID]int64),
+		rng:  rand.New(rand.NewSource(cfg.Seed)),
 	}}
 	c.backend.Store(&backendState{name: name, anon: anon})
 	metrics.SetBackendInfo(name)
@@ -318,10 +316,10 @@ func (c *Casper) Traced(tr *trace.Trace) *Casper {
 // Close shuts down the continuous monitor (when enabled) and flushes
 // and closes the WAL (when persistence is configured).
 func (c *Casper) Close() error {
-	c.monMu.Lock()
+	c.mu.Lock()
 	mon := c.monitor
 	c.monitor = nil
-	c.monMu.Unlock()
+	c.mu.Unlock()
 	if mon != nil {
 		mon.Close()
 	}
@@ -407,13 +405,18 @@ func (c *Casper) ReloadBackend(name string, epsilon float64, minK int) error {
 	// Re-publish every cloak under the new mechanism; an individual
 	// unsatisfiable profile leaves that user's previous region in
 	// place (same contract as a failed UpdateUser) and is reported.
+	c.mu.RLock()
+	uids := make([]anonymizer.UserID, 0, len(c.pids))
+	for uid := range c.pids {
+		uids = append(uids, uid)
+	}
+	c.mu.RUnlock()
 	var pushErr error
-	c.pseudo.Range(func(uid int64, _ int64) bool {
-		if err := c.pushCloak(anonymizer.UserID(uid)); err != nil && pushErr == nil {
+	for _, uid := range uids {
+		if err := c.pushCloak(uid); err != nil && pushErr == nil {
 			pushErr = fmt.Errorf("core: backend switch to %q: re-cloak uid %d: %w", name, uid, err)
 		}
-		return true
-	})
+	}
 	return pushErr
 }
 
@@ -505,15 +508,14 @@ func (c *Casper) EnableContinuousBuffered(notify func(continuous.Event), buffer 
 }
 
 func (c *Casper) enableContinuous(mcfg continuous.Config) *continuous.Monitor {
-	c.monMu.Lock()
-	defer c.monMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.monitor != nil {
 		return c.monitor
 	}
 	mcfg.Universe = c.cfg.Universe
 	c.monitor = continuous.NewMonitor(mcfg)
-	c.watches = make(map[anonymizer.UserID][]continuous.QueryID)
-	c.rangeWatches = make(map[anonymizer.UserID][]continuous.QueryID)
+	c.watches = make(map[anonymizer.UserID][]watch)
 	// Seed with the server's current state: the stored cloaks under
 	// their pseudonyms, so the shadow table starts bit-identical to
 	// what snapshot queries see (re-cloaking here could diverge).
@@ -529,8 +531,8 @@ func (c *Casper) enableContinuous(mcfg continuous.Config) *continuous.Monitor {
 
 // Monitor returns the attached continuous monitor, nil when disabled.
 func (c *Casper) Monitor() *continuous.Monitor {
-	c.monMu.RLock()
-	defer c.monMu.RUnlock()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	return c.monitor
 }
 
@@ -541,28 +543,13 @@ func (c *Casper) Monitor() *continuous.Monitor {
 // automatically; a lone asker gets ErrNoBuddies). EnableContinuous must
 // have been called.
 func (c *Casper) WatchNearest(uid anonymizer.UserID, kind privacyqp.DataKind) (continuous.QueryID, []rtree.Item, error) {
-	c.monMu.Lock()
-	defer c.monMu.Unlock()
-	if c.monitor == nil {
-		return 0, nil, ErrMonitorDisabled
-	}
-	cr, _, err := c.cloakUID(uid)
-	if err != nil {
-		return 0, nil, userErr(err)
-	}
-	exclude := int64(-1)
-	if kind == privacyqp.PrivateData {
-		exclude, _ = c.pseudo.Get(int64(uid))
-	}
-	qid, cands, err := c.monitor.RegisterNN(cr.Region, kind, privacyqp.DefaultOptions(), exclude)
-	if kind == privacyqp.PrivateData && errors.Is(err, privacyqp.ErrNoTargets) { // the asker is alone
-		return 0, nil, ErrNoBuddies
-	}
-	if err != nil {
-		return 0, nil, err
-	}
-	c.watches[uid] = append(c.watches[uid], qid)
-	return qid, cands, nil
+	return c.watch(uid, kind, false, func(cloak geom.Rect, exclude int64) (continuous.QueryID, []rtree.Item, error) {
+		qid, cands, err := c.monitor.RegisterNN(cloak, kind, privacyqp.DefaultOptions(), exclude)
+		if kind == privacyqp.PrivateData && errors.Is(err, privacyqp.ErrNoTargets) { // the asker is alone
+			return 0, nil, ErrNoBuddies
+		}
+		return qid, cands, err
+	})
 }
 
 // WatchRange registers a standing private range query for a user: the
@@ -570,10 +557,24 @@ func (c *Casper) WatchNearest(uid anonymizer.UserID, kind privacyqp.DataKind) (c
 // user's cloak and the data change. EnableContinuous must have been
 // called.
 func (c *Casper) WatchRange(uid anonymizer.UserID, radius float64, kind privacyqp.DataKind) (continuous.QueryID, []rtree.Item, error) {
-	c.monMu.Lock()
-	defer c.monMu.Unlock()
+	return c.watch(uid, kind, true, func(cloak geom.Rect, exclude int64) (continuous.QueryID, []rtree.Item, error) {
+		return c.monitor.RegisterRadius(cloak, radius, kind, exclude)
+	})
+}
+
+// watch is the body WatchNearest and WatchRange share. Under mu it
+// looks up the asker's pseudonym, releases the asker's cloak, files the
+// query through register and lists it under uid, so a concurrent
+// update of the asker either finds the watch or cut its cloak first.
+func (c *Casper) watch(uid anonymizer.UserID, kind privacyqp.DataKind, radius bool, register func(cloak geom.Rect, exclude int64) (continuous.QueryID, []rtree.Item, error)) (continuous.QueryID, []rtree.Item, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.monitor == nil {
 		return 0, nil, ErrMonitorDisabled
+	}
+	pid, ok := c.pids[uid]
+	if !ok {
+		return 0, nil, fmt.Errorf("%w: user %d", ErrNotRegistered, uid)
 	}
 	cr, _, err := c.cloakUID(uid)
 	if err != nil {
@@ -581,13 +582,13 @@ func (c *Casper) WatchRange(uid anonymizer.UserID, radius float64, kind privacyq
 	}
 	exclude := int64(-1)
 	if kind == privacyqp.PrivateData {
-		exclude, _ = c.pseudo.Get(int64(uid))
+		exclude = pid
 	}
-	qid, cands, err := c.monitor.RegisterRadius(cr.Region, radius, kind, exclude)
+	qid, cands, err := register(cr.Region, exclude)
 	if err != nil {
 		return 0, nil, err
 	}
-	c.rangeWatches[uid] = append(c.rangeWatches[uid], qid)
+	c.watches[uid] = append(c.watches[uid], watch{id: qid, radius: radius})
 	return qid, cands, nil
 }
 
@@ -597,66 +598,49 @@ func (c *Casper) WatchRange(uid anonymizer.UserID, radius float64, kind privacyq
 // untouched — this is the per-subscription counterpart of the
 // wholesale teardown DeregisterUser performs.
 func (c *Casper) Unwatch(uid anonymizer.UserID, qid continuous.QueryID) bool {
-	c.monMu.Lock()
-	defer c.monMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.monitor == nil {
 		return false
 	}
 	removed := c.monitor.Unregister(qid)
-	dropQID(c.watches, uid, qid)
-	dropQID(c.rangeWatches, uid, qid)
-	return removed
-}
-
-// dropQID removes qid from the user's watch list, deleting the map
-// entry when the list empties so churned users do not accumulate.
-func dropQID(m map[anonymizer.UserID][]continuous.QueryID, uid anonymizer.UserID, qid continuous.QueryID) {
-	qids := m[uid]
-	for i, q := range qids {
-		if q == qid {
-			m[uid] = append(qids[:i], qids[i+1:]...)
-			if len(m[uid]) == 0 {
-				delete(m, uid)
-			}
-			return
-		}
+	if ws := slices.DeleteFunc(c.watches[uid], func(w watch) bool { return w.id == qid }); len(ws) > 0 {
+		c.watches[uid] = ws
+	} else {
+		delete(c.watches, uid)
 	}
+	return removed
 }
 
 // RegisterUser registers a mobile user: the anonymizer learns the
 // exact position and profile, assigns a pseudonym, and pushes only the
 // cloaked region to the server. The anonymizer's own duplicate check
 // is the atomicity point for concurrent registrations of the same ID.
+//
+// Pseudonyms are random, so the server cannot infer registration order
+// or identity. One already stored at the server is skipped: after a
+// WAL recovery the deterministic generator would otherwise replay IDs
+// that still name recovered cloaks.
 func (c *Casper) RegisterUser(uid anonymizer.UserID, pos geom.Point, prof anonymizer.Profile) error {
 	if err := c.anon().Register(uid, pos, prof); err != nil {
 		return userErr(err)
 	}
-	c.pseudo.Store(int64(uid), c.newPseudonym())
+	c.mu.Lock()
+	var pid int64
+	for taken := true; taken; _, taken = c.srv.GetPrivate(pid) {
+		pid = c.rng.Int63()
+	}
+	c.pids[uid] = pid
+	c.mu.Unlock()
 	if err := c.pushCloak(uid); err != nil {
 		// Roll back so a failed registration leaves no ghost user; the
 		// caller can fix the profile and retry without hitting
 		// ErrAlreadyRegistered.
-		c.pseudo.Delete(int64(uid))
+		c.forget(uid)
 		_ = c.anon().Deregister(uid)
 		return err
 	}
 	return nil
-}
-
-// newPseudonym draws a fresh random pseudonym. Pseudonyms are random,
-// so the server cannot infer registration order or identity. Skip
-// pseudonyms already stored at the server: after a WAL recovery the
-// deterministic generator would otherwise replay IDs that still name
-// recovered cloaks.
-func (c *Casper) newPseudonym() int64 {
-	c.rngMu.Lock()
-	defer c.rngMu.Unlock()
-	for {
-		pid := c.rng.Int63()
-		if _, exists := c.srv.GetPrivate(pid); !exists {
-			return pid
-		}
-	}
 }
 
 // UpdateUser processes a location update and refreshes the user's
@@ -706,7 +690,7 @@ func (c *Casper) UpdateUsers(updates []UserUpdate) (int, error) {
 			firstErr = fmt.Errorf("batch aborted at uid %d: %w", u.UID, userErr(err))
 			break
 		}
-		pid, ok := c.pseudo.Get(int64(u.UID))
+		pid, ok := c.pseudonym(u.UID)
 		if !ok {
 			// Deregistered concurrently after the anonymizer update;
 			// nothing to store for this entry.
@@ -751,11 +735,11 @@ func (c *Casper) storeCloaks(pushed []cloakedPush) error {
 // notifyCloakBatch propagates a batch of freshly stored cloaks to the
 // continuous monitor in one ApplyUpdates call — the monitor lock is
 // taken once for the whole batch instead of once per user — then
-// refreshes the users' standing watches. It takes monMu only after all
+// refreshes the users' standing watches. It takes mu only after all
 // anonymizer and server locks have been released.
 func (c *Casper) notifyCloakBatch(pushed []cloakedPush) error {
-	c.monMu.RLock()
-	defer c.monMu.RUnlock()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	if c.monitor == nil {
 		return nil
 	}
@@ -765,13 +749,14 @@ func (c *Casper) notifyCloakBatch(pushed []cloakedPush) error {
 	}
 	firstErr := c.monitor.ApplyUpdates(batch)
 	for _, p := range pushed {
-		for _, qid := range c.watches[p.uid] {
-			if err := c.monitor.UpdateNNCloak(qid, p.region); err != nil && firstErr == nil {
-				firstErr = err
+		for _, w := range c.watches[p.uid] {
+			var err error
+			if w.radius {
+				err = c.monitor.UpdateRadiusCloak(w.id, p.region)
+			} else {
+				err = c.monitor.UpdateNNCloak(w.id, p.region)
 			}
-		}
-		for _, qid := range c.rangeWatches[p.uid] {
-			if err := c.monitor.UpdateRadiusCloak(qid, p.region); err != nil && firstErr == nil {
+			if err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
@@ -793,33 +778,50 @@ func (c *Casper) DeregisterUser(uid anonymizer.UserID) error {
 	if err := c.anon().Deregister(uid); err != nil {
 		return userErr(err)
 	}
-	pid, ok := c.pseudo.Delete(int64(uid))
+	pid, ok := c.forget(uid)
 	if !ok {
 		// A concurrent DeregisterUser already tore the rest down (the
 		// anonymizer's own check serializes who wins).
 		return nil
 	}
-	c.monMu.Lock()
+	return c.srv.RemovePrivate(pid)
+}
+
+// forget drops uid's pseudonym and, with the monitor on, the user's
+// cloak and standing queries from it. It returns the pseudonym, if
+// uid had one.
+func (c *Casper) forget(uid anonymizer.UserID) (int64, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	pid, ok := c.pids[uid]
+	if !ok {
+		return 0, false
+	}
+	delete(c.pids, uid)
 	if c.monitor != nil {
 		c.monitor.RemovePrivate(pid)
-		for _, qid := range c.watches[uid] {
-			c.monitor.Unregister(qid)
+		for _, w := range c.watches[uid] {
+			c.monitor.Unregister(w.id)
 		}
 		delete(c.watches, uid)
-		for _, qid := range c.rangeWatches[uid] {
-			c.monitor.Unregister(qid)
-		}
-		delete(c.rangeWatches, uid)
 	}
-	c.monMu.Unlock()
-	return c.srv.RemovePrivate(pid)
+	return pid, true
+}
+
+// pseudonym returns uid's server pseudonym; ok is false when uid is
+// not registered with the framework.
+func (c *Casper) pseudonym(uid anonymizer.UserID) (pid int64, ok bool) {
+	c.mu.RLock()
+	pid, ok = c.pids[uid]
+	c.mu.RUnlock()
+	return pid, ok
 }
 
 // pushCloak recomputes the user's cloaked region and stores it under
 // the pseudonym (see storeCloaks). An unsatisfiable profile leaves the
 // previous region in place and reports the error.
 func (c *Casper) pushCloak(uid anonymizer.UserID) error {
-	pid, ok := c.pseudo.Get(int64(uid))
+	pid, ok := c.pseudonym(uid)
 	if !ok {
 		// The user was deregistered between the anonymizer update and
 		// this push (concurrent update/deregister); nothing to store.
@@ -977,7 +979,7 @@ func (c *Casper) NearestBuddy(uid anonymizer.UserID) (NNAnswer, error) {
 	if err != nil {
 		return NNAnswer{}, err
 	}
-	pid, ok := c.pseudo.Get(int64(uid))
+	pid, ok := c.pseudonym(uid)
 	if !ok {
 		// The user deregistered between userPos and here; pseudonym 0
 		// would wrongly exclude (or fail to exclude) a stored cloak.

@@ -56,6 +56,17 @@ func populate(t *testing.T, c *Casper, n, m int, seed int64) []geom.Point {
 	return positions
 }
 
+// pidOf returns uid's server pseudonym, failing the test when the
+// framework holds none.
+func pidOf(t *testing.T, c *Casper, uid anonymizer.UserID) int64 {
+	t.Helper()
+	pid, ok := c.pseudonym(uid)
+	if !ok {
+		t.Fatalf("no pseudonym for user %d", uid)
+	}
+	return pid
+}
+
 func TestTransmissionModel(t *testing.T) {
 	m := DefaultTransmission()
 	if m.Time(0) != 0 || m.Time(-3) != 0 {

@@ -118,8 +118,7 @@ func TestBuddyProbeEveryBackend(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			self, _ := c.pseudo.Get(1)
-			want, _ := c.pseudo.Get(2)
+			self, want := pidOf(t, c, 1), pidOf(t, c, 2)
 			check := func(what string, cands []rtree.Item) {
 				t.Helper()
 				if slices.ContainsFunc(cands, func(it rtree.Item) bool { return it.ID == self }) {

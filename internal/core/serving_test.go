@@ -79,7 +79,7 @@ func TestServingPathRunsDefaultAlgorithm2(t *testing.T) {
 		// A query stores the cloak it was given, so the private table
 		// is read after it.
 		at = rec.last[uid]
-		pid, _ := c.pseudo.Get(int64(uid))
+		pid := pidOf(t, c, uid)
 		buddies := privacyqp.Without(rtree.BulkLoad(c.Server().PrivateItems()), pid)
 		buddyAt := func(opt privacyqp.Options) (privacyqp.Result, error) {
 			return privacyqp.PrivateNN(buddies, at, privacyqp.PrivateData, opt)

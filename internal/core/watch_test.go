@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -103,7 +104,7 @@ func runWatchesMatchSnapshot(t *testing.T, kind string) {
 	byUID := map[anonymizer.UserID]*watch{}
 	for i := 0; i < nUsers; i += 5 {
 		w := &watch{uid: anonymizer.UserID(i), kind: i / 5 % 3}
-		w.pid, _ = c.pseudo.Get(int64(w.uid))
+		w.pid = pidOf(t, c, w.uid)
 		var cands []rtree.Item
 		var err error
 		switch w.kind {
@@ -239,6 +240,31 @@ func runWatchesMatchSnapshot(t *testing.T, kind string) {
 		check(batch)
 	}
 	t.Logf("%s: %d watches, %d evaluations, %d of %d nested cloaks kept their list", kind, len(watches), mon.Evaluations(), hits, mayKeep)
+}
+
+// TestWatchNeedsPseudonym: a uid the anonymizer holds but the
+// framework has no pseudonym for (RegisterUser's window between the two,
+// or after its rollback) gets ErrNotRegistered from WatchNearest and
+// WatchRange, for either data kind, and no standing query is filed.
+func TestWatchNeedsPseudonym(t *testing.T) {
+	c := MustNew(smallConfig(AdaptiveBackend))
+	defer c.Close()
+	populate(t, c, 8, 20, 5)
+	c.EnableContinuous(nil)
+	if err := c.Anonymizer().Register(99, geom.Pt(100, 100), anonymizer.Profile{K: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []privacyqp.DataKind{privacyqp.PublicData, privacyqp.PrivateData} {
+		if _, _, err := c.WatchNearest(99, kind); !errors.Is(err, ErrNotRegistered) {
+			t.Errorf("WatchNearest(kind %d) = %v, want ErrNotRegistered", kind, err)
+		}
+		if _, _, err := c.WatchRange(99, 100, kind); !errors.Is(err, ErrNotRegistered) {
+			t.Errorf("WatchRange(kind %d) = %v, want ErrNotRegistered", kind, err)
+		}
+	}
+	if n := c.Stats().Continuous.Queries; n != 0 {
+		t.Fatalf("%d standing queries filed for a user without a pseudonym", n)
+	}
 }
 
 // foldEvent folds a CandidatesChanged event into the candidate ID set

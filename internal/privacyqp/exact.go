@@ -53,17 +53,9 @@ func exactInto(sc *queryScratch, cloak geom.Rect, list, dst []rtree.Item) []rtre
 	if len(list) == 0 {
 		return dst
 	}
-	// No site further from the cloak than some site's furthest point is
-	// nearest anywhere in it.
-	bound := math.Inf(1)
-	for _, it := range list {
-		bound = min(bound, it.Rect.Min.MaxDist2Rect(cloak))
-	}
 	sites := sc.sites[:0]
 	for i, it := range list {
-		if d := it.Rect.Min.MinDist2Rect(cloak); d <= bound {
-			sites = append(sites, site{p: it.Rect.Min, i: int32(i), keep: d == 0})
-		}
+		sites = append(sites, site{p: it.Rect.Min, i: int32(i), keep: it.Rect.Min.MinDist2Rect(cloak) == 0})
 	}
 	sc.sites = sites
 	lo, hi := cloak.Min, cloak.Max
